@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -161,6 +162,10 @@ class Namenode {
   // sub-second simulation window cannot organically warm.
   void PrimePathCache(const std::string& path, InodeId id,
                       const std::string& row_key);
+  // Test accessor: whether the hint cache holds an entry for `path`.
+  bool HasPathHint(std::string_view path) const {
+    return path_cache_.find(path) != path_cache_.end();
+  }
 
   const ThreadPool& cpu_pool() const { return *cpu_; }
   void ResetStats() { cpu_->ResetStats(); }
@@ -245,26 +250,15 @@ class Namenode {
   metrics::Counter* ctr_host_errors_ = nullptr;
 
   // Path -> inode hint cache; entries are validated by the locked read
-  // each operation performs, so staleness only costs a retry.
+  // each operation performs, so staleness only costs a retry. Ordered, so
+  // a rename drops the hints under its source as one key range; the
+  // transparent comparator lets the dispatch path probe with string_view
+  // slices of the request path without building a std::string.
   struct CachedPath {
     InodeId id;
     std::string row_key;  // "parentId/name" row key of the directory
   };
-  // Transparent hash/eq: the dispatch path probes with string_view
-  // slices of the request path, so find() must not build a std::string.
-  struct PathHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct PathEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept {
-      return a == b;
-    }
-  };
-  std::unordered_map<std::string, CachedPath, PathHash, PathEq> path_cache_;
+  std::map<std::string, CachedPath, std::less<>> path_cache_;
 
   // Leader election state.
   int64_t le_counter_ = 0;

@@ -8,6 +8,7 @@
 // both directory entries — the atomic-rename capability object stores
 // lack (§I).
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "hopsfs/namenode.h"
@@ -639,20 +640,22 @@ void Namenode::DoRename(std::shared_ptr<OpCtx> ctx) {
                             MaybeRetry(ctx, Status(c4, "rename: commit"));
                             return;
                           }
-                          // Drop hints under the moved path.
-                          const std::string& src = ctx->req.path;
-                          for (auto it = path_cache_.begin();
-                               it != path_cache_.end();) {
-                            const std::string& p = it->first;
-                            const bool under =
-                                StartsWith(p, src) &&
-                                p.size() > src.size() &&
-                                p[src.size()] == '/';
-                            if (p == src || under) {
-                              it = path_cache_.erase(it);
-                            } else {
-                              ++it;
-                            }
+                          // Drop the hints for the moved path and
+                          // everything under it: the keys in
+                          // [src + "/", src + "0"), '0' being the
+                          // character after '/'.
+                          const std::string_view src = ctx->req.path;
+                          auto bound = [&](char last) {
+                            char* k = ctx->arena.Alloc(src.size() + 1);
+                            std::memcpy(k, src.data(), src.size());
+                            k[src.size()] = last;
+                            return path_cache_.lower_bound(
+                                std::string_view(k, src.size() + 1));
+                          };
+                          path_cache_.erase(bound('/'), bound('0'));
+                          auto self = path_cache_.find(src);
+                          if (self != path_cache_.end()) {
+                            path_cache_.erase(self);
                           }
                           Finish(ctx, FsResult{});
                         });

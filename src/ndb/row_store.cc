@@ -1,5 +1,6 @@
 #include "ndb/row_store.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -36,13 +37,15 @@ std::optional<std::string> RowStore::Read(TableId table, const Key& key,
 bool RowStore::Prepare(TableId table, const Key& key, WriteType type,
                        std::string value, TxnId txn, NodeId tc,
                        Nanos staged_at) {
-  Row& row = tables_[table][key];
+  Entry& entry = *tables_[table].try_emplace(key).first;
+  Row& row = entry.second;
   if (TraceKey(key)) {
     std::fprintf(stderr, "[trace] store %d PREPARE %s txn=%lld tc=%d ok=%d\n",
                  debug_owner_, key.c_str(), (long long)txn, (int)tc,
                  !(row.has_pending && row.pending_txn != txn));
   }
   if (row.has_pending && row.pending_txn != txn) return false;
+  if (!row.has_pending) IndexPending(table, entry);
   row.has_pending = true;
   row.pending_txn = txn;
   row.pending_tc = tc;
@@ -75,6 +78,7 @@ std::optional<RowStore::AppliedWrite> RowStore::Commit(TableId table,
     applied.value = *row.committed;
     total_bytes_ += static_cast<int64_t>(row.committed->size());
   }
+  UnindexPending(row);
   row.has_pending = false;
   row.pending_value.clear();
   if (!row.committed) t.erase(it);
@@ -93,6 +97,7 @@ void RowStore::Abort(TableId table, const Key& key, TxnId txn) {
   if (it == t.end()) return;
   Row& row = it->second;
   if (!row.has_pending || row.pending_txn != txn) return;
+  UnindexPending(row);
   row.has_pending = false;
   row.pending_value.clear();
   if (!row.committed) t.erase(it);
@@ -134,6 +139,7 @@ int64_t RowStore::row_count(TableId table) const {
 
 void RowStore::Clear() {
   for (auto& t : tables_) t.clear();
+  pending_.clear();
   total_bytes_ = 0;
 }
 
@@ -144,6 +150,7 @@ void RowStore::BootstrapDelete(TableId table, const Key& key) {
   if (it->second.committed) {
     total_bytes_ -= static_cast<int64_t>(it->second.committed->size());
   }
+  if (it->second.has_pending) UnindexPending(it->second);
   t.erase(it);
 }
 
@@ -155,16 +162,32 @@ void RowStore::ForEachCommitted(
   }
 }
 
+void RowStore::IndexPending(TableId table, Entry& entry) {
+  entry.second.pending_slot = static_cast<uint32_t>(pending_.size());
+  pending_.push_back(PendingRef{table, &entry});
+}
+
+void RowStore::UnindexPending(Row& row) {
+  const uint32_t slot = row.pending_slot;
+  pending_[slot] = pending_.back();
+  pending_[slot].entry->second.pending_slot = slot;
+  pending_.pop_back();
+}
+
 void RowStore::ForEachPending(
     const std::function<void(const PendingRow&)>& fn) const {
-  for (size_t table = 0; table < tables_.size(); ++table) {
-    for (const auto& [key, row] : tables_[table]) {
-      if (row.has_pending) {
-        fn(PendingRow{static_cast<TableId>(table), key, row.pending_txn,
-                      row.pending_tc, row.pending_since, row.pending_type,
-                      row.pending_value});
-      }
-    }
+  // (table, key) order: the order a walk of every row would visit them
+  // in, so orphan resolution releases locks and logs redo in that order.
+  pending_sorted_.assign(pending_.begin(), pending_.end());
+  std::sort(pending_sorted_.begin(), pending_sorted_.end(),
+            [](const PendingRef& a, const PendingRef& b) {
+              if (a.table != b.table) return a.table < b.table;
+              return a.entry->first < b.entry->first;
+            });
+  for (const PendingRef& p : pending_sorted_) {
+    const Row& row = p.entry->second;
+    fn(PendingRow{p.table, p.entry->first, row.pending_txn, row.pending_tc,
+                  row.pending_since, row.pending_type, row.pending_value});
   }
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +25,10 @@ enum class WriteType { kPut, kDelete };
 class RowStore {
  public:
   explicit RowStore(int num_tables);
+  // The pending index points into the row maps, so a copy would alias
+  // the source's rows.
+  RowStore(const RowStore&) = delete;
+  RowStore& operator=(const RowStore&) = delete;
 
   // Committed read; pending changes of `reader_txn` (if any) are visible.
   std::optional<std::string> Read(TableId table, const Key& key,
@@ -86,9 +89,11 @@ class RowStore {
       const std::function<void(const Key&, const std::string&)>& fn) const;
 
   // Iterates every pending (staged, not yet applied) write across all
-  // tables. Used by the orphaned-slot sweep: a pending write whose
-  // transaction no longer exists at its coordinator — and which take-over
-  // never saw — must be resolved or it wedges the row forever.
+  // tables, in (table, key) order. Used by the orphaned-slot sweep: a
+  // pending write whose transaction no longer exists at its coordinator —
+  // and which take-over never saw — must be resolved or it wedges the row
+  // forever. Visits only the pending index, so a sweep costs the number of
+  // staged writes, not the number of rows. `fn` must not modify the store.
   struct PendingRow {
     TableId table;
     Key key;
@@ -107,14 +112,26 @@ class RowStore {
     bool has_pending = false;
     TxnId pending_txn = 0;
     NodeId pending_tc = kNoNode;  // coordinator that staged the write
+    uint32_t pending_slot = 0;    // position in pending_ while has_pending
     Nanos pending_since = 0;      // when it was staged
     WriteType pending_type = WriteType::kPut;
     std::string pending_value;
   };
+  using Entry = std::map<Key, Row>::value_type;
+  struct PendingRef {
+    TableId table;
+    Entry* entry;
+  };
 
-  void AccountResize(const Row& row, int64_t delta_hint);
+  // Adds/removes a row whose has_pending flag is being set/cleared.
+  void IndexPending(TableId table, Entry& entry);
+  void UnindexPending(Row& row);
 
   std::vector<std::map<Key, Row>> tables_;
+  // Every row with has_pending, unordered (swap-remove on unindex).
+  std::vector<PendingRef> pending_;
+  // ForEachPending's sort buffer, kept to reuse its capacity.
+  mutable std::vector<PendingRef> pending_sorted_;
   int64_t total_bytes_ = 0;
   int debug_owner_ = -1;
 };

@@ -138,6 +138,33 @@ TEST(HopsFsOps, RenameDirectoryMovesSubtree) {
   EXPECT_EQ(fs.Stat("/proj/v1/data").code(), Code::kNotFound);
 }
 
+TEST(HopsFsOps, RenameDropsExactlyTheMovedPathHints) {
+  TestFs fs;
+  // Siblings whose names extend "b" with characters just below '/'
+  // ('.', '-'), just above it ('0') and far above it ('c'): a hint-drop
+  // range off by one at either end takes one of them along.
+  for (const char* dir : {"/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/b0",
+                          "/a/b-x", "/a/b.x", "/a/bc"}) {
+    ASSERT_TRUE(fs.Mkdir(dir).ok()) << dir;
+  }
+  // A create resolves its parent directory, caching every prefix.
+  for (const char* file :
+       {"/a/b/c/d/f", "/a/b0/f", "/a/b-x/f", "/a/b.x/f", "/a/bc/f"}) {
+    ASSERT_TRUE(fs.Create(file).ok()) << file;
+  }
+  Namenode* nn = fs.client->current_nn();
+  ASSERT_NE(nn, nullptr);
+  const char* kDropped[] = {"/a/b", "/a/b/c/d"};
+  const char* kKept[] = {"/a", "/a/b0", "/a/b-x", "/a/b.x", "/a/bc"};
+  for (const char* p : kDropped) ASSERT_TRUE(nn->HasPathHint(p)) << p;
+  for (const char* p : kKept) ASSERT_TRUE(nn->HasPathHint(p)) << p;
+
+  ASSERT_TRUE(fs.Rename("/a/b", "/a/moved").ok());
+  ASSERT_EQ(fs.client->current_nn(), nn);
+  for (const char* p : kDropped) EXPECT_FALSE(nn->HasPathHint(p)) << p;
+  for (const char* p : kKept) EXPECT_TRUE(nn->HasPathHint(p)) << p;
+}
+
 TEST(HopsFsOps, ChmodUpdatesPermissions) {
   TestFs fs;
   ASSERT_TRUE(fs.Mkdir("/perm").ok());
