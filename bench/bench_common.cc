@@ -131,7 +131,6 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
   });
 
   RunOutput out;
-  out.setup_name = options.name;
   out.num_namenodes = config.num_namenodes;
   out.results = std::move(results);
 
@@ -173,7 +172,6 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
     const auto& hs = net.host_stats(nn->host());
     r.nn_net_read_mbps += static_cast<double>(hs.bytes_received);
     r.nn_net_write_mbps += static_cast<double>(hs.bytes_sent);
-    out.txn_retries += nn->txn_retries();
   }
   if (alive_nn > 0) {
     r.nn_cpu_util /= alive_nn;
@@ -184,30 +182,9 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
   }
   if (secs > 0) {
     r.inter_az_mbps = static_cast<double>(net.inter_az_bytes()) / (secs * mb);
-    r.intra_az_mbps = static_cast<double>(net.intra_az_bytes()) / (secs * mb);
-  }
-
-  Nanos wait_ns = 0;
-  for (int n = 0; n < ndb.num_datanodes(); ++n) {
-    auto& locks = ndb.datanode(n).locks();
-    out.lock_grants += locks.total_grants();
-    out.lock_waits += locks.total_waits();
-    out.lock_timeouts += locks.total_timeouts();
-    wait_ns += locks.total_wait_ns();
-  }
-  if (out.lock_waits > 0) {
-    out.avg_lock_wait_ms = ToMillis(wait_ns) / static_cast<double>(out.lock_waits);
   }
 
   out.replica_reads = ndb.reads_per_replica();
-  out.replica_chains.reserve(out.replica_reads.size());
-  for (ndb::PartitionId p = 0;
-       p < static_cast<ndb::PartitionId>(out.replica_reads.size()); ++p) {
-    out.replica_chains.push_back(ndb.layout().ReplicaChain(p));
-  }
-  for (int n = 0; n < ndb.num_datanodes(); ++n) {
-    out.ndb_node_az.push_back(ndb.layout().az_of(n));
-  }
   return out;
 }
 

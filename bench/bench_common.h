@@ -58,23 +58,14 @@ struct ResourceStats {
   double nn_net_write_mbps = 0;                  // Fig. 13b
   // AZ traffic (§V-E).
   double inter_az_mbps = 0;
-  double intra_az_mbps = 0;
 };
 
 struct RunOutput {
-  std::string setup_name;
   int num_namenodes = 0;
   workload::DriverResults results;
   ResourceStats resources;
-  int64_t txn_retries = 0;
-  int64_t lock_grants = 0;
-  int64_t lock_waits = 0;
-  int64_t lock_timeouts = 0;
-  double avg_lock_wait_ms = 0;
   // Per-partition replica read counts (Fig. 14).
   std::vector<std::vector<int64_t>> replica_reads;
-  std::vector<std::vector<ndb::NodeId>> replica_chains;
-  std::vector<AzId> ndb_node_az;
 };
 
 RunOutput RunHopsFsWorkload(const RunConfig& config);

@@ -73,7 +73,6 @@ CephRunOutput RunCephWorkload(const CephRunConfig& config) {
   });
 
   CephRunOutput out;
-  out.setup_name = cephfs::CephVariantLabel(config.variant);
   out.num_mds = config.num_mds;
   out.results = std::move(results);
 
@@ -112,19 +111,6 @@ CephRunOutput RunCephWorkload(const CephRunConfig& config) {
     out.osd_disk_read_mbps /= d;
     out.osd_net_read_mbps /= d;
     out.osd_net_write_mbps /= d;
-  }
-
-  int64_t hits = 0, misses = 0;
-  for (auto& t : targets) {
-    (void)t;
-  }
-  for (int c = 0; c < total_clients; ++c) {
-    hits += cluster.client(c)->cache_hits();
-    misses += cluster.client(c)->cache_misses();
-  }
-  if (hits + misses > 0) {
-    out.client_cache_hit_rate =
-        static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
   return out;
 }

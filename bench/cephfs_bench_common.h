@@ -3,7 +3,6 @@
 // SkipKCache).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cephfs/cluster.h"
@@ -25,7 +24,6 @@ struct CephRunConfig {
 };
 
 struct CephRunOutput {
-  std::string setup_name;
   int num_mds = 0;
   workload::DriverResults results;
   // Actual requests handled at the MDS layer (Fig. 6 counts these, not
@@ -39,7 +37,6 @@ struct CephRunOutput {
   double osd_net_write_mbps = 0;
   double mds_net_read_mbps = 0;   // Fig. 13
   double mds_net_write_mbps = 0;
-  double client_cache_hit_rate = 0;
 };
 
 CephRunOutput RunCephWorkload(const CephRunConfig& config);

@@ -99,11 +99,9 @@ void NdbCluster::StartProtocols() {
     }));
     // Local checkpoints: fold the durable log prefix into the base image
     // and truncate the journal (bounds its memory; sets replay cost).
-    if (nc.enable_durability) {
-      timers_.push_back(sim_.Every(nc.lcp_interval, [this, i] {
-        datanodes_[i]->StartLocalCheckpoint(DurableGcpEpoch());
-      }));
-    }
+    timers_.push_back(sim_.Every(nc.lcp_interval, [this, i] {
+      datanodes_[i]->StartLocalCheckpoint(DurableGcpEpoch());
+    }));
   }
   // Global checkpoint: advance the epoch on every node, then close older
   // epochs once their commits have finished (transaction-atomic epochs:
@@ -706,8 +704,6 @@ void NdbCluster::BootstrapPut(TableId table, const Key& key,
 }
 
 NdbCluster::ClusterRecoveryReport NdbCluster::RecoverFromCheckpoint() {
-  assert(config_.node.enable_durability &&
-         "recovery requires enable_durability");
   ClusterRecoveryReport report;
   // The recovery epoch: the newest epoch whose redo log is flushed on
   // EVERY node — except that a completed local checkpoint is itself

@@ -188,7 +188,6 @@ class NdbCluster {
   // replays checkpoint + redo log up to the last globally durable
   // epoch. Transactions committed after it are LOST — NDB's documented
   // durability boundary — and reported instead of silently dropped.
-  // Requires enable_durability.
   struct ClusterRecoveryReport {
     int64_t epoch = 0;              // the recovery cut
     int64_t dropped_commits = 0;    // distinct post-cut transactions

@@ -32,7 +32,6 @@ struct CostModel {
   // IO thread: redo-log bookkeeping per commit; the log itself is flushed
   // to disk in batches.
   Nanos io_redo_per_commit = 1 * kMicrosecond;
-  int64_t redo_bytes_per_commit = 320;
 
   // Write-ahead journal framing and node-recovery costs.
   int64_t redo_record_overhead_bytes = 32;   // per-record on-disk header
@@ -68,11 +67,6 @@ struct NdbNodeConfig {
   // Redo-journal segment roll size; truncation at LCP drops whole
   // flushed segments, so memory overhang is about one segment per node.
   int64_t redo_segment_bytes = 256 << 10;
-  // Record per-replica redo entries so nodes and the cluster can be
-  // recovered from checkpoints + redo replay (§II-B2). On by default:
-  // local checkpoints truncate the journal, so the in-memory footprint
-  // is bounded by the checkpoint image plus one LCP interval of log.
-  bool enable_durability = true;
   // Redo backpressure: when the appended-but-unflushed journal backlog
   // exceeds this, the primary LDM refuses new prepares with
   // kResourceExhausted until the log disk catches up. Bounds journal

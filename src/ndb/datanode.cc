@@ -30,7 +30,6 @@ NdbDatanode::NdbDatanode(NdbCluster& cluster, NodeId id, HostId host)
       store_(cluster.catalog().num_tables()),
       locks_(cluster.sim(), cluster.node_config().lock_wait_timeout),
       journal_(cluster.catalog().num_tables(), JournalConfig(cluster)) {
-  cluster_has_durability_ = cluster.node_config().enable_durability;
   store_.set_debug_owner(id_);
   auto& sim = cluster_.sim();
   const auto& nc = cluster_.node_config();
@@ -103,7 +102,6 @@ void NdbDatanode::Revive() {
   alive_ = true;
   catchup_accepting_ = false;
   recovery_phase_ = RecoveryPhase::kServing;
-  redo_pending_bytes_ = 0;
   RLOG_INFO(kLog, "datanode %d rejoined", id_);
 }
 
@@ -275,18 +273,10 @@ void NdbDatanode::RunIo(Nanos cost, SmallFn fn) {
   io_->Submit(cost, std::move(fn));
 }
 
-void NdbDatanode::AccountRedo() {
-  // With durability on, the journal accounts real record bytes and the
-  // group-commit flush charges them; this legacy path only models the
-  // disk traffic for durability-off clusters.
-  if (cluster_has_durability_) return;
-  redo_pending_bytes_ += cluster_.cost().redo_bytes_per_commit;
-}
-
 void NdbDatanode::LogRedo(
     int64_t epoch, PartitionId part, TxnId txn, TableId table, const Key& key,
     const std::optional<RowStore::AppliedWrite>& applied) {
-  if (!cluster_has_durability_ || !applied) return;
+  if (!applied) return;
   // The epoch was assigned once, by the TC, at the commit decision —
   // every replica of the transaction logs the identical epoch, so a GCP
   // tick between two replicas' applies can no longer split a commit
@@ -298,7 +288,6 @@ void NdbDatanode::LogRedo(
 }
 
 void NdbDatanode::UpdateRedoStallAccounting() {
-  if (!cluster_has_durability_) return;
   const bool over = journal_.backlog_bytes() >
                     cluster_.node_config().redo_stall_backlog_bytes;
   if (over == redo_stalled_) return;
@@ -324,36 +313,27 @@ void NdbDatanode::FlushRedo() {
   // or their backlog grows until backpressure sheds every write routed
   // through them — permanently, since nothing else drains the journal.
   if (!alive_ && !catchup_accepting_) return;
-  if (cluster_has_durability_) {
-    // Group commit: one log-disk write covers every record appended
-    // since the previous flush (plus the fsync overhead). The batch
-    // counts as durable only when the write lands; a crash in between
-    // loses it. Queueing on the dedicated log disk means checkpoint and
-    // recovery traffic on the data disk cannot delay commits — only a
-    // genuinely slow log device can, and that surfaces as backpressure.
-    const RedoJournal::FlushBatch batch = journal_.PrepareFlush();
-    if (batch.upto_seqno == 0) return;
-    const uint64_t gen = journal_.generation();
-    RunIo(cluster_.cost().io_redo_per_commit, [this, batch, gen] {
-      if (!alive_) return;
-      log_disk_->Write(batch.disk_bytes, [this, batch, gen] {
-        if (journal_.generation() != gen) return;
-        journal_.MarkFlushed(batch);
-        UpdateRedoStallAccounting();
-      });
-    });
-    return;
-  }
-  if (redo_pending_bytes_ == 0) return;
-  const int64_t bytes = std::exchange(redo_pending_bytes_, 0);
-  RunIo(cluster_.cost().io_redo_per_commit, [this, bytes] {
+  // Group commit: one log-disk write covers every record appended since
+  // the previous flush (plus the fsync overhead). The batch counts as
+  // durable only when the write lands; a crash in between loses it.
+  // Queueing on the dedicated log disk means checkpoint and recovery
+  // traffic on the data disk cannot delay commits — only a genuinely
+  // slow log device can, and that surfaces as backpressure.
+  const RedoJournal::FlushBatch batch = journal_.PrepareFlush();
+  if (batch.upto_seqno == 0) return;
+  const uint64_t gen = journal_.generation();
+  RunIo(cluster_.cost().io_redo_per_commit, [this, batch, gen] {
     if (!alive_) return;
-    log_disk_->Write(bytes, nullptr);
+    log_disk_->Write(batch.disk_bytes, [this, batch, gen] {
+      if (journal_.generation() != gen) return;
+      journal_.MarkFlushed(batch);
+      UpdateRedoStallAccounting();
+    });
   });
 }
 
 void NdbDatanode::StartLocalCheckpoint(int64_t cluster_durable_epoch) {
-  if (!alive_ || !cluster_has_durability_ || lcp_inflight_) return;
+  if (!alive_ || lcp_inflight_) return;
   const int64_t cut = journal_.CheckpointCutSeqno(cluster_durable_epoch);
   // Nothing new to fold: the cut has not advanced past the base in either
   // seqno or epoch terms. (The epoch check matters with deferred epoch
@@ -1040,7 +1020,6 @@ void NdbDatanode::ResolveTakenOverRow(const TakeoverRow& row) {
     // whatever the already-applied replicas logged for this transaction.
     LogRedo(row.epoch != 0 ? row.epoch : gcp_epoch_ + 1, row.part, row.txn,
             row.table, row.key, store_.Commit(row.table, row.key, row.txn));
-    AccountRedo();
   } else {
     store_.Abort(row.table, row.key, row.txn);
   }
@@ -1134,7 +1113,6 @@ void NdbDatanode::SweepInactiveTxns() {
       // recovery cut has long since passed the original epoch anyway.
       LogRedo(gcp_epoch_ + 1, part, o.txn, o.table, o.key,
               store_.Commit(o.table, o.key, o.txn));
-      AccountRedo();
     } else {
       store_.Abort(o.table, o.key, o.txn);
     }
@@ -1346,9 +1324,8 @@ void NdbDatanode::LdmPrepare(PrepareReq req) {
            // memory instead of growing it without limit. Commits already
            // past their decision point are never stalled (WAL semantics:
            // backpressure applies at admission, not at apply).
-           if (cluster_has_durability_ &&
-               journal_.backlog_bytes() >
-                   cluster_.node_config().redo_stall_backlog_bytes) {
+           if (journal_.backlog_bytes() >
+               cluster_.node_config().redo_stall_backlog_bytes) {
              const auto& cost = cluster_.cost();
              for (int i = 0; i < req.pos; ++i) {
                SendToNode(req.chain[i], cost.msg_small,
@@ -1512,7 +1489,6 @@ void NdbDatanode::LdmCommitChain(CommitChainReq req) {
           LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
                   store_.Commit(req.table, req.key, req.txn));
           locks_.Release(req.txn, req.table, req.key);
-          AccountRedo();
           SendToNode(req.tc, cost.msg_small,
                      [txn = req.txn](NdbDatanode& tc) {
                        tc.TcCommitted(txn);
@@ -1546,7 +1522,6 @@ void NdbDatanode::LdmComplete(CompleteReq req) {
         if (!req.is_primary) {
           LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
                   store_.Commit(req.table, req.key, req.txn));
-          AccountRedo();
         }
         SendToNode(req.tc, cluster_.cost().msg_small,
                    [txn = req.txn](NdbDatanode& tc) {

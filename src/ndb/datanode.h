@@ -244,7 +244,7 @@ class NdbDatanode {
   // versa) — and a slow log disk is a distinct, injectable failure mode.
   Disk& log_disk() { return *log_disk_; }
 
-  // ---- durability: write-ahead redo journal (enable_durability) ----
+  // ---- durability: write-ahead redo journal ----
   RedoJournal& journal() { return journal_; }
   const RedoJournal& journal() const { return journal_; }
   // The cluster announced a new GCP epoch: commit decisions from now on
@@ -257,9 +257,7 @@ class NdbDatanode {
   int64_t gcp_epoch() const { return gcp_epoch_; }
   // The cluster determined every transaction of epochs <= epoch has
   // finished committing: record the epoch boundary in the journal.
-  void CloseGcpEpoch(int64_t epoch) {
-    if (cluster_has_durability_) journal_.CloseEpoch(epoch);
-  }
+  void CloseGcpEpoch(int64_t epoch) { journal_.CloseEpoch(epoch); }
   // True if this node coordinates a transaction that took its commit
   // decision at or below `epoch` and has not finished its commit/complete
   // chain — the cluster must not close the epoch yet.
@@ -273,9 +271,8 @@ class NdbDatanode {
   bool lcp_in_progress() const { return lcp_inflight_; }
   // Bootstrap data is durable by definition (loaded before the run).
   void LogBootstrap(TableId table, const Key& key, const std::string& value) {
-    if (cluster_has_durability_) journal_.BootstrapRow(table, key, value);
+    journal_.BootstrapRow(table, key, value);
   }
-  void set_cluster_has_durability(bool v) { cluster_has_durability_ = v; }
 
   // ---- node recovery state machine (down -> replaying -> resyncing ->
   // serving), driven by NdbCluster::RestartDatanode ----
@@ -423,9 +420,6 @@ class NdbDatanode {
   void FinishCommit(TxnId txn, TcTxn& t);
   void AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api, Code code);
   void ForwardPrepare(PrepareReq req);
-  // Legacy cost-only redo accounting for durability-off clusters (the
-  // journal tracks real record bytes when durability is on).
-  void AccountRedo();
   // Emits queue/service spans for a thread-pool booking under `parent`
   // (no-op when the op is unsampled). `what` names the span: "<what>" for
   // the service slice, "<what>.queue" for any wait before it.
@@ -454,14 +448,12 @@ class NdbDatanode {
 
   std::unordered_map<TxnId, TcTxn> txns_;
   uint64_t rr_counter_ = 0;      // proximity tie-break round robin
-  int64_t redo_pending_bytes_ = 0;
   ProtocolStats proto_stats_;
   RedoJournal journal_;
   int64_t gcp_epoch_ = 0;
   RecoveryPhase recovery_phase_ = RecoveryPhase::kServing;
   uint64_t recovery_gen_ = 0;
   bool lcp_inflight_ = false;
-  bool cluster_has_durability_ = false;
   bool grey_degraded_ = false;
   bool log_disk_slow_ = false;
   bool test_lose_acked_writes_ = false;

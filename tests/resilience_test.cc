@@ -324,8 +324,6 @@ TEST(ResilienceIntegration, OverloadShedsAndNeverCompletesPastDeadline) {
     if (name == "hopsfs.nn.admission_shed") nn_sheds = value;
   }
   EXPECT_GT(nn_sheds, 0) << "shed counter must be wired through metrics";
-  // The legacy name keeps resolving to the same counter (rename shim).
-  EXPECT_EQ(dep.metrics().GetCounter("nn.admission.shed")->value(), nn_sheds);
 }
 
 // Chaos episode with an open-loop surge: the harness must emit the
