@@ -444,6 +444,15 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
           telemetry::ScrapeArchiveJson(dep.telemetry()->scraper()))) {
     report.telemetry_dump_path = opts.telemetry_dump_path;
   }
+  report.events_dispatched = sim.events_processed();
+  report.rng_draws = sim.rng().draws();
+  const int azs = dep.topology().num_azs();
+  for (AzId a = 0; a < azs; ++a) {
+    for (AzId b = 0; b < azs; ++b) {
+      report.az_pair_bytes.push_back(dep.network().az_pair_bytes(a, b));
+    }
+  }
+  report.latency_by_op = res.per_op;
   return report;
 }
 

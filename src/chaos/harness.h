@@ -154,6 +154,15 @@ struct ChaosReport {
   std::vector<ndb::NdbCluster::RecoveryStats> recoveries;
   int64_t recoveries_dropped = 0;
 
+  // Sim-side fingerprint of the whole episode, pinned by the behaviour
+  // digests (tests/behaviour_digest_test.cc): engine events dispatched,
+  // values drawn from the simulation RNG, bytes per directed AZ pair
+  // (row-major, from * num_azs + to) and the workload's per-op latency.
+  uint64_t events_dispatched = 0;
+  uint64_t rng_draws = 0;
+  std::vector<int64_t> az_pair_bytes;
+  std::map<hopsfs::FsOp, Histogram> latency_by_op;
+
   // Distributed-tracing capture (when ChaosOptions::trace_sample_every
   // is set): how many span trees finished, and where the flight-recorder
   // Chrome-trace JSON was written on invariant failure ("" = none).

@@ -32,6 +32,7 @@ class Histogram {
   Nanos Percentile(double q) const;
 
   std::string Summary() const;
+  const std::vector<int64_t>& buckets() const { return buckets_; }
 
  private:
   static int BucketFor(Nanos value);

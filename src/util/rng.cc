@@ -23,6 +23,7 @@ Rng::Rng(uint64_t seed) {
 }
 
 uint64_t Rng::NextU64() {
+  ++draws_;
   const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
   const uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];

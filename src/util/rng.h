@@ -19,6 +19,11 @@ class Rng {
 
   uint64_t NextU64();
 
+  // Values drawn from this stream so far (every Next* goes through
+  // NextU64). Behaviour digests pin it: a refactor that adds or drops a
+  // draw shifts every later random choice.
+  uint64_t draws() const { return draws_; }
+
   // Uniform in [0, n). n must be > 0.
   uint64_t NextBelow(uint64_t n);
 
@@ -39,6 +44,7 @@ class Rng {
 
  private:
   uint64_t s_[4];
+  uint64_t draws_ = 0;
 };
 
 // Zipf-distributed ranks in [0, n). Used to model skewed directory/file

@@ -1,0 +1,362 @@
+// Behaviour digests: pinned scenarios whose sim-visible output is hashed
+// and compared with tests/behaviour_digests.txt. Each digest covers the
+// engine events dispatched, the per-op latency histograms, the bytes on
+// every directed AZ pair and the number of simulation-RNG draws, plus the
+// scenario's own results (chaos trace, recovery timeline, row images).
+// A refactor that claims to leave the model unchanged must leave every
+// digest unchanged; a deliberate model change regenerates the file with
+//
+//   REPRO_UPDATE_DIGESTS=1 ctest -R BehaviourDigest
+//
+// and says why in the change description.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "chaos/harness.h"
+#include "hopsfs/deployment.h"
+#include "ndb/client.h"
+#include "ndb/cluster.h"
+#include "util/strings.h"
+#include "workload/driver.h"
+#include "workload/fs_interface.h"
+#include "workload/spotify.h"
+
+#ifndef REPRO_DIGEST_FILE
+#error "REPRO_DIGEST_FILE must name the committed digest file"
+#endif
+
+namespace repro {
+namespace {
+
+// Canonical text form of a scenario's observable output; the digest is
+// its FNV-1a hash. The text itself is printed on a mismatch so a diff
+// between two builds shows which quantity moved.
+class Fingerprint {
+ public:
+  void Add(const std::string& key, int64_t v) {
+    text_ << key << '=' << v << '\n';
+  }
+  void AddText(const std::string& key, const std::string& v) {
+    text_ << key << "=[" << v << "]\n";
+  }
+  void AddHistogram(const std::string& key, const Histogram& h) {
+    text_ << key << ": n=" << h.count() << " sum=" << h.sum()
+          << " min=" << h.min() << " max=" << h.max() << " buckets=";
+    const auto& b = h.buckets();
+    for (size_t i = 0; i < b.size(); ++i) {
+      if (b[i] != 0) text_ << i << ':' << b[i] << ',';
+    }
+    text_ << '\n';
+  }
+  void AddOps(const std::map<hopsfs::FsOp, Histogram>& per_op) {
+    for (const auto& [op, h] : per_op) {
+      AddHistogram(StrFormat("latency.%s", hopsfs::FsOpName(op)), h);
+    }
+  }
+  void AddAzPairs(const std::vector<int64_t>& bytes) {
+    text_ << "az_pair_bytes=";
+    for (int64_t b : bytes) text_ << b << ',';
+    text_ << '\n';
+  }
+  void AddSim(Simulation& sim) {
+    Add("events_dispatched", static_cast<int64_t>(sim.events_processed()));
+    Add("rng_draws", static_cast<int64_t>(sim.rng().draws()));
+  }
+  void AddNetwork(Network& net) {
+    std::vector<int64_t> bytes;
+    const int azs = net.topology().num_azs();
+    for (AzId a = 0; a < azs; ++a) {
+      for (AzId b = 0; b < azs; ++b) bytes.push_back(net.az_pair_bytes(a, b));
+    }
+    AddAzPairs(bytes);
+  }
+
+  std::string text() const { return text_.str(); }
+  std::string Digest() const {
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : text_.str()) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return StrFormat("%016llx", static_cast<unsigned long long>(h));
+  }
+
+ private:
+  std::ostringstream text_;
+};
+
+// ---- the committed digest file -------------------------------------------
+
+std::map<std::string, std::string> ReadDigests() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(REPRO_DIGEST_FILE);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, digest;
+    if (fields >> name >> digest) out[name] = digest;
+  }
+  return out;
+}
+
+bool UpdateMode() {
+  const char* env = std::getenv("REPRO_UPDATE_DIGESTS");
+  return env != nullptr && std::string(env) == "1";
+}
+
+void WriteDigest(const std::string& name, const std::string& digest) {
+  std::map<std::string, std::string> all = ReadDigests();
+  all[name] = digest;
+  std::ofstream out(REPRO_DIGEST_FILE, std::ios::trunc);
+  out << "# Behaviour digests of tests/behaviour_digest_test.cc.\n"
+         "# Regenerate: REPRO_UPDATE_DIGESTS=1 ctest -R BehaviourDigest\n";
+  for (const auto& [n, d] : all) out << n << ' ' << d << '\n';
+}
+
+void ExpectDigest(const std::string& name, const Fingerprint& fp) {
+  const std::string digest = fp.Digest();
+  if (UpdateMode()) {
+    WriteDigest(name, digest);
+    return;
+  }
+  const auto all = ReadDigests();
+  const auto it = all.find(name);
+  ASSERT_NE(it, all.end()) << "no committed digest for " << name
+                           << "; run with REPRO_UPDATE_DIGESTS=1";
+  EXPECT_EQ(it->second, digest)
+      << name << " changed behaviour. Fingerprint:\n"
+      << fp.text();
+}
+
+// ---- scenarios -------------------------------------------------------------
+
+// Writes only, on unique paths spread over the namespace's directories:
+// mkdirs and creates, then renames and deletes of the client's own files,
+// so every op of the mix succeeds.
+workload::SpotifyWorkload::Op NextWrite(Rng& rng,
+                                        std::vector<std::string>& owned,
+                                        const std::vector<std::string>& dirs,
+                                        int64_t& counter) {
+  using Op = workload::SpotifyWorkload::Op;
+  const uint64_t pick = rng.NextBelow(4);
+  const std::string fresh =
+      StrFormat("%s/n%lld", dirs[rng.NextBelow(dirs.size())].c_str(),
+                static_cast<long long>(counter++));
+  if (pick == 2 && !owned.empty()) {
+    const std::string from = owned.back();
+    owned.back() = fresh;
+    return Op{hopsfs::FsOp::kRename, from, fresh, 0};
+  }
+  if (pick == 3 && !owned.empty()) {
+    const std::string victim = owned.back();
+    owned.pop_back();
+    return Op{hopsfs::FsOp::kDelete, victim, "", 0};
+  }
+  if (pick == 0) return Op{hopsfs::FsOp::kMkdir, fresh, "", 0};
+  owned.push_back(fresh);
+  return Op{hopsfs::FsOp::kCreate, fresh, "", 0};
+}
+
+// A short closed-loop run on HopsFS-CL (3,3) with 3 namenodes.
+Fingerprint RunClosedLoop(bool writes_only) {
+  Simulation sim(writes_only ? 23 : 11);
+  hopsfs::Deployment dep(
+      sim, hopsfs::DeploymentOptions::FromPaperSetup(
+               hopsfs::PaperSetup::kHopsFsCl_3_3, 3));
+  dep.Start();
+  workload::NamespaceConfig ns;
+  ns.users = 32;
+  workload::SpotifyWorkload wl(ns, 5);
+  const std::vector<std::string>& dirs = wl.all_dirs();
+  dep.BootstrapNamespace(dirs, wl.all_files());
+
+  std::vector<std::unique_ptr<workload::HopsFsTarget>> targets;
+  std::vector<workload::FsTarget*> ptrs;
+  for (int i = 0; i < 24; ++i) {
+    targets.push_back(
+        std::make_unique<workload::HopsFsTarget>(dep.AddClient()));
+    ptrs.push_back(targets.back().get());
+  }
+  sim.RunFor(Seconds(2));
+
+  int64_t counter = 0;
+  workload::ClosedLoopDriver driver(
+      sim, ptrs,
+      [&](Rng& rng, std::vector<std::string>& owned) {
+        return writes_only ? NextWrite(rng, owned, dirs, counter)
+                           : wl.Next(rng, owned);
+      });
+  const workload::DriverResults res = driver.Run(Millis(150), Millis(400));
+
+  Fingerprint fp;
+  fp.AddSim(sim);
+  fp.AddNetwork(dep.network());
+  fp.Add("completed", res.completed);
+  fp.Add("failed", res.failed);
+  fp.AddHistogram("latency.all", res.all);
+  fp.AddOps(res.per_op);
+  return fp;
+}
+
+TEST(BehaviourDigest, SpotifyMixThreeNamenodes) {
+  ExpectDigest("spotify_3nn", RunClosedLoop(/*writes_only=*/false));
+}
+
+TEST(BehaviourDigest, WritesOnly) {
+  ExpectDigest("writes_only", RunClosedLoop(/*writes_only=*/true));
+}
+
+// The pinned crash -> replay -> resync -> serve episode on a bare NDB
+// cluster (6 datanodes, replication 3 over 3 AZs).
+TEST(BehaviourDigest, RecoveryEpisode) {
+  Simulation sim(7);
+  Topology topology(3, AzLatencyTable::UsWest1());
+  topology.set_jitter_fraction(0);
+  Network network(sim, topology);
+  ndb::Catalog catalog;
+  ndb::TableDef inodes;
+  inodes.name = "inodes";
+  inodes.part_key = ndb::PartKeyRule::kPrefixBeforeSlash;
+  inodes.read_backup = true;
+  const ndb::TableId table = catalog.AddTable(inodes);
+  ndb::NdbClusterConfig config;
+  config.layout.num_datanodes = 6;
+  config.layout.replication_factor = 3;
+  config.layout.node_az = ndb::AssignNodeAzs(6, 3, {0, 1, 2});
+  config.layout.num_ldm_threads = 4;
+  config.flags.az_aware = true;
+  ndb::NdbCluster cluster(sim, network, &catalog, config);
+  cluster.StartProtocols();
+  ndb::NdbApiNode api(cluster, topology.AddHost(0, "api-0"), 0);
+
+  const auto drive = [&sim](const bool& flag) {
+    const Nanos deadline = sim.now() + 60 * kSecond;
+    while (!flag && sim.now() < deadline && !sim.Empty()) {
+      sim.RunUntil(sim.now() + kMillisecond);
+    }
+  };
+  Histogram commit_latency;
+  int64_t committed = 0;
+  for (int i = 0; i < 60; ++i) {
+    const ndb::Key key = StrFormat("%d/f", i);
+    const Nanos start = sim.now();
+    const ndb::TxnId txn = api.Begin(table, key);
+    bool done = false;
+    api.Insert(txn, table, key, std::string(160, 'a'), [&](Code c) {
+      if (c != Code::kOk) {
+        api.Abort(txn);
+        done = true;
+        return;
+      }
+      api.Commit(txn, [&](Code c2) {
+        if (c2 == Code::kOk) ++committed;
+        done = true;
+      });
+    });
+    drive(done);
+    commit_latency.Record(sim.now() - start);
+  }
+  sim.RunFor(kSecond);
+  const uint64_t before = cluster.datanode(0).DigestStore();
+  cluster.CrashDatanode(0);
+  sim.RunFor(kMillisecond);
+  bool served = false;
+  cluster.RestartDatanode(0, [&] { served = true; });
+  drive(served);
+  ASSERT_TRUE(served);
+  ASSERT_FALSE(cluster.recovery_log().empty());
+  const auto& rec = cluster.recovery_log().back();
+
+  Fingerprint fp;
+  fp.AddSim(sim);
+  fp.AddNetwork(network);
+  fp.Add("committed", committed);
+  fp.AddHistogram("latency.insert_commit", commit_latency);
+  fp.Add("store_before", static_cast<int64_t>(before));
+  fp.Add("store_after",
+         static_cast<int64_t>(cluster.datanode(0).DigestStore()));
+  fp.Add("started", rec.started);
+  fp.Add("replay_done", rec.replay_done);
+  fp.Add("serving_at", rec.serving_at);
+  fp.Add("replay_entries", rec.replay_entries);
+  fp.Add("replay_log_bytes", rec.replay_log_bytes);
+  fp.Add("replay_image_bytes", rec.replay_image_bytes);
+  fp.Add("resync_rows", rec.resync_rows);
+  fp.Add("resync_bytes", rec.resync_bytes);
+  fp.Add("streamed_parts", rec.streamed_parts);
+  fp.Add("replay_digest", static_cast<int64_t>(rec.replay_digest));
+  ExpectDigest("recovery_episode", fp);
+}
+
+Fingerprint ChaosFingerprint(const chaos::ChaosReport& r) {
+  Fingerprint fp;
+  fp.Add("events_dispatched", static_cast<int64_t>(r.events_dispatched));
+  fp.Add("rng_draws", static_cast<int64_t>(r.rng_draws));
+  fp.AddAzPairs(r.az_pair_bytes);
+  fp.AddOps(r.latency_by_op);
+  fp.AddText("trace", r.TraceString());
+  fp.Add("completed", r.completed);
+  fp.Add("failed", r.failed);
+  fp.Add("acked_writes", r.acked_writes);
+  fp.Add("messages_dropped", r.messages_dropped);
+  for (const auto& [code, n] : r.errors_by_code) {
+    fp.Add(StrFormat("errors.%d", static_cast<int>(code)), n);
+  }
+  for (const auto& rec : r.recoveries) {
+    fp.Add(StrFormat("recovery.%d.serving_at", rec.node), rec.serving_at);
+    fp.Add(StrFormat("recovery.%d.resync_rows", rec.node), rec.resync_rows);
+  }
+  return fp;
+}
+
+chaos::ChaosOptions ShortChaos(uint64_t seed) {
+  chaos::ChaosOptions opts;
+  opts.seed = seed;
+  opts.num_namenodes = 3;
+  opts.workload_clients = 6;
+  opts.ns.users = 32;
+  opts.warmup = 1 * kSecond;
+  opts.fault_window = 3 * kSecond;
+  opts.settle = 2 * kSecond;
+  opts.client_rpc_timeout = 250 * kMillisecond;
+  opts.client_op_deadline = 1 * kSecond;
+  return opts;
+}
+
+TEST(BehaviourDigest, ChaosSeeds) {
+  for (uint64_t seed : {3u, 17u, 101u}) {
+    const chaos::ChaosReport r = chaos::RunChaosSchedule(ShortChaos(seed));
+    ExpectDigest(StrFormat("chaos_seed_%llu",
+                           static_cast<unsigned long long>(seed)),
+                 ChaosFingerprint(r));
+  }
+}
+
+// The overload episode at test scale: an open-loop surge past the three
+// namenodes' capacity, then a single-AZ outage and its restore.
+TEST(BehaviourDigest, OverloadSurgeEpisode) {
+  chaos::ChaosOptions opts = ShortChaos(777);
+  chaos::FaultSchedule schedule;
+  schedule.Add({opts.warmup + 200 * kMillisecond,
+                chaos::FaultType::kOpenLoopSurge, 120000, -1, 1.0});
+  schedule.Add({opts.warmup + 1200 * kMillisecond,
+                chaos::FaultType::kOpenLoopSurgeStop, -1, -1, 1.0});
+  schedule.Add({opts.warmup + 1500 * kMillisecond,
+                chaos::FaultType::kAzOutage, 2, -1, 1.0});
+  schedule.Add({opts.warmup + 2200 * kMillisecond,
+                chaos::FaultType::kAzRestore, 2, -1, 1.0});
+  const chaos::ChaosReport r = chaos::RunChaosSchedule(opts, schedule);
+  ExpectDigest("overload_surge", ChaosFingerprint(r));
+}
+
+}  // namespace
+}  // namespace repro
