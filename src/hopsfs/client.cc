@@ -202,12 +202,13 @@ void HopsFsClient::StartAttempt(OpPtr op) {
 void HopsFsClient::SendToNn(OpPtr op, Namenode* nn, bool is_hedge) {
   if (op->done) return;
   const Nanos now = sim_.now();
-  const uint64_t rpc_id = next_rpc_id_++;
-  rpc_done_[rpc_id] = false;
-
+  RpcRef rpc = rpcs_->Acquire();
+  rpc->op = op;
+  rpc->nn = nn;
+  rpc->is_hedge = is_hedge;
   // One span per RPC attempt; a hedge attempt is blamed on the resilience
   // stack (kRetry), so hedge-won ops attribute the duplicated work.
-  const trace::SpanId attempt = sim_.tracer().StartSpan(
+  rpc->attempt = sim_.tracer().StartSpan(
       op->span, is_hedge ? "rpc.hedge" : "rpc", trace::Layer::kClient,
       is_hedge ? trace::Cause::kRetry : trace::Cause::kWork, host_, az_);
 
@@ -216,86 +217,96 @@ void HopsFsClient::SendToNn(OpPtr op, Namenode* nn, bool is_hedge) {
   // success can never race past an expired deadline through this path.
   const Nanos timeout = resilience::ClampToDeadline(
       config_.rpc_timeout, op->req.deadline, now);
-  sim_.After(timeout, [this, rpc_id, op, nn, is_hedge, attempt] {
-    auto it = rpc_done_.find(rpc_id);
-    if (it == rpc_done_.end() || it->second) return;
-    rpc_done_.erase(it);
-    sim_.tracer().EndSpan(attempt);
-    NoteBreaker(breaker(nn), [this, nn] {
-      breaker(nn)->OnFailure(sim_.now());
-    });
-    if (op->done || is_hedge) return;  // a hedge timeout retries nothing
-    // A timed-out attempt is a request the client observed to fail, even
-    // though the op will be retried: it burns availability error budget
-    // (total without good) exactly like a load balancer counting each
-    // 5xx/timeout per try. Without this, requests stuck against a dark
-    // AZ are invisible to the SLI until their final deadline.
-    metrics::Bump(ctr_slo_total_);
-    // Failover: drop the sticky NN, exclude it from the re-pick, and
-    // retry under the budget after a jittered delay (herd control).
-    if (nn_ == nn) nn_ = nullptr;
-    last_failed_nn_ = nn->id();
-    RetryAfterFailure(op, Unavailable("namenode RPC timed out"));
+  sim_.After(timeout, [this, rpc = rpc.Share()]() mutable {
+    OnRpcTimeout(std::move(rpc));
   });
 
   if (!is_hedge) MaybeHedge(op, nn);
 
-  const trace::SpanId net_req = sim_.tracer().StartSpan(
-      attempt, "net.request", trace::Layer::kClient,
+  rpc->net = sim_.tracer().StartSpan(
+      rpc->attempt, "net.request", trace::Layer::kClient,
       trace::NetCause(az_, nn->az()), host_, az_, nn->az());
   network_.Send(
       host_, nn->host(),
       config_.request_bytes + static_cast<int64_t>(op->req.path.size()),
-      [this, nn, op, rpc_id, is_hedge, attempt, net_req]() mutable {
-        sim_.tracer().EndSpan(net_req);
-        FsRequest req = op->req;  // each attempt sends its own copy
-        req.span = attempt;  // the NN parents its spans under the attempt
-        nn->HandleRequest(
-            std::move(req),
-            [this, nn, op, rpc_id, is_hedge, attempt](FsResult result) {
-              // Reply hop: size grows with listing / block payloads.
-              int64_t bytes = config_.reply_base_bytes;
-              for (const auto& c : result.children) {
-                bytes += static_cast<int64_t>(c.size()) + 16;
-              }
-              bytes += 48 * static_cast<int64_t>(result.blocks.size() +
-                                                 result.new_blocks.size());
-              const trace::SpanId net_reply = sim_.tracer().StartSpan(
-                  attempt, "net.reply", trace::Layer::kClient,
-                  trace::NetCause(nn->az(), az_), nn->host(), nn->az(), az_);
-              network_.Send(
-                  nn->host(), host_, bytes,
-                  [this, nn, op, rpc_id, is_hedge, attempt, net_reply,
-                   result = std::move(result)]() mutable {
-                    sim_.tracer().EndSpan(net_reply);
-                    sim_.tracer().EndSpan(attempt);
-                    auto it = rpc_done_.find(rpc_id);
-                    if (it == rpc_done_.end()) {
-                      // Timed out already: drop, but keep the
-                      // deadline-safety audit (Deliver's done-guard
-                      // counts a success after DEADLINE_EXCEEDED).
-                      Deliver(std::move(op), std::move(result), is_hedge);
-                      return;
-                    }
-                    rpc_done_.erase(it);
-                    if (result.status.code() == Code::kResourceExhausted) {
-                      // Server shed us (OVERLOADED). The NN is healthy —
-                      // no breaker strike — but spread the retry to a
-                      // different NN under the budget.
-                      metrics::Bump(ctr_shed_seen_);
-                      if (op->done || is_hedge) return;
-                      if (nn_ == nn) nn_ = nullptr;
-                      last_failed_nn_ = nn->id();
-                      RetryAfterFailure(op, std::move(result.status));
-                      return;
-                    }
-                    NoteBreaker(breaker(nn), [this, nn] {
-                      breaker(nn)->OnSuccess();
-                    });
-                    HandleLargeFileIo(std::move(op), std::move(result));
-                  });
-            });
+      [this, rpc = std::move(rpc)]() mutable {
+        sim_.tracer().EndSpan(rpc->net);
+        FsRequest req = rpc->op->req;  // each attempt sends its own copy
+        req.span = rpc->attempt;  // the NN parents its spans under it
+        Namenode* to = rpc->nn;
+        to->HandleRequest(std::move(req),
+                          [this, rpc = std::move(rpc)](FsResult r) mutable {
+                            SendRpcReply(std::move(rpc), std::move(r));
+                          });
       });
+}
+
+void HopsFsClient::OnRpcTimeout(RpcRef rpc) {
+  if (rpc->resolved) return;
+  rpc->resolved = true;
+  sim_.tracer().EndSpan(rpc->attempt);
+  Namenode* nn = rpc->nn;
+  NoteBreaker(breaker(nn), [this, nn] { breaker(nn)->OnFailure(sim_.now()); });
+  // A hedge timeout retries nothing.
+  if (rpc->op->done || rpc->is_hedge) return;
+  // A timed-out attempt is a request the client observed to fail, even
+  // though the op will be retried: it burns availability error budget
+  // (total without good) exactly like a load balancer counting each
+  // 5xx/timeout per try. Without this, requests stuck against a dark
+  // AZ are invisible to the SLI until their final deadline.
+  metrics::Bump(ctr_slo_total_);
+  // Failover: drop the sticky NN, exclude it from the re-pick, and
+  // retry under the budget after a jittered delay (herd control).
+  if (nn_ == nn) nn_ = nullptr;
+  last_failed_nn_ = nn->id();
+  RetryAfterFailure(rpc->op, Unavailable("namenode RPC timed out"));
+}
+
+void HopsFsClient::SendRpcReply(RpcRef rpc, FsResult result) {
+  // Reply hop: size grows with listing / block payloads.
+  int64_t bytes = config_.reply_base_bytes;
+  for (const auto& c : result.children) {
+    bytes += static_cast<int64_t>(c.size()) + 16;
+  }
+  bytes += 48 * static_cast<int64_t>(result.blocks.size() +
+                                     result.new_blocks.size());
+  const Namenode* nn = rpc->nn;
+  rpc->net = sim_.tracer().StartSpan(
+      rpc->attempt, "net.reply", trace::Layer::kClient,
+      trace::NetCause(nn->az(), az_), nn->host(), nn->az(), az_);
+  ResultRef res = results_->Acquire();
+  *res = std::move(result);
+  network_.Send(nn->host(), host_, bytes,
+                [this, rpc = std::move(rpc), res = std::move(res)]() mutable {
+                  OnRpcReply(std::move(rpc), std::move(res));
+                });
+}
+
+void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
+  sim_.tracer().EndSpan(rpc->net);
+  sim_.tracer().EndSpan(rpc->attempt);
+  if (rpc->resolved) {
+    // Timed out already: drop, but keep the deadline-safety audit
+    // (Deliver's done-guard counts a success after DEADLINE_EXCEEDED).
+    Deliver(rpc->op, std::move(*result), rpc->is_hedge);
+    return;
+  }
+  // Resolved: the pending timer keeps only the slot, not the op.
+  rpc->resolved = true;
+  OpPtr op = std::move(rpc->op);
+  Namenode* nn = rpc->nn;
+  if (result->status.code() == Code::kResourceExhausted) {
+    // Server shed us (OVERLOADED). The NN is healthy — no breaker strike
+    // — but spread the retry to a different NN under the budget.
+    metrics::Bump(ctr_shed_seen_);
+    if (op->done || rpc->is_hedge) return;
+    if (nn_ == nn) nn_ = nullptr;
+    last_failed_nn_ = nn->id();
+    RetryAfterFailure(std::move(op), std::move(result->status));
+    return;
+  }
+  NoteBreaker(breaker(nn), [this, nn] { breaker(nn)->OnSuccess(); });
+  HandleLargeFileIo(std::move(op), std::move(*result));
 }
 
 // Shared failure path for timeouts and server sheds: consult the retry

@@ -19,7 +19,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "blocks/datanode.h"
@@ -29,6 +28,7 @@
 #include "resilience/latency_tracker.h"
 #include "resilience/retry_budget.h"
 #include "sim/network.h"
+#include "sim/record_pool.h"
 #include "util/rng.h"
 
 namespace repro::hopsfs {
@@ -137,8 +137,30 @@ class HopsFsClient {
   };
   using OpPtr = std::shared_ptr<OpState>;
 
+  // One namenode RPC attempt, pooled. Its timeout timer and its
+  // request/reply hops each hold a reference; whichever of timeout and
+  // reply comes first resolves it, and the other finds `resolved` set.
+  // The timer keeps the slot until rpc_timeout, so it stays small: the
+  // reply's FsResult travels in its own pooled record, and a reply that
+  // resolves the slot drops its op.
+  struct RpcSlot {
+    OpPtr op;
+    Namenode* nn = nullptr;
+    bool is_hedge = false;
+    bool resolved = false;
+    trace::SpanId attempt = 0;  // the attempt's span
+    trace::SpanId net = 0;      // the hop in flight (request, then reply)
+  };
+  using RpcPool = RecordPool<RpcSlot>;
+  using RpcRef = RpcPool::Ref;
+  using ResultPool = RecordPool<FsResult>;
+  using ResultRef = ResultPool::Ref;
+
   void StartAttempt(OpPtr op);
   void SendToNn(OpPtr op, Namenode* nn, bool is_hedge);
+  void OnRpcTimeout(RpcRef rpc);
+  void SendRpcReply(RpcRef rpc, FsResult result);
+  void OnRpcReply(RpcRef rpc, ResultRef result);
   void MaybeHedge(OpPtr op, Namenode* primary_nn);
   void RetryAfterFailure(OpPtr op, Status give_up_status);
   void Deliver(OpPtr op, FsResult result, bool is_hedge);
@@ -159,8 +181,8 @@ class HopsFsClient {
 
   Namenode* nn_ = nullptr;
   std::string user_;
-  uint64_t next_rpc_id_ = 1;
-  std::unordered_map<uint64_t, bool> rpc_done_;  // id -> answered
+  RpcPool::Handle rpcs_ = RpcPool::Handle::Make();
+  ResultPool::Handle results_ = ResultPool::Handle::Make();
 
   // Resilience state.
   resilience::RetryBudget budget_;

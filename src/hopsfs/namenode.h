@@ -84,7 +84,9 @@ struct FsResult {
   int64_t cs_bytes = 0;
 };
 
-using FsResultCb = std::function<void(FsResult)>;
+// Move-only (SmallCall), so an RPC's reply continuation can own its
+// pooled slot instead of copying the attempt's state.
+using FsResultCb = SmallCall<void(FsResult)>;
 
 struct NamenodeConfig {
   int cpu_threads = 32;                  // the evaluation's 32-vCPU VMs

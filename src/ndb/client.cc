@@ -164,11 +164,8 @@ void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
       cluster_.cost().msg_read_req + static_cast<int64_t>(req.value.size());
   if (hedgeable) MaybeHedgeRead(txn, req.op_id, req);
   const trace::SpanId span = req.span;
-  SendToTc(txn, t->tc, bytes,
-           [req = std::move(req)](NdbDatanode& n) mutable {
-             n.TcKeyOp(std::move(req));
-           },
-           span);
+  SendToTc(t->tc, bytes, SignalKind::kTcKeyOp,
+           cluster_.transport().New(std::move(req)), span);
 }
 
 void NdbApiNode::MaybeHedgeRead(TxnId txn, uint64_t op_id,
@@ -176,13 +173,15 @@ void NdbApiNode::MaybeHedgeRead(TxnId txn, uint64_t op_id,
   // Same destruction fence as the op timer: resolve by id at fire time.
   cluster_.sim().After(
       hedge_read_delay_,
-      [cluster = &cluster_, id = id_, txn, op_id, req]() mutable {
+      [cluster = &cluster_, id = id_, txn, op_id,
+       sig = cluster_.transport().New(req)]() mutable {
         NdbApiNode* self = cluster->api(id);
-        if (self != nullptr) self->HedgeReadNow(txn, op_id, std::move(req));
+        if (self != nullptr) self->HedgeReadNow(txn, op_id, std::move(sig));
       });
 }
 
-void NdbApiNode::HedgeReadNow(TxnId txn, uint64_t op_id, KeyOpReq req) {
+void NdbApiNode::HedgeReadNow(TxnId txn, uint64_t op_id, SignalRef sig) {
+  KeyOpReq& req = sig->as<KeyOpReq>();
   PendingOp* p = pending_.Find(op_id);
   if (p == nullptr) return;  // answered in time: no hedge
   TxnState* t = FindTxn(txn);
@@ -208,11 +207,7 @@ void NdbApiNode::HedgeReadNow(TxnId txn, uint64_t op_id, KeyOpReq req) {
       host_, az_);
   p->hedge_span = hspan;
   req.span = hspan;
-  SendToTc(txn, alt, bytes,
-           [hreq = std::move(req)](NdbDatanode& n) mutable {
-             n.TcKeyOp(std::move(hreq));
-           },
-           hspan);
+  SendToTc(alt, bytes, SignalKind::kTcKeyOp, std::move(sig), hspan);
 }
 
 void NdbApiNode::Read(TxnId txn, TableId table, Key key, LockMode mode,
@@ -305,11 +300,8 @@ void NdbApiNode::ScanPrefix(TxnId txn, TableId table, Key prefix, ScanCb cb) {
   req.span = op.span;
   req.op_id = RegisterOp(txn, std::move(op));
   const trace::SpanId span = req.span;
-  SendToTc(txn, t->tc, cluster_.cost().msg_scan_req,
-           [req = std::move(req)](NdbDatanode& n) mutable {
-             n.TcScan(std::move(req));
-           },
-           span);
+  SendToTc(t->tc, cluster_.cost().msg_scan_req, SignalKind::kTcScan,
+           cluster_.transport().New(std::move(req)), span);
 }
 
 void NdbApiNode::Commit(TxnId txn, WriteCb cb) {
@@ -339,10 +331,8 @@ void NdbApiNode::Commit(TxnId txn, WriteCb cb) {
   const trace::SpanId cspan = op.span;
   const uint64_t op_id = RegisterOp(txn, std::move(op));
   const NodeId tc = t->tc;
-  SendToTc(txn, tc, cluster_.cost().msg_small,
-           [txn, op_id, api = id_, cspan](NdbDatanode& n) {
-             n.TcCommit(txn, op_id, api, cspan);
-           },
+  SendToTc(tc, cluster_.cost().msg_small, SignalKind::kTcCommit,
+           cluster_.transport().New(CommitReq{txn, op_id, id_, cspan}),
            cspan);
 }
 
@@ -350,8 +340,8 @@ void NdbApiNode::Abort(TxnId txn) {
   TxnState* t = FindTxn(txn);
   if (t == nullptr) return;
   if (cluster_.layout().alive(t->tc) && cluster_.cluster_up()) {
-    SendToTc(txn, t->tc, cluster_.cost().msg_small,
-             [txn](NdbDatanode& n) { n.TcAbort(txn); });
+    SendToTc(t->tc, cluster_.cost().msg_small, SignalKind::kTcAbort,
+             cluster_.transport().New(TxnAck{txn}));
   }
   txns_.Erase(txn);
 }

@@ -128,31 +128,15 @@ class NdbApiNode {
   void SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op);
 
   void MaybeHedgeRead(TxnId txn, uint64_t op_id, const KeyOpReq& req);
-  void HedgeReadNow(TxnId txn, uint64_t op_id, KeyOpReq req);
+  void HedgeReadNow(TxnId txn, uint64_t op_id, SignalRef sig);
 
-  // Ships `fn(NdbDatanode&)` to the TC as one network delivery closure.
-  // A template (like Network::Send) so the payload rides in the event
-  // directly: one event-sized allocation when it is large, none when it
-  // fits inline — never an extra type-erasure hop on top. The delivery
-  // resolves nothing through `this` (the API node may be destroyed while
-  // the message is in flight); datanode references stay valid for the
-  // cluster's lifetime.
-  template <typename F>
-  void SendToTc(TxnId txn, NodeId tc, int64_t bytes, F fn,
+  // Sends `sig` (its payload already set) from this API node to TC
+  // `tc` through the cluster transport; `parent` != 0 records the hop as
+  // a network span under it. In flight, the signal resolves nothing
+  // through `this` (the API node may be destroyed meanwhile).
+  void SendToTc(NodeId tc, int64_t bytes, SignalKind kind, SignalRef sig,
                 trace::SpanId parent = 0) {
-    (void)txn;
-    NdbDatanode& node = cluster_.datanode(tc);
-    const AzId dst_az = cluster_.layout().az_of(tc);
-    const trace::SpanId hop = cluster_.sim().tracer().StartSpan(
-        parent, "net.api_tc", trace::Layer::kNdb, trace::NetCause(az_, dst_az),
-        host_, az_, dst_az);
-    NdbCluster* cluster = &cluster_;
-    cluster_.network().Send(
-        host_, node.host(), bytes,
-        [cluster, &node, hop, fn = std::move(fn)]() mutable {
-          cluster->sim().tracer().EndSpan(hop);
-          node.ReceiveMsg([&node, fn = std::move(fn)]() mutable { fn(node); });
-        });
+    cluster_.transport().Send(std::move(sig), kind, id_, tc, bytes, parent);
   }
 
   NdbCluster& cluster_;

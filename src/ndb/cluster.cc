@@ -176,13 +176,8 @@ void NdbCluster::HeartbeatTick(NodeId i) {
 
   for (NodeId j = 0; j < num_datanodes(); ++j) {
     if (j == i || !layout_.alive(j)) continue;
-    NdbDatanode& peer = *datanodes_[j];
-    network_.Send(self.host(), peer.host(), kHeartbeatBytes,
-                  [this, i, j, &peer] {
-                    peer.ReceiveMsg([this, i, j] {
-                      last_heard_[j][i] = sim_.now();
-                    });
-                  });
+    transport_.Send(transport_.New(std::monostate{}), SignalKind::kHeartbeat,
+                    i, j, kHeartbeatBytes);
   }
 
   // Failure detection: peers silent for too long are suspects.
@@ -235,26 +230,10 @@ void NdbCluster::RequestArbitration(NodeId requester) {
   }
 
   auto answered = std::make_shared<bool>(false);
-  NdbMgmtNode* arbitrator = mgmt_[arb].get();
-  network_.Send(
-      self.host(), arbitrator->host(), kArbBytes,
-      [this, requester, arbitrator, reachable, suspects, answered] {
-        const bool grant = arbitrator->HandleArbRequest(requester, reachable,
-                                                        sim_.now());
-        NdbDatanode& req_node = *datanodes_[requester];
-        network_.Send(arbitrator->host(), req_node.host(), kArbBytes,
-                      [this, requester, grant, suspects, answered] {
-                        *answered = true;
-                        arbitration_in_flight_[requester] = false;
-                        if (!grant) {
-                          RLOG_INFO(kLog, "node %d lost arbitration",
-                                    requester);
-                          DeclareNodeFailed(requester);
-                          return;
-                        }
-                        for (NodeId s : suspects) DeclareNodeFailed(s);
-                      });
-      });
+  transport_.Send(
+      transport_.New(ArbRequest{std::move(reachable), std::move(suspects),
+                                answered}),
+      SignalKind::kArbRequest, requester, arb, kArbBytes);
 
   sim_.After(nc.arbitration_timeout, [this, requester, answered] {
     if (*answered) return;
@@ -264,6 +243,30 @@ void NdbCluster::RequestArbitration(NodeId requester) {
               requester);
     DeclareNodeFailed(requester);
   });
+}
+
+void NdbCluster::OnArbRequest(SignalRef sig) {
+  const NodeId requester = sig->src;
+  const int arb = sig->dst;
+  ArbRequest& req = sig->as<ArbRequest>();
+  const bool grant =
+      mgmt_[arb]->HandleArbRequest(requester, req.reachable, sim_.now());
+  sig->msg = ArbReply{grant, std::move(req.suspects), std::move(req.answered)};
+  transport_.Send(std::move(sig), SignalKind::kArbReply, arb, requester,
+                  kArbBytes);
+}
+
+void NdbCluster::OnArbReply(Signal& sig) {
+  const NodeId requester = sig.dst;
+  const ArbReply& reply = sig.as<ArbReply>();
+  *reply.answered = true;
+  arbitration_in_flight_[requester] = false;
+  if (!reply.grant) {
+    RLOG_INFO(kLog, "node %d lost arbitration", requester);
+    DeclareNodeFailed(requester);
+    return;
+  }
+  for (NodeId s : reply.suspects) DeclareNodeFailed(s);
 }
 
 void NdbCluster::DeclareNodeFailed(NodeId n) {

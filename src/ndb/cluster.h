@@ -19,6 +19,7 @@
 #include "ndb/datanode.h"
 #include "ndb/layout.h"
 #include "ndb/schema.h"
+#include "ndb/transport.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -90,6 +91,9 @@ class NdbCluster {
   // The deployment-wide tracer (owned by the simulation).
   trace::Tracer& tracer();
   Network& network() { return network_; }
+  // Carries every signal between datanodes, API nodes and the
+  // arbitrator (ndb/transport.h).
+  Transport& transport() { return transport_; }
   const Catalog& catalog() const { return *catalog_; }
   ClusterLayout& layout() { return layout_; }
   const NdbClusterConfig& config() const { return config_; }
@@ -223,8 +227,15 @@ class NdbCluster {
   ThreadUtilization AverageThreadUtilization(Nanos window_start) const;
 
  private:
+  friend class Transport;
   void HeartbeatTick(NodeId n);
   void RequestArbitration(NodeId requester);
+  // Signal handlers (delivered by the transport).
+  void OnHeartbeat(NodeId from, NodeId to) {
+    last_heard_[to][from] = sim_.now();
+  }
+  void OnArbRequest(SignalRef sig);
+  void OnArbReply(Signal& sig);
 
   // ---- node-recovery state machine steps ----
   // True while the recovery started with `gen` on node n is still the
@@ -263,6 +274,7 @@ class NdbCluster {
   const Catalog* catalog_;
   NdbClusterConfig config_;
   ClusterLayout layout_;
+  Transport transport_{*this};
 
   std::vector<std::unique_ptr<NdbDatanode>> datanodes_;
   std::vector<std::unique_ptr<NdbMgmtNode>> mgmt_;

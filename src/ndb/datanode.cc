@@ -156,85 +156,34 @@ bool NdbDatanode::HasCommittingTxnAtOrBelow(int64_t epoch) const {
 // Infrastructure
 // ---------------------------------------------------------------------------
 
-void NdbDatanode::ReceiveMsg(SmallFn handle) {
-  if (!accepting()) return;
-  const auto& cost = cluster_.cost();
-  const auto& nc = cluster_.node_config();
-  // Idle singles (REP, then MAIN) help overloaded receive threads —
-  // the behaviour behind the high REP utilisation in Fig. 11.
-  ThreadPool* pool = recv_.get();
-  if (recv_->Backlog() > nc.helper_backlog_threshold) {
-    if (rep_->Backlog() < recv_->Backlog()) {
-      pool = rep_.get();
-    } else if (main_->Backlog() < recv_->Backlog()) {
-      pool = main_.get();
-    }
+ThreadPool& NdbDatanode::RecvStagePool() {
+  const auto threshold = cluster_.node_config().helper_backlog_threshold;
+  if (recv_->Backlog() > threshold) {
+    if (rep_->Backlog() < recv_->Backlog()) return *rep_;
+    if (main_->Backlog() < recv_->Backlog()) return *main_;
   }
-  pool->Submit(cost.recv_per_msg, [this, handle = std::move(handle)]() mutable {
-    if (accepting()) handle();
-  });
+  return *recv_;
 }
 
-void NdbDatanode::SendToNode(NodeId dst, int64_t bytes,
-                             SmallCall<void(NdbDatanode&)> fn,
-                             trace::SpanId span) {
-  if (!accepting()) return;
-  if (dst == id_) {
-    // In-process signal between the TC and LDM blocks of this node.
-    fn(*this);
-    return;
-  }
-  const auto& cost = cluster_.cost();
-  const auto& nc = cluster_.node_config();
-  ThreadPool* pool = send_.get();
-  if (send_->Backlog() > nc.helper_backlog_threshold &&
+ThreadPool& NdbDatanode::SendStagePool() {
+  if (send_->Backlog() > cluster_.node_config().helper_backlog_threshold &&
       rep_->Backlog() < send_->Backlog()) {
-    pool = rep_.get();
+    return *rep_;
   }
-  const AzId dst_az = cluster_.layout().az_of(dst);
-  const trace::SpanId hop = cluster_.tracer().StartSpan(
-      span, "net.hop", trace::Layer::kNdb, trace::NetCause(az(), dst_az),
-      host_, az(), dst_az);
-  pool->Submit(cost.send_per_msg, [this, dst, bytes, hop,
-                                   fn = std::move(fn)]() mutable {
-    NdbDatanode& peer = cluster_.datanode(dst);
-    cluster_.network().Send(
-        host_, peer.host(), bytes,
-        [this, &peer, hop, fn = std::move(fn)]() mutable {
-          cluster_.tracer().EndSpan(hop);
-          peer.ReceiveMsg([&peer, fn = std::move(fn)]() mutable { fn(peer); });
-        });
-  });
+  return *send_;
+}
+
+void NdbDatanode::SendToNode(NodeId dst, int64_t bytes, SignalKind kind,
+                             SignalRef sig, trace::SpanId span) {
+  cluster_.transport().Send(std::move(sig), kind, id_, dst, bytes, span);
 }
 
 void NdbDatanode::SendToApi(ApiNodeId api, int64_t bytes, OpReply reply,
-                            trace::SpanId span) {
-  if (!accepting()) return;
-  reply.from = id_;  // hedged-read win attribution (see OpReply::from)
-  const auto& cost = cluster_.cost();
-  NdbApiNode* dst = cluster_.api(api);
-  const trace::SpanId hop =
-      dst == nullptr ? 0
-                     : cluster_.tracer().StartSpan(
-                           span, "net.reply", trace::Layer::kNdb,
-                           trace::NetCause(az(), dst->az()), host_, az(),
-                           dst->az());
-  send_->Submit(cost.send_per_msg, [this, api, bytes, hop,
-                                    reply = std::move(reply)]() mutable {
-    NdbApiNode* a = cluster_.api(api);
-    if (a == nullptr) return;
-    // Re-resolve at delivery time: the API node can be destroyed while
-    // the reply is in flight, and its slot is nulled on unregister.
-    cluster_.network().Send(host_, a->host(), bytes,
-                            [this, api, hop,
-                             reply = std::move(reply)]() mutable {
-                              cluster_.tracer().EndSpan(hop);
-                              NdbApiNode* dst2 = cluster_.api(api);
-                              if (dst2 != nullptr) {
-                                dst2->OnOpReply(std::move(reply));
-                              }
-                            });
-  });
+                            trace::SpanId span, SignalRef sig) {
+  if (!sig) sig = cluster_.transport().New(std::monostate{});
+  sig->msg = std::move(reply);
+  cluster_.transport().Send(std::move(sig), SignalKind::kOpReply, id_, api,
+                            bytes, span);
 }
 
 Booking NdbDatanode::RunTc(Nanos cost, SmallFn fn) {
@@ -532,19 +481,21 @@ NodeId NdbDatanode::RouteCommittedRead(TableId table, PartitionId part,
   return node;
 }
 
-void NdbDatanode::TcKeyOp(KeyOpReq req) {
+void NdbDatanode::TcKeyOp(SignalRef sig) {
   PROF_ZONE("ndb.tc.keyop");
-  const trace::SpanId op_span = req.span;
+  const trace::SpanId op_span = sig->as<KeyOpReq>().span;
   const Booking b = RunTc(cluster_.cost().tc_route_op,
-                          [this, req = std::move(req)]() mutable {
+                          [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
+    KeyOpReq& req = sig->as<KeyOpReq>();
     const auto& cost = cluster_.cost();
     auto& layout = cluster_.layout();
     // Deadline propagation: refuse doomed work before routing it to an
     // LDM (the API node already gave up at the same instant).
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}},
+                0, std::move(sig));
       return;
     }
     const PartitionId part = layout.PartitionOf(req.table, req.key);
@@ -552,7 +503,8 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
     Touch(t);
     if (t.aborted) {
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kAborted, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kAborted, {}, {}}, 0,
+                std::move(sig));
       return;
     }
 
@@ -561,16 +513,14 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
       if (serving == kNoNode) {
         SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
+                  std::move(sig));
         return;
       }
       cluster_.RecordReplicaRead(part, replica_idx);
       const trace::SpanId s = req.span;
-      SendToNode(serving, cost.msg_read_req,
-                 [req = std::move(req), replica_idx](NdbDatanode& n) mutable {
-                   n.LdmCommittedRead(std::move(req), replica_idx);
-                 },
-                 s);
+      SendToNode(serving, cost.msg_read_req, SignalKind::kCommittedRead,
+                 std::move(sig), s);
       return;
     }
 
@@ -579,7 +529,8 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       const NodeId primary = layout.PrimaryOf(part);
       if (primary == kNoNode) {
         SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
+                  std::move(sig));
         return;
       }
       cluster_.RecordReplicaRead(part, 0);
@@ -594,11 +545,9 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       probe.insert_only = req.mode == LockMode::kExclusive;  // X vs S marker
       probe.span = req.span;
       const trace::SpanId s = probe.span;
-      SendToNode(primary, cost.msg_read_req,
-                 [probe = std::move(probe)](NdbDatanode& n) mutable {
-                   n.LdmLockedRead(std::move(probe));
-                 },
-                 s);
+      sig->msg = std::move(probe);
+      SendToNode(primary, cost.msg_read_req, SignalKind::kLockedRead,
+                 std::move(sig), s);
       return;
     }
 
@@ -607,7 +556,8 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       // and ack success. The transaction later commits "cleanly" with no
       // staged rows, so the client believes the write is durable.
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kOk, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kOk, {}, {}}, 0,
+                std::move(sig));
       return;
     }
 
@@ -628,7 +578,8 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
     }
     if (chain.empty()) {
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
+                std::move(sig));
       return;
     }
     const TableDef& td = cluster_.catalog().table(req.table);
@@ -656,25 +607,24 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
         cost.msg_write_base + static_cast<int64_t>(prep.value.size());
     const NodeId first = prep.chain[0];
     const trace::SpanId s = prep.span;
-    SendToNode(first, bytes,
-               [prep = std::move(prep)](NdbDatanode& n) mutable {
-                 n.LdmPrepare(std::move(prep));
-               },
-               s);
+    sig->msg = std::move(prep);
+    SendToNode(first, bytes, SignalKind::kPrepare, std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
 }
 
-void NdbDatanode::TcScan(ScanReq req) {
+void NdbDatanode::TcScan(SignalRef sig) {
   PROF_ZONE("ndb.tc.scan");
-  const trace::SpanId op_span = req.span;
+  const trace::SpanId op_span = sig->as<ScanReq>().span;
   const Booking b = RunTc(cluster_.cost().tc_route_op,
-                          [this, req = std::move(req)]() mutable {
+                          [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
+    ScanReq& req = sig->as<ScanReq>();
     const auto& cost = cluster_.cost();
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}},
+                0, std::move(sig));
       return;
     }
     const PartitionId part =
@@ -685,102 +635,102 @@ void NdbDatanode::TcScan(ScanReq req) {
     const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
     if (serving == kNoNode) {
       SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
+                std::move(sig));
       return;
     }
     cluster_.RecordReplicaRead(part, replica_idx);
     const trace::SpanId s = req.span;
-    SendToNode(serving, cost.msg_scan_req,
-               [req = std::move(req), part,
-                replica_idx](NdbDatanode& n) mutable {
-                 n.LdmScanExec(std::move(req), part, replica_idx);
-               },
-               s);
+    SendToNode(serving, cost.msg_scan_req, SignalKind::kScanExec,
+               std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
 }
 
-void NdbDatanode::TcPrepared(TxnId txn, uint64_t op_id, Code code,
-                             TableId table, Key key, PartitionId part,
-                             std::vector<NodeId> chain, trace::SpanId span) {
-  const Booking b = RunTc(
-      cluster_.cost().tc_route_op,
-      [this, txn, op_id, code, table, key = std::move(key), part,
-       chain = std::move(chain), span]() mutable {
-        if (!alive_) return;
-        auto it = txns_.find(txn);
-        const auto& cost = cluster_.cost();
-        if (it == txns_.end() || it->second.aborted) {
-          // Txn gone (aborted/timed out): roll the prepared row back.
-          for (NodeId n : chain) {
-            SendToNode(n, cost.msg_small,
-                       [txn, table, key, part](NdbDatanode& d) {
-                         d.LdmAbortRow(txn, table, key, part);
-                       });
-          }
-          return;
-        }
-        TcTxn& t = it->second;
-        Touch(t);
-        if (code != Code::kOk) {
-          AbortTxnInternal(txn, t, /*notify_api=*/false, code);
-          // The failed op itself is answered with the specific code.
-          SendToApi(t.api, cost.msg_small, OpReply{txn, op_id, code, {}, {}},
-                    span);
-          txns_.erase(txn);
-          return;
-        }
-        t.writes.push_back(
-            TcTxn::WriteRow{table, std::move(key), part, std::move(chain)});
-        SendToApi(t.api, cost.msg_small,
-                  OpReply{txn, op_id, Code::kOk, {}, {}}, span);
-      });
+void NdbDatanode::TcPrepared(SignalRef sig) {
+  const trace::SpanId span = sig->as<PreparedAck>().req.span;
+  const Booking b = RunTc(cluster_.cost().tc_route_op,
+                          [this, sig = std::move(sig)]() mutable {
+    if (!alive_) return;
+    const Code code = sig->as<PreparedAck>().code;
+    PrepareReq& req = sig->as<PreparedAck>().req;
+    const TxnId txn = req.txn;
+    const trace::SpanId span = req.span;
+    auto it = txns_.find(txn);
+    const auto& cost = cluster_.cost();
+    if (it == txns_.end() || it->second.aborted) {
+      // Txn gone (aborted/timed out): roll the prepared row back.
+      for (NodeId n : req.chain) {
+        SendToNode(n, cost.msg_small, SignalKind::kAbortRow,
+                   cluster_.transport().New(
+                       RowRef{txn, req.table, req.key, req.part}));
+      }
+      return;
+    }
+    TcTxn& t = it->second;
+    Touch(t);
+    if (code != Code::kOk) {
+      AbortTxnInternal(txn, t, /*notify_api=*/false, code);
+      // The failed op itself is answered with the specific code.
+      SendToApi(t.api, cost.msg_small, OpReply{txn, req.op_id, code, {}, {}},
+                span, std::move(sig));
+      txns_.erase(txn);
+      return;
+    }
+    t.writes.push_back(TcTxn::WriteRow{req.table, std::move(req.key),
+                                       req.part, std::move(req.chain)});
+    SendToApi(t.api, cost.msg_small,
+              OpReply{txn, req.op_id, Code::kOk, {}, {}}, span,
+              std::move(sig));
+  });
   TraceCpu(span, "tc.prepared", b);
 }
 
-void NdbDatanode::TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
-                                     std::optional<std::string> value,
-                                     TableId table, Key key, PartitionId part,
-                                     trace::SpanId span) {
-  const Booking b = RunTc(
-      cluster_.cost().tc_route_op,
-      [this, txn, op_id, code, value = std::move(value), table,
-       key = std::move(key), part, span]() mutable {
-          if (!alive_) return;
-          const auto& cost = cluster_.cost();
-          auto it = txns_.find(txn);
-          if (it == txns_.end() || it->second.aborted) {
-            if (code == Code::kOk) {
-              // Grant raced with an abort: release the stray lock.
-              const NodeId primary = cluster_.layout().PrimaryOf(part);
-              if (primary != kNoNode) {
-                SendToNode(primary, cost.msg_small,
-                           [txn, table, key, part](NdbDatanode& d) {
-                             d.LdmAbortRow(txn, table, key, part);
-                           });
-              }
-            }
-            return;
-          }
-          TcTxn& t = it->second;
-          Touch(t);
-          if (code == Code::kTimedOut) {
-            AbortTxnInternal(txn, t, /*notify_api=*/false, code);
-            SendToApi(t.api, cost.msg_small,
-                      OpReply{txn, op_id, code, {}, {}}, span);
-            txns_.erase(txn);
-            return;
-          }
-          if (code == Code::kOk) {
-            t.read_locks.push_back(TcTxn::HeldLock{
-                table, key, part, cluster_.layout().PrimaryOf(part)});
-          }
-          const int64_t bytes =
-              cost.msg_small +
-              (value ? static_cast<int64_t>(value->size()) : 0);
-          SendToApi(t.api, bytes,
-                    OpReply{txn, op_id, code, std::move(value), {}}, span);
-        });
+void NdbDatanode::TcLockedReadResult(SignalRef sig) {
+  const trace::SpanId span = sig->as<LockedReadAck>().probe.span;
+  const Booking b = RunTc(cluster_.cost().tc_route_op,
+                          [this, sig = std::move(sig)]() mutable {
+    if (!alive_) return;
+    const auto& cost = cluster_.cost();
+    LockedReadAck& ack = sig->as<LockedReadAck>();
+    const PrepareReq& probe = ack.probe;
+    const TxnId txn = probe.txn;
+    const Code code = ack.code;
+    const trace::SpanId span = probe.span;
+    auto it = txns_.find(txn);
+    if (it == txns_.end() || it->second.aborted) {
+      if (code == Code::kOk) {
+        // Grant raced with an abort: release the stray lock.
+        const NodeId primary = cluster_.layout().PrimaryOf(probe.part);
+        if (primary != kNoNode) {
+          SendToNode(primary, cost.msg_small, SignalKind::kAbortRow,
+                     cluster_.transport().New(
+                         RowRef{txn, probe.table, probe.key, probe.part}));
+        }
+      }
+      return;
+    }
+    TcTxn& t = it->second;
+    Touch(t);
+    if (code == Code::kTimedOut) {
+      AbortTxnInternal(txn, t, /*notify_api=*/false, code);
+      SendToApi(t.api, cost.msg_small, OpReply{txn, probe.op_id, code, {}, {}},
+                span, std::move(sig));
+      txns_.erase(txn);
+      return;
+    }
+    if (code == Code::kOk) {
+      t.read_locks.push_back(TcTxn::HeldLock{
+          probe.table, probe.key, probe.part,
+          cluster_.layout().PrimaryOf(probe.part)});
+    }
+    const int64_t bytes =
+        cost.msg_small +
+        (ack.value ? static_cast<int64_t>(ack.value->size()) : 0);
+    SendToApi(t.api, bytes,
+              OpReply{txn, probe.op_id, code, std::move(ack.value), {}}, span,
+              std::move(sig));
+  });
   TraceCpu(span, "tc.read_result", b);
 }
 
@@ -829,11 +779,9 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
         }
       }
       if (also_written) continue;
-      SendToNode(rl.node, cost.msg_small,
-                 [txn, table = rl.table, key = rl.key,
-                  part = rl.part](NdbDatanode& d) {
-                   d.LdmUnlock(txn, table, key, part);
-                 });
+      SendToNode(rl.node, cost.msg_small, SignalKind::kUnlock,
+                 cluster_.transport().New(
+                     RowRef{txn, rl.table, rl.key, rl.part}));
     }
     t.read_locks.clear();
 
@@ -860,11 +808,8 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
       creq.pos = static_cast<int>(w.chain.size()) - 1;
       creq.span = span;
       const NodeId last = w.chain.back();
-      SendToNode(last, cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmCommitChain(std::move(creq));
-                 },
-                 span);
+      SendToNode(last, cost.msg_small, SignalKind::kCommitChain,
+                 cluster_.transport().New(std::move(creq)), span);
     }
   });
   TraceCpu(span, "tc.commit", b);
@@ -903,11 +848,8 @@ void NdbDatanode::StartCompletePhase(TxnId txn, TcTxn& t) {
       creq.epoch = t.commit_epoch;
       creq.is_primary = i == 0;
       creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmComplete(std::move(creq));
-                 },
-                 t.commit_span);
+      SendToNode(w.chain[i], cost.msg_small, SignalKind::kComplete,
+                 cluster_.transport().New(std::move(creq)), t.commit_span);
     }
   }
   if (t.pending_completes == 0 && t.delay_ack) {
@@ -952,19 +894,14 @@ void NdbDatanode::AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api,
   t.aborted = true;
   for (const auto& w : t.writes) {
     for (NodeId n : w.chain) {
-      SendToNode(n, cost.msg_small,
-                 [txn, table = w.table, key = w.key,
-                  part = w.part](NdbDatanode& d) {
-                   d.LdmAbortRow(txn, table, key, part);
-                 });
+      SendToNode(n, cost.msg_small, SignalKind::kAbortRow,
+                 cluster_.transport().New(RowRef{txn, w.table, w.key, w.part}));
     }
   }
   for (const auto& rl : t.read_locks) {
-    SendToNode(rl.node, cost.msg_small,
-               [txn, table = rl.table, key = rl.key,
-                part = rl.part](NdbDatanode& d) {
-                 d.LdmAbortRow(txn, table, key, part);
-               });
+    SendToNode(rl.node, cost.msg_small, SignalKind::kAbortRow,
+               cluster_.transport().New(
+                   RowRef{txn, rl.table, rl.key, rl.part}));
   }
   t.writes.clear();
   t.read_locks.clear();
@@ -1155,11 +1092,8 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
       creq.pos = static_cast<int>(creq.chain.size()) - 1;
       const NodeId last = creq.chain.back();
       const trace::SpanId s = creq.span;
-      SendToNode(last, cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmCommitChain(std::move(creq));
-                 },
-                 s);
+      SendToNode(last, cost.msg_small, SignalKind::kCommitChain,
+                 cluster_.transport().New(std::move(creq)), s);
     }
     return;
   }
@@ -1185,11 +1119,8 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
       creq.epoch = t.commit_epoch;
       creq.is_primary = i == 0;
       creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmComplete(std::move(creq));
-                 },
-                 t.commit_span);
+      SendToNode(w.chain[i], cost.msg_small, SignalKind::kComplete,
+                 cluster_.transport().New(std::move(creq)), t.commit_span);
     }
   }
 }
@@ -1198,255 +1129,222 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
 // LDM role
 // ---------------------------------------------------------------------------
 
-void NdbDatanode::LdmCommittedRead(KeyOpReq req, int replica_idx) {
+void NdbDatanode::LdmCommittedRead(SignalRef sig) {
   PROF_ZONE("ndb.ldm.committed_read");
-  (void)replica_idx;
   ++proto_stats_.committed_reads;
+  const KeyOpReq& req = sig->as<KeyOpReq>();
   const PartitionId part = cluster_.layout().PartitionOf(req.table, req.key);
   const trace::SpanId span = req.span;
-  const Booking b =
-      RunLdm(part, cluster_.cost().ldm_read, [this, req = std::move(req)] {
-        if (!accepting()) return;
-        // Streaming catch-up availability: reads this node absorbed for
-        // already-resynced partitions while still rejoining.
-        if (!alive_) ++catchup_reads_served_;
-        const auto value = store_.Read(req.table, req.key, req.txn);
-        const int64_t bytes =
-            cluster_.cost().msg_small +
-            (value ? static_cast<int64_t>(value->size()) : 0);
-        SendToApi(req.api, bytes,
-                  OpReply{req.txn, req.op_id, Code::kOk, value, {}}, req.span);
-      });
+  const Booking b = RunLdm(part, cluster_.cost().ldm_read,
+                           [this, sig = std::move(sig)]() mutable {
+    if (!accepting()) return;
+    // Streaming catch-up availability: reads this node absorbed for
+    // already-resynced partitions while still rejoining.
+    if (!alive_) ++catchup_reads_served_;
+    const KeyOpReq& req = sig->as<KeyOpReq>();
+    auto value = store_.Read(req.table, req.key, req.txn);
+    const int64_t bytes = cluster_.cost().msg_small +
+                          (value ? static_cast<int64_t>(value->size()) : 0);
+    SendToApi(req.api, bytes,
+              OpReply{req.txn, req.op_id, Code::kOk, std::move(value), {}},
+              req.span, std::move(sig));
+  });
   TraceCpu(span, "ldm.read", b);
 }
 
-void NdbDatanode::LdmLockedRead(PrepareReq probe) {
+void NdbDatanode::LdmLockedRead(SignalRef sig) {
   PROF_ZONE("ndb.ldm.locked_read");
   ++proto_stats_.locked_reads;
+  const PrepareReq& probe = sig->as<PrepareReq>();
   // `insert_only` doubles as the exclusive-mode marker for lock probes.
   const LockMode mode =
       probe.insert_only ? LockMode::kExclusive : LockMode::kShared;
   const trace::SpanId op_span = probe.span;
-  const Booking b = RunLdm(
-      probe.part, cluster_.cost().ldm_read,
-      [this, probe = std::move(probe), mode] {
-        if (!accepting()) return;
-        const trace::SpanId wait = cluster_.tracer().StartSpan(
-            probe.span, "lock.wait", trace::Layer::kNdb,
-            trace::Cause::kLockWait, host_, az());
-        locks_.Acquire(
-            probe.txn, probe.table, probe.key, mode,
-            [this, probe, wait](Status s) {
-              cluster_.tracer().EndSpan(wait);
-              std::optional<std::string> value;
-              Code code = Code::kOk;
-              if (s.ok()) {
-                value = store_.Read(probe.table, probe.key, probe.txn);
-                if (!value) {
-                  // Missing row: do not retain a lock on a ghost.
-                  locks_.Release(probe.txn, probe.table, probe.key);
-                  code = Code::kNotFound;
-                }
-              } else {
-                code = s.code();
-              }
-              const int64_t bytes =
-                  cluster_.cost().msg_small +
-                  (value ? static_cast<int64_t>(value->size()) : 0);
-              const trace::SpanId s2 = probe.span;
-              SendToNode(probe.tc, bytes,
-                         [probe, code, value](NdbDatanode& tc) {
-                           tc.TcLockedReadResult(probe.txn, probe.op_id, code,
-                                                 value, probe.table, probe.key,
-                                                 probe.part, probe.span);
-                         },
-                         s2);
-            });
-      });
+  const PartitionId part = probe.part;
+  const Booking b = RunLdm(part, cluster_.cost().ldm_read,
+                           [this, sig = std::move(sig), mode]() mutable {
+    if (!accepting()) return;
+    const PrepareReq& probe = sig->as<PrepareReq>();
+    const trace::SpanId wait = cluster_.tracer().StartSpan(
+        probe.span, "lock.wait", trace::Layer::kNdb, trace::Cause::kLockWait,
+        host_, az());
+    // Acquire copies the row identity before it can run the grant, so
+    // the key may live in the record the continuation takes over.
+    locks_.Acquire(probe.txn, probe.table, probe.key, mode,
+                   [this, sig = std::move(sig), wait](Status s) mutable {
+      cluster_.tracer().EndSpan(wait);
+      PrepareReq& probe = sig->as<PrepareReq>();
+      std::optional<std::string> value;
+      Code code = Code::kOk;
+      if (s.ok()) {
+        value = store_.Read(probe.table, probe.key, probe.txn);
+        if (!value) {
+          // Missing row: do not retain a lock on a ghost.
+          locks_.Release(probe.txn, probe.table, probe.key);
+          code = Code::kNotFound;
+        }
+      } else {
+        code = s.code();
+      }
+      const int64_t bytes = cluster_.cost().msg_small +
+                            (value ? static_cast<int64_t>(value->size()) : 0);
+      const NodeId tc = probe.tc;
+      const trace::SpanId span = probe.span;
+      sig->msg = LockedReadAck{std::move(probe), code, std::move(value)};
+      SendToNode(tc, bytes, SignalKind::kLockedReadResult, std::move(sig),
+                 span);
+    });
+  });
   TraceCpu(op_span, "ldm.read", b);
 }
 
-void NdbDatanode::ForwardPrepare(PrepareReq req) {
-  const auto& cost = cluster_.cost();
+void NdbDatanode::SendPrepared(SignalRef sig, Code code) {
+  PrepareReq& req = sig->as<PrepareReq>();
+  const NodeId tc = req.tc;
+  const trace::SpanId span = req.span;
+  sig->msg = PreparedAck{std::move(req), code};
+  SendToNode(tc, cluster_.cost().msg_small, SignalKind::kPrepared,
+             std::move(sig), span);
+}
+
+void NdbDatanode::ForwardPrepare(SignalRef sig) {
+  PrepareReq& req = sig->as<PrepareReq>();
   if (req.pos + 1 < static_cast<int>(req.chain.size())) {
     req.pos += 1;
     const NodeId next = req.chain[req.pos];
-    const int64_t bytes =
-        cost.msg_write_base + static_cast<int64_t>(req.value.size());
+    const int64_t bytes = cluster_.cost().msg_write_base +
+                          static_cast<int64_t>(req.value.size());
     const trace::SpanId s = req.span;
-    SendToNode(next, bytes,
-               [req = std::move(req)](NdbDatanode& n) mutable {
-                 n.LdmPrepare(std::move(req));
-               },
-               s);
+    SendToNode(next, bytes, SignalKind::kPrepare, std::move(sig), s);
   } else {
-    const trace::SpanId s = req.span;
-    SendToNode(req.tc, cost.msg_small,
-               [req = std::move(req)](NdbDatanode& tc) {
-                 tc.TcPrepared(req.txn, req.op_id, Code::kOk, req.table,
-                               req.key, req.part, req.chain, req.span);
-               },
-               s);
+    SendPrepared(std::move(sig), Code::kOk);
   }
 }
 
-void NdbDatanode::LdmPrepare(PrepareReq req) {
+void NdbDatanode::LdmPrepare(SignalRef sig) {
   PROF_ZONE("ndb.ldm.prepare");
+  const PrepareReq& req = sig->as<PrepareReq>();
   if (req.busy_retries == 0) ++proto_stats_.prepares;
   const trace::SpanId op_span = req.busy_retries == 0 ? req.span : 0;
-  const Booking b = RunLdm(
-      req.part, cluster_.cost().ldm_prepare,
-      [this, req = std::move(req)]() mutable {
-           if (!accepting()) return;
-           if (!cluster_.layout().alive(req.tc)) {
-             // The coordinator died while this prepare was in flight.
-             // Take-over has already rolled its transactions back, but it
-             // can only see rows the TC had recorded — and the TC records
-             // a write only once the whole chain has prepared. Rows staged
-             // by earlier chain members are therefore invisible to
-             // take-over: unwind them here instead of staging one more
-             // pending write that nobody will ever commit or abort.
-             const auto& cost = cluster_.cost();
-             for (int i = 0; i < req.pos; ++i) {
-               SendToNode(req.chain[i], cost.msg_small,
-                          [txn = req.txn, table = req.table, key = req.key,
-                           part = req.part](NdbDatanode& d) {
-                            d.LdmAbortRow(txn, table, key, part);
-                          });
-             }
-             return;
-           }
-           // Redo backpressure: refuse new work while the unflushed
-           // journal backlog exceeds the stall limit (saturated or
-           // grey-slow log disk). kResourceExhausted aborts the txn and
-           // counts against availability, so the AIMD admission layer
-           // sheds load until the log disk catches up — bounding journal
-           // memory instead of growing it without limit. Commits already
-           // past their decision point are never stalled (WAL semantics:
-           // backpressure applies at admission, not at apply).
-           if (journal_.backlog_bytes() >
-               cluster_.node_config().redo_stall_backlog_bytes) {
-             const auto& cost = cluster_.cost();
-             for (int i = 0; i < req.pos; ++i) {
-               SendToNode(req.chain[i], cost.msg_small,
-                          [txn = req.txn, table = req.table, key = req.key,
-                           part = req.part](NdbDatanode& d) {
-                            d.LdmAbortRow(txn, table, key, part);
-                          });
-             }
-             const trace::SpanId sp = req.span;
-             SendToNode(req.tc, cost.msg_small,
-                        [req](NdbDatanode& tc) {
-                          tc.TcPrepared(req.txn, req.op_id,
-                                        Code::kResourceExhausted, req.table,
-                                        req.key, req.part, req.chain,
-                                        req.span);
-                        },
-                        sp);
-             return;
-           }
-           trace::Tracer& tracer = cluster_.tracer();
-           const bool is_primary = req.pos == 0;
-           if (!is_primary) {
-             // Backups stage the pending write without locking; the
-             // primary's lock serialises writers. A backup may still hold
-             // the previous transaction's pending write (applied only when
-             // its Complete lands): wait for that slot to free — the
-             // predecessor's Complete/Abort is already in flight, and
-             // coordinator failure frees the slot via take-over.
-             if (!store_.Prepare(req.table, req.key, req.type, req.value,
-                                 req.txn, req.tc, cluster_.sim().now())) {
-               req.busy_retries += 1;
-               if (req.busy_retries > 1000) {
-                 RLOG_WARN(kLog, "node %d: pending slot on %s never freed",
-                           id_, req.key.c_str());
-                 const trace::SpanId s = req.span;
-                 SendToNode(req.tc, cluster_.cost().msg_small,
-                            [req](NdbDatanode& tc) {
-                              tc.TcPrepared(req.txn, req.op_id,
-                                            Code::kTimedOut, req.table,
-                                            req.key, req.part, req.chain,
-                                            req.span);
-                            },
-                            s);
-                 return;
-               }
-               const Nanos now = cluster_.sim().now();
-               tracer.AddSpanAt(req.span, "prepare.busy_wait",
-                                trace::Layer::kNdb, trace::Cause::kRetry,
-                                host_, az(), now, now + 200 * kMicrosecond);
-               cluster_.sim().After(200 * kMicrosecond,
-                                    [this, req = std::move(req)]() mutable {
-                                      // Catch-up backups must keep retrying
-                                      // (and eventually NACK) like any other
-                                      // backup — dying silently here leaves
-                                      // the TC waiting for a reply that
-                                      // never comes.
-                                      if (accepting()) {
-                                        LdmPrepare(std::move(req));
-                                      }
-                                    });
-               return;
-             }
-             ForwardPrepare(std::move(req));
-             return;
-           }
-           // Copy the lock identity out before moving req into the
-           // continuation (argument evaluation order is unspecified).
-           const TxnId txn = req.txn;
-           const TableId table = req.table;
-           const Key key = req.key;
-           const trace::SpanId wait =
-               tracer.StartSpan(req.span, "lock.wait", trace::Layer::kNdb,
-                                trace::Cause::kLockWait, host_, az());
-           locks_.Acquire(
-               txn, table, key, LockMode::kExclusive,
-               [this, req = std::move(req), wait](Status s) mutable {
-                 cluster_.tracer().EndSpan(wait);
-                 Code code = Code::kOk;
-                 if (!s.ok()) {
-                   code = s.code();
-                 } else if (req.insert_only &&
-                            store_.ExistsCommitted(req.table, req.key)) {
-                   code = Code::kAlreadyExists;
-                 } else if (req.must_exist &&
-                            !store_.ExistsCommitted(req.table, req.key)) {
-                   code = Code::kNotFound;
-                 }
-                 if (code != Code::kOk) {
-                   if (s.ok()) locks_.Release(req.txn, req.table, req.key);
-                   const trace::SpanId sp = req.span;
-                   SendToNode(req.tc, cluster_.cost().msg_small,
-                              [req, code](NdbDatanode& tc) {
-                                tc.TcPrepared(req.txn, req.op_id, code,
-                                              req.table, req.key, req.part,
-                                              req.chain, req.span);
-                              },
-                              sp);
-                   return;
-                 }
-                 // The row lock serialises writers on a stable primary,
-                 // but the primary role itself can move — a failover, or
-                 // a catch-up rejoin that re-attached this node after it
-                 // staged the row as a backup under the old chain. The
-                 // slot may therefore hold another transaction's pending
-                 // write; stage under the lock, waiting for that write's
-                 // in-flight Complete/Abort (or take-over / the orphan
-                 // sweep) to free it.
-                 LdmPrimaryStage(std::move(req));
-               });
-         });
+  const PartitionId part = req.part;
+  const Booking b = RunLdm(part, cluster_.cost().ldm_prepare,
+                           [this, sig = std::move(sig)]() mutable {
+    if (!accepting()) return;
+    PrepareReq& req = sig->as<PrepareReq>();
+    const auto& cost = cluster_.cost();
+    // Rows staged by earlier chain members (positions < pos) are rolled
+    // back when this hop refuses the prepare.
+    const auto abort_upstream = [&] {
+      for (int i = 0; i < req.pos; ++i) {
+        SendToNode(req.chain[i], cost.msg_small, SignalKind::kAbortRow,
+                   cluster_.transport().New(
+                       RowRef{req.txn, req.table, req.key, req.part}));
+      }
+    };
+    if (!cluster_.layout().alive(req.tc)) {
+      // The coordinator died while this prepare was in flight. Take-over
+      // has already rolled its transactions back, but it can only see
+      // rows the TC had recorded — and the TC records a write only once
+      // the whole chain has prepared. Rows staged by earlier chain
+      // members are therefore invisible to take-over: unwind them here
+      // instead of staging one more pending write that nobody will ever
+      // commit or abort.
+      abort_upstream();
+      return;
+    }
+    // Redo backpressure: refuse new work while the unflushed journal
+    // backlog exceeds the stall limit (saturated or grey-slow log disk).
+    // kResourceExhausted aborts the txn and counts against availability,
+    // so the AIMD admission layer sheds load until the log disk catches
+    // up — bounding journal memory instead of growing it without limit.
+    // Commits already past their decision point are never stalled (WAL
+    // semantics: backpressure applies at admission, not at apply).
+    if (journal_.backlog_bytes() >
+        cluster_.node_config().redo_stall_backlog_bytes) {
+      abort_upstream();
+      SendPrepared(std::move(sig), Code::kResourceExhausted);
+      return;
+    }
+    trace::Tracer& tracer = cluster_.tracer();
+    const bool is_primary = req.pos == 0;
+    if (!is_primary) {
+      // Backups stage the pending write without locking; the primary's
+      // lock serialises writers. A backup may still hold the previous
+      // transaction's pending write (applied only when its Complete
+      // lands): wait for that slot to free — the predecessor's
+      // Complete/Abort is already in flight, and coordinator failure
+      // frees the slot via take-over.
+      if (!store_.Prepare(req.table, req.key, req.type, req.value, req.txn,
+                          req.tc, cluster_.sim().now())) {
+        req.busy_retries += 1;
+        if (req.busy_retries > 1000) {
+          RLOG_WARN(kLog, "node %d: pending slot on %s never freed", id_,
+                    req.key.c_str());
+          SendPrepared(std::move(sig), Code::kTimedOut);
+          return;
+        }
+        const Nanos now = cluster_.sim().now();
+        tracer.AddSpanAt(req.span, "prepare.busy_wait", trace::Layer::kNdb,
+                         trace::Cause::kRetry, host_, az(), now,
+                         now + 200 * kMicrosecond);
+        cluster_.sim().After(200 * kMicrosecond,
+                             [this, sig = std::move(sig)]() mutable {
+          // Catch-up backups must keep retrying (and eventually NACK)
+          // like any other backup — dying silently here leaves the TC
+          // waiting for a reply that never comes.
+          if (accepting()) LdmPrepare(std::move(sig));
+        });
+        return;
+      }
+      ForwardPrepare(std::move(sig));
+      return;
+    }
+    const trace::SpanId wait =
+        tracer.StartSpan(req.span, "lock.wait", trace::Layer::kNdb,
+                         trace::Cause::kLockWait, host_, az());
+    // Acquire copies the row identity before it can run the grant (see
+    // LdmLockedRead).
+    locks_.Acquire(req.txn, req.table, req.key, LockMode::kExclusive,
+                   [this, sig = std::move(sig), wait](Status s) mutable {
+      cluster_.tracer().EndSpan(wait);
+      PrepareReq& req = sig->as<PrepareReq>();
+      Code code = Code::kOk;
+      if (!s.ok()) {
+        code = s.code();
+      } else if (req.insert_only &&
+                 store_.ExistsCommitted(req.table, req.key)) {
+        code = Code::kAlreadyExists;
+      } else if (req.must_exist &&
+                 !store_.ExistsCommitted(req.table, req.key)) {
+        code = Code::kNotFound;
+      }
+      if (code != Code::kOk) {
+        if (s.ok()) locks_.Release(req.txn, req.table, req.key);
+        SendPrepared(std::move(sig), code);
+        return;
+      }
+      // The row lock serialises writers on a stable primary, but the
+      // primary role itself can move — a failover, or a catch-up rejoin
+      // that re-attached this node after it staged the row as a backup
+      // under the old chain. The slot may therefore hold another
+      // transaction's pending write; stage under the lock, waiting for
+      // that write's in-flight Complete/Abort (or take-over / the orphan
+      // sweep) to free it.
+      LdmPrimaryStage(std::move(sig));
+    });
+  });
   TraceCpu(op_span, "ldm.prepare", b);
 }
 
 // Stages the primary's pending write. Caller holds the row's exclusive
 // lock; the lock outlives the retries, so writers stay serialised while
 // a previous chain's pending write drains out of the slot.
-void NdbDatanode::LdmPrimaryStage(PrepareReq req) {
+void NdbDatanode::LdmPrimaryStage(SignalRef sig) {
   PROF_ZONE("ndb.ldm.primary_stage");
+  PrepareReq& req = sig->as<PrepareReq>();
   if (store_.Prepare(req.table, req.key, req.type, req.value, req.txn,
                      req.tc, cluster_.sim().now())) {
-    ForwardPrepare(std::move(req));
+    ForwardPrepare(std::move(sig));
     return;
   }
   req.busy_retries += 1;
@@ -1454,13 +1352,7 @@ void NdbDatanode::LdmPrimaryStage(PrepareReq req) {
     RLOG_WARN(kLog, "node %d: primary pending slot on %s never freed", id_,
               req.key.c_str());
     locks_.Release(req.txn, req.table, req.key);
-    const trace::SpanId sp = req.span;
-    SendToNode(req.tc, cluster_.cost().msg_small,
-               [req](NdbDatanode& tc) {
-                 tc.TcPrepared(req.txn, req.op_id, Code::kTimedOut, req.table,
-                               req.key, req.part, req.chain, req.span);
-               },
-               sp);
+    SendPrepared(std::move(sig), Code::kTimedOut);
     return;
   }
   const Nanos now = cluster_.sim().now();
@@ -1468,107 +1360,114 @@ void NdbDatanode::LdmPrimaryStage(PrepareReq req) {
                               trace::Layer::kNdb, trace::Cause::kRetry, host_,
                               az(), now, now + 200 * kMicrosecond);
   cluster_.sim().After(200 * kMicrosecond,
-                       [this, req = std::move(req)]() mutable {
+                       [this, sig = std::move(sig)]() mutable {
                          // A crash clears the lock table and pending rows;
                          // the retry dies with them.
-                         if (alive_) LdmPrimaryStage(std::move(req));
+                         if (alive_) LdmPrimaryStage(std::move(sig));
                        });
 }
 
-void NdbDatanode::LdmCommitChain(CommitChainReq req) {
+void NdbDatanode::LdmCommitChain(SignalRef sig) {
   PROF_ZONE("ndb.ldm.commit_chain");
   ++proto_stats_.commit_hops;
+  const CommitChainReq& req = sig->as<CommitChainReq>();
   const trace::SpanId op_span = req.span;
-  const Booking b = RunLdm(
-      req.part, cluster_.cost().ldm_commit,
-      [this, req = std::move(req)]() mutable {
-        if (!accepting()) return;
-        const auto& cost = cluster_.cost();
-        if (req.pos == 0) {
-          // The primary is the commit point: apply, unlock, confirm.
-          LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
-                  store_.Commit(req.table, req.key, req.txn));
-          locks_.Release(req.txn, req.table, req.key);
-          SendToNode(req.tc, cost.msg_small,
-                     [txn = req.txn](NdbDatanode& tc) {
-                       tc.TcCommitted(txn);
-                     },
-                     req.span);
-          return;
-        }
-        // Backups only pass the Commit along; their pending write is
-        // applied at Complete — the window behind the primary-read
-        // redirection rule (§II-B2).
-        req.pos -= 1;
-        const NodeId next = req.chain[req.pos];
-        const trace::SpanId s = req.span;
-        SendToNode(next, cost.msg_small,
-                   [req = std::move(req)](NdbDatanode& n) mutable {
-                     n.LdmCommitChain(std::move(req));
-                   },
-                   s);
-      });
+  const PartitionId part = req.part;
+  const Booking b = RunLdm(part, cluster_.cost().ldm_commit,
+                           [this, sig = std::move(sig)]() mutable {
+    if (!accepting()) return;
+    const auto& cost = cluster_.cost();
+    CommitChainReq& req = sig->as<CommitChainReq>();
+    const trace::SpanId s = req.span;
+    if (req.pos == 0) {
+      // The primary is the commit point: apply, unlock, confirm.
+      LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
+              store_.Commit(req.table, req.key, req.txn));
+      locks_.Release(req.txn, req.table, req.key);
+      const NodeId tc = req.tc;
+      sig->msg = TxnAck{req.txn};
+      SendToNode(tc, cost.msg_small, SignalKind::kCommitted, std::move(sig),
+                 s);
+      return;
+    }
+    // Backups only pass the Commit along; their pending write is applied
+    // at Complete — the window behind the primary-read redirection rule
+    // (§II-B2).
+    req.pos -= 1;
+    const NodeId next = req.chain[req.pos];
+    SendToNode(next, cost.msg_small, SignalKind::kCommitChain, std::move(sig),
+               s);
+  });
   TraceCpu(op_span, "ldm.commit", b);
 }
 
-void NdbDatanode::LdmComplete(CompleteReq req) {
+void NdbDatanode::LdmComplete(SignalRef sig) {
   PROF_ZONE("ndb.ldm.complete");
   ++proto_stats_.completes;
+  const CompleteReq& req = sig->as<CompleteReq>();
   const trace::SpanId op_span = req.span;
-  const Booking b = RunLdm(
-      req.part, cluster_.cost().ldm_complete,
-      [this, req = std::move(req)] {
-        if (!accepting()) return;
-        if (!req.is_primary) {
-          LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
-                  store_.Commit(req.table, req.key, req.txn));
-        }
-        SendToNode(req.tc, cluster_.cost().msg_small,
-                   [txn = req.txn](NdbDatanode& tc) {
-                     tc.TcCompleted(txn);
-                   },
-                   req.span);
-      });
+  const PartitionId part = req.part;
+  const Booking b = RunLdm(part, cluster_.cost().ldm_complete,
+                           [this, sig = std::move(sig)]() mutable {
+    if (!accepting()) return;
+    const CompleteReq& req = sig->as<CompleteReq>();
+    if (!req.is_primary) {
+      LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
+              store_.Commit(req.table, req.key, req.txn));
+    }
+    const NodeId tc = req.tc;
+    const trace::SpanId s = req.span;
+    sig->msg = TxnAck{req.txn};
+    SendToNode(tc, cluster_.cost().msg_small, SignalKind::kCompleted,
+               std::move(sig), s);
+  });
   TraceCpu(op_span, "ldm.complete", b);
 }
 
-void NdbDatanode::LdmAbortRow(TxnId txn, TableId table, Key key,
-                              PartitionId part) {
+void NdbDatanode::LdmAbortRow(SignalRef sig) {
+  const PartitionId part = sig->as<RowRef>().part;
   RunLdm(part, cluster_.cost().ldm_complete,
-         [this, txn, table, key = std::move(key)] {
+         [this, sig = std::move(sig)] {
            if (!accepting()) return;
-           store_.Abort(table, key, txn);
-           locks_.Release(txn, table, key);
+           const RowRef& row = sig->as<RowRef>();
+           store_.Abort(row.table, row.key, row.txn);
+           locks_.Release(row.txn, row.table, row.key);
          });
 }
 
-void NdbDatanode::LdmUnlock(TxnId txn, TableId table, Key key,
-                            PartitionId part) {
+void NdbDatanode::LdmUnlock(SignalRef sig) {
+  const PartitionId part = sig->as<RowRef>().part;
   RunLdm(part, cluster_.cost().ldm_complete,
-         [this, txn, table, key = std::move(key)] {
+         [this, sig = std::move(sig)] {
            if (!accepting()) return;
-           locks_.Release(txn, table, key);
+           const RowRef& row = sig->as<RowRef>();
+           locks_.Release(row.txn, row.table, row.key);
          });
 }
 
-void NdbDatanode::LdmScanExec(ScanReq req, PartitionId part, int replica_idx) {
-  (void)replica_idx;
+void NdbDatanode::LdmScanExec(SignalRef sig) {
   ++proto_stats_.scans;
+  const ScanReq& req = sig->as<ScanReq>();
+  // The TC routed by the same partition (a pure function of the prefix).
+  const PartitionId part =
+      cluster_.layout().PartitionOf(req.table, req.prefix);
   // Row lookup is done inline; the LDM cost scales with rows returned.
   auto rows = store_.ScanPrefix(req.table, req.prefix, req.txn);
   const auto& cost = cluster_.cost();
   const Nanos work = cost.ldm_scan_base +
                      cost.ldm_scan_row * static_cast<Nanos>(rows.size());
   const trace::SpanId op_span = req.span;
-  const Booking b = RunLdm(part, work, [this, req = std::move(req),
+  const Booking b = RunLdm(part, work, [this, sig = std::move(sig),
                                         rows = std::move(rows)]() mutable {
     if (!accepting()) return;
     int64_t bytes = cluster_.cost().msg_small;
     for (const auto& [k, v] : rows) {
       bytes += static_cast<int64_t>(k.size() + v.size());
     }
-    OpReply reply{req.txn, req.op_id, Code::kOk, {}, std::move(rows)};
-    SendToApi(req.api, bytes, std::move(reply), req.span);
+    const ScanReq& req = sig->as<ScanReq>();
+    SendToApi(req.api, bytes,
+              OpReply{req.txn, req.op_id, Code::kOk, {}, std::move(rows)},
+              req.span, std::move(sig));
   });
   TraceCpu(op_span, "ldm.scan", b);
 }

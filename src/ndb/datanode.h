@@ -33,6 +33,7 @@
 #include "ndb/redo_journal.h"
 #include "ndb/row_store.h"
 #include "ndb/schema.h"
+#include "ndb/transport.h"
 #include "ndb/types.h"
 #include "sim/network.h"
 #include "sim/resources.h"
@@ -42,97 +43,6 @@ namespace repro::ndb {
 
 class NdbCluster;
 class NdbApiNode;
-
-// ---- Wire messages ------------------------------------------------------
-
-// API -> TC: key operation.
-struct KeyOpReq {
-  TxnId txn = 0;
-  ApiNodeId api = -1;
-  uint64_t op_id = 0;
-  TableId table = 0;
-  Key key;
-  LockMode mode = LockMode::kReadCommitted;  // reads
-  bool is_write = false;
-  WriteType write_type = WriteType::kPut;
-  bool insert_only = false;   // fail with kAlreadyExists if row exists
-  bool must_exist = false;    // fail with kNotFound (delete/update strict)
-  std::string value;
-  // Absolute deadline propagated from the client op (0 = none). The TC
-  // rejects work whose deadline already passed instead of routing it.
-  Nanos deadline = 0;
-  // Trace span of this operation at the API node (0 = not sampled); TC
-  // and LDM work on the op parents its spans here.
-  trace::SpanId span = 0;
-};
-
-// API -> TC: partition-pruned prefix scan (directory listing).
-struct ScanReq {
-  TxnId txn = 0;
-  ApiNodeId api = -1;
-  uint64_t op_id = 0;
-  TableId table = 0;
-  Key prefix;
-  Nanos deadline = 0;       // see KeyOpReq::deadline
-  trace::SpanId span = 0;   // see KeyOpReq::span
-};
-
-// TC/LDM -> API: completion of one operation (or of commit/abort).
-struct OpReply {
-  TxnId txn = 0;
-  uint64_t op_id = 0;
-  Code code = Code::kOk;
-  std::optional<std::string> value;
-  std::vector<std::pair<Key, std::string>> rows;  // scans
-  // Responding datanode, stamped by SendToApi: lets the API node tell a
-  // hedged read's winner from the original.
-  NodeId from = kNoNode;
-};
-
-// Chain messages (Fig. 2).
-struct PrepareReq {
-  TxnId txn = 0;
-  NodeId tc = kNoNode;
-  uint64_t op_id = 0;
-  ApiNodeId api = -1;
-  TableId table = 0;
-  Key key;
-  PartitionId part = 0;
-  WriteType type = WriteType::kPut;
-  bool insert_only = false;
-  bool must_exist = false;
-  std::string value;
-  std::vector<NodeId> chain;  // primary first
-  int pos = 0;                // index of the receiving replica
-  int busy_retries = 0;       // waits on a predecessor's pending write
-  trace::SpanId span = 0;     // op span the chain hops trace under
-};
-
-struct CommitChainReq {
-  TxnId txn = 0;
-  NodeId tc = kNoNode;
-  TableId table = 0;
-  Key key;
-  PartitionId part = 0;
-  // GCP epoch the TC assigned the whole transaction at commit decision
-  // time; every replica stamps its redo record with it, so one commit's
-  // records can never straddle a GCP tick.
-  int64_t epoch = 0;
-  std::vector<NodeId> chain;
-  int pos = 0;  // traverses from chain.size()-1 down to 0 (the primary)
-  trace::SpanId span = 0;  // the txn's ndb.commit span
-};
-
-struct CompleteReq {
-  TxnId txn = 0;
-  NodeId tc = kNoNode;
-  TableId table = 0;
-  Key key;
-  PartitionId part = 0;
-  int64_t epoch = 0;  // see CommitChainReq::epoch
-  bool is_primary = false;
-  trace::SpanId span = 0;  // the txn's ndb.commit span
-};
 
 // ---- Datanode -----------------------------------------------------------
 
@@ -177,31 +87,29 @@ class NdbDatanode {
   // catch-up during node rejoin).
   bool HasTxnTouchingPartition(PartitionId part) const;
 
-  // -- entry points (invoked after RECV-thread queueing) --
-  void TcKeyOp(KeyOpReq req);
-  void TcScan(ScanReq req);
+  // -- signal handlers (invoked by the transport after RECV-thread
+  // queueing; each keeps the signal's record through its TC/LDM stage
+  // and forwards or answers with the same record) --
+  void TcKeyOp(SignalRef sig);                 // KeyOpReq
+  void TcScan(SignalRef sig);                  // ScanReq
   void TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
                 trace::SpanId span = 0);
   void TcAbort(TxnId txn);
 
-  void LdmCommittedRead(KeyOpReq req, int replica_idx);
-  void LdmLockedRead(PrepareReq probe);  // reuses chain fields for routing
-  void LdmPrepare(PrepareReq req);
-  void LdmCommitChain(CommitChainReq req);
-  void LdmComplete(CompleteReq req);
-  void LdmAbortRow(TxnId txn, TableId table, Key key, PartitionId part);
+  void LdmCommittedRead(SignalRef sig);        // KeyOpReq
+  void LdmLockedRead(SignalRef sig);           // PrepareReq probe
+  void LdmPrepare(SignalRef sig);              // PrepareReq
+  void LdmCommitChain(SignalRef sig);          // CommitChainReq
+  void LdmComplete(SignalRef sig);             // CompleteReq
+  void LdmAbortRow(SignalRef sig);             // RowRef
   // Releases a shared/exclusive read lock without touching pending writes
   // (used at the commit point for rows that were only read).
-  void LdmUnlock(TxnId txn, TableId table, Key key, PartitionId part);
-  void LdmScanExec(ScanReq req, PartitionId part, int replica_idx);
+  void LdmUnlock(SignalRef sig);               // RowRef
+  void LdmScanExec(SignalRef sig);             // ScanReq
 
   // TC-side protocol confirmations.
-  void TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
-                          std::optional<std::string> value, TableId table,
-                          Key key, PartitionId part, trace::SpanId span = 0);
-  void TcPrepared(TxnId txn, uint64_t op_id, Code code, TableId table,
-                  Key key, PartitionId part, std::vector<NodeId> chain,
-                  trace::SpanId span = 0);
+  void TcLockedReadResult(SignalRef sig);      // LockedReadAck
+  void TcPrepared(SignalRef sig);              // PreparedAck
   void TcCommitted(TxnId txn);
   void TcCompleted(TxnId txn);
 
@@ -332,17 +240,8 @@ class NdbDatanode {
   Nanos redo_stall_ns() const;
 
   // -- infrastructure used by the cluster --
-  void ReceiveMsg(SmallFn handle);
-  // `span` != 0 wraps the hop (SEND-thread queue + wire) in a network
-  // span under it; local delivery (dst == this node) records nothing.
-  void SendToNode(NodeId dst, int64_t bytes,
-                  SmallCall<void(NdbDatanode&)> fn,
-                  trace::SpanId span = 0);
-  void SendToApi(ApiNodeId api, int64_t bytes, OpReply reply,
-                 trace::SpanId span = 0);
   // Run* submit the closure as-is: the caller's closure body must begin
-  // with its own alive_/accepting() re-check (the old allocation-heavy
-  // liveness wrappers are gone; see RunTc in datanode.cc).
+  // with its own alive_/accepting() re-check (see RunTc in datanode.cc).
   Booking RunTc(Nanos cost, SmallFn fn);
   Booking RunLdm(PartitionId part, Nanos cost, SmallFn fn);
   void RunIo(Nanos cost, SmallFn fn);
@@ -414,12 +313,25 @@ class NdbDatanode {
   // Stages the primary's pending write under the already-held row lock,
   // waiting out a previous chain's pending write if the primary role
   // moved (failover or catch-up rejoin).
-  void LdmPrimaryStage(PrepareReq req);
+  void LdmPrimaryStage(SignalRef sig);
   void StartCompletePhase(TxnId txn, TcTxn& t);
   void RedriveStalledCommit(TxnId txn, TcTxn& t);
   void FinishCommit(TxnId txn, TcTxn& t);
   void AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api, Code code);
-  void ForwardPrepare(PrepareReq req);
+  // Sends `sig` (its payload already set) from this node to datanode
+  // `dst` through the cluster transport. `span` != 0 records the hop
+  // (SEND-thread queue + wire) as a network span under it; local
+  // delivery (dst == this node) records nothing.
+  void SendToNode(NodeId dst, int64_t bytes, SignalKind kind, SignalRef sig,
+                  trace::SpanId span = 0);
+  // Answers API node `api` with `reply`, in `sig`'s record when given
+  // (the request being answered) or a fresh one.
+  void SendToApi(ApiNodeId api, int64_t bytes, OpReply reply,
+                 trace::SpanId span = 0, SignalRef sig = {});
+  void ForwardPrepare(SignalRef sig);
+  // Turns a prepare's record into the TC's PreparedAck and sends it.
+  void SendPrepared(SignalRef sig, Code code);
+
   // Emits queue/service spans for a thread-pool booking under `parent`
   // (no-op when the op is unsampled). `what` names the span: "<what>" for
   // the service slice, "<what>.queue" for any wait before it.
@@ -445,6 +357,15 @@ class NdbDatanode {
   // Accepts LDM-side traffic: fully alive, or rejoining with streaming
   // catch-up enabled (reads/chain hops for resynced partitions).
   bool accepting() const { return alive_ || catchup_accepting_; }
+  // The transport's per-hop stages run on these (see ndb/transport.h).
+  friend class Transport;
+  // SEND thread for an outgoing datanode hop; the idle REP single helps
+  // when the SEND threads back up.
+  ThreadPool& SendStagePool();
+  // RECV thread for an incoming signal; idle singles (REP, then MAIN)
+  // help overloaded receive threads — the behaviour behind the high REP
+  // utilisation in Fig. 11.
+  ThreadPool& RecvStagePool();
 
   std::unordered_map<TxnId, TcTxn> txns_;
   uint64_t rr_counter_ = 0;      // proximity tie-break round robin

@@ -37,7 +37,7 @@ bool LockManager::TryGrant(Entry& entry, TxnId txn, LockMode mode) {
 
 void LockManager::Acquire(TxnId txn, TableId table, const Key& key,
                           LockMode mode,
-                          std::function<void(Status)> granted) {
+                          GrantCb granted) {
   const LockKey lk{table, key};
   Entry& entry = locks_[lk];
   if (TryGrant(entry, txn, mode)) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ndb/types.h"
+#include "sim/callback.h"
 #include "sim/engine.h"
 #include "util/status.h"
 
@@ -25,10 +26,14 @@ class LockManager {
  public:
   LockManager(Simulation& sim, Nanos wait_timeout);
 
+  // Move-only, so a grant continuation can own its signal record.
+  using GrantCb = SmallCall<void(Status)>;
+
   // Grants the lock now or later via `granted`; on timeout `granted` is
-  // invoked with kTimedOut and the request is dropped.
+  // invoked with kTimedOut and the request is dropped. `key` is copied
+  // before `granted` can run, so it may point into state `granted` owns.
   void Acquire(TxnId txn, TableId table, const Key& key, LockMode mode,
-               std::function<void(Status)> granted);
+               GrantCb granted);
 
   // Releases one row lock held by txn (no-op if not held).
   void Release(TxnId txn, TableId table, const Key& key);
@@ -58,7 +63,7 @@ class LockManager {
     uint64_t id;
     TxnId txn;
     LockMode mode;
-    std::function<void(Status)> granted;
+    GrantCb granted;
     Nanos enqueued = 0;
   };
   struct Entry {

@@ -1,20 +1,23 @@
 // Small-buffer-optimised callable slot for simulation events.
 //
 // The engine stores every scheduled callback in a `SmallFn`: a move-only,
-// type-erased `void()` callable with 56 bytes of inline storage. Closures
-// that fit (every heartbeat tick, completion callback, and network-delivery
-// wrapper in this repository) are stored in place, so the steady-state
-// event loop performs no heap allocation at all — the reason `At`/`After`/
-// `Every` can run millions of events per second. Oversized or
+// type-erased `void()` callable with 56 bytes of inline storage. A closure
+// that fits is stored in place with no heap allocation. That covers the
+// heartbeat and timer ticks, the thread-pool completions, and every stage
+// of a network hop that carries its message as a pooled record (the NDB
+// signal transport, ndb/transport.h, and the client's namenode RPCs):
+// those capture `{this, 16-byte ref}` and nothing else. Oversized or
 // throwing-move callables fall back to a single heap allocation, which is
 // exactly what `std::function` would have done for anything beyond its
-// (much smaller) internal buffer.
+// (much smaller) internal buffer; a closure that captures a request by
+// value still pays it.
 //
 // `SmallCall<R(Args...)>` is the general form: the protocol layers use it
-// for their completion callbacks (`ReadCb`, `WriteCb`, the TC commit and
-// complete chains) so a small capture costs no allocation where a
+// for their completion callbacks (`ReadCb`, `WriteCb`, lock grants, the
+// namenode's `FsResultCb`) so a small capture costs no allocation where a
 // `std::function` of the same closure would heap-allocate past its
-// 16-byte buffer. `SmallFn` is an alias for `SmallCall<void()>`.
+// 16-byte buffer — and so a continuation may own a move-only record ref.
+// `SmallFn` is an alias for `SmallCall<void()>`.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +34,7 @@ template <typename R, typename... Args>
 class SmallCall<R(Args...)> {
  public:
   // Sized so the network layer's per-message delivery wrapper (this + two
-  // host ids + byte count + a moved-in callable payload) stays inline.
+  // host ids + byte count + a `{this, ref}` payload) stays inline.
   static constexpr std::size_t kInlineBytes = 56;
 
   SmallCall() noexcept = default;

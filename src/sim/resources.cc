@@ -36,6 +36,7 @@ Booking ThreadPool::SubmitTo(int thread, Nanos cost, SmallFn done) {
   const Nanos start = std::max(free_at_[thread], sim_.now());
   free_at_[thread] = start + cost;
   booked_ns_ += cost;
+  ReapThread(finishes_[thread]);
   finishes_[thread].push_back(free_at_[thread]);
   if (done) {
     sim_.At(free_at_[thread], std::move(done));
@@ -50,14 +51,29 @@ int64_t ThreadPool::OutstandingNs() const {
   return out;
 }
 
-void ThreadPool::Reap() const {
-  const Nanos now = sim_.now();
-  for (auto& q : finishes_) {
-    while (!q.empty() && q.front() <= now) {
-      q.pop_front();
-      ++completed_;
+void ThreadPool::FinishRing::push_back(Nanos t) {
+  if (size_ == buf_.size()) {
+    std::vector<Nanos> grown(std::max<size_t>(8, 2 * buf_.size()));
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = buf_[(head_ + i) % buf_.size()];
     }
+    buf_ = std::move(grown);
+    head_ = 0;
   }
+  buf_[(head_ + size_) % buf_.size()] = t;
+  ++size_;
+}
+
+void ThreadPool::ReapThread(FinishRing& q) const {
+  const Nanos now = sim_.now();
+  while (!q.empty() && q.front() <= now) {
+    q.pop_front();
+    ++completed_;
+  }
+}
+
+void ThreadPool::Reap() const {
+  for (auto& q : finishes_) ReapThread(q);
 }
 
 int64_t ThreadPool::busy_ns() const { return booked_ns_ - OutstandingNs(); }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -92,9 +91,30 @@ class ThreadPool {
   // Total service booked since the last ResetStats, including the
   // then-outstanding carryover; busy_ns() = booked_ns_ - OutstandingNs().
   int64_t booked_ns_ = 0;
+  // Finish times of one thread's booked work, oldest first: a ring that
+  // grows only when more work is in flight than ever before, so a
+  // steady-state Submit allocates nothing.
+  class FinishRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    Nanos front() const { return buf_[head_]; }
+    void pop_front() {
+      head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
+      --size_;
+    }
+    void push_back(Nanos t);
+
+   private:
+    std::vector<Nanos> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+  // Counts one thread's finish times that have passed into completed_.
+  void ReapThread(FinishRing& q) const;
   // Per-thread finish times of in-flight work, monotone within a thread;
-  // reaped lazily on read (mutable: reads are logically const).
-  mutable std::vector<std::deque<Nanos>> finishes_;
+  // reaped on submit to that thread and on read (mutable: reads are
+  // logically const).
+  mutable std::vector<FinishRing> finishes_;
   mutable int64_t completed_ = 0;
   double slowdown_ = 1.0;
 };
