@@ -157,7 +157,9 @@ class Simulation {
 
   uint32_t AllocEvent();
   void FreeEvent(uint32_t idx);
-  Event& Ev(uint32_t idx) { return slabs_[idx >> kSlabBits][idx & kSlabMask]; }
+  Event& Ev(uint32_t idx) {
+    return slabs_[idx >> kSlabBits].get()[idx & kSlabMask];
+  }
 
   void Insert(HeapEntry h);
   // First occupied slot index >= `from` at `level`, or -1 (bitmap scan).
@@ -186,8 +188,13 @@ class Simulation {
 
   // ---- Event pool ------------------------------------------------------
   static constexpr int kSlabBits = 12;  // 4096 events per slab
-  static constexpr uint32_t kSlabMask = (1u << kSlabBits) - 1;
-  std::vector<std::unique_ptr<Event[]>> slabs_;
+  static constexpr uint32_t kSlabEvents = 1u << kSlabBits;
+  static constexpr uint32_t kSlabMask = kSlabEvents - 1;
+  // Each slab is its own anonymous mapping (see AllocEvent).
+  struct SlabRelease {
+    void operator()(Event* slab) const;
+  };
+  std::vector<std::unique_ptr<Event, SlabRelease>> slabs_;
   uint32_t free_events_ = kNil;
 
   // ---- Wheel state -----------------------------------------------------

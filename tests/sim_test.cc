@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine, topology, network, resources.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -524,6 +525,25 @@ TEST(Engine, FarFutureEventsBeyondWheelHorizonFire) {
   EXPECT_EQ(fired[0], Seconds(30));
   EXPECT_EQ(fired[1], Seconds(90000));
   EXPECT_EQ(sim.now(), Seconds(90000));
+}
+
+TEST(Engine, DestroyingTheEngineReleasesEveryPendingCallback) {
+  // 10,000 events span three 4096-event slabs; half fire, half are still
+  // queued when the engine goes, and each slab is unmapped only after
+  // its events' callbacks are destroyed.
+  auto token = std::make_shared<int>(0);
+  int fired = 0;
+  {
+    Simulation sim;
+    for (int i = 0; i < 10000; ++i) {
+      sim.After(Millis(i), [token, &fired] { ++fired; });
+    }
+    EXPECT_EQ(token.use_count(), 10001);
+    sim.RunUntil(Millis(4999));
+    EXPECT_EQ(fired, 5000);
+    EXPECT_EQ(token.use_count(), 5001);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------------
