@@ -22,6 +22,7 @@
 
 #include "chaos/harness.h"
 #include "hopsfs/deployment.h"
+#include "hopsfs_test_util.h"
 #include "ndb/client.h"
 #include "ndb/cluster.h"
 #include "util/strings.h"
@@ -356,6 +357,98 @@ TEST(BehaviourDigest, OverloadSurgeEpisode) {
                 chaos::FaultType::kAzRestore, 2, -1, 1.0});
   const chaos::ChaosReport r = chaos::RunChaosSchedule(opts, schedule);
   ExpectDigest("overload_surge", ChaosFingerprint(r));
+}
+
+// Every FsOp once or more, run one at a time on a cluster with block
+// datanodes: attribute changes, inline append and an append across the
+// small-file threshold, du, rmr of an inline-only subtree, ls of a file,
+// a permission denial, a non-empty directory delete, a cross-directory
+// rename, and a multi-block create and read through the client's block
+// loop. None of the benchmark workloads run most of these ops.
+TEST(BehaviourDigest, AllFsOps) {
+  using hopsfs::FsOp;
+  hopsfs::testing::TestFs fs(hopsfs::PaperSetup::kHopsFsCl_3_3, 3,
+                             /*block_dns=*/6);
+  Fingerprint fp;
+  int step = 0;
+  const auto run = [&](FsOp op, const std::string& path,
+                       const std::string& path2 = "", int64_t size = 0) {
+    hopsfs::FsRequest req;
+    req.op = op;
+    req.path = path;
+    req.path2 = path2;
+    req.size = size;
+    if (op == FsOp::kMkdir) req.permissions = 0755;
+    if (op == FsOp::kChmod) req.permissions = 0750;
+    if (op == FsOp::kChown) req.owner = "alice";
+    if (op == FsOp::kSetTimes) req.mtime_ns = Seconds(1234);
+    const Nanos start = fs.sim->now();
+    Nanos end = start;
+    hopsfs::FsResult r;
+    r.status = Internal("never completed");
+    fs.client->Submit(std::move(req), [&](hopsfs::FsResult res) {
+      r = std::move(res);
+      end = fs.sim->now();
+    });
+    while (end == start && fs.sim->now() < start + 30 * kSecond) {
+      fs.sim->RunUntil(fs.sim->now() + kMillisecond);
+    }
+    fp.AddText(StrFormat("op.%02d", step++),
+               StrFormat("%s %s code=%d lat=%lld size=%lld blocks=%zu/%zu "
+                         "inline=%lld children=%zu cs=%lld/%lld/%lld",
+                         hopsfs::FsOpName(op), path.c_str(),
+                         static_cast<int>(r.status.code()),
+                         static_cast<long long>(end - start),
+                         static_cast<long long>(r.inode.size),
+                         r.blocks.size(), r.new_blocks.size(),
+                         static_cast<long long>(r.inline_bytes),
+                         r.children.size(),
+                         static_cast<long long>(r.cs_files),
+                         static_cast<long long>(r.cs_dirs),
+                         static_cast<long long>(r.cs_bytes)));
+    return r.status.code();
+  };
+  constexpr int64_t kMb = 1 << 20;
+  EXPECT_EQ(run(FsOp::kMkdir, "/a"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kMkdir, "/a/b"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kMkdir, "/c"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kCreate, "/a/f1", "", 1000), Code::kOk);
+  EXPECT_EQ(run(FsOp::kCreate, "/a/b/g", "", 2000), Code::kOk);
+  EXPECT_EQ(run(FsOp::kCreate, "/a/b/h"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kChmod, "/a/b"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kChown, "/a/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kSetTimes, "/a/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kAppend, "/a/f1", "", 3000), Code::kOk);
+  EXPECT_EQ(run(FsOp::kCreate, "/a/f2", "", 100 << 10), Code::kOk);
+  EXPECT_EQ(run(FsOp::kAppend, "/a/f2", "", 40 << 10), Code::kOk);
+  EXPECT_EQ(run(FsOp::kStat, "/a/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kOpenRead, "/a/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kOpenRead, "/a/f2"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kListDir, "/a"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kListDir, "/a/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kContentSummary, "/a"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kContentSummary, "/a/f2"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kCreate, "/c/big", "", 130 * kMb), Code::kOk);
+  EXPECT_EQ(run(FsOp::kOpenRead, "/c/big"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kRename, "/a/f1", "/c/f1"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kDelete, "/a"), Code::kFailedPrecondition);
+  fs.client->set_user("bob");
+  EXPECT_EQ(run(FsOp::kCreate, "/a/x"), Code::kPermissionDenied);
+  EXPECT_EQ(run(FsOp::kChmod, "/c/f1"), Code::kPermissionDenied);
+  fs.client->set_user("");
+  EXPECT_EQ(run(FsOp::kDeleteRecursive, "/a/b"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kDelete, "/c/big"), Code::kOk);
+  EXPECT_EQ(run(FsOp::kStat, "/a/b/g"), Code::kNotFound);
+  EXPECT_EQ(run(FsOp::kListDir, "/c"), Code::kOk);
+  fs.sim->RunFor(Seconds(1));
+  fp.AddSim(*fs.sim);
+  fp.AddNetwork(fs.deployment->network());
+  ndb::NdbCluster& ndb = fs.deployment->ndb();
+  for (int n = 0; n < ndb.num_datanodes(); ++n) {
+    fp.Add(StrFormat("store.%d", n),
+           static_cast<int64_t>(ndb.datanode(n).DigestStore()));
+  }
+  ExpectDigest("all_fs_ops", fp);
 }
 
 }  // namespace
