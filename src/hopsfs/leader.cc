@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "hopsfs/namenode.h"
+#include "hopsfs/op_context.h"
 #include "prof/profiler.h"
 #include "util/logging.h"
 
@@ -137,8 +138,15 @@ void Namenode::LeaderElectionRound() {
 
 struct Namenode::RepairQueue {
   blocks::DnId dn = -1;
+  // The dead datanode's index rows: dn_blocks key -> block row key.
   std::vector<std::pair<ndb::Key, std::string>> rows;
-  size_t next = 0;
+  size_t next = 0;  // the row repaired next
+  // The block under repair and its transaction.
+  ndb::TxnId txn = 0;
+  BlockRow block;
+  blocks::DnId source = -1;
+  blocks::DnId target = -1;
+  WriteJoin join;
 };
 
 void Namenode::ReplicationMonitorRound() {
@@ -174,83 +182,79 @@ void Namenode::ReplicationMonitorRound() {
 
 void Namenode::RepairNext(std::shared_ptr<RepairQueue> q) {
   if (q->next >= q->rows.size()) return;
-  const size_t i = q->next++;
-  RepairBlock(q->dn, q->rows[i].first, q->rows[i].second,
-              [this, q] { RepairNext(q); });
-}
-
-void Namenode::RepairBlock(blocks::DnId dead_dn,
-                           const std::string& dn_block_key,
-                           const std::string& block_row_key,
-                           std::function<void()> done) {
-  const ndb::TxnId txn = api_->Begin(tables_.blocks, block_row_key);
-  if (txn == 0) {
-    done();
+  const std::string& block_row_key = q->rows[q->next++].second;
+  q->txn = api_->Begin(tables_.blocks, block_row_key);
+  if (q->txn == 0) {
+    RepairNext(std::move(q));
     return;
   }
-  auto give_up = [this, txn, done](const char* why) {
-    RLOG_WARN(kLog, "block repair skipped: %s", why);
-    api_->Abort(txn);
-    done();
-  };
   api_->Read(
-      txn, tables_.blocks, block_row_key, ndb::LockMode::kExclusive,
-      [this, txn, dead_dn, dn_block_key, block_row_key, done, give_up](
-          Code code, std::optional<std::string> value) {
-        BlockRow block;
+      q->txn, tables_.blocks, block_row_key, ndb::LockMode::kExclusive,
+      [this, q](Code code, std::optional<std::string> value) {
+        auto give_up = [&](const char* why) {
+          RLOG_WARN(kLog, "block repair skipped: %s", why);
+          api_->Abort(q->txn);
+          RepairNext(q);
+        };
+        BlockRow& block = q->block;
+        block = BlockRow{};
         if (code != Code::kOk || !value ||
             !BlockRow::Decode(*value, &block)) {
           give_up("block row unreadable");
           return;
         }
         auto& reps = block.replicas;
-        reps.erase(std::remove(reps.begin(), reps.end(), dead_dn),
-                   reps.end());
-        const blocks::DnId target = placement_->ChooseReplacement(
-            reps, *dn_registry_, sim_.now(), rng_);
-        blocks::DnId source = -1;
+        reps.erase(std::remove(reps.begin(), reps.end(), q->dn), reps.end());
+        q->target = placement_->ChooseReplacement(reps, *dn_registry_,
+                                                  sim_.now(), rng_);
+        q->source = -1;
         for (blocks::DnId r : reps) {
           if (dn_registry_->AliveAt(r, sim_.now())) {
-            source = r;
+            q->source = r;
             break;
           }
         }
-        if (target < 0 || source < 0) {
+        if (q->target < 0 || q->source < 0) {
           give_up("no replacement target or surviving source");
           return;
         }
-        reps.push_back(target);
-
-        auto pending = std::make_shared<int>(3);
-        auto failed = std::make_shared<bool>(false);
-        auto one_done = [this, txn, pending, failed, done, source, target,
-                         block](Code c) {
-          if (c != Code::kOk) *failed = true;
-          if (--*pending > 0) return;
-          if (*failed) {
-            api_->Abort(txn);
-            done();
-            return;
-          }
-          api_->Commit(txn, [this, done, source, target, block](Code cc) {
-            if (cc == Code::kOk) {
-              auto* src = dn_registry_->dn(source);
-              auto* dst = dn_registry_->dn(target);
-              network_.Send(host_, src->host(), 128,
-                            [src, dst, id = block.block_id] {
-                              src->CopyBlockTo(*dst, id, nullptr);
-                            });
-            }
-            done();
-          });
+        reps.push_back(q->target);
+        const auto& [dn_block_key, block_row_key] = q->rows[q->next - 1];
+        auto joined = [this, &q] {
+          q->join.Add();
+          return [this, q](Code c) {
+            if (q->join.Complete(c)) RepairDecided(q);
+          };
         };
-        api_->Update(txn, tables_.blocks, block_row_key, block.Encode(),
-                     one_done);
-        api_->Delete(txn, tables_.dn_blocks, dn_block_key, one_done);
-        api_->Insert(txn, tables_.dn_blocks,
-                     DnBlockKey(target, block.block_id), block_row_key,
-                     one_done);
+        q->join = WriteJoin{};
+        api_->Update(q->txn, tables_.blocks, block_row_key, block.Encode(),
+                     joined());
+        api_->Delete(q->txn, tables_.dn_blocks, dn_block_key, joined());
+        api_->Insert(q->txn, tables_.dn_blocks,
+                     DnBlockKey(q->target, block.block_id), block_row_key,
+                     joined());
+        if (q->join.Arm()) RepairDecided(q);
       });
+}
+
+// Commits the repaired block's rows, then streams the new replica.
+void Namenode::RepairDecided(std::shared_ptr<RepairQueue> q) {
+  if (q->join.failed() != Code::kOk) {
+    api_->Abort(q->txn);
+    RepairNext(std::move(q));
+    return;
+  }
+  api_->Commit(q->txn, [this, q](Code code) {
+    if (code == Code::kOk) {
+      auto* src = dn_registry_->dn(q->source);
+      auto* dst = dn_registry_->dn(q->target);
+      network_.Send(host_, src->host(), 128,
+                    [src, dst, id = q->block.block_id] {
+                      src->CopyBlockTo(*dst, id, nullptr);
+                    });
+    }
+    RepairNext(q);
+  });
 }
 
 }  // namespace repro::hopsfs

@@ -126,9 +126,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   if (resilience::HasDeadline(req.deadline) &&
       now + cpu_->Backlog() + config_.op_cpu_cost >= req.deadline) {
     metrics::Bump(ctr_deadline_);
-    FsResult r;
-    r.status = DeadlineExceeded("nn: queue would overrun deadline");
-    done(std::move(r));
+    done(FsResult{DeadlineExceeded("nn: queue would overrun deadline")});
     return;
   }
   auto ctx = std::make_shared<OpCtx>();
@@ -140,9 +138,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   if (config_.admission_enabled) {
     if (!limiter_.TryAcquire()) {
       metrics::Bump(ctr_shed_);
-      FsResult r;
-      r.status = ResourceExhausted("nn: overloaded, shedding");
-      ctx->done(std::move(r));
+      ctx->done(FsResult{ResourceExhausted("nn: overloaded, shedding")});
       return;
     }
     ctx->admitted = true;
@@ -162,7 +158,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   }
 }
 
-void Namenode::Finish(std::shared_ptr<OpCtx> ctx, FsResult result) {
+void Namenode::Finish(OpPtr ctx, FsResult result) {
   sim_.tracer().EndSpan(ctx->txn_span);
   ctx->txn_span = 0;
   if (ctx->admitted) {
@@ -182,7 +178,7 @@ void Namenode::Finish(std::shared_ptr<OpCtx> ctx, FsResult result) {
   ctx->done(std::move(result));
 }
 
-void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
+void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
   sim_.tracer().EndSpan(ctx->txn_span);
   ctx->txn_span = 0;
   if (ctx->txn != 0) {
@@ -200,15 +196,11 @@ void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
   }
   const Nanos now = sim_.now();
   if (resilience::DeadlineExpired(ctx->req.deadline, now)) {
-    FsResult r;
-    r.status = DeadlineExceeded("nn: deadline passed during txn");
-    Finish(ctx, std::move(r));
+    Finish(ctx, FsResult{DeadlineExceeded("nn: deadline passed during txn")});
     return;
   }
   if (!failure.retryable() || ctx->attempt >= config_.max_txn_retries) {
-    FsResult r;
-    r.status = failure;
-    Finish(ctx, std::move(r));
+    Finish(ctx, FsResult{failure});
     return;
   }
   // Retry with exponential backoff + jitter: HopsFS's backpressure to
@@ -230,10 +222,18 @@ void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
   });
 }
 
-void Namenode::ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
-                          ResolveCb cb) {
+// A cache-missing path resolution: one committed read per component.
+struct Namenode::PathWalk {
+  std::vector<std::string_view> parts;  // views into the op's request
+  size_t next = 0;                      // component read next
+  InodeId dir = kRootInode;             // the last resolved directory
+  std::string row_key = InodeKey(0, "");  // ... and its row key
+  Resolved then = nullptr;
+};
+
+void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
   if (path == "/") {
-    cb(kRootInode, InodeKey(0, ""));
+    (this->*then)(ctx, kRootInode, InodeKey(0, ""));
     return;
   }
   // Fast path: HopsFS resolves cached path prefixes from the NN-side
@@ -246,93 +246,71 @@ void Namenode::ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
   auto hit = path_cache_.find(path);
   if (hit != path_cache_.end()) {
     ctx->used_cache = true;
-    cb(hit->second.id, hit->second.row_key);
+    (this->*then)(ctx, hit->second.id, hit->second.row_key);
     return;
   }
+  auto w = std::make_shared<PathWalk>();
+  w->parts = SplitPath(path);
+  w->then = then;
+  WalkPath(std::move(ctx), std::move(w));
+}
 
-  auto parts_sv = SplitPath(path);
-  auto parts = std::make_shared<std::vector<std::string>>();
-  for (auto p : parts_sv) parts->emplace_back(p);
-
-  // The walk state holds the self-referencing step closure; the step
-  // captures only a weak reference to the state, so the cycle resolves
-  // itself once the last in-flight read callback (which holds a strong
-  // reference) returns. Never reset `step` from inside itself: that
-  // destroys the executing closure's captures.
-  struct WalkState {
-    std::function<void(size_t, InodeId, std::string)> step;
-    Namenode::ResolveCb cb;
-  };
-  auto ws = std::make_shared<WalkState>();
-  ws->cb = std::move(cb);
-  std::weak_ptr<WalkState> weak = ws;
-  ws->step = [this, ctx, parts, weak](size_t i, InodeId cur,
-                                      std::string cur_row_key) {
-    auto ws = weak.lock();
-    if (!ws) return;
-    if (i == parts->size()) {
-      ws->cb(cur, cur_row_key);
-      return;
-    }
-    const std::string key = InodeKey(cur, (*parts)[i]);
-    api_->Read(
-        ctx->txn, tables_.inodes, key, ndb::LockMode::kReadCommitted,
-        [this, ctx, parts, ws, i, key](Code code,
-                                       std::optional<std::string> value) {
-          if (code != Code::kOk) {
-            MaybeRetry(ctx, Status(code, "path read failed"));
-            return;
+void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
+  if (w->next == w->parts.size()) {
+    (this->*w->then)(ctx, w->dir, w->row_key);
+    return;
+  }
+  w->row_key = InodeKey(w->dir, w->parts[w->next]);
+  api_->Read(
+      ctx->txn, tables_.inodes, w->row_key, ndb::LockMode::kReadCommitted,
+      [this, ctx, w](Code code, std::optional<std::string> value) {
+        if (code != Code::kOk) {
+          MaybeRetry(ctx, Status(code, "path read failed"));
+          return;
+        }
+        if (!value) {
+          if (ctx->used_cache) {
+            MaybeRetry(ctx, NotFound("path component missing"));
+          } else {
+            Fail(ctx, NotFound("path component missing"));
           }
-          if (!value) {
-            if (ctx->used_cache) {
-              MaybeRetry(ctx, NotFound("path component missing"));
-            } else {
-              api_->Abort(ctx->txn);
-              ctx->txn = 0;
-              FsResult r;
-              r.status = NotFound("path component missing");
-              Finish(ctx, std::move(r));
-            }
-            return;
-          }
-          InodeRow row;
-          if (!InodeRow::Decode(*value, &row) || !row.is_dir) {
-            api_->Abort(ctx->txn);
-            ctx->txn = 0;
-            FsResult r;
-            r.status =
-                FailedPrecondition("path component is not a directory");
-            Finish(ctx, std::move(r));
-            return;
-          }
-          // Cache this prefix: "/p0/.../pi" -> row.id.
-          std::string prefix;
-          for (size_t k = 0; k <= i; ++k) {
-            prefix += '/';
-            prefix += (*parts)[k];
-          }
-          path_cache_[prefix] = CachedPath{row.id, key};
-          ws->step(i + 1, row.id, key);
-        });
-  };
-  ws->step(0, kRootInode, InodeKey(0, ""));
+          return;
+        }
+        InodeRow row;
+        if (!InodeRow::Decode(*value, &row) || !row.is_dir) {
+          Fail(ctx, FailedPrecondition("path component is not a directory"));
+          return;
+        }
+        // Cache this prefix: "/p0/.../pi" -> row.id.
+        std::string prefix;
+        for (size_t k = 0; k <= w->next; ++k) {
+          prefix += '/';
+          prefix += w->parts[k];
+        }
+        path_cache_[prefix] = CachedPath{row.id, w->row_key};
+        w->dir = row.id;
+        ++w->next;
+        WalkPath(ctx, w);
+      });
 }
 
 // ---------------------------------------------------------------------------
 // Operation dispatch
 // ---------------------------------------------------------------------------
 
-void Namenode::RunAttempt(std::shared_ptr<OpCtx> ctx) {
+void Namenode::RunAttempt(OpPtr ctx) {
   PROF_ZONE("nn.op.dispatch");
   if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
-    FsResult r;
-    r.status = DeadlineExceeded("nn: deadline passed before attempt");
-    Finish(ctx, std::move(r));
+    Finish(ctx,
+           FsResult{DeadlineExceeded("nn: deadline passed before attempt")});
     return;
   }
   ++ctx->attempt;
   ctx->used_cache = false;
   ctx->arena.Reset();
+  ctx->join = WriteJoin{};
+  ctx->removed_blocks.clear();
+  ctx->result = FsResult{};
   // One span per transaction attempt; NDB op spans hang under it via
   // SetTxnTrace below.
   ctx->txn_span = sim_.tracer().StartSpan(
@@ -371,39 +349,41 @@ void Namenode::RunAttempt(std::shared_ptr<OpCtx> ctx) {
   api_->SetTxnDeadline(ctx->txn, ctx->req.deadline);
   api_->SetTxnTrace(ctx->txn, ctx->txn_span);
 
-  auto dispatch = [this, ctx] {
-    switch (ctx->req.op) {
-      case FsOp::kMkdir: DoMkdir(ctx); return;
-      case FsOp::kCreate: DoCreate(ctx); return;
-      case FsOp::kOpenRead: DoOpenRead(ctx); return;
-      case FsOp::kStat: DoStat(ctx); return;
-      case FsOp::kDelete: DoDelete(ctx); return;
-      case FsOp::kListDir: DoListDir(ctx); return;
-      case FsOp::kRename: DoRename(ctx); return;
-      case FsOp::kChmod:
-      case FsOp::kChown:
-      case FsOp::kSetTimes: DoSetAttr(ctx); return;
-      case FsOp::kAppend: DoAppend(ctx); return;
-      case FsOp::kContentSummary: DoContentSummary(ctx); return;
-      case FsOp::kDeleteRecursive: DoDeleteRecursive(ctx); return;
-    }
-  };
-
   if (path == "/") {
     // Target is the root itself.
     ctx->dir = 0;
     ctx->dir_row_key = {};
-    dispatch();
+    Dispatch(ctx);
     return;
   }
-  ResolveDir(ctx, parent,
-             [ctx, dispatch](InodeId dir, std::string_view row_key) {
-               ctx->dir = dir;
-               // The view may alias the path cache or a walk-local key;
-               // pin a copy the deferred transaction callbacks can use.
-               ctx->dir_row_key = ctx->arena.Intern(row_key);
-               dispatch();
-             });
+  ResolveDir(ctx, parent, &Namenode::ParentResolved);
+}
+
+void Namenode::ParentResolved(OpPtr ctx, InodeId dir,
+                              std::string_view row_key) {
+  ctx->dir = dir;
+  // The view may alias the path cache or the walk's key; pin a copy the
+  // deferred transaction callbacks can use.
+  ctx->dir_row_key = ctx->arena.Intern(row_key);
+  Dispatch(ctx);
+}
+
+void Namenode::Dispatch(OpPtr ctx) {
+  switch (ctx->req.op) {
+    case FsOp::kMkdir: DoMkdir(ctx); return;
+    case FsOp::kCreate: DoCreate(ctx); return;
+    case FsOp::kOpenRead: DoOpenRead(ctx); return;
+    case FsOp::kStat: DoStat(ctx); return;
+    case FsOp::kDelete: DoDelete(ctx); return;
+    case FsOp::kListDir: DoListDir(ctx); return;
+    case FsOp::kRename: DoRename(ctx); return;
+    case FsOp::kChmod:
+    case FsOp::kChown:
+    case FsOp::kSetTimes: DoSetAttr(ctx); return;
+    case FsOp::kAppend: DoAppend(ctx); return;
+    case FsOp::kContentSummary: DoContentSummary(ctx); return;
+    case FsOp::kDeleteRecursive: DoDeleteRecursive(ctx); return;
+  }
 }
 
 // The per-operation transaction bodies live in namenode_ops.cc; the

@@ -1,5 +1,5 @@
-// Per-operation context shared by the namenode's transaction state
-// machines (namenode.cc / namenode_ops.cc).
+// Per-operation context and the step helpers' state shared by the
+// namenode's transaction bodies (namenode.cc, namenode_ops.cc, leader.cc).
 #pragma once
 
 #include <charconv>
@@ -80,6 +80,50 @@ class OpArena {
   std::vector<std::unique_ptr<char[]>> overflow_;
 };
 
+// Fan-out join over the writes one transaction step issues in parallel.
+// Writes are counted as they are issued and the join is armed after the
+// last one, so a write that fails synchronously (a broken transaction
+// fails every op inline) cannot decide the step while later writes are
+// still unissued. Exactly one call to Complete or Arm returns true: the
+// one after which the join is armed and no write is outstanding.
+class WriteJoin {
+ public:
+  void Add() { ++pending_; }
+  bool Complete(Code code) {
+    if (code != Code::kOk && failed_ == Code::kOk) failed_ = code;
+    --pending_;
+    return Decide();
+  }
+  bool Arm() {
+    armed_ = true;
+    return Decide();
+  }
+  // The first failure among the completed writes (kOk if none failed).
+  Code failed() const { return failed_; }
+
+ private:
+  bool Decide() {
+    if (!armed_ || pending_ > 0 || decided_) return false;
+    decided_ = true;
+    return true;
+  }
+
+  int pending_ = 0;
+  bool armed_ = false;
+  bool decided_ = false;
+  Code failed_ = Code::kOk;
+};
+
+// One inode read of an op body: its status messages and the checks the
+// row must pass before the body continues (see Namenode::ReadInode).
+struct InodeRead {
+  const char* failed;   // message of a failed read (retried)
+  const char* missing;  // message of a missing row (NotFound, retried)
+  uint32_t access = 0;  // permission bits the caller needs (0 = none)
+  const char* denied = nullptr;  // message of a failed access check
+  bool dir = false;     // a row that is not a directory counts as missing
+};
+
 struct Namenode::OpCtx {
   FsRequest req;
   FsResultCb done;
@@ -105,6 +149,22 @@ struct Namenode::OpCtx {
   InodeId dst_dir = 0;
   std::string_view dst_dir_row_key;
   std::string_view dst_base;
+
+  // Rows an op body reads in one step and writes in a later one.
+  InodeRow parent;  // the locked parent directory
+  InodeRow target;  // delete: the inode being removed
+
+  // The attempt's fan-out writes, and the status messages of its
+  // decision (a failed write, a failed commit).
+  WriteJoin join;
+  const char* write_what = nullptr;
+  const char* commit_what = nullptr;
+  // Blocks whose rows this attempt deletes; the replicas are dropped
+  // from the datanodes once the transaction commits.
+  std::vector<BlockRow> removed_blocks;
+
+  // The reply, built up by the op body; reset per attempt.
+  FsResult result;
 };
 
 }  // namespace repro::hopsfs
