@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "hopsfs_test_util.h"
+#include "ndb/client.h"
 #include "util/strings.h"
 
 namespace repro::hopsfs {
@@ -13,6 +14,26 @@ using testing::TestFs;
 
 Status RunOp(TestFs& fs, std::function<void(HopsFsClient::StatusCb)> op) {
   return fs.Run(std::move(op));
+}
+
+// Number of committed rows under `prefix`, read through a fresh NDB API
+// node.
+size_t CountRows(TestFs& fs, ndb::TableId table, const std::string& prefix) {
+  ndb::NdbApiNode api(fs.deployment->ndb(),
+                      fs.deployment->topology().AddHost(0, "probe"), 0);
+  const ndb::TxnId txn = api.Begin(table, prefix);
+  EXPECT_NE(txn, 0u);
+  size_t rows = 0;
+  bool done = false;
+  api.ScanPrefix(txn, table, prefix,
+                 [&](Code code,
+                     std::vector<std::pair<ndb::Key, std::string>> found) {
+                   EXPECT_EQ(code, Code::kOk);
+                   rows = found.size();
+                   api.Commit(txn, [&](Code) { done = true; });
+                 });
+  while (!done) fs.sim->RunFor(kMillisecond);
+  return rows;
 }
 
 TEST(HopsFsExtendedOps, ChownChangesOwner) {
@@ -157,6 +178,45 @@ TEST(HopsFsExtendedOps, DeleteRecursiveOfFileActsLikeDelete) {
                 fs.client->DeleteRecursive("/rf/f", cb);
               }).ok());
   EXPECT_EQ(fs.Stat("/rf/f").code(), Code::kNotFound);
+}
+
+// rmr removes what rm removes: with the inode go its block rows, the
+// block-index rows and, after the commit, the replicas on the datanodes.
+TEST(HopsFsExtendedOps, DeleteRecursiveRemovesBlocks) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/6);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/big", 300 << 10).ok());
+  const FsResult st = fs.StatFull("/d/big");
+  ASSERT_TRUE(st.status.ok());
+  ASSERT_EQ(st.inode.num_blocks, 1);
+  const FsTables& tables = fs.deployment->tables();
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+  const auto index_rows = [&] {
+    size_t n = 0;
+    for (blocks::DnId d = 0; d < dns.size(); ++d) {
+      n += CountRows(fs, tables.dn_blocks, DnBlocksPrefix(d));
+    }
+    return n;
+  };
+  const auto replicas = [&] {
+    int64_t n = 0;
+    for (blocks::DnId d = 0; d < dns.size(); ++d) n += dns.dn(d)->block_count();
+    return n;
+  };
+  ASSERT_EQ(CountRows(fs, tables.blocks, BlocksOfInodePrefix(st.inode.id)),
+            1u);
+  ASSERT_EQ(index_rows(), 3u);
+  ASSERT_EQ(replicas(), 3);
+
+  ASSERT_TRUE(RunOp(fs, [&](auto cb) {
+                fs.client->DeleteRecursive("/d", cb);
+              }).ok());
+  fs.sim->RunFor(Seconds(1));
+  EXPECT_EQ(fs.Stat("/d/big").code(), Code::kNotFound);
+  EXPECT_EQ(CountRows(fs, tables.blocks, BlocksOfInodePrefix(st.inode.id)),
+            0u);
+  EXPECT_EQ(index_rows(), 0u);
+  EXPECT_EQ(replicas(), 0);
 }
 
 TEST(HopsFsExtendedOps, DeleteRecursiveRootRejected) {
