@@ -2,6 +2,7 @@
 // stack: client -> namenode -> NDB transactions.
 #include <gtest/gtest.h>
 
+#include "hopsfs/op_context.h"
 #include "hopsfs_test_util.h"
 #include "util/strings.h"
 
@@ -282,6 +283,43 @@ TEST(HopsFsDurability, FilesystemSurvivesFullClusterRestart) {
   EXPECT_TRUE(
       run([&](auto cb) { client->Create("/crashsafe/post", 0, cb); }).ok())
       << "recovered cluster refuses new transactions";
+}
+
+// The fan-out join of a transaction's writes. A broken transaction fails
+// every write synchronously, inside the issuing call: such a completion
+// must not decide the step while later writes are still unissued, and
+// the commit-or-retry decision fires exactly once.
+TEST(WriteJoin, SynchronousFailureWaitsForArm) {
+  WriteJoin join;
+  int decisions = 0;
+  const auto complete = [&](Code code) {
+    if (join.Complete(code)) ++decisions;
+  };
+  join.Add();
+  complete(Code::kAborted);  // fails before the next write is issued
+  EXPECT_EQ(decisions, 0);
+  join.Add();
+  join.Add();
+  complete(Code::kAborted);
+  EXPECT_EQ(decisions, 0);
+  if (join.Arm()) ++decisions;
+  EXPECT_EQ(decisions, 0) << "one write is still outstanding";
+  complete(Code::kTimedOut);
+  EXPECT_EQ(decisions, 1);
+  EXPECT_EQ(join.failed(), Code::kAborted) << "the first failure decides";
+  if (join.Arm()) ++decisions;
+  EXPECT_EQ(decisions, 1);
+}
+
+TEST(WriteJoin, AllWritesDoneBeforeArmDecideAtArm) {
+  WriteJoin join;
+  join.Add();
+  EXPECT_FALSE(join.Complete(Code::kOk));
+  join.Add();
+  EXPECT_FALSE(join.Complete(Code::kOk));
+  EXPECT_TRUE(join.Arm());
+  EXPECT_EQ(join.failed(), Code::kOk);
+  EXPECT_FALSE(join.Arm());
 }
 
 }  // namespace
