@@ -719,5 +719,236 @@ TEST(NdbRecoveryTest, PartitionedCatchupBackupCannotWedgeCommit) {
   EXPECT_EQ(*v, "after-heal");
 }
 
+// ---- a crash in every recovery phase ----
+//
+// Each case restarts node 0, drives the simulation into one phase of the
+// recovery, and crashes the node again there. The recovery must abandon
+// exactly once, with that phase's reason, fire `done` exactly once and
+// leave the node down. The node's disks are slowed so every disk phase
+// leaves a window to crash in.
+enum class CrashPhase {
+  kImageRead,
+  kLogRead,
+  kReplayApply,
+  kPartitionStream,
+  kQuiesceFence,
+  kRejoinImageWrite,
+  kRejoinLogWrite,
+};
+
+struct PhaseCase {
+  const char* name;
+  CrashPhase phase;
+  const char* reason;
+};
+
+// Names the case in test listings (the default prints the raw bytes,
+// pointers included).
+void PrintTo(const PhaseCase& c, std::ostream* os) { *os << c.name; }
+
+class RestartFixture : public ::testing::Test {
+ protected:
+  // Loads rows, crashes node 0 and waits until the failure detector has
+  // evicted it: a recovering node the detector still counts as alive
+  // would be declared failed mid-recovery, which abandons it for a reason
+  // this test does not pin.
+  void SetUp() override {
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(tc.InsertCommit(StrFormat("%d/f", i), std::string(512, 'v')),
+                Code::kOk);
+    }
+    tc.sim->RunFor(kSecond);
+    tc.cluster->CrashDatanode(0);
+    tc.WaitUntilDetectedDead(0);
+    node().disk().set_slowdown(50.0);
+    node().log_disk().set_slowdown(50.0);
+  }
+
+  NdbDatanode& node() { return tc.cluster->datanode(0); }
+
+  // Steps the simulation in 10 us slices until `ready()` holds.
+  template <typename Ready>
+  void StepUntil(Ready ready, const char* what) {
+    const Nanos deadline = tc.sim->now() + 10 * kSecond;
+    while (!ready() && tc.sim->now() < deadline && !tc.sim->Empty()) {
+      tc.sim->RunFor(10 * kMicrosecond);
+    }
+    ASSERT_TRUE(ready()) << "never reached: " << what;
+  }
+
+  // A key whose partition node 0 replicates, and that partition.
+  std::pair<std::string, PartitionId> KeyOfNode0() {
+    auto& layout = tc.cluster->layout();
+    for (int i = 0;; ++i) {
+      std::string key = StrFormat("held%d/f", i);
+      const PartitionId p = layout.PartitionOf(tc.table, key);
+      for (NodeId r : layout.ReplicaChain(p)) {
+        if (r == 0) return {key, p};
+      }
+    }
+  }
+
+  // Opens a transaction whose prepared write sits on a partition of node
+  // 0: the resync's quiesce fence waits on that partition until the
+  // transaction ends.
+  TxnId HoldPartition(PartitionId* part) {
+    const auto [key, p] = KeyOfNode0();
+    *part = p;
+    const TxnId txn = tc.api->Begin(tc.table, key);
+    bool prepared = false;
+    tc.api->Write(txn, tc.table, key, "held", [&](Code c) {
+      EXPECT_EQ(c, Code::kOk);
+      prepared = true;
+    });
+    tc.RunUntil(prepared);
+    return txn;
+  }
+
+  RecoveryCluster tc;
+};
+
+class NdbRecoveryPhaseTest : public RestartFixture,
+                             public ::testing::WithParamInterface<PhaseCase> {
+};
+
+TEST_P(NdbRecoveryPhaseTest, CrashAbandonsOnceWithThePhasesReason) {
+  const PhaseCase& c = GetParam();
+  const DiskStats data0 = node().disk().stats();
+  const DiskStats log0 = node().log_disk().stats();
+  const auto resyncing = [&] {
+    return node().recovery_phase() == NdbDatanode::RecoveryPhase::kResyncing;
+  };
+  TxnId held = 0;
+  PartitionId held_part = -1;
+  if (c.phase == CrashPhase::kQuiesceFence) held = HoldPartition(&held_part);
+
+  int done = 0;
+  tc.cluster->RestartDatanode(0, [&] { ++done; });
+  ASSERT_TRUE(node().recovering());
+  switch (c.phase) {
+    case CrashPhase::kImageRead:
+      break;  // the image read was issued synchronously
+    case CrashPhase::kLogRead:
+      StepUntil([&] {
+        return node().disk().stats().ops == data0.ops + 1 &&
+               node().disk().Backlog() == 0;
+      }, "image read done");
+      ASSERT_GT(node().log_disk().Backlog(), 0);
+      break;
+    case CrashPhase::kReplayApply:
+      StepUntil([&] {
+        return node().log_disk().stats().ops == log0.ops + 1 &&
+               node().log_disk().Backlog() == 0;
+      }, "log read done");
+      ASSERT_FALSE(resyncing());
+      break;
+    case CrashPhase::kPartitionStream:
+      StepUntil(resyncing, "resync started");
+      break;
+    case CrashPhase::kQuiesceFence:
+      StepUntil(resyncing, "resync started");
+      tc.sim->RunFor(200 * kMillisecond);
+      ASSERT_TRUE(resyncing());
+      ASSERT_FALSE(tc.cluster->layout().catchup_ready(0, held_part))
+          << "the fence should still wait on the held partition";
+      break;
+    case CrashPhase::kRejoinImageWrite:
+      StepUntil([&] {
+        return node().disk().stats().ops == data0.ops + 2;
+      }, "rejoin image write issued");
+      ASSERT_GT(node().disk().Backlog(), 0);
+      break;
+    case CrashPhase::kRejoinLogWrite:
+      StepUntil([&] {
+        return node().disk().stats().ops == data0.ops + 2 &&
+               node().disk().Backlog() == 0;
+      }, "rejoin image write done");
+      ASSERT_GT(node().log_disk().Backlog(), 0);
+      break;
+  }
+  ASSERT_TRUE(node().recovering()) << "crash point passed the recovery";
+  ASSERT_EQ(done, 0);
+  tc.cluster->CrashDatanode(0);
+  if (held != 0) tc.api->Abort(held);
+  tc.sim->RunFor(5 * kSecond);
+
+  EXPECT_EQ(done, 1) << "`done` must fire exactly once";
+  ASSERT_EQ(tc.cluster->recovery_log().size(), 1u);
+  const auto& rec = tc.cluster->recovery_log().back();
+  EXPECT_TRUE(rec.aborted);
+  EXPECT_EQ(rec.abort_reason, c.reason);
+  EXPECT_FALSE(node().alive());
+  EXPECT_FALSE(node().recovering());
+  EXPECT_EQ(node().recovery_phase(), NdbDatanode::RecoveryPhase::kDown);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Phases, NdbRecoveryPhaseTest,
+    ::testing::Values(
+        PhaseCase{"ImageRead", CrashPhase::kImageRead,
+                  "node lost during image read"},
+        PhaseCase{"LogRead", CrashPhase::kLogRead,
+                  "node lost during log read"},
+        PhaseCase{"ReplayApply", CrashPhase::kReplayApply,
+                  "node lost during replay"},
+        PhaseCase{"PartitionStream", CrashPhase::kPartitionStream,
+                  "node lost during resync"},
+        PhaseCase{"QuiesceFence", CrashPhase::kQuiesceFence,
+                  "node lost during resync"},
+        PhaseCase{"RejoinImageWrite", CrashPhase::kRejoinImageWrite,
+                  "node lost during rejoin checkpoint"},
+        PhaseCase{"RejoinLogWrite", CrashPhase::kRejoinLogWrite,
+                  "node lost during rejoin checkpoint"}),
+    [](const ::testing::TestParamInfo<PhaseCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The resync source dies mid-stream: at the start of the stream, or
+// while the quiesce fence waits. The recovery retries from the other
+// node-group peer, counts the extra attempt, and the node serves.
+class NdbRecoverySourceDeathTest : public RestartFixture {
+ protected:
+  void KillSourceAndRecover(bool at_fence) {
+    TxnId held = 0;
+    PartitionId held_part = -1;
+    if (at_fence) held = HoldPartition(&held_part);
+    int done = 0;
+    tc.cluster->RestartDatanode(0, [&] { ++done; });
+    StepUntil([&] {
+      return node().recovery_phase() ==
+             NdbDatanode::RecoveryPhase::kResyncing;
+    }, "resync started");
+    if (at_fence) {
+      tc.sim->RunFor(200 * kMillisecond);
+      ASSERT_FALSE(tc.cluster->layout().catchup_ready(0, held_part))
+          << "the fence should still wait on the held partition";
+    }
+    // Node 2 is the lowest-numbered live peer of node 0's group
+    // {0, 2, 4}: the resync source.
+    tc.cluster->CrashDatanode(2);
+    if (held != 0) tc.api->Abort(held);
+    const Nanos deadline = tc.sim->now() + 30 * kSecond;
+    while (done == 0 && tc.sim->now() < deadline) {
+      tc.sim->RunFor(kMillisecond);
+    }
+    tc.sim->RunFor(kSecond);
+    EXPECT_EQ(done, 1);
+    ASSERT_EQ(tc.cluster->recovery_log().size(), 1u);
+    const auto& rec = tc.cluster->recovery_log().back();
+    EXPECT_FALSE(rec.aborted) << rec.abort_reason;
+    EXPECT_EQ(rec.attempts, 2);
+    EXPECT_TRUE(node().alive());
+    EXPECT_TRUE(tc.cluster->layout().alive(0));
+  }
+};
+
+TEST_F(NdbRecoverySourceDeathTest, AtStreamStart) {
+  KillSourceAndRecover(/*at_fence=*/false);
+}
+
+TEST_F(NdbRecoverySourceDeathTest, AtQuiesceFence) {
+  KillSourceAndRecover(/*at_fence=*/true);
+}
+
 }  // namespace
 }  // namespace repro::ndb
