@@ -177,6 +177,9 @@ class Namenode {
     return path_cache_.find(path) != path_cache_.end();
   }
 
+  // Test accessor: this namenode's NDB API node.
+  const ndb::NdbApiNode& ndb_api() const { return *api_; }
+
   const ThreadPool& cpu_pool() const { return *cpu_; }
   void ResetStats() { cpu_->ResetStats(); }
   int64_t ops_served() const { return ops_served_; }

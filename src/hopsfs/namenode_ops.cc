@@ -249,7 +249,7 @@ void Namenode::RemoveInode(const OpPtr& ctx, ndb::Key key,
 void Namenode::DoMkdir(OpPtr ctx) {
   PROF_ZONE("nn.op.mkdir");
   if (ctx->req.path == "/") {
-    Finish(ctx, FsResult{AlreadyExists("/")});
+    Fail(ctx, AlreadyExists("/"));
     return;
   }
   // Exclusive lock on the parent directory serialises same-directory
@@ -471,7 +471,7 @@ void Namenode::DoRename(OpPtr ctx) {
                               dst_path[src_path.size()] == '/';
   if (src_path == "/" || dst_path.empty() || dst_path == "/" ||
       dst_inside_src) {
-    Finish(ctx, FsResult{InvalidArgument("rename: bad paths")});
+    Fail(ctx, InvalidArgument("rename: bad paths"));
     return;
   }
   auto [dst_parent, dst_base] = SplitParentView(dst_path);
@@ -647,7 +647,7 @@ void Namenode::DoContentSummary(OpPtr ctx) {
 void Namenode::DoDeleteRecursive(OpPtr ctx) {
   PROF_ZONE("nn.op.delete_recursive");
   if (ctx->req.path == "/") {
-    Finish(ctx, FsResult{InvalidArgument("cannot delete the root")});
+    Fail(ctx, InvalidArgument("cannot delete the root"));
     return;
   }
   // Lock the parent and the subtree root exclusively (the implicit

@@ -227,5 +227,30 @@ TEST(HopsFsExtendedOps, DeleteRecursiveRootRejected) {
             Code::kInvalidArgument);
 }
 
+// Ops refused before any NDB work still began a transaction: each must
+// end it, or the namenode's API node keeps one entry per call.
+TEST(HopsFsExtendedOps, RejectedOpsLeaveNoOpenTransaction) {
+  TestFs fs;
+  const auto open_txns = [&] {
+    fs.sim->RunFor(kSecond);
+    size_t open = 0;
+    for (const auto& nn : fs.deployment->namenodes()) {
+      open += nn->ndb_api().open_txns();
+    }
+    return open;
+  };
+  ASSERT_EQ(open_txns(), 0u);
+  EXPECT_EQ(fs.Mkdir("/").code(), Code::kAlreadyExists);
+  EXPECT_EQ(open_txns(), 0u) << "mkdir /";
+  EXPECT_EQ(RunOp(fs, [&](auto cb) {
+              fs.client->DeleteRecursive("/", cb);
+            }).code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(open_txns(), 0u) << "rmr /";
+  EXPECT_EQ(fs.Rename("/", "/x").code(), Code::kInvalidArgument);
+  EXPECT_EQ(fs.Rename("/a", "/a/b").code(), Code::kInvalidArgument);
+  EXPECT_EQ(open_txns(), 0u) << "rename with bad paths";
+}
+
 }  // namespace
 }  // namespace repro::hopsfs
