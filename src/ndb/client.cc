@@ -21,46 +21,33 @@ NodeId NdbApiNode::PickTc(const TableDef* td, TableId table,
   auto& layout = cluster_.layout();
   const bool az_aware = cluster_.flags().az_aware && az_ != kNoAz;
 
-  if (td != nullptr) {
+  if (td != nullptr && !td->fully_replicated) {
     const PartitionId part = layout.PartitionOf(table, hint_key);
-    if (td->read_backup && !td->fully_replicated) {
-      // Case 1: any replica of the partition, closest AZ first.
+    // Case 1 (Read Backup): any replica of the partition, closest AZ
+    // first. Case 3: nodes derived from the partition key; AZ-aware picks
+    // the same-AZ member (reads still reroute to the primary), classic
+    // NDB the primary replica (distribution awareness).
+    if (td->read_backup || az_aware) {
       return layout.PickByProximity(az_, layout.ReplicaChain(part), az_aware,
-                                    rr_++);
-    }
-    if (td->fully_replicated) {
-      // Case 2: every node holds the data; pick by proximity.
-      std::vector<NodeId> all(layout.num_nodes());
-      for (int n = 0; n < layout.num_nodes(); ++n) all[n] = n;
-      return layout.PickByProximity(az_, all, az_aware, rr_++);
-    }
-    // Case 3: nodes derived from the partition key. AZ-aware picks the
-    // same-AZ member (reads still reroute to the primary); classic NDB
-    // picks the primary replica (distribution awareness).
-    if (az_aware) {
-      return layout.PickByProximity(az_, layout.ReplicaChain(part), true,
                                     rr_++);
     }
     return layout.PrimaryOf(part);
   }
-
-  // Case 4: no hint — all datanodes ordered by proximity.
+  // Case 2 (fully replicated: every node holds the data) and case 4 (no
+  // hint): all datanodes ordered by proximity.
   std::vector<NodeId> all(layout.num_nodes());
   for (int n = 0; n < layout.num_nodes(); ++n) all[n] = n;
   return layout.PickByProximity(az_, all, az_aware, rr_++);
 }
 
 TxnId NdbApiNode::Begin(TableId hint_table, std::string_view hint_key) {
-  const TableDef& td = cluster_.catalog().table(hint_table);
-  const NodeId tc = PickTc(&td, hint_table, hint_key);
-  if (tc == kNoNode) return 0;
-  const TxnId txn = cluster_.NextTxnId();
-  *txns_.Emplace(txn).first = TxnState{tc, false, 0};
-  return txn;
+  return BeginAt(
+      PickTc(&cluster_.catalog().table(hint_table), hint_table, hint_key));
 }
 
-TxnId NdbApiNode::BeginNoHint() {
-  const NodeId tc = PickTc(nullptr, 0, {});
+TxnId NdbApiNode::BeginNoHint() { return BeginAt(PickTc(nullptr, 0, {})); }
+
+TxnId NdbApiNode::BeginAt(NodeId tc) {
   if (tc == kNoNode) return 0;
   const TxnId txn = cluster_.NextTxnId();
   *txns_.Emplace(txn).first = TxnState{tc, false, 0};
@@ -79,18 +66,19 @@ void NdbApiNode::SetTxnTrace(TxnId txn, trace::SpanId span) {
   if (TxnState* t = FindTxn(txn)) t->span = span;
 }
 
-uint64_t NdbApiNode::RegisterOp(TxnId txn, PendingOp op) {
+uint64_t NdbApiNode::RegisterOp(TxnId txn, TxnState& t, const char* what,
+                                PendingOp op, trace::SpanId* span) {
+  op.span = cluster_.sim().tracer().StartSpan(
+      t.span, what, trace::Layer::kNdb, trace::Cause::kWork, host_, az_);
+  *span = op.span;
   const uint64_t op_id = next_op_id_++;
   op.txn = txn;
   *pending_.Emplace(op_id).first = std::move(op);
   // The local timer never outlives the op's deadline: the op fails
   // exactly at the deadline with no extra pending events.
-  Nanos timeout = op_timeout_;
-  if (TxnState* t = FindTxn(txn)) {
-    t->inflight += 1;
-    timeout = resilience::ClampToDeadline(timeout, t->deadline,
-                                          cluster_.sim().now());
-  }
+  t.inflight += 1;
+  const Nanos timeout = resilience::ClampToDeadline(op_timeout_, t.deadline,
+                                                    cluster_.sim().now());
 
   // The timer resolves the API node by id at fire time: if the node was
   // destroyed in the meantime, the slot is null and the timer is a no-op
@@ -118,46 +106,62 @@ void NdbApiNode::OnOpTimeout(uint64_t op_id) {
 }
 
 void NdbApiNode::FailOp(uint64_t op_id, Code code) {
-  PendingOp* slot = pending_.Find(op_id);
-  if (slot == nullptr) return;
-  PendingOp op = std::move(*slot);
-  pending_.Erase(op_id);
-  cluster_.sim().tracer().EndSpan(op.span);
-  cluster_.sim().tracer().EndSpan(op.hedge_span);
-  if (TxnState* t = FindTxn(op.txn)) t->inflight -= 1;
-  if (op.erase_txn) txns_.Erase(op.txn);
-  if (op.read_cb) op.read_cb(code, std::nullopt);
-  if (op.write_cb) op.write_cb(code);
-  if (op.scan_cb) op.scan_cb(code, {});
+  if (std::optional<PendingOp> op = TakeOp(op_id)) Deliver(*op, code);
 }
 
-void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
+std::optional<NdbApiNode::PendingOp> NdbApiNode::TakeOp(uint64_t op_id) {
+  PendingOp* slot = pending_.Find(op_id);
+  if (slot == nullptr) return std::nullopt;
+  std::optional<PendingOp> op(std::move(*slot));
+  pending_.Erase(op_id);
+  cluster_.sim().tracer().EndSpan(op->span);
+  cluster_.sim().tracer().EndSpan(op->hedge_span);
+  if (TxnState* t = FindTxn(op->txn)) t->inflight -= 1;
+  if (op->erase_txn) txns_.Erase(op->txn);
+  return op;
+}
+
+void NdbApiNode::Deliver(PendingOp& op, Code code,
+                         std::optional<std::string> value, Rows rows) {
+  if (op.read_cb) {
+    const bool answered = code == Code::kOk || code == Code::kNotFound;
+    op.read_cb(code, answered ? std::move(value) : std::nullopt);
+  }
+  if (op.write_cb) op.write_cb(code);
+  if (op.scan_cb) op.scan_cb(code, std::move(rows));
+}
+
+NdbApiNode::TxnState* NdbApiNode::Admit(TxnId txn, Code* refused) {
   TxnState* t = FindTxn(txn);
-  if (t == nullptr || t->broken || !cluster_.cluster_up() ||
-      !cluster_.layout().alive(t->tc)) {
-    const Code code = t == nullptr || t->broken ? Code::kAborted
-                                                : Code::kUnavailable;
-    if (op.read_cb) op.read_cb(code, std::nullopt);
-    if (op.write_cb) op.write_cb(code);
-    if (op.scan_cb) op.scan_cb(code, {});
-    return;
+  if (t == nullptr || t->broken) {
+    *refused = Code::kAborted;
+    return nullptr;
+  }
+  if (!cluster_.cluster_up() || !cluster_.layout().alive(t->tc)) {
+    *refused = Code::kUnavailable;
+    return nullptr;
   }
   // Fail fast before spending a network round trip on doomed work.
   if (resilience::DeadlineExpired(t->deadline, cluster_.sim().now())) {
     metrics::Bump(deadline_exceeded_);
-    if (op.read_cb) op.read_cb(Code::kDeadlineExceeded, std::nullopt);
-    if (op.write_cb) op.write_cb(Code::kDeadlineExceeded);
-    if (op.scan_cb) op.scan_cb(Code::kDeadlineExceeded, {});
+    *refused = Code::kDeadlineExceeded;
+    return nullptr;
+  }
+  return t;
+}
+
+void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
+  Code refused = Code::kOk;
+  TxnState* t = Admit(txn, &refused);
+  if (t == nullptr) {
+    Deliver(op, refused);
     return;
   }
   req.txn = txn;
   req.api = id_;
   req.deadline = t->deadline;
-  op.span = cluster_.sim().tracer().StartSpan(
-      t->span, req.is_write ? "ndb.write" : "ndb.read", trace::Layer::kNdb,
-      trace::Cause::kWork, host_, az_);
-  req.span = op.span;
-  req.op_id = RegisterOp(txn, std::move(op));
+  req.op_id = RegisterOp(txn, *t, req.is_write ? "ndb.write" : "ndb.read",
+                         std::move(op), &req.span);
   const bool hedgeable = hedge_read_delay_ > 0 && !req.is_write &&
                          req.mode == LockMode::kReadCommitted;
   const int64_t bytes =
@@ -212,126 +216,80 @@ void NdbApiNode::HedgeReadNow(TxnId txn, uint64_t op_id, SignalRef sig) {
 
 void NdbApiNode::Read(TxnId txn, TableId table, Key key, LockMode mode,
                       ReadCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.mode = mode;
   PendingOp op;
   op.read_cb = std::move(cb);
+  SendKeyOp(txn, {.table = table, .key = std::move(key), .mode = mode},
+            std::move(op));
+}
+
+void NdbApiNode::SendWrite(TxnId txn, KeyOpReq req, WriteCb cb) {
+  req.is_write = true;
+  PendingOp op;
+  op.write_cb = std::move(cb);
   SendKeyOp(txn, std::move(req), std::move(op));
 }
 
 void NdbApiNode::Insert(TxnId txn, TableId table, Key key, std::string value,
                         WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.insert_only = true;
-  req.value = std::move(value);
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, {.table = table, .key = std::move(key), .insert_only = true,
+                  .value = std::move(value)},
+            std::move(cb));
 }
 
 void NdbApiNode::Update(TxnId txn, TableId table, Key key, std::string value,
                         WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.must_exist = true;
-  req.value = std::move(value);
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, {.table = table, .key = std::move(key), .must_exist = true,
+                  .value = std::move(value)},
+            std::move(cb));
 }
 
 void NdbApiNode::Write(TxnId txn, TableId table, Key key, std::string value,
                        WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.value = std::move(value);
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, {.table = table, .key = std::move(key),
+                  .value = std::move(value)},
+            std::move(cb));
 }
 
 void NdbApiNode::Delete(TxnId txn, TableId table, Key key, WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kDelete;
-  req.must_exist = true;
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, {.table = table, .key = std::move(key),
+                  .write_type = WriteType::kDelete, .must_exist = true},
+            std::move(cb));
 }
 
 void NdbApiNode::ScanPrefix(TxnId txn, TableId table, Key prefix, ScanCb cb) {
-  TxnState* t = FindTxn(txn);
-  if (t == nullptr || t->broken || !cluster_.cluster_up() ||
-      !cluster_.layout().alive(t->tc)) {
-    cb(t == nullptr || t->broken ? Code::kAborted : Code::kUnavailable, {});
-    return;
-  }
-  if (resilience::DeadlineExpired(t->deadline, cluster_.sim().now())) {
-    metrics::Bump(deadline_exceeded_);
-    cb(Code::kDeadlineExceeded, {});
-    return;
-  }
-  ScanReq req;
-  req.txn = txn;
-  req.api = id_;
-  req.table = table;
-  req.prefix = std::move(prefix);
-  req.deadline = t->deadline;
   PendingOp op;
   op.scan_cb = std::move(cb);
-  op.span = cluster_.sim().tracer().StartSpan(
-      t->span, "ndb.scan", trace::Layer::kNdb, trace::Cause::kWork, host_,
-      az_);
-  req.span = op.span;
-  req.op_id = RegisterOp(txn, std::move(op));
+  Code refused = Code::kOk;
+  TxnState* t = Admit(txn, &refused);
+  if (t == nullptr) {
+    Deliver(op, refused);
+    return;
+  }
+  ScanReq req{.txn = txn, .api = id_, .table = table,
+              .prefix = std::move(prefix), .deadline = t->deadline};
+  req.op_id = RegisterOp(txn, *t, "ndb.scan", std::move(op), &req.span);
   const trace::SpanId span = req.span;
   SendToTc(t->tc, cluster_.cost().msg_scan_req, SignalKind::kTcScan,
            cluster_.transport().New(std::move(req)), span);
 }
 
 void NdbApiNode::Commit(TxnId txn, WriteCb cb) {
-  TxnState* t = FindTxn(txn);
+  Code refused = Code::kOk;
+  TxnState* t = Admit(txn, &refused);
   if (t == nullptr) {
-    cb(Code::kAborted);
-    return;
-  }
-  if (t->broken || !cluster_.cluster_up() ||
-      !cluster_.layout().alive(t->tc)) {
+    // A refused commit ends the transaction; an unreachable TC means the
+    // transaction is lost.
     Abort(txn);
-    cb(Code::kAborted);
-    return;
-  }
-  if (resilience::DeadlineExpired(t->deadline, cluster_.sim().now())) {
-    metrics::Bump(deadline_exceeded_);
-    Abort(txn);
-    cb(Code::kDeadlineExceeded);
+    cb(refused == Code::kUnavailable ? Code::kAborted : refused);
     return;
   }
   PendingOp op;
   op.write_cb = std::move(cb);
   op.erase_txn = true;  // drop txn state when the commit is answered
-  op.span = cluster_.sim().tracer().StartSpan(
-      t->span, "ndb.commit", trace::Layer::kNdb, trace::Cause::kWork, host_,
-      az_);
-  const trace::SpanId cspan = op.span;
-  const uint64_t op_id = RegisterOp(txn, std::move(op));
-  const NodeId tc = t->tc;
-  SendToTc(tc, cluster_.cost().msg_small, SignalKind::kTcCommit,
+  trace::SpanId cspan = 0;
+  const uint64_t op_id =
+      RegisterOp(txn, *t, "ndb.commit", std::move(op), &cspan);
+  SendToTc(t->tc, cluster_.cost().msg_small, SignalKind::kTcCommit,
            cluster_.transport().New(CommitReq{txn, op_id, id_, cspan}),
            cspan);
 }
@@ -347,28 +305,12 @@ void NdbApiNode::Abort(TxnId txn) {
 }
 
 void NdbApiNode::OnOpReply(OpReply reply) {
-  PendingOp* slot = pending_.Find(reply.op_id);
-  if (slot == nullptr) return;  // late reply after timeout / hedge loss
-  PendingOp op = std::move(*slot);
-  pending_.Erase(reply.op_id);
-  cluster_.sim().tracer().EndSpan(op.span);
-  cluster_.sim().tracer().EndSpan(op.hedge_span);
-  if (TxnState* t = FindTxn(op.txn)) t->inflight -= 1;
-  if (op.erase_txn) txns_.Erase(op.txn);
-  if (op.hedge_tc != kNoNode && reply.from == op.hedge_tc) {
+  std::optional<PendingOp> op = TakeOp(reply.op_id);
+  if (!op) return;  // late reply after timeout / hedge loss
+  if (op->hedge_tc != kNoNode && reply.from == op->hedge_tc) {
     metrics::Bump(hedge_wins_);
   }
-
-  if (op.read_cb) {
-    if (reply.code == Code::kOk || reply.code == Code::kNotFound) {
-      op.read_cb(reply.code == Code::kNotFound ? Code::kNotFound : Code::kOk,
-                 std::move(reply.value));
-    } else {
-      op.read_cb(reply.code, std::nullopt);
-    }
-  }
-  if (op.write_cb) op.write_cb(reply.code);
-  if (op.scan_cb) op.scan_cb(reply.code, std::move(reply.rows));
+  Deliver(*op, reply.code, std::move(reply.value), std::move(reply.rows));
 }
 
 }  // namespace repro::ndb

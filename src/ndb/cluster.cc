@@ -302,28 +302,59 @@ void NdbCluster::CrashDatanode(NodeId n) {
   layout_.ClearCatchup(n);
 }
 
-bool NdbCluster::RecoveryStillValid(NodeId n, uint64_t gen) const {
-  return cluster_up_ && datanodes_[n]->recovery_generation() == gen &&
-         datanodes_[n]->recovering();
-}
+// One node restart in flight: everything its steps need. Each step's
+// continuation captures {this, run}.
+struct NdbCluster::RecoveryRun {
+  NodeId node = kNoNode;
+  size_t slot = 0;           // recovery_log_ slot (see RecoverySlot)
+  uint64_t gen = 0;          // the node's recovery generation at start
+  NodeId source = kNoNode;   // the resync's node-group peer
+  PartitionId next = 0;      // the partition the resync streams next
+  Nanos since = 0;           // start of the current timed phase
+  RedoJournal::ReplayPlan plan;
+  std::function<void()> done;
+};
 
 NdbCluster::RecoveryStats* NdbCluster::RecoverySlot(size_t slot) {
   if (slot < recovery_log_base_) return nullptr;  // evicted by the cap
   return &recovery_log_[slot - recovery_log_base_];
 }
 
-void NdbCluster::AbandonRecovery(NodeId n, size_t slot,
-                                 const std::string& reason,
-                                 const std::function<void()>& done) {
-  datanodes_[n]->SetCatchupAccepting(false);
-  layout_.ClearCatchup(n);
-  if (RecoveryStats* rec = RecoverySlot(slot)) {
+bool NdbCluster::RecoveryLive(const RunPtr& run, const char* reason) {
+  const NdbDatanode& node = *datanodes_[run->node];
+  if (cluster_up_ && node.recovery_generation() == run->gen &&
+      node.recovering()) {
+    return true;
+  }
+  AbandonRecovery(*run, reason);
+  return false;
+}
+
+bool NdbCluster::SourceLive(const RunPtr& run) {
+  if (layout_.alive(run->source) && datanodes_[run->source]->alive()) {
+    return true;
+  }
+  // The source died mid-stream: retry the resync phase with a fresh
+  // source. Partitions already fenced stay valid — live writes kept
+  // flowing to them through the catch-up chain — so their deltas
+  // re-check as (near) empty on the retry pass.
+  RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
+                  "retrying with another peer", run->node, run->source);
+  if (RecoveryStats* rec = RecoverySlot(run->slot)) rec->attempts += 1;
+  RecoveryResync(run);
+  return false;
+}
+
+void NdbCluster::AbandonRecovery(const RecoveryRun& run, const char* reason) {
+  datanodes_[run.node]->SetCatchupAccepting(false);
+  layout_.ClearCatchup(run.node);
+  if (RecoveryStats* rec = RecoverySlot(run.slot)) {
     rec->aborted = true;
     rec->abort_reason = reason;
     tracer().EndTrace(rec->trace_root);
   }
-  RLOG_WARN(kLog, "recovery of node %d abandoned: %s", n, reason.c_str());
-  if (done) done();
+  RLOG_WARN(kLog, "recovery of node %d abandoned: %s", run.node, reason);
+  if (run.done) run.done();
 }
 
 void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
@@ -345,12 +376,16 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
   }
   network_.topology().SetHostUp(node.host(), true);
   node.BeginRecovery();
-  const uint64_t gen = node.recovery_generation();
+  auto run = std::make_shared<RecoveryRun>();
+  run->node = n;
+  run->gen = node.recovery_generation();
+  run->done = std::move(done);
 
   // Phase 1 — replay: what this node's own disk attests. The durability
   // invariant in one line: replay covers exactly checkpoint image +
   // flushed log; anything else must come from a live replica.
-  const RedoJournal::ReplayPlan plan = node.journal().PlanReplay(INT64_MAX);
+  run->plan = node.journal().PlanReplay(INT64_MAX);
+  const RedoJournal::ReplayPlan& plan = run->plan;
   RecoveryStats rec;
   rec.node = n;
   rec.started = sim_.now();
@@ -365,7 +400,7 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
     ++recovery_log_base_;
     ++recoveries_dropped_;
   }
-  const size_t slot = recovery_log_base_ + recovery_log_.size() - 1;
+  run->slot = recovery_log_base_ + recovery_log_.size() - 1;
   RLOG_INFO(kLog, "restarting node %d: replaying %lld entries (%lld log + "
                   "%lld image bytes) since last LCP",
             n, static_cast<long long>(plan.entries),
@@ -374,49 +409,37 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
 
   // The checkpoint image and the redo tail live on different disks: the
   // image read and the log read queue independently.
-  const Nanos read_start = sim_.now();
-  node.disk().Read(plan.image_bytes, [this, n, slot, gen, plan, done,
-                                      read_start] {
-    if (!RecoveryStillValid(n, gen)) {
-      AbandonRecovery(n, slot, "node lost during image read", done);
-      return;
-    }
-    datanodes_[n]->log_disk().Read(plan.log_bytes, [this, n, slot, gen, plan,
-                                                    done, read_start] {
-      if (!RecoveryStillValid(n, gen)) {
-        AbandonRecovery(n, slot, "node lost during log read", done);
-        return;
-      }
-      NdbDatanode& node = *datanodes_[n];
-      if (RecoveryStats* rec = RecoverySlot(slot)) {
+  run->since = sim_.now();
+  node.disk().Read(plan.image_bytes, [this, run] {
+    if (!RecoveryLive(run, "node lost during image read")) return;
+    datanodes_[run->node]->log_disk().Read(run->plan.log_bytes, [this, run] {
+      if (!RecoveryLive(run, "node lost during log read")) return;
+      if (RecoveryStats* rec = RecoverySlot(run->slot)) {
         tracer().AddSpanAt(rec->trace_root, "recovery.replay.read",
                            trace::Layer::kNdb, trace::Cause::kDisk,
-                           node.host(), layout_.az_of(n), read_start,
-                           sim_.now());
+                           datanodes_[run->node]->host(),
+                           layout_.az_of(run->node), run->since, sim_.now());
       }
       const Nanos apply_cpu = config_.cost.recovery_setup +
-                              plan.entries * config_.cost.replay_per_entry;
-      const Nanos apply_start = sim_.now();
-      sim_.After(apply_cpu, [this, n, slot, gen, done, apply_start] {
-        if (!RecoveryStillValid(n, gen)) {
-          AbandonRecovery(n, slot, "node lost during replay", done);
-          return;
-        }
-        NdbDatanode& node = *datanodes_[n];
+                              run->plan.entries * config_.cost.replay_per_entry;
+      run->since = sim_.now();
+      sim_.After(apply_cpu, [this, run] {
+        if (!RecoveryLive(run, "node lost during replay")) return;
+        NdbDatanode& node = *datanodes_[run->node];
         const NdbDatanode::ReplayResult res =
             node.ReplayFromJournal(INT64_MAX);
-        if (RecoveryStats* rec = RecoverySlot(slot)) {
+        if (RecoveryStats* rec = RecoverySlot(run->slot)) {
           rec->replay_digest = res.digest;
           rec->replay_deterministic = res.deterministic;
           rec->replay_covered = res.covered;
           rec->replay_done = sim_.now();
           tracer().AddSpanAt(rec->trace_root, "recovery.replay.apply",
                              trace::Layer::kNdb, trace::Cause::kCpu,
-                             node.host(), layout_.az_of(n), apply_start,
-                             sim_.now());
+                             node.host(), layout_.az_of(run->node),
+                             run->since, sim_.now());
         }
         node.SetRecoveryPhase(NdbDatanode::RecoveryPhase::kResyncing);
-        RecoveryResync(n, slot, gen, done);
+        RecoveryResync(run);
       });
     });
   });
@@ -427,147 +450,106 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
 // node-group peer one partition at a time. Each partition is fenced
 // quiescent, adopted, and opened for catch-up reads immediately — the
 // node serves already-resynced partitions while the rest still stream.
-void NdbCluster::RecoveryResync(NodeId n, size_t slot, uint64_t gen,
-                                std::function<void()> done) {
-  if (!RecoveryStillValid(n, gen)) {
-    AbandonRecovery(n, slot, "node lost before resync", done);
-    return;
-  }
+void NdbCluster::RecoveryResync(const RunPtr& run) {
+  if (!RecoveryLive(run, "node lost before resync")) return;
+  const NodeId n = run->node;
   const int group = layout_.group_of(n);
-  NodeId source = kNoNode;
+  run->source = kNoNode;
   for (NodeId peer = 0; peer < num_datanodes(); ++peer) {
     if (peer != n && layout_.group_of(peer) == group &&
         layout_.alive(peer) && datanodes_[peer]->alive()) {
-      source = peer;
+      run->source = peer;
       break;
     }
   }
-  if (source == kNoNode) {
+  if (run->source == kNoNode) {
     RLOG_ERROR(kLog, "restart of node %d: whole node group lost, cannot "
                      "recover from peers", n);
     datanodes_[n]->SetRecoveryPhase(NdbDatanode::RecoveryPhase::kDown);
-    AbandonRecovery(n, slot, "whole node group lost", done);
+    AbandonRecovery(*run, "whole node group lost");
     return;
   }
   RLOG_INFO(kLog, "resyncing node %d from node %d (streaming, %d partitions)",
-            n, source, layout_.num_partitions());
-  sim_.After(config_.cost.recovery_setup, [this, n, slot, gen, source, done] {
-    StreamNextPartition(n, slot, gen, source, 0, done);
-  });
+            n, run->source, layout_.num_partitions());
+  run->next = 0;
+  sim_.After(config_.cost.recovery_setup,
+             [this, run] { StreamNextPartition(run); });
 }
 
-void NdbCluster::StreamNextPartition(NodeId n, size_t slot, uint64_t gen,
-                                     NodeId source, PartitionId next,
-                                     std::function<void()> done) {
+void NdbCluster::StreamNextPartition(const RunPtr& run) {
   PROF_ZONE("ndb.recovery.stream_partition");
-  if (!RecoveryStillValid(n, gen)) {
-    AbandonRecovery(n, slot, "node lost during resync", done);
+  if (!RecoveryLive(run, "node lost during resync") || !SourceLive(run)) {
     return;
   }
-  if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-    // Source peer died mid-stream: retry the resync phase with a fresh
-    // source. Partitions already fenced stay valid — live writes kept
-    // flowing to them through the catch-up chain — so their deltas
-    // re-check as (near) empty on the retry pass.
-    RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
-                    "retrying with another peer", n, source);
-    if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-    RecoveryResync(n, slot, gen, done);
-    return;
-  }
-  // Skip partitions this node holds no replica of — unless some table is
-  // fully replicated, in which case its rows hash to any partition and
-  // every partition holds rows of this node.
-  bool fully_replicated = false;
-  for (TableId t = 0; t < catalog_->num_tables(); ++t) {
-    if (catalog_->table(t).fully_replicated) {
-      fully_replicated = true;
-      break;
+  // Skip partitions this node holds no rows of.
+  const NodeId n = run->node;
+  const auto holds_rows = [&](PartitionId p) {
+    for (TableId t = 0; t < catalog_->num_tables(); ++t) {
+      if (layout_.Holds(n, t, p)) return true;
     }
+    return false;
+  };
+  while (run->next < layout_.num_partitions() && !holds_rows(run->next)) {
+    ++run->next;
   }
-  while (next < layout_.num_partitions() && !fully_replicated) {
-    bool mine = false;
-    for (NodeId r : layout_.ReplicaChain(next)) {
-      if (r == n) {
-        mine = true;
-        break;
-      }
-    }
-    if (mine) break;
-    ++next;
-  }
-  if (next >= layout_.num_partitions()) {
-    FinishRecovery(n, slot, gen, source, done);
+  if (run->next >= layout_.num_partitions()) {
+    FinishRecovery(run);
     return;
   }
-  const PartitionId part = next;
   const ResyncDelta estimate =
-      ComputeResync(n, source, /*apply=*/false, part);
+      ComputeResync(n, run->source, /*apply=*/false, run->next);
   const Nanos xfer_time =
       static_cast<Nanos>(static_cast<double>(estimate.bytes) /
                          network_.config().nic_bytes_per_sec * 1e9);
-  sim_.After(xfer_time, [this, n, slot, gen, source, part, done] {
-    // Fence: wait until no in-flight transaction touches this partition,
-    // then adopt its delta and open it for reads atomically.
-    auto wait = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = wait;
-    *wait = [this, n, slot, gen, source, part, weak, done] {
-      auto self = weak.lock();
-      if (!self) return;
-      if (!RecoveryStillValid(n, gen)) {
-        AbandonRecovery(n, slot, "node lost during resync", done);
-        return;
-      }
-      if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-        RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
-                        "retrying with another peer", n, source);
-        if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-        RecoveryResync(n, slot, gen, done);
-        return;
-      }
-      for (NodeId peer = 0; peer < num_datanodes(); ++peer) {
-        if (layout_.alive(peer) &&
-            datanodes_[peer]->HasTxnTouchingPartition(part)) {
-          sim_.After(10 * kMillisecond, [self] { (*self)(); });
-          return;
-        }
-      }
-      // Quiesced: adopt the delta and serve the partition immediately.
-      // From here on, write chains include this node as a catch-up
-      // backup, so the partition stays current while the rest stream.
-      const ResyncDelta applied =
-          ComputeResync(n, source, /*apply=*/true, part);
-      if (RecoveryStats* rec = RecoverySlot(slot)) {
-        rec->resync_rows += applied.rows;
-        rec->resync_bytes += applied.bytes;
-        rec->resync_deletes += applied.deletes;
-        rec->streamed_parts += 1;
-      }
-      layout_.SetCatchupReady(n, part);
-      datanodes_[n]->SetCatchupAccepting(true);
-      StreamNextPartition(n, slot, gen, source, part + 1, done);
-    };
-    (*wait)();
-  });
+  sim_.After(xfer_time, [this, run] { AdoptQuiescedPartition(run); });
+}
+
+// Fence: wait until no in-flight transaction touches the partition, then
+// adopt its delta and open it for reads atomically.
+void NdbCluster::AdoptQuiescedPartition(const RunPtr& run) {
+  if (!RecoveryLive(run, "node lost during resync") || !SourceLive(run)) {
+    return;
+  }
+  const NodeId n = run->node;
+  const PartitionId part = run->next;
+  for (NodeId peer = 0; peer < num_datanodes(); ++peer) {
+    if (layout_.alive(peer) &&
+        datanodes_[peer]->HasTxnTouchingPartition(part)) {
+      sim_.After(10 * kMillisecond,
+                 [this, run] { AdoptQuiescedPartition(run); });
+      return;
+    }
+  }
+  // Quiesced: adopt the delta and serve the partition immediately. From
+  // here on, write chains include this node as a catch-up backup, so the
+  // partition stays current while the rest stream.
+  const ResyncDelta applied = ComputeResync(n, run->source, /*apply=*/true,
+                                            part);
+  if (RecoveryStats* rec = RecoverySlot(run->slot)) {
+    rec->resync_rows += applied.rows;
+    rec->resync_bytes += applied.bytes;
+    rec->resync_deletes += applied.deletes;
+    rec->streamed_parts += 1;
+  }
+  layout_.SetCatchupReady(n, part);
+  datanodes_[n]->SetCatchupAccepting(true);
+  ++run->next;
+  StreamNextPartition(run);
 }
 
 // Phase 3 — rebuild the journal from the source's (epoch-filtered
 // adoption), write the rejoin checkpoint (image to the data disk, log
-// tail to the log disk) and rejoin.
-void NdbCluster::FinishRecovery(NodeId n, size_t slot, uint64_t gen,
-                                NodeId source, std::function<void()> done) {
+// tail to the log disk) and rejoin. Runs right after the stream's last
+// source check.
+void NdbCluster::FinishRecovery(const RunPtr& run) {
+  const NodeId n = run->node;
   NdbDatanode& node = *datanodes_[n];
-  if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-    if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-    RecoveryResync(n, slot, gen, done);
-    return;
-  }
-  if (RecoveryStats* rec = RecoverySlot(slot)) {
+  if (RecoveryStats* rec = RecoverySlot(run->slot)) {
     const Nanos resync_start =
         rec->replay_done >= 0 ? rec->replay_done : rec->started;
     tracer().AddSpanAt(
         rec->trace_root, "recovery.resync", trace::Layer::kNdb,
-        trace::NetCause(layout_.az_of(source), layout_.az_of(n)),
+        trace::NetCause(layout_.az_of(run->source), layout_.az_of(n)),
         node.host(), layout_.az_of(n), resync_start, sim_.now(),
         layout_.az_of(n));
   }
@@ -578,43 +560,30 @@ void NdbCluster::FinishRecovery(NodeId n, size_t slot, uint64_t gen,
   // exactly — the adopted checkpoint cannot smuggle post-durable commits
   // back in. See DESIGN §12.
   const NdbDatanode::AdoptResult adopted = node.AdoptJournalFrom(
-      *datanodes_[source], DurableGcpEpoch(), closed_epoch_, sim_.now());
+      *datanodes_[run->source], DurableGcpEpoch(), closed_epoch_, sim_.now());
   node.set_gcp_epoch(gcp_epoch_);
-  const Nanos write_start = sim_.now();
-  node.disk().Write(adopted.image_bytes, [this, n, slot, gen, adopted, done,
-                                          write_start] {
-    if (!RecoveryStillValid(n, gen)) {
-      AbandonRecovery(n, slot, "node lost during rejoin checkpoint", done);
-      return;
-    }
-    datanodes_[n]->log_disk().Write(
-        adopted.tail_bytes + config_.cost.redo_flush_overhead_bytes,
-        [this, n, slot, gen, done, write_start] {
-          if (!RecoveryStillValid(n, gen)) {
-            AbandonRecovery(n, slot, "node lost during rejoin checkpoint",
-                            done);
+  run->since = sim_.now();
+  node.disk().Write(adopted.image_bytes, [this, run,
+                                          tail = adopted.tail_bytes] {
+    if (!RecoveryLive(run, "node lost during rejoin checkpoint")) return;
+    datanodes_[run->node]->log_disk().Write(
+        tail + config_.cost.redo_flush_overhead_bytes, [this, run] {
+          if (!RecoveryLive(run, "node lost during rejoin checkpoint")) {
             return;
           }
+          const NodeId n = run->node;
           NdbDatanode& node = *datanodes_[n];
-          RecoveryStats* rec = RecoverySlot(slot);
+          RecoveryStats* rec = RecoverySlot(run->slot);
           if (rec != nullptr) {
             tracer().AddSpanAt(rec->trace_root, "recovery.checkpoint",
                                trace::Layer::kNdb, trace::Cause::kDisk,
-                               node.host(), layout_.az_of(n), write_start,
+                               node.host(), layout_.az_of(n), run->since,
                                sim_.now());
             rec->catchup_reads = node.catchup_reads_served();
           }
-          node.Revive();
-          layout_.set_alive(n, true);
-          // Reset failure-detector state so peers do not instantly
-          // re-suspect.
-          const Nanos now = sim_.now();
-          for (NodeId i = 0; i < num_datanodes(); ++i) {
-            last_heard_[i][n] = now;
-            last_heard_[n][i] = now;
-          }
+          Rejoin(n);
           if (rec != nullptr) {
-            rec->serving_at = now;
+            rec->serving_at = sim_.now();
             tracer().EndTrace(rec->trace_root);
             RLOG_INFO(kLog, "node %d serving again after %.3f s (replayed "
                             "%lld, resynced %lld bytes, %d partitions "
@@ -625,7 +594,7 @@ void NdbCluster::FinishRecovery(NodeId n, size_t slot, uint64_t gen,
                       rec->streamed_parts,
                       static_cast<long long>(rec->catchup_reads));
           }
-          if (done) done();
+          if (run->done) run->done();
         });
   });
 }
@@ -643,15 +612,7 @@ NdbCluster::ResyncDelta NdbCluster::ComputeResync(NodeId n, NodeId source,
     peer.store().ForEachCommitted(t, [&](const Key& key,
                                          const std::string& value) {
       const PartitionId p = layout_.PartitionOf(t, key);
-      if (part >= 0 && p != part) return;
-      bool mine = false;
-      for (NodeId r : layout_.ReplicaChain(t, p)) {
-        if (r == n) {
-          mine = true;
-          break;
-        }
-      }
-      if (!mine) return;
+      if ((part >= 0 && p != part) || !layout_.Holds(n, t, p)) return;
       const auto held = node.store().Read(t, key, 0);
       if (!held || *held != value) {
         delta.rows += 1;
@@ -678,6 +639,17 @@ NdbCluster::ResyncDelta NdbCluster::ComputeResync(NodeId n, NodeId source,
     }
   }
   return delta;
+}
+
+void NdbCluster::Rejoin(NodeId n) {
+  datanodes_[n]->Revive();
+  layout_.set_alive(n, true);
+  // Reset failure-detector state so peers do not instantly re-suspect.
+  const Nanos now = sim_.now();
+  for (NodeId i = 0; i < num_datanodes(); ++i) {
+    last_heard_[i][n] = now;
+    last_heard_[n][i] = now;
+  }
 }
 
 void NdbCluster::ShutdownCluster() {
@@ -747,7 +719,6 @@ NdbCluster::ClusterRecoveryReport NdbCluster::RecoverFromCheckpoint() {
             static_cast<long long>(report.dropped_commits),
             report.loss_window / 1e9);
 
-  const Nanos now = sim_.now();
   for (NodeId n = 0; n < num_datanodes(); ++n) {
     NdbDatanode& dn = *datanodes_[n];
     network_.topology().SetHostUp(dn.host(), true);
@@ -759,13 +730,8 @@ NdbCluster::ClusterRecoveryReport NdbCluster::RecoverFromCheckpoint() {
     // The surviving image becomes the node's restart checkpoint; the
     // dropped log tail is gone for good.
     dn.CheckpointAdoptedImage(report.epoch);
-    dn.Revive();
     dn.set_gcp_epoch(gcp_epoch_);
-    layout_.set_alive(n, true);
-    for (NodeId i = 0; i < num_datanodes(); ++i) {
-      last_heard_[i][n] = now;
-      last_heard_[n][i] = now;
-    }
+    Rejoin(n);
   }
   // Every journal restarts from a fresh base at report.epoch; epochs at
   // or below the current GCP tick hold no records anywhere, so they are

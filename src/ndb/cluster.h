@@ -237,21 +237,27 @@ class NdbCluster {
   void OnArbRequest(SignalRef sig);
   void OnArbReply(Signal& sig);
 
-  // ---- node-recovery state machine steps ----
-  // True while the recovery started with `gen` on node n is still the
-  // one in flight (no re-crash, no cluster shutdown).
-  bool RecoveryStillValid(NodeId n, uint64_t gen) const;
-  void AbandonRecovery(NodeId n, size_t slot, const std::string& reason,
-                       const std::function<void()>& done);
-  void RecoveryResync(NodeId n, size_t slot, uint64_t gen,
-                      std::function<void()> done);
-  // Streaming resync: copies one partition's delta, fences it quiescent,
-  // marks it catch-up-ready (the node serves reads for it immediately),
-  // then recurses to the next partition.
-  void StreamNextPartition(NodeId n, size_t slot, uint64_t gen, NodeId source,
-                           PartitionId next, std::function<void()> done);
-  void FinishRecovery(NodeId n, size_t slot, uint64_t gen, NodeId source,
-                      std::function<void()> done);
+  // ---- node-recovery steps (DESIGN.md §16) ----
+  struct RecoveryRun;
+  using RunPtr = std::shared_ptr<RecoveryRun>;
+  // The one step check: true while `run` is still the recovery in flight
+  // on its node (no re-crash, no cluster shutdown); otherwise abandons it
+  // with `reason`, the phase the loss interrupted.
+  bool RecoveryLive(const RunPtr& run, const char* reason);
+  // True while the resync source serves; otherwise counts an attempt and
+  // retries the resync from another peer.
+  bool SourceLive(const RunPtr& run);
+  void AbandonRecovery(const RecoveryRun& run, const char* reason);
+  void RecoveryResync(const RunPtr& run);
+  // Streaming resync: copies partition run->next's delta, then fences it
+  // quiescent and marks it catch-up-ready (the node serves reads for it
+  // immediately), then steps to the next partition.
+  void StreamNextPartition(const RunPtr& run);
+  void AdoptQuiescedPartition(const RunPtr& run);
+  void FinishRecovery(const RunPtr& run);
+  // Puts node n back into service: serving, layout-alive, and freshly
+  // heard from by every peer.
+  void Rejoin(NodeId n);
   // Rows the restarted node must copy from (or drop relative to) the
   // live peer to converge; applies the delta when `apply` is true.
   // `part` >= 0 restricts the delta to rows hashing to that partition.

@@ -1,5 +1,6 @@
 #include "ndb/datanode.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -13,7 +14,29 @@ namespace repro::ndb {
 
 namespace {
 constexpr const char* kLog = "ndb.dn";
+
+// One row a coordinated transaction holds on one replica: a written row
+// once per member of its chain, a read-locked row once at its node.
+struct HeldRow {
+  TableId table;
+  const Key& key;
+  PartitionId part;
+  NodeId node;
+  bool written;
+};
+
+// Calls fn(row) for every row transaction `t` holds, write rows in chain
+// order first, then read locks: the order abort and take-over send in.
+template <typename Txn, typename Fn>
+void ForEachHeldRow(const Txn& t, Fn&& fn) {
+  for (const auto& w : t.writes) {
+    for (NodeId n : w.chain) fn(HeldRow{w.table, w.key, w.part, n, true});
+  }
+  for (const auto& rl : t.read_locks) {
+    fn(HeldRow{rl.table, rl.key, rl.part, rl.node, false});
+  }
 }
+}  // namespace
 
 namespace {
 RedoJournal::Config JournalConfig(const NdbCluster& cluster) {
@@ -111,40 +134,19 @@ void NdbDatanode::BeginRecovery() {
   catchup_reads_served_ = 0;  // per-recovery counter
 }
 
-bool NdbDatanode::HasTxnTouchingGroup(int group) const {
-  const int groups = cluster_.layout().num_groups();
-  for (const auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      if (w.part % groups == group) return true;
-    }
-    for (PartitionId p : t.inflight_parts) {
-      if (p % groups == group) return true;
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.part % groups == group) return true;
-    }
-  }
-  return false;
-}
-
 bool NdbDatanode::HasTxnTouchingPartition(PartitionId part) const {
   for (const auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      if (w.part == part) return true;
-    }
-    for (PartitionId p : t.inflight_parts) {
-      if (p == part) return true;
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.part == part) return true;
-    }
+    bool touched = std::find(t.inflight_parts.begin(), t.inflight_parts.end(),
+                             part) != t.inflight_parts.end();
+    ForEachHeldRow(t, [&](const HeldRow& r) { touched |= r.part == part; });
+    if (touched) return true;
   }
   return false;
 }
 
 bool NdbDatanode::HasCommittingTxnAtOrBelow(int64_t epoch) const {
   for (const auto& [txn, t] : txns_) {
-    if (t.committing && !t.aborted && t.commit_epoch != 0 &&
+    if (t.committing && t.commit_epoch != 0 &&
         t.commit_epoch <= epoch) {
       return true;
     }
@@ -293,45 +295,37 @@ void NdbDatanode::StartLocalCheckpoint(int64_t cluster_durable_epoch) {
     return;
   }
   lcp_inflight_ = true;
-  // Fragment LCP: one image write per partition, chained, each folding
-  // only that partition's records — checkpoint I/O is spread across the
-  // LCP instead of a single monolithic write, and a crash mid-round
-  // still leaves every completed fragment's segments truncated.
+  CheckpointFragment(0, cut, journal_.generation());
+}
+
+// Fragment LCP: one image write per partition, chained, each folding
+// only that partition's records — checkpoint I/O is spread across the
+// LCP instead of a single monolithic write, and a crash mid-round still
+// leaves every completed fragment's segments truncated.
+void NdbDatanode::CheckpointFragment(PartitionId part, int64_t cut,
+                                     uint64_t gen) {
+  if (!alive_ || journal_.generation() != gen) {
+    lcp_inflight_ = false;
+    return;
+  }
   const int num_parts = cluster_.layout().num_partitions();
-  const uint64_t gen = journal_.generation();
-  auto step = std::make_shared<std::function<void(PartitionId)>>();
-  // Capture weakly inside the function itself — a strong self-capture
-  // would cycle and leak one continuation per LCP round. The async hops
-  // below each hold a strong ref, so the chain stays alive exactly as
-  // long as a fragment write is outstanding.
-  std::weak_ptr<std::function<void(PartitionId)>> weak_step = step;
-  *step = [this, cut, num_parts, gen, weak_step](PartitionId part) {
-    auto step = weak_step.lock();
-    if (!step || !alive_ || journal_.generation() != gen) {
-      lcp_inflight_ = false;
-      return;
-    }
-    if (part >= num_parts) {
-      journal_.FinishCheckpointRound(cut, cluster_.sim().now());
-      lcp_inflight_ = false;
-      return;
-    }
-    const int64_t bytes =
-        journal_.FragmentCheckpointBytes(part, num_parts, cut);
-    RunIo(cluster_.cost().io_redo_per_commit, [this, part, bytes, cut, gen,
-                                               step] {
-      if (!alive_) return;
-      disk_->Write(bytes, [this, part, cut, gen, step] {
-        if (!alive_ || journal_.generation() != gen) {
-          lcp_inflight_ = false;
-          return;
-        }
-        journal_.CompleteFragmentCheckpoint(part, cut);
-        (*step)(part + 1);
-      });
+  if (part >= num_parts) {
+    journal_.FinishCheckpointRound(cut, cluster_.sim().now());
+    lcp_inflight_ = false;
+    return;
+  }
+  const int64_t bytes = journal_.FragmentCheckpointBytes(part, num_parts, cut);
+  RunIo(cluster_.cost().io_redo_per_commit, [this, part, bytes, cut, gen] {
+    if (!alive_) return;
+    disk_->Write(bytes, [this, part, cut, gen] {
+      if (!alive_ || journal_.generation() != gen) {
+        lcp_inflight_ = false;
+        return;
+      }
+      journal_.CompleteFragmentCheckpoint(part, cut);
+      CheckpointFragment(part + 1, cut, gen);
     });
-  };
-  (*step)(0);
+  });
 }
 
 NdbDatanode::ReplayResult NdbDatanode::ReplayFromJournal(int64_t max_epoch) {
@@ -368,11 +362,7 @@ NdbDatanode::AdoptResult NdbDatanode::AdoptJournalFrom(
     int64_t cluster_closed_epoch, Nanos now) {
   const auto& layout = cluster_.layout();
   const auto mine = [&](TableId table, const Key& key) {
-    const PartitionId part = layout.PartitionOf(table, key);
-    for (NodeId n : layout.ReplicaChain(table, part)) {
-      if (n == id_) return true;
-    }
-    return false;
+    return layout.Holds(id_, table, layout.PartitionOf(table, key));
   };
   const RedoJournal& src = source.journal();
   // Base image: the source's replay exactly at the cluster-durable epoch,
@@ -450,6 +440,19 @@ NdbDatanode::TcTxn& NdbDatanode::Txn(TxnId txn, ApiNodeId api) {
 
 void NdbDatanode::Touch(TcTxn& t) { t.last_activity = cluster_.sim().now(); }
 
+template <typename Req>
+void NdbDatanode::Reject(SignalRef sig, Code code) {
+  const Req& req = sig->as<Req>();
+  SendToApi(req.api, cluster_.cost().msg_small,
+            OpReply{req.txn, req.op_id, code, {}, {}}, 0, std::move(sig));
+}
+
+void NdbDatanode::SendAbortRow(NodeId n, TxnId txn, TableId table,
+                               const Key& key, PartitionId part) {
+  SendToNode(n, cluster_.cost().msg_small, SignalKind::kAbortRow,
+             cluster_.transport().New(RowRef{txn, table, key, part}));
+}
+
 NodeId NdbDatanode::RouteCommittedRead(TableId table, PartitionId part,
                                        int* replica_idx) {
   const TableDef& td = cluster_.catalog().table(table);
@@ -471,13 +474,9 @@ NodeId NdbDatanode::RouteCommittedRead(TableId table, PartitionId part,
     return kNoNode;
   }
   const auto& configured = layout.ReplicaChain(part);
-  *replica_idx = static_cast<int>(configured.size());
-  for (size_t i = 0; i < configured.size(); ++i) {
-    if (configured[i] == node) {
-      *replica_idx = static_cast<int>(i);
-      break;
-    }
-  }
+  *replica_idx = static_cast<int>(
+      std::find(configured.begin(), configured.end(), node) -
+      configured.begin());
   return node;
 }
 
@@ -493,28 +492,18 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
     // Deadline propagation: refuse doomed work before routing it to an
     // LDM (the API node already gave up at the same instant).
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}},
-                0, std::move(sig));
+      Reject<KeyOpReq>(std::move(sig), Code::kDeadlineExceeded);
       return;
     }
     const PartitionId part = layout.PartitionOf(req.table, req.key);
     TcTxn& t = Txn(req.txn, req.api);
     Touch(t);
-    if (t.aborted) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kAborted, {}, {}}, 0,
-                std::move(sig));
-      return;
-    }
 
     if (!req.is_write && req.mode == LockMode::kReadCommitted) {
       int replica_idx = -1;
       const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
       if (serving == kNoNode) {
-        SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
-                  std::move(sig));
+        Reject<KeyOpReq>(std::move(sig), Code::kUnavailable);
         return;
       }
       cluster_.RecordReplicaRead(part, replica_idx);
@@ -528,24 +517,17 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
       // Shared/exclusive read: always the primary replica (§II-B2).
       const NodeId primary = layout.PrimaryOf(part);
       if (primary == kNoNode) {
-        SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
-                  std::move(sig));
+        Reject<KeyOpReq>(std::move(sig), Code::kUnavailable);
         return;
       }
       cluster_.RecordReplicaRead(part, 0);
-      PrepareReq probe;
-      probe.txn = req.txn;
-      probe.tc = id_;
-      probe.op_id = req.op_id;
-      probe.api = req.api;
-      probe.table = req.table;
-      probe.key = std::move(req.key);
-      probe.part = part;
-      probe.insert_only = req.mode == LockMode::kExclusive;  // X vs S marker
-      probe.span = req.span;
-      const trace::SpanId s = probe.span;
-      sig->msg = std::move(probe);
+      const trace::SpanId s = req.span;
+      sig->msg = PrepareReq{.txn = req.txn, .tc = id_, .op_id = req.op_id,
+                            .api = req.api, .table = req.table,
+                            .key = std::move(req.key), .part = part,
+                            // X vs S marker
+                            .insert_only = req.mode == LockMode::kExclusive,
+                            .span = s};
       SendToNode(primary, cost.msg_read_req, SignalKind::kLockedRead,
                  std::move(sig), s);
       return;
@@ -555,9 +537,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
       // Deliberate bug (see set_test_lose_acked_writes): swallow the write
       // and ack success. The transaction later commits "cleanly" with no
       // staged rows, so the client believes the write is durable.
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kOk, {}, {}}, 0,
-                std::move(sig));
+      Reject<KeyOpReq>(std::move(sig), Code::kOk);
       return;
     }
 
@@ -577,9 +557,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
       }
     }
     if (chain.empty()) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
-                std::move(sig));
+      Reject<KeyOpReq>(std::move(sig), Code::kUnavailable);
       return;
     }
     const TableDef& td = cluster_.catalog().table(req.table);
@@ -587,27 +565,19 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
         cluster_.flags().read_backup_commit_ack) {
       t.delay_ack = true;
     }
-    PrepareReq prep;
-    prep.txn = req.txn;
-    prep.tc = id_;
-    prep.op_id = req.op_id;
-    prep.api = req.api;
-    prep.table = req.table;
-    prep.key = std::move(req.key);
-    prep.part = part;
-    prep.type = req.write_type;
-    prep.insert_only = req.insert_only;
-    prep.must_exist = req.must_exist;
-    prep.value = std::move(req.value);
-    prep.chain = std::move(chain);
-    prep.pos = 0;
-    prep.span = req.span;
     t.inflight_parts.push_back(part);
     const int64_t bytes =
-        cost.msg_write_base + static_cast<int64_t>(prep.value.size());
-    const NodeId first = prep.chain[0];
-    const trace::SpanId s = prep.span;
-    sig->msg = std::move(prep);
+        cost.msg_write_base + static_cast<int64_t>(req.value.size());
+    const NodeId first = chain[0];
+    const trace::SpanId s = req.span;
+    sig->msg = PrepareReq{.txn = req.txn, .tc = id_, .op_id = req.op_id,
+                          .api = req.api, .table = req.table,
+                          .key = std::move(req.key), .part = part,
+                          .type = req.write_type,
+                          .insert_only = req.insert_only,
+                          .must_exist = req.must_exist,
+                          .value = std::move(req.value),
+                          .chain = std::move(chain), .span = s};
     SendToNode(first, bytes, SignalKind::kPrepare, std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
@@ -620,11 +590,8 @@ void NdbDatanode::TcScan(SignalRef sig) {
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
     ScanReq& req = sig->as<ScanReq>();
-    const auto& cost = cluster_.cost();
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}},
-                0, std::move(sig));
+      Reject<ScanReq>(std::move(sig), Code::kDeadlineExceeded);
       return;
     }
     const PartitionId part =
@@ -634,14 +601,12 @@ void NdbDatanode::TcScan(SignalRef sig) {
     int replica_idx = -1;
     const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
     if (serving == kNoNode) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}}, 0,
-                std::move(sig));
+      Reject<ScanReq>(std::move(sig), Code::kUnavailable);
       return;
     }
     cluster_.RecordReplicaRead(part, replica_idx);
     const trace::SpanId s = req.span;
-    SendToNode(serving, cost.msg_scan_req, SignalKind::kScanExec,
+    SendToNode(serving, cluster_.cost().msg_scan_req, SignalKind::kScanExec,
                std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
@@ -657,31 +622,25 @@ void NdbDatanode::TcPrepared(SignalRef sig) {
     const TxnId txn = req.txn;
     const trace::SpanId span = req.span;
     auto it = txns_.find(txn);
-    const auto& cost = cluster_.cost();
-    if (it == txns_.end() || it->second.aborted) {
+    if (it == txns_.end()) {
       // Txn gone (aborted/timed out): roll the prepared row back.
       for (NodeId n : req.chain) {
-        SendToNode(n, cost.msg_small, SignalKind::kAbortRow,
-                   cluster_.transport().New(
-                       RowRef{txn, req.table, req.key, req.part}));
+        SendAbortRow(n, txn, req.table, req.key, req.part);
       }
       return;
     }
     TcTxn& t = it->second;
     Touch(t);
+    const ApiNodeId api = t.api;
     if (code != Code::kOk) {
-      AbortTxnInternal(txn, t, /*notify_api=*/false, code);
       // The failed op itself is answered with the specific code.
-      SendToApi(t.api, cost.msg_small, OpReply{txn, req.op_id, code, {}, {}},
-                span, std::move(sig));
-      txns_.erase(txn);
-      return;
+      AbortTxn(txn, t);
+    } else {
+      t.writes.push_back(TcTxn::WriteRow{req.table, std::move(req.key),
+                                         req.part, std::move(req.chain)});
     }
-    t.writes.push_back(TcTxn::WriteRow{req.table, std::move(req.key),
-                                       req.part, std::move(req.chain)});
-    SendToApi(t.api, cost.msg_small,
-              OpReply{txn, req.op_id, Code::kOk, {}, {}}, span,
-              std::move(sig));
+    SendToApi(api, cluster_.cost().msg_small,
+              OpReply{txn, req.op_id, code, {}, {}}, span, std::move(sig));
   });
   TraceCpu(span, "tc.prepared", b);
 }
@@ -691,43 +650,36 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
   const Booking b = RunTc(cluster_.cost().tc_route_op,
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
-    const auto& cost = cluster_.cost();
     LockedReadAck& ack = sig->as<LockedReadAck>();
     const PrepareReq& probe = ack.probe;
     const TxnId txn = probe.txn;
     const Code code = ack.code;
     const trace::SpanId span = probe.span;
     auto it = txns_.find(txn);
-    if (it == txns_.end() || it->second.aborted) {
+    if (it == txns_.end()) {
       if (code == Code::kOk) {
         // Grant raced with an abort: release the stray lock.
         const NodeId primary = cluster_.layout().PrimaryOf(probe.part);
         if (primary != kNoNode) {
-          SendToNode(primary, cost.msg_small, SignalKind::kAbortRow,
-                     cluster_.transport().New(
-                         RowRef{txn, probe.table, probe.key, probe.part}));
+          SendAbortRow(primary, txn, probe.table, probe.key, probe.part);
         }
       }
       return;
     }
     TcTxn& t = it->second;
     Touch(t);
+    const ApiNodeId api = t.api;
     if (code == Code::kTimedOut) {
-      AbortTxnInternal(txn, t, /*notify_api=*/false, code);
-      SendToApi(t.api, cost.msg_small, OpReply{txn, probe.op_id, code, {}, {}},
-                span, std::move(sig));
-      txns_.erase(txn);
-      return;
-    }
-    if (code == Code::kOk) {
+      AbortTxn(txn, t);
+    } else if (code == Code::kOk) {
       t.read_locks.push_back(TcTxn::HeldLock{
           probe.table, probe.key, probe.part,
           cluster_.layout().PrimaryOf(probe.part)});
     }
     const int64_t bytes =
-        cost.msg_small +
+        cluster_.cost().msg_small +
         (ack.value ? static_cast<int64_t>(ack.value->size()) : 0);
-    SendToApi(t.api, bytes,
+    SendToApi(api, bytes,
               OpReply{txn, probe.op_id, code, std::move(ack.value), {}}, span,
               std::move(sig));
   });
@@ -750,12 +702,6 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
     }
     TcTxn& t = it->second;
     Touch(t);
-    if (t.aborted) {
-      SendToApi(api, cost.msg_small,
-                OpReply{txn, op_id, Code::kAborted, {}, {}}, span);
-      txns_.erase(txn);
-      return;
-    }
     t.committing = true;
     t.commit_op_id = op_id;
     t.commit_span = span;
@@ -792,24 +738,11 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
       return;
     }
 
-    // Commit phase: traverse each row chain in reverse (backups first,
-    // primary last — Fig. 2 messages 5..9).
+    // Commit phase: one chain per written row.
     t.pending_commits = static_cast<int>(t.writes.size());
     for (const auto& w : t.writes) {
       RunTc(cost.tc_commit_row, [] {});
-      CommitChainReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.chain = w.chain;
-      creq.pos = static_cast<int>(w.chain.size()) - 1;
-      creq.span = span;
-      const NodeId last = w.chain.back();
-      SendToNode(last, cost.msg_small, SignalKind::kCommitChain,
-                 cluster_.transport().New(std::move(creq)), span);
+      SendCommitChain(txn, t, w, w.chain);
     }
   });
   TraceCpu(span, "tc.commit", b);
@@ -831,25 +764,53 @@ void NdbDatanode::TcCommitted(TxnId txn) {
   });
 }
 
+// Commit phase, one row: traverses `chain` in reverse (backups first,
+// primary last — Fig. 2 messages 5..9).
+void NdbDatanode::SendCommitChain(TxnId txn, const TcTxn& t,
+                                  const TcTxn::WriteRow& row,
+                                  std::vector<NodeId> chain) {
+  CommitChainReq creq;
+  creq.txn = txn;
+  creq.tc = id_;
+  creq.table = row.table;
+  creq.key = row.key;
+  creq.part = row.part;
+  creq.epoch = t.commit_epoch;
+  creq.chain = std::move(chain);
+  creq.pos = static_cast<int>(creq.chain.size()) - 1;
+  creq.span = t.commit_span;
+  const NodeId last = creq.chain.back();
+  SendToNode(last, cluster_.cost().msg_small, SignalKind::kCommitChain,
+             cluster_.transport().New(std::move(creq)), t.commit_span);
+}
+
+// Complete phase, one replica: row.chain[i] applies its pending write
+// (the primary applied at commit and only acknowledges).
+void NdbDatanode::SendComplete(TxnId txn, const TcTxn& t,
+                               const TcTxn::WriteRow& row, size_t i) {
+  CompleteReq creq;
+  creq.txn = txn;
+  creq.tc = id_;
+  creq.table = row.table;
+  creq.key = row.key;
+  creq.part = row.part;
+  creq.epoch = t.commit_epoch;
+  creq.is_primary = i == 0;
+  creq.span = t.commit_span;
+  SendToNode(row.chain[i], cluster_.cost().msg_small, SignalKind::kComplete,
+             cluster_.transport().New(std::move(creq)), t.commit_span);
+}
+
 void NdbDatanode::StartCompletePhase(TxnId txn, TcTxn& t) {
   PROF_ZONE("ndb.tc.complete_phase");
-  const auto& cost = cluster_.cost();
+  // Acks arrive through the TC thread pool, never inside a send, so
+  // counting as the Completes go out is safe.
   t.pending_completes = 0;
-  for (const auto& w : t.writes) t.pending_completes += static_cast<int>(w.chain.size());
   for (const auto& w : t.writes) {
-    RunTc(cost.tc_complete_row, [] {});
+    RunTc(cluster_.cost().tc_complete_row, [] {});
     for (size_t i = 0; i < w.chain.size(); ++i) {
-      CompleteReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.is_primary = i == 0;
-      creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small, SignalKind::kComplete,
-                 cluster_.transport().New(std::move(creq)), t.commit_span);
+      ++t.pending_completes;
+      SendComplete(txn, t, w, i);
     }
   }
   if (t.pending_completes == 0 && t.delay_ack) {
@@ -882,70 +843,46 @@ void NdbDatanode::TcAbort(TxnId txn) {
   RunTc(cluster_.cost().tc_begin, [this, txn] {
     if (!alive_) return;
     auto it = txns_.find(txn);
-    if (it == txns_.end()) return;
-    AbortTxnInternal(txn, it->second, /*notify_api=*/false, Code::kAborted);
-    txns_.erase(txn);
+    if (it != txns_.end()) AbortTxn(txn, it->second);
   });
 }
 
-void NdbDatanode::AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api,
-                                   Code code) {
-  const auto& cost = cluster_.cost();
-  t.aborted = true;
-  for (const auto& w : t.writes) {
-    for (NodeId n : w.chain) {
-      SendToNode(n, cost.msg_small, SignalKind::kAbortRow,
-                 cluster_.transport().New(RowRef{txn, w.table, w.key, w.part}));
-    }
-  }
-  for (const auto& rl : t.read_locks) {
-    SendToNode(rl.node, cost.msg_small, SignalKind::kAbortRow,
-               cluster_.transport().New(
-                   RowRef{txn, rl.table, rl.key, rl.part}));
-  }
-  t.writes.clear();
-  t.read_locks.clear();
-  if (notify_api && t.api >= 0) {
-    SendToApi(t.api, cost.msg_small,
-              OpReply{txn, t.commit_op_id, code, {}, {}});
-  }
+void NdbDatanode::AbortTxn(TxnId txn, const TcTxn& t) {
+  ForEachHeldRow(t, [&](const HeldRow& r) {
+    SendAbortRow(r.node, txn, r.table, r.key, r.part);
+  });
+  txns_.erase(txn);
 }
 
 void NdbDatanode::AbortTxnsInvolving(NodeId failed) {
   std::vector<TxnId> doomed;
   for (auto& [txn, t] : txns_) {
     bool involved = false;
-    for (const auto& w : t.writes) {
-      for (NodeId n : w.chain) {
-        if (n == failed) involved = true;
-      }
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.node == failed) involved = true;
-    }
+    ForEachHeldRow(t, [&](const HeldRow& r) { involved |= r.node == failed; });
     if (involved) doomed.push_back(txn);
   }
   for (TxnId txn : doomed) {
     auto it = txns_.find(txn);
     if (it == txns_.end()) continue;
-    AbortTxnInternal(txn, it->second, /*notify_api=*/true, Code::kUnavailable);
-    txns_.erase(it);
+    const ApiNodeId api = it->second.api;
+    const uint64_t op_id = it->second.commit_op_id;
+    AbortTxn(txn, it->second);
+    if (api >= 0) {
+      SendToApi(api, cluster_.cost().msg_small,
+                OpReply{txn, op_id, Code::kUnavailable, {}, {}});
+    }
   }
 }
 
 std::vector<NdbDatanode::TakeoverRow> NdbDatanode::DrainTxnRowsForTakeover() {
   std::vector<TakeoverRow> rows;
   for (auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      for (NodeId n : w.chain) {
-        rows.push_back(TakeoverRow{txn, w.table, w.key, w.part, n,
-                                   t.committing, t.commit_epoch});
-      }
-    }
-    for (const auto& rl : t.read_locks) {
-      rows.push_back(TakeoverRow{txn, rl.table, rl.key, rl.part, rl.node,
-                                 /*commit_forward=*/false, /*epoch=*/0});
-    }
+    ForEachHeldRow(t, [&](const HeldRow& r) {
+      // Read locks never roll forward.
+      rows.push_back(TakeoverRow{txn, r.table, r.key, r.part, r.node,
+                                 r.written && t.committing,
+                                 r.written ? t.commit_epoch : 0});
+    });
   }
   txns_.clear();
   return rows;
@@ -970,10 +907,8 @@ void NdbDatanode::SweepInactiveTxns() {
   std::vector<TxnId> doomed;
   std::vector<TxnId> stalled;
   for (auto& [txn, t] : txns_) {
-    if (t.last_activity < cutoff && !t.committing) doomed.push_back(txn);
-    if (t.last_activity < cutoff && t.committing && !t.aborted) {
-      stalled.push_back(txn);
-    }
+    if (t.last_activity >= cutoff) continue;
+    (t.committing ? stalled : doomed).push_back(txn);
   }
   // A committing transaction past its commit point cannot abort; it can
   // only be wedged by a lost Commit/Complete hop. Chain members that are
@@ -993,8 +928,7 @@ void NdbDatanode::SweepInactiveTxns() {
     if (it == txns_.end()) continue;
     RLOG_DEBUG(kLog, "node %d aborting inactive txn %llu", id_,
                static_cast<unsigned long long>(txn));
-    AbortTxnInternal(txn, it->second, /*notify_api=*/false, Code::kTimedOut);
-    txns_.erase(it);
+    AbortTxn(txn, it->second);
   }
 
   // Resolve pending writes whose coordinating transaction no longer
@@ -1043,24 +977,18 @@ void NdbDatanode::SweepInactiveTxns() {
                "%llu): %s",
                id_, o.key.c_str(), static_cast<unsigned long long>(o.txn),
                committed_elsewhere ? "roll forward" : "roll back");
-    if (committed_elsewhere) {
-      // The coordinator (and its commit-decision epoch) died with the
-      // ack; log under the currently open epoch. Orphan roll-forward only
-      // fires minutes of sim-time after a TC death, so the cluster
-      // recovery cut has long since passed the original epoch anyway.
-      LogRedo(gcp_epoch_ + 1, part, o.txn, o.table, o.key,
-              store_.Commit(o.table, o.key, o.txn));
-    } else {
-      store_.Abort(o.table, o.key, o.txn);
-    }
-    locks_.Release(o.txn, o.table, o.key);
+    // The coordinator (and its commit-decision epoch) died with the ack:
+    // epoch 0 logs a roll-forward under the currently open epoch. Orphan
+    // roll-forward only fires minutes of sim-time after a TC death, so
+    // the cluster recovery cut has long since passed the original epoch.
+    ResolveTakenOverRow(TakeoverRow{o.txn, o.table, o.key, part, id_,
+                                    committed_elsewhere, /*epoch=*/0});
   }
 }
 
 void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
   Touch(t);  // one re-drive per inactivity timeout, not per sweep tick
   ++proto_stats_.commit_redrives;
-  const auto& cost = cluster_.cost();
   // A chain member that is neither layout-alive nor still accepting
   // catch-up traffic has lost its in-memory pending writes for good
   // (crashed mid-catch-up, or its resync was abandoned); waiting on its
@@ -1075,25 +1003,14 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
                id_, static_cast<unsigned long long>(txn));
     t.pending_commits = static_cast<int>(t.writes.size());
     for (const auto& w : t.writes) {
-      CommitChainReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.span = t.commit_span;
       // The primary (chain head) always stays: it is layout-alive or the
       // failure detector's take-over path owns this txn's resolution.
-      creq.chain.push_back(w.chain.front());
+      std::vector<NodeId> chain;
+      chain.push_back(w.chain.front());
       for (size_t i = 1; i < w.chain.size(); ++i) {
-        if (!gone(w.chain[i])) creq.chain.push_back(w.chain[i]);
+        if (!gone(w.chain[i])) chain.push_back(w.chain[i]);
       }
-      creq.pos = static_cast<int>(creq.chain.size()) - 1;
-      const NodeId last = creq.chain.back();
-      const trace::SpanId s = creq.span;
-      SendToNode(last, cost.msg_small, SignalKind::kCommitChain,
-                 cluster_.transport().New(std::move(creq)), s);
+      SendCommitChain(txn, t, w, std::move(chain));
     }
     return;
   }
@@ -1105,22 +1022,7 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
     for (size_t i = 0; i < w.chain.size(); ++i) {
       if (i > 0 && gone(w.chain[i])) continue;
       ++t.pending_completes;
-    }
-  }
-  for (const auto& w : t.writes) {
-    for (size_t i = 0; i < w.chain.size(); ++i) {
-      if (i > 0 && gone(w.chain[i])) continue;
-      CompleteReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.is_primary = i == 0;
-      creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small, SignalKind::kComplete,
-                 cluster_.transport().New(std::move(creq)), t.commit_span);
+      SendComplete(txn, t, w, i);
     }
   }
 }
@@ -1231,14 +1133,11 @@ void NdbDatanode::LdmPrepare(SignalRef sig) {
                            [this, sig = std::move(sig)]() mutable {
     if (!accepting()) return;
     PrepareReq& req = sig->as<PrepareReq>();
-    const auto& cost = cluster_.cost();
     // Rows staged by earlier chain members (positions < pos) are rolled
     // back when this hop refuses the prepare.
     const auto abort_upstream = [&] {
       for (int i = 0; i < req.pos; ++i) {
-        SendToNode(req.chain[i], cost.msg_small, SignalKind::kAbortRow,
-                   cluster_.transport().New(
-                       RowRef{req.txn, req.table, req.key, req.part}));
+        SendAbortRow(req.chain[i], req.txn, req.table, req.key, req.part);
       }
     };
     if (!cluster_.layout().alive(req.tc)) {
@@ -1265,43 +1164,19 @@ void NdbDatanode::LdmPrepare(SignalRef sig) {
       SendPrepared(std::move(sig), Code::kResourceExhausted);
       return;
     }
-    trace::Tracer& tracer = cluster_.tracer();
-    const bool is_primary = req.pos == 0;
-    if (!is_primary) {
+    if (req.pos > 0) {
       // Backups stage the pending write without locking; the primary's
       // lock serialises writers. A backup may still hold the previous
       // transaction's pending write (applied only when its Complete
       // lands): wait for that slot to free — the predecessor's
       // Complete/Abort is already in flight, and coordinator failure
       // frees the slot via take-over.
-      if (!store_.Prepare(req.table, req.key, req.type, req.value, req.txn,
-                          req.tc, cluster_.sim().now())) {
-        req.busy_retries += 1;
-        if (req.busy_retries > 1000) {
-          RLOG_WARN(kLog, "node %d: pending slot on %s never freed", id_,
-                    req.key.c_str());
-          SendPrepared(std::move(sig), Code::kTimedOut);
-          return;
-        }
-        const Nanos now = cluster_.sim().now();
-        tracer.AddSpanAt(req.span, "prepare.busy_wait", trace::Layer::kNdb,
-                         trace::Cause::kRetry, host_, az(), now,
-                         now + 200 * kMicrosecond);
-        cluster_.sim().After(200 * kMicrosecond,
-                             [this, sig = std::move(sig)]() mutable {
-          // Catch-up backups must keep retrying (and eventually NACK)
-          // like any other backup — dying silently here leaves the TC
-          // waiting for a reply that never comes.
-          if (accepting()) LdmPrepare(std::move(sig));
-        });
-        return;
-      }
-      ForwardPrepare(std::move(sig));
+      StageOrRetry(std::move(sig), /*primary=*/false);
       return;
     }
-    const trace::SpanId wait =
-        tracer.StartSpan(req.span, "lock.wait", trace::Layer::kNdb,
-                         trace::Cause::kLockWait, host_, az());
+    const trace::SpanId wait = cluster_.tracer().StartSpan(
+        req.span, "lock.wait", trace::Layer::kNdb, trace::Cause::kLockWait,
+        host_, az());
     // Acquire copies the row identity before it can run the grant (see
     // LdmLockedRead).
     locks_.Acquire(req.txn, req.table, req.key, LockMode::kExclusive,
@@ -1330,17 +1205,19 @@ void NdbDatanode::LdmPrepare(SignalRef sig) {
       // transaction's pending write; stage under the lock, waiting for
       // that write's in-flight Complete/Abort (or take-over / the orphan
       // sweep) to free it.
-      LdmPrimaryStage(std::move(sig));
+      StageOrRetry(std::move(sig), /*primary=*/true);
     });
   });
   TraceCpu(op_span, "ldm.prepare", b);
 }
 
-// Stages the primary's pending write. Caller holds the row's exclusive
-// lock; the lock outlives the retries, so writers stay serialised while
-// a previous chain's pending write drains out of the slot.
-void NdbDatanode::LdmPrimaryStage(SignalRef sig) {
-  PROF_ZONE("ndb.ldm.primary_stage");
+// Stages the prepare's pending write and forwards the prepare. While the
+// slot still holds another transaction's write, retries every 200 us, up
+// to 1000 times, then refuses with kTimedOut. The primary holds the row's
+// exclusive lock across the retries, so writers stay serialised while
+// the previous chain's write drains out of the slot.
+void NdbDatanode::StageOrRetry(SignalRef sig, bool primary) {
+  PROF_ZONE("ndb.ldm.stage");
   PrepareReq& req = sig->as<PrepareReq>();
   if (store_.Prepare(req.table, req.key, req.type, req.value, req.txn,
                      req.tc, cluster_.sim().now())) {
@@ -1349,9 +1226,9 @@ void NdbDatanode::LdmPrimaryStage(SignalRef sig) {
   }
   req.busy_retries += 1;
   if (req.busy_retries > 1000) {
-    RLOG_WARN(kLog, "node %d: primary pending slot on %s never freed", id_,
-              req.key.c_str());
-    locks_.Release(req.txn, req.table, req.key);
+    RLOG_WARN(kLog, "node %d: %spending slot on %s never freed", id_,
+              primary ? "primary " : "", req.key.c_str());
+    if (primary) locks_.Release(req.txn, req.table, req.key);
     SendPrepared(std::move(sig), Code::kTimedOut);
     return;
   }
@@ -1360,11 +1237,17 @@ void NdbDatanode::LdmPrimaryStage(SignalRef sig) {
                               trace::Layer::kNdb, trace::Cause::kRetry, host_,
                               az(), now, now + 200 * kMicrosecond);
   cluster_.sim().After(200 * kMicrosecond,
-                       [this, sig = std::move(sig)]() mutable {
-                         // A crash clears the lock table and pending rows;
-                         // the retry dies with them.
-                         if (alive_) LdmPrimaryStage(std::move(sig));
-                       });
+                       [this, sig = std::move(sig), primary]() mutable {
+    // A crash clears the lock table and pending rows: the primary's retry
+    // dies with them. A backup retries the whole prepare while it accepts
+    // traffic — catch-up backups too, or the TC would wait for a reply
+    // that never comes.
+    if (primary) {
+      if (alive_) StageOrRetry(std::move(sig), true);
+    } else if (accepting()) {
+      LdmPrepare(std::move(sig));
+    }
+  });
 }
 
 void NdbDatanode::LdmCommitChain(SignalRef sig) {

@@ -80,11 +80,8 @@ class NdbDatanode {
   // Brings a stopped node back into service (node recovery; data must
   // already have been resynchronised by the cluster).
   void Revive();
-  // True if any transaction this node coordinates touches a partition of
-  // the given node group (used to fence node rejoin).
-  bool HasTxnTouchingGroup(int group) const;
-  // Same, for a single partition (fences streaming per-partition
-  // catch-up during node rejoin).
+  // True if any transaction this node coordinates touches the partition
+  // (fences streaming per-partition catch-up during node rejoin).
   bool HasTxnTouchingPartition(PartitionId part) const;
 
   // -- signal handlers (invoked by the transport after RECV-thread
@@ -135,8 +132,9 @@ class NdbDatanode {
     int64_t epoch = 0;
   };
   std::vector<TakeoverRow> DrainTxnRowsForTakeover();
-  // Applies one drained row on a surviving replica: commit or abort the
-  // pending write per `commit_forward`, release the row lock.
+  // Applies one drained row on a surviving replica (or one the orphan
+  // sweep resolves): commit or abort the pending write per
+  // `commit_forward`, release the row lock.
   void ResolveTakenOverRow(const TakeoverRow& row);
   // Aborts transactions whose API client is considered gone, and reaps
   // pending writes whose coordinating transaction no longer exists.
@@ -275,7 +273,6 @@ class NdbDatanode {
     ApiNodeId api = -1;
     bool delay_ack = false;
     bool committing = false;
-    bool aborted = false;
     // GCP epoch assigned atomically at the commit decision; 0 until then.
     int64_t commit_epoch = 0;
     struct WriteRow {
@@ -288,8 +285,8 @@ class NdbDatanode {
     // Partitions with a prepare chain launched but not yet acknowledged.
     // `writes` is only recorded once the whole chain has prepared, so a
     // mid-chain transaction is invisible through it — the restart fence
-    // (HasTxnTouchingGroup) must see these too or it can adopt a peer
-    // image that predates a write the chain is about to commit.
+    // (HasTxnTouchingPartition) must see these too or it can adopt a peer
+    // partition that predates a write the chain is about to commit.
     std::vector<PartitionId> inflight_parts;
     struct HeldLock {
       TableId table;
@@ -310,14 +307,29 @@ class NdbDatanode {
   // Chooses the replica that serves a committed read (§IV-A4 routing).
   NodeId RouteCommittedRead(TableId table, PartitionId part,
                             int* replica_idx);
-  // Stages the primary's pending write under the already-held row lock,
-  // waiting out a previous chain's pending write if the primary role
-  // moved (failover or catch-up rejoin).
-  void LdmPrimaryStage(SignalRef sig);
+  // The one busy-slot retry: stages the prepare's pending write (the
+  // primary under its already-held row lock), waiting out a previous
+  // chain's pending write still in the slot.
+  void StageOrRetry(SignalRef sig, bool primary);
+  // One sender per 2PC phase, shared by the normal path and the re-drive.
+  void SendCommitChain(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& row,
+                       std::vector<NodeId> chain);
+  void SendComplete(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& row,
+                    size_t i);
+  void SendAbortRow(NodeId n, TxnId txn, TableId table, const Key& key,
+                    PartitionId part);
+  // The TC's refusal of API request `Req` (KeyOpReq or ScanReq) in its
+  // own record: `code`, no payload, no span.
+  template <typename Req>
+  void Reject(SignalRef sig, Code code);
+  // One fragment of a local checkpoint round, then the next.
+  void CheckpointFragment(PartitionId part, int64_t cut, uint64_t gen);
   void StartCompletePhase(TxnId txn, TcTxn& t);
   void RedriveStalledCommit(TxnId txn, TcTxn& t);
   void FinishCommit(TxnId txn, TcTxn& t);
-  void AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api, Code code);
+  // Rolls back every row the transaction holds and forgets it: `t` is
+  // gone on return.
+  void AbortTxn(TxnId txn, const TcTxn& t);
   // Sends `sig` (its payload already set) from this node to datanode
   // `dst` through the cluster transport. `span` != 0 records the hop
   // (SEND-thread queue + wire) as a network span under it; local

@@ -1,5 +1,6 @@
 #include "ndb/layout.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 
@@ -97,6 +98,12 @@ std::vector<NodeId> ClusterLayout::ReplicaChain(TableId table,
     }
   }
   return chain;
+}
+
+bool ClusterLayout::Holds(NodeId n, TableId table, PartitionId p) const {
+  if (catalog_->table(table).fully_replicated) return true;
+  const auto& chain = replica_chain_[p];
+  return std::find(chain.begin(), chain.end(), n) != chain.end();
 }
 
 NodeId ClusterLayout::PrimaryOf(PartitionId p) const {

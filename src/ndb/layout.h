@@ -80,6 +80,9 @@ class ClusterLayout {
     return replica_chain_[p];
   }
   std::vector<NodeId> ReplicaChain(TableId table, PartitionId p) const;
+  // True if node n stores rows of `table` in partition p: it is in the
+  // partition's chain, or the table is fully replicated.
+  bool Holds(NodeId n, TableId table, PartitionId p) const;
 
   // Current primary: the first alive node in the chain (backup promotion).
   NodeId PrimaryOf(PartitionId p) const;

@@ -47,19 +47,20 @@ class NdbDatanode;
 
 // ---- Wire messages ------------------------------------------------------
 
-// API -> TC: key operation.
+// API -> TC: key operation. The API node builds it with designated
+// initializers naming only the fields its op uses.
 struct KeyOpReq {
   TxnId txn = 0;
   ApiNodeId api = -1;
   uint64_t op_id = 0;
   TableId table = 0;
-  Key key;
+  Key key{};
   LockMode mode = LockMode::kReadCommitted;  // reads
   bool is_write = false;
   WriteType write_type = WriteType::kPut;
   bool insert_only = false;   // fail with kAlreadyExists if row exists
   bool must_exist = false;    // fail with kNotFound (delete/update strict)
-  std::string value;
+  std::string value{};
   // Absolute deadline propagated from the client op (0 = none). The TC
   // rejects work whose deadline already passed instead of routing it.
   Nanos deadline = 0;
@@ -100,20 +101,21 @@ struct OpReply {
   NodeId from = kNoNode;
 };
 
-// Chain messages (Fig. 2).
+// Chain messages (Fig. 2). The TC builds a PrepareReq with designated
+// initializers.
 struct PrepareReq {
   TxnId txn = 0;
   NodeId tc = kNoNode;
   uint64_t op_id = 0;
   ApiNodeId api = -1;
   TableId table = 0;
-  Key key;
+  Key key{};
   PartitionId part = 0;
   WriteType type = WriteType::kPut;
   bool insert_only = false;
   bool must_exist = false;
-  std::string value;
-  std::vector<NodeId> chain;  // primary first
+  std::string value{};
+  std::vector<NodeId> chain{};  // primary first
   int pos = 0;                // index of the receiving replica
   int busy_retries = 0;       // waits on a predecessor's pending write
   trace::SpanId span = 0;     // op span the chain hops trace under
