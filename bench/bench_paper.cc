@@ -118,33 +118,33 @@ void Table1() {
                               {0.360, 0.251, 0.399},
                               {0.372, 0.399, 0.249}};
 
+  // Sequential pings, like the ping tool: one in flight at a time.
+  struct Pinger {
+    Simulation& sim;
+    Network& net;
+    HostId src, dst;
+    int remaining;
+    Nanos total = 0;
+    void Ping() {
+      if (remaining == 0) return;
+      const Nanos start = sim.now();
+      net.Send(src, dst, 64, [this, start] {
+        net.Send(dst, src, 64, [this, start] {
+          total += sim.now() - start;
+          --remaining;
+          Ping();
+        });
+      });
+    }
+  };
   double measured[3][3] = {};
   constexpr int kPings = 200;
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      const HostId src = a[i];
-      const HostId dst = i == j ? b[j] : a[j];
-      auto total = std::make_shared<Nanos>(0);
-      // Sequential pings, like the ping tool: one in flight at a time.
-      auto ping = std::make_shared<std::function<void(int)>>();
-      *ping = [&net, &sim, src, dst, total, ping](int remaining) {
-        if (remaining == 0) {
-          *ping = nullptr;
-          return;
-        }
-        const Nanos start = sim.now();
-        net.Send(src, dst, 64,
-                 [&net, &sim, src, dst, start, total, ping, remaining] {
-                   net.Send(dst, src, 64, [&sim, start, total, ping,
-                                           remaining] {
-                     *total += sim.now() - start;
-                     (*ping)(remaining - 1);
-                   });
-                 });
-      };
-      (*ping)(kPings);
+      Pinger pinger{sim, net, a[i], i == j ? b[j] : a[j], kPings};
+      pinger.Ping();
       sim.Run();
-      measured[i][j] = ToMillis(*total / kPings);
+      measured[i][j] = ToMillis(pinger.total / kPings);
     }
   }
 
