@@ -635,6 +635,43 @@ TEST(NdbRecoveryTest, CrashDuringRecoveryAbandonsAndRetries) {
   EXPECT_TRUE(rec.replay_deterministic);
 }
 
+// A crash loses the node's lock table with the rest of its memory. A
+// transaction that held a row lock at the primary when the primary died
+// is gone, and nothing will ever release that lock: the restarted
+// primary must come back with no holders, or every later writer of the
+// row waits out the lock timeout.
+TEST(NdbRecoveryTest, CrashDropsTheLockTable) {
+  RecoveryCluster tc;
+  const Key key = "1/a";
+  auto& layout = tc.cluster->layout();
+  ASSERT_EQ(layout.PrimaryOf(layout.PartitionOf(tc.table, key)), 0)
+      << "the scenario needs node 0 as the row's primary";
+
+  // Prepare a write and stop there: the primary holds the exclusive lock.
+  const TxnId dead = tc.api->Begin(tc.table, key);
+  bool prepared = false;
+  tc.api->Write(dead, tc.table, key, "never-committed", [&](Code c) {
+    EXPECT_EQ(c, Code::kOk);
+    prepared = true;
+  });
+  tc.RunUntil(prepared);
+  ASSERT_TRUE(tc.cluster->datanode(0).locks().IsLocked(tc.table, key));
+
+  tc.cluster->CrashDatanode(0);
+  tc.WaitUntilDetectedDead(0);
+  bool served = false;
+  tc.cluster->RestartDatanode(0, [&] { served = true; });
+  tc.RunUntil(served);
+  ASSERT_EQ(layout.PrimaryOf(layout.PartitionOf(tc.table, key)), 0);
+  // The backups' pending writes died with their coordinator (node 0) and
+  // are freed by the orphan sweep once they pass the inactivity timeout.
+  tc.sim->RunFor(2 * tc.cluster->node_config().txn_inactive_timeout);
+
+  EXPECT_FALSE(tc.cluster->datanode(0).locks().IsLocked(tc.table, key))
+      << "the dead transaction's lock survived the crash";
+  EXPECT_EQ(tc.InsertCommit(key, "next-writer"), Code::kOk);
+}
+
 // Catch-up backups sit in write chains but outside the failure detector's
 // purview (it only watches layout-alive nodes), so losing a commit-chain
 // or Complete hop to one — e.g. to a partition — must not wedge the
