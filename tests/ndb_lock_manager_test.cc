@@ -85,22 +85,24 @@ TEST(LockManager, WaiterTimesOut) {
   EXPECT_TRUE(rig.locks.IsLocked(0, "k"));
 }
 
-TEST(LockManager, ReleaseAllFreesEveryRowAndCancelsWaits) {
+TEST(LockManager, ClearDropsHoldersAndWaitersSilently) {
   LockRig rig;
-  Code a, b, w;
+  Code a, b, waiting;
   rig.Acquire(1, "x", LockMode::kExclusive, &a);
-  rig.Acquire(1, "y", LockMode::kShared, &b);
-  rig.Acquire(7, "z", LockMode::kExclusive, &w);
-  Code waiting;
-  rig.Acquire(1, "z", LockMode::kExclusive, &waiting);  // queued behind 7
-  rig.locks.ReleaseAll(1);
+  rig.Acquire(2, "y", LockMode::kShared, &b);
+  rig.Acquire(3, "x", LockMode::kExclusive, &waiting);  // queued behind 1
+  rig.locks.Clear();
   EXPECT_FALSE(rig.locks.IsLocked(0, "x"));
   EXPECT_FALSE(rig.locks.IsLocked(0, "y"));
-  // txn 1's queued wait on "z" is cancelled: releasing 7 must not grant it.
-  rig.locks.Release(7, 0, "z");
+  // A new holder of "x" outlives the forgotten waiter's timeout, which
+  // neither fires its callback nor counts as a timeout.
+  Code fresh;
+  rig.Acquire(4, "x", LockMode::kExclusive, &fresh);
+  EXPECT_EQ(fresh, Code::kOk);
   rig.sim.RunFor(Millis(300));
-  EXPECT_EQ(waiting, Code::kInternal) << "cancelled waiter must never fire";
-  EXPECT_FALSE(rig.locks.IsLocked(0, "z"));
+  EXPECT_EQ(waiting, Code::kInternal) << "a cleared waiter must never fire";
+  EXPECT_EQ(rig.locks.total_timeouts(), 0);
+  EXPECT_TRUE(rig.locks.IsLocked(0, "x"));
 }
 
 TEST(LockManager, DistinctKeysAreIndependent) {
