@@ -475,7 +475,7 @@ TEST(ProfAllocFloor, KeyOpAndWriteChainStayUnderPinnedCounts) {
   const double per_read = static_cast<double>(read_allocs) / kOps;
   const double per_write = static_cast<double>(write_allocs) / kOps;
   EXPECT_LE(per_read, 6.0) << "committed-read transaction allocations";
-  EXPECT_LE(per_write, 26.0) << "3-replica write transaction allocations";
+  EXPECT_LE(per_write, 24.0) << "3-replica write transaction allocations";
 }
 
 // ---- determinism: profiler on/off byte-identity ----------------------------
