@@ -24,8 +24,6 @@ HopsFsClient::HopsFsClient(Simulation& sim, Network& network,
         config_.metrics->GetCounter("hopsfs.client.retry_budget_denied");
     ctr_breaker_transitions_ =
         config_.metrics->GetCounter("hopsfs.client.breaker_transitions");
-    ctr_hedges_ = config_.metrics->GetCounter("hopsfs.client.hedges_sent");
-    ctr_hedge_wins_ = config_.metrics->GetCounter("hopsfs.client.hedge_wins");
     ctr_deadline_ =
         config_.metrics->GetCounter("hopsfs.client.deadline_exceeded");
     ctr_shed_seen_ =
@@ -162,13 +160,12 @@ void HopsFsClient::StartAttempt(OpPtr op) {
   if (resilience::DeadlineExpired(op->req.deadline, now)) {
     Deliver(
         std::move(op),
-        FsResult{DeadlineExceeded("client: deadline passed before attempt")},
-        false);
+        FsResult{DeadlineExceeded("client: deadline passed before attempt")});
     return;
   }
   if (op->attempt > config_.max_rpc_attempts) {
     Deliver(std::move(op),
-            FsResult{Unavailable("all namenode RPC attempts failed")}, false);
+            FsResult{Unavailable("all namenode RPC attempts failed")});
     return;
   }
   // The sticky NN is abandoned when dead or when its breaker is open.
@@ -185,31 +182,28 @@ void HopsFsClient::StartAttempt(OpPtr op) {
     PickNamenode(pick, [this, pick, op = std::move(op)]() mutable {
       sim_.tracer().EndSpan(pick);
       if (nn_ == nullptr) {
-        Deliver(std::move(op), FsResult{Unavailable("no namenode available")},
-                false);
+        Deliver(std::move(op), FsResult{Unavailable("no namenode available")});
         return;
       }
       Namenode* nn = nn_;
-      SendToNn(std::move(op), nn, /*is_hedge=*/false);
+      SendToNn(std::move(op), nn);
     });
     return;
   }
   NoteBreaker(breaker(nn_), [this, now] { breaker(nn_)->OnPicked(now); });
-  SendToNn(std::move(op), nn_, /*is_hedge=*/false);
+  SendToNn(std::move(op), nn_);
 }
 
-void HopsFsClient::SendToNn(OpPtr op, Namenode* nn, bool is_hedge) {
+void HopsFsClient::SendToNn(OpPtr op, Namenode* nn) {
   if (op->done) return;
   const Nanos now = sim_.now();
   RpcRef rpc = rpcs_->Acquire();
   rpc->op = op;
   rpc->nn = nn;
-  rpc->is_hedge = is_hedge;
-  // One span per RPC attempt; a hedge attempt is blamed on the resilience
-  // stack (kRetry), so hedge-won ops attribute the duplicated work.
-  rpc->attempt = sim_.tracer().StartSpan(
-      op->span, is_hedge ? "rpc.hedge" : "rpc", trace::Layer::kClient,
-      is_hedge ? trace::Cause::kRetry : trace::Cause::kWork, host_, az_);
+  // One span per RPC attempt.
+  rpc->attempt =
+      sim_.tracer().StartSpan(op->span, "rpc", trace::Layer::kClient,
+                              trace::Cause::kWork, host_, az_);
 
   // The attempt timer never outlives the deadline: at equal timestamps
   // the earlier-scheduled timeout wins the event-order tie-break, so a
@@ -219,8 +213,6 @@ void HopsFsClient::SendToNn(OpPtr op, Namenode* nn, bool is_hedge) {
   sim_.After(timeout, [this, rpc = rpc.Share()]() mutable {
     OnRpcTimeout(std::move(rpc));
   });
-
-  if (!is_hedge) MaybeHedge(op, nn);
 
   rpc->net = sim_.tracer().StartSpan(
       rpc->attempt, "net.request", trace::Layer::kClient,
@@ -246,8 +238,7 @@ void HopsFsClient::OnRpcTimeout(RpcRef rpc) {
   sim_.tracer().EndSpan(rpc->attempt);
   Namenode* nn = rpc->nn;
   NoteBreaker(breaker(nn), [this, nn] { breaker(nn)->OnFailure(sim_.now()); });
-  // A hedge timeout retries nothing.
-  if (rpc->op->done || rpc->is_hedge) return;
+  if (rpc->op->done) return;
   // A timed-out attempt is a request the client observed to fail, even
   // though the op will be retried: it burns availability error budget
   // (total without good) exactly like a load balancer counting each
@@ -287,7 +278,7 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
   if (rpc->resolved) {
     // Timed out already: drop, but keep the deadline-safety audit
     // (Deliver's done-guard counts a success after DEADLINE_EXCEEDED).
-    Deliver(rpc->op, std::move(*result), rpc->is_hedge);
+    Deliver(rpc->op, std::move(*result));
     return;
   }
   // Resolved: the pending timer keeps only the slot, not the op.
@@ -298,7 +289,7 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
     // Server shed us (OVERLOADED). The NN is healthy — no breaker strike
     // — but spread the retry to a different NN under the budget.
     metrics::Bump(ctr_shed_seen_);
-    if (op->done || rpc->is_hedge) return;
+    if (op->done) return;
     if (nn_ == nn) nn_ = nullptr;
     last_failed_nn_ = nn->id();
     RetryAfterFailure(std::move(op), std::move(result->status));
@@ -313,7 +304,7 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
 void HopsFsClient::RetryAfterFailure(OpPtr op, Status give_up_status) {
   if (config_.retry_budget_enabled && !budget_.Withdraw()) {
     metrics::Bump(ctr_budget_denied_);
-    Deliver(std::move(op), FsResult{std::move(give_up_status)}, false);
+    Deliver(std::move(op), FsResult{std::move(give_up_status)});
     return;
   }
   metrics::Bump(ctr_retries_);
@@ -334,47 +325,11 @@ void HopsFsClient::RetryAfterFailure(OpPtr op, Status give_up_status) {
   });
 }
 
-void HopsFsClient::MaybeHedge(OpPtr op, Namenode* primary_nn) {
-  if (!config_.hedged_reads || op->hedge_sent) return;
-  const FsOp fsop = op->req.op;
-  const bool read_only = fsop == FsOp::kOpenRead || fsop == FsOp::kStat ||
-                         fsop == FsOp::kListDir ||
-                         fsop == FsOp::kContentSummary;
-  if (!read_only) return;
-  // Hedge once the primary is slower than the recent p95 ("The Tail at
-  // Scale"). Until enough samples exist the tracker returns 0 → no hedge
-  // (cold hedging would double traffic at startup).
-  Nanos delay = latency_.Percentile(config_.hedge_percentile, 0);
-  if (delay <= 0) return;
-  delay = std::max(delay, config_.hedge_min_delay);
-  op->hedge_sent = true;
-  sim_.After(delay, [this, op, primary_nn] {
-    if (op->done) return;
-    if (resilience::DeadlineExpired(op->req.deadline, sim_.now())) return;
-    // Pick a different, breaker-admitted NN for the hedge.
-    const Nanos now = sim_.now();
-    std::vector<Namenode*> others;
-    for (Namenode* nn : namenodes_) {
-      if (nn == primary_nn || !nn->alive()) continue;
-      resilience::CircuitBreaker* b = breaker(nn);
-      if (b != nullptr && !b->CanAttempt(now)) continue;
-      others.push_back(nn);
-    }
-    if (others.empty()) return;
-    Namenode* alt = others[rng_.NextBelow(others.size())];
-    NoteBreaker(breaker(alt), [this, alt, now] {
-      breaker(alt)->OnPicked(now);
-    });
-    metrics::Bump(ctr_hedges_);
-    SendToNn(op, alt, /*is_hedge=*/true);
-  });
-}
-
 // Single completion choke point: enforces first-response-wins, converts
 // successes that slipped past the deadline, and audits the invariant
 // that nothing completes successfully after DEADLINE_EXCEEDED was
 // reported.
-void HopsFsClient::Deliver(OpPtr op, FsResult result, bool is_hedge) {
+void HopsFsClient::Deliver(OpPtr op, FsResult result) {
   if (op->done) return;  // first response won; later ones are dropped
   const Nanos now = sim_.now();
   if (result.status.ok() &&
@@ -397,8 +352,6 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result, bool is_hedge) {
         op->reported_deadline_exceeded) {
       ++post_deadline_successes_;
     }
-    latency_.Record(now - op->start);
-    if (is_hedge) metrics::Bump(ctr_hedge_wins_);
   }
   // SLO accounting: availability counts every completion; application
   // outcomes (NotFound, AlreadyExists, ...) are correct service and stay
@@ -417,7 +370,7 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result, bool is_hedge) {
     if (hist_latency_ != nullptr) hist_latency_->Observe(ToSeconds(lat));
   }
   // Finalize the trace at the moment the caller observes completion; any
-  // still-open span (losing hedge, in-flight reply) is clamped to now.
+  // still-open span (an in-flight reply) is clamped to now.
   sim_.tracer().EndTrace(op->span);
   op->cb(std::move(result));
 }
@@ -432,7 +385,7 @@ struct HopsFsClient::BlockIo {
 void HopsFsClient::HandleLargeFileIo(OpPtr op, FsResult result) {
   if (dn_registry_ == nullptr || !result.status.ok() ||
       (result.new_blocks.empty() && result.blocks.empty())) {
-    Deliver(std::move(op), std::move(result), false);
+    Deliver(std::move(op), std::move(result));
     return;
   }
   // Writes: push each new block through its replication pipeline.
@@ -446,10 +399,10 @@ void HopsFsClient::HandleLargeFileIo(OpPtr op, FsResult result) {
 
 void HopsFsClient::NextBlock(std::shared_ptr<BlockIo> io) {
   const OpPtr& op = io->op;
-  if (op->done) return;  // a hedge already answered this op
+  if (op->done) return;  // a late reply already answered this op
   const auto& blocks = io->writing ? io->result.new_blocks : io->result.blocks;
   if (io->next >= blocks.size()) {
-    Deliver(op, std::move(io->result), false);
+    Deliver(op, std::move(io->result));
     return;
   }
   // Deadline check between blocks: a multi-block transfer must not
@@ -457,7 +410,7 @@ void HopsFsClient::NextBlock(std::shared_ptr<BlockIo> io) {
   const Nanos deadline = op->req.deadline;
   if (resilience::DeadlineExpired(deadline, sim_.now())) {
     io->result.status = DeadlineExceeded("client: block io past deadline");
-    Deliver(op, std::move(io->result), false);
+    Deliver(op, std::move(io->result));
     return;
   }
   const BlockRow& b = blocks[io->next++];

@@ -13,8 +13,7 @@
 // retrying unboundedly; a per-NN circuit breaker evicts grey-slow
 // namenodes from rotation (AZ-local first, cross-AZ fallback); server
 // sheds (OVERLOADED) are retried against a different NN under the same
-// budget; and read-only ops can hedge to a second NN past a latency
-// percentile threshold, first response wins.
+// budget.
 #pragma once
 
 #include <functional>
@@ -25,7 +24,6 @@
 #include "hopsfs/namenode.h"
 #include "metrics/counters.h"
 #include "resilience/circuit_breaker.h"
-#include "resilience/latency_tracker.h"
 #include "resilience/retry_budget.h"
 #include "sim/network.h"
 #include "sim/record_pool.h"
@@ -57,12 +55,6 @@ struct ClientConfig {
   // Failover re-pick jitter: spreads the stampede when a popular NN dies
   // (all its clients would otherwise re-pick at the same instant).
   Nanos failover_jitter = 50 * kMillisecond;
-
-  // Hedged reads to a second namenode (off by default: hedging perturbs
-  // traffic-shape experiments; benches opt in).
-  bool hedged_reads = false;
-  double hedge_percentile = 0.95;
-  Nanos hedge_min_delay = 1 * kMillisecond;
 
   // Latency-SLO threshold: a completed op slower than this counts against
   // the latency objective (recorded into the shared slo.latency.*
@@ -124,14 +116,13 @@ class HopsFsClient {
   void ContentSummary(const std::string& path, SummaryCb cb);
 
  private:
-  // One client operation across all its attempts and hedges.
+  // One client operation across all its attempts.
   struct OpState {
     FsRequest req;
     FsResultCb cb;
     int attempt = 1;
     Nanos start = 0;
     bool done = false;    // first completion wins; later ones are dropped
-    bool hedge_sent = false;
     bool reported_deadline_exceeded = false;
     trace::SpanId span = 0;  // root span of the op's trace (0 = unsampled)
   };
@@ -146,7 +137,6 @@ class HopsFsClient {
   struct RpcSlot {
     OpPtr op;
     Namenode* nn = nullptr;
-    bool is_hedge = false;
     bool resolved = false;
     trace::SpanId attempt = 0;  // the attempt's span
     trace::SpanId net = 0;      // the hop in flight (request, then reply)
@@ -157,13 +147,12 @@ class HopsFsClient {
   using ResultRef = ResultPool::Ref;
 
   void StartAttempt(OpPtr op);
-  void SendToNn(OpPtr op, Namenode* nn, bool is_hedge);
+  void SendToNn(OpPtr op, Namenode* nn);
   void OnRpcTimeout(RpcRef rpc);
   void SendRpcReply(RpcRef rpc, FsResult result);
   void OnRpcReply(RpcRef rpc, ResultRef result);
-  void MaybeHedge(OpPtr op, Namenode* primary_nn);
   void RetryAfterFailure(OpPtr op, Status give_up_status);
-  void Deliver(OpPtr op, FsResult result, bool is_hedge);
+  void Deliver(OpPtr op, FsResult result);
   // Large files: after the namenode's reply, the op's block transfers
   // run one block at a time before the caller sees the result.
   struct BlockIo;
@@ -192,7 +181,6 @@ class HopsFsClient {
   // Resilience state.
   resilience::RetryBudget budget_;
   std::vector<resilience::CircuitBreaker> breakers_;  // indexed by nn id
-  resilience::LatencyTracker latency_;
   int32_t last_failed_nn_ = -1;  // excluded from the immediate re-pick
   int64_t post_deadline_successes_ = 0;
   int64_t ops_submitted_ = 0;
@@ -200,8 +188,6 @@ class HopsFsClient {
   metrics::Counter* ctr_retries_ = nullptr;
   metrics::Counter* ctr_budget_denied_ = nullptr;
   metrics::Counter* ctr_breaker_transitions_ = nullptr;
-  metrics::Counter* ctr_hedges_ = nullptr;
-  metrics::Counter* ctr_hedge_wins_ = nullptr;
   metrics::Counter* ctr_deadline_ = nullptr;
   metrics::Counter* ctr_shed_seen_ = nullptr;
   // Cluster-wide SLO counters (shared across clients; the SLO engine

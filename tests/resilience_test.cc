@@ -14,7 +14,6 @@
 #include "resilience/admission.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/deadline.h"
-#include "resilience/latency_tracker.h"
 #include "resilience/retry_budget.h"
 #include "workload/driver.h"
 #include "workload/fs_interface.h"
@@ -234,41 +233,6 @@ TEST(Deadline, RetryBackoffCapsAndClamps) {
   EXPECT_EQ(RetryBackoff(base, 10, 4, 0, 0, Millis(100), Millis(95)),
             Millis(5));
   EXPECT_EQ(RetryBackoff(base, 1, 4, 0, 0, Millis(100), Millis(100)), 0);
-}
-
-TEST(LatencyTracker, FallbackUntilWarmThenTracksWindow) {
-  LatencyTracker tracker(/*window=*/8);
-  EXPECT_EQ(tracker.Percentile(0.5, Millis(7), /*min_samples=*/4), Millis(7));
-  for (int i = 1; i <= 4; ++i) tracker.Record(Millis(i));
-  EXPECT_EQ(tracker.Percentile(0.99, 0, 4), Millis(4));
-  // The ring evicts old samples: flood with large values.
-  for (int i = 0; i < 8; ++i) tracker.Record(Millis(100));
-  EXPECT_EQ(tracker.Percentile(0.5, 0, 4), Millis(100));
-}
-
-// Nearest-rank oracle pin: with a full window of n=100 distinct samples,
-// p95 must be the 95th smallest (rank ceil(0.95*100) = 95). The old
-// idx = q*n truncation indexed sorted[95] — rank 96, one rank high —
-// whenever q*n was integral, which is exactly the full-window hedge
-// case.
-TEST(LatencyTracker, NearestRankMatchesSortedOracle) {
-  LatencyTracker tracker(/*window=*/100);
-  for (int i = 100; i >= 1; --i) tracker.Record(Millis(i));
-  EXPECT_EQ(tracker.Percentile(0.95, 0, 1), Millis(95));
-  EXPECT_EQ(tracker.Percentile(0.50, 0, 1), Millis(50));
-  EXPECT_EQ(tracker.Percentile(0.99, 0, 1), Millis(99));
-  EXPECT_EQ(tracker.Percentile(1.0, 0, 1), Millis(100));
-  EXPECT_EQ(tracker.Percentile(0.0, 0, 1), Millis(1));
-}
-
-// window == 0 disables the tracker: Record must not crash on the ring
-// modulo, and Percentile must keep returning the fallback.
-TEST(LatencyTracker, ZeroWindowDropsSamplesAndFallsBack) {
-  LatencyTracker tracker(/*window=*/0);
-  tracker.Record(Millis(5));
-  EXPECT_EQ(tracker.size(), 0u);
-  EXPECT_EQ(tracker.Percentile(0.95, Millis(9), /*min_samples=*/0),
-            Millis(9));
 }
 
 // ------------------------------------------------------------ integration
