@@ -118,7 +118,7 @@ class Deployment {
   const DeploymentOptions& options() const { return options_; }
 
   // Shared resilience counter registry (sheds, retries, breaker
-  // transitions, hedges, deadline-exceeded per layer).
+  // transitions, deadline-exceeded per layer).
   metrics::Registry& metrics() { return metrics_; }
 
   // Telemetry pipeline (nullptr unless options.telemetry.enabled).

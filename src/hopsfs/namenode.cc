@@ -51,16 +51,11 @@ Namenode::Namenode(Simulation& sim, Network& network, ndb::NdbCluster& ndb,
   cpu_ = std::make_unique<ThreadPool>(sim, StrFormat("nn%d.cpu", nn_id),
                                       config_.cpu_threads);
   api_ = std::make_unique<ndb::NdbApiNode>(ndb, host, az);
-  if (config_.ndb_hedge_delay > 0) {
-    api_->set_hedge_read_delay(config_.ndb_hedge_delay);
-  }
   if (config_.metrics != nullptr) {
     ctr_shed_ = config_.metrics->GetCounter("hopsfs.nn.admission_shed");
     ctr_deadline_ = config_.metrics->GetCounter("hopsfs.nn.deadline_exceeded");
     ctr_txn_retries_ = config_.metrics->GetCounter("hopsfs.nn.txn_retries");
-    api_->set_counters(
-        config_.metrics->GetCounter("ndb.api.hedges_sent"),
-        config_.metrics->GetCounter("ndb.api.hedge_wins"),
+    api_->set_deadline_counter(
         config_.metrics->GetCounter("ndb.api.deadline_exceeded"));
     // Per-host unavailability-error counter: the health model's
     // error-rate signal (scraped alongside the host.up / host.queue_ns /

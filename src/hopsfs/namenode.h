@@ -123,9 +123,6 @@ struct NamenodeConfig {
   Nanos admission_latency_target = 40 * kMillisecond;
   Nanos admission_decrease_cooldown = 100 * kMillisecond;
 
-  // NDB committed-read hedging delay for this NN's API node (0 = off).
-  Nanos ndb_hedge_delay = 0;
-
   // Optional resilience counter registry (shared per deployment).
   metrics::Registry* metrics = nullptr;
 };

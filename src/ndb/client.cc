@@ -115,7 +115,6 @@ std::optional<NdbApiNode::PendingOp> NdbApiNode::TakeOp(uint64_t op_id) {
   std::optional<PendingOp> op(std::move(*slot));
   pending_.Erase(op_id);
   cluster_.sim().tracer().EndSpan(op->span);
-  cluster_.sim().tracer().EndSpan(op->hedge_span);
   if (TxnState* t = FindTxn(op->txn)) t->inflight -= 1;
   if (op->erase_txn) txns_.Erase(op->txn);
   return op;
@@ -162,56 +161,11 @@ void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
   req.deadline = t->deadline;
   req.op_id = RegisterOp(txn, *t, req.is_write ? "ndb.write" : "ndb.read",
                          std::move(op), &req.span);
-  const bool hedgeable = hedge_read_delay_ > 0 && !req.is_write &&
-                         req.mode == LockMode::kReadCommitted;
   const int64_t bytes =
       cluster_.cost().msg_read_req + static_cast<int64_t>(req.value.size());
-  if (hedgeable) MaybeHedgeRead(txn, req.op_id, req);
   const trace::SpanId span = req.span;
   SendToTc(t->tc, bytes, SignalKind::kTcKeyOp,
            cluster_.transport().New(std::move(req)), span);
-}
-
-void NdbApiNode::MaybeHedgeRead(TxnId txn, uint64_t op_id,
-                                const KeyOpReq& req) {
-  // Same destruction fence as the op timer: resolve by id at fire time.
-  cluster_.sim().After(
-      hedge_read_delay_,
-      [cluster = &cluster_, id = id_, txn, op_id,
-       sig = cluster_.transport().New(req)]() mutable {
-        NdbApiNode* self = cluster->api(id);
-        if (self != nullptr) self->HedgeReadNow(txn, op_id, std::move(sig));
-      });
-}
-
-void NdbApiNode::HedgeReadNow(TxnId txn, uint64_t op_id, SignalRef sig) {
-  KeyOpReq& req = sig->as<KeyOpReq>();
-  PendingOp* p = pending_.Find(op_id);
-  if (p == nullptr) return;  // answered in time: no hedge
-  TxnState* t = FindTxn(txn);
-  if (t == nullptr || t->broken || !cluster_.cluster_up()) return;
-  // Send the same op (same op_id) to a backup replica of the
-  // partition; OnOpReply's pending-op erase makes the race benign.
-  auto& layout = cluster_.layout();
-  const PartitionId part = layout.PartitionOf(req.table, req.key);
-  NodeId alt = kNoNode;
-  for (NodeId n : layout.ReplicaChain(part)) {
-    if (n != t->tc && layout.alive(n)) {
-      alt = n;
-      break;
-    }
-  }
-  if (alt == kNoNode) return;  // no second replica to hedge to
-  p->hedge_tc = alt;
-  metrics::Bump(hedges_sent_);
-  const int64_t bytes = cluster_.cost().msg_read_req;
-  // The duplicated work is blamed on the resilience stack (kRetry).
-  const trace::SpanId hspan = cluster_.sim().tracer().StartSpan(
-      req.span, "ndb.read_hedge", trace::Layer::kNdb, trace::Cause::kRetry,
-      host_, az_);
-  p->hedge_span = hspan;
-  req.span = hspan;
-  SendToTc(alt, bytes, SignalKind::kTcKeyOp, std::move(sig), hspan);
 }
 
 void NdbApiNode::Read(TxnId txn, TableId table, Key key, LockMode mode,
@@ -306,10 +260,7 @@ void NdbApiNode::Abort(TxnId txn) {
 
 void NdbApiNode::OnOpReply(OpReply reply) {
   std::optional<PendingOp> op = TakeOp(reply.op_id);
-  if (!op) return;  // late reply after timeout / hedge loss
-  if (op->hedge_tc != kNoNode && reply.from == op->hedge_tc) {
-    metrics::Bump(hedge_wins_);
-  }
+  if (!op) return;  // late reply after timeout
   Deliver(*op, reply.code, std::move(reply.value), std::move(reply.rows));
 }
 

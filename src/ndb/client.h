@@ -85,18 +85,8 @@ class NdbApiNode {
   // per-attempt span; 0 = not sampled).
   void SetTxnTrace(TxnId txn, trace::SpanId span);
 
-  // Hedged committed reads ("The Tail at Scale"): when a committed read
-  // is still unanswered after `delay`, resend it (same op_id) to a backup
-  // replica of the partition; first reply wins, the loser's reply is
-  // dropped by the pending-op dedup. 0 disables hedging.
-  void set_hedge_read_delay(Nanos delay) { hedge_read_delay_ = delay; }
-
-  // Optional resilience counters (null = no accounting).
-  void set_counters(metrics::Counter* hedges_sent,
-                    metrics::Counter* hedge_wins,
-                    metrics::Counter* deadline_exceeded) {
-    hedges_sent_ = hedges_sent;
-    hedge_wins_ = hedge_wins;
+  // Optional deadline-exceeded counter (null = no accounting).
+  void set_deadline_counter(metrics::Counter* deadline_exceeded) {
     deadline_exceeded_ = deadline_exceeded;
   }
 
@@ -117,9 +107,7 @@ class NdbApiNode {
     // failure) — a flag instead of a wrapping closure, which would spill
     // the callback to the heap on the hot path.
     bool erase_txn = false;
-    NodeId hedge_tc = kNoNode;  // where the hedge went (kNoNode = none)
-    trace::SpanId span = 0;     // this op's span, closed at reply/failure
-    trace::SpanId hedge_span = 0;  // hedge resend span (kRetry)
+    trace::SpanId span = 0;  // this op's span, closed at reply/failure
   };
 
   NodeId PickTc(const TableDef* td, TableId table, std::string_view hint_key);
@@ -137,7 +125,7 @@ class NdbApiNode {
   // *span), registers the op and arms its timeout; returns the op id.
   uint64_t RegisterOp(TxnId txn, TxnState& t, const char* what, PendingOp op,
                       trace::SpanId* span);
-  // Removes an unanswered op: ends its spans, drops it from its
+  // Removes an unanswered op: ends its span, drops it from its
   // transaction's in-flight count (and a commit's transaction state).
   std::optional<PendingOp> TakeOp(uint64_t op_id);
   void OnOpTimeout(uint64_t op_id);
@@ -146,9 +134,6 @@ class NdbApiNode {
   // The one write-op builder: Insert/Update/Write/Delete name their
   // KeyOpReq fields; this marks the write and sends it.
   void SendWrite(TxnId txn, KeyOpReq req, WriteCb cb);
-
-  void MaybeHedgeRead(TxnId txn, uint64_t op_id, const KeyOpReq& req);
-  void HedgeReadNow(TxnId txn, uint64_t op_id, SignalRef sig);
 
   // Sends `sig` (its payload already set) from this API node to TC
   // `tc` through the cluster transport; `parent` != 0 records the hop as
@@ -164,9 +149,6 @@ class NdbApiNode {
   HostId host_;
   AzId az_;
   Nanos op_timeout_ = 1500 * kMillisecond;
-  Nanos hedge_read_delay_ = 0;  // 0 = hedging off
-  metrics::Counter* hedges_sent_ = nullptr;
-  metrics::Counter* hedge_wins_ = nullptr;
   metrics::Counter* deadline_exceeded_ = nullptr;
 
   uint64_t next_op_id_ = 1;

@@ -64,7 +64,6 @@ void Transport::Send(SignalRef sig, SignalKind kind, int32_t src, int32_t dst,
     case Route::kNodeToApi: {
       NdbDatanode& from = cluster_.datanode(src);
       if (!from.accepting()) return;
-      sig->as<OpReply>().from = src;  // hedged-read win attribution
       const NdbApiNode* to = cluster_.api(dst);
       if (to != nullptr) {
         sig->hop = tracer.StartSpan(parent, "net.reply", trace::Layer::kNdb,

@@ -96,9 +96,6 @@ struct OpReply {
   Code code = Code::kOk;
   std::optional<std::string> value;
   std::vector<std::pair<Key, std::string>> rows;  // scans
-  // Responding datanode, stamped by the transport's send stage: lets the
-  // API node tell a hedged read's winner from the original.
-  NodeId from = kNoNode;
 };
 
 // Chain messages (Fig. 2). The TC builds a PrepareReq with designated

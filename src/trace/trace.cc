@@ -124,8 +124,8 @@ void Tracer::EndTrace(SpanId root) {
 
   Span& r = t.spans.front();
   if (r.end < r.start) r.end = clock_();
-  // Clamp: children cannot extend past the root (lost replies, losing
-  // hedges), nor start before it.
+  // Clamp: children cannot extend past the root (lost replies, timed-out
+  // attempts), nor start before it.
   for (size_t i = 1; i < t.spans.size(); ++i) {
     Span& s = t.spans[i];
     s.start = std::clamp(s.start, r.start, r.end);

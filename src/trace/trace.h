@@ -14,7 +14,7 @@
 //
 // Cause taxonomy (see DESIGN.md §10): each span is tagged with where the
 // nanoseconds went — intra/inter-AZ network, CPU queueing vs execution,
-// disk, lock wait, or retry/hedge/backoff introduced by the resilience
+// disk, lock wait, or retry/backoff introduced by the resilience
 // stack — which is what the critical-path analyzer aggregates.
 #pragma once
 
@@ -42,7 +42,7 @@ enum class Cause : uint8_t {
   kLockWait,        // row-lock manager wait
   kNetworkIntraAz,  // message delay within one availability zone
   kNetworkInterAz,  // message delay across availability zones
-  kRetry,           // retry / hedge / backoff from the resilience stack
+  kRetry,           // retry / backoff from the resilience stack
 };
 
 const char* LayerName(Layer layer);
@@ -124,11 +124,11 @@ class Tracer {
   void EndSpanAt(SpanId id, Nanos end);
 
   // Finalizes the trace owning `root`: the root closes at the current sim
-  // time, any span still open (a hedge that never completed, a message
+  // time, any span still open (an attempt that timed out, a message
   // lost to a fault) is clamped to the root's end, and the completed
   // trace is handed to the sink and the finished ring. Span ids of a
   // finalized trace become inert — late EndSpan calls are no-ops, which
-  // is exactly what a losing hedge attempt should see.
+  // is exactly what a timed-out attempt's late reply should see.
   void EndTrace(SpanId root);
 
  private:

@@ -175,12 +175,12 @@ TEST(NdbFailure, ApiTimeoutsSurfaceAsRetryableErrors) {
   EXPECT_TRUE(s.retryable());
 }
 
-// Regression: replies, hedge timers, and op-timeout timers used to hold a
-// raw pointer to the API node; destroying the client with operations in
-// flight made each of them a use-after-free when it later fired. They now
-// re-resolve the node by id through the cluster (slots are nulled on
-// unregister and never reused), so a torn-down client's callbacks never
-// run. Pre-fence this test crashes under ASan.
+// Regression: replies and op-timeout timers used to hold a raw pointer to
+// the API node; destroying the client with operations in flight made each
+// of them a use-after-free when it later fired. They now re-resolve the
+// node by id through the cluster (slots are nulled on unregister and
+// never reused), so a torn-down client's callbacks never run. Pre-fence
+// this test crashes under ASan.
 TEST(NdbFailure, ApiNodeTeardownWithInFlightOpsIsSafe) {
   TestCluster tc;
   tc.cluster->StartProtocols();
