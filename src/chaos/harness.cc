@@ -126,7 +126,6 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts) {
   fopts.num_ndb_nodes =
       hopsfs::DeploymentOptions::FromPaperSetup(opts.setup, opts.num_namenodes)
           .ndb_datanodes;
-  fopts.num_block_dns = opts.block_datanodes;
   return RunChaosSchedule(opts, FaultSchedule::Random(opts.seed, fopts));
 }
 

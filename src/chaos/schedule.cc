@@ -139,13 +139,10 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
     kKindLatency,
     kKindDrop,
     kKindGrey,
-    kKindBlockDn,
-    kKindSurge,
     kKindRecoveryStorm,
     kKindLogDisk,
   };
-  std::vector<Kind> kinds;
-  if (opts.enable_node_crash) kinds.push_back(kKindCrash);
+  std::vector<Kind> kinds{kKindCrash};
   if (opts.enable_az_outage) kinds.push_back(kKindAzOutage);
   if (opts.enable_partition) {
     kinds.push_back(kKindPartition);
@@ -154,13 +151,9 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
   if (opts.enable_latency_inflation) kinds.push_back(kKindLatency);
   if (opts.enable_message_drop) kinds.push_back(kKindDrop);
   if (opts.enable_grey_node) kinds.push_back(kKindGrey);
-  if (opts.enable_block_dn_crash && opts.num_block_dns > 0) {
-    kinds.push_back(kKindBlockDn);
-  }
-  if (opts.enable_surge) kinds.push_back(kKindSurge);
   if (opts.enable_recovery_storm) kinds.push_back(kKindRecoveryStorm);
   if (opts.enable_log_disk_slow) kinds.push_back(kKindLogDisk);
-  if (kinds.empty() || opts.episodes <= 0) return schedule;
+  if (opts.episodes <= 0) return schedule;
 
   // Episodes are strictly sequential: each one injects a fault, holds it,
   // then heals — the next episode starts only after the previous heal.
@@ -228,22 +221,6 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
         const double f = 2.0 + rng.NextDouble() * (opts.max_grey_slowdown - 2.0);
         schedule.Add({inject, FaultType::kGreySlowNode, node, -1, f});
         schedule.Add({heal, FaultType::kGreyRestoreNode, node, -1, 1.0});
-        break;
-      }
-      case kKindBlockDn: {
-        // Permanent loss: the heal is the leader's re-replication, not a
-        // restart — nothing to schedule at `heal`.
-        const int dn = static_cast<int>(rng.NextBelow(opts.num_block_dns));
-        schedule.Add({inject, FaultType::kCrashBlockDn, dn, -1, 1.0});
-        break;
-      }
-      case kKindSurge: {
-        const int span =
-            std::max(1, opts.max_surge_ops_per_sec - opts.min_surge_ops_per_sec);
-        const int rate = opts.min_surge_ops_per_sec +
-                         static_cast<int>(rng.NextBelow(span));
-        schedule.Add({inject, FaultType::kOpenLoopSurge, rate, -1, 1.0});
-        schedule.Add({heal, FaultType::kOpenLoopSurgeStop, -1, -1, 1.0});
         break;
       }
       case kKindRecoveryStorm: {

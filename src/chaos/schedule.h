@@ -63,22 +63,18 @@ struct FaultEvent {
 // non-overlapping fault episodes inside [start, start + window]; each
 // episode picks one enabled fault class, randomises its parameters, and
 // schedules the matching heal/restore before the episode ends, so by
-// start + window the system has been handed back every resource.
+// start + window the system has been handed back every resource. NDB
+// node crashes are always a candidate class.
 struct RandomFaultOptions {
   Nanos start = 0;
   Nanos window = 8 * kSecond;
   int episodes = 4;
 
-  bool enable_node_crash = true;
   bool enable_az_outage = true;
   bool enable_partition = true;        // includes one-way partitions
   bool enable_latency_inflation = true;
   bool enable_message_drop = true;
   bool enable_grey_node = true;
-  bool enable_block_dn_crash = false;  // needs block_datanodes > 0
-  // Off by default so long-standing pinned seeds keep drawing the same
-  // schedules; overload-focused runs opt in.
-  bool enable_surge = false;
   // Recovery storms: crash a node and restart it almost immediately,
   // several times per episode (possibly re-crashing a node that is still
   // replaying/resyncing). Exercises the timed-recovery state machine and
@@ -94,15 +90,10 @@ struct RandomFaultOptions {
   double max_drop_probability = 0.25;
   double max_grey_slowdown = 20.0;
   double max_log_disk_slowdown = 40.0;
-  // Sized against the default 6-NN deployment (~175k ops/s of NN CPU):
-  // surges range from near-saturation to ~1.7x overload.
-  int min_surge_ops_per_sec = 120000;
-  int max_surge_ops_per_sec = 300000;
 
   // Topology the schedule targets (validated against the deployment).
   int num_azs = 3;
   int num_ndb_nodes = 12;
-  int num_block_dns = 0;
 };
 
 class FaultSchedule {

@@ -83,10 +83,6 @@ struct FeatureFlags {
   // routing at the TC (§IV-A4). Off = classic NDB distribution-aware
   // behaviour (primary-replica oriented).
   bool az_aware = false;
-  // Delay the commit ack until all replicas completed, enabling
-  // consistent committed reads from backups (§IV-A3). Applies to tables
-  // with the read_backup option.
-  bool read_backup_commit_ack = true;
 };
 
 }  // namespace repro::ndb

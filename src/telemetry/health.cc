@@ -182,29 +182,27 @@ HealthSnapshot HealthModel::Evaluate(const Scraper& scraper, Nanos now) const {
   // simply never picked (load imbalance, not grey failure); the per-peer
   // ops floor keeps trickle traffic (probes) from electing
   // "progressing" peers.
-  if (config_.staleness_enabled) {
-    for (auto& h : snap.hosts) {
-      if (h.state != HealthState::kHealthy || h.ops_delta != 0 ||
-          h.ops_total <= 0 || !h.has_queue) {
+  for (auto& h : snap.hosts) {
+    if (h.state != HealthState::kHealthy || h.ops_delta != 0 ||
+        h.ops_total <= 0 || !h.has_queue) {
+      continue;
+    }
+    int progressing_peers = 0;
+    bool stalled_peer = false;
+    for (const auto& peer : snap.hosts) {
+      if (peer.host == h.host || RoleOf(peer.host) != RoleOf(h.host) ||
+          peer.state == HealthState::kUnavailable) {
         continue;
       }
-      int progressing_peers = 0;
-      bool stalled_peer = false;
-      for (const auto& peer : snap.hosts) {
-        if (peer.host == h.host || RoleOf(peer.host) != RoleOf(h.host) ||
-            peer.state == HealthState::kUnavailable) {
-          continue;
-        }
-        if (peer.ops_delta >= static_cast<double>(config_.min_stale_peer_ops)) {
-          ++progressing_peers;
-        } else if (peer.ops_delta == 0) {
-          stalled_peer = true;
-        }
+      if (peer.ops_delta >= static_cast<double>(config_.min_stale_peer_ops)) {
+        ++progressing_peers;
+      } else if (peer.ops_delta == 0) {
+        stalled_peer = true;
       }
-      if (progressing_peers >= 2 && !stalled_peer) {
-        h.state = HealthState::kDegraded;
-        h.reason = "stale";
-      }
+    }
+    if (progressing_peers >= 2 && !stalled_peer) {
+      h.state = HealthState::kDegraded;
+      h.reason = "stale";
     }
   }
 

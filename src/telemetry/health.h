@@ -55,7 +55,6 @@ struct HealthConfig {
   double error_rate_unavailable = 0.50;
   // Minimum ops delta in the window before the error rate is trusted.
   int64_t min_ops_for_error_rate = 20;
-  bool staleness_enabled = true;
   // A staleness peer only counts as "progressing" at or above this ops
   // delta. Trickle traffic (durability probes, a draining queue) moves
   // counters by a handful of ops per window; one host missing its share

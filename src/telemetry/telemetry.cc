@@ -8,13 +8,11 @@ Telemetry::Telemetry(Simulation& sim, metrics::Registry& registry,
       options_(options),
       scraper_(&registry, options.scraper),
       health_model_(options.health) {
-  if (options_.slo_enabled) {
-    slo_.AddObjective({"availability", "slo.requests.total",
-                       "slo.requests.good", options_.availability_target,
-                       options_.slo.rules});
-    slo_.AddObjective({"latency", "slo.latency.total", "slo.latency.good",
-                       options_.latency_target, options_.slo.rules});
-  }
+  slo_.AddObjective({"availability", "slo.requests.total",
+                     "slo.requests.good", options_.availability_target,
+                     options_.slo.rules});
+  slo_.AddObjective({"latency", "slo.latency.total", "slo.latency.good",
+                     options_.latency_target, options_.slo.rules});
 }
 
 void Telemetry::Start() {
@@ -32,11 +30,13 @@ void Telemetry::Stop() {
 void Telemetry::Tick() {
   const Nanos now = sim_.now();
   scraper_.ScrapeOnce(now);
-  if (options_.slo_enabled) slo_.Evaluate(scraper_, now);
+  slo_.Evaluate(scraper_, now);
   last_health_ = health_model_.Evaluate(scraper_, now);
   ++ticks_;
 
-  if (!options_.record_health_series) return;
+  // Derived health/alert series join the scrape archive (health.host{...},
+  // health.az{...}, health.cluster, slo.active_alerts), so exported
+  // artifacts carry the rollups alongside raw metrics.
   for (const auto& h : last_health_.hosts) {
     scraper_.Inject(
         "health.host" +

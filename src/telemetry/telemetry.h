@@ -24,15 +24,9 @@ struct TelemetryOptions {
 
   // SLO objectives are auto-registered against the client-side counters
   // (slo.requests.* / slo.latency.*) using these targets.
-  bool slo_enabled = true;
   double availability_target = 0.999;
   double latency_target = 0.99;
   SloConfig slo = SloConfig::Production();
-
-  // Also inject derived health/alert series into the scrape archive
-  // (health.host{...}, health.az{...}, health.cluster, slo.active_alerts)
-  // so exported artifacts carry the rollups alongside raw metrics.
-  bool record_health_series = true;
 };
 
 class Telemetry {
