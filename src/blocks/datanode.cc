@@ -147,12 +147,4 @@ void BlockDatanode::CopyBlockTo(BlockDatanode& target, uint64_t block_id,
   });
 }
 
-std::vector<DnId> DnRegistry::AliveDns(Nanos now) const {
-  std::vector<DnId> out;
-  for (DnId i = 0; i < size(); ++i) {
-    if (AliveAt(i, now)) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace repro::blocks

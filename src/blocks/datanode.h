@@ -107,7 +107,6 @@ class DnRegistry {
            now - last_heard_[dn] <= timeout_;
   }
   bool EverHeard(DnId dn) const { return last_heard_[dn] >= 0; }
-  std::vector<DnId> AliveDns(Nanos now) const;
 
   int size() const { return static_cast<int>(dns_.size()); }
   BlockDatanode* dn(DnId id) const { return dns_[id]; }

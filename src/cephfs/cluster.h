@@ -74,7 +74,6 @@ class CephOsd {
   AzId az() const { return az_; }
 
   void WriteObject(int64_t bytes, std::function<void()> done);
-  void ReadObject(int64_t bytes, std::function<void()> done);
 
   ThreadPool& cpu() { return cpu_; }
   Disk& disk() { return disk_; }

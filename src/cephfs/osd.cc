@@ -28,12 +28,6 @@ void CephOsd::WriteObject(int64_t bytes, std::function<void()> done) {
   });
 }
 
-void CephOsd::ReadObject(int64_t bytes, std::function<void()> done) {
-  cpu_.Submit(40 * kMicrosecond, [this, bytes, done = std::move(done)] {
-    disk_.Read(bytes, std::move(done));
-  });
-}
-
 void CephOsd::ResetStats() {
   cpu_.ResetStats();
   disk_.ResetStats();

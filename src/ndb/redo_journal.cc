@@ -230,19 +230,6 @@ void RedoJournal::FinishCheckpointRound(int64_t cut_seqno, Nanos now) {
   RecomputeLag();
 }
 
-int64_t RedoJournal::CheckpointBytes(int64_t cut_seqno) const {
-  int64_t bytes = base_bytes_;
-  const int64_t cut_epoch = EpochAtCut(cut_seqno);
-  for (const Segment& seg : segments_) {
-    if (seg.first_seqno > cut_seqno) break;
-    for (const Record& r : seg.records) {
-      if (r.seqno > cut_seqno) break;
-      if (!r.folded && r.epoch <= cut_epoch) bytes += r.bytes;
-    }
-  }
-  return bytes;
-}
-
 void RedoJournal::FoldIntoBase(const Record& record) {
   auto& rows = base_[record.table];
   auto it = rows.find(record.key);
@@ -275,23 +262,6 @@ void RedoJournal::TruncateCoveredSegments() {
   while (!segments_.empty() && segments_.front().unfolded == 0) {
     segments_.pop_front();
   }
-}
-
-void RedoJournal::CompleteCheckpoint(int64_t cut_seqno, Nanos now) {
-  if (cut_seqno <= base_seqno_) return;
-  const int64_t cut_epoch = EpochAtCut(cut_seqno);
-  for (Segment& seg : segments_) {
-    if (seg.first_seqno > cut_seqno) break;
-    for (Record& r : seg.records) {
-      if (r.seqno > cut_seqno) break;
-      if (r.folded || r.epoch > cut_epoch) continue;
-      FoldIntoBase(r);
-      r.folded = true;
-      seg.unfolded -= 1;
-    }
-  }
-  max_folded_epoch_ = std::max(max_folded_epoch_, cut_epoch);
-  FinishCheckpointRound(cut_seqno, now);
 }
 
 void RedoJournal::InstallImageBegin(int64_t epoch, Nanos now) {

@@ -157,10 +157,6 @@ class RedoJournal {
   // base seqno/epoch the whole image attests, prune closed epoch bounds,
   // truncate covered segments.
   void FinishCheckpointRound(int64_t cut_seqno, Nanos now);
-  // Single-shot convenience (fold every partition at once) used by tests
-  // and the whole-image adoption path.
-  int64_t CheckpointBytes(int64_t cut_seqno) const;
-  void CompleteCheckpoint(int64_t cut_seqno, Nanos now);
 
   // Node rejoin / cluster restore: replace the whole journal state with
   // an externally supplied consistent image "as of `epoch`" (the node

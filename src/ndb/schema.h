@@ -53,12 +53,6 @@ class Catalog {
   }
   int num_tables() const { return static_cast<int>(tables_.size()); }
 
-  // Flips Read Backup on every table — what HopsFS-CL does to keep reads
-  // AZ-local (§IV-A5 end).
-  void EnableReadBackupEverywhere() {
-    for (auto& t : tables_) t.read_backup = true;
-  }
-
  private:
   std::vector<TableDef> tables_;
 };

@@ -24,6 +24,4 @@ enum class LockMode {
   kExclusive,      // always served by the primary replica
 };
 
-const char* LockModeName(LockMode mode);
-
 }  // namespace repro::ndb

@@ -51,13 +51,4 @@ void CircuitBreaker::MoveTo(State next) {
   if (next == State::kClosed) consecutive_failures_ = 0;
 }
 
-const char* CircuitStateName(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 }  // namespace repro::resilience

@@ -56,6 +56,4 @@ class CircuitBreaker {
   int64_t transitions_ = 0;
 };
 
-const char* CircuitStateName(CircuitBreaker::State state);
-
 }  // namespace repro::resilience

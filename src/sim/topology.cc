@@ -44,7 +44,6 @@ Topology::Topology(int num_azs, AzLatencyTable latency)
   effective_latency_ = base_latency_;
   latency_factor_.assign(pairs, 1.0);
   az_partitioned_.assign(pairs, 0);
-  az_up_.assign(num_azs, 1);
 }
 
 HostId Topology::AddHost(AzId az, std::string name) {
@@ -56,13 +55,10 @@ HostId Topology::AddHost(AzId az, std::string name) {
 }
 
 void Topology::SetAzUp(AzId az, bool up) {
-  az_up_[az] = up ? 1 : 0;
   for (size_t h = 0; h < host_az_.size(); ++h) {
     if (host_az_[h] == az) host_up_[h] = up ? 1 : 0;
   }
 }
-
-bool Topology::AzUp(AzId az) const { return az_up_[az] != 0; }
 
 void Topology::PartitionAzs(AzId a, AzId b) {
   if (a == b) return;  // an AZ cannot be partitioned from itself

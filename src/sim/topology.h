@@ -56,7 +56,6 @@ class Topology {
 
   // Fails / restores a whole AZ at once.
   void SetAzUp(AzId az, bool up);
-  bool AzUp(AzId az) const;
 
   // Installs a network partition between two AZs (both directions).
   // Hosts in partitioned AZs stay up but cannot exchange messages.
@@ -111,7 +110,6 @@ class Topology {
   std::vector<Nanos> effective_latency_;  // base × latency factor
   std::vector<double> latency_factor_;    // 1.0 = normal
   std::vector<uint8_t> az_partitioned_;   // 1 when a -> b is cut
-  std::vector<uint8_t> az_up_;            // per AZ (not per pair)
 };
 
 }  // namespace repro

@@ -66,13 +66,6 @@ metrics::MetricKind Scraper::KindOf(const std::string& full_name) const {
   return it != series_.end() ? it->second.kind : metrics::MetricKind::kGauge;
 }
 
-std::vector<std::string> Scraper::SeriesNames() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, s] : series_) out.push_back(name);
-  return out;
-}
-
 std::string ParsedName::LabelOr(const std::string& key,
                                 const std::string& fallback) const {
   for (const auto& [k, v] : labels) {

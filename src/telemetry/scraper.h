@@ -84,7 +84,6 @@ class Scraper {
 
   // Sorted by full name (std::map order) — deterministic for exporters.
   const std::map<std::string, Series>& series() const { return series_; }
-  std::vector<std::string> SeriesNames() const;
 
   int64_t scrape_count() const { return scrape_count_; }
   Nanos last_scrape_at() const { return last_scrape_at_; }

@@ -45,12 +45,6 @@ uint64_t Rng::NextBelow(uint64_t n) {
   }
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<int64_t>(
-                  NextBelow(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }

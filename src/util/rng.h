@@ -27,9 +27,6 @@ class Rng {
   // Uniform in [0, n). n must be > 0.
   uint64_t NextBelow(uint64_t n);
 
-  // Uniform in [lo, hi], inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform in [0, 1).
   double NextDouble();
 
