@@ -43,6 +43,7 @@
 #include "prof/profiler.h"
 #include "prof/report.h"
 #include "telemetry/export.h"
+#include "trace/chrome_trace.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 #include "workload/driver.h"
@@ -130,8 +131,9 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
     std::fputs(prof::ZonesJson(profiler).c_str(), zf);
     std::fclose(zf);
   }
-  prof::WriteChromeTraceWithZones(out_dir + "/prof_trace.json",
-                                  sim.tracer().TakeFinished(), profiler);
+  trace::WriteChromeTrace(out_dir + "/prof_trace.json",
+                          sim.tracer().TakeFinished(),
+                          prof::ZoneChromeEvents(profiler));
   // prof.zone.* rides the normal exporters (frozen at detach).
   const std::string prom = telemetry::PrometheusText(dep.metrics());
   FILE* pf = std::fopen((out_dir + "/prof_registry.prom").c_str(), "w");

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "metrics/counters.h"
-#include "trace/chrome_trace.h"
 #include "util/strings.h"
 
 namespace repro::prof {
@@ -146,26 +145,6 @@ std::string ZoneChromeEvents(const Profiler& p, int pid) {
       "\"args\":{\"name\":\"profiler (host cost)\"}}",
       pid);
   return out;
-}
-
-bool WriteChromeTraceWithZones(const std::string& path,
-                               const std::vector<trace::Trace>& traces,
-                               const Profiler& p) {
-  std::string json = trace::ChromeTraceJson(traces);
-  const std::string zones = ZoneChromeEvents(p);
-  if (!zones.empty()) {
-    // Splice the profiler track into the traceEvents array. ChromeTraceJson
-    // always ends with "]}"; an empty array gets no leading comma.
-    const bool array_empty = json.size() >= 3 && json[json.size() - 3] == '[';
-    json.resize(json.size() - 2);
-    if (!array_empty) json += ',';
-    json += zones;
-    json += "]}";
-  }
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) return false;
-  f << json;
-  return static_cast<bool>(f.good());
 }
 
 void RegisterZoneMetrics(Profiler* p, metrics::Registry* registry) {

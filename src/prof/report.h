@@ -20,10 +20,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "prof/profiler.h"
-#include "trace/trace.h"
 
 namespace repro::metrics {
 class Registry;
@@ -60,14 +58,9 @@ std::string ZonesJson(const Profiler& p);
 // Comma-separated Chrome-trace "X" event fragment (no brackets) for the
 // profiler's zone-exit ring: ts = sim time at the zone's event, dur =
 // host microseconds, all on one synthetic `pid` so Perfetto shows a
-// dedicated "profiler" track. Empty string when the ring is empty.
+// dedicated "profiler" track. Empty string when the ring is empty. Pass
+// it to trace::WriteChromeTrace as the extra events.
 std::string ZoneChromeEvents(const Profiler& p, int pid = 999000);
-
-// ChromeTraceJson(traces) with the profiler track spliced into the same
-// traceEvents array. Writes to `path`; false on I/O failure.
-bool WriteChromeTraceWithZones(const std::string& path,
-                               const std::vector<trace::Trace>& traces,
-                               const Profiler& p);
 
 // Registers callback metrics for every zone path (existing and future)
 // of `p` in `registry`, and arms the detach-freeze hook described above.

@@ -7,7 +7,8 @@
 
 namespace repro::trace {
 
-std::string ChromeTraceJson(const std::vector<Trace>& traces) {
+std::string ChromeTraceJson(const std::vector<Trace>& traces,
+                            std::string_view extra_events) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   std::map<int, int> host_az;  // host -> az, for process-name metadata
@@ -38,15 +39,20 @@ std::string ChromeTraceJson(const std::vector<Trace>& traces) {
         "\"args\":{\"name\":\"host%d az%d\"}}",
         host, host, az);
   }
+  if (!extra_events.empty()) {
+    if (!first) out += ',';
+    out += extra_events;
+  }
   out += "]}";
   return out;
 }
 
 bool WriteChromeTrace(const std::string& path,
-                      const std::vector<Trace>& traces) {
+                      const std::vector<Trace>& traces,
+                      std::string_view extra_events) {
   std::ofstream f(path, std::ios::out | std::ios::trunc);
   if (!f) return false;
-  f << ChromeTraceJson(traces);
+  f << ChromeTraceJson(traces, extra_events);
   return static_cast<bool>(f.good());
 }
 
