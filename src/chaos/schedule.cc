@@ -23,6 +23,7 @@ const char* FaultTypeName(FaultType type) {
     case FaultType::kGreySlowNode: return "grey-slow";
     case FaultType::kGreyRestoreNode: return "grey-restore";
     case FaultType::kCrashBlockDn: return "crash-blockdn";
+    case FaultType::kCrashLeaderNn: return "crash-leader-nn";
     case FaultType::kOpenLoopSurge: return "open-loop-surge";
     case FaultType::kOpenLoopSurgeStop: return "surge-stop";
     case FaultType::kLogDiskSlow: return "logdisk-slow";
@@ -44,6 +45,7 @@ std::string FaultEvent::ToString() const {
     case FaultType::kCrashNdbNode:
     case FaultType::kRestartNdbNode:
     case FaultType::kCrashBlockDn:
+    case FaultType::kCrashLeaderNn:
       std::snprintf(buf, sizeof(buf), "[t=%.3fs] %s node=%d", ToSeconds(time),
                     FaultTypeName(type), a);
       break;
@@ -291,8 +293,7 @@ void FaultInjector::RestartDeadNdbNodes() {
   }
 }
 
-void FaultInjector::Apply(const FaultEvent& e) {
-  trace_.push_back(e.ToString());
+void FaultInjector::Apply(FaultEvent e) {
   Topology& topo = deployment_.topology();
   Network& net = deployment_.network();
   ndb::NdbCluster& ndb = deployment_.ndb();
@@ -346,13 +347,26 @@ void FaultInjector::Apply(const FaultEvent& e) {
       ndb.datanode(e.a).SetGreySlowdown(1.0, 1.0);
       RestartDeadNdbNodes();
       break;
-    case FaultType::kCrashBlockDn: {
-      auto& dns = deployment_.block_dns();
-      if (e.a >= 0 && e.a < static_cast<int>(dns.size())) {
-        dns[e.a]->Crash();
+    case FaultType::kCrashBlockDn:
+      // The victim is the lowest-id live DN that holds a replica.
+      e.a = -1;
+      for (const auto& dn : deployment_.block_dns()) {
+        if (dn->alive() && dn->block_count() > 0) {
+          e.a = dn->id();
+          lost_hosts_.push_back(dn->host());
+          dn->Crash();
+          break;
+        }
       }
       break;
-    }
+    case FaultType::kCrashLeaderNn:
+      e.a = -1;
+      if (hopsfs::Namenode* nn = deployment_.leader(); nn != nullptr) {
+        e.a = nn->id();
+        lost_hosts_.push_back(nn->host());
+        nn->Crash();
+      }
+      break;
     case FaultType::kOpenLoopSurge:
       StartSurge(e.a);
       break;
@@ -367,6 +381,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
       RestartDeadNdbNodes();
       break;
   }
+  trace_.push_back(e.ToString());
 }
 
 // An open-loop surge models a demand spike, not a component failure:

@@ -37,8 +37,11 @@ enum class FaultType {
   kMessageDropClear,  // clear all drop probabilities
   kGreySlowNode,      // a: node id, factor: CPU+disk slowdown, node stays up
   kGreyRestoreNode,   // a: node id — clear the grey degradation
-  kCrashBlockDn,      // a: block datanode id — permanent loss, triggers
-                      // leader-driven re-replication
+  kCrashBlockDn,      // no argument: the lowest-id live block datanode
+                      // holding a replica is lost for good, which
+                      // triggers leader-driven re-replication
+  kCrashLeaderNn,     // no argument: the namenode Deployment::leader()
+                      // returns dies for good; the rest elect a new one
   kOpenLoopSurge,     // a: ops/sec — open-loop metadata-read surge from
                       // extra clients (overload, not a component failure)
   kOpenLoopSurgeStop, // the surge traffic stops
@@ -64,7 +67,9 @@ struct FaultEvent {
 // episode picks one enabled fault class, randomises its parameters, and
 // schedules the matching heal/restore before the episode ends, so by
 // start + window the system has been handed back every resource. NDB
-// node crashes are always a candidate class.
+// node crashes are always a candidate class. Permanent losses (block
+// datanode, leader namenode) never heal, so only explicit schedules
+// contain them.
 struct RandomFaultOptions {
   Nanos start = 0;
   Nanos window = 8 * kSecond;
@@ -134,8 +139,13 @@ class FaultInjector {
   void Arm(const FaultSchedule& schedule, Nanos base = 0);
 
   // Trace of applied events ("[t=2.500s] partition az2 -| az0"), in
-  // application order. Deterministic for a given seed.
+  // application order. Deterministic for a given seed. A fault that picks
+  // its own victim is traced with the victim it picked.
   const std::vector<std::string>& trace() const { return trace_; }
+
+  // Hosts this injector took down for good (block datanodes, namenodes);
+  // no heal brings them back.
+  const std::vector<HostId>& lost_hosts() const { return lost_hosts_; }
 
   // Surge arrivals issued / completed OK while a kOpenLoopSurge episode
   // was active (the surge-goodput invariant compares the two).
@@ -143,13 +153,14 @@ class FaultInjector {
   int64_t surge_completed() const { return surge_completed_; }
 
  private:
-  void Apply(const FaultEvent& event);
+  void Apply(FaultEvent event);
   void RestartDeadNdbNodes();
   void StartSurge(int ops_per_sec);
   void StopSurge();
 
   hopsfs::Deployment& deployment_;
   std::vector<std::string> trace_;
+  std::vector<HostId> lost_hosts_;
   bool armed_ = false;
 
   // Open-loop surge state: lazily created clients hammering Stat("/").

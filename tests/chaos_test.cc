@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "chaos/harness.h"
 #include "chaos/invariants.h"
@@ -79,6 +81,20 @@ TEST(FaultSchedule, EveryFaultIsHealedInsideTheWindow) {
   }
 }
 
+TEST(FaultSchedule, RandomNeverEmitsPermanentLosses) {
+  // A block-DN or leader-NN crash never heals, so only explicit
+  // schedules may contain one; every fault class is enabled here.
+  RandomFaultOptions opts = SmallTopology();
+  opts.enable_recovery_storm = true;
+  opts.enable_log_disk_slow = true;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    for (const FaultType t : FaultSchedule::Random(seed, opts).FaultTypes()) {
+      EXPECT_NE(t, FaultType::kCrashBlockDn) << "seed " << seed;
+      EXPECT_NE(t, FaultType::kCrashLeaderNn) << "seed " << seed;
+    }
+  }
+}
+
 ChaosOptions SmallEpisode(uint64_t seed) {
   ChaosOptions opts;
   opts.seed = seed;
@@ -124,6 +140,69 @@ TEST(ChaosHarness, PlantedAckLossBugIsCaught) {
   }
   EXPECT_TRUE(durability_failed)
       << "the checker must detect deliberately lost acked writes";
+}
+
+const InvariantResult& Verdict(const ChaosReport& report,
+                               const std::string& name) {
+  for (const auto& r : report.invariants) {
+    if (r.name == name) return r;
+  }
+  static const InvariantResult kMissing{"missing", false, "not checked"};
+  return kMissing;
+}
+
+// The victim id a self-resolving fault traced ("... node=N"), or -1.
+int TracedVictim(const ChaosReport& report, const std::string& fault) {
+  const std::string tag = fault + " node=";
+  for (const auto& line : report.trace) {
+    const size_t at = line.find(tag);
+    if (at != std::string::npos) return std::stoi(line.substr(at + tag.size()));
+  }
+  return -1;
+}
+
+TEST(ChaosHarness, LeaderNamenodeCrashElectsOneNewLeader) {
+  ChaosOptions opts = SmallEpisode(21);
+  // A successor claims only after the leader misses two 2 s rounds.
+  opts.settle = 6 * kSecond;
+  opts.telemetry = true;  // the crashed NN may stay unavailable
+  FaultSchedule schedule;
+  schedule.Add({opts.warmup + kSecond / 2, FaultType::kCrashLeaderNn});
+  const ChaosReport report = RunChaosSchedule(opts, schedule);
+
+  const int crashed = TracedVictim(report, "crash-leader-nn");
+  ASSERT_GE(crashed, 0) << report.TraceString();
+  const InvariantResult& leadership = Verdict(report, "leadership");
+  ASSERT_TRUE(leadership.ok) << leadership.detail;
+  int leader = -1;
+  ASSERT_EQ(std::sscanf(leadership.detail.c_str(), "single leader NN %d",
+                        &leader),
+            1)
+      << leadership.detail;
+  EXPECT_NE(leader, crashed) << "the crashed namenode cannot lead";
+  const InvariantResult& settle = Verdict(report, "telemetry-settle");
+  EXPECT_TRUE(settle.ok) << settle.detail;
+}
+
+TEST(ChaosHarness, BlockDnCrashIsReReplicated) {
+  ChaosOptions opts = SmallEpisode(21);
+  // Re-replication starts once the DN misses its 10 s heartbeat timeout.
+  opts.settle = 12 * kSecond;
+  opts.telemetry = true;  // the lost DN may stay unavailable, no other host
+  FaultSchedule schedule;
+  schedule.Add({opts.warmup + kSecond / 2, FaultType::kCrashBlockDn});
+  const ChaosReport report = RunChaosSchedule(opts, schedule);
+
+  ASSERT_GE(TracedVictim(report, "crash-blockdn"), 0) << report.TraceString();
+  const InvariantResult& replication = Verdict(report, "replication");
+  ASSERT_TRUE(replication.ok) << replication.detail;
+  long long blocks = 0;
+  ASSERT_EQ(std::sscanf(replication.detail.c_str(), "%lld blocks", &blocks),
+            1)
+      << replication.detail;
+  EXPECT_GE(blocks, 1) << "the check must have followed real blocks";
+  const InvariantResult& settle = Verdict(report, "telemetry-settle");
+  EXPECT_TRUE(settle.ok) << settle.detail;
 }
 
 TEST(FaultInjector, GreySlowNodeStaysAliveAndRecovers) {
