@@ -1,6 +1,7 @@
-// The paper's evaluation (§V) in one runner: Table I, Figures 5-14 and the
-// AZ-awareness ablation. `bench_paper` prints every section in paper order;
-// `bench_paper fig11 fig14` prints the named sections in that order.
+// The paper's evaluation (§V) in one runner: Table I, Figures 5-14, the
+// §V-F failure matrix and the AZ-awareness ablation. `bench_paper` prints
+// every section in paper order; `bench_paper fig11 fig14` prints the named
+// sections in that order.
 //
 // Figures 5, 6, 8, 10, 11, 12 and 13 are views of one sweep: each (setup,
 // server count) cell is simulated once per process and read from a cache.
@@ -16,6 +17,7 @@
 
 #include "bench_common.h"
 #include "cephfs_bench_common.h"
+#include "chaos/harness.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/topology.h"
@@ -504,6 +506,55 @@ void Fig14() {
       "primary, committed reads go AZ-local).\n");
 }
 
+// ---- §V-F: the failure matrix ---------------------------------------------
+
+// The five failures §V-F says HopsFS-CL serves through, each one chaos
+// episode: one fault 1 s into the fault window, healed 4 s later where a
+// heal exists, then the harness's scorecard and invariant verdicts.
+void Failures() {
+  PrintHeader("Failure matrix: one chaos episode per failure", "Section V-F");
+  using chaos::FaultType;
+  struct Row {
+    const char* name;
+    const char* claim;
+    std::vector<chaos::FaultEvent> events;
+  };
+  chaos::ChaosOptions opts;
+  opts.seed = 21;
+  const Nanos at = opts.warmup + kSecond;
+  const Nanos heal = at + 4 * kSecond;
+  const Row rows[] = {
+      {"NDB datanode crash",
+       "the node group's backups take over; no acked write is lost",
+       {{at, FaultType::kCrashNdbNode, 0}}},
+      {"leader namenode crash",
+       "the surviving namenodes elect one new leader",
+       {{at, FaultType::kCrashLeaderNn}}},
+      {"AZ outage (AZ 0, restored)",
+       "a replica in every AZ keeps metadata served from the other two",
+       {{at, FaultType::kAzOutage, 0}, {heal, FaultType::kAzRestore, 0}}},
+      {"AZ partition (AZ 2 cut off, healed)",
+       "the arbitrator keeps one side; there is no split brain",
+       {{at, FaultType::kPartitionAzs, 2, 0},
+        {at, FaultType::kPartitionAzs, 2, 1},
+        {heal, FaultType::kHealAllPartitions}}},
+      {"block datanode loss",
+       "the leader re-replicates the lost replicas",
+       {{at, FaultType::kCrashBlockDn}}},
+  };
+  for (const Row& row : rows) {
+    chaos::FaultSchedule schedule;
+    for (const auto& e : row.events) schedule.Add(e);
+    const chaos::ChaosReport report = chaos::RunChaosSchedule(opts, schedule);
+    std::printf("\n--- %s ---\npaper: %s\n", row.name, row.claim);
+    for (size_t i = 0; i < row.events.size(); ++i) {
+      std::printf("  fault %s\n", report.trace[i].c_str());
+    }
+    std::printf("%s", report.Scorecard().c_str());
+    std::fflush(stdout);
+  }
+}
+
 // Which of HopsFS-CL's AZ-awareness mechanisms (§IV) buys what? Each row
 // disables one mechanism of the full HopsFS-CL (3,3) deployment: Read
 // Backup + delayed commit ack (§IV-A3), AZ-aware TC selection and read
@@ -560,7 +611,8 @@ constexpr Section kSections[] = {
     {"table1", Table1}, {"fig5", Fig5},   {"fig6", Fig6},
     {"fig7", Fig7},     {"fig8", Fig8},   {"fig9", Fig9},
     {"fig10", Fig10},   {"fig11", Fig11}, {"fig12", Fig12},
-    {"fig13", Fig13},   {"fig14", Fig14}, {"ablation", Ablation},
+    {"fig13", Fig13},   {"fig14", Fig14}, {"failures", Failures},
+    {"ablation", Ablation},
 };
 
 const Section* FindSection(const char* name) {
