@@ -5,67 +5,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <sys/stat.h>
 
 namespace repro::metrics {
 
-double TimeSeries::Window::mean() const {
-  if (count <= 0) return std::numeric_limits<double>::quiet_NaN();
-  return sum / static_cast<double>(count);
-}
-
-std::optional<double> TimeSeries::MeanAt(Nanos t) const {
-  if (t < 0) return std::nullopt;
-  const size_t idx = static_cast<size_t>(t / window_);
-  if (idx >= windows_.size() || !windows_[idx].has_data()) return std::nullopt;
-  return windows_[idx].mean();
-}
-
-void TimeSeries::Record(Nanos t, double value) {
+void TimeSeries::Record(Nanos t) {
   assert(t >= 0 && "TimeSeries samples must carry non-negative sim time");
-  // Half-open bucketing: t == i*window_ lands in window i (see header).
-  const size_t idx = static_cast<size_t>(t / window_);
+  // Half-open bucketing: t == i*kWindow lands in window i (see header).
+  const size_t idx = static_cast<size_t>(t / kWindow);
   if (idx >= windows_.size()) {
     const size_t old = windows_.size();
     windows_.resize(idx + 1);
     for (size_t i = old; i < windows_.size(); ++i) {
-      windows_[i].start = static_cast<Nanos>(i) * window_;
+      windows_[i].start = static_cast<Nanos>(i) * kWindow;
     }
   }
   windows_[idx].count += 1;
-  windows_[idx].sum += value;
-}
-
-std::vector<double> TimeSeries::RatePerSecond() const {
-  std::vector<double> out;
-  out.reserve(windows_.size());
-  const double secs = ToSeconds(window_);
-  for (const auto& w : windows_) {
-    out.push_back(static_cast<double>(w.count) / secs);
-  }
-  return out;
-}
-
-std::vector<double> TimeSeries::MeanPerWindow() const {
-  std::vector<double> out;
-  out.reserve(windows_.size());
-  for (const auto& w : windows_) out.push_back(w.mean());
-  return out;
-}
-
-std::string TimeSeries::Sparkline() const {
-  static const char* kBlocks[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-  const auto rates = RatePerSecond();
-  double peak = 0;
-  for (double r : rates) peak = std::max(peak, r);
-  std::string out;
-  for (double r : rates) {
-    const int level =
-        peak > 0 ? static_cast<int>(r / peak * 7.0 + 0.5) : 0;
-    out += kBlocks[std::clamp(level, 0, 7)];
-  }
-  return out;
 }
 
 bool WriteCsv(const std::string& path,

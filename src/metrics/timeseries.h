@@ -1,20 +1,17 @@
-// Windowed time series for simulation metrics.
+// Windowed completion counter for simulation metrics, plus CSV export.
 //
-// Records (time, value) observations into fixed-width windows so benches
-// can report throughput/latency over time — e.g. the dip and recovery
-// around an injected failure — and export the series as CSV artifacts.
+// Counts events (e.g. completed operations) into fixed 100 ms windows so
+// the chaos harness can read goodput per phase, recovery time and stalls
+// around injected faults.
 //
 // Window convention (pinned by metrics_test): window i covers the
-// half-open interval [i*width, (i+1)*width). A sample landing exactly on
-// a window edge t == i*width belongs to window i — the window it opens —
-// never to the one it closes, so edge samples bucket deterministically.
-// Queries against windows that hold no samples report "no data" (NaN /
-// nullopt), not zero: an empty latency window means nothing completed,
-// which is the opposite of a 0 ns latency.
+// half-open interval [i*kWindow, (i+1)*kWindow). A sample landing exactly
+// on a window edge t == i*kWindow belongs to window i — the window it
+// opens — never to the one it closes, so edge samples bucket
+// deterministically. Gaps materialise as windows with a zero count.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,43 +21,19 @@ namespace repro::metrics {
 
 class TimeSeries {
  public:
-  explicit TimeSeries(Nanos window = 100 * kMillisecond)
-      : window_(window) {}
+  static constexpr Nanos kWindow = 100 * kMillisecond;
 
-  // Adds one observation at simulated time t (>= 0).
-  void Record(Nanos t, double value = 1.0);
+  // Counts one event at simulated time t (>= 0).
+  void Record(Nanos t);
 
   struct Window {
     Nanos start = 0;
     int64_t count = 0;
-    double sum = 0;
-
-    bool has_data() const { return count > 0; }
-    // NaN when the window is empty ("no data", not zero).
-    double mean() const;
   };
 
   const std::vector<Window>& windows() const { return windows_; }
-  Nanos window_width() const { return window_; }
-
-  // Mean of the window covering time t; nullopt when no window covers t
-  // or the covering window holds no samples.
-  std::optional<double> MeanAt(Nanos t) const;
-
-  // Events per second in each window (throughput view). Rates are true
-  // zeros for empty windows: "nothing happened" is data for a rate.
-  std::vector<double> RatePerSecond() const;
-  // Mean value in each window (latency view when values are latencies);
-  // NaN marks empty windows (rendered as blank cells by WriteCsv).
-  std::vector<double> MeanPerWindow() const;
-
-  // Compact ASCII sparkline of the rate series (for bench stdout).
-  std::string Sparkline() const;
-
-  void Clear() { windows_.clear(); }
 
  private:
-  Nanos window_;
   std::vector<Window> windows_;
 };
 

@@ -25,9 +25,8 @@ void ClosedLoopDriver::IssueNext(int client, int generation) {
       [this, client, start, counted, generation, op_type = op.op](Status s) {
         const Nanos latency = sim_.now() - start;
         if (s.ok()) {
-          results_.timeline.Record(sim_.now(), ToMillis(latency));
+          results_.timeline.Record(sim_.now());
         } else {
-          results_.fail_timeline.Record(sim_.now());
           ++results_.errors_by_code[s.code()];
         }
         if (counted && measuring_) {
@@ -80,9 +79,6 @@ OpenLoopResults OpenLoopDriver::Run(double ops_per_sec, Nanos warmup,
     c.target->Execute(
         op.op, op.path, op.path2, op.size,
         [this, st, start, counted](Status s) {
-          if (s.ok()) {
-            st->results.timeline.Record(sim_.now());
-          }
           if (!counted) return;
           --st->pending_measured;
           if (s.ok()) {

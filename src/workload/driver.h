@@ -35,12 +35,9 @@ struct DriverResults {
   // Failure taxonomy: failed operations by status code, over the whole
   // run (including warm-up) — the chaos scorecard's error breakdown.
   std::map<Code, int64_t> errors_by_code;
-  // Completion timeline (100 ms windows over the whole run, including
-  // warm-up): throughput-over-time and failure-dip views.
+  // OK completions per 100 ms window over the whole run, including
+  // warm-up: the chaos scorecard's goodput, recovery and stall views.
   metrics::TimeSeries timeline;
-  // Failed-operation timeline on the same windows (error bursts around
-  // injected faults).
-  metrics::TimeSeries fail_timeline;
 
   double ops_per_sec() const {
     return window > 0 ? static_cast<double>(completed) / ToSeconds(window)
@@ -91,7 +88,6 @@ struct OpenLoopResults {
   int64_t failed = 0;
   Nanos window = 0;
   std::map<Code, int64_t> errors_by_code;
-  metrics::TimeSeries timeline;  // OK completions over time (whole run)
 
   double offered_ops_per_sec() const {
     return window > 0 ? static_cast<double>(issued) / ToSeconds(window) : 0.0;

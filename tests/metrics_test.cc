@@ -1,8 +1,7 @@
-// Tests for the windowed time-series metrics, CSV export, and the
-// counter/gauge/histogram registry (labels, legacy-name shim, reports).
+// Tests for the windowed completion counter, CSV export, and the
+// counter/gauge/histogram registry (labels, reports).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -12,70 +11,35 @@
 namespace repro::metrics {
 namespace {
 
-TEST(TimeSeries, WindowsAccumulateCountsAndSums) {
-  TimeSeries ts(Millis(100));
-  ts.Record(Millis(10), 5.0);
-  ts.Record(Millis(90), 7.0);
-  ts.Record(Millis(150), 1.0);
+TEST(TimeSeries, WindowsAccumulateCounts) {
+  TimeSeries ts;
+  ts.Record(Millis(10));
+  ts.Record(Millis(90));
+  ts.Record(Millis(150));
   ASSERT_EQ(ts.windows().size(), 2u);
   EXPECT_EQ(ts.windows()[0].count, 2);
-  EXPECT_DOUBLE_EQ(ts.windows()[0].sum, 12.0);
-  EXPECT_DOUBLE_EQ(ts.windows()[0].mean(), 6.0);
   EXPECT_EQ(ts.windows()[1].count, 1);
   EXPECT_EQ(ts.windows()[0].start, 0);
   EXPECT_EQ(ts.windows()[1].start, Millis(100));
 }
 
-TEST(TimeSeries, RatePerSecondScalesByWindow) {
-  TimeSeries ts(Millis(100));
-  for (int i = 0; i < 50; ++i) ts.Record(Millis(i));
-  const auto rates = ts.RatePerSecond();
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(rates[0], 500.0);  // 50 events / 0.1 s
-}
-
 TEST(TimeSeries, GapsProduceEmptyWindows) {
-  TimeSeries ts(Millis(100));
+  TimeSeries ts;
   ts.Record(Millis(50));
   ts.Record(Millis(450));
   ASSERT_EQ(ts.windows().size(), 5u);
   EXPECT_EQ(ts.windows()[2].count, 0);
-  EXPECT_EQ(ts.RatePerSecond()[2], 0.0);
-}
-
-TEST(TimeSeries, SparklineTracksLoad) {
-  TimeSeries ts(Millis(100));
-  for (int i = 0; i < 100; ++i) ts.Record(Millis(10));   // busy window
-  ts.Record(Millis(150));                                // quiet window
-  const std::string spark = ts.Sparkline();
-  ASSERT_EQ(spark.size(), 2u);
-  EXPECT_EQ(spark[0], '#');
-  EXPECT_NE(spark[1], '#');
 }
 
 TEST(TimeSeries, EdgeSampleBelongsToTheWindowItOpens) {
   // Windows are half-open [i*w, (i+1)*w): a sample at exactly t = w
   // lands in window 1, never window 0.
-  TimeSeries ts(Millis(100));
+  TimeSeries ts;
   ts.Record(0);
   ts.Record(Millis(100));
   ASSERT_EQ(ts.windows().size(), 2u);
   EXPECT_EQ(ts.windows()[0].count, 1);
   EXPECT_EQ(ts.windows()[1].count, 1);
-}
-
-TEST(TimeSeries, EmptyWindowsAreNoDataNotZero) {
-  TimeSeries ts(Millis(100));
-  ts.Record(Millis(50), 4.0);
-  ts.Record(Millis(250), 8.0);
-  ASSERT_EQ(ts.windows().size(), 3u);
-  EXPECT_TRUE(std::isnan(ts.windows()[1].mean()));
-  EXPECT_TRUE(std::isnan(ts.MeanPerWindow()[1]));
-  EXPECT_DOUBLE_EQ(ts.RatePerSecond()[1], 0.0);  // rates ARE true zeros
-  ASSERT_TRUE(ts.MeanAt(Millis(50)).has_value());
-  EXPECT_DOUBLE_EQ(*ts.MeanAt(Millis(50)), 4.0);
-  EXPECT_FALSE(ts.MeanAt(Millis(150)).has_value());  // covered but empty
-  EXPECT_FALSE(ts.MeanAt(Millis(999)).has_value());  // past coverage
 }
 
 TEST(Csv, WritesAlignedColumns) {
