@@ -8,36 +8,31 @@
 // deliberate lost-acked-write bug enabled demonstrates that the
 // durability invariant actually catches violations.
 //
-// REPRO_CHAOS_SEEDS=n overrides the seed count (CI smoke uses a small
-// pinned value); REPRO_FULL=1 doubles it. Exit status is non-zero if any
-// clean run violates an invariant or the planted bug goes undetected.
+// The bench contract is bench_report.h: 20 seeds, 40 under REPRO_FULL=1,
+// REPRO_SEEDS=n overrides (CI smoke uses a small pinned value). Exit
+// status is non-zero if any clean run violates an invariant, a replay
+// diverges or the planted bug goes undetected. Artifacts:
+// $REPRO_CSV_DIR/chaos_soak.csv and BENCH_chaos_soak.json.
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "bench_common.h"
 #include "chaos/harness.h"
 #include "metrics/timeseries.h"
+#include "util/strings.h"
 
 namespace repro::bench {
 namespace {
 
-int SeedCount() {
-  if (const char* env = std::getenv("REPRO_CHAOS_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return FullScale() ? 40 : 20;
-}
-
-int Main() {
+int Main(int argc, char** argv) {
+  RejectArguments(argc, argv);
   PrintHeader("Chaos soak (deterministic fault schedules)",
               "robustness harness; no single paper figure");
-  const int seeds = SeedCount();
+  Report out("chaos_soak");
+  const int seeds = SeedCount(20);
   std::printf("\nrunning %d seeded schedules against HopsFS-CL (3,3)...\n\n",
               seeds);
 
-  int violations = 0;
   std::set<chaos::FaultType> types_seen;
   std::vector<double> col_seed, col_warmup, col_fault, col_settle, col_ok;
   for (int i = 0; i < seeds; ++i) {
@@ -49,8 +44,10 @@ int Main() {
              .FaultTypes()) {
       types_seen.insert(t);
     }
-    if (!report.invariants_ok()) ++violations;
     std::printf("%s\n", report.Scorecard().c_str());
+    out.Check(report.invariants_ok(),
+              StrFormat("seed %llu: every safety invariant holds",
+                        static_cast<unsigned long long>(opts.seed)));
     col_seed.push_back(static_cast<double>(opts.seed));
     col_warmup.push_back(report.goodput.warmup_ops_per_sec);
     col_fault.push_back(report.goodput.fault_ops_per_sec);
@@ -59,6 +56,8 @@ int Main() {
   }
   std::printf("distinct fault types exercised across schedules: %d\n",
               static_cast<int>(types_seen.size()));
+  out.Value("seeds", seeds);
+  out.Value("fault_types", static_cast<double>(types_seen.size()));
 
   // Replay check: the determinism invariant across full runs. Seed 1000
   // must reproduce its event trace byte-for-byte; a different seed must
@@ -70,11 +69,11 @@ int Main() {
     const std::string trace_b = chaos::RunChaosSchedule(opts).TraceString();
     opts.seed = 1001;
     const std::string trace_c = chaos::RunChaosSchedule(opts).TraceString();
-    const bool replay_ok = trace_a == trace_b && trace_a != trace_c;
     std::printf("replay determinism: same seed %s, different seed %s\n",
                 trace_a == trace_b ? "identical" : "DIVERGED (BUG)",
                 trace_a != trace_c ? "differs" : "IDENTICAL (BUG)");
-    if (!replay_ok) ++violations;
+    out.Check(trace_a == trace_b && trace_a != trace_c,
+              "replay: same seed identical, different seed differs");
   }
 
   // Planted-bug run: the TC-level lost-acked-write hook fires mid-window;
@@ -93,7 +92,8 @@ int Main() {
                     ? "caught by the durability invariant (good)"
                     : "NOT DETECTED (checker is broken)");
     std::printf("%s\n", buggy.Scorecard().c_str());
-    if (!durability_failed) ++violations;
+    out.Check(durability_failed,
+              "planted lost-acked-write bug caught by durability");
   }
 
   metrics::WriteCsv(metrics::CsvDir() + "/chaos_soak.csv",
@@ -102,17 +102,10 @@ int Main() {
                      {"fault_ops_per_sec", col_fault},
                      {"settle_ops_per_sec", col_settle},
                      {"invariants_ok", col_ok}});
-
-  if (violations > 0) {
-    std::printf("\nRESULT: %d run(s) violated expectations\n", violations);
-    return 1;
-  }
-  std::printf("\nRESULT: all %d schedules passed every safety invariant\n",
-              seeds);
-  return 0;
+  return out.Finish();
 }
 
 }  // namespace
 }  // namespace repro::bench
 
-int main() { return repro::bench::Main(); }
+int main(int argc, char** argv) { return repro::bench::Main(argc, argv); }

@@ -1,17 +1,11 @@
 #include "bench_common.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/strings.h"
 #include "workload/fs_interface.h"
 
 namespace repro::bench {
-
-bool FullScale() {
-  const char* env = std::getenv("REPRO_FULL");
-  return env != nullptr && env[0] == '1';
-}
 
 std::vector<int> PaperNnCounts() {
   if (FullScale()) return {1, 6, 12, 18, 24, 36, 48, 60};

@@ -15,13 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "hopsfs/deployment.h"
 #include "workload/driver.h"
 #include "workload/spotify.h"
 
 namespace repro::bench {
-
-bool FullScale();
 
 struct RunConfig {
   hopsfs::PaperSetup setup = hopsfs::PaperSetup::kHopsFs_2_1;

@@ -20,23 +20,20 @@
 //
 //   3. Budget gate: allocs-per-op and CPU-per-op for the tracked hot
 //      zones (NN op dispatch, TC key-op/commit, LDM prepare/commit
-//      chain, redo flush) land in BENCH_prof.json (REPRO_BENCH_JSON
-//      overrides the path). With REPRO_PROF_BASELINE set to the committed
-//      baseline, the run FAILS if any tracked zone's allocs-per-op
-//      regresses >20% (allocation counts are deterministic for the
-//      pinned seed, so the gate is machine-independent; CPU-per-op is
-//      recorded for trend reading but not gated — wall CPU is
-//      runner-dependent).
+//      chain, redo flush) land in $REPRO_CSV_DIR/BENCH_prof.json as
+//      zones.<zone>.* values (layout: bench_report.h). With
+//      REPRO_BENCH_BASELINE set to the committed baseline, the run FAILS
+//      if any tracked zone's allocs-per-op exceeds 1.1x the baseline +
+//      0.25 (allocation counts are deterministic for the pinned seed, so
+//      the gate is machine-independent; CPU-per-op is recorded for trend
+//      reading but not gated — wall CPU is runner-dependent).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_host.h"
 #include "chaos/harness.h"
 #include "hopsfs/deployment.h"
 #include "metrics/timeseries.h"
@@ -157,7 +154,7 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
 
 // ---- part 2: profiler on/off byte-identity --------------------------------
 
-int CheckDeterminism() {
+bool CheckDeterminism() {
   chaos::ChaosOptions opts;
   opts.seed = 4242;
   opts.workload_clients = 8;
@@ -193,143 +190,70 @@ int CheckDeterminism() {
   std::printf("  (profiled run recorded %llu zone entries across %zu paths)\n",
               static_cast<unsigned long long>(zone_calls),
               profiler.nodes().size() - 1);
-  return identical ? 0 : 1;
+  return identical;
 }
 
 // ---- part 3: BENCH_prof.json + budget gate --------------------------------
 
-int WriteBenchJson(const ProfileRun& run, std::string* json_out) {
-  std::string path = "BENCH_prof.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
-  // A tracked zone absent from the profile is a hard failure even with no
-  // baseline to gate against: it means the instrumentation was removed or
-  // the hot path stopped running, and silently writing a JSON without the
-  // zone would let the next baseline regenerate around the hole.
-  int missing = 0;
-  for (const char* zone : kTrackedZones) {
-    bool ran = false;
-    for (const auto& t : run.tracked) {
-      if (t.zone == zone && t.stats.calls > 0) ran = true;
-    }
-    if (!ran) {
-      std::printf("FAIL: tracked zone %s missing from bench output\n", zone);
-      ++missing;
-    }
-  }
-  std::string body;
-  for (const auto& t : run.tracked) {
-    const double calls = static_cast<double>(t.stats.calls);
-    if (!body.empty()) body += ",\n";
-    body += StrFormat(
-        "    \"%s\": {\"calls\": %llu, \"allocs_per_call\": %.3f, "
-        "\"bytes_per_call\": %.1f, \"cpu_us_per_call\": %.3f}",
-        t.zone.c_str(), static_cast<unsigned long long>(t.stats.calls),
-        calls > 0 ? static_cast<double>(t.stats.allocs) / calls : 0.0,
-        calls > 0 ? static_cast<double>(t.stats.alloc_bytes) / calls : 0.0,
-        calls > 0 ? static_cast<double>(t.stats.cpu_ns) / calls / 1e3 : 0.0);
-  }
-  // Zone calls and allocation counts are sim-deterministic for the pinned
-  // seed; cpu_us_per_call is host-dependent and informational.
-  const std::string json = StrFormat(
-      "{\n  \"bench\": \"prof\",\n  \"ops_completed\": %llu,\n"
-      "  \"zones\": {\n%s\n  }\n}\n",
-      static_cast<unsigned long long>(run.ops_completed), body.c_str());
-  *json_out = json;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("budget numbers -> %s\n", path.c_str());
-  return missing == 0 ? 0 : 1;
-}
-
-// Finds `"key": ` after `"zone": {` in the baseline text.
-bool FindZoneNumber(const std::string& text, const std::string& zone,
-                    const char* key, double* out) {
-  const size_t zpos = text.find("\"" + zone + "\": {");
-  if (zpos == std::string::npos) return false;
-  const std::string needle = std::string("\"") + key + "\": ";
-  const size_t pos = text.find(needle, zpos);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int CheckBudgets(const ProfileRun& run) {
-  const char* path = std::getenv("REPRO_PROF_BASELINE");
-  if (path == nullptr || path[0] == '\0') {
-    std::printf("budget gate: REPRO_PROF_BASELINE unset, skipping\n");
-    return 0;
-  }
-  FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot read baseline %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  int violations = 0;
+void CheckBudgets(const ProfileRun& run, Report& out) {
+  out.Value("ops_completed", static_cast<double>(run.ops_completed));
+  const bool gate = out.has_baseline();
+  if (!gate) std::printf("budget gate: REPRO_BENCH_BASELINE unset, skipping\n");
   for (const char* zone : kTrackedZones) {
     const TrackedStats* cur = nullptr;
     for (const auto& t : run.tracked) {
-      if (t.zone == zone) cur = &t;
+      if (t.zone == zone && t.stats.calls > 0) cur = &t;
     }
-    if (cur == nullptr || cur->stats.calls == 0) {
-      std::printf("FAIL: tracked zone %s never ran in the profile window\n",
-                  zone);
-      ++violations;
+    // A tracked zone absent from the profile is a hard failure even with
+    // no baseline to gate against: it means the instrumentation was
+    // removed or the hot path stopped running, and silently writing a
+    // JSON without the zone would let the next baseline regenerate around
+    // the hole.
+    if (!out.Check(cur != nullptr,
+                   StrFormat("tracked zone %s ran in the profile window",
+                             zone))) {
       continue;
     }
-    double base_allocs = 0;
-    if (!FindZoneNumber(text, zone, "allocs_per_call", &base_allocs)) {
-      std::printf("FAIL: baseline %s missing zone %s\n", path, zone);
-      ++violations;
-      continue;
-    }
-    const double now_allocs = static_cast<double>(cur->stats.allocs) /
-                              static_cast<double>(cur->stats.calls);
+    // Zone calls and allocation counts are sim-deterministic for the
+    // pinned seed; cpu_us_per_call is host-dependent and informational.
+    const double calls = static_cast<double>(cur->stats.calls);
+    const double allocs = static_cast<double>(cur->stats.allocs) / calls;
+    const std::string key = "zones." + cur->zone + ".";
+    out.Value(key + "calls", calls);
+    out.Value(key + "allocs_per_call", allocs);
+    out.Value(key + "bytes_per_call",
+              static_cast<double>(cur->stats.alloc_bytes) / calls);
+    out.Value(key + "cpu_us_per_call",
+              static_cast<double>(cur->stats.cpu_ns) / calls / 1e3);
+    if (!gate) continue;
+    // NaN, so the check fails, when the baseline lacks the zone.
+    const double base = out.Baseline(key + "allocs_per_call").value_or(NAN);
     // >10% regression fails. A small absolute slack (+0.25 alloc/op)
     // keeps near-zero baselines from tripping on quantisation. Tightened
     // from 1.2x+0.5 once the flattening work drove the tracked budgets
     // to ~1 alloc/op: at these floors a whole extra allocation per op is
     // a real regression, not noise.
-    const double ceiling = base_allocs * 1.1 + 0.25;
-    const bool ok = now_allocs <= ceiling;
-    std::printf("  %-22s allocs/op %8.3f vs baseline %8.3f (ceiling %8.3f) %s\n",
-                zone, now_allocs, base_allocs, ceiling,
-                ok ? "ok" : "REGRESSED");
-    if (!ok) ++violations;
+    const double ceiling = base * 1.1 + 0.25;
+    std::printf("  %-22s allocs/op %8.3f vs baseline %8.3f (ceiling %8.3f)\n",
+                zone, allocs, base, ceiling);
+    out.Check(allocs <= ceiling,
+              StrFormat("%s allocs/op within 1.1x baseline + 0.25", zone));
   }
-  if (violations == 0) {
-    std::printf("budget gate: all tracked zones within 10%% of baseline\n");
-  }
-  return violations == 0 ? 0 : 1;
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  RejectArguments(argc, argv);
   PrintHeader("Hot-path profiler: zone CPU + allocation budgets",
               "observability tooling; no single paper figure");
-  const std::string out_dir = metrics::CsvDir();
-  int rc = 0;
-  const ProfileRun run = RunProfiledWorkload(out_dir);
-  rc |= CheckDeterminism();
-  std::string json;
-  rc |= WriteBenchJson(run, &json);
-  rc |= CheckBudgets(run);
-  std::printf("\nRESULT: %s\n",
-              rc == 0 ? "profiler holds every expectation"
-                      : "EXPECTATION VIOLATED");
-  return rc;
+  Report out("prof");
+  const ProfileRun run = RunProfiledWorkload(metrics::CsvDir());
+  out.Check(CheckDeterminism(),
+            "pinned chaos episode byte-identical with profiler on vs off");
+  CheckBudgets(run, out);
+  return out.Finish();
 }
 
 }  // namespace
 }  // namespace repro::bench
 
-int main() { return repro::bench::Main(); }
+int main(int argc, char** argv) { return repro::bench::Main(argc, argv); }

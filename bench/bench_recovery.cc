@@ -31,15 +31,17 @@
 //      interval. The per-recovery timeline goes to recovery_timeline.csv
 //      — the CI recovery-smoke artifact.
 //
-// The headline numbers land in BENCH_recovery.json (REPRO_BENCH_JSON
-// overrides the path) — sim-time quantities only, byte-identical across
-// runs, except the "host" section (peak RSS + allocation totals from
-// bench_host.h) which is machine-dependent and informational. REPRO_RECOVERY_SEEDS=n overrides the soak seed count;
-// REPRO_FULL=1 runs the 40-seed version. Non-zero exit on any violated
-// expectation.
+// The headline numbers land in $REPRO_CSV_DIR/BENCH_recovery.json (the
+// layout is bench_report.h's) — sim-time quantities only, byte-identical
+// across runs, except host.* (peak RSS + allocation totals), which is
+// machine-dependent and informational. The soak runs 12 seeds, 40 under
+// REPRO_FULL=1; REPRO_SEEDS=n overrides. With
+// REPRO_BENCH_BASELINE set to the committed file, the seed-independent
+// sections (recovery_time_vs_entries.*, loss_window.*,
+// catchup_availability.*) must equal it bit for bit. Non-zero exit on any
+// violated expectation.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,7 +49,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_host.h"
 #include "prof/profiler.h"
 #include "chaos/harness.h"
 #include "metrics/timeseries.h"
@@ -57,24 +58,6 @@
 
 namespace repro::bench {
 namespace {
-
-int SoakSeeds() {
-  if (const char* env = std::getenv("REPRO_RECOVERY_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return FullScale() ? 40 : 12;
-}
-
-// JSON fragments assembled by the parts and written by Main. Every value
-// is sim-time-derived, so the file is byte-identical across runs.
-struct BenchJsonBits {
-  std::string scaling;  // array body
-  std::string loss;     // object body
-  std::string catchup;  // object body
-  std::string soak;     // object body
-};
-BenchJsonBits g_json;
 
 // Bare NDB cluster + API node for the journal-level parts.
 struct MicroCluster {
@@ -169,21 +152,21 @@ const ndb::NdbCluster::RecoveryStats* CrashAndRecover(MicroCluster& mc) {
   return &mc.cluster->recovery_log().back();
 }
 
-int PinnedEpisode() {
+void PinnedEpisode(Report& out) {
   std::printf("--- pinned crash -> replay -> verify episode ---\n");
   MicroCluster mc;
   for (int i = 0; i < 120; ++i) {
     if (!mc.InsertCommit(StrFormat("%d/f", i), std::string(160, 'a'))) {
-      std::printf("FAIL: commit %d rejected\n", i);
-      return 1;
+      out.Check(false, StrFormat("pinned episode: commit %d accepted", i));
+      return;
     }
   }
   mc.sim->RunFor(kSecond);  // flush + checkpoint at the default cadence
   const uint64_t before = mc.cluster->datanode(0).DigestStore();
   const auto* rec = CrashAndRecover(mc);
-  if (rec == nullptr || rec->aborted) {
-    std::printf("FAIL: recovery did not complete\n");
-    return 1;
+  if (!out.Check(rec != nullptr && !rec->aborted,
+                 "pinned episode: recovery completes")) {
+    return;
   }
   const uint64_t after = mc.cluster->datanode(0).DigestStore();
   std::printf(
@@ -206,13 +189,13 @@ int PinnedEpisode() {
               rec->replay_deterministic ? "ok" : "VIOLATED",
               rec->replay_covered ? "ok" : "VIOLATED",
               after == before ? "byte-identical" : "DIVERGED");
-  return (rec->replay_deterministic && rec->replay_covered &&
-          after == before)
-             ? 0
-             : 1;
+  out.Check(rec->replay_deterministic && rec->replay_covered &&
+                after == before,
+            "pinned episode: deterministic replay of the durable prefix "
+            "restores a byte-identical row image");
 }
 
-int ScalingCurve() {
+void ScalingCurve(Report& out) {
   std::printf("\n--- recovery time vs log size (no LCP) ---\n");
   const int kCommits[] = {50, 100, 200, 400};
   std::vector<double> col_commits, col_entries, col_log_bytes, col_replay_ms,
@@ -223,15 +206,16 @@ int ScalingCurve() {
     MicroCluster mc(node);
     for (int i = 0; i < commits; ++i) {
       if (!mc.InsertCommit(StrFormat("%d/f", i), std::string(160, 'b'))) {
-        std::printf("FAIL: commit rejected\n");
-        return 1;
+        out.Check(false, StrFormat("scaling: commit %d accepted", i));
+        return;
       }
     }
     mc.sim->RunFor(kSecond);
     const auto* rec = CrashAndRecover(mc);
     if (rec == nullptr || rec->aborted) {
-      std::printf("FAIL: recovery did not complete at %d commits\n", commits);
-      return 1;
+      out.Check(false, StrFormat("scaling: recovery at %d commits completes",
+                                 commits));
+      return;
     }
     const double replay_ms = (rec->replay_done - rec->started) / 1e6;
     const double total_ms = (rec->serving_at - rec->started) / 1e6;
@@ -245,12 +229,11 @@ int ScalingCurve() {
     col_log_bytes.push_back(static_cast<double>(rec->replay_log_bytes));
     col_replay_ms.push_back(replay_ms);
     col_total_ms.push_back(total_ms);
-    if (!g_json.scaling.empty()) g_json.scaling += ", ";
-    g_json.scaling += StrFormat(
-        "{\"commits\": %d, \"replay_entries\": %lld, \"replay_ms\": %.3f, "
-        "\"total_ms\": %.3f}",
-        commits, static_cast<long long>(rec->replay_entries), replay_ms,
-        total_ms);
+    const std::string key = StrFormat("recovery_time_vs_entries.%d.", commits);
+    out.Value(key + "replay_entries",
+              static_cast<double>(rec->replay_entries));
+    out.Value(key + "replay_ms", replay_ms);
+    out.Value(key + "total_ms", total_ms);
   }
   metrics::WriteCsv(metrics::CsvDir() + "/recovery_scaling.csv",
                     {{"commits", col_commits},
@@ -274,10 +257,10 @@ int ScalingCurve() {
   std::printf("  linear fit through endpoints: max interior residual %.1f%% "
               "(must be < 20%%)\n",
               100 * worst);
-  return worst < 0.2 ? 0 : 1;
+  out.Check(worst < 0.2, "scaling: recovery time is linear in the log size");
 }
 
-int LossWindow() {
+void LossWindow(Report& out) {
   std::printf("\n--- durability loss window (cluster crash after a commit "
               "burst) ---\n");
   MicroCluster mc;
@@ -285,8 +268,8 @@ int LossWindow() {
   for (int i = 0; i < 200; ++i) {
     ndb::TxnId txn = 0;
     if (!mc.UpsertCommit(StrFormat("%d/f", i), std::string(160, 'c'), &txn)) {
-      std::printf("FAIL: commit %d rejected\n", i);
-      return 1;
+      out.Check(false, StrFormat("loss window: commit %d accepted", i));
+      return;
     }
     acked.emplace_back(txn, mc.sim->now());
     // Pace the burst across several GCP epochs so the head of it is
@@ -318,17 +301,17 @@ int LossWindow() {
       static_cast<long long>(report.dropped_commits), acked.size(), loss_ms,
       bound_ms, static_cast<long long>(old_lost),
       report.replay_deterministic ? "ok" : "VIOLATED");
-  g_json.loss = StrFormat(
-      "{\"acked_commits\": %zu, \"dropped_commits\": %lld, "
-      "\"loss_window_ms\": %.3f, \"bound_ms\": %.0f}",
-      acked.size(), static_cast<long long>(report.dropped_commits), loss_ms,
-      bound_ms);
-  return (loss_ms <= bound_ms && old_lost == 0 && report.replay_deterministic)
-             ? 0
-             : 1;
+  out.Value("loss_window.acked_commits", static_cast<double>(acked.size()));
+  out.Value("loss_window.dropped_commits",
+            static_cast<double>(report.dropped_commits));
+  out.Value("loss_window.loss_window_ms", loss_ms);
+  out.Value("loss_window.bound_ms", bound_ms);
+  out.Check(loss_ms <= bound_ms && old_lost == 0 &&
+                report.replay_deterministic,
+            "loss window: bounded, nothing older lost, replay deterministic");
 }
 
-int CatchupAvailability() {
+void CatchupAvailability(Report& out) {
   std::printf("\n--- streaming catch-up: reads served mid-resync ---\n");
   ndb::NdbNodeConfig node;
   node.lcp_interval = 1000 * kSecond;  // big replay + big adopted image
@@ -338,8 +321,8 @@ int CatchupAvailability() {
   for (int i = 0; i < 400; ++i) {
     const std::string key = StrFormat("%d/f", i);
     if (!mc.InsertCommit(key, std::string(2048, 'd'))) {
-      std::printf("FAIL: load commit rejected\n");
-      return 1;
+      out.Check(false, "catch-up: load commit " + key + " accepted");
+      return;
     }
     for (ndb::NodeId r :
          layout.ReplicaChain(layout.PartitionOf(mc.table, key))) {
@@ -357,8 +340,8 @@ int CatchupAvailability() {
   // Writes while the node is down give every partition real resync work.
   for (size_t i = 0; i < mine.size(); i += 3) {
     if (!mc.UpsertCommit(mine[i], std::string(2048, 'e'))) {
-      std::printf("FAIL: delta commit rejected\n");
-      return 1;
+      out.Check(false, "catch-up: delta commit " + mine[i] + " accepted");
+      return;
     }
   }
   bool served = false;
@@ -381,9 +364,9 @@ int CatchupAvailability() {
   });
   mc.Drive(served);
   timer.Cancel();
-  if (!served || mc.cluster->recovery_log().empty()) {
-    std::printf("FAIL: rejoin did not complete\n");
-    return 1;
+  if (!out.Check(served && !mc.cluster->recovery_log().empty(),
+                 "catch-up: rejoin completes")) {
+    return;
   }
   const auto& rec = mc.cluster->recovery_log().back();
   const double recovery_ms = (rec.serving_at - rec.started) / 1e6;
@@ -393,18 +376,18 @@ int CatchupAvailability() {
       "node mid-resync: %lld (must be > 0)\n",
       rec.streamed_parts, recovery_ms, static_cast<long long>(reads_ok),
       static_cast<long long>(rec.catchup_reads));
-  g_json.catchup = StrFormat(
-      "{\"streamed_parts\": %d, \"reads_during_rejoin\": %lld, "
-      "\"catchup_reads\": %lld, \"rejoin_ms\": %.3f}",
-      rec.streamed_parts, static_cast<long long>(reads_ok),
-      static_cast<long long>(rec.catchup_reads), recovery_ms);
-  return (!rec.aborted && rec.streamed_parts > 0 && rec.catchup_reads > 0)
-             ? 0
-             : 1;
+  out.Value("catchup_availability.streamed_parts", rec.streamed_parts);
+  out.Value("catchup_availability.reads_during_rejoin",
+            static_cast<double>(reads_ok));
+  out.Value("catchup_availability.catchup_reads",
+            static_cast<double>(rec.catchup_reads));
+  out.Value("catchup_availability.rejoin_ms", recovery_ms);
+  out.Check(!rec.aborted && rec.streamed_parts > 0 && rec.catchup_reads > 0,
+            "catch-up: the rejoining node serves reads mid-resync");
 }
 
-int RestartSoak() {
-  const int seeds = SoakSeeds();
+void RestartSoak(Report& out) {
+  const int seeds = SeedCount(12);
   std::printf("\n--- restart-fault soak: %d seeds, crash/restart + "
               "recovery storms ---\n\n",
               seeds);
@@ -430,14 +413,15 @@ int RestartSoak() {
     // the redo-backlog invariant) while restarts storm around it.
     opts.faults.enable_log_disk_slow = true;
     chaos::ChaosReport report = chaos::RunChaosSchedule(opts);
+    int64_t served = 0;
+    for (const auto& rec : report.recoveries) {
+      if (rec.serving_at >= 0) ++served;
+    }
+    total_served += served;
     if (!report.invariants_ok()) {
       ++violations;
       std::printf("%s\n", report.Scorecard().c_str());
     } else {
-      int64_t served = 0;
-      for (const auto& rec : report.recoveries) {
-        if (rec.serving_at >= 0) ++served;
-      }
       std::printf("seed %llu: ok — %zu recover(ies), %lld served, "
                   "%lld acked writes, zero lost\n",
                   static_cast<unsigned long long>(opts.seed),
@@ -460,9 +444,6 @@ int RestartSoak() {
       col_catchup.push_back(static_cast<double>(rec.catchup_reads));
     }
     total_recoveries += static_cast<int64_t>(report.recoveries.size());
-    for (const auto& rec : report.recoveries) {
-      if (rec.serving_at >= 0) ++total_served;
-    }
     total_evicted += report.recoveries_dropped;
   }
   metrics::WriteCsv(metrics::CsvDir() + "/recovery_timeline.csv",
@@ -480,65 +461,43 @@ int RestartSoak() {
   std::printf("\nrecovery timeline: %zu recoveries -> %s/recovery_timeline"
               ".csv\n",
               col_seed.size(), metrics::CsvDir().c_str());
-  g_json.soak = StrFormat(
-      "{\"seeds\": %d, \"recoveries\": %lld, \"served\": %lld, "
-      "\"ring_evictions\": %lld, \"invariant_violations\": %d}",
-      seeds, static_cast<long long>(total_recoveries),
-      static_cast<long long>(total_served),
-      static_cast<long long>(total_evicted), violations);
-  return violations == 0 ? 0 : 1;
+  out.Check(violations == 0, "restart soak: every seed holds every invariant");
+  out.Value("restart_soak.seeds", seeds);
+  out.Value("restart_soak.recoveries", static_cast<double>(total_recoveries));
+  out.Value("restart_soak.served", static_cast<double>(total_served));
+  out.Value("restart_soak.ring_evictions", static_cast<double>(total_evicted));
+  out.Value("restart_soak.invariant_violations", violations);
 }
 
-// BENCH_recovery.json: the headline recovery numbers for the CI artifact
-// and the committed repo-root copy. Path from REPRO_BENCH_JSON, default
-// the working directory.
-int WriteBenchJson() {
-  std::string path = "BENCH_recovery.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"recovery\",\n"
-               "  \"recovery_time_vs_entries\": [%s],\n"
-               "  \"loss_window\": %s,\n"
-               "  \"catchup_availability\": %s,\n"
-               "  \"restart_soak\": %s,\n"
-               "  \"host\": {\"peak_rss_mb\": %.1f, \"total_allocs\": %llu,\n"
-               "           \"total_alloc_mb\": %.1f}\n"
-               "}\n",
-               g_json.scaling.c_str(), g_json.loss.c_str(),
-               g_json.catchup.c_str(), g_json.soak.c_str(), PeakRssMb(),
-               static_cast<unsigned long long>(AllocsNow().count),
-               static_cast<double>(AllocsNow().bytes) / (1024.0 * 1024.0));
-  std::fclose(f);
-  std::printf("headline numbers -> %s\n", path.c_str());
-  return 0;
-}
-
-int Main() {
+int Main(int argc, char** argv) {
+  RejectArguments(argc, argv);
   PrintHeader("NDB crash recovery: redo replay, checkpoints, restart soak",
               "robustness harness; no single paper figure");
-  // Count heap traffic for the "host" JSON section. Host-side only: the
+  // Count heap traffic for the host.* values. Host-side only: the
   // sim-time numbers stay byte-identical with counting on or off.
   prof::SetAllocCounting(true);
-  int rc = 0;
-  rc |= PinnedEpisode();
-  rc |= ScalingCurve();
-  rc |= LossWindow();
-  rc |= CatchupAvailability();
-  rc |= RestartSoak();
-  rc |= WriteBenchJson();
-  std::printf("\nRESULT: %s\n",
-              rc == 0 ? "recovery pipeline holds every expectation"
-                      : "EXPECTATION VIOLATED");
-  return rc;
+  Report out("recovery");
+  PinnedEpisode(out);
+  ScalingCurve(out);
+  LossWindow(out);
+  CatchupAvailability(out);
+  RestartSoak(out);
+  out.Value("host.peak_rss_mb", PeakRssMb());
+  const prof::AllocTotals allocs = prof::TotalAllocs();
+  out.Value("host.total_allocs", static_cast<double>(allocs.count));
+  out.Value("host.total_alloc_mb",
+            static_cast<double>(allocs.bytes) / (1024.0 * 1024.0));
+  if (out.has_baseline()) {
+    for (const char* section : {"recovery_time_vs_entries.", "loss_window.",
+                                "catchup_availability."}) {
+      out.Check(out.MatchesBaseline(section),
+                StrFormat("%s* equal the baseline", section));
+    }
+  }
+  return out.Finish();
 }
 
 }  // namespace
 }  // namespace repro::bench
 
-int main() { return repro::bench::Main(); }
+int main(int argc, char** argv) { return repro::bench::Main(argc, argv); }

@@ -10,7 +10,7 @@
 //   * million_client — 1,000,000 open-loop clients issuing ops with
 //     exponential think time while 10,000 hosts heartbeat at 100 ms, 10
 //     simulated seconds (~7M events). Wheel engine only; reports
-//     events/sec, wall time and peak RSS. This is the planet-scale
+//     events/sec, CPU seconds and peak RSS. This is the planet-scale
 //     headline ROADMAP item 1 gates on.
 //
 // Regression gate (CI `sim-perf-smoke`): with REPRO_BENCH_BASELINE set to
@@ -20,17 +20,12 @@
 // (measured_legacy / baseline_legacy) — so a slow CI runner doesn't
 // false-positive and a real scheduler regression can't hide behind one.
 //
-// REPRO_BENCH_JSON overrides the output path (default working directory).
-#include <sys/resource.h>
-
-#include <chrono>
+// The numbers land in $REPRO_CSV_DIR/BENCH_sim_engine.json (layout:
+// bench_report.h).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench_host.h"
+#include "bench_report.h"
 #include "sim/engine.h"
 #include "sim/legacy_engine.h"
 #include "util/rng.h"
@@ -39,13 +34,7 @@
 namespace repro::bench {
 namespace {
 
-double WallSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Engine rates are computed from CPU seconds (bench_host.h), not wall
+// Engine rates are computed from CPU seconds (bench_report.h), not wall
 // seconds: shared CI runners steal the single vCPU for whole scheduling
 // quanta, and wall-clock rates swing 2x run-to-run under that noise while
 // CPU-second rates hold steady. For a single-threaded bench the two agree
@@ -115,9 +104,8 @@ HeartbeatResult RunHeartbeats(int hosts, Nanos sim_horizon) {
 
 struct MillionResult {
   uint64_t events = 0;
-  double wall_sec = 0;
+  double cpu_sec = 0;
   double eps = 0;
-  double peak_rss_mb = 0;
 };
 
 // Each client is an open-loop arrival chain: issue an op (which completes
@@ -160,14 +148,13 @@ MillionResult RunMillionClients(int clients, int hosts, Nanos sim_horizon) {
         static_cast<uint64_t>(think_mean_ns))));
   }
 
-  const double t0 = WallSeconds();
+  const double c0 = CpuSeconds();
   sim.RunUntil(sim_horizon);
-  const double t1 = WallSeconds();
+  const double c1 = CpuSeconds();
   MillionResult r;
   r.events = sim.events_processed();
-  r.wall_sec = t1 - t0;
-  r.eps = static_cast<double>(r.events) / r.wall_sec;
-  r.peak_rss_mb = PeakRssMb();
+  r.cpu_sec = c1 - c0;
+  r.eps = static_cast<double>(r.events) / r.cpu_sec;
   std::printf("  (ops=%llu heartbeats=%llu)\n",
               static_cast<unsigned long long>(ops),
               static_cast<unsigned long long>(beats));
@@ -176,94 +163,38 @@ MillionResult RunMillionClients(int clients, int hosts, Nanos sim_horizon) {
 
 // ---- Baseline comparison ---------------------------------------------------
 
-// Minimal extraction of "key": <number> from a JSON file we wrote
-// ourselves; no general parser needed.
-bool FindJsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int CheckBaseline(double wheel_eps, double legacy_eps) {
-  const char* path = std::getenv("REPRO_BENCH_BASELINE");
-  if (path == nullptr || path[0] == '\0') {
+void CheckBaseline(double wheel_eps, double legacy_eps, Report& out) {
+  if (!out.has_baseline()) {
     std::printf("baseline gate: REPRO_BENCH_BASELINE unset, skipping\n");
-    return 0;
+    return;
   }
-  FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot read baseline %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  double base_wheel = 0, base_legacy = 0;
-  if (!FindJsonNumber(text, "wheel_eps", &base_wheel) ||
-      !FindJsonNumber(text, "legacy_eps", &base_legacy)) {
-    std::printf("FAIL: baseline %s missing wheel_eps/legacy_eps\n", path);
-    return 1;
+  const auto base_wheel = out.Baseline("heartbeat_10k.wheel_eps");
+  const auto base_legacy = out.Baseline("heartbeat_10k.legacy_eps");
+  if (!out.Check(base_wheel && base_legacy,
+                 "baseline has heartbeat_10k wheel_eps and legacy_eps")) {
+    return;
   }
   // Normalise for machine speed: this runner is (legacy_eps/base_legacy)x
   // as fast as the one that produced the baseline, so expect the wheel to
   // scale the same way. >20% below that is a genuine scheduler regression.
-  const double machine = legacy_eps / base_legacy;
-  const double expected = base_wheel * machine;
-  const double floor = 0.8 * expected;
+  const double machine = legacy_eps / *base_legacy;
+  const double floor = 0.8 * *base_wheel * machine;
   std::printf(
       "baseline gate: wheel %.2fM eps vs floor %.2fM eps "
       "(baseline %.2fM, machine factor %.2fx)\n",
-      wheel_eps / 1e6, floor / 1e6, base_wheel / 1e6, machine);
-  if (wheel_eps < floor) {
-    std::printf("FAIL: events/sec regressed >20%% vs committed baseline\n");
-    return 1;
-  }
-  std::printf("  [pass] within 20%% of committed baseline\n");
-  return 0;
+      wheel_eps / 1e6, floor / 1e6, *base_wheel / 1e6, machine);
+  out.Check(wheel_eps >= floor,
+            "wheel events/sec within 20% of the machine-normalised baseline");
 }
 
-int WriteBenchJson(int hosts, const HeartbeatResult& wheel,
-                   const HeartbeatResult& legacy, double speedup, int clients,
-                   const MillionResult& million) {
-  std::string path = "BENCH_sim_engine.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"sim_engine\",\n"
-      "  \"heartbeat_10k\": {\"hosts\": %d, \"sim_seconds\": 60, "
-      "\"events\": %llu, \"wheel_eps\": %.0f, \"legacy_eps\": %.0f, "
-      "\"speedup\": %.2f},\n"
-      "  \"million_client\": {\"clients\": %d, \"hosts\": 10000, "
-      "\"sim_seconds\": 10, \"events\": %llu, \"eps\": %.0f, "
-      "\"wall_sec\": %.2f, \"peak_rss_mb\": %.1f}\n"
-      "}\n",
-      hosts, static_cast<unsigned long long>(wheel.events), wheel.eps,
-      legacy.eps, speedup, clients,
-      static_cast<unsigned long long>(million.events), million.eps,
-      million.wall_sec, million.peak_rss_mb);
-  std::fclose(f);
-  std::printf("headline numbers -> %s\n", path.c_str());
-  return 0;
-}
-
-int Main() {
+int Main(int argc, char** argv) {
+  RejectArguments(argc, argv);
   std::printf(
       "==============================================================\n"
       " DES core: timer wheel + event pool vs pre-wheel binary heap\n"
       " (ROADMAP item 1 / ISSUE 8 acceptance)\n"
       "==============================================================\n\n");
-  int rc = 0;
+  Report out("sim_engine");
 
   const int kHosts = 10000;
   const Nanos kHorizon = Seconds(60);
@@ -272,7 +203,7 @@ int Main() {
               kHosts, kReps);
   // Run the million-client scenario last so peak RSS is attributed to it;
   // the heartbeat runs are small (10k timers). Interleave the engines and
-  // keep each one's best repetition: the minimum wall time is the least
+  // keep each one's best repetition: the minimum CPU time is the least
   // noise-contaminated estimate of what the machine can do, which keeps
   // the speedup ratio stable on shared CI runners.
   HeartbeatResult legacy, wheel;
@@ -290,20 +221,15 @@ int Main() {
       "  timer wheel : %8llu events in %6.2f cpu-s = %6.2fM events/sec\n",
       static_cast<unsigned long long>(wheel.events), wheel.cpu_sec,
       wheel.eps / 1e6);
-  if (wheel.events != legacy.events) {
-    std::printf("FAIL: engines disagree on event count (%llu vs %llu)\n",
-                static_cast<unsigned long long>(wheel.events),
-                static_cast<unsigned long long>(legacy.events));
-    rc = 1;
-  }
+  out.Check(wheel.events == legacy.events,
+            "both engines process the same event count");
   const double speedup = wheel.eps / legacy.eps;
   std::printf("  speedup     : %.2fx\n", speedup);
-  if (speedup < 5.0) {
-    std::printf("FAIL: acceptance requires >= 5x over the pre-wheel engine\n");
-    rc = 1;
-  } else {
-    std::printf("  [pass] >= 5x events/sec over the pre-wheel engine\n");
-  }
+  out.Check(speedup >= 5.0, ">= 5x events/sec over the pre-wheel engine");
+  out.Value("heartbeat_10k.events", static_cast<double>(wheel.events));
+  out.Value("heartbeat_10k.wheel_eps", wheel.eps);
+  out.Value("heartbeat_10k.legacy_eps", legacy.eps);
+  out.Value("heartbeat_10k.speedup", speedup);
 
   const int kClients = 1000000;
   std::printf("\nmillion_client: %d open-loop clients + 10000 hosts "
@@ -311,19 +237,20 @@ int Main() {
   const MillionResult million =
       RunMillionClients(kClients, 10000, Seconds(10));
   std::printf(
-      "  timer wheel : %8llu events in %6.2fs = %6.2fM events/sec, "
+      "  timer wheel : %8llu events in %6.2f cpu-s = %6.2fM events/sec, "
       "peak RSS %.0f MB\n",
-      static_cast<unsigned long long>(million.events), million.wall_sec,
-      million.eps / 1e6, million.peak_rss_mb);
+      static_cast<unsigned long long>(million.events), million.cpu_sec,
+      million.eps / 1e6, PeakRssMb());
+  out.Value("million_client.events", static_cast<double>(million.events));
+  out.Value("million_client.eps", million.eps);
+  out.Value("million_client.cpu_sec", million.cpu_sec);
+  out.Value("million_client.peak_rss_mb", PeakRssMb());
 
-  rc |= CheckBaseline(wheel.eps, legacy.eps);
-  rc |= WriteBenchJson(kHosts, wheel, legacy, speedup, kClients, million);
-  std::printf("\nRESULT: %s\n", rc == 0 ? "scheduler core holds every bar"
-                                        : "EXPECTATION VIOLATED");
-  return rc;
+  CheckBaseline(wheel.eps, legacy.eps, out);
+  return out.Finish();
 }
 
 }  // namespace
 }  // namespace repro::bench
 
-int main() { return repro::bench::Main(); }
+int main(int argc, char** argv) { return repro::bench::Main(argc, argv); }

@@ -9,16 +9,17 @@
 //     is dark and healthy again at the end;
 //   - the grey-slow NDB node is flagged degraded by its per-op service
 //     time (peer-relative) while its slowdown is active, and recovers;
-//   - a fault-free soak (40 seeds; --quick trims it) raises ZERO alerts
-//     and rolls every host up healthy — the false-positive budget is 0;
+//   - a fault-free soak (6 seeds, 40 under REPRO_FULL=1, REPRO_SEEDS=n
+//     overrides) raises ZERO alerts and rolls every host up healthy —
+//     the false-positive budget is 0;
 //   - the simulation is byte-identical with telemetry on vs off, and the
 //     alert timeline is byte-identical across same-seed replays.
 //
-// Artifacts (CI uploads these): bench_out/telemetry_episode.{json,prom,csv}
-// — the pinned episode's scrape archive, Prometheus exposition and
-// per-scrape CSV grid.
+// Artifacts (CI uploads these): $REPRO_CSV_DIR/telemetry_episode.{json,
+// prom,csv} — the pinned episode's scrape archive, Prometheus exposition
+// and per-scrape CSV grid — plus telemetry_soak.csv and
+// BENCH_telemetry.json (layout: bench_report.h).
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 #include "chaos/harness.h"
@@ -80,18 +81,10 @@ const std::vector<telemetry::RingSeries::Point>* FindSeries(
 }
 
 int Main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  RejectArguments(argc, argv);
   PrintHeader("Cluster telemetry pipeline (scrapes, health, SLO burn rate)",
               "observability harness; no single paper figure");
-
-  int violations = 0;
-  auto expect = [&violations](bool ok, const char* what) {
-    std::printf("  [%s] %s\n", ok ? "pass" : "FAIL", what);
-    if (!ok) ++violations;
-  };
+  Report out("telemetry");
 
   // ---- Pinned episode ----
   std::printf("\npinned episode: AZ-2 outage 3-5s, surge 6-7.2s, "
@@ -104,7 +97,7 @@ int Main(int argc, char** argv) {
       chaos::RunChaosSchedule(opts, PinnedEpisode());
   std::printf("%s\n", report.Scorecard().c_str());
 
-  expect(report.invariants_ok(), "all invariants hold (incl. telemetry)");
+  out.Check(report.invariants_ok(), "all invariants hold (incl. telemetry)");
 
   // Locate the outage in absolute sim time via the health series (the
   // schedule is armed at t0 = warm-up start, after ~3s of pre-run
@@ -121,8 +114,8 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  expect(outage_abs >= 0, "health.az{az=2} reached unavailable");
-  expect(restore_abs >= 0, "health.az{az=2} left unavailable after heal");
+  out.Check(outage_abs >= 0, "health.az{az=2} reached unavailable");
+  out.Check(restore_abs >= 0, "health.az{az=2} left unavailable after heal");
 
   // The surge later in the episode legitimately fires its own
   // availability alerts, so match the alert to the outage interval: the
@@ -138,14 +131,14 @@ int Main(int argc, char** argv) {
       outage_alert = &a;
     }
   }
-  expect(outage_alert != nullptr, "availability alert fired for the outage");
+  out.Check(outage_alert != nullptr, "availability alert fired for the outage");
   if (outage_alert != nullptr) {
-    expect(outage_alert->fired_at <= outage_abs + fast_window,
-           "alert fired within one fast window of the outage");
-    expect(!outage_alert->active(), "outage alert resolved");
+    out.Check(outage_alert->fired_at <= outage_abs + fast_window,
+              "alert fired within one fast window of the outage");
+    out.Check(!outage_alert->active(), "outage alert resolved");
     if (restore_abs >= 0 && !outage_alert->active()) {
-      expect(outage_alert->resolved_at <= restore_abs + fast_window,
-             "alert resolved within one fast window of the restore");
+      out.Check(outage_alert->resolved_at <= restore_abs + fast_window,
+                "alert resolved within one fast window of the restore");
     }
     std::printf("\n");
   }
@@ -157,19 +150,19 @@ int Main(int argc, char** argv) {
     char needle[64];
     std::snprintf(needle, sizeof(needle), "host=ndb-dn-%d", kGreyNode);
     const auto* grey = FindSeries(report, needle);
-    expect(grey != nullptr, "health series exists for the grey-slow node");
+    out.Check(grey != nullptr, "health series exists for the grey-slow node");
     if (grey != nullptr && !grey->empty()) {
-      expect(MaxIn(*grey, 0, grey->back().t) >= 1,
-             "grey-slow node was flagged while degraded");
-      expect(grey->back().v == 0, "grey-slow node healthy at end of run");
+      out.Check(MaxIn(*grey, 0, grey->back().t) >= 1,
+                "grey-slow node was flagged while degraded");
+      out.Check(grey->back().v == 0, "grey-slow node healthy at end of run");
     }
   }
 
   // The fault-set match is the telemetry-settle invariant; restate the
   // cluster-level outcome explicitly.
-  expect(report.final_health.cluster == telemetry::HealthState::kHealthy,
-         "cluster rolls up healthy after settle");
-  expect(report.scrapes > 200, "scraper sampled the whole episode");
+  out.Check(report.final_health.cluster == telemetry::HealthState::kHealthy,
+            "cluster rolls up healthy after settle");
+  out.Check(report.scrapes > 200, "scraper sampled the whole episode");
 
   // ---- Determinism: telemetry must not perturb the simulation ----
   {
@@ -178,10 +171,10 @@ int Main(int argc, char** argv) {
     off.telemetry = false;
     chaos::ChaosReport run_on = chaos::RunChaosSchedule(on, PinnedEpisode());
     chaos::ChaosReport run_off = chaos::RunChaosSchedule(off, PinnedEpisode());
-    expect(run_on.TraceString() == run_off.TraceString() &&
-               run_on.completed == run_off.completed &&
-               run_on.failed == run_off.failed,
-           "byte-identical event trace and results with telemetry on vs off");
+    out.Check(run_on.TraceString() == run_off.TraceString() &&
+                  run_on.completed == run_off.completed &&
+                  run_on.failed == run_off.failed,
+              "byte-identical trace and results with telemetry on vs off");
     chaos::ChaosReport replay = chaos::RunChaosSchedule(on, PinnedEpisode());
     bool alerts_match = replay.alerts.size() == run_on.alerts.size();
     for (size_t i = 0; alerts_match && i < replay.alerts.size(); ++i) {
@@ -189,11 +182,12 @@ int Main(int argc, char** argv) {
                      replay.alerts[i].resolved_at ==
                          run_on.alerts[i].resolved_at;
     }
-    expect(alerts_match, "alert timeline identical across same-seed replays");
+    out.Check(alerts_match,
+              "alert timeline identical across same-seed replays");
   }
 
   // ---- Fault-free soak: the false-positive budget is zero ----
-  const int soak_seeds = quick ? 6 : 40;
+  const int soak_seeds = SeedCount(6);
   std::printf("\nfault-free soak: %d seeds, telemetry on, empty schedule\n",
               soak_seeds);
   int soak_failures = 0;
@@ -222,8 +216,8 @@ int Main(int argc, char** argv) {
     col_alerts.push_back(static_cast<double>(r.alerts.size()));
     col_healthy.push_back(healthy ? 1 : 0);
   }
-  expect(soak_failures == 0, "zero alerts and all-healthy rollups across "
-                             "the fault-free soak");
+  out.Check(soak_failures == 0,
+            "zero alerts and all-healthy rollups across the fault-free soak");
 
   metrics::WriteCsv(metrics::CsvDir() + "/telemetry_soak.csv",
                     {{"seed", col_seed},
@@ -233,12 +227,10 @@ int Main(int argc, char** argv) {
               opts.telemetry_export_prefix.c_str(),
               metrics::CsvDir().c_str());
 
-  if (violations > 0) {
-    std::printf("\nRESULT: %d telemetry check(s) failed\n", violations);
-    return 1;
-  }
-  std::printf("\nRESULT: telemetry pipeline checks all passed\n");
-  return 0;
+  out.Value("episode.scrapes", static_cast<double>(report.scrapes));
+  out.Value("episode.alerts", static_cast<double>(report.alerts.size()));
+  out.Value("soak.seeds", soak_seeds);
+  return out.Finish();
 }
 
 }  // namespace

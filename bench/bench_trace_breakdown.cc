@@ -14,12 +14,12 @@
 //     topology's one-way inter-AZ latency, and inter-AZ hops are slower
 //     than intra-AZ hops on average.
 //
-// `--quick` shrinks the run for the CI trace-smoke job. Artifact: a
-// sampled Chrome-trace (chrome://tracing / Perfetto) JSON at
-// $REPRO_CSV_DIR/trace_breakdown.json.
+// Quick scale runs 3 NNs with 16 clients each; REPRO_FULL=1 runs 6 NNs at
+// the full-scale client defaults (bench_report.h has the contract).
+// Artifacts: a sampled Chrome-trace (chrome://tracing / Perfetto) JSON at
+// $REPRO_CSV_DIR/trace_breakdown.json, and BENCH_trace_breakdown.json.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,23 +27,27 @@
 #include "metrics/timeseries.h"
 #include "trace/chrome_trace.h"
 #include "trace/critical_path.h"
+#include "util/strings.h"
 
 namespace repro::bench {
 namespace {
 
-int Main(bool quick) {
+int Main(int argc, char** argv) {
+  RejectArguments(argc, argv);
   PrintHeader("Critical-path latency breakdown (HopsFS-CL, 3 AZs)",
               "Fig. 8/9 decomposition");
+  Report report("trace_breakdown");
+  const bool full = FullScale();
 
   trace::BreakdownAggregator agg;
   std::vector<trace::Trace> kept;  // first traces, exported as Chrome JSON
-  const size_t keep = quick ? 32 : 64;
+  const size_t keep = full ? 64 : 32;
 
   RunConfig cfg;
   cfg.setup = hopsfs::PaperSetup::kHopsFsCl_3_3;
-  cfg.num_namenodes = quick ? 3 : 6;
+  cfg.num_namenodes = full ? 6 : 3;
   cfg.seed = 42;  // pinned: the acceptance numbers reference this run
-  if (quick) {
+  if (!full) {
     cfg.clients_per_nn = 16;
     cfg.warmup = 100 * kMillisecond;
     cfg.measure = 400 * kMillisecond;
@@ -61,10 +65,11 @@ int Main(bool quick) {
   std::printf("\nworkload: %.0f ops/s, mean %.2f ms, %lld traces\n",
               out.results.ops_per_sec(), out.results.all.MeanMillis(),
               static_cast<long long>(agg.traces()));
+  report.Value("workload.ops_per_s", out.results.ops_per_sec());
+  report.Value("workload.mean_ms", out.results.all.MeanMillis());
+  report.Value("traces", static_cast<double>(agg.traces()));
 
   std::printf("\n%s\n", agg.Report().c_str());
-
-  int failures = 0;
 
   // Attribution invariant: per-trace critical-path segments partition the
   // root interval, so the totals must match (1% tolerance).
@@ -76,13 +81,16 @@ int Main(bool quick) {
               "(rel err %.4f%%) -> %s\n",
               attributed / 1e6, measured / 1e6, 100.0 * rel_err,
               rel_err <= 0.01 ? "OK" : "FAIL");
-  if (agg.traces() == 0 || rel_err > 0.01) ++failures;
+  report.Value("attribution.rel_err", rel_err);
+  report.Check(agg.traces() > 0 && rel_err <= 0.01,
+               "critical-path segments sum to the measured latency (1%)");
 
   // Table I consistency: inter-AZ hops are bounded below by the one-way
   // inter-AZ latency and sit above intra-AZ hops.
   const AzLatencyTable table = AzLatencyTable::UsWest1();
   double intra_mean_sum = 0, inter_mean_sum = 0;
   int intra_pairs = 0, inter_pairs = 0;
+  bool floors_ok = true;
   std::printf("\nAZ-pair network hops (mean ms; Table I one-way floor):\n");
   for (const auto& [pair, hist] : agg.az_pair_net()) {
     const auto [src, dst] = pair;
@@ -97,7 +105,8 @@ int Main(bool quick) {
     std::printf("  az%d -> az%d: %8.3f ms over %7lld hops (floor %.3f) %s\n",
                 src, dst, mean_ms, static_cast<long long>(hist.count()),
                 floor_ms, ok ? "" : "BELOW FLOOR");
-    if (inter && !ok) ++failures;
+    report.Value(StrFormat("net.az%d_az%d.mean_ms", src, dst), mean_ms);
+    floors_ok = floors_ok && (ok || !inter);
     if (inter) {
       inter_mean_sum += mean_ms;
       ++inter_pairs;
@@ -106,37 +115,23 @@ int Main(bool quick) {
       ++intra_pairs;
     }
   }
-  if (inter_pairs == 0) {
-    std::printf("  no inter-AZ hops observed -> FAIL\n");
-    ++failures;
-  } else if (intra_pairs > 0 &&
-             inter_mean_sum / inter_pairs <= intra_mean_sum / intra_pairs) {
-    std::printf("  inter-AZ hops not slower than intra-AZ -> FAIL\n");
-    ++failures;
-  }
+  report.Check(floors_ok, "every inter-AZ hop mean at or above its floor");
+  report.Check(inter_pairs > 0, "inter-AZ hops observed");
+  report.Check(inter_pairs == 0 || intra_pairs == 0 ||
+                   inter_mean_sum / inter_pairs > intra_mean_sum / intra_pairs,
+               "inter-AZ hops slower than intra-AZ hops on average");
 
   const std::string json_path =
       metrics::CsvDir() + "/trace_breakdown.json";
-  if (trace::WriteChromeTrace(json_path, kept)) {
+  if (report.Check(trace::WriteChromeTrace(json_path, kept),
+                   "sampled Chrome trace written")) {
     std::printf("\nwrote %zu sampled traces to %s\n", kept.size(),
                 json_path.c_str());
-  } else {
-    std::printf("\nFAILED to write %s\n", json_path.c_str());
-    ++failures;
   }
-
-  std::printf("\n%s\n", failures == 0 ? "ALL TRACE INVARIANTS HOLD"
-                                      : "TRACE INVARIANT FAILURES");
-  return failures == 0 ? 0 : 1;
+  return report.Finish();
 }
 
 }  // namespace
 }  // namespace repro::bench
 
-int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  return repro::bench::Main(quick);
-}
+int main(int argc, char** argv) { return repro::bench::Main(argc, argv); }
