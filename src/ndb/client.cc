@@ -35,9 +35,7 @@ NodeId NdbApiNode::PickTc(const TableDef* td, TableId table,
   }
   // Case 2 (fully replicated: every node holds the data) and case 4 (no
   // hint): all datanodes ordered by proximity.
-  std::vector<NodeId> all(layout.num_nodes());
-  for (int n = 0; n < layout.num_nodes(); ++n) all[n] = n;
-  return layout.PickByProximity(az_, all, az_aware, rr_++);
+  return layout.PickByProximity(az_, layout.all_nodes(), az_aware, rr_++);
 }
 
 TxnId NdbApiNode::Begin(TableId hint_table, std::string_view hint_key) {

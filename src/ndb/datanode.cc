@@ -228,15 +228,15 @@ void NdbDatanode::RunIo(Nanos cost, SmallFn fn) {
 
 void NdbDatanode::LogRedo(
     int64_t epoch, PartitionId part, TxnId txn, TableId table, const Key& key,
-    const std::optional<RowStore::AppliedWrite>& applied) {
+    std::optional<RowStore::AppliedWrite>&& applied) {
   if (!applied) return;
   // The epoch was assigned once, by the TC, at the commit decision —
   // every replica of the transaction logs the identical epoch, so a GCP
   // tick between two replicas' applies can no longer split a commit
   // across epochs.
   journal_.Append(epoch, txn, table, key, part,
-                  applied->type == WriteType::kDelete, applied->value,
-                  cluster_.sim().now());
+                  applied->type == WriteType::kDelete,
+                  std::move(applied->value), cluster_.sim().now());
   UpdateRedoStallAccounting();
 }
 
@@ -461,11 +461,9 @@ NodeId NdbDatanode::RouteCommittedRead(TableId table, PartitionId part,
   auto& layout = cluster_.layout();
   NodeId node;
   if (td.read_backup || td.fully_replicated) {
-    const std::vector<NodeId> chain = td.fully_replicated
-        ? layout.ReplicaChain(table, part)
-        : layout.ReplicaChain(part);
-    node = layout.PickByProximity(az(), chain, cluster_.flags().az_aware,
-                                  rr_counter_++, part);
+    node = layout.PickByProximity(az(), layout.ReplicaChain(table, part),
+                                  cluster_.flags().az_aware, rr_counter_++,
+                                  part);
   } else {
     // Classic NDB: committed reads are redirected to the primary because
     // backups lag until the Complete phase.
@@ -549,7 +547,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
     // flowing to it mid-resync — never as primary (its lock table holds
     // none of the locks the live primary granted, so it must not
     // serialise writers).
-    std::vector<NodeId> chain;
+    NodeChain chain;
     const auto& chain_conf = layout.ReplicaChain(req.table, part);
     for (NodeId n : chain_conf) {
       if (layout.alive(n)) chain.push_back(n);
@@ -579,7 +577,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
                           .insert_only = req.insert_only,
                           .must_exist = req.must_exist,
                           .value = std::move(req.value),
-                          .chain = std::move(chain), .span = s};
+                          .chain = chain, .span = s};
     SendToNode(first, bytes, SignalKind::kPrepare, std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
@@ -639,7 +637,7 @@ void NdbDatanode::TcPrepared(SignalRef sig) {
       AbortTxn(txn, t);
     } else {
       t.writes.push_back(TcTxn::WriteRow{req.table, std::move(req.key),
-                                         req.part, std::move(req.chain)});
+                                         req.part, req.chain});
     }
     SendToApi(api, cluster_.cost().msg_small,
               OpReply{txn, req.op_id, code, {}, {}}, span, std::move(sig));
@@ -657,14 +655,15 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
     const TxnId txn = probe.txn;
     const Code code = ack.code;
     const trace::SpanId span = probe.span;
+    // The ack's sender granted the lock. The partition's primary may have
+    // moved since (a rejoining node took the role back), so the unlock
+    // goes to the granting node, not to the current primary.
+    const NodeId granted_by = sig->src;
     auto it = txns_.find(txn);
     if (it == txns_.end()) {
+      // Grant raced with an abort: release the stray lock.
       if (code == Code::kOk) {
-        // Grant raced with an abort: release the stray lock.
-        const NodeId primary = cluster_.layout().PrimaryOf(probe.part);
-        if (primary != kNoNode) {
-          SendAbortRow(primary, txn, probe.table, probe.key, probe.part);
-        }
+        SendAbortRow(granted_by, txn, probe.table, probe.key, probe.part);
       }
       return;
     }
@@ -674,9 +673,8 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
     if (code == Code::kTimedOut) {
       AbortTxn(txn, t);
     } else if (code == Code::kOk) {
-      t.read_locks.push_back(TcTxn::HeldLock{
-          probe.table, probe.key, probe.part,
-          cluster_.layout().PrimaryOf(probe.part)});
+      t.read_locks.push_back(
+          TcTxn::HeldLock{probe.table, probe.key, probe.part, granted_by});
     }
     const int64_t bytes =
         cluster_.cost().msg_small +
@@ -770,7 +768,7 @@ void NdbDatanode::TcCommitted(TxnId txn) {
 // primary last — Fig. 2 messages 5..9).
 void NdbDatanode::SendCommitChain(TxnId txn, const TcTxn& t,
                                   const TcTxn::WriteRow& row,
-                                  std::vector<NodeId> chain) {
+                                  const NodeChain& chain) {
   CommitChainReq creq;
   creq.txn = txn;
   creq.tc = id_;
@@ -778,7 +776,7 @@ void NdbDatanode::SendCommitChain(TxnId txn, const TcTxn& t,
   creq.key = row.key;
   creq.part = row.part;
   creq.epoch = t.commit_epoch;
-  creq.chain = std::move(chain);
+  creq.chain = chain;
   creq.pos = static_cast<int>(creq.chain.size()) - 1;
   creq.span = t.commit_span;
   const NodeId last = creq.chain.back();
@@ -1007,12 +1005,12 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
     for (const auto& w : t.writes) {
       // The primary (chain head) always stays: it is layout-alive or the
       // failure detector's take-over path owns this txn's resolution.
-      std::vector<NodeId> chain;
+      NodeChain chain;
       chain.push_back(w.chain.front());
       for (size_t i = 1; i < w.chain.size(); ++i) {
         if (!gone(w.chain[i])) chain.push_back(w.chain[i]);
       }
-      SendCommitChain(txn, t, w, std::move(chain));
+      SendCommitChain(txn, t, w, chain);
     }
     return;
   }

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -269,7 +270,13 @@ class NdbDatanode {
   const ProtocolStats& protocol_stats() const { return proto_stats_; }
 
  private:
+  // Allocator-aware: its lists draw from the pool of the table that
+  // holds it (txn_pool_).
   struct TcTxn {
+    using allocator_type = std::pmr::polymorphic_allocator<>;
+    explicit TcTxn(const allocator_type& alloc)
+        : writes(alloc), inflight_parts(alloc), read_locks(alloc) {}
+
     ApiNodeId api = -1;
     bool delay_ack = false;
     bool committing = false;
@@ -279,22 +286,22 @@ class NdbDatanode {
       TableId table;
       Key key;
       PartitionId part;
-      std::vector<NodeId> chain;
+      NodeChain chain;
     };
-    std::vector<WriteRow> writes;
+    std::pmr::vector<WriteRow> writes;
     // Partitions with a prepare chain launched but not yet acknowledged.
     // `writes` is only recorded once the whole chain has prepared, so a
     // mid-chain transaction is invisible through it — the restart fence
     // (HasTxnTouchingPartition) must see these too or it can adopt a peer
     // partition that predates a write the chain is about to commit.
-    std::vector<PartitionId> inflight_parts;
+    std::pmr::vector<PartitionId> inflight_parts;
     struct HeldLock {
       TableId table;
       Key key;
       PartitionId part;
       NodeId node;
     };
-    std::vector<HeldLock> read_locks;
+    std::pmr::vector<HeldLock> read_locks;
     int pending_commits = 0;
     int pending_completes = 0;
     uint64_t commit_op_id = 0;
@@ -313,7 +320,7 @@ class NdbDatanode {
   void StageOrRetry(SignalRef sig, bool primary);
   // One sender per 2PC phase, shared by the normal path and the re-drive.
   void SendCommitChain(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& row,
-                       std::vector<NodeId> chain);
+                       const NodeChain& chain);
   void SendComplete(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& row,
                     size_t i);
   void SendAbortRow(NodeId n, TxnId txn, TableId table, const Key& key,
@@ -360,9 +367,9 @@ class NdbDatanode {
   RowStore store_;
   LockManager locks_;
 
+  // Journals a replica's applied write, moving its value into the record.
   void LogRedo(int64_t epoch, PartitionId part, TxnId txn, TableId table,
-               const Key& key,
-               const std::optional<RowStore::AppliedWrite>& applied);
+               const Key& key, std::optional<RowStore::AppliedWrite>&& applied);
   // Transitions the stall clock when the backlog crosses the limit;
   // called after every journal append and flush completion.
   void UpdateRedoStallAccounting();
@@ -379,7 +386,12 @@ class NdbDatanode {
   // utilisation in Fig. 11.
   ThreadPool& RecvStagePool();
 
-  std::unordered_map<TxnId, TcTxn> txns_;
+  // Coordinated transactions. Their nodes and lists are pooled, but the
+  // table keeps std::unordered_map's hashing and iteration order: abort,
+  // take-over and the inactivity sweep walk it, so that order is part of
+  // every pinned seed's behaviour.
+  std::pmr::unsynchronized_pool_resource txn_pool_;
+  std::pmr::unordered_map<TxnId, TcTxn> txns_{&txn_pool_};
   uint64_t rr_counter_ = 0;      // proximity tie-break round robin
   ProtocolStats proto_stats_;
   RedoJournal journal_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 namespace repro::ndb {
@@ -32,6 +34,13 @@ ClusterLayout::ClusterLayout(LayoutConfig config, const Catalog* catalog)
     : config_(std::move(config)), catalog_(catalog) {
   assert(config_.num_datanodes % config_.replication_factor == 0);
   assert(static_cast<int>(config_.node_az.size()) == config_.num_datanodes);
+  if (config_.num_datanodes > NodeChain::kCapacity) {
+    std::fprintf(stderr,
+                 "ClusterLayout: %d datanodes exceed the replica chain "
+                 "capacity of %d\n",
+                 config_.num_datanodes, NodeChain::kCapacity);
+    std::abort();
+  }
   num_groups_ = config_.num_datanodes / config_.replication_factor;
   num_partitions_ =
       num_groups_ * config_.num_ldm_threads * config_.partitions_per_ldm;
@@ -39,7 +48,10 @@ ClusterLayout::ClusterLayout(LayoutConfig config, const Catalog* catalog)
   catchup_.assign(config_.num_datanodes,
                   std::vector<bool>(num_partitions_, false));
 
+  all_nodes_.resize(config_.num_datanodes);
+  for (NodeId n = 0; n < config_.num_datanodes; ++n) all_nodes_[n] = n;
   replica_chain_.resize(num_partitions_);
+  full_chain_.resize(num_partitions_);
   ldm_thread_.resize(num_partitions_);
   const int R = config_.replication_factor;
   for (PartitionId p = 0; p < num_partitions_; ++p) {
@@ -51,6 +63,14 @@ ClusterLayout::ClusterLayout(LayoutConfig config, const Catalog* catalog)
     for (int i = 0; i < R; ++i) {
       const int slot = (rotation + i) % R;
       chain.push_back(g + slot * num_groups_);
+    }
+    // Copy fragments on every remaining node, appended in node order.
+    auto& full = full_chain_[p];
+    full = chain;
+    for (NodeId n : all_nodes_) {
+      if (std::find(chain.begin(), chain.end(), n) == chain.end()) {
+        full.push_back(n);
+      }
     }
     ldm_thread_[p] =
         static_cast<int>(Mix(static_cast<uint64_t>(p)) %
@@ -86,18 +106,10 @@ PartitionId ClusterLayout::PartitionOf(TableId table,
   return static_cast<PartitionId>(h % static_cast<uint64_t>(num_partitions_));
 }
 
-std::vector<NodeId> ClusterLayout::ReplicaChain(TableId table,
-                                                PartitionId p) const {
-  std::vector<NodeId> chain = replica_chain_[p];
-  if (catalog_->table(table).fully_replicated) {
-    // Copy fragments on every remaining node, appended in node order.
-    std::vector<bool> in_chain(config_.num_datanodes, false);
-    for (NodeId n : chain) in_chain[n] = true;
-    for (NodeId n = 0; n < config_.num_datanodes; ++n) {
-      if (!in_chain[n]) chain.push_back(n);
-    }
-  }
-  return chain;
+const std::vector<NodeId>& ClusterLayout::ReplicaChain(TableId table,
+                                                       PartitionId p) const {
+  return catalog_->table(table).fully_replicated ? full_chain_[p]
+                                                 : replica_chain_[p];
 }
 
 bool ClusterLayout::Holds(NodeId n, TableId table, PartitionId p) const {
@@ -123,7 +135,7 @@ int ClusterLayout::ProximityScore(AzId from_az, bool same_host,
 }
 
 NodeId ClusterLayout::PickByProximity(AzId from_az,
-                                      const std::vector<NodeId>& candidates,
+                                      std::span<const NodeId> candidates,
                                       bool az_aware, uint64_t tie_break,
                                       PartitionId part) const {
   if (candidates.empty()) return kNoNode;
@@ -139,19 +151,29 @@ NodeId ClusterLayout::PickByProximity(AzId from_az,
     }
     return kNoNode;
   }
+  // Count the usable nodes tied at the best score, then walk the
+  // candidates again to the (tie_break % count)-th of them.
   int best_score = 3;
-  std::vector<NodeId> best;
+  uint64_t ties = 0;
   for (NodeId c : candidates) {
     if (!usable(c)) continue;
     const int score = ProximityScore(from_az, /*same_host=*/false, c);
     if (score < best_score) {
       best_score = score;
-      best.clear();
+      ties = 0;
     }
-    if (score == best_score) best.push_back(c);
+    if (score == best_score) ++ties;
   }
-  if (best.empty()) return kNoNode;
-  return best[tie_break % best.size()];
+  if (ties == 0) return kNoNode;
+  uint64_t skip = tie_break % ties;
+  for (NodeId c : candidates) {
+    if (!usable(c) ||
+        ProximityScore(from_az, /*same_host=*/false, c) != best_score) {
+      continue;
+    }
+    if (skip-- == 0) return c;
+  }
+  return kNoNode;  // unreachable: `ties` usable nodes score best_score
 }
 
 }  // namespace repro::ndb

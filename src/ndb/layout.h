@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -35,6 +36,8 @@ struct LayoutConfig {
 
 class ClusterLayout {
  public:
+  // Aborts, in every build type, when the cluster has more datanodes than
+  // a NodeChain holds (a fully replicated chain spans every node).
   ClusterLayout(LayoutConfig config, const Catalog* catalog);
 
   int num_nodes() const { return config_.num_datanodes; }
@@ -75,11 +78,14 @@ class ClusterLayout {
 
   // Replica chain of a partition in configured order (primary first). For
   // fully replicated tables the chain covers every node: the partition's
-  // node group first, then all remaining nodes.
+  // node group first, then all remaining nodes. Both are built once, at
+  // construction.
   const std::vector<NodeId>& ReplicaChain(PartitionId p) const {
     return replica_chain_[p];
   }
-  std::vector<NodeId> ReplicaChain(TableId table, PartitionId p) const;
+  const std::vector<NodeId>& ReplicaChain(TableId table, PartitionId p) const;
+  // Every datanode, in node order.
+  const std::vector<NodeId>& all_nodes() const { return all_nodes_; }
   // True if node n stores rows of `table` in partition p: it is in the
   // partition's chain, or the table is fully replicated.
   bool Holds(NodeId n, TableId table, PartitionId p) const;
@@ -102,7 +108,7 @@ class ClusterLayout {
   // false (vanilla HopsFS / classic NDB), picks round-robin among alive
   // candidates regardless of AZ. When `part` >= 0, a rejoining node that
   // has caught up on that partition also qualifies (streaming catch-up).
-  NodeId PickByProximity(AzId from_az, const std::vector<NodeId>& candidates,
+  NodeId PickByProximity(AzId from_az, std::span<const NodeId> candidates,
                          bool az_aware, uint64_t tie_break,
                          PartitionId part = -1) const;
 
@@ -118,6 +124,10 @@ class ClusterLayout {
   // serve it mid-rejoin. Cleared whenever n's aliveness flips.
   std::vector<std::vector<bool>> catchup_;
   std::vector<std::vector<NodeId>> replica_chain_;
+  // full_chain_[p]: replica_chain_[p], then every other node in node order
+  // (the chain of a fully replicated table).
+  std::vector<std::vector<NodeId>> full_chain_;
+  std::vector<NodeId> all_nodes_;
   std::vector<int> ldm_thread_;
 };
 

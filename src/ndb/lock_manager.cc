@@ -38,7 +38,10 @@ bool LockManager::TryGrant(Entry& entry, TxnId txn, LockMode mode) {
 void LockManager::Acquire(TxnId txn, TableId table, const Key& key,
                           LockMode mode,
                           GrantCb granted) {
-  const LockKey lk{table, key};
+  // Not const: the timeout below captures a copy, and a const key member
+  // would make the closure throwing-movable, which SmallFn boxes on the
+  // heap instead of keeping inline.
+  LockKey lk{table, key};
   Entry& entry = locks_[lk];
   if (TryGrant(entry, txn, mode)) {
     ++total_grants_;
@@ -82,7 +85,7 @@ void LockManager::GrantWaiters(const LockKey& lk) {
     ++total_waits_;
     total_wait_ns_ += sim_.now() - w.enqueued;
     auto cb = std::move(w.granted);
-    entry.waiters.pop_front();
+    entry.waiters.erase(entry.waiters.begin());
     cb(OkStatus());
   }
 }

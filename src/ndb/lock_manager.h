@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -67,11 +67,16 @@ class LockManager {
     GrantCb granted;
     Nanos enqueued = 0;
   };
+  // Allocator-aware: its lists draw from the table's pool (pool_).
   struct Entry {
+    using allocator_type = std::pmr::polymorphic_allocator<>;
+    explicit Entry(const allocator_type& alloc)
+        : holders(alloc), waiters(alloc) {}
+
     // Holders: multiple for shared, one for exclusive.
-    std::vector<TxnId> holders;
+    std::pmr::vector<TxnId> holders;
     bool exclusive = false;
-    std::deque<Waiter> waiters;
+    std::pmr::vector<Waiter> waiters;  // FIFO: granted from the front
   };
 
   void GrantWaiters(const LockKey& lk);
@@ -81,7 +86,10 @@ class LockManager {
   Simulation& sim_;
   Nanos wait_timeout_;
   uint64_t next_waiter_id_ = 1;
-  std::unordered_map<LockKey, Entry, LockKeyHash> locks_;
+  // Row locks. Entries and their lists come from this table's own pool,
+  // so lock churn on recycled rows allocates nothing once it is warm.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::unordered_map<LockKey, Entry, LockKeyHash> locks_{&pool_};
   int64_t total_grants_ = 0;
   int64_t total_timeouts_ = 0;
   int64_t total_waits_ = 0;

@@ -112,7 +112,7 @@ struct PrepareReq {
   bool insert_only = false;
   bool must_exist = false;
   std::string value{};
-  std::vector<NodeId> chain{};  // primary first
+  NodeChain chain{};          // alive replicas, primary first
   int pos = 0;                // index of the receiving replica
   int busy_retries = 0;       // waits on a predecessor's pending write
   trace::SpanId span = 0;     // op span the chain hops trace under
@@ -128,7 +128,7 @@ struct CommitChainReq {
   // time; every replica stamps its redo record with it, so one commit's
   // records can never straddle a GCP tick.
   int64_t epoch = 0;
-  std::vector<NodeId> chain;
+  NodeChain chain;
   int pos = 0;  // traverses from chain.size()-1 down to 0 (the primary)
   trace::SpanId span = 0;  // the txn's ndb.commit span
 };

@@ -203,5 +203,65 @@ TEST(NdbFailure, ApiNodeTeardownWithInFlightOpsIsSafe) {
   EXPECT_EQ(fired, 0) << "callback ran after its client was destroyed";
 }
 
+// A locked read's lock lives on the replica that granted it. If the
+// partition's primary moves between the grant and the TC's handling of
+// the ack (here: the crashed primary is flipped alive again, as a rejoin
+// does), the commit must still unlock the granting node, or it keeps the
+// row locked forever.
+TEST(NdbFailure, LockedReadUnlocksTheNodeThatGrantedIt) {
+  TestCluster tc;
+  auto& layout = tc.cluster->layout();
+  // A key whose chain has neither the primary nor the first backup in the
+  // API node's AZ: the TC (the AZ-0 replica) is then a third node, so the
+  // ack crosses the network and the primary can flip while it flies.
+  Key key;
+  PartitionId part = -1;
+  for (int i = 0; i < 200 && part < 0; ++i) {
+    key = StrFormat("%d/f", i);
+    const PartitionId p = layout.PartitionOf(tc.inode_table, key);
+    if (layout.az_of(layout.ReplicaChain(p)[2]) == 0) part = p;
+  }
+  ASSERT_GE(part, 0);
+  ASSERT_EQ(tc.InsertCommit(tc.inode_table, key, "v"), Code::kOk);
+  const NodeId old_primary = layout.ReplicaChain(part)[0];
+  const NodeId promoted = layout.ReplicaChain(part)[1];
+
+  tc.cluster->CrashDatanode(old_primary);
+  layout.set_alive(old_primary, false);
+  ASSERT_EQ(layout.PrimaryOf(part), promoted);
+
+  const TxnId txn = tc.api->Begin(tc.inode_table, key);
+  bool read_done = false;
+  Code read_code = Code::kInternal;
+  tc.api->Read(txn, tc.inode_table, key, LockMode::kShared,
+               [&](Code c, std::optional<std::string>) {
+                 read_code = c;
+                 read_done = true;
+               });
+  // Step until the promoted backup grants the lock; its ack is in flight.
+  LockManager& granter = tc.cluster->datanode(promoted).locks();
+  const Nanos limit = tc.sim->now() + Seconds(1);
+  while (!granter.IsLocked(tc.inode_table, key) && tc.sim->now() < limit) {
+    tc.sim->RunUntil(tc.sim->now() + kMicrosecond);
+  }
+  ASSERT_TRUE(granter.IsLocked(tc.inode_table, key));
+  ASSERT_FALSE(read_done) << "the TC handled the ack before the flip";
+  layout.set_alive(old_primary, true);
+  ASSERT_EQ(layout.PrimaryOf(part), old_primary);
+
+  tc.RunUntil(read_done);
+  ASSERT_EQ(read_code, Code::kOk);
+  bool committed = false;
+  tc.api->Commit(txn, [&](Code c) {
+    EXPECT_EQ(c, Code::kOk);
+    committed = true;
+  });
+  tc.RunUntil(committed);
+  tc.sim->RunFor(Seconds(1));
+  EXPECT_FALSE(granter.IsLocked(tc.inode_table, key))
+      << "the commit unlocked node " << old_primary << ", not the granting "
+      << "node " << promoted;
+}
+
 }  // namespace
 }  // namespace repro::ndb

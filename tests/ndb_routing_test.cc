@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "ndb_test_util.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace repro::ndb {
@@ -68,6 +70,146 @@ TEST(NdbLayout, ProximityPrefersSameAz) {
     const NodeId picked = layout.PickByProximity(az, candidates, true, 0);
     EXPECT_EQ(layout.az_of(picked), az);
   }
+}
+
+// ---- the allocation-free picker and chains select what the vector-based
+// versions they replaced selected ----
+
+// The vector-based proximity picker ClusterLayout::PickByProximity used to
+// be: collect every usable node at the best score, then index the list.
+NodeId ReferencePick(const ClusterLayout& layout, AzId from_az,
+                     const std::vector<NodeId>& candidates, bool az_aware,
+                     uint64_t tie_break, PartitionId part) {
+  if (candidates.empty()) return kNoNode;
+  const auto usable = [&](NodeId c) {
+    return part >= 0 ? layout.serves(c, part) : layout.alive(c);
+  };
+  if (!az_aware) {
+    const size_t n = candidates.size();
+    for (size_t i = 0; i < n; ++i) {
+      const NodeId c = candidates[(tie_break + i) % n];
+      if (usable(c)) return c;
+    }
+    return kNoNode;
+  }
+  int best_score = 3;
+  std::vector<NodeId> best;
+  for (NodeId c : candidates) {
+    if (!usable(c)) continue;
+    const int score = layout.ProximityScore(from_az, false, c);
+    if (score < best_score) {
+      best_score = score;
+      best.clear();
+    }
+    if (score == best_score) best.push_back(c);
+  }
+  if (best.empty()) return kNoNode;
+  return best[tie_break % best.size()];
+}
+
+// The fully replicated chain as ClusterLayout::ReplicaChain(table, p) used
+// to build it on every call: the partition's chain, then every other node.
+std::vector<NodeId> ReferenceFullChain(const ClusterLayout& layout,
+                                       PartitionId p) {
+  std::vector<NodeId> chain = layout.ReplicaChain(p);
+  std::vector<bool> in_chain(layout.num_nodes(), false);
+  for (NodeId n : chain) in_chain[n] = true;
+  for (NodeId n = 0; n < layout.num_nodes(); ++n) {
+    if (!in_chain[n]) chain.push_back(n);
+  }
+  return chain;
+}
+
+struct LayoutRig {
+  LayoutRig(int nodes, int replication) {
+    TableDef plain;
+    plain.name = "plain";
+    plain_table = catalog.AddTable(plain);
+    TableDef full;
+    full.name = "full";
+    full.fully_replicated = true;
+    full_table = catalog.AddTable(full);
+    LayoutConfig config;
+    config.num_datanodes = nodes;
+    config.replication_factor = replication;
+    config.node_az = AssignNodeAzs(nodes, replication, {0, 1, 2});
+    config.num_ldm_threads = 2;
+    config.partitions_per_ldm = 1;
+    layout = std::make_unique<ClusterLayout>(config, &catalog);
+  }
+  Catalog catalog;
+  TableId plain_table = 0;
+  TableId full_table = 0;
+  std::unique_ptr<ClusterLayout> layout;
+};
+
+TEST(NdbLayout, FullyReplicatedChainMatchesTheBuiltChain) {
+  for (const auto& [nodes, replication] :
+       {std::pair{6, 3}, std::pair{6, 2}, std::pair{12, 2}, std::pair{12, 3}}) {
+    LayoutRig rig(nodes, replication);
+    const ClusterLayout& layout = *rig.layout;
+    for (PartitionId p = 0; p < layout.num_partitions(); ++p) {
+      EXPECT_EQ(layout.ReplicaChain(rig.full_table, p),
+                ReferenceFullChain(layout, p))
+          << nodes << " nodes, partition " << p;
+      EXPECT_EQ(&layout.ReplicaChain(rig.plain_table, p),
+                &layout.ReplicaChain(p))
+          << "a partitioned table's chain is the partition's own";
+    }
+    std::vector<NodeId> all(nodes);
+    for (NodeId n = 0; n < nodes; ++n) all[n] = n;
+    EXPECT_EQ(layout.all_nodes(), all);
+  }
+}
+
+TEST(NdbLayout, PickByProximityMatchesTheVectorPicker) {
+  Rng rng(2024);
+  int picks = 0;
+  for (const int nodes : {6, 12}) {
+    LayoutRig rig(nodes, 3);
+    ClusterLayout& layout = *rig.layout;
+    for (int trial = 0; trial < 40; ++trial) {
+      // Random alive mask, then random catch-up fences on dead nodes.
+      for (NodeId n = 0; n < nodes; ++n) {
+        layout.set_alive(n, rng.NextBelow(4) != 0);
+      }
+      for (NodeId n = 0; n < nodes; ++n) {
+        if (layout.alive(n)) continue;
+        for (PartitionId p = 0; p < layout.num_partitions(); ++p) {
+          if (rng.NextBelow(2) == 0) layout.SetCatchupReady(n, p);
+        }
+      }
+      for (PartitionId p = 0; p < layout.num_partitions(); ++p) {
+        const std::vector<std::vector<NodeId>> candidate_lists = {
+            layout.ReplicaChain(p), layout.ReplicaChain(rig.full_table, p),
+            layout.all_nodes()};
+        for (const auto& candidates : candidate_lists) {
+          for (const AzId from_az : {kNoAz, 0, 1, 2}) {
+            for (const bool az_aware : {false, true}) {
+              for (uint64_t tie = 0; tie < 24; ++tie) {
+                for (const PartitionId part : {PartitionId{-1}, p}) {
+                  ASSERT_EQ(layout.PickByProximity(from_az, candidates,
+                                                   az_aware, tie, part),
+                            ReferencePick(layout, from_az, candidates,
+                                          az_aware, tie, part))
+                      << nodes << " nodes, trial " << trial << ", partition "
+                      << p << ", from AZ " << from_az << ", az_aware "
+                      << az_aware << ", tie " << tie << ", part " << part;
+                  ++picks;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(picks, 0);
+}
+
+TEST(NdbLayoutDeathTest, ClusterLargerThanANodeChainIsRejected) {
+  const int nodes = NodeChain::kCapacity + 2;
+  EXPECT_DEATH({ LayoutRig rig(nodes, 2); }, "replica chain capacity");
 }
 
 TEST(NdbRouting, ReadBackupServesAzLocalReplicas) {
