@@ -26,7 +26,12 @@
 //      if any tracked zone's allocs-per-op exceeds 1.1x the baseline +
 //      0.25 (allocation counts are deterministic for the pinned seed, so
 //      the gate is machine-independent; CPU-per-op is recorded for trend
-//      reading but not gated — wall CPU is runner-dependent).
+//      reading but not gated — wall CPU is runner-dependent). The same
+//      file records the engine's events dispatched and events still
+//      pending when the profile window closes (engine.*); the run FAILS
+//      if pending exceeds 1.1x the baseline + 16. Both are deterministic:
+//      a resolved op that stopped cancelling its timeouts would park
+//      thousands more.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -65,6 +70,8 @@ struct TrackedStats {
 struct ProfileRun {
   std::vector<TrackedStats> tracked;
   uint64_t ops_completed = 0;
+  uint64_t pending_at_close = 0;   // engine events pending at window close
+  uint64_t events_dispatched = 0;  // over the whole run, setup included
 };
 
 ProfileRun RunProfiledWorkload(const std::string& out_dir) {
@@ -144,6 +151,8 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
 
   ProfileRun out;
   out.ops_completed = static_cast<uint64_t>(results.completed);
+  out.pending_at_close = sim.pending();
+  out.events_dispatched = sim.events_processed();
   for (const auto& [name, stats] : profiler.ByName()) {
     for (const char* tracked : kTrackedZones) {
       if (name == tracked) out.tracked.push_back({name, stats});
@@ -241,6 +250,25 @@ void CheckBudgets(const ProfileRun& run, Report& out) {
   }
 }
 
+// Parked events: what is pending at the window's close is the work in
+// flight plus the periodic timers, not timeouts of ops already answered.
+void CheckEngine(const ProfileRun& run, Report& out) {
+  const double pending = static_cast<double>(run.pending_at_close);
+  out.Value("engine.pending_at_close", pending);
+  out.Value("engine.events_dispatched",
+            static_cast<double>(run.events_dispatched));
+  std::printf("engine: %llu events dispatched, %llu pending at window close\n",
+              static_cast<unsigned long long>(run.events_dispatched),
+              static_cast<unsigned long long>(run.pending_at_close));
+  if (!out.has_baseline()) return;
+  const double base = out.Baseline("engine.pending_at_close").value_or(NAN);
+  const double ceiling = base * 1.1 + 16;
+  std::printf("  pending at close %8.0f vs baseline %8.0f (ceiling %8.0f)\n",
+              pending, base, ceiling);
+  out.Check(pending <= ceiling,
+            "engine pending at window close within 1.1x baseline + 16");
+}
+
 int Main(int argc, char** argv) {
   RejectArguments(argc, argv);
   PrintHeader("Hot-path profiler: zone CPU + allocation budgets",
@@ -250,6 +278,7 @@ int Main(int argc, char** argv) {
   out.Check(CheckDeterminism(),
             "pinned chaos episode byte-identical with profiler on vs off");
   CheckBudgets(run, out);
+  CheckEngine(run, out);
   return out.Finish();
 }
 

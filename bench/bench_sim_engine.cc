@@ -12,6 +12,13 @@
 //     simulated seconds (~7M events). Wheel engine only; reports
 //     events/sec, CPU seconds and peak RSS. This is the planet-scale
 //     headline ROADMAP item 1 gates on.
+//   * timeout_churn  — 10,000 clients each arm a 5 s timeout per request
+//     and cancel it when the reply lands 1–10 ms later, 2 simulated
+//     seconds: the RPC / NDB-op timeout pattern of the protocol layers.
+//     Wheel engine only (the legacy engine cannot cancel); reports CPU ns
+//     per request cycle (arm, reply dispatch, cancel) and the event
+//     slabs mapped, which stay at the live population instead of growing
+//     with the 5 s window.
 //
 // Regression gate (CI `sim-perf-smoke`): with REPRO_BENCH_BASELINE set to
 // the committed BENCH_sim_engine.json, the bench fails if the measured
@@ -19,6 +26,8 @@
 // normalising for machine speed by the legacy engine's ratio
 // (measured_legacy / baseline_legacy) — so a slow CI runner doesn't
 // false-positive and a real scheduler regression can't hide behind one.
+// timeout_churn's ns per cycle gets the same machine-normalised 20%
+// bound, and its slab count (deterministic) may not exceed the baseline.
 //
 // The numbers land in $REPRO_CSV_DIR/BENCH_sim_engine.json (layout:
 // bench_report.h).
@@ -161,17 +170,70 @@ MillionResult RunMillionClients(int clients, int hosts, Nanos sim_horizon) {
   return r;
 }
 
+// ---- Scenario 3: timeout churn ------------------------------------------------
+
+struct ChurnResult {
+  uint64_t cycles = 0;
+  double cpu_sec = 0;
+  double ns_per_cycle = 0;
+  size_t slabs = 0;
+};
+
+// Each client keeps one request outstanding: it arms the request's 5 s
+// timeout (a level-1 wheel slot), and the reply, 1–10 ms later, cancels
+// it and sends the next request. No timeout ever fires.
+ChurnResult RunTimeoutChurn(int clients, Nanos sim_horizon) {
+  Simulation sim(13);
+  uint64_t cycles = 0;
+  uint64_t timeouts = 0;
+  struct Client {
+    Simulation* sim;
+    uint64_t* cycles;
+    uint64_t* timeouts;
+    Nanos horizon;
+    Simulation::Timer timeout;
+    void Send() {
+      timeout = sim->After(Seconds(5), [this] { ++*timeouts; });
+      const Nanos reply = Millis(1) + static_cast<Nanos>(
+                                          sim->rng().NextBelow(Millis(9)));
+      sim->After(reply, [this] {
+        sim->Cancel(timeout);
+        ++*cycles;
+        if (sim->now() < horizon) Send();
+      });
+    }
+  };
+  std::vector<Client> fleet(clients,
+                            Client{&sim, &cycles, &timeouts, sim_horizon, {}});
+  const double c0 = CpuSeconds();
+  for (Client& c : fleet) c.Send();
+  sim.RunUntil(sim_horizon + Millis(10));
+  const double c1 = CpuSeconds();
+  ChurnResult r;
+  r.cycles = cycles;
+  r.cpu_sec = c1 - c0;
+  r.ns_per_cycle = r.cpu_sec * 1e9 / static_cast<double>(cycles);
+  r.slabs = sim.slabs();
+  if (timeouts != 0) std::printf("  (%llu timeouts fired)\n",
+                                 static_cast<unsigned long long>(timeouts));
+  return r;
+}
+
 // ---- Baseline comparison ---------------------------------------------------
 
-void CheckBaseline(double wheel_eps, double legacy_eps, Report& out) {
+void CheckBaseline(double wheel_eps, double legacy_eps,
+                   const ChurnResult& churn, Report& out) {
   if (!out.has_baseline()) {
     std::printf("baseline gate: REPRO_BENCH_BASELINE unset, skipping\n");
     return;
   }
   const auto base_wheel = out.Baseline("heartbeat_10k.wheel_eps");
   const auto base_legacy = out.Baseline("heartbeat_10k.legacy_eps");
-  if (!out.Check(base_wheel && base_legacy,
-                 "baseline has heartbeat_10k wheel_eps and legacy_eps")) {
+  const auto base_churn_ns = out.Baseline("timeout_churn.ns_per_cycle");
+  const auto base_churn_slabs = out.Baseline("timeout_churn.slabs");
+  if (!out.Check(base_wheel && base_legacy && base_churn_ns &&
+                     base_churn_slabs,
+                 "baseline has heartbeat_10k and timeout_churn values")) {
     return;
   }
   // Normalise for machine speed: this runner is (legacy_eps/base_legacy)x
@@ -185,6 +247,18 @@ void CheckBaseline(double wheel_eps, double legacy_eps, Report& out) {
       wheel_eps / 1e6, floor / 1e6, *base_wheel / 1e6, machine);
   out.Check(wheel_eps >= floor,
             "wheel events/sec within 20% of the machine-normalised baseline");
+  // The same 20% bound, on a cost: a cycle may take at most 1/0.8 of the
+  // baseline's time scaled to this machine.
+  const double ceiling = *base_churn_ns / machine / 0.8;
+  std::printf("baseline gate: timeout_churn %.1f ns/cycle vs ceiling %.1f "
+              "(baseline %.1f); %zu slabs vs baseline %.0f\n",
+              churn.ns_per_cycle, ceiling, *base_churn_ns, churn.slabs,
+              *base_churn_slabs);
+  out.Check(churn.ns_per_cycle <= ceiling,
+            "timeout_churn ns/cycle within 20% of the machine-normalised "
+            "baseline");
+  out.Check(static_cast<double>(churn.slabs) <= *base_churn_slabs,
+            "timeout_churn maps no more event slabs than the baseline");
 }
 
 int Main(int argc, char** argv) {
@@ -246,7 +320,20 @@ int Main(int argc, char** argv) {
   out.Value("million_client.cpu_sec", million.cpu_sec);
   out.Value("million_client.peak_rss_mb", PeakRssMb());
 
-  CheckBaseline(wheel.eps, legacy.eps, out);
+  const int kChurnClients = 10000;
+  std::printf("\ntimeout_churn: %d clients, 5 s timeout per request, reply "
+              "after 1-10 ms cancels it, 2 simulated seconds\n",
+              kChurnClients);
+  const ChurnResult churn = RunTimeoutChurn(kChurnClients, Seconds(2));
+  std::printf("  timer wheel : %8llu cycles in %6.2f cpu-s = %6.1f ns/cycle, "
+              "%zu event slabs\n",
+              static_cast<unsigned long long>(churn.cycles), churn.cpu_sec,
+              churn.ns_per_cycle, churn.slabs);
+  out.Value("timeout_churn.cycles", static_cast<double>(churn.cycles));
+  out.Value("timeout_churn.ns_per_cycle", churn.ns_per_cycle);
+  out.Value("timeout_churn.slabs", static_cast<double>(churn.slabs));
+
+  CheckBaseline(wheel.eps, legacy.eps, churn, out);
   return out.Finish();
 }
 

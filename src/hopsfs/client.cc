@@ -210,7 +210,7 @@ void HopsFsClient::SendToNn(OpPtr op, Namenode* nn) {
   // success can never race past an expired deadline through this path.
   const Nanos timeout = resilience::ClampToDeadline(
       config_.rpc_timeout, op->req.deadline, now);
-  sim_.After(timeout, [this, rpc = rpc.Share()]() mutable {
+  rpc->timer = sim_.After(timeout, [this, rpc = rpc.Share()]() mutable {
     OnRpcTimeout(std::move(rpc));
   });
 
@@ -233,8 +233,7 @@ void HopsFsClient::SendToNn(OpPtr op, Namenode* nn) {
 }
 
 void HopsFsClient::OnRpcTimeout(RpcRef rpc) {
-  if (rpc->resolved) return;
-  rpc->resolved = true;
+  rpc->resolved = true;  // a reply would have cancelled this timer
   sim_.tracer().EndSpan(rpc->attempt);
   Namenode* nn = rpc->nn;
   NoteBreaker(breaker(nn), [this, nn] { breaker(nn)->OnFailure(sim_.now()); });
@@ -281,8 +280,8 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
     Deliver(rpc->op, std::move(*result));
     return;
   }
-  // Resolved: the pending timer keeps only the slot, not the op.
   rpc->resolved = true;
+  sim_.Cancel(rpc->timer);
   OpPtr op = std::move(rpc->op);
   Namenode* nn = rpc->nn;
   if (result->status.code() == Code::kResourceExhausted) {

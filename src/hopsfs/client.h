@@ -93,6 +93,10 @@ class HopsFsClient {
   // the client host's progress counter.
   int64_t ops_submitted() const { return ops_submitted_; }
 
+  // RPC attempts whose slot is still held: by a request or reply in
+  // flight, or by an armed timeout.
+  size_t rpcs_live() const { return rpcs_->live(); }
+
   const resilience::RetryBudget& retry_budget() const { return budget_; }
 
   // Convenience wrappers. Data movement for large files (block pipeline
@@ -130,13 +134,14 @@ class HopsFsClient {
 
   // One namenode RPC attempt, pooled. Its timeout timer and its
   // request/reply hops each hold a reference; whichever of timeout and
-  // reply comes first resolves it, and the other finds `resolved` set.
-  // The timer keeps the slot until rpc_timeout, so it stays small: the
-  // reply's FsResult travels in its own pooled record, and a reply that
-  // resolves the slot drops its op.
+  // reply comes first resolves it. A reply cancels the timer, which
+  // returns the slot to the pool as soon as the reply is handled; a reply
+  // after the timeout finds `resolved` set. The reply's FsResult travels
+  // in its own pooled record.
   struct RpcSlot {
     OpPtr op;
     Namenode* nn = nullptr;
+    Simulation::Timer timer;  // the attempt's timeout
     bool resolved = false;
     trace::SpanId attempt = 0;  // the attempt's span
     trace::SpanId net = 0;      // the hop in flight (request, then reply)

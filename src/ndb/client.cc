@@ -71,20 +71,20 @@ uint64_t NdbApiNode::RegisterOp(TxnId txn, TxnState& t, const char* what,
   *span = op.span;
   const uint64_t op_id = next_op_id_++;
   op.txn = txn;
-  *pending_.Emplace(op_id).first = std::move(op);
-  // The local timer never outlives the op's deadline: the op fails
-  // exactly at the deadline with no extra pending events.
   t.inflight += 1;
+  // The local timer never outlives the op's deadline, so the op fails
+  // exactly at the deadline; a reply cancels it.
   const Nanos timeout = resilience::ClampToDeadline(op_timeout_, t.deadline,
                                                     cluster_.sim().now());
-
   // The timer resolves the API node by id at fire time: if the node was
   // destroyed in the meantime, the slot is null and the timer is a no-op
   // instead of a use-after-free.
-  cluster_.sim().After(timeout, [cluster = &cluster_, id = id_, op_id] {
+  op.timer = cluster_.sim().After(timeout, [cluster = &cluster_, id = id_,
+                                            op_id] {
     NdbApiNode* self = cluster->api(id);
     if (self != nullptr) self->OnOpTimeout(op_id);
   });
+  *pending_.Emplace(op_id).first = std::move(op);
   return op_id;
 }
 
@@ -112,6 +112,7 @@ std::optional<NdbApiNode::PendingOp> NdbApiNode::TakeOp(uint64_t op_id) {
   if (slot == nullptr) return std::nullopt;
   std::optional<PendingOp> op(std::move(*slot));
   pending_.Erase(op_id);
+  cluster_.sim().Cancel(op->timer);
   cluster_.sim().tracer().EndSpan(op->span);
   if (TxnState* t = FindTxn(op->txn)) t->inflight -= 1;
   if (op->erase_txn) txns_.Erase(op->txn);

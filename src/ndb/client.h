@@ -108,6 +108,7 @@ class NdbApiNode {
     // the callback to the heap on the hot path.
     bool erase_txn = false;
     trace::SpanId span = 0;  // this op's span, closed at reply/failure
+    Simulation::Timer timer;  // the op timeout; cancelled by TakeOp
   };
 
   NodeId PickTc(const TableDef* td, TableId table, std::string_view hint_key);
@@ -125,8 +126,9 @@ class NdbApiNode {
   // *span), registers the op and arms its timeout; returns the op id.
   uint64_t RegisterOp(TxnId txn, TxnState& t, const char* what, PendingOp op,
                       trace::SpanId* span);
-  // Removes an unanswered op: ends its span, drops it from its
-  // transaction's in-flight count (and a commit's transaction state).
+  // Removes an unanswered op: cancels its timeout, ends its span, drops
+  // it from its transaction's in-flight count (and a commit's
+  // transaction state).
   std::optional<PendingOp> TakeOp(uint64_t op_id);
   void OnOpTimeout(uint64_t op_id);
   void FailOp(uint64_t op_id, Code code);

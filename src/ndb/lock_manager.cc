@@ -49,12 +49,11 @@ void LockManager::Acquire(TxnId txn, TableId table, const Key& key,
     return;
   }
 
-  const uint64_t waiter_id = next_waiter_id_++;
-  entry.waiters.push_back(
-      Waiter{waiter_id, txn, mode, std::move(granted), sim_.now()});
-
   // Deadlock / starvation breaker: abandon the wait after the timeout.
-  sim_.After(wait_timeout_, [this, lk, waiter_id] {
+  // A grant, or Clear, cancels it.
+  const uint64_t waiter_id = next_waiter_id_++;
+  const Simulation::Timer timer = sim_.After(wait_timeout_, [this, lk,
+                                                            waiter_id] {
     auto it = locks_.find(lk);
     if (it == locks_.end()) return;
     auto& waiters = it->second.waiters;
@@ -69,6 +68,8 @@ void LockManager::Acquire(TxnId txn, TableId table, const Key& key,
       }
     }
   });
+  entry.waiters.push_back(
+      Waiter{waiter_id, txn, mode, std::move(granted), sim_.now(), timer});
 }
 
 void LockManager::GrantWaiters(const LockKey& lk) {
@@ -84,6 +85,7 @@ void LockManager::GrantWaiters(const LockKey& lk) {
     ++total_grants_;
     ++total_waits_;
     total_wait_ns_ += sim_.now() - w.enqueued;
+    sim_.Cancel(w.timeout);
     auto cb = std::move(w.granted);
     entry.waiters.erase(entry.waiters.begin());
     cb(OkStatus());
@@ -111,7 +113,12 @@ void LockManager::Release(TxnId txn, TableId table, const Key& key) {
   EraseIfIdle(lk);
 }
 
-void LockManager::Clear() { locks_.clear(); }
+void LockManager::Clear() {
+  for (auto& [lk, entry] : locks_) {
+    for (const Waiter& w : entry.waiters) sim_.Cancel(w.timeout);
+  }
+  locks_.clear();
+}
 
 bool LockManager::IsLocked(TableId table, const Key& key) const {
   auto it = locks_.find(LockKey{table, key});

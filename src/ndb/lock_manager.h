@@ -38,8 +38,8 @@ class LockManager {
   // Releases one row lock held by txn (no-op if not held).
   void Release(TxnId txn, TableId table, const Key& key);
 
-  // Crash: forgets every holder and waiter without running a callback.
-  // A forgotten waiter's timeout later finds nothing to time out.
+  // Crash: forgets every holder and waiter without running a callback,
+  // and cancels the waiters' timeouts.
   void Clear();
 
   bool IsLocked(TableId table, const Key& key) const;
@@ -66,6 +66,7 @@ class LockManager {
     LockMode mode;
     GrantCb granted;
     Nanos enqueued = 0;
+    Simulation::Timer timeout;  // cancelled by a grant or Clear
   };
   // Allocator-aware: its lists draw from the table's pool (pool_).
   struct Entry {

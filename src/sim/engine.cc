@@ -81,6 +81,11 @@ uint32_t Simulation::AllocEvent() {
   return idx;
 }
 
+void Simulation::FreeTombstone(uint32_t idx) {
+  --tombstones_;
+  FreeEvent(idx);
+}
+
 void Simulation::FreeEvent(uint32_t idx) {
   Event& e = Ev(idx);
   e.fn.Reset();
@@ -107,10 +112,12 @@ Simulation::HeapEntry Simulation::ImminentPop() {
 // ---- Wheel --------------------------------------------------------------
 
 void Simulation::Insert(HeapEntry h) {
+  Event& e = Ev(h.idx);
   if (h.time < wheel_time_) {
     // The wheel has already expired past this instant (the event was
     // scheduled from inside the currently-draining slot); it competes in
     // the spill heap, where (time, seq) ordering keeps FIFO exact.
+    e.where = kQueued;
     ImminentPush(h);
     return;
   }
@@ -123,16 +130,38 @@ void Simulation::Insert(HeapEntry h) {
       // boundaries one level up), so it has not been expired yet.
       const int slot =
           static_cast<int>((h.time >> kShift[l]) & (kSlots[l] - 1));
-      Event& e = Ev(h.idx);
-      e.next = slot_head_[l][slot];
+      const uint32_t head = slot_head_[l][slot];
+      e.where = static_cast<uint8_t>(l);
+      e.slot = static_cast<uint16_t>(slot);
+      e.prev = kNil;
+      e.next = head;
+      if (head != kNil) Ev(head).prev = h.idx;
       slot_head_[l][slot] = h.idx;
       occupancy_[l][slot >> 6] |= uint64_t{1} << (slot & 63);
       ++wheel_count_;
       return;
     }
   }
+  e.where = kQueued;
   far_.push_back(h);
   std::push_heap(far_.begin(), far_.end(), kHeapGreater);
+}
+
+void Simulation::Unlink(uint32_t idx) {
+  Event& e = Ev(idx);
+  const int l = e.where;
+  if (e.prev == kNil) {
+    slot_head_[l][e.slot] = e.next;
+    if (e.next == kNil) {
+      occupancy_[l][e.slot >> 6] &= ~(uint64_t{1} << (e.slot & 63));
+    }
+  } else {
+    Ev(e.prev).next = e.next;
+  }
+  if (e.next != kNil) Ev(e.next).prev = e.prev;
+  e.next = e.prev = kNil;
+  e.where = kQueued;
+  --wheel_count_;
 }
 
 int Simulation::FindOccupied(int level, int from) const {
@@ -154,13 +183,25 @@ void Simulation::MigrateFar() {
     std::pop_heap(far_.begin(), far_.end(), kHeapGreater);
     HeapEntry e = far_.back();
     far_.pop_back();
-    Insert(e);
+    if (Ev(e.idx).where == kTombstone) {
+      FreeTombstone(e.idx);
+    } else {
+      Insert(e);
+    }
   }
 }
 
 bool Simulation::AdvanceWheel() {
   while (true) {
     if (wheel_count_ == 0) {
+      // Never fast-forward onto a cancelled event: the cursor would jump
+      // to its far-future time, and everything scheduled before that
+      // would then go through the spill heap instead of the wheel.
+      while (!far_.empty() && Ev(far_.front().idx).where == kTombstone) {
+        std::pop_heap(far_.begin(), far_.end(), kHeapGreater);
+        FreeTombstone(far_.back().idx);
+        far_.pop_back();
+      }
       if (far_.empty()) return false;
       // Fast-forward an empty wheel straight to the far heap's earliest
       // event (aligned down to a level-0 slot boundary).
@@ -219,6 +260,7 @@ bool Simulation::AdvanceWheel() {
         run_pos_ = 0;
         while (n != kNil) {
           Event& e = Ev(n);
+          e.where = kQueued;
           run_.push_back(HeapEntry{e.time, e.seq, n});
           // The walk already has the head line: start the callback line
           // and the periodic liveness block on their way to the cache now,
@@ -276,7 +318,7 @@ bool Simulation::AdvanceWheel() {
 
 // ---- Scheduling API -----------------------------------------------------
 
-void Simulation::At(Nanos time, SmallFn fn) {
+Simulation::Timer Simulation::At(Nanos time, SmallFn fn) {
   if (time < now_) SchedulePanic("At() scheduled before now()", time);
   if (!fn) SchedulePanic("At() scheduled with an empty callback", time);
   const uint32_t idx = AllocEvent();
@@ -287,11 +329,33 @@ void Simulation::At(Nanos time, SmallFn fn) {
   e.fn = std::move(fn);
   Insert(HeapEntry{time, e.seq, idx});
   ++pending_;
+  return Timer{idx, e.gen};
 }
 
-void Simulation::After(Nanos delay, SmallFn fn) {
+Simulation::Timer Simulation::After(Nanos delay, SmallFn fn) {
   if (delay < 0) SchedulePanic("After() scheduled with negative delay", delay);
-  At(now_ + delay, std::move(fn));
+  return At(now_ + delay, std::move(fn));
+}
+
+void Simulation::Cancel(Timer timer) {
+  if (timer.idx >= (slabs_.size() << kSlabBits)) return;
+  Event& e = Ev(timer.idx);
+  // The generation moves on when the event fires or is cancelled, so a
+  // match means it is still waiting (and is one-shot: Every issues no
+  // Timer).
+  if (e.gen != timer.gen) return;
+  ++e.gen;
+  --pending_;
+  if (e.where < kLevels) {
+    Unlink(timer.idx);
+    FreeEvent(timer.idx);
+    return;
+  }
+  // Already in the sorted run or a heap, whose order a removal would
+  // break: leave a tombstone there and drop the callback now.
+  e.where = kTombstone;
+  ++tombstones_;
+  e.fn.Reset();
 }
 
 Simulation::PeriodicHandle Simulation::Every(Nanos interval, SmallFn fn) {
@@ -349,6 +413,7 @@ void Simulation::Dispatch(uint32_t idx) {
   now_ = e.time;
   ++events_processed_;
   --pending_;
+  ++e.gen;  // a Cancel from inside the callback is stale
   if (e.periodic) {
     FirePeriodic(idx);
     return;
@@ -382,8 +447,21 @@ uint32_t Simulation::PopImminent() {
   return ImminentPop().idx;
 }
 
+const Simulation::HeapEntry* Simulation::LiveFront() {
+  while (true) {
+    const HeapEntry* front = PeekImminent();
+    if (front == nullptr || tombstones_ == 0 ||
+        Ev(front->idx).where != kTombstone) {
+      return front;
+    }
+    FreeTombstone(PopImminent());
+  }
+}
+
+// A drained wheel slot holds no tombstones (Cancel unlinks those), so
+// after AdvanceWheel the front is live.
 bool Simulation::RunOne() {
-  if (PeekImminent() == nullptr && !AdvanceWheel()) return false;
+  if (LiveFront() == nullptr && !AdvanceWheel()) return false;
   Dispatch(PopImminent());
   return true;
 }
@@ -395,7 +473,7 @@ void Simulation::Run() {
 
 void Simulation::RunUntil(Nanos t) {
   while (true) {
-    const HeapEntry* front = PeekImminent();
+    const HeapEntry* front = LiveFront();
     if (front == nullptr) {
       if (!AdvanceWheel()) break;
       front = PeekImminent();

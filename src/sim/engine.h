@@ -12,10 +12,14 @@
 // slots feed a small flat binary heap (the "imminent" heap). Periodic
 // timers — the O(hosts) heartbeats, GCP ticks, redo flushes and scrapes
 // that dominate large runs — insert in O(1) and reschedule by handle, so
-// a tick performs no allocation and never copies its closure. Dispatch
-// order is the exact global (time, insertion-seq) order the old binary
-// heap produced; tests/sim_test.cc asserts equivalence against the frozen
-// pre-wheel engine in sim/legacy_engine.h.
+// a tick performs no allocation and never copies its closure. One-shot
+// events cancel by `Timer` id: O(1) unlink from the doubly-linked wheel
+// slot, or a tombstone once the event has left the wheel (Varghese &
+// Lauck's StopTimer), so a timeout disarmed by its reply stops occupying
+// a slab slot at once. Dispatch order is the exact global
+// (time, insertion-seq) order the old binary heap produced;
+// tests/sim_test.cc asserts equivalence against the frozen pre-wheel
+// engine in sim/legacy_engine.h.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +52,30 @@ class Simulation {
   trace::Tracer& tracer() { return tracer_; }
   const trace::Tracer& tracer() const { return tracer_; }
 
+  // Names one scheduled one-shot event for Cancel: its slab index plus
+  // the slot's generation at scheduling time. A plain value, not an
+  // owner; a default Timer names nothing.
+  struct Timer {
+    uint32_t idx = 0xffffffffu;  // kNil
+    uint32_t gen = 0;
+  };
+
   // Schedules fn at an absolute simulated time. Scheduling into the past
   // is a hard error in every build type: it would silently rewind now()
   // at dispatch and corrupt every Booking downstream, so the engine logs
   // and aborts instead (see SchedulePanic).
-  void At(Nanos time, SmallFn fn);
+  Timer At(Nanos time, SmallFn fn);
 
   // Schedules fn after a relative delay (>= 0; negative delays abort).
-  void After(Nanos delay, SmallFn fn);
+  Timer After(Nanos delay, SmallFn fn);
+
+  // Cancels a one-shot event: it never runs, its callback is destroyed
+  // now, and pending() drops now. A no-op when the timer is stale: the
+  // event already fired, is firing, was cancelled, or its slot was
+  // reused. An event still in the wheel is unlinked in O(1); one already
+  // queued for dispatch becomes a tombstone that is freed when reached,
+  // without counting as a dispatch or moving now().
+  void Cancel(Timer timer);
 
   // Runs fn every `interval`, starting after one interval, until the
   // returned handle is cancelled or the simulation ends. Used for
@@ -97,6 +117,8 @@ class Simulation {
 
   bool Empty() const { return pending_ == 0; }
   uint64_t pending() const { return pending_; }
+  // Event slabs mapped so far (4096 events each); the pool never shrinks.
+  size_t slabs() const { return slabs_.size(); }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -124,6 +146,12 @@ class Simulation {
   // Horizon of level l == slot width of level l+1 == 1 << kHorizonShift[l].
   static constexpr int kHorizonShift[kLevels] = {30, 36, 42, 48};
 
+  // Where an event waits: a wheel level (0..3), or kQueued once it has
+  // left the wheel for the sorted run, the spill heap or the far heap,
+  // or kTombstone once cancelled there.
+  static constexpr uint8_t kQueued = 4;
+  static constexpr uint8_t kTombstone = 5;
+
   // 128-byte aligned: exactly two cache lines — the scheduling head in the
   // first, the callback in the second. Periodic state (interval, liveness)
   // lives in the event itself: a tick touches no record besides the event
@@ -132,7 +160,11 @@ class Simulation {
     Nanos time = 0;
     uint64_t seq = 0;
     uint32_t next = kNil;         // wheel-slot chain / free-list link
-    uint32_t periodic = 0;        // 1 if a periodic tick
+    uint32_t prev = kNil;         // wheel-slot chain back link (kNil: head)
+    uint32_t gen = 0;             // bumped when the event fires or is cancelled
+    uint8_t periodic = 0;         // 1 if a periodic tick
+    uint8_t where = kQueued;      // wheel level, kQueued or kTombstone
+    uint16_t slot = 0;            // wheel slot while where < kLevels
     Nanos interval = 0;           // periodic reschedule interval
     std::shared_ptr<bool> alive;  // periodic liveness; see PeriodicHandle
     // Pinned to the second cache line so the dispatch prefetcher can pull
@@ -157,11 +189,17 @@ class Simulation {
 
   uint32_t AllocEvent();
   void FreeEvent(uint32_t idx);
+  void FreeTombstone(uint32_t idx);  // a cancelled event, reached at last
   Event& Ev(uint32_t idx) {
     return slabs_[idx >> kSlabBits].get()[idx & kSlabMask];
   }
 
   void Insert(HeapEntry h);
+  // Takes a wheel event out of its slot chain (O(1), doubly linked).
+  void Unlink(uint32_t idx);
+  // Skips tombstones at the front of the sorted run and the spill heap;
+  // returns the live front, or nullptr when both are drained.
+  const HeapEntry* LiveFront();
   // First occupied slot index >= `from` at `level`, or -1 (bitmap scan).
   int FindOccupied(int level, int from) const;
   void ImminentPush(HeapEntry e);
@@ -184,7 +222,8 @@ class Simulation {
   Nanos now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  uint64_t pending_ = 0;  // imminent + wheel + far
+  uint64_t pending_ = 0;  // imminent + wheel + far, tombstones excluded
+  uint64_t tombstones_ = 0;  // cancelled events still in run_/imminent_/far_
 
   // ---- Event pool ------------------------------------------------------
   static constexpr int kSlabBits = 12;  // 4096 events per slab
@@ -200,10 +239,10 @@ class Simulation {
   // ---- Wheel state -----------------------------------------------------
   // All wheel events have time >= wheel_time_ (a multiple of the level-0
   // slot width); everything earlier has been moved to the dispatch run or
-  // the spill heap. Slots are intrusive LIFO chains through Event::next:
-  // an insert touches only the slot-head word and the event's own head
-  // line (still hot from the caller writing time/seq), which beats any
-  // out-of-line bucket layout by a full cache line per insert.
+  // the spill heap. Slots are intrusive LIFO chains through Event::next
+  // and Event::prev: an insert touches the slot-head word, the event's
+  // own head line (still hot from the caller writing time/seq) and the
+  // old head's back link, and Cancel unlinks from anywhere in O(1).
   Nanos wheel_time_ = 0;
   uint64_t wheel_count_ = 0;
   std::vector<uint32_t> slot_head_[kLevels];

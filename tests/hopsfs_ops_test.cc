@@ -2,6 +2,8 @@
 // stack: client -> namenode -> NDB transactions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hopsfs/op_context.h"
 #include "hopsfs_test_util.h"
 #include "util/strings.h"
@@ -245,6 +247,63 @@ TEST(HopsFsOps, SurvivesNdbDatanodeFailure) {
 
 namespace repro::hopsfs {
 namespace {
+
+int64_t TotalLockWaits(TestFs& fs) {
+  int64_t waits = 0;
+  ndb::NdbCluster& ndb = fs.deployment->ndb();
+  for (int n = 0; n < ndb.num_datanodes(); ++n) {
+    waits += ndb.datanode(n).locks().total_waits();
+  }
+  return waits;
+}
+
+// Fewest events pending over the next 100 ms: the cluster's background
+// rounds (leader election, heartbeats) come and go, and between them only
+// the periodic timers and whatever is parked remain.
+uint64_t QuietPending(TestFs& fs) {
+  uint64_t fewest = fs.sim->pending();
+  for (int i = 0; i < 100; ++i) {
+    fs.sim->RunFor(kMillisecond);
+    fewest = std::min(fewest, fs.sim->pending());
+  }
+  return fewest;
+}
+
+// A resolved op disarms its timeouts: the client's 5 s RPC timer, the
+// API node's 1.5 s per-op timers and the 400 ms lock-wait timer are
+// cancelled by the reply (or grant) instead of staying parked in the
+// engine until they fire as no-ops.
+TEST(HopsFsTimers, ResolvedOpsLeaveNoParkedTimers) {
+  TestFs fs;  // settled: the leader is elected
+  const uint64_t baseline = QuietPending(fs);
+  ASSERT_EQ(fs.client->rpcs_live(), 0u);
+
+  EXPECT_TRUE(fs.Mkdir("/t").ok());
+  EXPECT_TRUE(fs.Create("/t/a").ok());
+  EXPECT_TRUE(fs.Mkdir("/t/d").ok());
+  EXPECT_TRUE(fs.Create("/t/b", 100).ok());
+  EXPECT_TRUE(fs.Stat("/t/a").ok());
+  EXPECT_TRUE(fs.ReadFile("/t/b").ok());
+  EXPECT_TRUE(fs.List("/t").status.ok());
+  EXPECT_TRUE(fs.Rename("/t/b", "/t/d/b").ok());
+  EXPECT_TRUE(fs.Chmod("/t/a", 0600).ok());
+  EXPECT_TRUE(fs.Delete("/t/d/b").ok());
+  // Two chmods of one file at once: the second waits for the first's
+  // exclusive row lock.
+  const int64_t waits_before = TotalLockWaits(fs);
+  int done = 0;
+  for (uint32_t perm : {0640u, 0644u}) {
+    fs.client->Chmod("/t/a", perm, [&](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      ++done;
+    });
+  }
+  while (done < 2) fs.sim->RunFor(kMillisecond);
+  EXPECT_GT(TotalLockWaits(fs), waits_before) << "no lock wait was forced";
+
+  EXPECT_EQ(fs.client->rpcs_live(), 0u);
+  EXPECT_EQ(QuietPending(fs), baseline);
+}
 
 TEST(HopsFsDurability, FilesystemSurvivesFullClusterRestart) {
   // Full-stack version of the NDB durability test: after a whole-cluster

@@ -77,6 +77,19 @@ TEST(LockManager, ReentrantAcquireSucceeds) {
   EXPECT_FALSE(rig.locks.IsLocked(0, "k"));
 }
 
+TEST(LockManager, GrantCancelsTheWaitTimeout) {
+  LockRig rig;
+  Code a, b;
+  rig.Acquire(1, "k", LockMode::kExclusive, &a);
+  rig.Acquire(2, "k", LockMode::kExclusive, &b);
+  EXPECT_EQ(rig.sim.pending(), 1u);
+  rig.locks.Release(1, 0, "k");
+  EXPECT_EQ(b, Code::kOk);
+  EXPECT_EQ(rig.sim.pending(), 0u) << "a granted waiter leaves no timer";
+  rig.sim.Run();
+  EXPECT_EQ(rig.sim.events_processed(), 0u);
+}
+
 TEST(LockManager, WaiterTimesOut) {
   LockRig rig;
   Code a, b;
@@ -95,7 +108,9 @@ TEST(LockManager, ClearDropsHoldersAndWaitersSilently) {
   rig.Acquire(1, "x", LockMode::kExclusive, &a);
   rig.Acquire(2, "y", LockMode::kShared, &b);
   rig.Acquire(3, "x", LockMode::kExclusive, &waiting);  // queued behind 1
+  EXPECT_EQ(rig.sim.pending(), 1u) << "the waiter's timeout";
   rig.locks.Clear();
+  EXPECT_EQ(rig.sim.pending(), 0u) << "Clear cancels the waiter's timeout";
   EXPECT_FALSE(rig.locks.IsLocked(0, "x"));
   EXPECT_FALSE(rig.locks.IsLocked(0, "y"));
   // A new holder of "x" outlives the forgotten waiter's timeout, which
@@ -259,7 +274,8 @@ TEST(LockManager, ClearThenChurnOverManyDistinctKeys) {
     rig.locks.Release(20000 + i, 0, key);
     ASSERT_FALSE(rig.locks.IsLocked(0, key));
   }
-  rig.sim.RunFor(Millis(200));  // every waiter's timer finds nothing
+  EXPECT_EQ(rig.sim.pending(), 0u) << "each grant cancels its wait timer";
+  rig.sim.RunFor(Millis(200));
   EXPECT_EQ(rig.locks.total_timeouts(), 0);
   EXPECT_EQ(rig.locks.total_waits(), 10000);
 }

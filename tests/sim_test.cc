@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event engine, topology, network, resources.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -345,14 +347,23 @@ TEST(Disk, ServiceTimeIncludesAccessAndTransfer) {
 // order the frozen pre-wheel binary-heap engine (sim/legacy_engine.h) did.
 // ---------------------------------------------------------------------------
 
-// Drives one engine through a randomized At/After/Every interleaving and
-// records every firing as (id, time). All random draws come from an engine-
-// local Rng: if dispatch orders ever diverge, the streams diverge too and
-// the recorded sequences differ loudly.
+// Drives one engine through a randomized At/After/Every/Cancel
+// interleaving and records every firing that did work as (id, time). All
+// random draws come from an engine-local Rng: if dispatch orders ever
+// diverge, the streams diverge too and the recorded sequences differ
+// loudly. The legacy engine cannot cancel a one-shot event, so there a
+// cancel only sets a flag and the event, when it fires, does nothing.
 template <typename Sim>
 class RandomScheduleDriver {
+  static constexpr bool kCancels = std::is_same_v<Sim, Simulation>;
+
  public:
   explicit RandomScheduleDriver(uint64_t seed) : rng_(seed) {}
+
+  // Firings that found their event cancelled: the legacy engine's no-ops.
+  // The wheel never runs a cancelled event, so it must report 0.
+  int noop_firings() const { return noop_firings_; }
+  uint64_t events_processed() const { return sim_.events_processed(); }
 
   std::vector<std::pair<int, long long>> Run() {
     // Heartbeat-scale periodics. Coarse interval quantization forces
@@ -375,10 +386,16 @@ class RandomScheduleDriver {
     // straggler that must not disturb anything before it.
     sim_.After(Millis(500), [this] { AddPeriodic(2000, Millis(7)); });
     sim_.After(Seconds(30), [this] { Record(3000); });
+    // Far-future one-shots (beyond the ~78 h level-3 horizon), some
+    // cancelled.
+    for (int k = 0; k < 6; ++k) Arm(Seconds(400000 + k), 1);
 
     sim_.RunUntil(Seconds(1));
     sim_.RunFor(Seconds(1));
     sim_.RunFor(Seconds(40));
+    // Stop every periodic and drain the rest, far heap included.
+    for (auto& h : handles_) h.Cancel();
+    sim_.Run();
     return std::move(fired_);
   }
 
@@ -391,37 +408,73 @@ class RandomScheduleDriver {
     handles_.push_back(sim_.Every(interval, [this, id] { Record(id); }));
   }
 
-  void Spawn(int depth) {
-    const int id = next_id_++;
-    // Delay mix: ties at the same instant, sub-slot, slot-scale, and
-    // beyond the level-0 horizon.
-    Nanos delay = 0;
+  // Delay mix: ties at the same instant, sub-slot, slot-scale, and
+  // beyond the level-0 horizon.
+  Nanos RandomDelay() {
     switch (rng_.NextBelow(4)) {
-      case 0: delay = 0; break;
-      case 1: delay = Micros(static_cast<int64_t>(rng_.NextBelow(2000))); break;
-      case 2: delay = Millis(static_cast<int64_t>(rng_.NextBelow(300))); break;
-      default: delay = Millis(static_cast<int64_t>(rng_.NextBelow(5000))); break;
+      case 0: return 0;
+      case 1: return Micros(static_cast<int64_t>(rng_.NextBelow(2000)));
+      case 2: return Millis(static_cast<int64_t>(rng_.NextBelow(300)));
+      default: return Millis(static_cast<int64_t>(rng_.NextBelow(5000)));
     }
-    sim_.After(delay, [this, id, depth] {
+  }
+
+  void Spawn(int depth) { Arm(RandomDelay(), depth); }
+
+  // Schedules one one-shot that records itself and fans out, and cancels
+  // one in four of them after a random delay of its own: before it fires
+  // (in the wheel, the sorted run, the spill heap or the far heap, by
+  // where it waits by then) or after (a stale cancel).
+  void Arm(Nanos delay, int depth) {
+    const int id = next_id_++;
+    cancelled_.push_back(false);
+    auto body = [this, id, depth] {
+      if (cancelled_[id]) {
+        ++noop_firings_;
+        return;
+      }
       Record(id);
       if (depth > 0) {
         const int fanout = static_cast<int>(rng_.NextBelow(3));
         for (int c = 0; c < fanout; ++c) Spawn(depth - 1);
       }
+    };
+    if constexpr (kCancels) {
+      timers_.push_back(sim_.After(delay, body));
+    } else {
+      sim_.After(delay, body);
+    }
+    if (rng_.NextBelow(4) != 0) return;
+    const Nanos cancel_in = rng_.NextBelow(2) == 0 ? RandomDelay()
+                                                   : delay / 2;
+    sim_.After(cancel_in, [this, id] {
+      cancelled_[id] = true;
+      if constexpr (kCancels) sim_.Cancel(timers_[id]);
     });
   }
 
   Sim sim_;
   Rng rng_;
   int next_id_ = 0;
+  int noop_firings_ = 0;
+  std::vector<bool> cancelled_;
+  std::vector<Simulation::Timer> timers_;  // by id; the wheel only
   std::vector<std::pair<int, long long>> fired_;
   std::vector<typename Sim::PeriodicHandle> handles_;
 };
 
 TEST(SchedulerEquivalence, RandomizedInterleavingsMatchLegacyEngine) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    auto wheel = RandomScheduleDriver<Simulation>(seed).Run();
-    auto heap = RandomScheduleDriver<LegacySimulation>(seed).Run();
+    RandomScheduleDriver<Simulation> wheel_driver(seed);
+    RandomScheduleDriver<LegacySimulation> heap_driver(seed);
+    auto wheel = wheel_driver.Run();
+    auto heap = heap_driver.Run();
+    EXPECT_EQ(wheel_driver.noop_firings(), 0) << "seed " << seed;
+    EXPECT_GE(heap_driver.noop_firings(), 10) << "seed " << seed;
+    // The only events the wheel skips are the legacy engine's no-ops.
+    EXPECT_EQ(wheel_driver.events_processed(),
+              heap_driver.events_processed() - heap_driver.noop_firings())
+        << "seed " << seed;
     ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
     for (size_t i = 0; i < wheel.size(); ++i) {
       ASSERT_EQ(wheel[i], heap[i])
@@ -544,6 +597,203 @@ TEST(Engine, DestroyingTheEngineReleasesEveryPendingCallback) {
     EXPECT_EQ(token.use_count(), 5001);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// One-shot cancellation.
+// ---------------------------------------------------------------------------
+
+// Counts destructions of the one live copy of a callback (moved-from
+// shells do not count).
+struct DestroyProbe {
+  int* destroyed;
+  explicit DestroyProbe(int* d) : destroyed(d) {}
+  DestroyProbe(DestroyProbe&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  DestroyProbe(const DestroyProbe&) = delete;
+  ~DestroyProbe() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+TEST(EngineCancel, CancelledEventNeverRunsAndItsCallbackDiesAtCancel) {
+  Simulation sim;
+  int destroyed = 0;
+  bool ran = false;
+  auto t = sim.After(Millis(5), [p = DestroyProbe(&destroyed), &ran] {
+    ran = true;
+  });
+  sim.After(Millis(10), [] {});
+  EXPECT_EQ(destroyed, 0);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.Cancel(t);
+  EXPECT_EQ(destroyed, 1) << "the callback must be destroyed at Cancel";
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EngineCancel, StaleTimerIsANoOp) {
+  Simulation sim;
+  int fired = 0;
+  // After firing.
+  auto a = sim.After(Millis(1), [&] { ++fired; });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  sim.Cancel(a);
+  EXPECT_EQ(sim.pending(), 0u);
+  // After its slot was reused: the free list hands the same slot to the
+  // next event, which a stale cancel must not touch.
+  auto b = sim.After(Millis(1), [&] { ++fired; });
+  EXPECT_EQ(b.idx, a.idx);
+  sim.Cancel(a);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  // Twice.
+  auto c = sim.After(Millis(1), [&] { ++fired; });
+  sim.Cancel(c);
+  sim.Cancel(c);
+  EXPECT_EQ(sim.pending(), 0u);
+  // A default Timer names nothing.
+  sim.After(Millis(1), [&] { ++fired; });
+  sim.Cancel(Simulation::Timer{});
+  sim.Run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(EngineCancel, CancelFromInsideOwnCallbackIsANoOp) {
+  Simulation sim;
+  Simulation::Timer self;
+  int fired = 0;
+  self = sim.After(Millis(1), [&] {
+    ++fired;
+    sim.Cancel(self);
+    // Scheduled after the cancel: it may reuse no slot of a live event.
+    sim.After(Millis(1), [&] { ++fired; });
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_TRUE(sim.Empty());
+}
+
+TEST(EngineCancel, CancelsInEveryPlaceAnEventCanWait) {
+  struct Case {
+    const char* where;
+    Nanos delay;
+  };
+  // Level 0 (~1.07 s horizon), level 1 (the 5 s client RPC timeout),
+  // level 2, level 3, and the far heap (beyond the ~78 h level-3
+  // horizon).
+  for (const Case& c : {Case{"level-0 slot", Millis(3)},
+                        Case{"level-1 slot", Seconds(5)},
+                        Case{"level-2 slot", Seconds(300)},
+                        Case{"level-3 slot", Seconds(90000)},
+                        Case{"far heap", Seconds(400000)}}) {
+    SCOPED_TRACE(c.where);
+    Simulation sim;
+    int fired = 0;
+    int destroyed = 0;
+    auto t = sim.After(c.delay, [p = DestroyProbe(&destroyed), &fired] {
+      ++fired;
+    });
+    // A live neighbour in the same place, scheduled both before and
+    // after the cancelled one in its chain.
+    sim.After(c.delay, [&] { ++fired; });
+    sim.Cancel(t);
+    sim.After(c.delay, [&] { ++fired; });
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(sim.pending(), 2u);
+    sim.Run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.events_processed(), 2u);
+    EXPECT_EQ(sim.now(), c.delay);
+  }
+}
+
+TEST(EngineCancel, CancelInTheSortedRunLeavesATombstone) {
+  Simulation sim;
+  int fired = 0;
+  Simulation::Timer later;
+  // Both in one ~65 us level-0 slot: when the first fires, the second is
+  // already in the sorted run, so Cancel can only tombstone it.
+  sim.At(Micros(10), [&] {
+    ++fired;
+    sim.Cancel(later);
+  });
+  later = sim.At(Micros(20), [&] { ++fired; });
+  EXPECT_TRUE(sim.RunOne());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.Empty());
+  // Only the tombstone remains: nothing to dispatch, and now() stays at
+  // the last event that ran.
+  EXPECT_FALSE(sim.RunOne());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.now(), Micros(10));
+}
+
+TEST(EngineCancel, CancelInTheSpillHeapLeavesATombstone) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.At(Micros(10), [&] {
+    order.push_back(0);
+    // The wheel cursor is past this slot: zero-delay events spill into
+    // the imminent heap.
+    auto a = sim.After(0, [&] { order.push_back(1); });
+    sim.After(0, [&] { order.push_back(2); });
+    auto b = sim.After(Micros(5), [&] { order.push_back(3); });
+    sim.Cancel(a);
+    sim.Cancel(b);
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.now(), Micros(10));
+  EXPECT_TRUE(sim.Empty());
+}
+
+TEST(EngineCancel, RunUntilSkipsTombstonesAndHonoursTheBound) {
+  Simulation sim;
+  std::vector<long long> fired;
+  Simulation::Timer t;
+  sim.At(Micros(10), [&] { sim.Cancel(t); });
+  t = sim.At(Micros(20), [&] { fired.push_back(sim.now()); });
+  sim.At(Micros(30), [&] { fired.push_back(sim.now()); });
+  sim.RunUntil(Micros(25));
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), Micros(25));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.RunUntil(Millis(1));
+  EXPECT_EQ(fired, (std::vector<long long>{Micros(30)}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(EngineCancel, ArmAndCancelChurnReusesSlots) {
+  // 20,000 5 s timeouts armed 50 us apart, each cancelled 100 arms (5 ms)
+  // later: without cancellation all of them would be parked at once
+  // (five 4096-event slabs); with it the pool stays at one slab.
+  Simulation sim;
+  std::vector<Simulation::Timer> armed;
+  int fired = 0;
+  int arms = 0;
+  std::function<void()> arm = [&] {
+    armed.push_back(sim.After(Seconds(5), [&] { ++fired; }));
+    if (armed.size() > 100) {
+      sim.Cancel(armed.front());
+      armed.erase(armed.begin());
+    }
+    if (++arms < 20000) sim.After(Micros(50), arm);
+  };
+  sim.After(0, arm);
+  sim.Run();
+  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(sim.events_processed(), 20000u + 100u);
+  EXPECT_EQ(sim.slabs(), 1u);
 }
 
 // ---------------------------------------------------------------------------
