@@ -179,6 +179,8 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
   }
 
   out.replica_reads = ndb.reads_per_replica();
+  out.events_dispatched = sim.events_processed();
+  out.rng_draws = sim.rng().draws();
   return out;
 }
 

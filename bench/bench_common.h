@@ -65,6 +65,9 @@ struct RunOutput {
   ResourceStats resources;
   // Per-partition replica read counts (Fig. 14).
   std::vector<std::vector<int64_t>> replica_reads;
+  // Engine totals over the whole run, set-up included (behaviour digests).
+  uint64_t events_dispatched = 0;
+  uint64_t rng_draws = 0;
 };
 
 RunOutput RunHopsFsWorkload(const RunConfig& config);

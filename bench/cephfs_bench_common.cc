@@ -112,6 +112,8 @@ CephRunOutput RunCephWorkload(const CephRunConfig& config) {
     out.osd_net_read_mbps /= d;
     out.osd_net_write_mbps /= d;
   }
+  out.events_dispatched = sim.events_processed();
+  out.rng_draws = sim.rng().draws();
   return out;
 }
 

@@ -37,6 +37,9 @@ struct CephRunOutput {
   double osd_net_write_mbps = 0;
   double mds_net_read_mbps = 0;   // Fig. 13
   double mds_net_write_mbps = 0;
+  // Engine totals over the whole run, set-up included (behaviour digests).
+  uint64_t events_dispatched = 0;
+  uint64_t rng_draws = 0;
 };
 
 CephRunOutput RunCephWorkload(const CephRunConfig& config);

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
+#include "cephfs_bench_common.h"
 #include "chaos/harness.h"
 #include "hopsfs/deployment.h"
 #include "hopsfs_test_util.h"
@@ -449,6 +451,63 @@ TEST(BehaviourDigest, AllFsOps) {
            static_cast<int64_t>(ndb.datanode(n).DigestStore()));
   }
   ExpectDigest("all_fs_ops", fp);
+}
+
+// One quick-scale Fig. 5 cell per setup family (one metadata server):
+// the numbers bench_paper prints for the cell in Figs. 5, 6, 8 and 10,
+// at the precision it prints them, plus the engine's event and RNG
+// totals. These runs are the only digests of the NDB checkpoint and
+// CephFS journal-flush ticks over a full Spotify window.
+void AddFigureCell(Fingerprint& fp, const workload::DriverResults& r,
+                   double per_server, double storage_cpu,
+                   double server_cpu, uint64_t events, uint64_t draws) {
+  fp.Add("events_dispatched", static_cast<int64_t>(events));
+  fp.Add("rng_draws", static_cast<int64_t>(draws));
+  fp.Add("completed", r.completed);
+  fp.Add("failed", r.failed);
+  fp.AddText("fig5", bench::Mops(r.ops_per_sec()));
+  fp.AddText("fig6", StrFormat("%.0f", per_server));
+  fp.AddText("fig8", StrFormat("%.2f", r.all.MeanMillis()));
+  fp.AddText("fig10", StrFormat("%.1f %.1f", 100 * storage_cpu,
+                                100 * server_cpu));
+  fp.AddHistogram("latency.all", r.all);
+}
+
+Fingerprint HopsFigureCell(hopsfs::PaperSetup setup) {
+  bench::RunConfig cfg;
+  cfg.setup = setup;
+  cfg.num_namenodes = 1;
+  const bench::RunOutput o = bench::RunHopsFsWorkload(cfg);
+  Fingerprint fp;
+  AddFigureCell(fp, o.results, o.results.ops_per_sec() / o.num_namenodes,
+                o.resources.ndb_cpu_util, o.resources.nn_cpu_util,
+                o.events_dispatched, o.rng_draws);
+  return fp;
+}
+
+TEST(BehaviourDigest, Fig5CellHopsFs33) {
+  ExpectDigest("fig5_hopsfs_3_3",
+               HopsFigureCell(hopsfs::PaperSetup::kHopsFs_3_3));
+}
+
+TEST(BehaviourDigest, Fig5CellHopsFsCl33) {
+  ExpectDigest("fig5_hopsfs_cl_3_3",
+               HopsFigureCell(hopsfs::PaperSetup::kHopsFsCl_3_3));
+}
+
+TEST(BehaviourDigest, Fig5CellCephFs) {
+  bench::CephRunConfig cfg;
+  cfg.num_mds = 1;
+  const bench::CephRunOutput o = bench::RunCephWorkload(cfg);
+  Fingerprint fp;
+  // Fig. 6 counts the requests that reach the MDS, not the client ops
+  // the kernel cache absorbs.
+  AddFigureCell(fp, o.results,
+                static_cast<double>(o.mds_handled_ops) /
+                    ToSeconds(o.results.window) / o.num_mds,
+                o.osd_cpu_util, o.mds_cpu_util, o.events_dispatched,
+                o.rng_draws);
+  ExpectDigest("fig5_cephfs", fp);
 }
 
 }  // namespace
