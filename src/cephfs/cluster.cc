@@ -34,10 +34,6 @@ CephCluster::CephCluster(Simulation& sim, Network& network, CephConfig config)
   }
 }
 
-CephCluster::~CephCluster() {
-  for (auto& t : timers_) t.Cancel();
-}
-
 void CephCluster::Start() {
   for (auto& m : mds_) {
     CephMds* mds = m.get();

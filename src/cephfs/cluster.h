@@ -183,7 +183,6 @@ class CephClient {
 class CephCluster {
  public:
   CephCluster(Simulation& sim, Network& network, CephConfig config);
-  ~CephCluster();
 
   void Start();
 

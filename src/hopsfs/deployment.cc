@@ -277,11 +277,6 @@ void Deployment::RegisterClientTelemetry(HopsFsClient* client) {
       [client] { return static_cast<double>(client->ops_submitted()); });
 }
 
-Deployment::~Deployment() {
-  for (auto& t : timers_) t.Cancel();
-  for (auto& nn : namenodes_) nn->Stop();
-}
-
 void Deployment::Start() {
   ndb_->StartProtocols();
 

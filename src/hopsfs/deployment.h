@@ -79,7 +79,6 @@ struct DeploymentOptions {
 class Deployment {
  public:
   Deployment(Simulation& sim, DeploymentOptions options);
-  ~Deployment();
 
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;

@@ -120,12 +120,9 @@ void Namenode::LeaderElectionRound() {
                           RLOG_INFO(kLog, "nn %d became leader", nn_id_);
                           is_leader_ = true;
                           if (dn_registry_ != nullptr) {
-                            rep_timer_ = sim_.Every(
-                                1 * kSecond, [this] {
-                                  if (alive_ && is_leader_) {
-                                    ReplicationMonitorRound();
-                                  }
-                                });
+                            rep_timer_ = sim_.Every(1 * kSecond, [this] {
+                              ReplicationMonitorRound();
+                            });
                           }
                         } else if (!lead && is_leader_) {
                           is_leader_ = false;

@@ -84,16 +84,17 @@ void Namenode::Start() {
       static_cast<Nanos>(rng_.NextBelow(
           static_cast<uint64_t>(config_.leader_interval)));
   LeaderElectionRound();  // have a leader quickly after start-up
-  sim_.After(phase, [this] {
-    if (!alive_) return;
+  start_timer_ = sim_.After(phase, [this] {
     LeaderElectionRound();
-    le_timer_ = sim_.Every(config_.leader_interval, [this] {
-      if (alive_) LeaderElectionRound();
-    });
+    le_timer_ = sim_.Every(config_.leader_interval,
+                           [this] { LeaderElectionRound(); });
   });
 }
 
+// Every timer of this namenode stops here, so no timer body runs on a
+// crashed namenode.
 void Namenode::Stop() {
+  sim_.Cancel(start_timer_);
   le_timer_.Cancel();
   rep_timer_.Cancel();
   is_leader_ = false;

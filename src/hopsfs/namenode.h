@@ -142,6 +142,7 @@ class Namenode {
            blocks::DnRegistry* dn_registry,
            blocks::BlockPlacementPolicy* placement,
            NamenodeConfig config = {});
+  ~Namenode() { Stop(); }
 
   int32_t id() const { return nn_id_; }
   HostId host() const { return host_; }
@@ -311,6 +312,9 @@ class Namenode {
   bool le_claim_pending_ = false;
   std::unordered_map<int32_t, std::pair<int64_t, int>> le_seen_;  // id -> (counter, misses)
   std::vector<ActiveNn> active_nns_;
+  // The staggered first election round; it arms le_timer_. rep_timer_
+  // runs only while this namenode leads.
+  Simulation::Timer start_timer_;
   Simulation::PeriodicHandle le_timer_;
   Simulation::PeriodicHandle rep_timer_;
   std::vector<bool> dn_known_dead_;

@@ -64,10 +64,6 @@ NdbCluster::NdbCluster(Simulation& sim, Network& network,
                         std::vector<int64_t>(n, 0));
 }
 
-NdbCluster::~NdbCluster() {
-  for (auto& t : timers_) t.Cancel();
-}
-
 trace::Tracer& NdbCluster::tracer() { return sim_.tracer(); }
 
 ApiNodeId NdbCluster::RegisterApi(NdbApiNode* api) {
@@ -229,20 +225,21 @@ void NdbCluster::RequestArbitration(NodeId requester) {
     }
   }
 
-  auto answered = std::make_shared<bool>(false);
-  transport_.Send(
-      transport_.New(ArbRequest{std::move(reachable), std::move(suspects),
-                                answered}),
-      SignalKind::kArbRequest, requester, arb, kArbBytes);
-
-  sim_.After(nc.arbitration_timeout, [this, requester, answered] {
-    if (*answered) return;
+  // The reply carries this request's timer back and cancels it; a late
+  // reply to an earlier request names that request's spent timer, which
+  // Cancel ignores.
+  const Simulation::Timer timeout =
+      sim_.After(nc.arbitration_timeout, [this, requester] {
     arbitration_in_flight_[requester] = false;
     if (!datanodes_[requester]->alive()) return;
     RLOG_INFO(kLog, "node %d cannot reach arbitrator, shutting down",
               requester);
     DeclareNodeFailed(requester);
   });
+  transport_.Send(
+      transport_.New(ArbRequest{std::move(reachable), std::move(suspects),
+                                timeout}),
+      SignalKind::kArbRequest, requester, arb, kArbBytes);
 }
 
 void NdbCluster::OnArbRequest(SignalRef sig) {
@@ -251,7 +248,7 @@ void NdbCluster::OnArbRequest(SignalRef sig) {
   ArbRequest& req = sig->as<ArbRequest>();
   const bool grant =
       mgmt_[arb]->HandleArbRequest(requester, req.reachable, sim_.now());
-  sig->msg = ArbReply{grant, std::move(req.suspects), std::move(req.answered)};
+  sig->msg = ArbReply{grant, std::move(req.suspects), req.timeout};
   transport_.Send(std::move(sig), SignalKind::kArbReply, arb, requester,
                   kArbBytes);
 }
@@ -259,7 +256,7 @@ void NdbCluster::OnArbRequest(SignalRef sig) {
 void NdbCluster::OnArbReply(Signal& sig) {
   const NodeId requester = sig.dst;
   const ArbReply& reply = sig.as<ArbReply>();
-  *reply.answered = true;
+  sim_.Cancel(reply.timeout);
   arbitration_in_flight_[requester] = false;
   if (!reply.grant) {
     RLOG_INFO(kLog, "node %d lost arbitration", requester);

@@ -79,7 +79,6 @@ class NdbCluster {
   // nodes are created inside `topology`.
   NdbCluster(Simulation& sim, Network& network, const Catalog* catalog,
              NdbClusterConfig config);
-  ~NdbCluster();
 
   NdbCluster(const NdbCluster&) = delete;
   NdbCluster& operator=(const NdbCluster&) = delete;

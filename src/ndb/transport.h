@@ -34,6 +34,7 @@
 
 #include "ndb/row_store.h"
 #include "ndb/types.h"
+#include "sim/engine.h"
 #include "sim/record_pool.h"
 #include "sim/topology.h"
 #include "trace/trace.h"
@@ -176,12 +177,12 @@ struct TxnAck {
 struct ArbRequest {
   std::vector<bool> reachable;
   std::vector<NodeId> suspects;
-  std::shared_ptr<bool> answered;  // shared with the requester's timeout
+  Simulation::Timer timeout;  // the requester's; the reply cancels it
 };
 struct ArbReply {
   bool grant = false;
   std::vector<NodeId> suspects;
-  std::shared_ptr<bool> answered;
+  Simulation::Timer timeout;
 };
 
 // ---- Signals ------------------------------------------------------------

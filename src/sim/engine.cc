@@ -90,7 +90,6 @@ void Simulation::FreeEvent(uint32_t idx) {
   Event& e = Ev(idx);
   e.fn.Reset();
   e.periodic = 0;
-  e.alive.reset();
   e.next = free_events_;
   free_events_ = idx;
 }
@@ -263,10 +262,8 @@ bool Simulation::AdvanceWheel() {
           e.where = kQueued;
           run_.push_back(HeapEntry{e.time, e.seq, n});
           // The walk already has the head line: start the callback line
-          // and the periodic liveness block on their way to the cache now,
-          // so dispatch never stalls on either.
+          // on its way to the cache now, so dispatch never stalls on it.
           __builtin_prefetch(reinterpret_cast<const char*>(&e) + 64);
-          if (e.periodic) __builtin_prefetch(e.alive.get());
           const uint32_t next = e.next;
           e.next = kNil;
           --wheel_count_;
@@ -340,11 +337,17 @@ Simulation::Timer Simulation::After(Nanos delay, SmallFn fn) {
 void Simulation::Cancel(Timer timer) {
   if (timer.idx >= (slabs_.size() << kSlabBits)) return;
   Event& e = Ev(timer.idx);
-  // The generation moves on when the event fires or is cancelled, so a
-  // match means it is still waiting (and is one-shot: Every issues no
-  // Timer).
+  // The generation moves on when a one-shot fires and when any event is
+  // cancelled, so a match means the event is still waiting, or is a
+  // periodic whose tick is running.
   if (e.gen != timer.gen) return;
   ++e.gen;
+  if (e.where == kFiring) {
+    // Cancelled by its own tick: the closure is running, so FirePeriodic
+    // frees the event once it returns. pending() already excludes it.
+    e.where = kTombstone;
+    return;
+  }
   --pending_;
   if (e.where < kLevels) {
     Unlink(timer.idx);
@@ -363,47 +366,37 @@ Simulation::PeriodicHandle Simulation::Every(Nanos interval, SmallFn fn) {
     SchedulePanic("Every() scheduled with non-positive interval", interval);
   }
   // The whole subscription lives in the pooled event: the closure fires
-  // and reschedules in place, and the interval and liveness pointer ride
-  // in the lines a tick already touches.
+  // and reschedules in place, and the interval rides in the line a tick
+  // already touches.
   const uint32_t idx = AllocEvent();
   Event& e = Ev(idx);
   e.time = now_ + interval;
   e.seq = next_seq_++;
   e.periodic = 1;
   e.interval = interval;
-  e.alive = std::make_shared<bool>(true);
   e.fn = std::move(fn);
   Insert(HeapEntry{e.time, e.seq, idx});
   ++pending_;
-
-  PeriodicHandle handle;
-  handle.alive_ = e.alive;
-  return handle;
+  return PeriodicHandle(this, Timer{idx, e.gen});
 }
 
 void Simulation::FirePeriodic(uint32_t idx) {
   Event& e = Ev(idx);
-  if (!*e.alive) {  // cancelled while in flight: the firing no-ops
+  e.where = kFiring;
+  e.fn();
+  // Unless the tick cancelled its own timer, reschedule the SAME pooled
+  // event, generation unchanged: no allocation, no callback copy. The
+  // sequence number is taken after the tick body ran, so events the tick
+  // scheduled keep their FIFO priority over the next tick (identical to
+  // the old After-inside-tick order).
+  if (e.where == kTombstone) {
     FreeEvent(idx);
     return;
   }
-  e.fn();
-  // The tick may have cancelled its own timer, and the last handle copy
-  // may have been dropped (only the engine's strong ref remains) — in
-  // both cases the subscription ends, exactly like the pre-wheel engine's
-  // weak-tick closure. Otherwise reschedule the SAME pooled event by
-  // handle: no allocation, no callback copy. The sequence number is taken
-  // after the tick body ran, so events the tick scheduled keep their FIFO
-  // priority over the next tick (identical to the old After-inside-tick
-  // order).
-  if (*e.alive && e.alive.use_count() > 1) {
-    e.time = now_ + e.interval;
-    e.seq = next_seq_++;
-    Insert(HeapEntry{e.time, e.seq, idx});
-    ++pending_;
-  } else {
-    FreeEvent(idx);
-  }
+  e.time = now_ + e.interval;
+  e.seq = next_seq_++;
+  Insert(HeapEntry{e.time, e.seq, idx});
+  ++pending_;
 }
 
 // ---- Dispatch loops -----------------------------------------------------
@@ -413,11 +406,11 @@ void Simulation::Dispatch(uint32_t idx) {
   now_ = e.time;
   ++events_processed_;
   --pending_;
-  ++e.gen;  // a Cancel from inside the callback is stale
   if (e.periodic) {
     FirePeriodic(idx);
     return;
   }
+  ++e.gen;  // a Cancel from inside the callback is stale
   // Invoke in place: slab addresses are stable, so callbacks may freely
   // schedule (and grow the pool) while running.
   e.fn();

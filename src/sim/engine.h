@@ -11,12 +11,12 @@
 // and are ordered by a 4-level hierarchical timer wheel whose expired
 // slots feed a small flat binary heap (the "imminent" heap). Periodic
 // timers — the O(hosts) heartbeats, GCP ticks, redo flushes and scrapes
-// that dominate large runs — insert in O(1) and reschedule by handle, so
-// a tick performs no allocation and never copies its closure. One-shot
-// events cancel by `Timer` id: O(1) unlink from the doubly-linked wheel
-// slot, or a tombstone once the event has left the wheel (Varghese &
-// Lauck's StopTimer), so a timeout disarmed by its reply stops occupying
-// a slab slot at once. Dispatch order is the exact global
+// that dominate large runs — insert in O(1) and reschedule in place, so
+// a tick performs no allocation and never copies its closure. Every
+// event, one-shot or periodic, cancels by `Timer` id: O(1) unlink from
+// the doubly-linked wheel slot, or a tombstone once the event has left
+// the wheel (Varghese & Lauck's StopTimer), so a timer disarmed early
+// stops occupying a slab slot at once. Dispatch order is the exact global
 // (time, insertion-seq) order the old binary heap produced;
 // tests/sim_test.cc asserts equivalence against the frozen pre-wheel
 // engine in sim/legacy_engine.h.
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
@@ -52,9 +53,10 @@ class Simulation {
   trace::Tracer& tracer() { return tracer_; }
   const trace::Tracer& tracer() const { return tracer_; }
 
-  // Names one scheduled one-shot event for Cancel: its slab index plus
-  // the slot's generation at scheduling time. A plain value, not an
-  // owner; a default Timer names nothing.
+  // Names one scheduled event for Cancel: its slab index plus the slot's
+  // generation at scheduling time. A periodic keeps its generation across
+  // reschedules, so one Timer names it for its whole life. A plain
+  // value, not an owner; a default Timer names nothing.
   struct Timer {
     uint32_t idx = 0xffffffffu;  // kNil
     uint32_t gen = 0;
@@ -69,36 +71,47 @@ class Simulation {
   // Schedules fn after a relative delay (>= 0; negative delays abort).
   Timer After(Nanos delay, SmallFn fn);
 
-  // Cancels a one-shot event: it never runs, its callback is destroyed
-  // now, and pending() drops now. A no-op when the timer is stale: the
-  // event already fired, is firing, was cancelled, or its slot was
-  // reused. An event still in the wheel is unlinked in O(1); one already
-  // queued for dispatch becomes a tombstone that is freed when reached,
-  // without counting as a dispatch or moving now().
+  // Cancels an event: it never runs again, its callback is destroyed
+  // now, and pending() drops now. A no-op when the timer is stale: a
+  // one-shot already fired or is firing, the event was cancelled, or its
+  // slot was reused. An event still in the wheel is unlinked in O(1); one
+  // already queued for dispatch becomes a tombstone that is freed when
+  // reached, without counting as a dispatch or moving now(). A periodic
+  // cancelled from inside its own tick finishes that tick and is freed
+  // when the callback returns.
   void Cancel(Timer timer);
 
   // Runs fn every `interval`, starting after one interval, until the
-  // returned handle is cancelled or the simulation ends. Used for
-  // heartbeats, leader-election rounds, and checkpoint ticks.
-  // The handle owns the periodic subscription: dropping or cancelling it
-  // stops the timer (in-flight firings see the cleared flag and no-op).
-  // The callback is moved once into the pooled event, and the event is
-  // rescheduled in place by handle — a tick copies nothing.
+  // returned handle is cancelled or dropped. Used for heartbeats,
+  // leader-election rounds, and checkpoint ticks. The callback is moved
+  // once into the pooled event, which is rescheduled in place: a tick
+  // copies and allocates nothing.
+  //
+  // The handle is the timer's only owner: move-only, and destroying or
+  // move-assigning over it cancels the timer, so it must not outlive the
+  // simulation.
   class PeriodicHandle {
    public:
+    PeriodicHandle() = default;
+    PeriodicHandle(PeriodicHandle&& o) noexcept
+        : sim_(std::exchange(o.sim_, nullptr)), timer_(o.timer_) {}
+    // Takes `o` by value: the timer this handle owned leaves with it.
+    PeriodicHandle& operator=(PeriodicHandle o) noexcept {
+      std::swap(sim_, o.sim_);
+      std::swap(timer_, o.timer_);
+      return *this;
+    }
+    ~PeriodicHandle() { Cancel(); }
+
     void Cancel() {
-      if (alive_) *alive_ = false;
-      alive_.reset();
+      if (sim_ != nullptr) std::exchange(sim_, nullptr)->Cancel(timer_);
     }
 
    private:
     friend class Simulation;
-    // Shared with the engine's periodic record (which holds exactly one
-    // strong reference): *alive_ == false means cancelled, and a
-    // use_count of 1 means every handle copy was dropped — in which case
-    // the timer fires at most once more and stops, matching the
-    // pre-wheel engine's weak-tick semantics exactly.
-    std::shared_ptr<bool> alive_;
+    PeriodicHandle(Simulation* sim, Timer timer) : sim_(sim), timer_(timer) {}
+    Simulation* sim_ = nullptr;  // null once cancelled or moved from
+    Timer timer_;
   };
   PeriodicHandle Every(Nanos interval, SmallFn fn);
 
@@ -148,25 +161,26 @@ class Simulation {
 
   // Where an event waits: a wheel level (0..3), or kQueued once it has
   // left the wheel for the sorted run, the spill heap or the far heap,
-  // or kTombstone once cancelled there.
+  // or kTombstone once cancelled there. A periodic is kFiring while its
+  // tick runs; a Cancel from inside the tick turns that into kTombstone.
   static constexpr uint8_t kQueued = 4;
   static constexpr uint8_t kTombstone = 5;
+  static constexpr uint8_t kFiring = 6;
 
   // 128-byte aligned: exactly two cache lines — the scheduling head in the
-  // first, the callback in the second. Periodic state (interval, liveness)
+  // first, the callback in the second. Periodic state (the interval)
   // lives in the event itself: a tick touches no record besides the event
-  // it is already dispatching plus the handle's shared control block.
+  // it is already dispatching.
   struct alignas(128) Event {
     Nanos time = 0;
     uint64_t seq = 0;
     uint32_t next = kNil;         // wheel-slot chain / free-list link
     uint32_t prev = kNil;         // wheel-slot chain back link (kNil: head)
-    uint32_t gen = 0;             // bumped when the event fires or is cancelled
+    uint32_t gen = 0;             // bumped when a one-shot fires or at Cancel
     uint8_t periodic = 0;         // 1 if a periodic tick
-    uint8_t where = kQueued;      // wheel level, kQueued or kTombstone
+    uint8_t where = kQueued;      // wheel level, kQueued, kTombstone, kFiring
     uint16_t slot = 0;            // wheel slot while where < kLevels
     Nanos interval = 0;           // periodic reschedule interval
-    std::shared_ptr<bool> alive;  // periodic liveness; see PeriodicHandle
     // Pinned to the second cache line so the dispatch prefetcher can pull
     // it in ahead of the call.
     alignas(64) SmallFn fn;       // the callback, fired in place

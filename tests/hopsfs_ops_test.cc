@@ -305,6 +305,34 @@ TEST(HopsFsTimers, ResolvedOpsLeaveNoParkedTimers) {
   EXPECT_EQ(QuietPending(fs), baseline);
 }
 
+// Crash stops every timer the namenode holds, so no timer body needs to
+// check that its namenode is alive or still leading: before the
+// staggered first election round its one-shot is the only timer, and the
+// settled leader of a deployment with block datanodes holds the election
+// ticks and the re-replication monitor.
+TEST(HopsFsTimers, CrashCancelsEveryNamenodeTimer) {
+  {
+    Simulation sim(5);
+    auto options =
+        DeploymentOptions::FromPaperSetup(PaperSetup::kHopsFsCl_3_3, 3);
+    options.ndb_datanodes = 6;
+    Deployment dep(sim, options);
+    dep.Start();
+    const uint64_t before = sim.pending();
+    dep.namenode(2)->Crash();
+    EXPECT_EQ(sim.pending(), before - 1);
+  }
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/3);
+  Namenode* leader = fs.deployment->leader();
+  ASSERT_TRUE(leader->is_leader());
+  const uint64_t before = fs.sim->pending();
+  leader->Crash();
+  EXPECT_EQ(fs.sim->pending(), before - 2);
+  fs.sim->RunFor(Seconds(5));
+  EXPECT_FALSE(leader->is_leader());
+  EXPECT_NE(fs.deployment->leader(), leader);
+}
+
 TEST(HopsFsDurability, FilesystemSurvivesFullClusterRestart) {
   // Full-stack version of the NDB durability test: after a whole-cluster
   // outage, everything covered by a durable global checkpoint — the

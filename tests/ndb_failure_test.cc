@@ -76,6 +76,53 @@ TEST(NdbFailure, PartitionMinorityShutsDownMajorityServes) {
   EXPECT_EQ(tc.InsertCommit(tc.inode_table, "1/y", "w"), Code::kOk);
 }
 
+// An arbitration reply cancels the timeout of the request it answers, by
+// the Timer that request carried. A late reply to an earlier request
+// carries that request's spent timer, so it must leave a newer request's
+// timeout armed: a node that still cannot hear the arbitrator shuts down
+// on time.
+TEST(NdbFailure, LateArbitrationReplyLeavesNewerTimeoutArmed) {
+  TestCluster tc;  // arbitrator: mgmt node 0, in AZ 0
+  tc.cluster->StartProtocols();
+  tc.sim->RunFor(Seconds(1));
+  const Simulation::Timer spent = tc.sim->After(0, [] {});
+  tc.sim->RunFor(Micros(1));
+
+  // AZ 1 stops hearing AZ 0: its nodes suspect the AZ-0 nodes and ask the
+  // arbitrator, whose replies are lost on the same link.
+  auto& layout = tc.cluster->layout();
+  NodeId r = -1;
+  NodeId az0 = -1;
+  for (NodeId n = tc.cluster->num_datanodes() - 1; n >= 0; --n) {
+    if (layout.az_of(n) == 1) r = n;
+    if (layout.az_of(n) == 0) az0 = n;
+  }
+  tc.network->SetDropProbability(0, 1, 1.0);
+  const auto& log = tc.cluster->mgmt(0).decision_log();
+  const auto asked_at = [&]() -> Nanos {
+    for (const auto& d : log) {
+      if (d.requester == r) return d.time;
+    }
+    return -1;
+  };
+  const Nanos deadline = tc.sim->now() + Seconds(2);
+  while (asked_at() < 0 && tc.sim->now() < deadline) {
+    tc.sim->RunFor(Micros(50));
+  }
+  ASSERT_GE(asked_at(), 0) << "node " << r << " never asked the arbitrator";
+  ASSERT_TRUE(layout.alive(r));
+
+  // The late reply to an earlier request, granted with the AZ-0 node as
+  // suspect, reaches r through the AZ-1 management node.
+  Transport& transport = tc.cluster->transport();
+  transport.Send(transport.New(ArbReply{true, {az0}, spent}),
+                 SignalKind::kArbReply, /*src=*/1, /*dst=*/r, 64);
+  tc.sim->RunUntil(asked_at() + tc.cluster->node_config().arbitration_timeout);
+  EXPECT_FALSE(layout.alive(az0)) << "the late reply was not delivered";
+  EXPECT_FALSE(layout.alive(r))
+      << "the late reply disarmed the newer request's timeout";
+}
+
 TEST(NdbFailure, RestartResyncsDataAndRejoins) {
   TestCluster tc;
   tc.cluster->StartProtocols();

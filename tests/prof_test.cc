@@ -427,6 +427,37 @@ TEST(ProfAllocFloor, SteadyStateDatanodeHopAllocatesNothing) {
   EXPECT_EQ(cluster.transport().pool()->live(), 0u);
 }
 
+// A periodic lives wholly in its pooled event, and Every hands back a
+// move-only {engine, Timer} owner, so after the first slab is mapped,
+// arming 1,000 periodics, ticking them and cancelling them (by dropping
+// the handles) allocates nothing. A shared liveness flag per Every cost
+// 1,000 allocations here.
+TEST(ProfAllocFloor, ArmingAndCancellingPeriodicsAllocatesNothing) {
+  Simulation sim;
+  std::vector<Simulation::PeriodicHandle> handles;
+  handles.reserve(1000);
+  int64_t ticks = 0;
+  const auto churn = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      handles.push_back(
+          sim.Every(Millis(1 + i % 7), [&ticks] { ++ticks; }));
+    }
+    sim.RunFor(Millis(10));
+    handles.clear();
+  };
+  // Warm-up: maps the slab and sizes the dispatch run and the spill
+  // heap (the second round starts with the wheel cursor already past the
+  // first ticks' slot).
+  churn();
+  churn();
+  const int64_t per_round = ticks / 2;
+  const uint64_t allocs = AllocsDuring(churn);
+  EXPECT_EQ(allocs, 0u) << "1,000 Every timers armed, ticked and cancelled";
+  EXPECT_EQ(ticks, 3 * per_round);
+  EXPECT_TRUE(sim.Empty());
+  EXPECT_EQ(sim.slabs(), 1u);
+}
+
 // Whole transactions through the NDB API on a 6-node, 3-replica, 3-AZ
 // cluster, after warm-up: a committed read (Begin, Read, Commit) and a
 // write (Begin, Write, Commit: the 3-replica prepare chain, the reverse

@@ -48,6 +48,8 @@ TEST(Engine, RunUntilAdvancesClock) {
   EXPECT_EQ(fired, 1);
 }
 
+// The Timer taken at Every still names the periodic after five in-place
+// reschedules: its generation never moves until the Cancel.
 TEST(Engine, PeriodicFiresUntilCancelled) {
   Simulation sim;
   int ticks = 0;
@@ -55,6 +57,7 @@ TEST(Engine, PeriodicFiresUntilCancelled) {
   sim.RunUntil(Millis(55));
   EXPECT_EQ(ticks, 5);
   handle.Cancel();
+  EXPECT_TRUE(sim.Empty());
   sim.RunUntil(Millis(200));
   EXPECT_EQ(ticks, 5);
 }
@@ -352,7 +355,8 @@ TEST(Disk, ServiceTimeIncludesAccessAndTransfer) {
 // random draws come from an engine-local Rng: if dispatch orders ever
 // diverge, the streams diverge too and the recorded sequences differ
 // loudly. The legacy engine cannot cancel a one-shot event, so there a
-// cancel only sets a flag and the event, when it fires, does nothing.
+// cancel only sets a flag and the event, when it fires, does nothing; and
+// a periodic it cancels still dispatches its queued tick once, as a no-op.
 template <typename Sim>
 class RandomScheduleDriver {
   static constexpr bool kCancels = std::is_same_v<Sim, Simulation>;
@@ -363,6 +367,9 @@ class RandomScheduleDriver {
   // Firings that found their event cancelled: the legacy engine's no-ops.
   // The wheel never runs a cancelled event, so it must report 0.
   int noop_firings() const { return noop_firings_; }
+  // First cancels of a live periodic. Each one is one more legacy no-op:
+  // every cancel here comes from outside the tick, while a tick is queued.
+  int periodic_cancels() const { return periodic_cancels_; }
   uint64_t events_processed() const { return sim_.events_processed(); }
 
   std::vector<std::pair<int, long long>> Run() {
@@ -380,7 +387,7 @@ class RandomScheduleDriver {
     // Cancel a third of the periodics at random times mid-run.
     for (size_t k = 0; k < handles_.size(); k += 3) {
       sim_.After(Millis(static_cast<int64_t>(100 + rng_.NextBelow(1800))),
-                 [this, k] { handles_[k].Cancel(); });
+                 [this, k] { CancelPeriodic(k); });
     }
     // A periodic created mid-run (Every at now > 0), plus a far-future
     // straggler that must not disturb anything before it.
@@ -394,7 +401,7 @@ class RandomScheduleDriver {
     sim_.RunFor(Seconds(1));
     sim_.RunFor(Seconds(40));
     // Stop every periodic and drain the rest, far heap included.
-    for (auto& h : handles_) h.Cancel();
+    for (size_t k = 0; k < handles_.size(); ++k) CancelPeriodic(k);
     sim_.Run();
     return std::move(fired_);
   }
@@ -406,6 +413,13 @@ class RandomScheduleDriver {
 
   void AddPeriodic(int id, Nanos interval) {
     handles_.push_back(sim_.Every(interval, [this, id] { Record(id); }));
+    periodic_live_.push_back(true);
+  }
+
+  void CancelPeriodic(size_t k) {
+    if (periodic_live_[k]) ++periodic_cancels_;
+    periodic_live_[k] = false;
+    handles_[k].Cancel();
   }
 
   // Delay mix: ties at the same instant, sub-slot, slot-scale, and
@@ -457,7 +471,9 @@ class RandomScheduleDriver {
   Rng rng_;
   int next_id_ = 0;
   int noop_firings_ = 0;
+  int periodic_cancels_ = 0;
   std::vector<bool> cancelled_;
+  std::vector<bool> periodic_live_;
   std::vector<Simulation::Timer> timers_;  // by id; the wheel only
   std::vector<std::pair<int, long long>> fired_;
   std::vector<typename Sim::PeriodicHandle> handles_;
@@ -471,9 +487,13 @@ TEST(SchedulerEquivalence, RandomizedInterleavingsMatchLegacyEngine) {
     auto heap = heap_driver.Run();
     EXPECT_EQ(wheel_driver.noop_firings(), 0) << "seed " << seed;
     EXPECT_GE(heap_driver.noop_firings(), 10) << "seed " << seed;
-    // The only events the wheel skips are the legacy engine's no-ops.
+    EXPECT_EQ(wheel_driver.periodic_cancels(), 13) << "seed " << seed;
+    EXPECT_EQ(heap_driver.periodic_cancels(), 13) << "seed " << seed;
+    // The only events the wheel skips are the legacy engine's no-ops: the
+    // cancelled one-shots and one queued tick per cancelled periodic.
     EXPECT_EQ(wheel_driver.events_processed(),
-              heap_driver.events_processed() - heap_driver.noop_firings())
+              heap_driver.events_processed() - heap_driver.noop_firings() -
+                  heap_driver.periodic_cancels())
         << "seed " << seed;
     ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
     for (size_t i = 0; i < wheel.size(); ++i) {
@@ -535,17 +555,6 @@ TEST(SchedulerEquivalence, CancelBeforePendingTickSuppressesIt) {
   h = sim.Every(Millis(10), [&] { ++ticks; });
   sim.RunUntil(Millis(200));
   EXPECT_EQ(ticks, 2);
-}
-
-TEST(SchedulerEquivalence, DroppingLastHandleStopsPeriodicAfterOneFiring) {
-  Simulation sim;
-  int ticks = 0;
-  { auto h = sim.Every(Millis(10), [&] { ++ticks; }); }
-  sim.RunUntil(Millis(200));
-  // The legacy engine's weak-tick closure fired exactly once more after
-  // the last handle copy died; the wheel must match.
-  EXPECT_EQ(ticks, 1);
-  EXPECT_TRUE(sim.Empty());
 }
 
 TEST(Engine, PeriodicTickNeverCopiesItsCallback) {
@@ -794,6 +803,97 @@ TEST(EngineCancel, ArmAndCancelChurnReusesSlots) {
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(sim.events_processed(), 20000u + 100u);
   EXPECT_EQ(sim.slabs(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Periodic cancellation: a periodic cancels through the same Timer path as
+// a one-shot, whether by Cancel(), by dropping its handle or by assigning
+// over it, and stops at once.
+// ---------------------------------------------------------------------------
+
+TEST(EnginePeriodic, CancelFromInsideTheTickFinishesThatTickOnly) {
+  Simulation sim;
+  int ticks = 0;
+  int destroyed = 0;
+  int tail_sum = 0;
+  Simulation::PeriodicHandle h;
+  // The vector's heap buffer is read after the Cancel: had Cancel
+  // destroyed the running closure, ASan would flag the read.
+  h = sim.Every(Millis(10), [&, p = DestroyProbe(&destroyed),
+                             tail = std::vector<int>{1, 2, 3}] {
+    if (++ticks == 3) {
+      h.Cancel();
+      EXPECT_EQ(destroyed, 0) << "the running tick must survive its Cancel";
+      EXPECT_EQ(sim.pending(), 0u);
+    }
+    tail_sum += tail[2];
+  });
+  sim.RunUntil(Millis(30));
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(tail_sum, 9);
+  EXPECT_EQ(destroyed, 1) << "freed once the tick returned";
+  EXPECT_TRUE(sim.Empty());
+  sim.RunUntil(Millis(200));
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(EnginePeriodic, CancelInTheSortedRunLeavesATombstone) {
+  Simulation sim;
+  int ticks = 0;
+  int destroyed = 0;
+  Simulation::PeriodicHandle h;
+  // Both in the ~65 us level-0 slot at 10 ms: when the one-shot fires,
+  // the tick is already in the sorted run behind it.
+  sim.At(Millis(10) - Micros(5), [&] {
+    h.Cancel();
+    EXPECT_EQ(destroyed, 1) << "the callback dies at Cancel";
+    EXPECT_EQ(sim.pending(), 0u);
+  });
+  h = sim.Every(Millis(10), [&, p = DestroyProbe(&destroyed)] { ++ticks; });
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.RunUntil(Millis(100));
+  EXPECT_EQ(ticks, 0);
+  EXPECT_EQ(sim.events_processed(), 1u) << "a tombstone is no dispatch";
+  EXPECT_EQ(sim.now(), Millis(100));
+}
+
+TEST(EnginePeriodic, DroppingTheHandleStopsThePeriodicAtOnce) {
+  Simulation sim;
+  int ticks = 0;
+  int destroyed = 0;
+  {
+    Simulation::PeriodicHandle h = sim.Every(
+        Millis(10), [&, p = DestroyProbe(&destroyed)] { ++ticks; });
+    sim.RunUntil(Millis(25));
+    EXPECT_EQ(ticks, 2);
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.RunUntil(Millis(200));
+  EXPECT_EQ(ticks, 2) << "no firing after the last owner is gone";
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(EnginePeriodic, MoveAssigningOverALiveHandleCancelsItsTimer) {
+  Simulation sim;
+  int a = 0;
+  int b = 0;
+  Simulation::PeriodicHandle h = sim.Every(Millis(10), [&] { ++a; });
+  sim.RunUntil(Millis(15));
+  h = sim.Every(Millis(10), [&] { ++b; });
+  EXPECT_EQ(sim.pending(), 1u) << "the overwritten timer stops at once";
+  // Moving transfers ownership: the moved-from handle cancels nothing.
+  Simulation::PeriodicHandle moved = std::move(h);
+  h.Cancel();
+  h = Simulation::PeriodicHandle();
+  sim.RunUntil(Millis(55));
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 4);
+  moved.Cancel();
+  EXPECT_TRUE(sim.Empty());
+  static_assert(!std::is_copy_constructible_v<Simulation::PeriodicHandle>);
 }
 
 // ---------------------------------------------------------------------------
