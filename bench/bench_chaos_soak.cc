@@ -19,6 +19,7 @@
 #include "bench_common.h"
 #include "chaos/harness.h"
 #include "metrics/timeseries.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace repro::bench {
@@ -96,12 +97,12 @@ int Main(int argc, char** argv) {
               "planted lost-acked-write bug caught by durability");
   }
 
-  metrics::WriteCsv(metrics::CsvDir() + "/chaos_soak.csv",
-                    {{"seed", col_seed},
-                     {"warmup_ops_per_sec", col_warmup},
-                     {"fault_ops_per_sec", col_fault},
-                     {"settle_ops_per_sec", col_settle},
-                     {"invariants_ok", col_ok}});
+  WriteFile(metrics::CsvDir() + "/chaos_soak.csv",
+            metrics::CsvText({{"seed", col_seed},
+                              {"warmup_ops_per_sec", col_warmup},
+                              {"fault_ops_per_sec", col_fault},
+                              {"settle_ops_per_sec", col_settle},
+                              {"invariants_ok", col_ok}}));
   return out.Finish();
 }
 

@@ -28,6 +28,7 @@
 #include "chaos/harness.h"
 #include "prof/profiler.h"
 #include "metrics/timeseries.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace repro::bench {
@@ -213,16 +214,16 @@ int Main(int argc, char** argv) {
     }
   }
 
-  metrics::WriteCsv(metrics::CsvDir() + "/overload.csv",
-                    {{"multiplier", col_mult},
-                     {"offered_ops_per_sec", col_offered},
-                     {"resilient_goodput", col_res_goodput},
-                     {"resilient_p99_ms", col_res_p99},
-                     {"resilient_shed_rate", col_res_shed},
-                     {"baseline_goodput", col_base_goodput},
-                     {"baseline_p99_ms", col_base_p99},
-                     {"peak_rss_mb", col_peak_rss_mb},
-                     {"alloc_mb", col_alloc_mb}});
+  WriteFile(metrics::CsvDir() + "/overload.csv",
+            metrics::CsvText({{"multiplier", col_mult},
+                              {"offered_ops_per_sec", col_offered},
+                              {"resilient_goodput", col_res_goodput},
+                              {"resilient_p99_ms", col_res_p99},
+                              {"resilient_shed_rate", col_res_shed},
+                              {"baseline_goodput", col_base_goodput},
+                              {"baseline_p99_ms", col_base_p99},
+                              {"peak_rss_mb", col_peak_rss_mb},
+                              {"alloc_mb", col_alloc_mb}}));
 
   // ---- chaos episode: open-loop surge + single-AZ outage --------------
   // Pinned seed; the surge-goodput, deadline and availability invariants

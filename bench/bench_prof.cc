@@ -47,6 +47,7 @@
 #include "telemetry/export.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace.h"
+#include "util/file.h"
 #include "util/strings.h"
 #include "workload/driver.h"
 #include "workload/spotify.h"
@@ -120,31 +121,19 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
   profiler.Uninstall();
 
   // Artifacts.
-  prof::WriteFoldedStacks(out_dir + "/prof_cpu.folded", profiler,
-                          prof::Metric::kCpuNs);
-  prof::WriteFoldedStacks(out_dir + "/prof_allocs.folded", profiler,
-                          prof::Metric::kAllocs);
+  WriteFile(out_dir + "/prof_cpu.folded",
+            prof::FoldedStacks(profiler, prof::Metric::kCpuNs));
+  WriteFile(out_dir + "/prof_allocs.folded",
+            prof::FoldedStacks(profiler, prof::Metric::kAllocs));
   const std::string budget = prof::BudgetTable(profiler, 20);
-  FILE* bf = std::fopen((out_dir + "/prof_budget.txt").c_str(), "w");
-  if (bf != nullptr) {
-    std::fputs(budget.c_str(), bf);
-    std::fclose(bf);
-  }
-  FILE* zf = std::fopen((out_dir + "/prof_zones.json").c_str(), "w");
-  if (zf != nullptr) {
-    std::fputs(prof::ZonesJson(profiler).c_str(), zf);
-    std::fclose(zf);
-  }
-  trace::WriteChromeTrace(out_dir + "/prof_trace.json",
-                          sim.tracer().TakeFinished(),
-                          prof::ZoneChromeEvents(profiler));
+  WriteFile(out_dir + "/prof_budget.txt", budget);
+  WriteFile(out_dir + "/prof_zones.json", prof::ZonesJson(profiler));
+  WriteFile(out_dir + "/prof_trace.json",
+            trace::ChromeTraceJson(sim.tracer().TakeFinished(),
+                                   prof::ZoneChromeEvents(profiler)));
   // prof.zone.* rides the normal exporters (frozen at detach).
-  const std::string prom = telemetry::PrometheusText(dep.metrics());
-  FILE* pf = std::fopen((out_dir + "/prof_registry.prom").c_str(), "w");
-  if (pf != nullptr) {
-    std::fputs(prom.c_str(), pf);
-    std::fclose(pf);
-  }
+  WriteFile(out_dir + "/prof_registry.prom",
+            telemetry::PrometheusText(dep.metrics()));
 
   std::printf("profiled %lld completed ops; budget table (top 20 by CPU):\n\n%s\n",
               static_cast<long long>(results.completed), budget.c_str());

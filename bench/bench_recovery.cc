@@ -54,6 +54,7 @@
 #include "metrics/timeseries.h"
 #include "ndb/client.h"
 #include "ndb/cluster.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace repro::bench {
@@ -235,12 +236,12 @@ void ScalingCurve(Report& out) {
     out.Value(key + "replay_ms", replay_ms);
     out.Value(key + "total_ms", total_ms);
   }
-  metrics::WriteCsv(metrics::CsvDir() + "/recovery_scaling.csv",
-                    {{"commits", col_commits},
-                     {"replay_entries", col_entries},
-                     {"replay_log_bytes", col_log_bytes},
-                     {"replay_ms", col_replay_ms},
-                     {"total_ms", col_total_ms}});
+  WriteFile(metrics::CsvDir() + "/recovery_scaling.csv",
+            metrics::CsvText({{"commits", col_commits},
+                              {"replay_entries", col_entries},
+                              {"replay_log_bytes", col_log_bytes},
+                              {"replay_ms", col_replay_ms},
+                              {"total_ms", col_total_ms}}));
 
   // Linearity: predict every interior point from the line through the
   // endpoints; replay cost is per-entry CPU + per-byte disk.
@@ -446,18 +447,18 @@ void RestartSoak(Report& out) {
     total_recoveries += static_cast<int64_t>(report.recoveries.size());
     total_evicted += report.recoveries_dropped;
   }
-  metrics::WriteCsv(metrics::CsvDir() + "/recovery_timeline.csv",
-                    {{"seed", col_seed},
-                     {"node", col_node},
-                     {"started_s", col_started},
-                     {"replay_done_s", col_replay_done},
-                     {"serving_s", col_serving},
-                     {"replay_entries", col_entries},
-                     {"resync_bytes", col_resync_bytes},
-                     {"attempts", col_attempts},
-                     {"aborted", col_aborted},
-                     {"streamed_parts", col_streamed},
-                     {"catchup_reads", col_catchup}});
+  WriteFile(metrics::CsvDir() + "/recovery_timeline.csv",
+            metrics::CsvText({{"seed", col_seed},
+                              {"node", col_node},
+                              {"started_s", col_started},
+                              {"replay_done_s", col_replay_done},
+                              {"serving_s", col_serving},
+                              {"replay_entries", col_entries},
+                              {"resync_bytes", col_resync_bytes},
+                              {"attempts", col_attempts},
+                              {"aborted", col_aborted},
+                              {"streamed_parts", col_streamed},
+                              {"catchup_reads", col_catchup}}));
   std::printf("\nrecovery timeline: %zu recoveries -> %s/recovery_timeline"
               ".csv\n",
               col_seed.size(), metrics::CsvDir().c_str());

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "metrics/timeseries.h"
+#include "util/file.h"
 
 namespace repro::bench {
 namespace {
@@ -179,11 +180,7 @@ int Report::Finish() {
   }
   json += "\n  }\n}\n";
 
-  bool written = false;
-  if (FILE* f = std::fopen(path.c_str(), "w")) {
-    written = std::fputs(json.c_str(), f) >= 0;
-    written = std::fclose(f) == 0 && written;
-  }
+  const bool written = WriteFile(path, json);
   const bool ok = written && passed == checks_.size();
   std::printf("\nRESULT: %zu of %zu checks passed%s -> %s%s\n", passed,
               checks_.size(), ok ? "" : ", FAILED",

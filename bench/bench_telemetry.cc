@@ -24,6 +24,7 @@
 #include "bench_common.h"
 #include "chaos/harness.h"
 #include "metrics/timeseries.h"
+#include "util/file.h"
 
 namespace repro::bench {
 namespace {
@@ -219,10 +220,10 @@ int Main(int argc, char** argv) {
   out.Check(soak_failures == 0,
             "zero alerts and all-healthy rollups across the fault-free soak");
 
-  metrics::WriteCsv(metrics::CsvDir() + "/telemetry_soak.csv",
-                    {{"seed", col_seed},
-                     {"alerts", col_alerts},
-                     {"all_healthy", col_healthy}});
+  WriteFile(metrics::CsvDir() + "/telemetry_soak.csv",
+            metrics::CsvText({{"seed", col_seed},
+                              {"alerts", col_alerts},
+                              {"all_healthy", col_healthy}}));
   std::printf("\nartifacts: %s.{json,prom,csv}, %s/telemetry_soak.csv\n",
               opts.telemetry_export_prefix.c_str(),
               metrics::CsvDir().c_str());

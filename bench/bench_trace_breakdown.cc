@@ -27,6 +27,7 @@
 #include "metrics/timeseries.h"
 #include "trace/chrome_trace.h"
 #include "trace/critical_path.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace repro::bench {
@@ -123,7 +124,7 @@ int Main(int argc, char** argv) {
 
   const std::string json_path =
       metrics::CsvDir() + "/trace_breakdown.json";
-  if (report.Check(trace::WriteChromeTrace(json_path, kept),
+  if (report.Check(WriteFile(json_path, trace::ChromeTraceJson(kept)),
                    "sampled Chrome trace written")) {
     std::printf("\nwrote %zu sampled traces to %s\n", kept.size(),
                 json_path.c_str());

@@ -5,6 +5,7 @@
 
 #include "telemetry/export.h"
 #include "trace/chrome_trace.h"
+#include "util/file.h"
 #include "util/strings.h"
 #include "workload/fs_interface.h"
 
@@ -327,12 +328,12 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
       }
     }
     if (!opts.telemetry_export_prefix.empty()) {
-      telemetry::WriteTextFile(opts.telemetry_export_prefix + ".json",
-                               telemetry::ScrapeArchiveJson(tel->scraper()));
-      telemetry::WriteTextFile(opts.telemetry_export_prefix + ".prom",
-                               telemetry::PrometheusText(dep.metrics()));
-      telemetry::WriteScrapeCsv(opts.telemetry_export_prefix + ".csv",
-                                tel->scraper());
+      WriteFile(opts.telemetry_export_prefix + ".json",
+                telemetry::ScrapeArchiveJson(tel->scraper()));
+      WriteFile(opts.telemetry_export_prefix + ".prom",
+                telemetry::PrometheusText(dep.metrics()));
+      WriteFile(opts.telemetry_export_prefix + ".csv",
+                telemetry::ScrapeCsv(tel->scraper()));
     }
 
     if (schedule.empty()) {
@@ -435,7 +436,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
     if (!report.invariants_ok() && !opts.trace_dump_path.empty()) {
       const std::vector<trace::Trace> kept(sim.tracer().finished().begin(),
                                            sim.tracer().finished().end());
-      if (trace::WriteChromeTrace(opts.trace_dump_path, kept)) {
+      if (WriteFile(opts.trace_dump_path, trace::ChromeTraceJson(kept))) {
         report.trace_dump_path = opts.trace_dump_path;
         report.trace.push_back(StrFormat(
             "trace: dumped %zu span trees to %s", kept.size(),
@@ -449,9 +450,8 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
   // the trace ring so the violation comes with its metrics context.
   if (dep.telemetry() != nullptr && !report.invariants_ok() &&
       !opts.telemetry_dump_path.empty() &&
-      telemetry::WriteTextFile(
-          opts.telemetry_dump_path,
-          telemetry::ScrapeArchiveJson(dep.telemetry()->scraper()))) {
+      WriteFile(opts.telemetry_dump_path,
+                telemetry::ScrapeArchiveJson(dep.telemetry()->scraper()))) {
     report.telemetry_dump_path = opts.telemetry_dump_path;
   }
   report.events_dispatched = sim.events_processed();

@@ -32,10 +32,8 @@ HopsFsClient::HopsFsClient(Simulation& sim, Network& network,
     ctr_slo_good_ = config_.metrics->GetCounter("slo.requests.good");
     ctr_slo_latency_total_ = config_.metrics->GetCounter("slo.latency.total");
     ctr_slo_latency_good_ = config_.metrics->GetCounter("slo.latency.good");
-    hist_latency_ = config_.metrics->GetHistogram(
-        "hopsfs.client.op_latency_seconds",
-        {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-         5.0, 10.0});
+    hist_latency_ =
+        config_.metrics->GetHistogram("hopsfs.client.op_latency_seconds");
   }
 }
 
@@ -366,7 +364,7 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result) {
     if (lat <= config_.slo_latency_threshold) {
       metrics::Bump(ctr_slo_latency_good_);
     }
-    if (hist_latency_ != nullptr) hist_latency_->Observe(ToSeconds(lat));
+    if (hist_latency_ != nullptr) hist_latency_->Record(lat);
   }
   // Finalize the trace at the moment the caller observes completion; any
   // still-open span (an in-flight reply) is clamped to now.

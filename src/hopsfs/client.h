@@ -201,7 +201,7 @@ class HopsFsClient {
   metrics::Counter* ctr_slo_good_ = nullptr;
   metrics::Counter* ctr_slo_latency_total_ = nullptr;
   metrics::Counter* ctr_slo_latency_good_ = nullptr;
-  metrics::HistogramMetric* hist_latency_ = nullptr;
+  Histogram* hist_latency_ = nullptr;
 };
 
 }  // namespace repro::hopsfs

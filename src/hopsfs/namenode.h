@@ -28,7 +28,6 @@
 #include "resilience/admission.h"
 #include "sim/callback.h"
 #include "sim/resources.h"
-#include "util/histogram.h"
 #include "util/status.h"
 
 namespace repro::hopsfs {

@@ -16,19 +16,6 @@ bool MatchesSegmentPrefix(const std::string& name,
   return next == '.' || next == '{';
 }
 
-// ---- HistogramMetric ------------------------------------------------------
-
-HistogramMetric::HistogramMetric(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size(), 0) {}
-
-void HistogramMetric::Observe(double value) {
-  ++count_;
-  sum_ += value;
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (value <= bounds_[i]) ++counts_[i];
-  }
-}
-
 // ---- Labels ---------------------------------------------------------------
 
 Labels::Labels(
@@ -77,17 +64,11 @@ Gauge* Registry::GetGauge(const std::string& name, const Labels& labels) {
   return it->second.get();
 }
 
-HistogramMetric* Registry::GetHistogram(const std::string& name,
-                                        std::vector<double> bounds,
-                                        const Labels& labels) {
-  const std::string key = FullName(name, labels);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(key, std::make_unique<HistogramMetric>(std::move(bounds)))
-             .first;
-  }
-  return it->second.get();
+Histogram* Registry::GetHistogram(const std::string& name,
+                                  const Labels& labels) {
+  std::unique_ptr<Histogram>& h = histograms_[FullName(name, labels)];
+  if (h == nullptr) h = std::make_unique<Histogram>();
+  return h.get();
 }
 
 void Registry::RegisterCallback(const std::string& name, const Labels& labels,
@@ -135,7 +116,7 @@ void Registry::CollectInto(std::vector<Sample>* out) const {
     m.name.assign(name);
     m.name += ".sum";
     m.kind = MetricKind::kCounter;
-    m.value = h->sum();
+    m.value = ToSeconds(h->sum());
   }
   for (const auto& [name, cb] : callbacks_) {
     Sample& s = (*out)[i++];

@@ -1,5 +1,5 @@
-// Metric registry: counters, gauges and histograms in a hierarchical
-// dotted namespace with label support.
+// Metric registry: counters, gauges and latency histograms in a
+// hierarchical dotted namespace with label support.
 //
 // Components (client, namenode, NDB nodes, block datanodes) register
 // metrics by dotted `layer.component.event` name — optionally qualified
@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/histogram.h"
+
 namespace repro::metrics {
 
 class Counter {
@@ -51,30 +53,6 @@ class Gauge {
   double value_ = 0;
 };
 
-// Cumulative-bucket histogram (Prometheus-style): Observe() increments
-// every bucket whose upper bound is >= the value, plus count and sum.
-class HistogramMetric {
- public:
-  // `bounds` are the finite bucket upper bounds, ascending; an implicit
-  // +Inf bucket (== count()) completes the histogram.
-  explicit HistogramMetric(std::vector<double> bounds);
-
-  void Observe(double value);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  // Cumulative count per finite bound (bucket_counts()[i] = observations
-  // with value <= bounds()[i]).
-  const std::vector<int64_t>& bucket_counts() const { return counts_; }
-  int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<int64_t> counts_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-};
-
 // A small ordered label set. Encoded canonically (sorted by key) as
 // "{k1=v1,k2=v2}" and appended to the metric name, so the same labels
 // always address the same metric instance.
@@ -92,7 +70,7 @@ struct Labels {
 // Full metric identifier: dotted name + canonical label suffix.
 std::string FullName(const std::string& name, const Labels& labels);
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kGauge };
 
 class Registry {
  public:
@@ -101,9 +79,9 @@ class Registry {
   Counter* GetCounter(const std::string& name);
   Counter* GetCounter(const std::string& name, const Labels& labels);
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
-  HistogramMetric* GetHistogram(const std::string& name,
-                                std::vector<double> bounds,
-                                const Labels& labels = {});
+  // Latency histogram, recorded in nanoseconds (the same log-bucket
+  // Histogram the paper's figures read).
+  Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
   // Registers a metric whose value is computed by `fn` only when
   // Collect() runs — the hook that turns existing component statistics
@@ -115,8 +93,8 @@ class Registry {
                         MetricKind kind, std::function<double()> fn);
 
   // One scraped value. Histograms are flattened to two samples,
-  // `<name>.count` and `<name>.sum` (full bucket vectors are exported via
-  // CollectHistograms / the Prometheus exporter).
+  // `<name>.count` and `<name>.sum` (in seconds); their buckets are
+  // exported via CollectHistograms / the Prometheus exporter.
   struct Sample {
     std::string name;  // full name including label suffix
     MetricKind kind;
@@ -140,7 +118,7 @@ class Registry {
 
   struct HistogramSample {
     std::string name;
-    const HistogramMetric* histogram;
+    const Histogram* histogram;
   };
   std::vector<HistogramSample> CollectHistograms() const;
 
@@ -161,7 +139,7 @@ class Registry {
 
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, CallbackMetric> callbacks_;
 };
 

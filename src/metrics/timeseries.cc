@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sys/stat.h>
+
+#include "util/strings.h"
 
 namespace repro::metrics {
 
@@ -23,33 +24,31 @@ void TimeSeries::Record(Nanos t) {
   windows_[idx].count += 1;
 }
 
-bool WriteCsv(const std::string& path,
-              const std::vector<std::pair<std::string, std::vector<double>>>&
-                  columns) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+std::string CsvText(
+    const std::vector<std::pair<std::string, std::vector<double>>>& columns) {
   size_t rows = 0;
   for (const auto& [name, series] : columns) {
     rows = std::max(rows, series.size());
   }
+  std::string out;
   for (size_t c = 0; c < columns.size(); ++c) {
-    std::fprintf(f, "%s%s", c ? "," : "", columns[c].first.c_str());
+    if (c) out += ',';
+    out += columns[c].first;
   }
-  std::fprintf(f, "\n");
+  out += '\n';
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < columns.size(); ++c) {
-      if (c) std::fprintf(f, ",");
+      if (c) out += ',';
       const auto& series = columns[c].second;
       // NaN marks "no data" (e.g. an empty latency window): emit a blank
       // cell so plots show a gap instead of a bogus zero.
       if (r < series.size() && !std::isnan(series[r])) {
-        std::fprintf(f, "%.6g", series[r]);
+        out += StrFormat("%.6g", series[r]);
       }
     }
-    std::fprintf(f, "\n");
+    out += '\n';
   }
-  std::fclose(f);
-  return true;
+  return out;
 }
 
 std::string CsvDir() {

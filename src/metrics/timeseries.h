@@ -1,4 +1,4 @@
-// Windowed completion counter for simulation metrics, plus CSV export.
+// Windowed completion counter for simulation metrics, plus CSV text.
 //
 // Counts events (e.g. completed operations) into fixed 100 ms windows so
 // the chaos harness can read goodput per phase, recovery time and stalls
@@ -37,11 +37,10 @@ class TimeSeries {
   std::vector<Window> windows_;
 };
 
-// Writes aligned columns to a CSV file; returns false on I/O failure.
-// Columns: name -> series (all series padded to the longest length).
-bool WriteCsv(const std::string& path,
-              const std::vector<std::pair<std::string, std::vector<double>>>&
-                  columns);
+// Aligned columns as CSV text. Columns: name -> series (all series padded
+// to the longest length; NaN cells print blank).
+std::string CsvText(
+    const std::vector<std::pair<std::string, std::vector<double>>>& columns);
 
 // Directory used for benchmark CSV artifacts; created on demand. Controlled
 // by the REPRO_CSV_DIR environment variable (default "bench_out").

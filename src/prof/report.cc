@@ -1,7 +1,6 @@
 #include "prof/report.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "metrics/counters.h"
 #include "util/strings.h"
@@ -53,14 +52,6 @@ std::string FoldedStacks(const Profiler& p, Metric metric) {
   std::string out;
   FoldNode(p, 0, metric, &out);
   return out;
-}
-
-bool WriteFoldedStacks(const std::string& path, const Profiler& p,
-                       Metric metric) {
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) return false;
-  f << FoldedStacks(p, metric);
-  return static_cast<bool>(f.good());
 }
 
 std::string BudgetTable(const Profiler& p, size_t top_k) {

@@ -42,8 +42,6 @@ enum class Metric {
 // flamegraph's widths add up). Lines are emitted in deterministic
 // (depth-first tree) order.
 std::string FoldedStacks(const Profiler& p, Metric metric);
-bool WriteFoldedStacks(const std::string& path, const Profiler& p,
-                       Metric metric);
 
 // Human-readable top-K table of zones aggregated by leaf name, sorted by
 // inclusive host CPU descending: calls, cpu, cpu/call, allocs,
@@ -59,7 +57,7 @@ std::string ZonesJson(const Profiler& p);
 // profiler's zone-exit ring: ts = sim time at the zone's event, dur =
 // host microseconds, all on one synthetic `pid` so Perfetto shows a
 // dedicated "profiler" track. Empty string when the ring is empty. Pass
-// it to trace::WriteChromeTrace as the extra events.
+// it to trace::ChromeTraceJson as the extra events.
 std::string ZoneChromeEvents(const Profiler& p, int pid = 999000);
 
 // Registers callback metrics for every zone path (existing and future)

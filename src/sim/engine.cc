@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include <sys/mman.h>
@@ -188,6 +189,24 @@ void Simulation::MigrateFar() {
       Insert(e);
     }
   }
+}
+
+Nanos Simulation::WheelFloor() const {
+  Nanos floor = far_.empty() ? std::numeric_limits<Nanos>::max()
+                             : far_.front().time;
+  for (int l = 0; l < kLevels; ++l) {
+    // Scans start at the cursor slot: level 0's may still be due, and an
+    // upper level's holds events while it waits to cascade (its start is
+    // at or before the cursor, so the bound stays safe).
+    const int cur =
+        static_cast<int>((wheel_time_ >> kShift[l]) & (kSlots[l] - 1));
+    const int i = FindOccupied(l, cur);
+    if (i < 0) continue;
+    const Nanos horizon = Nanos{1} << kHorizonShift[l];
+    floor = std::min(floor,
+                     (wheel_time_ & ~(horizon - 1)) + (Nanos{i} << kShift[l]));
+  }
+  return floor;
 }
 
 bool Simulation::AdvanceWheel() {
@@ -468,7 +487,10 @@ void Simulation::RunUntil(Nanos t) {
   while (true) {
     const HeapEntry* front = LiveFront();
     if (front == nullptr) {
-      if (!AdvanceWheel()) break;
+      // Drain only a wheel that may hold an event due by t: a drain moves
+      // the cursor past the whole slot, and whatever is scheduled before
+      // the next RunUntil would then spill into the heap, not the wheel.
+      if (WheelFloor() > t || !AdvanceWheel()) break;
       front = PeekImminent();
     }
     if (front->time > t) break;

@@ -229,6 +229,9 @@ class Simulation {
   // are empty.
   bool AdvanceWheel();
   void MigrateFar();
+  // A lower bound on every event in the wheel and the far heap: the start
+  // of each level's first occupied slot, and the far heap's front.
+  Nanos WheelFloor() const;
 
   void Dispatch(uint32_t idx);
   void FirePeriodic(uint32_t event_idx);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <set>
 
+#include "util/strings.h"
+
 namespace repro::telemetry {
 namespace {
 
@@ -49,6 +51,17 @@ std::string FormatValue(double v) {
   return buf;
 }
 
+// Non-negative integer nanoseconds as exact decimal seconds
+// (31 -> "0.000000031", 1500000000 -> "1.5").
+std::string ExactSeconds(Nanos ns) {
+  std::string out =
+      StrFormat("%lld.%09lld", static_cast<long long>(ns / kSecond),
+                static_cast<long long>(ns % kSecond));
+  while (out.back() == '0') out.pop_back();
+  if (out.back() == '.') out.pop_back();
+  return out;
+}
+
 void AppendTypeLine(std::string& out, std::set<std::string>& typed,
                     const std::string& prom_name, const char* type) {
   if (!typed.insert(prom_name).second) return;
@@ -84,19 +97,19 @@ std::string PrometheusText(const metrics::Registry& registry) {
     const ParsedName parsed = ParseSeriesName(h.name);
     const std::string prom = PromName(parsed.base);
     AppendTypeLine(out, typed, prom, "histogram");
-    const auto& bounds = h.histogram->bounds();
-    const auto& counts = h.histogram->bucket_counts();
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      out += prom + "_bucket" +
-             PromLabels(parsed, "le", FormatValue(bounds[i])) + " " +
-             FormatValue(static_cast<double>(counts[i])) + "\n";
+    // One line per power-of-two edge of the log buckets' groups: the
+    // cumulative count is exact there, and every scrape has the same set.
+    for (int k = Histogram::kMinEdgeLog2; k <= Histogram::kMaxEdgeLog2; ++k) {
+      const Nanos le = (Nanos{1} << k) - 1;
+      out += prom + "_bucket" + PromLabels(parsed, "le", ExactSeconds(le)) +
+             " " + std::to_string(h.histogram->CountAtMost(le)) + "\n";
     }
-    out += prom + "_bucket" + PromLabels(parsed, "le", "+Inf") + " " +
-           FormatValue(static_cast<double>(h.histogram->count())) + "\n";
+    const std::string count = std::to_string(h.histogram->count());
+    out += prom + "_bucket" + PromLabels(parsed, "le", "+Inf") + " " + count +
+           "\n";
     out += prom + "_sum" + PromLabels(parsed) + " " +
-           FormatValue(h.histogram->sum()) + "\n";
-    out += prom + "_count" + PromLabels(parsed) + " " +
-           FormatValue(static_cast<double>(h.histogram->count())) + "\n";
+           ExactSeconds(h.histogram->sum()) + "\n";
+    out += prom + "_count" + PromLabels(parsed) + " " + count + "\n";
   }
   return out;
 }
@@ -112,11 +125,7 @@ std::string ScrapeArchiveJson(const Scraper& scraper) {
     if (!first_series) out += ",\n";
     first_series = false;
     out += "    {\"name\": \"" + name + "\", \"kind\": \"";
-    switch (series.kind) {
-      case metrics::MetricKind::kCounter: out += "counter"; break;
-      case metrics::MetricKind::kGauge: out += "gauge"; break;
-      case metrics::MetricKind::kHistogram: out += "histogram"; break;
-    }
+    out += series.kind == metrics::MetricKind::kCounter ? "counter" : "gauge";
     out += "\", \"points\": [";
     for (size_t i = 0; i < series.ring.size(); ++i) {
       const auto& p = series.ring.at(i);
@@ -132,10 +141,7 @@ std::string ScrapeArchiveJson(const Scraper& scraper) {
   return out;
 }
 
-bool WriteScrapeCsv(const std::string& path, const Scraper& scraper) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-
+std::string ScrapeCsv(const Scraper& scraper) {
   // Collect the union of scrape timestamps (rings can start late — a
   // series appears on the first tick after its metric is registered).
   std::set<Nanos> times;
@@ -147,15 +153,12 @@ bool WriteScrapeCsv(const std::string& path, const Scraper& scraper) {
 
   // Labelled series names carry commas inside the braces
   // ("host.up{az=0,host=nn-0}"), so header cells are RFC 4180-quoted.
-  std::fprintf(f, "time_s");
+  std::string out = "time_s";
   for (const auto& [name, series] : scraper.series()) {
-    if (name.find(',') != std::string::npos) {
-      std::fprintf(f, ",\"%s\"", name.c_str());
-    } else {
-      std::fprintf(f, ",%s", name.c_str());
-    }
+    out += name.find(',') != std::string::npos ? ",\"" + name + "\""
+                                                : "," + name;
   }
-  std::fprintf(f, "\n");
+  out += "\n";
 
   // Per-series cursor walk: rings are time-ordered, so one pass emits the
   // whole grid without per-cell searches.
@@ -165,27 +168,17 @@ bool WriteScrapeCsv(const std::string& path, const Scraper& scraper) {
     cursors.emplace_back(&series.ring, 0);
   }
   for (const Nanos t : times) {
-    std::fprintf(f, "%.6f", ToSeconds(t));
+    out += StrFormat("%.6f", ToSeconds(t));
     for (auto& [ring, idx] : cursors) {
+      out += ',';
       if (idx < ring->size() && ring->at(idx).t == t) {
-        std::fprintf(f, ",%s", FormatValue(ring->at(idx).v).c_str());
+        out += FormatValue(ring->at(idx).v);
         ++idx;
-      } else {
-        std::fprintf(f, ",");
       }
     }
-    std::fprintf(f, "\n");
+    out += '\n';
   }
-  std::fclose(f);
-  return true;
-}
-
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return written == content.size();
+  return out;
 }
 
 }  // namespace repro::telemetry

@@ -1,5 +1,5 @@
-// Telemetry exporters: Prometheus text exposition, JSON scrape archive,
-// and per-run CSV artifacts under bench_out/.
+// Telemetry exporters: Prometheus text exposition, JSON scrape archive and
+// CSV scrape archive, each built as a string for util::WriteFile.
 #pragma once
 
 #include <string>
@@ -11,8 +11,10 @@ namespace repro::telemetry {
 
 // Prometheus text exposition format (version 0.0.4) of the registry's
 // current state: dotted names become underscore-separated, labels are
-// rendered as {k="v"}, histograms expand to _bucket/_sum/_count with an
-// le="+Inf" terminal bucket, and each family gets a # TYPE line.
+// rendered as {k="v"}, and each family gets a # TYPE line. Histograms
+// (nanoseconds) expand to _bucket/_sum/_count in seconds: one _bucket line
+// at every power-of-two edge of the log buckets, le = 2^k - 1 ns printed
+// exactly, where the cumulative count is exact, then le="+Inf".
 std::string PrometheusText(const metrics::Registry& registry);
 
 // Full scrape archive as JSON: every series with its kind and
@@ -20,11 +22,7 @@ std::string PrometheusText(const metrics::Registry& registry);
 std::string ScrapeArchiveJson(const Scraper& scraper);
 
 // Scrape archive as a wide CSV: one row per scrape tick, one column per
-// series (blank cells before a series first appeared). Returns false on
-// I/O failure.
-bool WriteScrapeCsv(const std::string& path, const Scraper& scraper);
-
-// Small helper for dropping exposition/JSON artifacts next to the CSVs.
-bool WriteTextFile(const std::string& path, const std::string& content);
+// series (blank cells before a series first appeared).
+std::string ScrapeCsv(const Scraper& scraper);
 
 }  // namespace repro::telemetry

@@ -1,6 +1,5 @@
 #include "trace/chrome_trace.h"
 
-#include <fstream>
 #include <map>
 
 #include "util/strings.h"
@@ -45,15 +44,6 @@ std::string ChromeTraceJson(const std::vector<Trace>& traces,
   }
   out += "]}";
   return out;
-}
-
-bool WriteChromeTrace(const std::string& path,
-                      const std::vector<Trace>& traces,
-                      std::string_view extra_events) {
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) return false;
-  f << ChromeTraceJson(traces, extra_events);
-  return static_cast<bool>(f.good());
 }
 
 }  // namespace repro::trace

@@ -21,9 +21,4 @@ namespace repro::trace {
 std::string ChromeTraceJson(const std::vector<Trace>& traces,
                             std::string_view extra_events = {});
 
-// Writes ChromeTraceJson to `path`; returns false on I/O failure.
-bool WriteChromeTrace(const std::string& path,
-                      const std::vector<Trace>& traces,
-                      std::string_view extra_events = {});
-
 }  // namespace repro::trace

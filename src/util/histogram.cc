@@ -2,18 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "util/strings.h"
+#include <numeric>
 
 namespace repro {
 namespace {
 
-// 32 sub-buckets per power of two gives <= ~3% relative bucket width.
+// 32 sub-buckets per power of two: a bucket spans 1/64 (1.6%) to 1/32
+// (3.1%) of its values.
 constexpr int kSubBucketBits = 5;
 constexpr int kSubBuckets = 1 << kSubBucketBits;
-// Values up to 2^40 ns (~18 minutes) are representable exactly enough.
-constexpr int kMaxBuckets = (40 - kSubBucketBits) * kSubBuckets + kSubBuckets;
+// Values up to 2^40 ns (~18 minutes) are representable exactly enough;
+// larger ones clamp into the last bucket.
+constexpr int kTopLog2 = 40;
+constexpr int kMaxBuckets = (kTopLog2 - kSubBucketBits + 1) * kSubBuckets;
+// The exact power-of-two edges are the ends of the bucket groups, bar the
+// clamping last one.
+static_assert(Histogram::kMinEdgeLog2 == kSubBucketBits);
+static_assert(Histogram::kMaxEdgeLog2 == kTopLog2 - 1);
 
 }  // namespace
 
@@ -49,26 +54,10 @@ void Histogram::Record(Nanos value) {
   ++buckets_[BucketFor(value)];
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-}
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
+int64_t Histogram::CountAtMost(Nanos bound) const {
+  if (bound < 0) return 0;
+  const auto end = buckets_.begin() + BucketFor(bound) + 1;
+  return std::accumulate(buckets_.begin(), end, int64_t{0});
 }
 
 double Histogram::MeanMillis() const {
@@ -95,14 +84,6 @@ Nanos Histogram::Percentile(double q) const {
     if (seen >= target) return std::clamp(BucketUpperBound(i), min_, max_);
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  return StrFormat(
-      "n=%lld mean=%.3fms p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms",
-      static_cast<long long>(count_), MeanMillis(),
-      ToMillis(Percentile(0.50)), ToMillis(Percentile(0.90)),
-      ToMillis(Percentile(0.99)), ToMillis(max_));
 }
 
 }  // namespace repro

@@ -1,13 +1,14 @@
 // Log-bucketed latency histogram (HDR-style) for percentile reporting.
 //
 // The paper reports average end-to-end latency (Fig. 8) and the 50th/90th/
-// 99th percentiles (Fig. 9); this histogram backs both. Buckets grow
-// geometrically so a single structure covers 1 us .. 100 s with ~2% relative
-// error, at constant memory.
+// 99th percentiles (Fig. 9); this histogram backs both, and the metrics
+// registry exports it as a Prometheus histogram. Values below 32 ns are
+// exact; above that each power of two splits into 32 buckets, so a bucket
+// is 1.6-3.1% of its values wide and one structure covers 1 us .. 100 s at
+// constant memory.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/time.h"
@@ -19,8 +20,6 @@ class Histogram {
   Histogram();
 
   void Record(Nanos value);
-  void Merge(const Histogram& other);
-  void Reset();
 
   int64_t count() const { return count_; }
   Nanos min() const { return count_ ? min_ : 0; }
@@ -31,7 +30,15 @@ class Histogram {
   // Returns the value at quantile q in [0,1], e.g. 0.99 for p99.
   Nanos Percentile(double q) const;
 
-  std::string Summary() const;
+  // Powers of two that end a bucket group: no bucket straddles 2^k - 1 ns
+  // for k in [kMinEdgeLog2, kMaxEdgeLog2], so CountAtMost(2^k - 1) is
+  // exact there (values of 2^40 ns and more share the last bucket).
+  static constexpr int kMinEdgeLog2 = 5;
+  static constexpr int kMaxEdgeLog2 = 39;
+  // Number of recorded values <= `bound`, counted by whole buckets: exact
+  // when `bound` is the last value of a bucket.
+  int64_t CountAtMost(Nanos bound) const;
+
   const std::vector<int64_t>& buckets() const { return buckets_; }
 
  private:

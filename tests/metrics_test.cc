@@ -2,9 +2,6 @@
 // counter/gauge/histogram registry (labels, reports).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "metrics/counters.h"
 #include "metrics/timeseries.h"
 
@@ -43,19 +40,11 @@ TEST(TimeSeries, EdgeSampleBelongsToTheWindowItOpens) {
 }
 
 TEST(Csv, WritesAlignedColumns) {
-  const std::string path = "/tmp/repro_metrics_test.csv";
-  ASSERT_TRUE(WriteCsv(path, {{"t", {0, 1, 2}}, {"ops", {10, 20}}}));
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "t,ops");
-  std::getline(in, line);
-  EXPECT_EQ(line, "0,10");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,20");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2,");  // padded
-  std::remove(path.c_str());
+  EXPECT_EQ(CsvText({{"t", {0, 1, 2}}, {"ops", {10, 20}}}),
+            "t,ops\n"
+            "0,10\n"
+            "1,20\n"
+            "2,\n");  // padded
 }
 
 TEST(Registry, LabelsEncodeSortedIntoFullNames) {
@@ -73,15 +62,25 @@ TEST(Registry, GaugesAndHistograms) {
   EXPECT_DOUBLE_EQ(g->value(), 7);
   EXPECT_EQ(reg.GetGauge("ndb.tc.queue_depth"), g);
 
-  HistogramMetric* h = reg.GetHistogram("op.latency", {10, 100});
-  h->Observe(5);
-  h->Observe(50);
-  h->Observe(500);
+  Histogram* h = reg.GetHistogram("op.latency");
+  EXPECT_EQ(reg.GetHistogram("op.latency"), h);
+  EXPECT_NE(reg.GetHistogram("op.latency", {{"op", "mkdir"}}), h);
+  h->Record(Micros(5));
+  h->Record(Millis(50));
+  h->Record(Millis(500));
   EXPECT_EQ(h->count(), 3);
-  EXPECT_DOUBLE_EQ(h->sum(), 555);
-  ASSERT_EQ(h->bucket_counts().size(), 2u);
-  EXPECT_EQ(h->bucket_counts()[0], 1);  // cumulative: <= 10
-  EXPECT_EQ(h->bucket_counts()[1], 2);  // <= 100
+  EXPECT_EQ(h->sum(), Micros(550005));
+  EXPECT_EQ(h->CountAtMost((Nanos{1} << 26) - 1), 2);  // <= 67.1 ms
+
+  // Scrapes see a histogram as a .count/.sum pair, the sum in seconds.
+  double count = -1;
+  double sum = -1;
+  for (const Registry::Sample& s : reg.Collect()) {
+    if (s.name == "op.latency.count") count = s.value;
+    if (s.name == "op.latency.sum") sum = s.value;
+  }
+  EXPECT_EQ(count, 3);
+  EXPECT_DOUBLE_EQ(sum, 0.550005);
 }
 
 TEST(Registry, ReportMatchesWholeDottedSegments) {

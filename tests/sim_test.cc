@@ -589,6 +589,24 @@ TEST(Engine, FarFutureEventsBeyondWheelHorizonFire) {
   EXPECT_EQ(sim.now(), Seconds(90000));
 }
 
+// RunUntil(t) drains the wheel only when an event may be due by t, so its
+// bound must see every place an event can wait: a level-0 slot, an upper
+// slot at the cursor waiting to cascade, and the far heap.
+TEST(Engine, RunUntilReachesEveryEventDueByTheBound) {
+  Simulation sim;
+  std::vector<long long> fired;
+  const auto record = [&] { fired.push_back(sim.now()); };
+  const Nanos rev = Nanos{1} << 30;  // one level-0 revolution
+  sim.At(rev - 100, record);         // level 0, last slot
+  sim.At(rev + 1000, record);        // level 1, current once that slot drains
+  sim.At(Seconds(400000), record);   // beyond level 3: the far heap
+  sim.RunUntil(rev + 5000);
+  EXPECT_EQ(fired, (std::vector<long long>{rev - 100, rev + 1000}));
+  sim.RunUntil(Seconds(400000));
+  EXPECT_EQ(fired.size(), 3u);
+  EXPECT_TRUE(sim.Empty());
+}
+
 TEST(Engine, DestroyingTheEngineReleasesEveryPendingCallback) {
   // 10,000 events span three 4096-event slabs; half fire, half are still
   // queued when the engine goes, and each slab is unmapped only after

@@ -5,14 +5,18 @@
 // end-to-end through the chaos harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/harness.h"
 #include "telemetry/export.h"
 #include "telemetry/health.h"
 #include "telemetry/scraper.h"
 #include "telemetry/slo.h"
+#include "util/rng.h"
 
 namespace repro::telemetry {
 namespace {
@@ -374,7 +378,7 @@ TEST(Exporters, PrometheusTextExposition) {
   metrics::Registry reg;
   reg.GetCounter("hopsfs.client.retries")->Add(4);
   reg.GetGauge("ndb.tc.active_txns", {{"az", "1"}, {"node", "3"}})->Set(7);
-  reg.GetHistogram("slo.latency.seconds", {0.01, 0.1})->Observe(0.05);
+  reg.GetHistogram("slo.latency.seconds")->Record(Millis(50));
 
   const std::string text = PrometheusText(reg);
   EXPECT_NE(text.find("# TYPE hopsfs_client_retries counter"),
@@ -384,18 +388,103 @@ TEST(Exporters, PrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE slo_latency_seconds histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("slo_latency_seconds_bucket{le=\"0.01\"} 0"),
+  // 50 ms lies between the edges 2^25 - 1 ns and 2^26 - 1 ns.
+  EXPECT_NE(text.find("slo_latency_seconds_bucket{le=\"0.033554431\"} 0"),
             std::string::npos);
-  EXPECT_NE(text.find("slo_latency_seconds_bucket{le=\"0.1\"} 1"),
+  EXPECT_NE(text.find("slo_latency_seconds_bucket{le=\"0.067108863\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("slo_latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
+  EXPECT_NE(text.find("slo_latency_seconds_sum 0.05\n"), std::string::npos);
   // The flattened .count/.sum samples Collect() emits for histograms
   // must not double-export: exactly one _count line.
   const size_t first = text.find("slo_latency_seconds_count 1");
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(text.find("slo_latency_seconds_count", first + 1),
             std::string::npos);
+}
+
+// "0.000000031" -> 31: decimal seconds to integer nanoseconds, exactly.
+Nanos ExactNanos(const std::string& seconds) {
+  const size_t dot = seconds.find('.');
+  Nanos ns = std::stoll(seconds.substr(0, dot)) * kSecond;
+  if (dot != std::string::npos) {
+    std::string frac = seconds.substr(dot + 1);
+    frac.resize(9, '0');
+    ns += std::stoll(frac);
+  }
+  return ns;
+}
+
+// The value printed after `prefix` at the start of a line of `text`.
+std::string LineValue(const std::string& text, const std::string& prefix) {
+  const size_t at = text.find("\n" + prefix);
+  if (at == std::string::npos) return "";
+  const size_t begin = at + 1 + prefix.size();
+  return text.substr(begin, text.find('\n', begin) - begin);
+}
+
+// (le, cumulative count) of every finite _bucket line of `family`.
+std::vector<std::pair<std::string, int64_t>> BucketLines(
+    const std::string& text, const std::string& family) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  const std::string key = "\n" + family + "_bucket{le=\"";
+  for (size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1)) {
+    const size_t le = at + key.size();
+    const size_t quote = text.find('"', le);
+    if (text.compare(le, quote - le, "+Inf") == 0) continue;
+    out.emplace_back(text.substr(le, quote - le),
+                     std::stoll(text.substr(quote + 3)));  // past "} "
+  }
+  return out;
+}
+
+// A sorted-vector oracle over a few thousand log-uniform latencies from
+// 1 us to 30 s, plus every power of two and its predecessor in that range:
+// at each printed le the cumulative count is exact, and _count and _sum
+// match the oracle to the nanosecond. An empty histogram prints the same
+// le set, so every scrape carries the same buckets.
+TEST(Exporters, PrometheusBucketsAreExactAtEveryEdge) {
+  metrics::Registry reg;
+  Histogram* h = reg.GetHistogram("op.latency.seconds");
+  const auto empty = BucketLines(PrometheusText(reg), "op_latency_seconds");
+
+  Rng rng(23);
+  std::vector<Nanos> oracle;
+  for (int i = 0; i < 4000; ++i) {
+    oracle.push_back(static_cast<Nanos>(
+        static_cast<double>(Micros(1)) * std::pow(3e7, rng.NextDouble())));
+  }
+  for (int k = 10; (Nanos{1} << k) <= Seconds(30); ++k) {
+    oracle.push_back((Nanos{1} << k) - 1);
+    oracle.push_back(Nanos{1} << k);
+  }
+  Nanos sum = 0;
+  for (const Nanos v : oracle) {
+    h->Record(v);
+    sum += v;
+  }
+  std::sort(oracle.begin(), oracle.end());
+
+  const std::string text = PrometheusText(reg);
+  const auto full = BucketLines(text, "op_latency_seconds");
+  ASSERT_EQ(full.size(), static_cast<size_t>(Histogram::kMaxEdgeLog2 -
+                                             Histogram::kMinEdgeLog2 + 1));
+  ASSERT_EQ(empty.size(), full.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(empty[i].first, full[i].first);
+    EXPECT_EQ(empty[i].second, 0);
+    const Nanos le = ExactNanos(full[i].first);
+    EXPECT_EQ(le, (Nanos{1} << (Histogram::kMinEdgeLog2 + i)) - 1);
+    const int64_t want =
+        std::upper_bound(oracle.begin(), oracle.end(), le) - oracle.begin();
+    EXPECT_EQ(full[i].second, want) << "le=" << full[i].first;
+  }
+  const std::string n = std::to_string(oracle.size());
+  EXPECT_EQ(LineValue(text, "op_latency_seconds_bucket{le=\"+Inf\"} "), n);
+  EXPECT_EQ(LineValue(text, "op_latency_seconds_count "), n);
+  EXPECT_EQ(ExactNanos(LineValue(text, "op_latency_seconds_sum ")), sum);
 }
 
 // ------------------------------------------- end-to-end chaos determinism

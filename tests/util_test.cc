@@ -1,11 +1,16 @@
-// Unit tests for util: status, rng, histogram, codec, strings.
+// Unit tests for util: status, rng, histogram, file writer, codec, strings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "util/codec.h"
+#include "util/file.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -82,15 +87,6 @@ TEST(Histogram, PercentilesAndMean) {
   EXPECT_EQ(h.max(), Millis(1000));
 }
 
-TEST(Histogram, MergeCombinesCounts) {
-  Histogram a, b;
-  a.Record(Millis(1));
-  b.Record(Millis(100));
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_EQ(a.max(), Millis(100));
-}
-
 // Nearest-rank oracle over random samples: for every quantile the
 // histogram must select the *same rank* as a sorted vector — the bucketed
 // answer may exceed the exact value by at most one bucket's width (~3%),
@@ -152,21 +148,20 @@ TEST(Histogram, BucketBoundaryValuesClampToObservedRange) {
   }
 }
 
-// Merge into a default-constructed histogram must adopt the source's min
-// rather than keeping the empty-state min_ = 0, and merging an empty
-// histogram in must be a no-op.
-TEST(Histogram, MergeIntoEmptyPreservesMin) {
-  Histogram a, b;
-  b.Record(Millis(3));
-  b.Record(Millis(9));
-  a.Merge(b);
-  EXPECT_EQ(a.min(), Millis(3));
-  EXPECT_EQ(a.Percentile(0.0), Millis(3));
-  EXPECT_EQ(a.max(), Millis(9));
-  Histogram empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_EQ(a.min(), Millis(3));
+// A full disk fails at fclose, after a buffered fwrite has succeeded:
+// WriteFile must report it. A normal file round-trips its bytes.
+TEST(WriteFile, ReportsFullDiskAndRoundTrips) {
+  EXPECT_FALSE(WriteFile("/dev/full", "x"));
+  EXPECT_FALSE(WriteFile("/nonexistent-dir/f.txt", "x"));
+  const std::string path =
+      ::testing::TempDir() + "/repro_util_test_write_file.txt";
+  const std::string content = std::string("a,b\n1,2\n") + '\0' + "tail";
+  ASSERT_TRUE(WriteFile(path, content));
+  std::ifstream in(path, std::ios::binary);
+  const std::string back((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(back, content);
+  std::remove(path.c_str());
 }
 
 TEST(Codec, RoundTrip) {
