@@ -11,7 +11,10 @@
 //      track overlaying the sampled sim-time span trees), and
 //      prof_registry.prom (the prof.zone.* series as exported through the
 //      metrics registry — proof the telemetry stack sees profiles for
-//      free).
+//      free), and prof_alloc_samples.txt: the window's allocation-site
+//      samples (one in kAllocSampleEvery counted allocations), which
+//        python3 bench/alloc_sites.py prof_alloc_samples.txt
+//      turns into a per-site allocs/op table.
 //
 //   2. Determinism check: a pinned chaos episode (NDB crash + restart)
 //      run with the profiler installed and again without; the full event
@@ -54,6 +57,9 @@
 
 namespace repro::bench {
 namespace {
+
+// The allocation-site sampling period in the profile window.
+constexpr uint64_t kAllocSampleEvery = 37;
 
 // The zones the follow-on protocol-flattening work is measured against.
 const char* const kTrackedZones[] = {
@@ -115,8 +121,15 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
   // Reset at the warm-up/measure boundary: the budget numbers cover the
   // steady-state window only (node creation, cold maps, intern tables
   // are all warm by then).
-  auto results = driver.Run(1 * kSecond, 4 * kSecond,
-                            [&profiler] { profiler.ResetStats(); });
+  auto results = driver.Run(1 * kSecond, 4 * kSecond, [&profiler] {
+    prof::SetAllocSampleEvery(kAllocSampleEvery);  // primes the unwinder
+    profiler.ResetStats();
+    prof::ResetAllocSamples();
+  });
+  const std::string alloc_samples =
+      prof::AllocSamplesText(static_cast<uint64_t>(results.completed));
+  prof::SetAllocSampleEvery(0);
+  WriteFile(out_dir + "/prof_alloc_samples.txt", alloc_samples);
 
   profiler.Uninstall();
 

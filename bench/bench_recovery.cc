@@ -89,7 +89,7 @@ struct MicroCluster {
   bool InsertCommit(const ndb::Key& key, const std::string& value) {
     const ndb::TxnId txn = api->Begin(table, key);
     bool ok = false, done = false;
-    api->Insert(txn, table, key, value, [&](Code c) {
+    api->Insert(txn, table, key, ndb::RowImage::Of(value), [&](Code c) {
       if (c != Code::kOk) {
         api->Abort(txn);
         done = true;
@@ -111,7 +111,7 @@ struct MicroCluster {
     const ndb::TxnId txn = api->Begin(table, key);
     if (out_txn != nullptr) *out_txn = txn;
     bool ok = false, done = false;
-    api->Write(txn, table, key, value, [&](Code c) {
+    api->Write(txn, table, key, ndb::RowImage::Of(value), [&](Code c) {
       if (c != Code::kOk) {
         api->Abort(txn);
         done = true;
@@ -358,7 +358,7 @@ void CatchupAvailability(Report& out) {
     const ndb::TxnId txn = mc.api->BeginNoHint();
     if (txn == 0) return;
     mc.api->Read(txn, mc.table, key, ndb::LockMode::kReadCommitted,
-                 [&, txn](Code c, std::optional<std::string>) {
+                 [&, txn](Code c, ndb::RowImage) {
                    if (c == Code::kOk) ++reads_ok;
                    mc.api->Abort(txn);
                  });

@@ -220,12 +220,12 @@ InvariantResult InvariantChecker::CheckReplication() {
 
   // White-box union of the committed blocks table across alive replicas
   // (each datanode stores only its partitions).
-  std::map<ndb::Key, std::string> rows;
+  std::map<ndb::Key, ndb::RowImage> rows;
   for (ndb::NodeId n = 0; n < ndb.num_datanodes(); ++n) {
     if (!ndb.layout().alive(n)) continue;
     ndb.datanode(n).store().ForEachCommitted(
         blocks_table,
-        [&](const ndb::Key& key, const std::string& value) {
+        [&](const ndb::Key& key, const ndb::RowImage& value) {
           rows[key] = value;
         });
   }
@@ -237,7 +237,7 @@ InvariantResult InvariantChecker::CheckReplication() {
   int64_t checked = 0;
   for (const auto& [key, value] : rows) {
     hopsfs::BlockRow row;
-    if (!hopsfs::BlockRow::Decode(value, &row)) continue;
+    if (!hopsfs::BlockRow::Decode(value.view(), &row)) continue;
     ++checked;
     std::set<AzId> azs;
     std::string problem;

@@ -2,17 +2,17 @@
 
 namespace repro::hopsfs {
 
-std::string InodeRow::Encode() const {
-  Encoder e;
-  e.PutU64(id);
-  e.PutBool(is_dir);
-  e.PutI64(size);
-  e.PutI64(mtime_ns);
-  e.PutU32(permissions);
-  e.PutString(owner);
-  e.PutBool(has_inline_data);
-  e.PutU32(static_cast<uint32_t>(num_blocks));
-  return e.Take();
+ndb::RowImage InodeRow::Encode() const {
+  return ndb::RowImage::Encode([this](Encoder& e) {
+    e.PutU64(id);
+    e.PutBool(is_dir);
+    e.PutI64(size);
+    e.PutI64(mtime_ns);
+    e.PutU32(permissions);
+    e.PutString(owner);
+    e.PutBool(has_inline_data);
+    e.PutU32(static_cast<uint32_t>(num_blocks));
+  });
 }
 
 bool InodeRow::Decode(std::string_view data, InodeRow* out) {
@@ -28,13 +28,13 @@ bool InodeRow::Decode(std::string_view data, InodeRow* out) {
   return d.ok();
 }
 
-std::string BlockRow::Encode() const {
-  Encoder e;
-  e.PutU64(block_id);
-  e.PutI64(num_bytes);
-  e.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (int32_t r : replicas) e.PutU32(static_cast<uint32_t>(r));
-  return e.Take();
+ndb::RowImage BlockRow::Encode() const {
+  return ndb::RowImage::Encode([this](Encoder& e) {
+    e.PutU64(block_id);
+    e.PutI64(num_bytes);
+    e.PutU32(static_cast<uint32_t>(replicas.size()));
+    for (int32_t r : replicas) e.PutU32(static_cast<uint32_t>(r));
+  });
 }
 
 bool BlockRow::Decode(std::string_view data, BlockRow* out) {
@@ -49,13 +49,13 @@ bool BlockRow::Decode(std::string_view data, BlockRow* out) {
   return d.ok();
 }
 
-std::string NnHeartbeatRow::Encode() const {
-  Encoder e;
-  e.PutU32(static_cast<uint32_t>(nn_id));
-  e.PutI64(counter);
-  e.PutU32(static_cast<uint32_t>(location_domain_id));
-  e.PutU32(static_cast<uint32_t>(host));
-  return e.Take();
+ndb::RowImage NnHeartbeatRow::Encode() const {
+  return ndb::RowImage::Encode([this](Encoder& e) {
+    e.PutU32(static_cast<uint32_t>(nn_id));
+    e.PutI64(counter);
+    e.PutU32(static_cast<uint32_t>(location_domain_id));
+    e.PutU32(static_cast<uint32_t>(host));
+  });
 }
 
 bool NnHeartbeatRow::Decode(std::string_view data, NnHeartbeatRow* out) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 
+#include "ndb/row_image.h"
 #include "ndb/schema.h"
 #include "ndb/types.h"
 #include "util/codec.h"
@@ -36,7 +37,7 @@ struct InodeRow {
   bool has_inline_data = false;
   int32_t num_blocks = 0;
 
-  std::string Encode() const;
+  ndb::RowImage Encode() const;
   static bool Decode(std::string_view data, InodeRow* out);
 };
 
@@ -47,7 +48,7 @@ struct BlockRow {
   // folded into the block row; see DESIGN.md).
   std::vector<int32_t> replicas;
 
-  std::string Encode() const;
+  ndb::RowImage Encode() const;
   static bool Decode(std::string_view data, BlockRow* out);
 };
 
@@ -58,7 +59,7 @@ struct NnHeartbeatRow {
   int32_t location_domain_id = -1;
   int32_t host = -1;
 
-  std::string Encode() const;
+  ndb::RowImage Encode() const;
   static bool Decode(std::string_view data, NnHeartbeatRow* out);
 };
 

@@ -66,16 +66,17 @@ void Namenode::LeaderElectionRound() {
                   if (scan_txn == 0) return;
                   api_->ScanPrefix(
                       scan_txn, tables_.vars, std::string(kNnHeartbeatPrefix),
-                      [this, scan_txn](
-                          Code c2,
-                          std::vector<std::pair<ndb::Key, std::string>> rows) {
+                      [this, scan_txn](Code c2,
+                                       ndb::NdbApiNode::Rows rows) {
                         api_->Commit(scan_txn, [](Code) {});
                         if (c2 != Code::kOk) return;
 
                         std::vector<ActiveNn> alive;
                         for (const auto& [k, v] : rows) {
                           NnHeartbeatRow row;
-                          if (!NnHeartbeatRow::Decode(v, &row)) continue;
+                          if (!NnHeartbeatRow::Decode(v.view(), &row)) {
+                            continue;
+                          }
                           auto& seen = le_seen_[row.nn_id];
                           if (row.nn_id == nn_id_ ||
                               row.counter != seen.first) {
@@ -136,7 +137,7 @@ void Namenode::LeaderElectionRound() {
 struct Namenode::RepairQueue {
   blocks::DnId dn = -1;
   // The dead datanode's index rows: dn_blocks key -> block row key.
-  std::vector<std::pair<ndb::Key, std::string>> rows;
+  ndb::NdbApiNode::Rows rows;
   size_t next = 0;  // the row repaired next
   // The block under repair and its transaction.
   ndb::TxnId txn = 0;
@@ -165,8 +166,7 @@ void Namenode::ReplicationMonitorRound() {
     if (txn == 0) return;
     api_->ScanPrefix(
         txn, tables_.dn_blocks, DnBlocksPrefix(dn),
-        [this, txn, dn](Code code,
-                        std::vector<std::pair<ndb::Key, std::string>> rows) {
+        [this, txn, dn](Code code, ndb::NdbApiNode::Rows rows) {
           api_->Commit(txn, [](Code) {});
           if (code != Code::kOk) return;
           auto q = std::make_shared<RepairQueue>();
@@ -179,15 +179,15 @@ void Namenode::ReplicationMonitorRound() {
 
 void Namenode::RepairNext(std::shared_ptr<RepairQueue> q) {
   if (q->next >= q->rows.size()) return;
-  const std::string& block_row_key = q->rows[q->next++].second;
+  const std::string_view block_row_key = q->rows[q->next++].second.view();
   q->txn = api_->Begin(tables_.blocks, block_row_key);
   if (q->txn == 0) {
     RepairNext(std::move(q));
     return;
   }
   api_->Read(
-      q->txn, tables_.blocks, block_row_key, ndb::LockMode::kExclusive,
-      [this, q](Code code, std::optional<std::string> value) {
+      q->txn, tables_.blocks, ndb::Key(block_row_key),
+      ndb::LockMode::kExclusive, [this, q](Code code, ndb::RowImage value) {
         auto give_up = [&](const char* why) {
           RLOG_WARN(kLog, "block repair skipped: %s", why);
           api_->Abort(q->txn);
@@ -196,7 +196,7 @@ void Namenode::RepairNext(std::shared_ptr<RepairQueue> q) {
         BlockRow& block = q->block;
         block = BlockRow{};
         if (code != Code::kOk || !value ||
-            !BlockRow::Decode(*value, &block)) {
+            !BlockRow::Decode(value.view(), &block)) {
           give_up("block row unreadable");
           return;
         }
@@ -224,8 +224,8 @@ void Namenode::RepairNext(std::shared_ptr<RepairQueue> q) {
           };
         };
         q->join = WriteJoin{};
-        api_->Update(q->txn, tables_.blocks, block_row_key, block.Encode(),
-                     joined());
+        api_->Update(q->txn, tables_.blocks, ndb::Key(block_row_key.view()),
+                     block.Encode(), joined());
         api_->Delete(q->txn, tables_.dn_blocks, dn_block_key, joined());
         api_->Insert(q->txn, tables_.dn_blocks,
                      DnBlockKey(q->target, block.block_id), block_row_key,

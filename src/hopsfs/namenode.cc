@@ -259,7 +259,7 @@ void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
   w->row_key = InodeKey(w->dir, w->parts[w->next]);
   api_->Read(
       ctx->txn, tables_.inodes, w->row_key, ndb::LockMode::kReadCommitted,
-      [this, ctx, w](Code code, std::optional<std::string> value) {
+      [this, ctx, w](Code code, ndb::RowImage value) {
         if (code != Code::kOk) {
           MaybeRetry(ctx, Status(code, "path read failed"));
           return;
@@ -273,7 +273,7 @@ void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
           return;
         }
         InodeRow row;
-        if (!InodeRow::Decode(*value, &row) || !row.is_dir) {
+        if (!InodeRow::Decode(value.view(), &row) || !row.is_dir) {
           Fail(ctx, FailedPrecondition("path component is not a directory"));
           return;
         }

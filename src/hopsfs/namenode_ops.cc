@@ -29,7 +29,7 @@ namespace repro::hopsfs {
 
 namespace {
 
-using Rows = std::vector<std::pair<ndb::Key, std::string>>;
+using Rows = ndb::NdbApiNode::Rows;
 constexpr ndb::LockMode kLocked = ndb::LockMode::kExclusive;
 constexpr ndb::LockMode kCommitted = ndb::LockMode::kReadCommitted;
 
@@ -63,11 +63,16 @@ constexpr InodeRead kRmrParent{"rmr: parent lock", "rmr: parent missing",
                                kWrite, "rmr: no write access to parent"};
 constexpr InodeRead kRmrRoot{"rmr: root lock", "rmr: no such path"};
 
+// A small file's payload row (§II-A3).
+ndb::RowImage InlineData(int64_t size) {
+  return ndb::RowImage::Filled(static_cast<size_t>(size), 'd');
+}
+
 std::vector<BlockRow> DecodeBlocks(const Rows& rows) {
   std::vector<BlockRow> blocks;
   for (const auto& [k, v] : rows) {
     BlockRow b;
-    if (BlockRow::Decode(v, &b)) blocks.push_back(std::move(b));
+    if (BlockRow::Decode(v.view(), &b)) blocks.push_back(std::move(b));
   }
   return blocks;
 }
@@ -85,14 +90,13 @@ template <typename Then>
 void Namenode::ReadInode(OpPtr ctx, ndb::Key key, ndb::LockMode mode,
                          const InodeRead& what, Then then) {
   api_->Read(ctx->txn, tables_.inodes, std::move(key), mode,
-             [this, ctx, &what, then](Code code,
-                                      std::optional<std::string> value) {
+             [this, ctx, &what, then](Code code, ndb::RowImage value) {
                if (code != Code::kOk) {
                  MaybeRetry(ctx, Status(code, what.failed));
                  return;
                }
                InodeRow row;
-               if (!value || !InodeRow::Decode(*value, &row) ||
+               if (!value || !InodeRow::Decode(value.view(), &row) ||
                    (what.dir && !row.is_dir)) {
                  MaybeRetry(ctx, NotFound(what.missing));
                  return;
@@ -211,9 +215,11 @@ void Namenode::AddBlocks(const OpPtr& ctx, InodeId file, int32_t from,
     }
     const std::string bkey = BlockKey(file, i);
     api_->Insert(ctx->txn, tables_.blocks, bkey, b.Encode(), Joined(ctx));
+    // Each replica's index row holds the block row's key.
+    const ndb::RowImage index_row = ndb::RowImage::Of(bkey);
     for (blocks::DnId d : b.replicas) {
       api_->Insert(ctx->txn, tables_.dn_blocks, DnBlockKey(d, b.block_id),
-                   bkey, Joined(ctx));
+                   index_row, Joined(ctx));
     }
     ctx->result.new_blocks.push_back(std::move(b));
   }
@@ -302,7 +308,7 @@ void Namenode::DoCreate(OpPtr ctx) {
                      file.Encode(), Joined(ctx));
         if (file.has_inline_data) {
           api_->Write(ctx->txn, tables_.inline_data, InlineDataKey(file.id),
-                      std::string(static_cast<size_t>(size), 'd'),
+                      InlineData(size),
                       Joined(ctx));
         }
         AddBlocks(ctx, file.id, 0, file.num_blocks, size);
@@ -343,13 +349,13 @@ void Namenode::DoOpenRead(OpPtr ctx) {
           // Small file: the payload lives with the metadata (§II-A3).
           api_->Read(ctx->txn, tables_.inline_data, InlineDataKey(row.id),
                      kCommitted,
-                     [this, ctx](Code code, std::optional<std::string> data) {
+                     [this, ctx](Code code, ndb::RowImage data) {
                        if (code != Code::kOk) {
                          MaybeRetry(ctx, Status(code, "read: inline data"));
                          return;
                        }
                        ctx->result.inline_bytes =
-                           data ? static_cast<int64_t>(data->size()) : 0;
+                           static_cast<int64_t>(data.size());
                        CommitAndFinish(ctx, "read: commit");
                      });
           return;
@@ -587,7 +593,7 @@ void Namenode::DoAppend(OpPtr ctx) {
           if (updated.has_inline_data) {
             api_->Write(ctx->txn, tables_.inline_data,
                         InlineDataKey(updated.id),
-                        std::string(static_cast<size_t>(new_size), 'd'),
+                        InlineData(new_size),
                         Joined(ctx));
           }
         } else {
@@ -696,7 +702,7 @@ void Namenode::WalkSubtree(OpPtr ctx, std::shared_ptr<SubtreeWalk> w) {
         FsResult& r = ctx->result;
         for (auto& [k, v] : rows) {
           InodeRow child;
-          if (!InodeRow::Decode(v, &child)) continue;
+          if (!InodeRow::Decode(v.view(), &child)) continue;
           if (child.is_dir) w->frontier.push_back(child.id);
           if (rmr) {
             w->doomed.push_back({std::move(k), std::move(child), {}});

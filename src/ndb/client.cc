@@ -119,11 +119,11 @@ std::optional<NdbApiNode::PendingOp> NdbApiNode::TakeOp(uint64_t op_id) {
   return op;
 }
 
-void NdbApiNode::Deliver(PendingOp& op, Code code,
-                         std::optional<std::string> value, Rows rows) {
+void NdbApiNode::Deliver(PendingOp& op, Code code, RowImage value,
+                         Rows rows) {
   if (op.read_cb) {
     const bool answered = code == Code::kOk || code == Code::kNotFound;
-    op.read_cb(code, answered ? std::move(value) : std::nullopt);
+    op.read_cb(code, answered ? std::move(value) : RowImage());
   }
   if (op.write_cb) op.write_cb(code);
   if (op.scan_cb) op.scan_cb(code, std::move(rows));
@@ -182,21 +182,21 @@ void NdbApiNode::SendWrite(TxnId txn, KeyOpReq req, WriteCb cb) {
   SendKeyOp(txn, std::move(req), std::move(op));
 }
 
-void NdbApiNode::Insert(TxnId txn, TableId table, Key key, std::string value,
+void NdbApiNode::Insert(TxnId txn, TableId table, Key key, RowImage value,
                         WriteCb cb) {
   SendWrite(txn, {.table = table, .key = std::move(key), .insert_only = true,
                   .value = std::move(value)},
             std::move(cb));
 }
 
-void NdbApiNode::Update(TxnId txn, TableId table, Key key, std::string value,
+void NdbApiNode::Update(TxnId txn, TableId table, Key key, RowImage value,
                         WriteCb cb) {
   SendWrite(txn, {.table = table, .key = std::move(key), .must_exist = true,
                   .value = std::move(value)},
             std::move(cb));
 }
 
-void NdbApiNode::Write(TxnId txn, TableId table, Key key, std::string value,
+void NdbApiNode::Write(TxnId txn, TableId table, Key key, RowImage value,
                        WriteCb cb) {
   SendWrite(txn, {.table = table, .key = std::move(key),
                   .value = std::move(value)},

@@ -19,6 +19,7 @@
 #include "metrics/counters.h"
 #include "ndb/cluster.h"
 #include "ndb/datanode.h"
+#include "ndb/row_image.h"
 #include "ndb/types.h"
 #include "sim/callback.h"
 #include "util/flat_map.h"
@@ -27,9 +28,10 @@ namespace repro::ndb {
 
 class NdbApiNode {
  public:
-  using ReadCb = SmallCall<void(Code, std::optional<std::string>)>;
+  // A read's value is null when the row is absent.
+  using ReadCb = SmallCall<void(Code, RowImage)>;
   using WriteCb = SmallCall<void(Code)>;
-  using Rows = std::vector<std::pair<Key, std::string>>;
+  using Rows = std::vector<std::pair<Key, RowImage>>;
   using ScanCb = SmallCall<void(Code, Rows)>;
 
   // `location_domain_id` is the caller's AZ (§IV-B); kNoAz disables
@@ -54,13 +56,10 @@ class NdbApiNode {
   TxnId BeginNoHint();
 
   void Read(TxnId txn, TableId table, Key key, LockMode mode, ReadCb cb);
-  void Insert(TxnId txn, TableId table, Key key, std::string value,
-              WriteCb cb);
-  void Update(TxnId txn, TableId table, Key key, std::string value,
-              WriteCb cb);
+  void Insert(TxnId txn, TableId table, Key key, RowImage value, WriteCb cb);
+  void Update(TxnId txn, TableId table, Key key, RowImage value, WriteCb cb);
   // Upsert without existence constraints.
-  void Write(TxnId txn, TableId table, Key key, std::string value,
-             WriteCb cb);
+  void Write(TxnId txn, TableId table, Key key, RowImage value, WriteCb cb);
   void Delete(TxnId txn, TableId table, Key key, WriteCb cb);
   void ScanPrefix(TxnId txn, TableId table, Key prefix, ScanCb cb);
 
@@ -119,8 +118,7 @@ class NdbApiNode {
   TxnState* Admit(TxnId txn, Code* refused);
   // The one code fan-out: hands an op's outcome to whichever callback it
   // carries (a read's value only with kOk / kNotFound).
-  static void Deliver(PendingOp& op, Code code,
-                      std::optional<std::string> value = std::nullopt,
+  static void Deliver(PendingOp& op, Code code, RowImage value = {},
                       Rows rows = {});
   // Opens the op's span `what` under the transaction's (its id in
   // *span), registers the op and arms its timeout; returns the op id.

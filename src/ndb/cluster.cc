@@ -603,15 +603,14 @@ NdbCluster::ResyncDelta NdbCluster::ComputeResync(NodeId n, NodeId source,
   NdbDatanode& node = *datanodes_[n];
   NdbDatanode& peer = *datanodes_[source];
   for (TableId t = 0; t < catalog_->num_tables(); ++t) {
-    std::vector<std::pair<Key, std::string>> puts;
+    std::vector<std::pair<Key, RowImage>> puts;
     std::vector<Key> dels;
     // Rows the peer holds for n's partitions that n lacks or holds stale.
     peer.store().ForEachCommitted(t, [&](const Key& key,
-                                         const std::string& value) {
+                                         const RowImage& value) {
       const PartitionId p = layout_.PartitionOf(t, key);
       if ((part >= 0 && p != part) || !layout_.Holds(n, t, p)) return;
-      const auto held = node.store().Read(t, key, 0);
-      if (!held || *held != value) {
+      if (node.store().Read(t, key, 0) != value) {
         delta.rows += 1;
         delta.bytes += static_cast<int64_t>(key.size()) +
                        static_cast<int64_t>(value.size());
@@ -619,8 +618,7 @@ NdbCluster::ResyncDelta NdbCluster::ComputeResync(NodeId n, NodeId source,
       }
     });
     // Rows n replayed that the cluster has since deleted.
-    node.store().ForEachCommitted(t, [&](const Key& key,
-                                         const std::string&) {
+    node.store().ForEachCommitted(t, [&](const Key& key, const RowImage&) {
       if (part >= 0 && layout_.PartitionOf(t, key) != part) return;
       if (!peer.store().ExistsCommitted(t, key)) {
         delta.deletes += 1;
@@ -667,7 +665,7 @@ void NdbCluster::ResetStats() {
 }
 
 void NdbCluster::BootstrapPut(TableId table, const Key& key,
-                              std::string value) {
+                              const RowImage& value) {
   const PartitionId part = layout_.PartitionOf(table, key);
   for (NodeId n : layout_.ReplicaChain(table, part)) {
     datanodes_[n]->store().BootstrapPut(table, key, value);

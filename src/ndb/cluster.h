@@ -212,8 +212,9 @@ class NdbCluster {
   void ResetStats();
 
   // Bulk-loads a committed row onto every replica, bypassing the
-  // protocol. For experiment namespace bootstrap only.
-  void BootstrapPut(TableId table, const Key& key, std::string value);
+  // protocol: every replica's store and checkpoint base share the one
+  // image. For experiment namespace bootstrap only.
+  void BootstrapPut(TableId table, const Key& key, const RowImage& value);
 
   // Aggregate thread-pool utilisation over [window_start, now], averaged
   // over alive datanodes. Order: LDM, TC, RECV, SEND, REP, IO, MAIN.

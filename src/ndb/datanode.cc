@@ -339,7 +339,7 @@ NdbDatanode::ReplayResult NdbDatanode::ReplayFromJournal(int64_t max_epoch) {
   ReplayResult result;
   result.entries = journal_.Replay(
       max_epoch,
-      [this](TableId t, const Key& k, const std::string& v) {
+      [this](TableId t, const Key& k, const RowImage& v) {
         store_.BootstrapPut(t, k, v);
       },
       [this](TableId t, const Key& k) { store_.BootstrapDelete(t, k); });
@@ -353,7 +353,7 @@ void NdbDatanode::CheckpointAdoptedImage(int64_t epoch) {
   journal_.InstallImageBegin(epoch, cluster_.sim().now());
   for (TableId t = 0; t < cluster_.catalog().num_tables(); ++t) {
     store_.ForEachCommitted(t, [this, t](const Key& key,
-                                         const std::string& value) {
+                                         const RowImage& value) {
       journal_.InstallImageRow(t, key, value);
     });
   }
@@ -376,7 +376,7 @@ NdbDatanode::AdoptResult NdbDatanode::AdoptJournalFrom(
   journal_.RaiseFoldedEpoch(src.max_folded_epoch());
   src.Replay(
       cut_epoch,
-      [&](TableId t, const Key& k, const std::string& v) {
+      [&](TableId t, const Key& k, const RowImage& v) {
         if (mine(t, k)) journal_.InstallImageRow(t, k, v);
       },
       [&](TableId t, const Key& k) {
@@ -411,8 +411,8 @@ uint64_t NdbDatanode::DigestStore() const {
   ImageDigest digest;
   for (TableId t = 0; t < cluster_.catalog().num_tables(); ++t) {
     store_.ForEachCommitted(t, [&digest, t](const Key& key,
-                                            const std::string& value) {
-      digest.AddRow(t, key, value);
+                                            const RowImage& value) {
+      digest.AddRow(t, key, value.view());
     });
   }
   return digest.value();
@@ -677,8 +677,7 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
           TcTxn::HeldLock{probe.table, probe.key, probe.part, granted_by});
     }
     const int64_t bytes =
-        cluster_.cost().msg_small +
-        (ack.value ? static_cast<int64_t>(ack.value->size()) : 0);
+        cluster_.cost().msg_small + static_cast<int64_t>(ack.value.size());
     SendToApi(api, bytes,
               OpReply{txn, probe.op_id, code, std::move(ack.value), {}}, span,
               std::move(sig));
@@ -963,7 +962,7 @@ void NdbDatanode::SweepInactiveTxns() {
       const RowStore& other = cluster_.datanode(r).store();
       if (o.type == WriteType::kPut) {
         const auto v = other.Read(o.table, o.key, /*reader_txn=*/0);
-        if (v && *v == o.value) {
+        if (v && v == o.value) {
           committed_elsewhere = true;
           break;
         }
@@ -1044,9 +1043,9 @@ void NdbDatanode::LdmCommittedRead(SignalRef sig) {
     // already-resynced partitions while still rejoining.
     if (!alive_) ++catchup_reads_served_;
     const KeyOpReq& req = sig->as<KeyOpReq>();
-    auto value = store_.Read(req.table, req.key, req.txn);
-    const int64_t bytes = cluster_.cost().msg_small +
-                          (value ? static_cast<int64_t>(value->size()) : 0);
+    RowImage value = store_.Read(req.table, req.key, req.txn);
+    const int64_t bytes =
+        cluster_.cost().msg_small + static_cast<int64_t>(value.size());
     SendToApi(req.api, bytes,
               OpReply{req.txn, req.op_id, Code::kOk, std::move(value), {}},
               req.span, std::move(sig));
@@ -1076,7 +1075,7 @@ void NdbDatanode::LdmLockedRead(SignalRef sig) {
                    [this, sig = std::move(sig), wait](Status s) mutable {
       cluster_.tracer().EndSpan(wait);
       PrepareReq& probe = sig->as<PrepareReq>();
-      std::optional<std::string> value;
+      RowImage value;
       Code code = Code::kOk;
       if (s.ok()) {
         value = store_.Read(probe.table, probe.key, probe.txn);
@@ -1088,8 +1087,8 @@ void NdbDatanode::LdmLockedRead(SignalRef sig) {
       } else {
         code = s.code();
       }
-      const int64_t bytes = cluster_.cost().msg_small +
-                            (value ? static_cast<int64_t>(value->size()) : 0);
+      const int64_t bytes =
+          cluster_.cost().msg_small + static_cast<int64_t>(value.size());
       const NodeId tc = probe.tc;
       const trace::SpanId span = probe.span;
       sig->msg = LockedReadAck{std::move(probe), code, std::move(value)};

@@ -177,7 +177,7 @@ class NdbDatanode {
   void StartLocalCheckpoint(int64_t cluster_durable_epoch);
   bool lcp_in_progress() const { return lcp_inflight_; }
   // Bootstrap data is durable by definition (loaded before the run).
-  void LogBootstrap(TableId table, const Key& key, const std::string& value) {
+  void LogBootstrap(TableId table, const Key& key, const RowImage& value) {
     journal_.BootstrapRow(table, key, value);
   }
 
@@ -367,7 +367,7 @@ class NdbDatanode {
   RowStore store_;
   LockManager locks_;
 
-  // Journals a replica's applied write, moving its value into the record.
+  // Journals a replica's applied write; the record shares its image.
   void LogRedo(int64_t epoch, PartitionId part, TxnId txn, TableId table,
                const Key& key, std::optional<RowStore::AppliedWrite>&& applied);
   // Transitions the stall clock when the backlog crosses the limit;

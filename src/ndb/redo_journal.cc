@@ -22,7 +22,7 @@ void ImageDigest::Mix(const void* data, size_t len) {
 }
 
 void ImageDigest::AddRow(TableId table, const Key& key,
-                         const std::string& value) {
+                         std::string_view value) {
   Mix(&table, sizeof(table));
   Mix(&kFieldSep, 1);
   Mix(key.data(), key.size());
@@ -50,7 +50,7 @@ void RedoJournal::AppendToSegment(Record record) {
 
 int64_t RedoJournal::Append(int64_t epoch, TxnId txn, TableId table,
                             const Key& key, PartitionId part, bool deleted,
-                            std::string value, Nanos now) {
+                            RowImage value, Nanos now) {
   Record r;
   r.seqno = ++last_seqno_;
   r.epoch = epoch;
@@ -72,7 +72,7 @@ int64_t RedoJournal::Append(int64_t epoch, TxnId txn, TableId table,
 }
 
 void RedoJournal::BootstrapRow(TableId table, const Key& key,
-                               const std::string& value) {
+                               const RowImage& value) {
   auto& rows = base_[table];
   auto it = rows.find(key);
   const int64_t row_bytes = static_cast<int64_t>(key.size()) +
@@ -87,6 +87,12 @@ void RedoJournal::BootstrapRow(TableId table, const Key& key,
                    static_cast<int64_t>(it->second.size());
     it->second = value;
   }
+}
+
+RowImage RedoJournal::BaseRow(TableId table, const Key& key) const {
+  const auto& rows = base_[table];
+  auto it = rows.find(key);
+  return it == rows.end() ? RowImage() : it->second;
 }
 
 RedoJournal::FlushBatch RedoJournal::PrepareFlush() {
@@ -283,7 +289,7 @@ void RedoJournal::InstallImageBegin(int64_t epoch, Nanos now) {
 }
 
 void RedoJournal::InstallImageRow(TableId table, const Key& key,
-                                  const std::string& value) {
+                                  const RowImage& value) {
   BootstrapRow(table, key, value);
 }
 
@@ -300,7 +306,7 @@ void RedoJournal::InstallImageDelete(TableId table, const Key& key) {
 
 void RedoJournal::AdoptRecord(int64_t epoch, TxnId txn, TableId table,
                               const Key& key, PartitionId part, bool deleted,
-                              std::string value, Nanos appended_at) {
+                              RowImage value, Nanos appended_at) {
   Record r;
   r.seqno = ++last_seqno_;
   r.epoch = epoch;
@@ -346,7 +352,7 @@ RedoJournal::ReplayPlan RedoJournal::PlanReplay(int64_t max_epoch) const {
 
 int64_t RedoJournal::Replay(
     int64_t max_epoch,
-    const std::function<void(TableId, const Key&, const std::string&)>& put,
+    const std::function<void(TableId, const Key&, const RowImage&)>& put,
     const std::function<void(TableId, const Key&)>& del) const {
   for (TableId t = 0; t < static_cast<TableId>(base_.size()); ++t) {
     for (const auto& [key, value] : base_[t]) put(t, key, value);
@@ -368,16 +374,18 @@ int64_t RedoJournal::Replay(
 }
 
 uint64_t RedoJournal::ReplayDigest(int64_t max_epoch) const {
-  std::vector<std::map<Key, std::string>> image(base_.size());
+  std::vector<std::map<Key, RowImage>> image(base_.size());
   Replay(
       max_epoch,
-      [&image](TableId t, const Key& k, const std::string& v) {
+      [&image](TableId t, const Key& k, const RowImage& v) {
         image[t][k] = v;
       },
       [&image](TableId t, const Key& k) { image[t].erase(k); });
   ImageDigest digest;
   for (TableId t = 0; t < static_cast<TableId>(image.size()); ++t) {
-    for (const auto& [key, value] : image[t]) digest.AddRow(t, key, value);
+    for (const auto& [key, value] : image[t]) {
+      digest.AddRow(t, key, value.view());
+    }
   }
   return digest.value();
 }

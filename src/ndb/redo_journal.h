@@ -45,8 +45,10 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "ndb/row_image.h"
 #include "ndb/types.h"
 #include "util/time.h"
 
@@ -56,7 +58,7 @@ namespace repro::ndb {
 // stream. Used to compare replayed images for byte-identity.
 class ImageDigest {
  public:
-  void AddRow(TableId table, const Key& key, const std::string& value);
+  void AddRow(TableId table, const Key& key, std::string_view value);
   uint64_t value() const { return hash_; }
 
  private:
@@ -84,7 +86,7 @@ class RedoJournal {
     PartitionId part = 0;
     bool deleted = false;
     bool folded = false;  // already folded into the base image by an LCP
-    std::string value;
+    RowImage value;       // the replica's committed image; null if deleted
     int64_t bytes = 0;       // on-disk size incl. record overhead
     Nanos appended_at = 0;   // when the replica applied the write
   };
@@ -103,10 +105,10 @@ class RedoJournal {
   // ---- append path --------------------------------------------------
   // Appends one redo record; returns its seqno.
   int64_t Append(int64_t epoch, TxnId txn, TableId table, const Key& key,
-                 PartitionId part, bool deleted, std::string value, Nanos now);
+                 PartitionId part, bool deleted, RowImage value, Nanos now);
   // Bootstrap rows are durable by definition (loaded before the run):
   // they go straight into the checkpoint base image, not the log.
-  void BootstrapRow(TableId table, const Key& key, const std::string& value);
+  void BootstrapRow(TableId table, const Key& key, const RowImage& value);
 
   // ---- group commit -------------------------------------------------
   // Collects everything appended since the previous flush request into
@@ -164,13 +166,13 @@ class RedoJournal {
   // NDB does during node restart). Bumps generation().
   void InstallImageBegin(int64_t epoch, Nanos now);
   void InstallImageRow(TableId table, const Key& key,
-                       const std::string& value);
+                       const RowImage& value);
   void InstallImageDelete(TableId table, const Key& key);
   // Rejoin catch-up: adopts one post-cut redo record from the resync
   // source's journal, preserving its epoch/txn stamps. Adopted records
   // count as flushed (the rejoin checkpoint write charges the disk).
   void AdoptRecord(int64_t epoch, TxnId txn, TableId table, const Key& key,
-                   PartitionId part, bool deleted, std::string value,
+                   PartitionId part, bool deleted, RowImage value,
                    Nanos appended_at);
   // Records that the adopted base image may attest epochs up to `epoch`
   // for some partitions (the source had folded fragments beyond the
@@ -194,7 +196,7 @@ class RedoJournal {
   // max_epoch in seqno order. Returns the number of log records applied.
   int64_t Replay(int64_t max_epoch,
                  const std::function<void(TableId, const Key&,
-                                          const std::string&)>& put,
+                                          const RowImage&)>& put,
                  const std::function<void(TableId, const Key&)>& del) const;
   // Digest of the row image Replay(max_epoch) would produce, computed on
   // a scratch image (no store involved).
@@ -217,6 +219,8 @@ class RedoJournal {
   int64_t base_epoch() const { return base_epoch_; }
   int64_t base_rows() const { return base_rows_; }
   int64_t base_bytes() const { return base_bytes_; }
+  // The checkpoint base image's row (null if the base lacks it).
+  RowImage BaseRow(TableId table, const Key& key) const;
   Nanos last_checkpoint_at() const { return last_checkpoint_at_; }
   // Appended-but-not-yet-durable bytes (group-commit backlog). Grows
   // without bound when the log disk cannot keep up — the redo
@@ -246,9 +250,10 @@ class RedoJournal {
 
   Config config_;
   std::deque<Segment> segments_;
-  // Checkpoint base image: committed rows as of the folded record set.
-  // (Tombstones are folded away: a deleted row is simply absent.)
-  std::vector<std::map<Key, std::string>> base_;
+  // Checkpoint base image: committed rows as of the folded record set,
+  // sharing the records' images. (Tombstones are folded away: a deleted
+  // row is simply absent.)
+  std::vector<std::map<Key, RowImage>> base_;
   int64_t base_seqno_ = 0;
   int64_t base_epoch_ = 0;
   int64_t max_folded_epoch_ = 0;

@@ -21,21 +21,21 @@ bool TraceKey(const Key& key) {
 
 RowStore::RowStore(int num_tables) : tables_(num_tables) {}
 
-std::optional<std::string> RowStore::Read(TableId table, const Key& key,
-                                          TxnId reader_txn) const {
+RowImage RowStore::Read(TableId table, const Key& key,
+                        TxnId reader_txn) const {
   const auto& t = tables_[table];
   auto it = t.find(key);
-  if (it == t.end()) return std::nullopt;
+  if (it == t.end()) return {};
   const Row& row = it->second;
   if (row.has_pending && row.pending_txn == reader_txn) {
-    if (row.pending_type == WriteType::kDelete) return std::nullopt;
+    if (row.pending_type == WriteType::kDelete) return {};
     return row.pending_value;
   }
   return row.committed;
 }
 
 bool RowStore::Prepare(TableId table, const Key& key, WriteType type,
-                       std::string value, TxnId txn, NodeId tc,
+                       RowImage value, TxnId txn, NodeId tc,
                        Nanos staged_at) {
   Entry& entry = *tables_[table].try_emplace(key).first;
   Row& row = entry.second;
@@ -69,18 +69,17 @@ std::optional<RowStore::AppliedWrite> RowStore::Commit(TableId table,
   if (it == t.end()) return std::nullopt;
   Row& row = it->second;
   if (!row.has_pending || row.pending_txn != txn) return std::nullopt;
-  if (row.committed) total_bytes_ -= static_cast<int64_t>(row.committed->size());
+  total_bytes_ -= static_cast<int64_t>(row.committed.size());
   AppliedWrite applied{row.pending_type, {}};
   if (row.pending_type == WriteType::kDelete) {
     row.committed.reset();
   } else {
     row.committed = std::move(row.pending_value);
-    applied.value = *row.committed;
-    total_bytes_ += static_cast<int64_t>(row.committed->size());
+    applied.value = row.committed;
+    total_bytes_ += static_cast<int64_t>(row.committed.size());
   }
   UnindexPending(row);
   row.has_pending = false;
-  row.pending_value.clear();
   if (!row.committed) t.erase(it);
   return applied;
 }
@@ -99,14 +98,14 @@ void RowStore::Abort(TableId table, const Key& key, TxnId txn) {
   if (!row.has_pending || row.pending_txn != txn) return;
   UnindexPending(row);
   row.has_pending = false;
-  row.pending_value.clear();
+  row.pending_value.reset();
   if (!row.committed) t.erase(it);
 }
 
 bool RowStore::ExistsCommitted(TableId table, const Key& key) const {
   const auto& t = tables_[table];
   auto it = t.find(key);
-  return it != t.end() && it->second.committed.has_value();
+  return it != t.end() && it->second.committed;
 }
 
 bool RowStore::HasPending(TableId table, const Key& key) const {
@@ -115,9 +114,9 @@ bool RowStore::HasPending(TableId table, const Key& key) const {
   return it != t.end() && it->second.has_pending;
 }
 
-std::vector<std::pair<Key, std::string>> RowStore::ScanPrefix(
+std::vector<std::pair<Key, RowImage>> RowStore::ScanPrefix(
     TableId table, const Key& prefix, TxnId reader_txn) const {
-  std::vector<std::pair<Key, std::string>> out;
+  std::vector<std::pair<Key, RowImage>> out;
   const auto& t = tables_[table];
   for (auto it = t.lower_bound(prefix); it != t.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
@@ -127,7 +126,7 @@ std::vector<std::pair<Key, std::string>> RowStore::ScanPrefix(
         out.emplace_back(it->first, row.pending_value);
       }
     } else if (row.committed) {
-      out.emplace_back(it->first, *row.committed);
+      out.emplace_back(it->first, row.committed);
     }
   }
   return out;
@@ -147,18 +146,16 @@ void RowStore::BootstrapDelete(TableId table, const Key& key) {
   auto& t = tables_[table];
   auto it = t.find(key);
   if (it == t.end()) return;
-  if (it->second.committed) {
-    total_bytes_ -= static_cast<int64_t>(it->second.committed->size());
-  }
+  total_bytes_ -= static_cast<int64_t>(it->second.committed.size());
   if (it->second.has_pending) UnindexPending(it->second);
   t.erase(it);
 }
 
 void RowStore::ForEachCommitted(
     TableId table,
-    const std::function<void(const Key&, const std::string&)>& fn) const {
+    const std::function<void(const Key&, const RowImage&)>& fn) const {
   for (const auto& [key, row] : tables_[table]) {
-    if (row.committed) fn(key, *row.committed);
+    if (row.committed) fn(key, row.committed);
   }
 }
 
@@ -192,15 +189,15 @@ void RowStore::ForEachPending(
 }
 
 void RowStore::BootstrapPut(TableId table, const Key& key,
-                            std::string value) {
+                            RowImage value) {
   if (TraceKey(key)) {
     std::fprintf(stderr, "[trace] store %d BOOTSTRAP %s\n", debug_owner_,
                  key.c_str());
   }
   Row& row = tables_[table][key];
-  if (row.committed) total_bytes_ -= static_cast<int64_t>(row.committed->size());
+  total_bytes_ -= static_cast<int64_t>(row.committed.size());
   row.committed = std::move(value);
-  total_bytes_ += static_cast<int64_t>(row.committed->size());
+  total_bytes_ += static_cast<int64_t>(row.committed.size());
 }
 
 }  // namespace repro::ndb

@@ -6,7 +6,9 @@
 // their own transaction immediately (read-your-writes inside a
 // transaction) and to everyone else at commit. Keys are kept ordered so
 // directory listings — keys share a "parentId/" prefix under HopsFS's
-// application-defined partitioning — are a contiguous range scan.
+// application-defined partitioning — are a contiguous range scan. Row
+// values are shared `RowImage`s: staging, committing, reading and
+// scanning hand the writer's buffer on without copying its bytes.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ndb/row_image.h"
 #include "ndb/types.h"
 #include "util/time.h"
 
@@ -30,9 +33,9 @@ class RowStore {
   RowStore(const RowStore&) = delete;
   RowStore& operator=(const RowStore&) = delete;
 
-  // Committed read; pending changes of `reader_txn` (if any) are visible.
-  std::optional<std::string> Read(TableId table, const Key& key,
-                                  TxnId reader_txn) const;
+  // Committed read (null if absent); pending changes of `reader_txn` (if
+  // any) are visible.
+  RowImage Read(TableId table, const Key& key, TxnId reader_txn) const;
 
   // Stages a write. Returns false if another transaction's pending write
   // still occupies the row (its Commit/Complete has not landed yet) — the
@@ -42,7 +45,7 @@ class RowStore {
   // coordinator staged the write and when, so the orphaned-slot sweep can
   // trace a stuck pending write back to its transaction.
   [[nodiscard]] bool Prepare(TableId table, const Key& key, WriteType type,
-                             std::string value, TxnId txn,
+                             RowImage value, TxnId txn,
                              NodeId tc = kNoNode, Nanos staged_at = 0);
 
   // Applies txn's pending op on the row, making it the committed image.
@@ -50,7 +53,7 @@ class RowStore {
   // was nothing pending for txn on that row.
   struct AppliedWrite {
     WriteType type;
-    std::string value;
+    RowImage value;  // the committed image (null for a delete)
   };
   std::optional<AppliedWrite> Commit(TableId table, const Key& key,
                                      TxnId txn);
@@ -63,9 +66,9 @@ class RowStore {
 
   // All committed rows whose key starts with `prefix`, plus the reader's
   // own pending rows in that range. Returned in key order.
-  std::vector<std::pair<Key, std::string>> ScanPrefix(TableId table,
-                                                      const Key& prefix,
-                                                      TxnId reader_txn) const;
+  std::vector<std::pair<Key, RowImage>> ScanPrefix(TableId table,
+                                                   const Key& prefix,
+                                                   TxnId reader_txn) const;
 
   // Drops everything (cluster-recovery restore path).
   void Clear();
@@ -79,14 +82,14 @@ class RowStore {
   // Direct committed write, bypassing the protocol. Used only for bulk
   // namespace bootstrap before an experiment starts and for node-recovery
   // data copy.
-  void BootstrapPut(TableId table, const Key& key, std::string value);
+  void BootstrapPut(TableId table, const Key& key, RowImage value);
   // Direct committed delete (redo replay of delete entries).
   void BootstrapDelete(TableId table, const Key& key);
 
   // Iterates the committed image of one table (recovery data copy).
   void ForEachCommitted(
       TableId table,
-      const std::function<void(const Key&, const std::string&)>& fn) const;
+      const std::function<void(const Key&, const RowImage&)>& fn) const;
 
   // Iterates every pending (staged, not yet applied) write across all
   // tables, in (table, key) order. Used by the orphaned-slot sweep: a
@@ -101,13 +104,13 @@ class RowStore {
     NodeId tc;        // coordinator recorded at Prepare
     Nanos staged_at;  // when it was staged
     WriteType type;
-    std::string value;
+    RowImage value;
   };
   void ForEachPending(const std::function<void(const PendingRow&)>& fn) const;
 
  private:
   struct Row {
-    std::optional<std::string> committed;
+    RowImage committed;  // null: no committed row
     // Pending op staged by the prepare phase.
     bool has_pending = false;
     TxnId pending_txn = 0;
@@ -115,7 +118,7 @@ class RowStore {
     uint32_t pending_slot = 0;    // position in pending_ while has_pending
     Nanos pending_since = 0;      // when it was staged
     WriteType pending_type = WriteType::kPut;
-    std::string pending_value;
+    RowImage pending_value;
   };
   using Entry = std::map<Key, Row>::value_type;
   struct PendingRef {

@@ -26,12 +26,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "ndb/row_image.h"
 #include "ndb/row_store.h"
 #include "ndb/types.h"
 #include "sim/engine.h"
@@ -61,7 +61,7 @@ struct KeyOpReq {
   WriteType write_type = WriteType::kPut;
   bool insert_only = false;   // fail with kAlreadyExists if row exists
   bool must_exist = false;    // fail with kNotFound (delete/update strict)
-  std::string value{};
+  RowImage value{};           // a put's row (null for reads and deletes)
   // Absolute deadline propagated from the client op (0 = none). The TC
   // rejects work whose deadline already passed instead of routing it.
   Nanos deadline = 0;
@@ -95,8 +95,8 @@ struct OpReply {
   TxnId txn = 0;
   uint64_t op_id = 0;
   Code code = Code::kOk;
-  std::optional<std::string> value;
-  std::vector<std::pair<Key, std::string>> rows;  // scans
+  RowImage value;                              // reads (null: absent)
+  std::vector<std::pair<Key, RowImage>> rows;  // scans
 };
 
 // Chain messages (Fig. 2). The TC builds a PrepareReq with designated
@@ -112,7 +112,7 @@ struct PrepareReq {
   WriteType type = WriteType::kPut;
   bool insert_only = false;
   bool must_exist = false;
-  std::string value{};
+  RowImage value{};
   NodeChain chain{};          // alive replicas, primary first
   int pos = 0;                // index of the receiving replica
   int busy_retries = 0;       // waits on a predecessor's pending write
@@ -157,7 +157,7 @@ struct PreparedAck {
 struct LockedReadAck {
   PrepareReq probe;
   Code code = Code::kOk;
-  std::optional<std::string> value;
+  RowImage value;
 };
 
 // TC -> LDM: roll back or unlock one row.

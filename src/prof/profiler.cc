@@ -1,13 +1,21 @@
 #include "prof/profiler.h"
 
+#include <elf.h>
+#include <execinfo.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <mutex>
 #include <new>
+#include <sstream>
 #include <unordered_map>
+
+#include "util/strings.h"
 
 // IMPORTANT: the global operator new/delete replacement lives in THIS
 // translation unit, together with the detail globals every PROF_ZONE
@@ -26,6 +34,20 @@ uint64_t g_alloc_count = 0;
 uint64_t g_alloc_bytes = 0;
 int64_t g_sim_cpu_ns = 0;
 int64_t g_sim_disk_bytes = 0;
+
+// Allocation-site samples (see AllocSamplesText), filled by the operator
+// new hook below. A fixed buffer: the hook must not allocate.
+struct AllocSample {
+  static constexpr int kMaxFrames = 16;
+  void* frames[kMaxFrames];
+  int depth;
+};
+constexpr size_t kMaxAllocSamples = size_t{1} << 16;
+uint64_t g_sample_every = 0;
+AllocSample g_samples[kMaxAllocSamples];
+size_t g_sample_count = 0;
+uint64_t g_samples_dropped = 0;
+uint64_t g_alloc_count_at_reset = 0;
 }  // namespace detail
 
 namespace {
@@ -83,6 +105,104 @@ void SetAllocCounting(bool on) { detail::g_alloc_counting = on; }
 bool AllocCounting() { return detail::g_alloc_counting; }
 AllocTotals TotalAllocs() {
   return AllocTotals{detail::g_alloc_count, detail::g_alloc_bytes};
+}
+
+void SetAllocSampleEvery(uint64_t every) {
+  if (every > 0) {
+    // The first backtrace loads the unwinder, which allocates: do it
+    // here, never inside the hook.
+    static const bool primed = [] {
+      void* frame[1];
+      return backtrace(frame, 1) >= 0;
+    }();
+    (void)primed;
+  }
+  detail::g_sample_every = every;
+}
+
+void ResetAllocSamples() {
+  detail::g_sample_count = 0;
+  detail::g_samples_dropped = 0;
+  detail::g_alloc_count_at_reset = detail::g_alloc_count;
+}
+
+size_t AllocSampleCount() { return detail::g_sample_count; }
+
+namespace {
+
+// The executable's path and address range, and the base its addresses
+// are relative to: the start of its mapping at file offset 0 for a
+// position-independent executable, 0 for a fixed-address one (whose
+// run-time addresses are already the link-time ones addr2line expects).
+struct ExeMapping {
+  std::string path;
+  uintptr_t base = 0;
+  uintptr_t lo = UINTPTR_MAX;
+  uintptr_t hi = 0;
+};
+
+ExeMapping ReadExeMapping() {
+  ExeMapping exe;
+  char path[4096];
+  const ssize_t n = readlink("/proc/self/exe", path, sizeof(path) - 1);
+  if (n <= 0) return exe;
+  exe.path.assign(path, static_cast<size_t>(n));
+  Elf64_Ehdr header{};
+  std::ifstream image("/proc/self/exe", std::ios::binary);
+  const bool pie =
+      image.read(reinterpret_cast<char*>(&header), sizeof(header)) &&
+      header.e_type == ET_DYN;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    // start-end perms offset dev inode path
+    std::istringstream fields(line);
+    std::string range, perms, offset, dev, inode, file;
+    if (!(fields >> range >> perms >> offset >> dev >> inode >> file) ||
+        file != exe.path) {
+      continue;
+    }
+    const uintptr_t lo = std::strtoull(range.c_str(), nullptr, 16);
+    const uintptr_t hi =
+        std::strtoull(range.c_str() + range.find('-') + 1, nullptr, 16);
+    if (pie && std::strtoull(offset.c_str(), nullptr, 16) == 0 &&
+        exe.base == 0) {
+      exe.base = lo;
+    }
+    exe.lo = std::min(exe.lo, lo);
+    exe.hi = std::max(exe.hi, hi);
+  }
+  return exe;
+}
+
+}  // namespace
+
+std::string AllocSamplesText(uint64_t ops) {
+  const uint64_t allocs =
+      detail::g_alloc_count - detail::g_alloc_count_at_reset;
+  PauseAllocCounting pause;
+  const ExeMapping exe = ReadExeMapping();
+  std::string out = StrFormat(
+      "# every %llu\n# allocs %llu\n# ops %llu\n# dropped %llu\n"
+      "# binary %s\n",
+      static_cast<unsigned long long>(detail::g_sample_every),
+      static_cast<unsigned long long>(allocs),
+      static_cast<unsigned long long>(ops),
+      static_cast<unsigned long long>(detail::g_samples_dropped),
+      exe.path.c_str());
+  for (size_t i = 0; i < detail::g_sample_count; ++i) {
+    const detail::AllocSample& s = detail::g_samples[i];
+    for (int f = 0; f < s.depth; ++f) {
+      const auto pc = reinterpret_cast<uintptr_t>(s.frames[f]);
+      if (f > 0) out += ' ';
+      out += pc >= exe.lo && pc < exe.hi
+                 ? StrFormat("%llx",
+                             static_cast<unsigned long long>(pc - exe.base))
+                 : std::string("?");
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 uint64_t HostNowNs() {
@@ -287,10 +407,25 @@ void Profiler::SetNodeObserver(std::function<void(int32_t)> observer) {
 
 namespace {
 
+// Records the calling stack into the next free sample slot.
+[[gnu::noinline]] void SampleAlloc() {
+  namespace d = repro::prof::detail;
+  if (d::g_sample_count == d::kMaxAllocSamples) {
+    ++d::g_samples_dropped;
+    return;
+  }
+  d::AllocSample& s = d::g_samples[d::g_sample_count++];
+  s.depth = backtrace(s.frames, d::AllocSample::kMaxFrames);
+}
+
 inline void CountAlloc(size_t size) {
-  if (repro::prof::detail::g_alloc_counting) {
-    repro::prof::detail::g_alloc_count += 1;
-    repro::prof::detail::g_alloc_bytes += size;
+  namespace d = repro::prof::detail;
+  if (d::g_alloc_counting) {
+    d::g_alloc_count += 1;
+    d::g_alloc_bytes += size;
+    if (d::g_sample_every != 0 && d::g_alloc_count % d::g_sample_every == 0) {
+      SampleAlloc();
+    }
   }
 }
 

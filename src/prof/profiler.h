@@ -79,6 +79,28 @@ void SetAllocCounting(bool on);
 bool AllocCounting();
 AllocTotals TotalAllocs();
 
+// ---- allocation-site sampling ---------------------------------------------
+//
+// After SetAllocSampleEvery(N) (N > 0), the operator new hook records the
+// call stack of every Nth counted allocation into a fixed static buffer,
+// so the hook itself never allocates; SetAllocSampleEvery primes
+// `backtrace` because its first call loads the unwinder, which
+// allocates. The mode reads no simulation state and changes none,
+// so every digest holds with it on. bench/alloc_sites.py symbolises
+// AllocSamplesText's output into a per-site allocs/op table.
+void SetAllocSampleEvery(uint64_t every);  // 0 = off
+// Drops the recorded samples and restarts the allocation count the next
+// AllocSamplesText reports (a measurement window's start).
+void ResetAllocSamples();
+size_t AllocSampleCount();
+// The samples since the last reset, as text: `# key value` header lines
+// (every, allocs counted since the reset, the caller's `ops`, samples
+// dropped on a full buffer, the executable's path), then one line per
+// sample of its frames' return addresses in hex, relative to the
+// executable's load base read from /proc/self/maps (0 unless it is
+// position-independent; "?" for a frame outside the executable).
+std::string AllocSamplesText(uint64_t ops);
+
 // Host thread-CPU clock (CLOCK_THREAD_CPUTIME_ID on Linux; steady_clock
 // elsewhere). Exposed for tests.
 uint64_t HostNowNs();

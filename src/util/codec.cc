@@ -1,20 +1,34 @@
 #include "util/codec.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace repro {
 
+void Encoder::Overrun(size_t n) const {
+  std::fprintf(stderr,
+               "Encoder: FATAL: a %zu-byte field at offset %zu overruns the "
+               "%zu-byte buffer\n",
+               n, pos_, cap_);
+  std::abort();
+}
+
 void Encoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  Put(b, sizeof b);
 }
 
 void Encoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  Put(b, sizeof b);
 }
 
 void Encoder::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
+  Put(s.data(), s.size());
 }
 
 bool Decoder::Ensure(size_t n) {

@@ -7,26 +7,48 @@
 // decoupled.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
 namespace repro {
 
+// Writes little-endian fields into a caller's buffer of `cap` bytes, or,
+// given none, only counts their bytes. A row runs its fields once through
+// a counting Encoder to size its buffer exactly and once more to fill it
+// (ndb::RowImage::Encode), so no buffer ever regrows. A field that would
+// run past `cap` aborts the process in every build type: the two passes
+// disagreed, which is a bug in the row's encoder.
 class Encoder {
  public:
-  void PutU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  Encoder() = default;  // counts only
+  Encoder(char* out, size_t cap) : out_(out), cap_(cap) {}
+
+  void PutU8(uint8_t v) { Put(&v, 1); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutString(std::string_view s);
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
-  std::string Take() { return std::move(out_); }
-  const std::string& view() const { return out_; }
+  // Bytes put so far.
+  size_t size() const { return pos_; }
 
  private:
-  std::string out_;
+  void Put(const void* bytes, size_t n) {
+    if (out_ != nullptr && n > 0) {
+      if (n > cap_ - pos_) Overrun(n);
+      std::memcpy(out_ + pos_, bytes, n);
+    }
+    pos_ += n;
+  }
+  [[noreturn]] void Overrun(size_t n) const;
+
+  char* out_ = nullptr;
+  size_t cap_ = 0;
+  size_t pos_ = 0;
 };
 
 class Decoder {

@@ -18,28 +18,34 @@ void ClosedLoopDriver::IssueNext(int client, int generation) {
   if (stopped_ || generation != generation_) return;
   ClientState& c = clients_[client];
   auto op = source_(c.rng, c.owned);
-  const Nanos start = sim_.now();
-  const bool counted = measuring_;
-  c.target->Execute(
-      op.op, op.path, op.path2, op.size,
-      [this, client, start, counted, generation, op_type = op.op](Status s) {
-        const Nanos latency = sim_.now() - start;
-        if (s.ok()) {
-          results_.timeline.Record(sim_.now());
-        } else {
-          ++results_.errors_by_code[s.code()];
-        }
-        if (counted && measuring_) {
-          if (s.ok()) {
-            results_.all.Record(latency);
-            results_.per_op[op_type].Record(latency);
-            ++results_.completed;
-          } else {
-            ++results_.failed;
-          }
-        }
-        IssueNext(client, generation);
-      });
+  c.issued_at = sim_.now();
+  c.op = op.op;
+  c.counted = measuring_;
+  c.target->Execute(op.op, op.path, op.path2, op.size,
+                    [this, client, generation](Status s) {
+                      Complete(client, generation, s);
+                    });
+}
+
+void ClosedLoopDriver::Complete(int client, int generation, const Status& s) {
+  if (generation != generation_) return;
+  const ClientState& c = clients_[client];
+  const Nanos latency = sim_.now() - c.issued_at;
+  if (s.ok()) {
+    results_.timeline.Record(sim_.now());
+  } else {
+    ++results_.errors_by_code[s.code()];
+  }
+  if (c.counted && measuring_) {
+    if (s.ok()) {
+      results_.all.Record(latency);
+      results_.per_op[c.op].Record(latency);
+      ++results_.completed;
+    } else {
+      ++results_.failed;
+    }
+  }
+  IssueNext(client, generation);
 }
 
 OpenLoopDriver::OpenLoopDriver(Simulation& sim,

@@ -62,13 +62,23 @@ class ClosedLoopDriver {
                     std::function<void()> on_measure_start = nullptr);
 
  private:
+  // One op in flight per client, so the op's issue time, type and
+  // whether it counts live here, not in its completion closure: that
+  // captures only {this, client, generation} and fits std::function's
+  // inline buffer.
   struct ClientState {
     FsTarget* target;
     Rng rng;
     std::vector<std::string> owned;
+    Nanos issued_at = 0;
+    FsOp op = FsOp::kStat;
+    bool counted = false;  // issued inside the measurement window
   };
 
   void IssueNext(int client, int generation);
+  // Records one completion of `client`'s op issued by Run `generation`;
+  // a completion from an earlier Run records nothing.
+  void Complete(int client, int generation, const Status& s);
 
   Simulation& sim_;
   OpSource source_;

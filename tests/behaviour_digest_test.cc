@@ -27,6 +27,7 @@
 #include "hopsfs_test_util.h"
 #include "ndb/client.h"
 #include "ndb/cluster.h"
+#include "prof/profiler.h"
 #include "util/strings.h"
 #include "workload/driver.h"
 #include "workload/fs_interface.h"
@@ -218,6 +219,21 @@ TEST(BehaviourDigest, WritesOnly) {
   ExpectDigest("writes_only", RunClosedLoop(/*writes_only=*/true));
 }
 
+// The allocation-site sampler backtraces inside operator new and touches
+// no simulation state: the writes-only digest holds with it on.
+TEST(BehaviourDigest, WritesOnlyWithAllocSamplerOn) {
+  prof::SetAllocSampleEvery(7);
+  prof::ResetAllocSamples();
+  prof::SetAllocCounting(true);
+  const Fingerprint fp = RunClosedLoop(/*writes_only=*/true);
+  prof::SetAllocCounting(false);
+  const size_t samples = prof::AllocSampleCount();
+  prof::SetAllocSampleEvery(0);
+  prof::ResetAllocSamples();
+  EXPECT_GT(samples, 1000u);
+  ExpectDigest("writes_only", fp);
+}
+
 // The pinned crash -> replay -> resync -> serve episode on a bare NDB
 // cluster (6 datanodes, replication 3 over 3 AZs).
 TEST(BehaviourDigest, RecoveryEpisode) {
@@ -254,7 +270,7 @@ TEST(BehaviourDigest, RecoveryEpisode) {
     const Nanos start = sim.now();
     const ndb::TxnId txn = api.Begin(table, key);
     bool done = false;
-    api.Insert(txn, table, key, std::string(160, 'a'), [&](Code c) {
+    api.Insert(txn, table, key, ndb::RowImage::Filled(160, 'a'), [&](Code c) {
       if (c != Code::kOk) {
         api.Abort(txn);
         done = true;

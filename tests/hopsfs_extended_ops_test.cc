@@ -27,7 +27,7 @@ size_t CountRows(TestFs& fs, ndb::TableId table, const std::string& prefix) {
   bool done = false;
   api.ScanPrefix(txn, table, prefix,
                  [&](Code code,
-                     std::vector<std::pair<ndb::Key, std::string>> found) {
+                     ndb::NdbApiNode::Rows found) {
                    EXPECT_EQ(code, Code::kOk);
                    rows = found.size();
                    api.Commit(txn, [&](Code) { done = true; });

@@ -15,7 +15,7 @@ TEST(NdbCommit, InsertThenReadCommitted) {
   auto [code, value] = tc.ReadCommitted(tc.inode_table, "1/foo");
   EXPECT_EQ(code, Code::kOk);
   ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, "hello");
+  EXPECT_EQ(value, "hello");
 }
 
 TEST(NdbCommit, ReadMissingRowReturnsNoValue) {
@@ -33,7 +33,7 @@ TEST(NdbCommit, InsertDuplicateFails) {
   // The original value survives the failed insert.
   auto [code, value] = tc.ReadCommitted(tc.inode_table, "1/foo");
   ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, "a");
+  EXPECT_EQ(value, "a");
 }
 
 TEST(NdbCommit, UpdateRequiresExistingRow) {
@@ -41,7 +41,7 @@ TEST(NdbCommit, UpdateRequiresExistingRow) {
   const TxnId txn = tc.api->Begin(tc.inode_table, "1/none");
   Code got = Code::kOk;
   bool done = false;
-  tc.api->Update(txn, tc.inode_table, "1/none", "x", [&](Code c) {
+  tc.api->Update(txn, tc.inode_table, "1/none", RowImage::Of("x"), [&](Code c) {
     got = c;
     done = true;
   });
@@ -72,7 +72,7 @@ TEST(NdbCommit, AbortDiscardsWrites) {
   TestCluster tc;
   const TxnId txn = tc.api->Begin(tc.inode_table, "1/foo");
   bool inserted = false;
-  tc.api->Insert(txn, tc.inode_table, "1/foo", "v",
+  tc.api->Insert(txn, tc.inode_table, "1/foo", RowImage::Of("v"),
                  [&](Code c) {
                    ASSERT_EQ(c, Code::kOk);
                    inserted = true;
@@ -93,12 +93,13 @@ TEST(NdbCommit, ReadYourOwnUncommittedWrite) {
   TestCluster tc;
   const TxnId txn = tc.api->Begin(tc.inode_table, "1/foo");
   bool done = false;
-  std::optional<std::string> seen;
-  tc.api->Insert(txn, tc.inode_table, "1/foo", "mine", [&](Code c) {
+  RowImage seen;
+  const RowImage mine = RowImage::Of("mine");
+  tc.api->Insert(txn, tc.inode_table, "1/foo", mine, [&](Code c) {
     ASSERT_EQ(c, Code::kOk);
     // Locked read within the same transaction sees the pending write.
     tc.api->Read(txn, tc.inode_table, "1/foo", LockMode::kShared,
-                 [&](Code c2, std::optional<std::string> v) {
+                 [&](Code c2, RowImage v) {
                    EXPECT_EQ(c2, Code::kOk);
                    seen = std::move(v);
                    tc.api->Commit(txn, [&](Code) { done = true; });
@@ -106,7 +107,7 @@ TEST(NdbCommit, ReadYourOwnUncommittedWrite) {
   });
   tc.RunUntil(done);
   ASSERT_TRUE(seen.has_value());
-  EXPECT_EQ(*seen, "mine");
+  EXPECT_EQ(seen, "mine");
 }
 
 // The core Read Backup guarantee (§IV-A3): after the commit ack, *every*
@@ -120,7 +121,7 @@ TEST(NdbCommit, ReadBackupReadYourWritesFromEveryReplica) {
   for (NodeId n : tc.cluster->layout().ReplicaChain(part)) {
     auto v = tc.cluster->datanode(n).store().Read(tc.inode_table, "7/f", 0);
     ASSERT_TRUE(v.has_value()) << "replica " << n << " missing the row";
-    EXPECT_EQ(*v, "v2") << "replica " << n << " is stale after commit ack";
+    EXPECT_EQ(v, "v2") << "replica " << n << " is stale after commit ack";
   }
 }
 
@@ -134,7 +135,7 @@ TEST(NdbCommit, ClassicCommitPrimaryCurrentAfterAck) {
   const NodeId primary = tc.cluster->layout().PrimaryOf(part);
   auto v = tc.cluster->datanode(primary).store().Read(tc.inode_table, "9/f", 0);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "val");
+  EXPECT_EQ(v, "val");
 }
 
 TEST(NdbCommit, ScanPrefixReturnsChildrenInOrder) {
@@ -146,9 +147,9 @@ TEST(NdbCommit, ScanPrefixReturnsChildrenInOrder) {
 
   const TxnId txn = tc.api->Begin(tc.inode_table, "5/");
   bool done = false;
-  std::vector<std::pair<Key, std::string>> rows;
+  NdbApiNode::Rows rows;
   tc.api->ScanPrefix(txn, tc.inode_table, "5/",
-                     [&](Code c, std::vector<std::pair<Key, std::string>> r) {
+                     [&](Code c, NdbApiNode::Rows r) {
                        EXPECT_EQ(c, Code::kOk);
                        rows = std::move(r);
                        tc.api->Commit(txn, [&](Code) { done = true; });
@@ -168,7 +169,7 @@ TEST(NdbCommit, ExclusiveLockSerialisesConflictingWriters) {
   const TxnId a = tc.api->Begin(tc.inode_table, "3/f");
   bool a_locked = false;
   tc.api->Read(a, tc.inode_table, "3/f", LockMode::kExclusive,
-               [&](Code c, std::optional<std::string>) {
+               [&](Code c, RowImage) {
                  ASSERT_EQ(c, Code::kOk);
                  a_locked = true;
                });
@@ -178,7 +179,7 @@ TEST(NdbCommit, ExclusiveLockSerialisesConflictingWriters) {
   const TxnId b = tc.api->Begin(tc.inode_table, "3/f");
   bool b_done = false;
   Code b_code = Code::kInternal;
-  tc.api->Update(b, tc.inode_table, "3/f", "v1", [&](Code c) {
+  tc.api->Update(b, tc.inode_table, "3/f", RowImage::Of("v1"), [&](Code c) {
     b_code = c;
     b_done = true;
   });
@@ -204,13 +205,13 @@ TEST(NdbCommit, SharedLocksCoexist) {
   int granted = 0;
   bool done_a = false, done_b = false;
   tc.api->Read(a, tc.inode_table, "4/f", LockMode::kShared,
-               [&](Code c, std::optional<std::string>) {
+               [&](Code c, RowImage) {
                  EXPECT_EQ(c, Code::kOk);
                  ++granted;
                  done_a = true;
                });
   tc.api->Read(b, tc.inode_table, "4/f", LockMode::kShared,
-               [&](Code c, std::optional<std::string>) {
+               [&](Code c, RowImage) {
                  EXPECT_EQ(c, Code::kOk);
                  ++granted;
                  done_b = true;
@@ -264,7 +265,7 @@ TEST(NdbCommit, FullyReplicatedTableVisibleOnAllNodes) {
   for (int n = 0; n < tc.cluster->num_datanodes(); ++n) {
     auto v = tc.cluster->datanode(n).store().Read(tc.dict_table, "leader", 0);
     ASSERT_TRUE(v.has_value()) << "node " << n;
-    EXPECT_EQ(*v, "nn4");
+    EXPECT_EQ(v, "nn4");
   }
 }
 

@@ -38,7 +38,7 @@ class NdbDurabilityTest : public ::testing::Test {
     const TxnId txn = api->Begin(table, key);
     Code result = Code::kInternal;
     bool done = false;
-    api->Insert(txn, table, key, value, [&](Code c) {
+    api->Insert(txn, table, key, RowImage::Of(value), [&](Code c) {
       if (c != Code::kOk) {
         api->Abort(txn);
         result = c;
@@ -135,7 +135,7 @@ TEST_F(NdbDurabilityTest, DeletesReplayCorrectly) {
 }
 
 TEST_F(NdbDurabilityTest, BootstrapDataIsAlwaysDurable) {
-  cluster->BootstrapPut(table, "9/boot", "img");
+  cluster->BootstrapPut(table, "9/boot", RowImage::Of("img"));
   cluster->RecoverFromCheckpoint();  // even with no GCP yet
   EXPECT_TRUE(VisibleEverywhere("9/boot"));
 }

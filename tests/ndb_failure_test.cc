@@ -168,7 +168,8 @@ TEST(NdbFailure, RestartedNodeConvergesWithPeers) {
   for (int i = 0; i < 10; ++i) {
     const TxnId txn = tc.api->Begin(tc.inode_table, StrFormat("%d/f", i));
     bool done = false;
-    tc.api->Update(txn, tc.inode_table, StrFormat("%d/f", i), "v2",
+    const RowImage v2 = RowImage::Of("v2");
+    tc.api->Update(txn, tc.inode_table, StrFormat("%d/f", i), v2,
                    [&](Code c) {
                      ASSERT_EQ(c, Code::kOk);
                      tc.api->Commit(txn, [&](Code c2) {
@@ -192,7 +193,7 @@ TEST(NdbFailure, RestartedNodeConvergesWithPeers) {
       ASSERT_TRUE(layout.alive(n));
       auto v = tc.cluster->datanode(n).store().Read(tc.inode_table, key, 0);
       ASSERT_TRUE(v.has_value()) << key << " missing at node " << n;
-      EXPECT_EQ(*v, "v2") << key << " stale at node " << n;
+      EXPECT_EQ(v, "v2") << key << " stale at node " << n;
     }
   }
 }
@@ -240,9 +241,9 @@ TEST(NdbFailure, ApiNodeTeardownWithInFlightOpsIsSafe) {
   ASSERT_NE(txn, 0u);
   int fired = 0;
   tc.api->Read(txn, tc.inode_table, "1/seed", LockMode::kReadCommitted,
-               [&](Code, std::optional<std::string>) { ++fired; });
+               [&](Code, RowImage) { ++fired; });
   tc.api->ScanPrefix(txn, tc.inode_table, "1/",
-                     [&](Code, std::vector<std::pair<Key, std::string>>) {
+                     [&](Code, NdbApiNode::Rows) {
                        ++fired;
                      });
   tc.api.reset();
@@ -281,7 +282,7 @@ TEST(NdbFailure, LockedReadUnlocksTheNodeThatGrantedIt) {
   bool read_done = false;
   Code read_code = Code::kInternal;
   tc.api->Read(txn, tc.inode_table, key, LockMode::kShared,
-               [&](Code c, std::optional<std::string>) {
+               [&](Code c, RowImage) {
                  read_code = c;
                  read_done = true;
                });

@@ -75,7 +75,7 @@ TEST_P(NdbPropertyTest, RandomTransactionsConverge) {
       };
       switch (action) {
         case 0:  // blind upsert + commit
-          tc.api->Write(txn, tc.inode_table, key, value,
+          tc.api->Write(txn, tc.inode_table, key, RowImage::Of(value),
                         [&tc, txn, key, value, acked, next](Code code) {
                           if (code != Code::kOk) {
                             tc.api->Abort(txn);
@@ -98,7 +98,7 @@ TEST_P(NdbPropertyTest, RandomTransactionsConverge) {
                   next(Millis(5));
                   return;
                 }
-                tc.api->Write(txn, tc.inode_table, key, value,
+                tc.api->Write(txn, tc.inode_table, key, RowImage::Of(value),
                               [&tc, txn, key, value, acked, next](Code c2) {
                                 if (c2 != Code::kOk) {
                                   tc.api->Abort(txn);
@@ -116,7 +116,7 @@ TEST_P(NdbPropertyTest, RandomTransactionsConverge) {
               });
           break;
         case 2:  // write then abort (must leave no trace)
-          tc.api->Write(txn, tc.inode_table, key, value,
+          tc.api->Write(txn, tc.inode_table, key, RowImage::Of(value),
                         [&tc, txn, next](Code) {
                           tc.api->Abort(txn);
                           next(0);
@@ -156,7 +156,7 @@ TEST_P(NdbPropertyTest, RandomTransactionsConverge) {
     for (NodeId n : layout.ReplicaChain(part)) {
       if (!layout.alive(n)) continue;
       auto v = tc.cluster->datanode(n).store().Read(tc.inode_table, key, 0);
-      values.insert(v.value_or(""));
+      values.insert(std::string(v.view()));
     }
     EXPECT_LE(values.size(), 1u)
         << "replicas diverge on " << key << " (" << values.size()

@@ -38,9 +38,11 @@ TEST(NdbProtocolFidelity, TwoRowTransactionMessageCounts) {
 
   const TxnId txn = tc.api->Begin(tc.inode_table, "100/r1");
   bool done = false;
-  tc.api->Write(txn, tc.inode_table, "100/r1", "v1", [&](Code c1) {
+  const RowImage v1 = RowImage::Of("v1");
+  const RowImage v2 = RowImage::Of("v2");
+  tc.api->Write(txn, tc.inode_table, "100/r1", v1, [&](Code c1) {
     ASSERT_EQ(c1, Code::kOk);
-    tc.api->Write(txn, tc.inode_table, "200/r2", "v2", [&](Code c2) {
+    tc.api->Write(txn, tc.inode_table, "200/r2", v2, [&](Code c2) {
       ASSERT_EQ(c2, Code::kOk);
       tc.api->Commit(txn, [&](Code c3) {
         ASSERT_EQ(c3, Code::kOk);
@@ -93,7 +95,8 @@ TEST(NdbProtocolFidelity, ReadBackupDelaysAckUntilCompletePhase) {
     const TxnId txn = tc.api->Begin(tc.inode_table, "55/x");
     bool acked = false;
     int replicas_current_at_ack = -1;
-    tc.api->Insert(txn, tc.inode_table, "55/x", "val", [&](Code c) {
+    const RowImage val = RowImage::Of("val");
+    tc.api->Insert(txn, tc.inode_table, "55/x", val, [&](Code c) {
       ASSERT_EQ(c, Code::kOk);
       tc.api->Commit(txn, [&](Code c2) {
         ASSERT_EQ(c2, Code::kOk);
@@ -105,7 +108,7 @@ TEST(NdbProtocolFidelity, ReadBackupDelaysAckUntilCompletePhase) {
         for (NodeId n : layout.ReplicaChain(p)) {
           auto v =
               tc.cluster->datanode(n).store().Read(tc.inode_table, "55/x", 0);
-          if (v.has_value() && *v == "val") ++replicas_current_at_ack;
+          if (v == "val") ++replicas_current_at_ack;
         }
       });
     });

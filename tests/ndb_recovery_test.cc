@@ -53,7 +53,7 @@ struct RecoveryCluster {
     Code result = Code::kInternal;
     bool done = false;
     // Write (upsert) so re-running a key overwrites instead of failing.
-    api->Write(txn, table, key, value, [&](Code c) {
+    api->Write(txn, table, key, RowImage::Of(value), [&](Code c) {
       if (c != Code::kOk) {
         api->Abort(txn);
         result = c;
@@ -155,6 +155,53 @@ TEST(NdbRecoveryTest, LcpTruncatesRedoLog) {
   }
 }
 
+// A written value is one buffer: the writer's image rides the prepare
+// chain, and every replica's committed row, its redo record and, after an
+// LCP round, its checkpoint base row hold that same buffer.
+TEST(NdbRecoveryTest, OneWriteSharesOneImageAcrossReplicasRedoAndCheckpoint) {
+  RecoveryCluster tc;
+  const Key key = "7/f";
+  const RowImage value = RowImage::Of(std::string(40, 'i'));
+  const TxnId txn = tc.api->Begin(tc.table, key);
+  bool done = false;
+  Code code = Code::kInternal;
+  tc.api->Write(txn, tc.table, key, value, [&](Code c) {
+    tc.api->Commit(txn, [&, c](Code c2) {
+      code = c == Code::kOk ? c2 : c;
+      done = true;
+    });
+  });
+  tc.RunUntil(done);
+  ASSERT_EQ(code, Code::kOk);
+  tc.sim->RunFor(100 * kMillisecond);  // every replica completes
+
+  const auto& layout = tc.cluster->layout();
+  const auto& chain =
+      layout.ReplicaChain(tc.table, layout.PartitionOf(tc.table, key));
+  ASSERT_EQ(chain.size(), 3u);
+  for (NodeId n : chain) {
+    NdbDatanode& node = tc.cluster->datanode(n);
+    const RowImage committed = node.store().Read(tc.table, key, 0);
+    EXPECT_TRUE(committed.SharesBuffer(value)) << "node " << n;
+    EXPECT_EQ(committed, std::string(40, 'i')) << "node " << n;
+    RowImage logged;
+    for (const auto& seg : node.journal().segments()) {
+      for (const auto& r : seg.records) {
+        if (r.table == tc.table && r.key == key) logged = r.value;
+      }
+    }
+    EXPECT_TRUE(logged.SharesBuffer(value)) << "node " << n << " redo";
+  }
+  // Run past two LCP intervals so every node folds the write.
+  tc.sim->RunFor(2 * tc.cluster->node_config().lcp_interval + kSecond);
+  for (NodeId n : chain) {
+    const RowImage base = tc.cluster->datanode(n).journal().BaseRow(tc.table,
+                                                                    key);
+    EXPECT_TRUE(base.SharesBuffer(value)) << "node " << n << " base image";
+    EXPECT_EQ(base, value) << "node " << n;
+  }
+}
+
 TEST(NdbRecoveryTest, ReplayRestoresExactRowState) {
   RecoveryCluster tc;
   for (int i = 0; i < 25; ++i) {
@@ -209,7 +256,7 @@ TEST(NdbRecoveryTest, RejoinedNodeConvergesWithLiveReplicas) {
     if (!mine) continue;
     auto v = tc.cluster->datanode(0).store().Read(tc.table, key, 0);
     ASSERT_TRUE(v.has_value()) << key << " missing on the rejoined node";
-    EXPECT_EQ(*v, "v2") << key << " stale on the rejoined node";
+    EXPECT_EQ(v, "v2") << key << " stale on the rejoined node";
   }
 }
 
@@ -341,7 +388,8 @@ TEST(NdbRecoveryTest, CommitEpochsAreTransactionAtomic) {
     const TxnId txn = tc.api->Begin(tc.table, key);
     Code result = Code::kInternal;
     bool done = false;
-    tc.api->Write(txn, tc.table, key, StrFormat("v%d", i), [&](Code c) {
+    const RowImage value = RowImage::Of(StrFormat("v%d", i));
+    tc.api->Write(txn, tc.table, key, value, [&](Code c) {
       if (c != Code::kOk) {
         tc.api->Abort(txn);
         result = c;
@@ -439,7 +487,7 @@ TEST(NdbRecoveryTest, RejoinAdoptionCannotResurrectPostDurableCommits) {
     const TxnId txn = tc.api->Begin(tc.table, fresh_key);
     Code result = Code::kInternal;
     bool done = false;
-    tc.api->Write(txn, tc.table, fresh_key, "v2", [&](Code c) {
+    tc.api->Write(txn, tc.table, fresh_key, RowImage::Of("v2"), [&](Code c) {
       if (c != Code::kOk) {
         tc.api->Abort(txn);
         result = c;
@@ -541,7 +589,7 @@ TEST(NdbRecoveryTest, RejoiningNodeServesReadsMidResync) {
     const TxnId txn = tc.api->BeginNoHint();
     if (txn == 0) return;
     tc.api->Read(txn, tc.table, key, LockMode::kReadCommitted,
-                 [&, txn](Code c, std::optional<std::string>) {
+                 [&, txn](Code c, RowImage) {
                    if (c == Code::kOk) ++reads_ok;
                    tc.api->Abort(txn);
                  });
@@ -650,7 +698,8 @@ TEST(NdbRecoveryTest, CrashDropsTheLockTable) {
   // Prepare a write and stop there: the primary holds the exclusive lock.
   const TxnId dead = tc.api->Begin(tc.table, key);
   bool prepared = false;
-  tc.api->Write(dead, tc.table, key, "never-committed", [&](Code c) {
+  const RowImage never = RowImage::Of("never-committed");
+  tc.api->Write(dead, tc.table, key, never, [&](Code c) {
     EXPECT_EQ(c, Code::kOk);
     prepared = true;
   });
@@ -728,7 +777,7 @@ TEST(NdbRecoveryTest, PartitionedCatchupBackupCannotWedgeCommit) {
   ASSERT_NE(txn, 0u);
   bool prepared = false;
   bool commit_done = false;
-  tc.api->Write(txn, tc.table, key, "wedge-me", [&](Code c) {
+  tc.api->Write(txn, tc.table, key, RowImage::Of("wedge-me"), [&](Code c) {
     ASSERT_EQ(c, Code::kOk) << "all replicas, node 0 included, must prepare";
     prepared = true;
     tc.topology->PartitionAzsOneWay(1, 0);
@@ -753,7 +802,7 @@ TEST(NdbRecoveryTest, PartitionedCatchupBackupCannotWedgeCommit) {
   tc.RunUntil(served);
   const auto v = tc.cluster->datanode(0).store().Read(tc.table, key, 0);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "after-heal");
+  EXPECT_EQ(v, "after-heal");
 }
 
 // ---- a crash in every recovery phase ----
@@ -833,7 +882,7 @@ class RestartFixture : public ::testing::Test {
     *part = p;
     const TxnId txn = tc.api->Begin(tc.table, key);
     bool prepared = false;
-    tc.api->Write(txn, tc.table, key, "held", [&](Code c) {
+    tc.api->Write(txn, tc.table, key, RowImage::Of("held"), [&](Code c) {
       EXPECT_EQ(c, Code::kOk);
       prepared = true;
     });

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ndb/row_store.h"
+#include "prof/profiler.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -26,7 +27,7 @@ std::vector<Seen> Pending(const RowStore& store) {
   std::vector<Seen> out;
   store.ForEachPending([&](const RowStore::PendingRow& p) {
     out.emplace_back(p.table, p.key, p.txn, p.tc, p.staged_at, p.type,
-                     p.value);
+                     std::string(p.value.view()));
   });
   return out;
 }
@@ -91,7 +92,8 @@ void RunRandomized(uint64_t seed) {
       const std::string value = StrFormat("v%d", step);
       const NodeId tc = static_cast<NodeId>(rng.NextBelow(4));
       const Nanos at = step;
-      const bool ok = store.Prepare(t, key, type, value, txn, tc, at);
+      const bool ok =
+          store.Prepare(t, key, type, RowImage::Of(value), txn, tc, at);
       const bool blocked = m.pending && std::get<TxnId>(*m.pending) != txn;
       ASSERT_EQ(ok, !blocked) << "step " << step;
       if (ok) m.pending = Seen{t, key, txn, tc, at, type, value};
@@ -115,7 +117,7 @@ void RunRandomized(uint64_t seed) {
       what = "abort";
     } else if (pick < 87) {
       const std::string value = StrFormat("b%d", step);
-      store.BootstrapPut(t, key, value);
+      store.BootstrapPut(t, key, RowImage::Of(value));
       m.committed = value;
       what = "bootstrap-put";
     } else if (pick < 99) {
@@ -146,14 +148,81 @@ TEST(NdbRowStore, PendingIndexMatchesFullWalkUnderRandomOps) {
   }
 }
 
+TEST(RowImage, NullIsAbsentAndEmptyIsPresent) {
+  const RowImage absent;
+  EXPECT_FALSE(absent.has_value());
+  EXPECT_EQ(absent.size(), 0u);
+  EXPECT_EQ(absent.use_count(), 0u);
+  const RowImage empty = RowImage::Of("");
+  EXPECT_TRUE(empty.has_value());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_NE(absent, empty);
+  EXPECT_EQ(absent, RowImage());
+  EXPECT_EQ(empty, RowImage::Of(""));
+  EXPECT_EQ(empty, "");
+  EXPECT_FALSE(absent == "");
+}
+
+TEST(RowImage, EqualityComparesBytesNotBuffers) {
+  const RowImage a = RowImage::Of("row");
+  const RowImage b = RowImage::Of("row");
+  EXPECT_FALSE(a.SharesBuffer(b));
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, RowImage::Of("rox"));
+  EXPECT_NE(a, RowImage::Of("ro"));
+  EXPECT_EQ(a, "row");
+  EXPECT_EQ(RowImage::Filled(3, 'z'), "zzz");
+  const RowImage encoded = RowImage::Encode([](Encoder& e) {
+    e.PutU32(7);
+    e.PutString("ab");
+  });
+  EXPECT_EQ(encoded.view(), std::string_view("\x07\0\0\0\x02\0\0\0ab", 10));
+}
+
+TEST(RowImage, CopiesShareOneBufferUntilTheLastReleases) {
+  RowImage a = RowImage::Of(std::string(64, 'v'));
+  EXPECT_EQ(a.use_count(), 1u);
+  {
+    const RowImage b = a;
+    RowImage c;
+    c = b;
+    EXPECT_TRUE(b.SharesBuffer(a));
+    EXPECT_TRUE(c.SharesBuffer(a));
+    EXPECT_EQ(a.use_count(), 3u);
+    RowImage d = std::move(c);
+    EXPECT_FALSE(c.has_value());
+    EXPECT_EQ(a.use_count(), 3u);
+    d.reset();
+    EXPECT_EQ(a.use_count(), 2u);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  const RowImage keep = a;
+  a = RowImage::Of("other");  // drops one handle on the old buffer
+  EXPECT_EQ(keep.use_count(), 1u);
+  EXPECT_EQ(keep, std::string(64, 'v'));
+  // Copying a handle allocates nothing.
+  std::vector<RowImage> holders;
+  holders.reserve(8);
+  prof::SetAllocCounting(true);
+  const uint64_t before = prof::TotalAllocs().count;
+  for (int i = 0; i < 8; ++i) holders.push_back(keep);
+  const uint64_t allocs = prof::TotalAllocs().count - before;
+  prof::SetAllocCounting(false);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(keep.use_count(), 9u);
+  holders.clear();
+  EXPECT_EQ(keep.use_count(), 1u);
+}
+
 TEST(NdbRowStore, ManyCommittedRowsAndNoPendingYieldNothing) {
   RowStore store(kTables);
   for (int i = 0; i < 100000; ++i) {
-    store.BootstrapPut(i % kTables, StrFormat("%d/f", i), "x");
+    store.BootstrapPut(i % kTables, StrFormat("%d/f", i), RowImage::Of("x"));
   }
   EXPECT_TRUE(Pending(store).empty());
   // A write that stages and applies leaves nothing behind either.
-  ASSERT_TRUE(store.Prepare(0, "0/f", WriteType::kPut, "y", /*txn=*/9));
+  ASSERT_TRUE(
+      store.Prepare(0, "0/f", WriteType::kPut, RowImage::Of("y"), /*txn=*/9));
   EXPECT_EQ(Pending(store).size(), 1u);
   ASSERT_TRUE(store.Commit(0, "0/f", 9).has_value());
   EXPECT_TRUE(Pending(store).empty());

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "ndb/client.h"
 #include "ndb/cluster.h"
@@ -14,7 +15,18 @@
 #include "sim/network.h"
 #include "sim/topology.h"
 
-namespace repro::ndb::testing {
+namespace repro::ndb {
+
+// gtest prints a row image as its bytes, or as absent.
+inline void PrintTo(const RowImage& v, std::ostream* os) {
+  if (!v) {
+    *os << "(absent)";
+  } else {
+    *os << '"' << v.view() << '"';
+  }
+}
+
+namespace testing {
 
 struct TestCluster {
   explicit TestCluster(int num_datanodes = 6, int replication = 3,
@@ -51,11 +63,11 @@ struct TestCluster {
   }
 
   // Convenience synchronous wrappers (drive the simulation until done).
-  Code InsertCommit(TableId table, const Key& key, const std::string& value) {
+  Code InsertCommit(TableId table, const Key& key, std::string_view value) {
     const TxnId txn = api->Begin(table, key);
     Code result = Code::kInternal;
     bool done = false;
-    api->Insert(txn, table, key, value, [&](Code c) {
+    api->Insert(txn, table, key, RowImage::Of(value), [&](Code c) {
       if (c != Code::kOk) {
         api->Abort(txn);
         result = c;
@@ -71,13 +83,12 @@ struct TestCluster {
     return result;
   }
 
-  std::pair<Code, std::optional<std::string>> ReadCommitted(
-      TableId table, const Key& key) {
+  std::pair<Code, RowImage> ReadCommitted(TableId table, const Key& key) {
     const TxnId txn = api->Begin(table, key);
-    std::pair<Code, std::optional<std::string>> out{Code::kInternal, {}};
+    std::pair<Code, RowImage> out{Code::kInternal, {}};
     bool done = false;
     api->Read(txn, table, key, LockMode::kReadCommitted,
-              [&](Code c, std::optional<std::string> v) {
+              [&](Code c, RowImage v) {
                 out = {c, std::move(v)};
                 api->Commit(txn, [&](Code) { done = true; });
               });
@@ -103,4 +114,5 @@ struct TestCluster {
   std::unique_ptr<NdbApiNode> api;
 };
 
-}  // namespace repro::ndb::testing
+}  // namespace testing
+}  // namespace repro::ndb

@@ -33,8 +33,7 @@ TEST(SignalPool, DeliveredSignalsReturnTheirRecords) {
   TestCluster tc;
   const SignalPool::Handle pool = tc.cluster->transport().pool();
   ASSERT_EQ(tc.InsertCommit(tc.inode_table, "1/a", "v"), Code::kOk);
-  EXPECT_EQ(tc.ReadCommitted(tc.inode_table, "1/a").second,
-            std::optional<std::string>("v"));
+  EXPECT_EQ(tc.ReadCommitted(tc.inode_table, "1/a").second, "v");
   tc.sim->Run();
   EXPECT_EQ(pool->live(), 0u);
   EXPECT_GT(pool->capacity(), 0u);
@@ -86,7 +85,7 @@ TEST(SignalPool, ReplyToUnregisteredApiNodeReturnsItsRecord) {
   const TxnId txn = api->Begin(tc.inode_table, "2/b");
   bool answered = false;
   api->Read(txn, tc.inode_table, "2/b", LockMode::kReadCommitted,
-            [&](Code, std::optional<std::string>) { answered = true; });
+            [&](Code, RowImage) { answered = true; });
   // Step until the serving LDM has taken the read, then drop the API
   // node: the reply (the same record) is still to be sent.
   const auto reads_served = [&] {
@@ -112,7 +111,7 @@ TEST(SignalPool, ClusterDestroyedWithSignalsQueuedReleasesThem) {
   const NodeId peer = RemotePeer(*tc.cluster);
   for (int i = 0; i < 8; ++i) SendCommittedAck(*tc.cluster, 0, peer);
   const TxnId txn = tc.api->Begin(tc.inode_table, "3/c");
-  tc.api->Write(txn, tc.inode_table, "3/c", "v", [](Code) {});
+  tc.api->Write(txn, tc.inode_table, "3/c", RowImage::Of("v"), [](Code) {});
   ASSERT_GT(pool->live(), 0u);
   // Tear down in the usual member order: API node and cluster first, the
   // engine (with its still-queued events) last.

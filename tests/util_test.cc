@@ -165,14 +165,23 @@ TEST(WriteFile, ReportsFullDiskAndRoundTrips) {
 }
 
 TEST(Codec, RoundTrip) {
-  Encoder e;
-  e.PutU8(7);
-  e.PutU32(123456);
-  e.PutU64(0xDEADBEEFCAFEull);
-  e.PutI64(-42);
-  e.PutString("hello");
-  e.PutBool(true);
-  Decoder d(e.view());
+  const auto fields = [](Encoder& e) {
+    e.PutU8(7);
+    e.PutU32(123456);
+    e.PutU64(0xDEADBEEFCAFEull);
+    e.PutI64(-42);
+    e.PutString("hello");
+    e.PutBool(true);
+  };
+  // A counting pass sizes the buffer; a second pass fills it.
+  Encoder count;
+  fields(count);
+  EXPECT_EQ(count.size(), 1u + 4 + 8 + 8 + (4 + 5) + 1);
+  std::string buf(count.size(), '\0');
+  Encoder out(buf.data(), buf.size());
+  fields(out);
+  EXPECT_EQ(out.size(), buf.size());
+  Decoder d(buf);
   EXPECT_EQ(d.GetU8(), 7);
   EXPECT_EQ(d.GetU32(), 123456u);
   EXPECT_EQ(d.GetU64(), 0xDEADBEEFCAFEull);
@@ -181,6 +190,13 @@ TEST(Codec, RoundTrip) {
   EXPECT_TRUE(d.GetBool());
   EXPECT_TRUE(d.ok());
   EXPECT_TRUE(d.done());
+}
+
+TEST(Codec, WritingPastTheBufferAborts) {
+  char buf[6];
+  Encoder out(buf, sizeof buf);
+  out.PutU32(1);  // fits: 4 of 6 bytes
+  EXPECT_DEATH(out.PutU32(2), "overruns the 6-byte buffer");
 }
 
 TEST(Codec, TruncatedInputSetsError) {

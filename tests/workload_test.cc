@@ -3,6 +3,7 @@
 
 #include <map>
 
+#include "prof/profiler.h"
 #include "util/strings.h"
 #include "workload/driver.h"
 #include "workload/spotify.h"
@@ -133,12 +134,18 @@ class FakeTarget : public FsTarget {
   }
   AzId az() const override { return 0; }
 
+  void set_latency(Nanos latency) { latency_ = latency; }
+
   int issued_ = 0;
 
  private:
   Simulation& sim_;
   Nanos latency_;
 };
+
+SpotifyWorkload::Op StatX(Rng&, std::vector<std::string>&) {
+  return SpotifyWorkload::Op{FsOp::kStat, "/x", "", 0};
+}
 
 TEST(ClosedLoopDriver, ThroughputMatchesLittleLaw) {
   Simulation sim(1);
@@ -178,6 +185,56 @@ TEST(ClosedLoopDriver, MeasureStartHookFires) {
   driver.Run(Millis(100), Millis(100),
              [&] { hook_time = sim.now(); });
   EXPECT_EQ(hook_time, Millis(100));
+}
+
+// The driver keeps an op's issue time and type in its client state, so
+// its completion closure is {this, client, generation} and fits
+// std::function's inline buffer: once the results' timeline, histogram
+// and per-op entry exist, an op costs the driver no allocation. The
+// closure that captured the issue time and op type allocated once per op.
+TEST(ClosedLoopDriver, SteadyStateOpsAllocateNothing) {
+  Simulation sim(4);
+  FakeTarget t1(sim, Millis(1)), t2(sim, Millis(1));
+  ClosedLoopDriver driver(sim, {&t1, &t2}, StatX);
+  uint64_t allocs = 0;
+  int ops = 0;
+  // Count from 100 ms into the measurement window (the first counted
+  // completions create the per-op histogram) to 100 ms before its end.
+  // The 2 s warm-up leaves the timeline room for the whole window.
+  driver.Run(Seconds(2), Millis(500), [&] {
+    sim.After(Millis(100), [&] {
+      ops = -(t1.issued_ + t2.issued_);
+      prof::SetAllocCounting(true);
+      allocs = prof::TotalAllocs().count;
+    });
+    sim.After(Millis(400), [&] {
+      allocs = prof::TotalAllocs().count - allocs;
+      prof::SetAllocCounting(false);
+      ops += t1.issued_ + t2.issued_;
+    });
+  });
+  EXPECT_GT(ops, 500);
+  EXPECT_EQ(allocs, 0u) << "over " << ops << " driver ops";
+}
+
+// A completion of an op issued by an earlier Run records nothing in the
+// next Run's results.
+TEST(ClosedLoopDriver, EarlierRunCompletionRecordsNothing) {
+  Simulation sim(5);
+  FakeTarget t(sim, Millis(150));
+  ClosedLoopDriver driver(sim, {&t}, StatX);
+  // The op issued at 0 is still in flight when this Run ends at 100 ms;
+  // it completes at 150 ms, inside the next Run.
+  driver.Run(0, Millis(100));
+  t.set_latency(Millis(300));
+  const DriverResults res = driver.Run(0, Millis(600));
+  // This Run's own first completion lands at 400 ms.
+  int64_t before_own = 0;
+  for (const auto& w : res.timeline.windows()) {
+    if (w.start < Millis(400)) before_own += w.count;
+  }
+  EXPECT_EQ(before_own, 0);
+  EXPECT_TRUE(res.errors_by_code.empty());
 }
 
 }  // namespace
