@@ -92,7 +92,7 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
   hopsfs::Deployment deployment(sim, options);
   deployment.Start();
 
-  workload::SpotifyWorkload workload(config.ns, config.seed);
+  workload::SpotifyWorkload workload(workload::NamespaceConfig{}, config.seed);
   deployment.BootstrapNamespace(workload.all_dirs(), workload.all_files());
 
   std::vector<std::unique_ptr<workload::HopsFsTarget>> targets;

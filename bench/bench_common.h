@@ -28,7 +28,6 @@ struct RunConfig {
   int clients_per_nn = 0;       // 0 = scale default
   Nanos warmup = 0;             // 0 = scale default
   Nanos measure = 0;
-  workload::NamespaceConfig ns;
   uint64_t seed = 1;
   // Optional overrides applied to the deployment options.
   std::function<void(hopsfs::DeploymentOptions&)> tweak;

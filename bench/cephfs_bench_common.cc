@@ -18,15 +18,11 @@ CephRunOutput RunCephWorkload(const CephRunConfig& config) {
   const int clients_per_mds =
       config.clients_per_mds > 0 ? config.clients_per_mds
                                  : (FullScale() ? 64 : 32);
-  const Nanos warmup =
-      config.warmup > 0 ? config.warmup
-                        : (FullScale() ? 400 * kMillisecond
-                                       : 200 * kMillisecond);
-  const Nanos measure =
-      config.measure > 0 ? config.measure
-                         : (FullScale() ? 1 * kSecond : 500 * kMillisecond);
+  const Nanos warmup = FullScale() ? 400 * kMillisecond : 200 * kMillisecond;
+  const Nanos measure = FullScale() ? 1 * kSecond : 500 * kMillisecond;
 
-  Simulation sim(config.seed);
+  constexpr uint64_t kSeed = 1;
+  Simulation sim(kSeed);
   Topology topology(3, AzLatencyTable::UsWest1());
   Network network(sim, topology);
 
@@ -35,7 +31,7 @@ CephRunOutput RunCephWorkload(const CephRunConfig& config) {
   ceph_config.num_mds = config.num_mds;
   cephfs::CephCluster cluster(sim, network, ceph_config);
 
-  workload::SpotifyWorkload workload(config.ns, config.seed);
+  workload::SpotifyWorkload workload(workload::NamespaceConfig{}, kSeed);
   cluster.BootstrapNamespace(workload.all_dirs(), workload.all_files());
   cluster.Start();
 

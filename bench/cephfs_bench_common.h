@@ -15,10 +15,6 @@ struct CephRunConfig {
   cephfs::CephVariant variant = cephfs::CephVariant::kDefault;
   int num_mds = 6;
   int clients_per_mds = 0;  // 0 = scale default (same as HopsFS harness)
-  Nanos warmup = 0;
-  Nanos measure = 0;
-  workload::NamespaceConfig ns;
-  uint64_t seed = 1;
   std::function<workload::OpSource(const workload::SpotifyWorkload&)>
       op_source_factory;
 };

@@ -21,18 +21,10 @@ namespace repro::blocks {
 
 using DnId = int32_t;
 
-struct BlockDnConfig {
-  Nanos cpu_per_request = 30 * kMicrosecond;
-  int cpu_threads = 8;
-  // Network chunking: a block transfer is sent as chunks of this size so
-  // the bandwidth model sees a stream, not one giant message.
-  int64_t chunk_bytes = 4 << 20;
-};
-
 class BlockDatanode {
  public:
   BlockDatanode(Simulation& sim, Network& network, DnId id, HostId host,
-                AzId az, BlockDnConfig config = {});
+                AzId az);
 
   DnId id() const { return id_; }
   HostId host() const { return host_; }
@@ -84,7 +76,6 @@ class BlockDatanode {
   DnId id_;
   HostId host_;
   AzId az_;
-  BlockDnConfig config_;
   bool alive_ = true;
   ThreadPool cpu_;
   Disk disk_;

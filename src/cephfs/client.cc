@@ -2,6 +2,12 @@
 
 namespace repro::cephfs {
 
+namespace {
+// Client kernel cache.
+constexpr Nanos kClientCacheHitCost = 25 * kMicrosecond;
+constexpr size_t kClientCacheEntries = 16384;
+}  // namespace
+
 CephClient::CephClient(CephCluster& cluster, int id, HostId host, AzId az)
     : cluster_(cluster), id_(id), host_(host), az_(az),
       rng_(cluster.sim().rng().Split()),
@@ -29,7 +35,7 @@ void CephClient::Execute(FsOp op, const std::string& path,
   if (CacheServes(op, path)) {
     // Kernel-cache hit: served locally under a valid capability.
     ++cache_hits_;
-    cluster_.sim().After(cluster_.config().client_cache_hit_cost,
+    cluster_.sim().After(kClientCacheHitCost,
                          [done = std::move(done)] { done(OkStatus()); });
     return;
   }
@@ -71,8 +77,7 @@ void CephClient::SendToMds(CephRequest req, std::function<void(Status)> done,
                 }
                 map_version_ = reply.map_version;
                 if (reply.cap_granted && reply.status.ok()) {
-                  if (static_cast<int>(cache_.size()) >=
-                      cluster_.config().client_cache_entries) {
+                  if (cache_.size() >= kClientCacheEntries) {
                     cache_.erase(cache_.begin());
                   }
                   cache_[req.path] = cluster_.sim().now();

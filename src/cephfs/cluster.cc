@@ -10,6 +10,14 @@ namespace repro::cephfs {
 
 namespace {
 constexpr const char* kLog = "cephfs";
+constexpr int kNumOsds = 12;  // same count as the NDB datanodes (§V-A)
+constexpr int kReplication = 3;  // HA across 3 AZs
+// Journal segments are flushed to the OSDs periodically (Fig. 12d's disk
+// curve).
+constexpr Nanos kJournalFlushInterval = 50 * kMillisecond;
+// Dynamic balancer (default variant only).
+constexpr Nanos kBalanceInterval = 10 * kSecond;
+constexpr Nanos kMigrationPause = 30 * kMillisecond;
 
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -22,10 +30,10 @@ CephCluster::CephCluster(Simulation& sim, Network& network, CephConfig config)
     : sim_(sim), network_(network), config_(config),
       rng_(sim.rng().Split()) {
   auto& topo = network_.topology();
-  for (int i = 0; i < config_.num_osds; ++i) {
+  for (int i = 0; i < kNumOsds; ++i) {
     const AzId az = i % 3;  // HA across the three AZs (§V-A)
     const HostId host = topo.AddHost(az, StrFormat("osd-%d", i));
-    osds_.push_back(std::make_unique<CephOsd>(sim_, i, host, az, config_));
+    osds_.push_back(std::make_unique<CephOsd>(sim_, i, host, az));
   }
   for (int r = 0; r < config_.num_mds; ++r) {
     const AzId az = r % 3;
@@ -37,12 +45,12 @@ CephCluster::CephCluster(Simulation& sim, Network& network, CephConfig config)
 void CephCluster::Start() {
   for (auto& m : mds_) {
     CephMds* mds = m.get();
-    timers_.push_back(sim_.Every(config_.journal_flush_interval,
-                                 [mds] { mds->FlushJournal(); }));
+    timers_.push_back(
+        sim_.Every(kJournalFlushInterval, [mds] { mds->FlushJournal(); }));
   }
   if (config_.variant != CephVariant::kDirPinned) {
     timers_.push_back(
-        sim_.Every(config_.balance_interval, [this] { BalanceOnce(); }));
+        sim_.Every(kBalanceInterval, [this] { BalanceOnce(); }));
   }
 }
 
@@ -140,8 +148,8 @@ void CephCluster::WriteObject(HostId from, uint64_t key_hash, int64_t bytes,
                               std::function<void()> done) {
   // Replicated write: primary + (replication-1) copies, ack on slowest.
   const int n = static_cast<int>(osds_.size());
-  auto remaining = std::make_shared<int>(config_.replication);
-  for (int r = 0; r < config_.replication; ++r) {
+  auto remaining = std::make_shared<int>(kReplication);
+  for (int r = 0; r < kReplication; ++r) {
     CephOsd& osd = *osds_[(Mix64(key_hash) + r) % n];
     network_.Send(from, osd.host(), bytes,
                   [&osd, bytes, remaining, done] {
@@ -180,7 +188,7 @@ void CephCluster::BalanceOnce() {
     mds_[cold_rank]->InstallInode(path, inode);
   }
   subtree_owner_[subtree] = cold_rank;
-  frozen_until_[subtree] = sim_.now() + config_.migration_pause;
+  frozen_until_[subtree] = sim_.now() + kMigrationPause;
   ++map_version_;
 }
 

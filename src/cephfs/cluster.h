@@ -66,8 +66,7 @@ struct CephReply {
 
 class CephOsd {
  public:
-  CephOsd(Simulation& sim, int id, HostId host, AzId az,
-          const CephConfig& config);
+  CephOsd(Simulation& sim, int id, HostId host, AzId az);
 
   int id() const { return id_; }
   HostId host() const { return host_; }

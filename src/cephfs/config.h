@@ -21,50 +21,7 @@ const char* CephVariantLabel(CephVariant variant);
 
 struct CephConfig {
   int num_mds = 1;
-  int num_osds = 12;      // same count as the NDB datanodes (§V-A)
-  int replication = 3;    // HA across 3 AZs
-
   CephVariant variant = CephVariant::kDefault;
-
-  // MDS costs: one thread == the MDS global lock. The base cost matches
-  // DirPinned's ~4.2K req/s on a single MDS (Fig. 6).
-  Nanos mds_op_cost = 200 * kMicrosecond;
-  Nanos mds_forward_cost = 40 * kMicrosecond;  // misrouted request
-  // Capability bookkeeping: invalidating one holder costs CPU and a
-  // message; Ceph bounds the recall batch.
-  Nanos cap_invalidate_cost = 8 * kMicrosecond;
-  int max_cap_holders = 256;
-
-  // Journaling: every MDS-handled op appends a journal entry (full inode
-  // + dentry dumps for updates, session/cap records for reads); segments
-  // are flushed to the OSDs periodically (Fig. 12d's disk curve). When
-  // flushed segments pile up faster than the OSD pool absorbs them, the
-  // journaler backpressures the single MDS thread — the "journal flushing
-  // time reduces available resources" effect (§V-C) that caps DirPinned
-  // past ~24 MDSs.
-  int64_t journal_bytes_per_op = 4096;
-  int64_t journal_read_bytes_per_op = 1024;
-  int64_t journal_segment_bytes = 256 << 10;
-  Nanos journal_flush_interval = 50 * kMillisecond;
-  Nanos journal_flush_cpu = 150 * kMicrosecond;
-  int64_t journal_inflight_limit = 1 << 20;  // backpressure threshold
-  Nanos journal_stall_cost = 2 * kMillisecond;
-
-  // OSD: CPU pool + disk (standard persistent disks in the paper's era).
-  int osd_cpu_threads = 2;
-  Nanos osd_op_cost = 40 * kMicrosecond;
-  double osd_disk_write_bps = 30e6;   // effective small-write throughput
-  double osd_disk_read_bps = 90e6;
-
-  // Client kernel cache.
-  Nanos client_cache_hit_cost = 25 * kMicrosecond;
-  int client_cache_entries = 16384;
-
-  // Dynamic balancer (default variant only).
-  Nanos balance_interval = 10 * kSecond;
-  Nanos migration_pause = 30 * kMillisecond;
-
-  Nanos client_rpc_timeout = 5 * kSecond;
 };
 
 }  // namespace repro::cephfs

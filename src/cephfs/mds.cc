@@ -6,6 +6,30 @@
 
 namespace repro::cephfs {
 
+namespace {
+// MDS costs: one thread == the MDS global lock. The base cost matches
+// DirPinned's ~4.2K req/s on a single MDS (Fig. 6).
+constexpr Nanos kMdsOpCost = 200 * kMicrosecond;
+constexpr Nanos kMdsForwardCost = 40 * kMicrosecond;  // misrouted request
+// Capability bookkeeping: invalidating one holder costs CPU and a
+// message; Ceph bounds the recall batch.
+constexpr Nanos kCapInvalidateCost = 8 * kMicrosecond;
+constexpr size_t kMaxCapHolders = 256;
+
+// Journaling: every MDS-handled op appends a journal entry (full inode
+// + dentry dumps for updates, session/cap records for reads); segments
+// are flushed to the OSDs periodically. When flushed segments pile up
+// faster than the OSD pool absorbs them, the journaler backpressures the
+// single MDS thread — the "journal flushing time reduces available
+// resources" effect (§V-C) that caps DirPinned past ~24 MDSs.
+constexpr int64_t kJournalBytesPerOp = 4096;
+constexpr int64_t kJournalReadBytesPerOp = 1024;
+constexpr int64_t kJournalSegmentBytes = 256 << 10;
+constexpr Nanos kJournalFlushCpu = 150 * kMicrosecond;
+constexpr int64_t kJournalInflightLimit = 1 << 20;  // backpressure threshold
+constexpr Nanos kJournalStallCost = 2 * kMillisecond;
+}  // namespace
+
 CephMds::CephMds(CephCluster& cluster, int rank, HostId host, AzId az)
     : cluster_(cluster), rank_(rank), host_(host), az_(az),
       cpu_(cluster.sim(), StrFormat("mds%d", rank), /*threads=*/1) {}
@@ -33,20 +57,16 @@ std::vector<std::pair<std::string, CephInode>> CephMds::ExtractSubtree(
 }
 
 Nanos CephMds::JournalAppend(bool mutation) {
-  const auto& cfg = cluster_.config();
   // Updates log full events; handled reads log session/cap records.
-  journal_pending_ += mutation ? cfg.journal_bytes_per_op
-                               : cfg.journal_read_bytes_per_op;
+  journal_pending_ += mutation ? kJournalBytesPerOp : kJournalReadBytesPerOp;
   Nanos cost = 0;
-  if (journal_pending_ >= cfg.journal_segment_bytes) {
+  if (journal_pending_ >= kJournalSegmentBytes) {
     FlushJournal();
-    cost += cfg.journal_flush_cpu;
+    cost += kJournalFlushCpu;
   }
   // Backpressure: once the OSD pool lags behind the journal, the single
   // MDS thread stalls waiting for segments to become durable.
-  if (journal_inflight_ > cfg.journal_inflight_limit) {
-    cost += cfg.journal_stall_cost;
-  }
+  if (journal_inflight_ > kJournalInflightLimit) cost += kJournalStallCost;
   return cost;
 }
 
@@ -65,7 +85,7 @@ void CephMds::GrantCap(const std::string& path, int client_id) {
   for (const auto& h : holders) {
     if (h.client_id == client_id) return;
   }
-  if (static_cast<int>(holders.size()) >= cluster_.config().max_cap_holders) {
+  if (holders.size() >= kMaxCapHolders) {
     holders.erase(holders.begin());  // recall the oldest holder
   }
   holders.push_back(
@@ -75,9 +95,8 @@ void CephMds::GrantCap(const std::string& path, int client_id) {
 void CephMds::InvalidateCaps(const std::string& path, Nanos* extra_cost) {
   auto it = caps_.find(path);
   if (it == caps_.end()) return;
-  const auto& cfg = cluster_.config();
   for (const auto& holder : it->second) {
-    *extra_cost += cfg.cap_invalidate_cost;
+    *extra_cost += kCapInvalidateCost;
     CephClient* c = cluster_.client(holder.client_id);
     cluster_.network().Send(host_, holder.host, 96, [c, path] {
       c->InvalidateCap(path);
@@ -254,13 +273,10 @@ void CephMds::Apply(const CephRequest& req, CephReply* out) {
 
 void CephMds::HandleRequest(CephRequest req,
                             std::function<void(CephReply)> reply) {
-  const auto& cfg = cluster_.config();
-
   // Authority check: misrouted requests are forwarded.
   const int owner = cluster_.OwnerOf(req.path);
   if (owner != rank_) {
-    cpu_.Submit(cfg.mds_forward_cost, [this, owner,
-                                       reply = std::move(reply)] {
+    cpu_.Submit(kMdsForwardCost, [this, owner, reply = std::move(reply)] {
       CephReply out;
       out.forwarded = true;
       out.owner = owner;
@@ -285,7 +301,7 @@ void CephMds::HandleRequest(CephRequest req,
       req.op == FsOp::kDelete || req.op == FsOp::kRename ||
       req.op == FsOp::kChmod;
 
-  Nanos cost = cfg.mds_op_cost;
+  Nanos cost = kMdsOpCost;
   CephReply out;
   out.map_version = cluster_.map_version();
   Apply(req, &out);

@@ -4,6 +4,14 @@
 
 namespace repro::cephfs {
 
+namespace {
+// OSD: CPU pool + disk (standard persistent disks in the paper's era).
+constexpr int kOsdCpuThreads = 2;
+constexpr Nanos kOsdOpCost = 40 * kMicrosecond;
+constexpr double kOsdDiskWriteBps = 30e6;  // effective small-write throughput
+constexpr double kOsdDiskReadBps = 90e6;
+}  // namespace
+
 const char* CephVariantLabel(CephVariant variant) {
   switch (variant) {
     case CephVariant::kDefault: return "CephFS";
@@ -13,17 +21,14 @@ const char* CephVariantLabel(CephVariant variant) {
   return "?";
 }
 
-CephOsd::CephOsd(Simulation& sim, int id, HostId host, AzId az,
-                 const CephConfig& config)
+CephOsd::CephOsd(Simulation& sim, int id, HostId host, AzId az)
     : id_(id), host_(host), az_(az),
-      cpu_(sim, StrFormat("osd%d.cpu", id), config.osd_cpu_threads),
+      cpu_(sim, StrFormat("osd%d.cpu", id), kOsdCpuThreads),
       disk_(sim, StrFormat("osd%d.disk", id), 80 * kMicrosecond,
-            config.osd_disk_read_bps, config.osd_disk_write_bps) {
-  (void)config;
-}
+            kOsdDiskReadBps, kOsdDiskWriteBps) {}
 
 void CephOsd::WriteObject(int64_t bytes, std::function<void()> done) {
-  cpu_.Submit(40 * kMicrosecond, [this, bytes, done = std::move(done)] {
+  cpu_.Submit(kOsdOpCost, [this, bytes, done = std::move(done)] {
     disk_.Write(bytes, std::move(done));
   });
 }

@@ -28,6 +28,19 @@ telemetry::TelemetryOptions ChaosTelemetryOptions() {
 
 namespace {
 
+constexpr Nanos kProbeBudget = 60 * kSecond;  // sim time for durability probes
+constexpr Nanos kAckLossBurst = 600 * kMillisecond;
+constexpr size_t kTraceKeepLast = 64;
+// Surge-goodput invariant: while an open-loop surge is active, the
+// measured workload's goodput must stay at or above this fraction of the
+// warm-up baseline. Admission is FCFS, so under an overload surge the
+// foreground workload keeps roughly its arrival-fraction share of
+// capacity — a small number by design. The invariant therefore guards
+// against metastable collapse (goodput pinned near zero by queue
+// backlogs and retry storms, persisting past the surge), not against
+// fair-share dilution. Only checked when the schedule has a surge.
+constexpr double kSurgeGoodputFloor = 0.02;
+
 // Completed-ops rate over [from, to) from a 100 ms-windowed timeline.
 double PhaseRate(const metrics::TimeSeries& ts, Nanos from, Nanos to) {
   if (to <= from) return 0;
@@ -135,7 +148,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
   Simulation sim(opts.seed);
   if (opts.trace_sample_every > 0) {
     sim.tracer().set_sample_every(opts.trace_sample_every);
-    sim.tracer().set_keep_last(opts.trace_keep_last);
+    sim.tracer().set_keep_last(kTraceKeepLast);
   }
   auto dopts = hopsfs::DeploymentOptions::FromPaperSetup(opts.setup,
                                                          opts.num_namenodes);
@@ -213,7 +226,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
         dep.ndb().datanode(n).set_test_lose_acked_writes(true);
       }
     });
-    sim.At(burst_start + opts.ack_loss_burst, [&dep] {
+    sim.At(burst_start + kAckLossBurst, [&dep] {
       for (ndb::NodeId n = 0; n < dep.ndb().num_datanodes(); ++n) {
         dep.ndb().datanode(n).set_test_lose_acked_writes(false);
       }
@@ -272,10 +285,10 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
     }
   }
 
-  report.invariants = checker.CheckAll(*probe, sim.now() + opts.probe_budget);
+  report.invariants = checker.CheckAll(*probe, sim.now() + kProbeBudget);
 
   // Surge-goodput invariant: during every open-loop surge episode the
-  // measured workload must keep at least `surge_goodput_floor` of its
+  // measured workload must keep at least kSurgeGoodputFloor of its
   // warm-up goodput — overload sheds excess arrivals instead of
   // collapsing everyone.
   {
@@ -298,11 +311,11 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
     if (has_surge) {
       InvariantResult r;
       r.name = "surge-goodput";
-      r.ok = worst_ratio >= opts.surge_goodput_floor;
+      r.ok = worst_ratio >= kSurgeGoodputFloor;
       r.detail = StrFormat(
           "goodput under surge held %.0f%% of baseline (floor %.0f%%); "
           "surge ops issued %lld, completed %lld",
-          100.0 * worst_ratio, 100.0 * opts.surge_goodput_floor,
+          100.0 * worst_ratio, 100.0 * kSurgeGoodputFloor,
           static_cast<long long>(injector.surge_issued()),
           static_cast<long long>(injector.surge_completed()));
       report.invariants.push_back(r);

@@ -44,37 +44,24 @@ struct ChaosOptions {
   Nanos warmup = 2 * kSecond;        // fault-free baseline
   Nanos fault_window = 8 * kSecond;  // faults inject and heal in here
   Nanos settle = 6 * kSecond;        // fault-free recovery tail
-  Nanos probe_budget = 60 * kSecond; // sim-time budget for durability probes
 
-  // Fault mix toggles and bounds (start/window/topology fields are filled
+  // Fault mix toggles (start/window/topology fields are filled
   // in by the harness from the deployment).
   RandomFaultOptions faults;
 
-  // Surge-goodput invariant: while an open-loop surge is active, the
-  // measured workload's goodput must stay at or above this fraction of
-  // the warm-up baseline. Admission is FCFS, so under an overload surge
-  // the foreground workload keeps roughly its arrival-fraction share of
-  // capacity — a small number by design. The invariant therefore guards
-  // against metastable collapse (goodput pinned near zero by queue
-  // backlogs and retry storms, persisting past the surge), not against
-  // fair-share dilution. Only checked when the schedule has a surge.
-  double surge_goodput_floor = 0.02;
-
   // Deliberately enables the lost-acked-write bug (see
   // NdbDatanode::set_test_lose_acked_writes) on every NDB datanode for a
-  // short burst mid-window. The durability invariant MUST fail — used to
+  // 600 ms burst mid-window. The durability invariant MUST fail — used to
   // prove the checker detects real violations.
   bool enable_test_ack_loss_bug = false;
-  Nanos ack_loss_burst = 600 * kMillisecond;
 
   // Distributed tracing during the chaos run: sample one in N operations
   // (0 = off; tracing never perturbs the schedule — spans draw no RNG and
   // schedule no events, so the report is byte-identical either way). The
-  // last `trace_keep_last` sampled traces are retained, and when an
-  // invariant fails and `trace_dump_path` is set they are written there
-  // as Chrome-trace JSON — the flight recorder for the offending ops.
+  // last 64 sampled traces are retained, and when an invariant fails and
+  // `trace_dump_path` is set they are written there as Chrome-trace JSON
+  // — the flight recorder for the offending ops.
   uint64_t trace_sample_every = 0;
-  size_t trace_keep_last = 64;
   std::string trace_dump_path;
 
   // Cluster telemetry during the run (scrape -> health -> SLO burn-rate).

@@ -230,8 +230,8 @@ InvariantResult InvariantChecker::CheckReplication() {
         });
   }
 
-  const int want_rf = std::min<int>(deployment_.options().nn.block_replication,
-                                    static_cast<int>(dns.size()));
+  const int want_rf =
+      std::min<int>(hopsfs::kBlockReplication, static_cast<int>(dns.size()));
   const bool want_az_coverage = deployment_.options().az_aware_block_placement;
   const int num_azs = deployment_.topology().num_azs();
   int64_t checked = 0;

@@ -6,6 +6,15 @@
 
 namespace repro::chaos {
 
+namespace {
+constexpr int kEpisodes = 4;  // per Random schedule
+// Bounds for randomised parameters.
+constexpr double kMaxLatencyFactor = 12.0;
+constexpr double kMaxDropProbability = 0.25;
+constexpr double kMaxGreySlowdown = 20.0;
+constexpr double kMaxLogDiskSlowdown = 40.0;
+}  // namespace
+
 const char* FaultTypeName(FaultType type) {
   switch (type) {
     case FaultType::kCrashNdbNode: return "crash-ndb";
@@ -155,15 +164,14 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
   if (opts.enable_grey_node) kinds.push_back(kKindGrey);
   if (opts.enable_recovery_storm) kinds.push_back(kKindRecoveryStorm);
   if (opts.enable_log_disk_slow) kinds.push_back(kKindLogDisk);
-  if (opts.episodes <= 0) return schedule;
 
   // Episodes are strictly sequential: each one injects a fault, holds it,
   // then heals — the next episode starts only after the previous heal.
   // Sequential episodes guarantee the cluster never sees two node groups
   // down at once (which would legitimately shut NDB down and void the
   // availability invariants; that regime has its own directed tests).
-  const Nanos slot = opts.window / opts.episodes;
-  for (int ep = 0; ep < opts.episodes; ++ep) {
+  const Nanos slot = opts.window / kEpisodes;
+  for (int ep = 0; ep < kEpisodes; ++ep) {
     const Nanos slot_start = opts.start + ep * slot;
     // Inject in the first third of the slot, heal in the last third: every
     // fault is held long enough to bite, and fully healed before the slot
@@ -206,21 +214,20 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
         schedule.Add({heal, FaultType::kHealPartition, az_a, az_b, 1.0});
         break;
       case kKindLatency: {
-        const double f = 2.0 + rng.NextDouble() * (opts.max_latency_factor - 2.0);
+        const double f = 2.0 + rng.NextDouble() * (kMaxLatencyFactor - 2.0);
         schedule.Add({inject, FaultType::kLatencyInflate, az_a, az_b, f});
         schedule.Add({heal, FaultType::kLatencyRestore, -1, -1, 1.0});
         break;
       }
       case kKindDrop: {
-        const double p = 0.01 + rng.NextDouble() * (opts.max_drop_probability -
-                                                    0.01);
+        const double p = 0.01 + rng.NextDouble() * (kMaxDropProbability - 0.01);
         schedule.Add({inject, FaultType::kMessageDrop, az_a, az_b, p});
         schedule.Add({heal, FaultType::kMessageDropClear, -1, -1, 1.0});
         break;
       }
       case kKindGrey: {
         const int node = static_cast<int>(rng.NextBelow(opts.num_ndb_nodes));
-        const double f = 2.0 + rng.NextDouble() * (opts.max_grey_slowdown - 2.0);
+        const double f = 2.0 + rng.NextDouble() * (kMaxGreySlowdown - 2.0);
         schedule.Add({inject, FaultType::kGreySlowNode, node, -1, f});
         schedule.Add({heal, FaultType::kGreyRestoreNode, node, -1, 1.0});
         break;
@@ -249,8 +256,7 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
         // redo backlog must hit the stall threshold and shed commits
         // instead of growing without bound.
         const int node = static_cast<int>(rng.NextBelow(opts.num_ndb_nodes));
-        const double f =
-            4.0 + rng.NextDouble() * (opts.max_log_disk_slowdown - 4.0);
+        const double f = 4.0 + rng.NextDouble() * (kMaxLogDiskSlowdown - 4.0);
         schedule.Add({inject, FaultType::kLogDiskSlow, node, -1, f});
         schedule.Add({heal, FaultType::kLogDiskRestore, node, -1, 1.0});
         break;

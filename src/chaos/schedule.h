@@ -62,7 +62,7 @@ struct FaultEvent {
   std::string ToString() const;
 };
 
-// Knobs for FaultSchedule::Random. The generator emits `episodes`
+// Knobs for FaultSchedule::Random. The generator emits four
 // non-overlapping fault episodes inside [start, start + window]; each
 // episode picks one enabled fault class, randomises its parameters, and
 // schedules the matching heal/restore before the episode ends, so by
@@ -73,7 +73,6 @@ struct FaultEvent {
 struct RandomFaultOptions {
   Nanos start = 0;
   Nanos window = 8 * kSecond;
-  int episodes = 4;
 
   bool enable_az_outage = true;
   bool enable_partition = true;        // includes one-way partitions
@@ -89,12 +88,6 @@ struct RandomFaultOptions {
   // journal backlog up until commit backpressure engages. Off by default
   // for pinned-seed stability.
   bool enable_log_disk_slow = false;
-
-  // Bounds for randomised parameters.
-  double max_latency_factor = 12.0;
-  double max_drop_probability = 0.25;
-  double max_grey_slowdown = 20.0;
-  double max_log_disk_slowdown = 40.0;
 
   // Topology the schedule targets (validated against the deployment).
   int num_azs = 3;

@@ -76,7 +76,7 @@ Deployment::Deployment(Simulation& sim, DeploymentOptions options)
   }
 
   topology_ = std::make_unique<Topology>(3, AzLatencyTable::UsWest1());
-  network_ = std::make_unique<Network>(sim_, *topology_, options_.net);
+  network_ = std::make_unique<Network>(sim_, *topology_);
 
   // HopsFS-CL enables Read Backup on every table (§IV-A5).
   const bool read_backup = options_.override_read_backup >= 0
@@ -89,10 +89,6 @@ Deployment::Deployment(Simulation& sim, DeploymentOptions options)
   ndb_cfg.layout.replication_factor = options_.metadata_replication;
   ndb_cfg.layout.node_az = ndb::AssignNodeAzs(
       options_.ndb_datanodes, options_.metadata_replication, options_.ndb_azs);
-  ndb_cfg.layout.num_ldm_threads = options_.ndb_node.ldm_threads;
-  ndb_cfg.layout.partitions_per_ldm = options_.ndb_partitions_per_ldm;
-  ndb_cfg.node = options_.ndb_node;
-  ndb_cfg.cost = options_.ndb_cost;
   ndb_cfg.flags.az_aware = options_.override_az_tc_selection >= 0
                                ? options_.override_az_tc_selection != 0
                                : options_.az_aware;

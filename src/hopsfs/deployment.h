@@ -53,10 +53,6 @@ struct DeploymentOptions {
   int block_datanodes = 0;
   bool az_aware_block_placement = false;
   NamenodeConfig nn;
-  ndb::NdbNodeConfig ndb_node;
-  ndb::CostModel ndb_cost;
-  NetworkConfig net;
-  int ndb_partitions_per_ldm = 2;
 
   // Overload-protection stack (bench_overload's "pre-PR" baseline turns
   // this off to demonstrate congestion collapse). Individual knobs live

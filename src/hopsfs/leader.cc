@@ -29,7 +29,7 @@ void Namenode::LeaderElectionRound() {
   // would otherwise keep claiming leadership through the outage.
   if (is_leader_ && (le_publish_ok_at_ < 0 ||
                      sim_.now() - le_publish_ok_at_ >
-                         kMissesForDead * config_.leader_interval)) {
+                         kMissesForDead * kLeaderInterval)) {
     RLOG_INFO(kLog, "nn %d relinquishing leadership (own heartbeat row "
               "not advancing)",
               nn_id_);
@@ -103,7 +103,7 @@ void Namenode::LeaderElectionRound() {
                         const bool lease_ok =
                             le_publish_ok_at_ >= 0 &&
                             sim_.now() - le_publish_ok_at_ <=
-                                kMissesForDead * config_.leader_interval;
+                                kMissesForDead * kLeaderInterval;
                         const bool lead = lease_ok && !active_nns_.empty() &&
                                           active_nns_.front().nn_id == nn_id_;
                         if (!lead) le_claim_pending_ = false;

@@ -13,7 +13,20 @@ namespace repro::hopsfs {
 
 namespace {
 constexpr const char* kLog = "hopsfs.nn";
-}
+// Calibrated so one 32-vCPU namenode tops out around the paper's ~27K
+// ops/s per NN (1.62M ops/s over 60 NNs, Fig. 5).
+constexpr Nanos kOpCpuCost = 1100 * kMicrosecond;
+constexpr int kMaxTxnRetries = 10;
+// Base, exponent cap and absolute ceiling of the txn retry backoff; total
+// backoff is additionally clamped to the op's remaining deadline.
+constexpr Nanos kRetryBackoff = 15 * kMillisecond;
+constexpr int kRetryBackoffExpCap = 4;
+constexpr Nanos kMaxRetryBackoff = 2 * kSecond;
+// AIMD admission: completion-latency target and the pause between two
+// multiplicative decreases.
+constexpr Nanos kAdmissionLatencyTarget = 40 * kMillisecond;
+constexpr Nanos kAdmissionDecreaseCooldown = 100 * kMillisecond;
+}  // namespace
 
 const char* FsOpName(FsOp op) {
   switch (op) {
@@ -45,9 +58,9 @@ Namenode::Namenode(Simulation& sim, Network& network, ndb::NdbCluster& ndb,
       rng_(sim.rng().Split()),
       limiter_(resilience::AimdLimiterConfig{
           config.admission_min_limit, config.admission_max_limit,
-          config.admission_initial_limit, config.admission_latency_target,
+          config.admission_initial_limit, kAdmissionLatencyTarget,
           /*backoff_ratio=*/0.9, /*increase_per_ok=*/0.25,
-          config.admission_decrease_cooldown}) {
+          kAdmissionDecreaseCooldown}) {
   cpu_ = std::make_unique<ThreadPool>(sim, StrFormat("nn%d.cpu", nn_id),
                                       config_.cpu_threads);
   api_ = std::make_unique<ndb::NdbApiNode>(ndb, host, az);
@@ -80,14 +93,12 @@ void Namenode::Start() {
   // Stagger the election rounds across namenodes: synchronised rounds
   // would race every scan against every heartbeat write and make the
   // membership view flap.
-  const Nanos phase =
-      static_cast<Nanos>(rng_.NextBelow(
-          static_cast<uint64_t>(config_.leader_interval)));
+  const Nanos phase = static_cast<Nanos>(
+      rng_.NextBelow(static_cast<uint64_t>(kLeaderInterval)));
   LeaderElectionRound();  // have a leader quickly after start-up
   start_timer_ = sim_.After(phase, [this] {
     LeaderElectionRound();
-    le_timer_ = sim_.Every(config_.leader_interval,
-                           [this] { LeaderElectionRound(); });
+    le_timer_ = sim_.Every(kLeaderInterval, [this] { LeaderElectionRound(); });
   });
 }
 
@@ -120,7 +131,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   // even cover the CPU queue is doomed — fail fast instead of wasting a
   // thread slot on it (deadline propagation, hop 2).
   if (resilience::HasDeadline(req.deadline) &&
-      now + cpu_->Backlog() + config_.op_cpu_cost >= req.deadline) {
+      now + cpu_->Backlog() + kOpCpuCost >= req.deadline) {
     metrics::Bump(ctr_deadline_);
     done(FsResult{DeadlineExceeded("nn: queue would overrun deadline")});
     return;
@@ -140,7 +151,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
     ctx->admitted = true;
     ctx->admit_time = now;
   }
-  const Booking b = cpu_->Submit(config_.op_cpu_cost, [this, ctx] {
+  const Booking b = cpu_->Submit(kOpCpuCost, [this, ctx] {
     if (alive_) RunAttempt(ctx);
   });
   if (ctx->req.span != 0) {
@@ -195,7 +206,7 @@ void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
     Finish(ctx, FsResult{DeadlineExceeded("nn: deadline passed during txn")});
     return;
   }
-  if (!failure.retryable() || ctx->attempt >= config_.max_txn_retries) {
+  if (!failure.retryable() || ctx->attempt >= kMaxTxnRetries) {
     Finish(ctx, FsResult{failure});
     return;
   }
@@ -206,9 +217,8 @@ void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
   ++txn_retries_;
   metrics::Bump(ctr_txn_retries_);
   const Nanos backoff = resilience::RetryBackoff(
-      config_.retry_backoff, ctx->attempt, config_.retry_backoff_exp_cap,
-      config_.max_retry_backoff,
-      static_cast<Nanos>(rng_.NextBelow(config_.retry_backoff)),
+      kRetryBackoff, ctx->attempt, kRetryBackoffExpCap, kMaxRetryBackoff,
+      static_cast<Nanos>(rng_.NextBelow(kRetryBackoff)),
       ctx->req.deadline, now);
   sim_.tracer().AddSpanAt(ctx->req.span, "nn.retry_backoff",
                           trace::Layer::kNamenode, trace::Cause::kRetry,

@@ -95,20 +95,11 @@ struct FsResult {
 // pooled slot instead of copying the attempt's state.
 using FsResultCb = SmallCall<void(FsResult)>;
 
+constexpr Nanos kLeaderInterval = 2 * kSecond;  // election round (§IV-B3)
+constexpr int kBlockReplication = 3;
+
 struct NamenodeConfig {
   int cpu_threads = 32;                  // the evaluation's 32-vCPU VMs
-  // Calibrated so one 32-vCPU namenode tops out around the paper's
-  // ~27K ops/s per NN (1.62M ops/s over 60 NNs, Fig. 5).
-  Nanos op_cpu_cost = 1100 * kMicrosecond;
-  int max_txn_retries = 10;
-  Nanos retry_backoff = 15 * kMillisecond;
-  // Exponent cap and absolute ceiling for the txn retry backoff (was a
-  // hard-coded `1 << min(attempt-1, 4)`); total backoff is additionally
-  // clamped to the op's remaining deadline.
-  int retry_backoff_exp_cap = 4;
-  Nanos max_retry_backoff = 2 * kSecond;
-  Nanos leader_interval = 2 * kSecond;   // leader election round (§IV-B3)
-  int block_replication = 3;
 
   // Admission control: in-flight ops are bounded by an AIMD limit on
   // observed completion latency; excess arrivals are shed with a
@@ -119,8 +110,6 @@ struct NamenodeConfig {
   int admission_min_limit = 128;
   int admission_max_limit = 4096;
   int admission_initial_limit = 512;
-  Nanos admission_latency_target = 40 * kMillisecond;
-  Nanos admission_decrease_cooldown = 100 * kMillisecond;
 
   // Optional resilience counter registry (shared per deployment).
   metrics::Registry* metrics = nullptr;

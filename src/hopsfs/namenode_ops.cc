@@ -208,7 +208,7 @@ void Namenode::AddBlocks(const OpPtr& ctx, InodeId file, int32_t from,
                                     size - int64_t{i} * kDefaultBlockSize);
     if (dn_registry_ != nullptr && placement_ != nullptr) {
       for (blocks::DnId d :
-           placement_->ChooseTargets(config_.block_replication, writer,
+           placement_->ChooseTargets(kBlockReplication, writer,
                                      *dn_registry_, sim_.now(), rng_)) {
         b.replicas.push_back(d);
       }

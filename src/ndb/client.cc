@@ -160,8 +160,7 @@ void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
   req.deadline = t->deadline;
   req.op_id = RegisterOp(txn, *t, req.is_write ? "ndb.write" : "ndb.read",
                          std::move(op), &req.span);
-  const int64_t bytes =
-      cluster_.cost().msg_read_req + static_cast<int64_t>(req.value.size());
+  const int64_t bytes = kMsgReadReq + static_cast<int64_t>(req.value.size());
   const trace::SpanId span = req.span;
   SendToTc(t->tc, bytes, SignalKind::kTcKeyOp,
            cluster_.transport().New(std::move(req)), span);
@@ -222,7 +221,7 @@ void NdbApiNode::ScanPrefix(TxnId txn, TableId table, Key prefix, ScanCb cb) {
               .prefix = std::move(prefix), .deadline = t->deadline};
   req.op_id = RegisterOp(txn, *t, "ndb.scan", std::move(op), &req.span);
   const trace::SpanId span = req.span;
-  SendToTc(t->tc, cluster_.cost().msg_scan_req, SignalKind::kTcScan,
+  SendToTc(t->tc, kMsgScanReq, SignalKind::kTcScan,
            cluster_.transport().New(std::move(req)), span);
 }
 
@@ -242,7 +241,7 @@ void NdbApiNode::Commit(TxnId txn, WriteCb cb) {
   trace::SpanId cspan = 0;
   const uint64_t op_id =
       RegisterOp(txn, *t, "ndb.commit", std::move(op), &cspan);
-  SendToTc(t->tc, cluster_.cost().msg_small, SignalKind::kTcCommit,
+  SendToTc(t->tc, kMsgSmall, SignalKind::kTcCommit,
            cluster_.transport().New(CommitReq{txn, op_id, id_, cspan}),
            cspan);
 }
@@ -251,7 +250,7 @@ void NdbApiNode::Abort(TxnId txn) {
   TxnState* t = FindTxn(txn);
   if (t == nullptr) return;
   if (cluster_.layout().alive(t->tc) && cluster_.cluster_up()) {
-    SendToTc(t->tc, cluster_.cost().msg_small, SignalKind::kTcAbort,
+    SendToTc(t->tc, kMsgSmall, SignalKind::kTcAbort,
              cluster_.transport().New(TxnAck{txn}));
   }
   txns_.Erase(txn);

@@ -19,6 +19,16 @@ constexpr int64_t kArbBytes = 96;
 // itself comes from the flushed redo log covering the epoch, not from a
 // marker write.
 constexpr Nanos kGcpCloseCpu = 5 * kMicrosecond;
+constexpr Nanos kHeartbeatInterval = 50 * kMillisecond;
+// A peer silent for four heartbeats is a suspect.
+constexpr Nanos kSuspectAfter = 4 * kHeartbeatInterval;
+// Node-recovery costs: per-phase protocol setup, and the CPU to re-apply
+// one redo record.
+constexpr Nanos kRecoverySetup = 20 * kMillisecond;
+constexpr Nanos kReplayPerEntry = 2 * kMicrosecond;
+// Bounded ring of per-recovery RecoveryStats; long restart-storm soaks
+// evict the oldest entries past this.
+constexpr size_t kRecoveryLogCap = 512;
 }  // namespace
 
 bool NdbMgmtNode::HandleArbRequest(NodeId requester,
@@ -80,7 +90,7 @@ void NdbCluster::StartProtocols() {
 
   for (NodeId i = 0; i < num_datanodes(); ++i) {
     timers_.push_back(
-        sim_.Every(nc.heartbeat_interval, [this, i] { HeartbeatTick(i); }));
+        sim_.Every(kHeartbeatInterval, [this, i] { HeartbeatTick(i); }));
     timers_.push_back(sim_.Every(nc.redo_flush_interval, [this, i] {
       datanodes_[i]->FlushRedo();
     }));
@@ -168,7 +178,6 @@ void NdbCluster::HeartbeatTick(NodeId i) {
   if (!cluster_up_) return;
   NdbDatanode& self = *datanodes_[i];
   if (!self.alive()) return;
-  const auto& nc = config_.node;
 
   for (NodeId j = 0; j < num_datanodes(); ++j) {
     if (j == i || !layout_.alive(j)) continue;
@@ -177,8 +186,7 @@ void NdbCluster::HeartbeatTick(NodeId i) {
   }
 
   // Failure detection: peers silent for too long are suspects.
-  const Nanos deadline =
-      sim_.now() - nc.heartbeat_interval * nc.heartbeat_misses_for_failure;
+  const Nanos deadline = sim_.now() - kSuspectAfter;
   bool any_suspect = false;
   for (NodeId j = 0; j < num_datanodes(); ++j) {
     if (j == i || !layout_.alive(j)) continue;
@@ -199,7 +207,6 @@ int NdbCluster::CurrentArbitratorIndex() const {
 void NdbCluster::RequestArbitration(NodeId requester) {
   NdbDatanode& self = *datanodes_[requester];
   if (!self.alive()) return;
-  const auto& nc = config_.node;
   const int arb = CurrentArbitratorIndex();
   if (arb < 0) {
     // No arbitrator anywhere: assume we are partitioned and shut down
@@ -211,8 +218,7 @@ void NdbCluster::RequestArbitration(NodeId requester) {
   }
   arbitration_in_flight_[requester] = true;
 
-  const Nanos deadline =
-      sim_.now() - nc.heartbeat_interval * nc.heartbeat_misses_for_failure;
+  const Nanos deadline = sim_.now() - kSuspectAfter;
   std::vector<bool> reachable(num_datanodes(), false);
   std::vector<NodeId> suspects;
   reachable[requester] = true;
@@ -229,7 +235,7 @@ void NdbCluster::RequestArbitration(NodeId requester) {
   // reply to an earlier request names that request's spent timer, which
   // Cancel ignores.
   const Simulation::Timer timeout =
-      sim_.After(nc.arbitration_timeout, [this, requester] {
+      sim_.After(kArbitrationTimeout, [this, requester] {
     arbitration_in_flight_[requester] = false;
     if (!datanodes_[requester]->alive()) return;
     RLOG_INFO(kLog, "node %d cannot reach arbitrator, shutting down",
@@ -392,7 +398,7 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
   rec.trace_root = tracer().StartTrace("ndb.recovery", trace::Layer::kNdb,
                                        node.host(), layout_.az_of(n));
   recovery_log_.push_back(std::move(rec));
-  if (static_cast<int>(recovery_log_.size()) > config_.node.recovery_log_cap) {
+  if (recovery_log_.size() > kRecoveryLogCap) {
     recovery_log_.pop_front();
     ++recovery_log_base_;
     ++recoveries_dropped_;
@@ -417,8 +423,8 @@ void NdbCluster::RestartDatanode(NodeId n, std::function<void()> done) {
                            datanodes_[run->node]->host(),
                            layout_.az_of(run->node), run->since, sim_.now());
       }
-      const Nanos apply_cpu = config_.cost.recovery_setup +
-                              run->plan.entries * config_.cost.replay_per_entry;
+      const Nanos apply_cpu =
+          kRecoverySetup + run->plan.entries * kReplayPerEntry;
       run->since = sim_.now();
       sim_.After(apply_cpu, [this, run] {
         if (!RecoveryLive(run, "node lost during replay")) return;
@@ -469,8 +475,7 @@ void NdbCluster::RecoveryResync(const RunPtr& run) {
   RLOG_INFO(kLog, "resyncing node %d from node %d (streaming, %d partitions)",
             n, run->source, layout_.num_partitions());
   run->next = 0;
-  sim_.After(config_.cost.recovery_setup,
-             [this, run] { StreamNextPartition(run); });
+  sim_.After(kRecoverySetup, [this, run] { StreamNextPartition(run); });
 }
 
 void NdbCluster::StreamNextPartition(const RunPtr& run) {
@@ -564,7 +569,7 @@ void NdbCluster::FinishRecovery(const RunPtr& run) {
                                           tail = adopted.tail_bytes] {
     if (!RecoveryLive(run, "node lost during rejoin checkpoint")) return;
     datanodes_[run->node]->log_disk().Write(
-        tail + config_.cost.redo_flush_overhead_bytes, [this, run] {
+        tail + kRedoFlushOverheadBytes, [this, run] {
           if (!RecoveryLive(run, "node lost during rejoin checkpoint")) {
             return;
           }

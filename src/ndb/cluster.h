@@ -30,7 +30,6 @@ class NdbApiNode;
 struct NdbClusterConfig {
   LayoutConfig layout;
   NdbNodeConfig node;
-  CostModel cost;
   FeatureFlags flags;
   // AZ of each management node; the first one whose host is up acts as
   // arbitrator (M1 in Fig. 4).
@@ -96,7 +95,6 @@ class NdbCluster {
   const Catalog& catalog() const { return *catalog_; }
   ClusterLayout& layout() { return layout_; }
   const NdbClusterConfig& config() const { return config_; }
-  const CostModel& cost() const { return config_.cost; }
   const NdbNodeConfig& node_config() const { return config_.node; }
   const FeatureFlags& flags() const { return config_.flags; }
 
@@ -167,8 +165,8 @@ class NdbCluster {
     std::string abort_reason;
     trace::SpanId trace_root = 0;
   };
-  // Bounded ring (node_config().recovery_log_cap): long restart-storm
-  // soaks evict the oldest entries instead of growing without bound.
+  // Bounded ring (512 entries): long restart-storm soaks evict the
+  // oldest entries instead of growing without bound.
   const std::deque<RecoveryStats>& recovery_log() const {
     return recovery_log_;
   }
@@ -294,7 +292,7 @@ class NdbCluster {
   std::vector<std::vector<int64_t>> replica_reads_;
   std::deque<RecoveryStats> recovery_log_;
   size_t recovery_log_base_ = 0;    // absolute slot of recovery_log_[0]
-  int64_t recoveries_dropped_ = 0;  // evicted by recovery_log_cap
+  int64_t recoveries_dropped_ = 0;  // evicted by the ring's cap
   uint64_t txn_counter_ = 0;
   int64_t gcp_epoch_ = 0;
   int64_t closed_epoch_ = 0;

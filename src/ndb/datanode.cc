@@ -15,6 +15,36 @@ namespace repro::ndb {
 namespace {
 constexpr const char* kLog = "ndb.dn";
 
+// Thread counts per datanode: Table II of the paper (27 CPUs). REP, IO
+// and MAIN have one thread each; REP/MAIN are mostly idle and act as
+// helpers for overloaded RECV/SEND threads (§V-D1).
+constexpr int kTcThreads = 7;
+constexpr int kRecvThreads = 3;
+constexpr int kSendThreads = 2;
+constexpr Nanos kHelperBacklogThreshold = 30 * kMicrosecond;
+constexpr Nanos kLockWaitTimeout = 400 * kMillisecond;  // deadlock detection
+
+// Transaction-coordinator thread costs.
+constexpr Nanos kTcBegin = 2 * kMicrosecond;
+constexpr Nanos kTcRouteOp = 4 * kMicrosecond;    // per key operation routed
+constexpr Nanos kTcCommitRow = 3 * kMicrosecond;  // per row chain commit mgmt
+constexpr Nanos kTcCompleteRow = 2 * kMicrosecond;
+
+// LDM (local data manager) thread costs.
+constexpr Nanos kLdmRead = 10 * kMicrosecond;
+constexpr Nanos kLdmPrepare = 16 * kMicrosecond;  // lock + stage pending write
+constexpr Nanos kLdmCommit = 6 * kMicrosecond;
+constexpr Nanos kLdmComplete = 2 * kMicrosecond;
+constexpr Nanos kLdmScanBase = 12 * kMicrosecond;
+constexpr Nanos kLdmScanRow = 1500;               // 1.5 us per row returned
+
+// IO thread: redo-log bookkeeping per commit; the log itself is flushed
+// to disk in batches.
+constexpr Nanos kIoRedoPerCommit = 1 * kMicrosecond;
+constexpr int64_t kRedoRecordOverheadBytes = 32;  // per-record on-disk header
+
+constexpr int64_t kMsgWriteBase = 160;  // PrepareReq excluding the row image
+
 // One row a coordinated transaction holds on one replica: a written row
 // once per member of its chain, a read-locked row once at its node.
 struct HeldRow {
@@ -41,8 +71,8 @@ void ForEachHeldRow(const Txn& t, Fn&& fn) {
 namespace {
 RedoJournal::Config JournalConfig(const NdbCluster& cluster) {
   RedoJournal::Config jc;
-  jc.record_overhead_bytes = cluster.cost().redo_record_overhead_bytes;
-  jc.flush_overhead_bytes = cluster.cost().redo_flush_overhead_bytes;
+  jc.record_overhead_bytes = kRedoRecordOverheadBytes;
+  jc.flush_overhead_bytes = kRedoFlushOverheadBytes;
   jc.segment_bytes = cluster.node_config().redo_segment_bytes;
   return jc;
 }
@@ -51,18 +81,17 @@ RedoJournal::Config JournalConfig(const NdbCluster& cluster) {
 NdbDatanode::NdbDatanode(NdbCluster& cluster, NodeId id, HostId host)
     : cluster_(cluster), id_(id), host_(host),
       store_(cluster.catalog().num_tables()),
-      locks_(cluster.sim(), cluster.node_config().lock_wait_timeout),
+      locks_(cluster.sim(), kLockWaitTimeout),
       journal_(cluster.catalog().num_tables(), JournalConfig(cluster)) {
   store_.set_debug_owner(id_);
   auto& sim = cluster_.sim();
-  const auto& nc = cluster_.node_config();
   const auto name = [this](const char* pool) {
     return StrFormat("ndb%d.%s", id_, pool);
   };
-  ldm_ = std::make_unique<ThreadPool>(sim, name("ldm"), nc.ldm_threads);
-  tc_ = std::make_unique<ThreadPool>(sim, name("tc"), nc.tc_threads);
-  recv_ = std::make_unique<ThreadPool>(sim, name("recv"), nc.recv_threads);
-  send_ = std::make_unique<ThreadPool>(sim, name("send"), nc.send_threads);
+  ldm_ = std::make_unique<ThreadPool>(sim, name("ldm"), kLdmThreads);
+  tc_ = std::make_unique<ThreadPool>(sim, name("tc"), kTcThreads);
+  recv_ = std::make_unique<ThreadPool>(sim, name("recv"), kRecvThreads);
+  send_ = std::make_unique<ThreadPool>(sim, name("send"), kSendThreads);
   rep_ = std::make_unique<ThreadPool>(sim, name("rep"), 1);
   io_ = std::make_unique<ThreadPool>(sim, name("io"), 1);
   main_ = std::make_unique<ThreadPool>(sim, name("main"), 1);
@@ -161,8 +190,7 @@ bool NdbDatanode::HasCommittingTxnAtOrBelow(int64_t epoch) const {
 // ---------------------------------------------------------------------------
 
 ThreadPool& NdbDatanode::RecvStagePool() {
-  const auto threshold = cluster_.node_config().helper_backlog_threshold;
-  if (recv_->Backlog() > threshold) {
+  if (recv_->Backlog() > kHelperBacklogThreshold) {
     if (rep_->Backlog() < recv_->Backlog()) return *rep_;
     if (main_->Backlog() < recv_->Backlog()) return *main_;
   }
@@ -170,7 +198,7 @@ ThreadPool& NdbDatanode::RecvStagePool() {
 }
 
 ThreadPool& NdbDatanode::SendStagePool() {
-  if (send_->Backlog() > cluster_.node_config().helper_backlog_threshold &&
+  if (send_->Backlog() > kHelperBacklogThreshold &&
       rep_->Backlog() < send_->Backlog()) {
     return *rep_;
   }
@@ -275,7 +303,7 @@ void NdbDatanode::FlushRedo() {
   const RedoJournal::FlushBatch batch = journal_.PrepareFlush();
   if (batch.upto_seqno == 0) return;
   const uint64_t gen = journal_.generation();
-  RunIo(cluster_.cost().io_redo_per_commit, [this, batch, gen] {
+  RunIo(kIoRedoPerCommit, [this, batch, gen] {
     if (!alive_) return;
     log_disk_->Write(batch.disk_bytes, [this, batch, gen] {
       if (journal_.generation() != gen) return;
@@ -317,7 +345,7 @@ void NdbDatanode::CheckpointFragment(PartitionId part, int64_t cut,
     return;
   }
   const int64_t bytes = journal_.FragmentCheckpointBytes(part, num_parts, cut);
-  RunIo(cluster_.cost().io_redo_per_commit, [this, part, bytes, cut, gen] {
+  RunIo(kIoRedoPerCommit, [this, part, bytes, cut, gen] {
     if (!alive_) return;
     disk_->Write(bytes, [this, part, cut, gen] {
       if (!alive_ || journal_.generation() != gen) {
@@ -445,13 +473,13 @@ void NdbDatanode::Touch(TcTxn& t) { t.last_activity = cluster_.sim().now(); }
 template <typename Req>
 void NdbDatanode::Reject(SignalRef sig, Code code) {
   const Req& req = sig->as<Req>();
-  SendToApi(req.api, cluster_.cost().msg_small,
+  SendToApi(req.api, kMsgSmall,
             OpReply{req.txn, req.op_id, code, {}, {}}, 0, std::move(sig));
 }
 
 void NdbDatanode::SendAbortRow(NodeId n, TxnId txn, TableId table,
                                const Key& key, PartitionId part) {
-  SendToNode(n, cluster_.cost().msg_small, SignalKind::kAbortRow,
+  SendToNode(n, kMsgSmall, SignalKind::kAbortRow,
              cluster_.transport().New(RowRef{txn, table, key, part}));
 }
 
@@ -483,11 +511,10 @@ NodeId NdbDatanode::RouteCommittedRead(TableId table, PartitionId part,
 void NdbDatanode::TcKeyOp(SignalRef sig) {
   PROF_ZONE("ndb.tc.keyop");
   const trace::SpanId op_span = sig->as<KeyOpReq>().span;
-  const Booking b = RunTc(cluster_.cost().tc_route_op,
+  const Booking b = RunTc(kTcRouteOp,
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
     KeyOpReq& req = sig->as<KeyOpReq>();
-    const auto& cost = cluster_.cost();
     auto& layout = cluster_.layout();
     // Deadline propagation: refuse doomed work before routing it to an
     // LDM (the API node already gave up at the same instant).
@@ -508,7 +535,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
       }
       cluster_.RecordReplicaRead(part, replica_idx);
       const trace::SpanId s = req.span;
-      SendToNode(serving, cost.msg_read_req, SignalKind::kCommittedRead,
+      SendToNode(serving, kMsgReadReq, SignalKind::kCommittedRead,
                  std::move(sig), s);
       return;
     }
@@ -528,7 +555,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
                             // X vs S marker
                             .insert_only = req.mode == LockMode::kExclusive,
                             .span = s};
-      SendToNode(primary, cost.msg_read_req, SignalKind::kLockedRead,
+      SendToNode(primary, kMsgReadReq, SignalKind::kLockedRead,
                  std::move(sig), s);
       return;
     }
@@ -567,7 +594,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
     if (td.read_backup || td.fully_replicated) t.delay_ack = true;
     t.inflight_parts.push_back(part);
     const int64_t bytes =
-        cost.msg_write_base + static_cast<int64_t>(req.value.size());
+        kMsgWriteBase + static_cast<int64_t>(req.value.size());
     const NodeId first = chain[0];
     const trace::SpanId s = req.span;
     sig->msg = PrepareReq{.txn = req.txn, .tc = id_, .op_id = req.op_id,
@@ -586,7 +613,7 @@ void NdbDatanode::TcKeyOp(SignalRef sig) {
 void NdbDatanode::TcScan(SignalRef sig) {
   PROF_ZONE("ndb.tc.scan");
   const trace::SpanId op_span = sig->as<ScanReq>().span;
-  const Booking b = RunTc(cluster_.cost().tc_route_op,
+  const Booking b = RunTc(kTcRouteOp,
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
     ScanReq& req = sig->as<ScanReq>();
@@ -606,7 +633,7 @@ void NdbDatanode::TcScan(SignalRef sig) {
     }
     cluster_.RecordReplicaRead(part, replica_idx);
     const trace::SpanId s = req.span;
-    SendToNode(serving, cluster_.cost().msg_scan_req, SignalKind::kScanExec,
+    SendToNode(serving, kMsgScanReq, SignalKind::kScanExec,
                std::move(sig), s);
   });
   TraceCpu(op_span, "tc.route", b);
@@ -614,7 +641,7 @@ void NdbDatanode::TcScan(SignalRef sig) {
 
 void NdbDatanode::TcPrepared(SignalRef sig) {
   const trace::SpanId span = sig->as<PreparedAck>().req.span;
-  const Booking b = RunTc(cluster_.cost().tc_route_op,
+  const Booking b = RunTc(kTcRouteOp,
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
     const Code code = sig->as<PreparedAck>().code;
@@ -639,7 +666,7 @@ void NdbDatanode::TcPrepared(SignalRef sig) {
       t.writes.push_back(TcTxn::WriteRow{req.table, std::move(req.key),
                                          req.part, req.chain});
     }
-    SendToApi(api, cluster_.cost().msg_small,
+    SendToApi(api, kMsgSmall,
               OpReply{txn, req.op_id, code, {}, {}}, span, std::move(sig));
   });
   TraceCpu(span, "tc.prepared", b);
@@ -647,7 +674,7 @@ void NdbDatanode::TcPrepared(SignalRef sig) {
 
 void NdbDatanode::TcLockedReadResult(SignalRef sig) {
   const trace::SpanId span = sig->as<LockedReadAck>().probe.span;
-  const Booking b = RunTc(cluster_.cost().tc_route_op,
+  const Booking b = RunTc(kTcRouteOp,
                           [this, sig = std::move(sig)]() mutable {
     if (!alive_) return;
     LockedReadAck& ack = sig->as<LockedReadAck>();
@@ -677,7 +704,7 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
           TcTxn::HeldLock{probe.table, probe.key, probe.part, granted_by});
     }
     const int64_t bytes =
-        cluster_.cost().msg_small + static_cast<int64_t>(ack.value.size());
+        kMsgSmall + static_cast<int64_t>(ack.value.size());
     SendToApi(api, bytes,
               OpReply{txn, probe.op_id, code, std::move(ack.value), {}}, span,
               std::move(sig));
@@ -688,14 +715,13 @@ void NdbDatanode::TcLockedReadResult(SignalRef sig) {
 void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
                            trace::SpanId span) {
   PROF_ZONE("ndb.tc.commit");
-  const Booking b = RunTc(cluster_.cost().tc_begin,
+  const Booking b = RunTc(kTcBegin,
                           [this, txn, op_id, api, span] {
     if (!alive_) return;
-    const auto& cost = cluster_.cost();
     auto it = txns_.find(txn);
     if (it == txns_.end()) {
       // Nothing known (e.g. freshly aborted): report failure.
-      SendToApi(api, cost.msg_small,
+      SendToApi(api, kMsgSmall,
                 OpReply{txn, op_id, Code::kAborted, {}, {}}, span);
       return;
     }
@@ -724,14 +750,14 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
         }
       }
       if (also_written) continue;
-      SendToNode(rl.node, cost.msg_small, SignalKind::kUnlock,
+      SendToNode(rl.node, kMsgSmall, SignalKind::kUnlock,
                  cluster_.transport().New(
                      RowRef{txn, rl.table, rl.key, rl.part}));
     }
     t.read_locks.clear();
 
     if (t.writes.empty()) {
-      SendToApi(t.api, cost.msg_small,
+      SendToApi(t.api, kMsgSmall,
                 OpReply{txn, op_id, Code::kOk, {}, {}}, span);
       txns_.erase(txn);
       return;
@@ -740,7 +766,7 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
     // Commit phase: one chain per written row.
     t.pending_commits = static_cast<int>(t.writes.size());
     for (const auto& w : t.writes) {
-      RunTc(cost.tc_commit_row, [] {});
+      RunTc(kTcCommitRow, [] {});
       SendCommitChain(txn, t, w, w.chain);
     }
   });
@@ -749,7 +775,7 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
 
 void NdbDatanode::TcCommitted(TxnId txn) {
   PROF_ZONE("ndb.tc.committed");
-  RunTc(cluster_.cost().tc_commit_row, [this, txn] {
+  RunTc(kTcCommitRow, [this, txn] {
     if (!alive_) return;
     auto it = txns_.find(txn);
     if (it == txns_.end()) return;
@@ -779,7 +805,7 @@ void NdbDatanode::SendCommitChain(TxnId txn, const TcTxn& t,
   creq.pos = static_cast<int>(creq.chain.size()) - 1;
   creq.span = t.commit_span;
   const NodeId last = creq.chain.back();
-  SendToNode(last, cluster_.cost().msg_small, SignalKind::kCommitChain,
+  SendToNode(last, kMsgSmall, SignalKind::kCommitChain,
              cluster_.transport().New(std::move(creq)), t.commit_span);
 }
 
@@ -796,7 +822,7 @@ void NdbDatanode::SendComplete(TxnId txn, const TcTxn& t,
   creq.epoch = t.commit_epoch;
   creq.is_primary = i == 0;
   creq.span = t.commit_span;
-  SendToNode(row.chain[i], cluster_.cost().msg_small, SignalKind::kComplete,
+  SendToNode(row.chain[i], kMsgSmall, SignalKind::kComplete,
              cluster_.transport().New(std::move(creq)), t.commit_span);
 }
 
@@ -806,7 +832,7 @@ void NdbDatanode::StartCompletePhase(TxnId txn, TcTxn& t) {
   // counting as the Completes go out is safe.
   t.pending_completes = 0;
   for (const auto& w : t.writes) {
-    RunTc(cluster_.cost().tc_complete_row, [] {});
+    RunTc(kTcCompleteRow, [] {});
     for (size_t i = 0; i < w.chain.size(); ++i) {
       ++t.pending_completes;
       SendComplete(txn, t, w, i);
@@ -820,7 +846,7 @@ void NdbDatanode::StartCompletePhase(TxnId txn, TcTxn& t) {
 
 void NdbDatanode::TcCompleted(TxnId txn) {
   PROF_ZONE("ndb.tc.completed");
-  RunTc(cluster_.cost().tc_complete_row, [this, txn] {
+  RunTc(kTcCompleteRow, [this, txn] {
     if (!alive_) return;
     auto it = txns_.find(txn);
     if (it == txns_.end()) return;
@@ -832,14 +858,14 @@ void NdbDatanode::TcCompleted(TxnId txn) {
 }
 
 void NdbDatanode::FinishCommit(TxnId txn, TcTxn& t) {
-  SendToApi(t.api, cluster_.cost().msg_small,
+  SendToApi(t.api, kMsgSmall,
             OpReply{txn, t.commit_op_id, Code::kOk, {}, {}}, t.commit_span);
   t.commit_op_id = 0;
   t.commit_span = 0;
 }
 
 void NdbDatanode::TcAbort(TxnId txn) {
-  RunTc(cluster_.cost().tc_begin, [this, txn] {
+  RunTc(kTcBegin, [this, txn] {
     if (!alive_) return;
     auto it = txns_.find(txn);
     if (it != txns_.end()) AbortTxn(txn, it->second);
@@ -867,7 +893,7 @@ void NdbDatanode::AbortTxnsInvolving(NodeId failed) {
     const uint64_t op_id = it->second.commit_op_id;
     AbortTxn(txn, it->second);
     if (api >= 0) {
-      SendToApi(api, cluster_.cost().msg_small,
+      SendToApi(api, kMsgSmall,
                 OpReply{txn, op_id, Code::kUnavailable, {}, {}});
     }
   }
@@ -902,7 +928,7 @@ void NdbDatanode::ResolveTakenOverRow(const TakeoverRow& row) {
 void NdbDatanode::SweepInactiveTxns() {
   PROF_ZONE("ndb.tc.sweep");
   const Nanos cutoff =
-      cluster_.sim().now() - cluster_.node_config().txn_inactive_timeout;
+      cluster_.sim().now() - kTxnInactiveTimeout;
   std::vector<TxnId> doomed;
   std::vector<TxnId> stalled;
   for (auto& [txn, t] : txns_) {
@@ -1036,7 +1062,7 @@ void NdbDatanode::LdmCommittedRead(SignalRef sig) {
   const KeyOpReq& req = sig->as<KeyOpReq>();
   const PartitionId part = cluster_.layout().PartitionOf(req.table, req.key);
   const trace::SpanId span = req.span;
-  const Booking b = RunLdm(part, cluster_.cost().ldm_read,
+  const Booking b = RunLdm(part, kLdmRead,
                            [this, sig = std::move(sig)]() mutable {
     if (!accepting()) return;
     // Streaming catch-up availability: reads this node absorbed for
@@ -1045,7 +1071,7 @@ void NdbDatanode::LdmCommittedRead(SignalRef sig) {
     const KeyOpReq& req = sig->as<KeyOpReq>();
     RowImage value = store_.Read(req.table, req.key, req.txn);
     const int64_t bytes =
-        cluster_.cost().msg_small + static_cast<int64_t>(value.size());
+        kMsgSmall + static_cast<int64_t>(value.size());
     SendToApi(req.api, bytes,
               OpReply{req.txn, req.op_id, Code::kOk, std::move(value), {}},
               req.span, std::move(sig));
@@ -1062,7 +1088,7 @@ void NdbDatanode::LdmLockedRead(SignalRef sig) {
       probe.insert_only ? LockMode::kExclusive : LockMode::kShared;
   const trace::SpanId op_span = probe.span;
   const PartitionId part = probe.part;
-  const Booking b = RunLdm(part, cluster_.cost().ldm_read,
+  const Booking b = RunLdm(part, kLdmRead,
                            [this, sig = std::move(sig), mode]() mutable {
     if (!accepting()) return;
     const PrepareReq& probe = sig->as<PrepareReq>();
@@ -1088,7 +1114,7 @@ void NdbDatanode::LdmLockedRead(SignalRef sig) {
         code = s.code();
       }
       const int64_t bytes =
-          cluster_.cost().msg_small + static_cast<int64_t>(value.size());
+          kMsgSmall + static_cast<int64_t>(value.size());
       const NodeId tc = probe.tc;
       const trace::SpanId span = probe.span;
       sig->msg = LockedReadAck{std::move(probe), code, std::move(value)};
@@ -1104,7 +1130,7 @@ void NdbDatanode::SendPrepared(SignalRef sig, Code code) {
   const NodeId tc = req.tc;
   const trace::SpanId span = req.span;
   sig->msg = PreparedAck{std::move(req), code};
-  SendToNode(tc, cluster_.cost().msg_small, SignalKind::kPrepared,
+  SendToNode(tc, kMsgSmall, SignalKind::kPrepared,
              std::move(sig), span);
 }
 
@@ -1113,7 +1139,7 @@ void NdbDatanode::ForwardPrepare(SignalRef sig) {
   if (req.pos + 1 < static_cast<int>(req.chain.size())) {
     req.pos += 1;
     const NodeId next = req.chain[req.pos];
-    const int64_t bytes = cluster_.cost().msg_write_base +
+    const int64_t bytes = kMsgWriteBase +
                           static_cast<int64_t>(req.value.size());
     const trace::SpanId s = req.span;
     SendToNode(next, bytes, SignalKind::kPrepare, std::move(sig), s);
@@ -1128,7 +1154,7 @@ void NdbDatanode::LdmPrepare(SignalRef sig) {
   if (req.busy_retries == 0) ++proto_stats_.prepares;
   const trace::SpanId op_span = req.busy_retries == 0 ? req.span : 0;
   const PartitionId part = req.part;
-  const Booking b = RunLdm(part, cluster_.cost().ldm_prepare,
+  const Booking b = RunLdm(part, kLdmPrepare,
                            [this, sig = std::move(sig)]() mutable {
     if (!accepting()) return;
     PrepareReq& req = sig->as<PrepareReq>();
@@ -1255,10 +1281,9 @@ void NdbDatanode::LdmCommitChain(SignalRef sig) {
   const CommitChainReq& req = sig->as<CommitChainReq>();
   const trace::SpanId op_span = req.span;
   const PartitionId part = req.part;
-  const Booking b = RunLdm(part, cluster_.cost().ldm_commit,
+  const Booking b = RunLdm(part, kLdmCommit,
                            [this, sig = std::move(sig)]() mutable {
     if (!accepting()) return;
-    const auto& cost = cluster_.cost();
     CommitChainReq& req = sig->as<CommitChainReq>();
     const trace::SpanId s = req.span;
     if (req.pos == 0) {
@@ -1268,7 +1293,7 @@ void NdbDatanode::LdmCommitChain(SignalRef sig) {
       locks_.Release(req.txn, req.table, req.key);
       const NodeId tc = req.tc;
       sig->msg = TxnAck{req.txn};
-      SendToNode(tc, cost.msg_small, SignalKind::kCommitted, std::move(sig),
+      SendToNode(tc, kMsgSmall, SignalKind::kCommitted, std::move(sig),
                  s);
       return;
     }
@@ -1277,7 +1302,7 @@ void NdbDatanode::LdmCommitChain(SignalRef sig) {
     // (§II-B2).
     req.pos -= 1;
     const NodeId next = req.chain[req.pos];
-    SendToNode(next, cost.msg_small, SignalKind::kCommitChain, std::move(sig),
+    SendToNode(next, kMsgSmall, SignalKind::kCommitChain, std::move(sig),
                s);
   });
   TraceCpu(op_span, "ldm.commit", b);
@@ -1289,7 +1314,7 @@ void NdbDatanode::LdmComplete(SignalRef sig) {
   const CompleteReq& req = sig->as<CompleteReq>();
   const trace::SpanId op_span = req.span;
   const PartitionId part = req.part;
-  const Booking b = RunLdm(part, cluster_.cost().ldm_complete,
+  const Booking b = RunLdm(part, kLdmComplete,
                            [this, sig = std::move(sig)]() mutable {
     if (!accepting()) return;
     const CompleteReq& req = sig->as<CompleteReq>();
@@ -1300,7 +1325,7 @@ void NdbDatanode::LdmComplete(SignalRef sig) {
     const NodeId tc = req.tc;
     const trace::SpanId s = req.span;
     sig->msg = TxnAck{req.txn};
-    SendToNode(tc, cluster_.cost().msg_small, SignalKind::kCompleted,
+    SendToNode(tc, kMsgSmall, SignalKind::kCompleted,
                std::move(sig), s);
   });
   TraceCpu(op_span, "ldm.complete", b);
@@ -1308,7 +1333,7 @@ void NdbDatanode::LdmComplete(SignalRef sig) {
 
 void NdbDatanode::LdmAbortRow(SignalRef sig) {
   const PartitionId part = sig->as<RowRef>().part;
-  RunLdm(part, cluster_.cost().ldm_complete,
+  RunLdm(part, kLdmComplete,
          [this, sig = std::move(sig)] {
            if (!accepting()) return;
            const RowRef& row = sig->as<RowRef>();
@@ -1319,7 +1344,7 @@ void NdbDatanode::LdmAbortRow(SignalRef sig) {
 
 void NdbDatanode::LdmUnlock(SignalRef sig) {
   const PartitionId part = sig->as<RowRef>().part;
-  RunLdm(part, cluster_.cost().ldm_complete,
+  RunLdm(part, kLdmComplete,
          [this, sig = std::move(sig)] {
            if (!accepting()) return;
            const RowRef& row = sig->as<RowRef>();
@@ -1335,14 +1360,13 @@ void NdbDatanode::LdmScanExec(SignalRef sig) {
       cluster_.layout().PartitionOf(req.table, req.prefix);
   // Row lookup is done inline; the LDM cost scales with rows returned.
   auto rows = store_.ScanPrefix(req.table, req.prefix, req.txn);
-  const auto& cost = cluster_.cost();
-  const Nanos work = cost.ldm_scan_base +
-                     cost.ldm_scan_row * static_cast<Nanos>(rows.size());
+  const Nanos work = kLdmScanBase +
+                     kLdmScanRow * static_cast<Nanos>(rows.size());
   const trace::SpanId op_span = req.span;
   const Booking b = RunLdm(part, work, [this, sig = std::move(sig),
                                         rows = std::move(rows)]() mutable {
     if (!accepting()) return;
-    int64_t bytes = cluster_.cost().msg_small;
+    int64_t bytes = kMsgSmall;
     for (const auto& [k, v] : rows) {
       bytes += static_cast<int64_t>(k.size() + v.size());
     }

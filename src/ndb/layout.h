@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ndb/config.h"
 #include "ndb/schema.h"
 #include "ndb/types.h"
 #include "sim/topology.h"
@@ -30,7 +31,7 @@ struct LayoutConfig {
   // group slot spreads every group over the AZs.
   std::vector<AzId> node_az;
   // Partitions per table = partitions_per_ldm * num_ldm_threads * groups.
-  int num_ldm_threads = 12;
+  int num_ldm_threads = kLdmThreads;
   int partitions_per_ldm = 2;
 };
 

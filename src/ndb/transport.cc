@@ -8,6 +8,9 @@ namespace repro::ndb {
 
 namespace {
 
+// Per-message cost on the RECV thread type.
+constexpr Nanos kRecvPerMsg = 2 * kMicrosecond;
+
 enum class Route { kNodeToNode, kNodeToApi, kApiToNode, kHeartbeat, kArb };
 
 Route RouteOf(SignalKind kind) {
@@ -39,7 +42,6 @@ void Transport::Send(SignalRef sig, SignalKind kind, int32_t src, int32_t dst,
   sig->bytes = bytes;
   sig->hop = 0;
   trace::Tracer& tracer = cluster_.tracer();
-  const CostModel& cost = cluster_.cost();
   switch (RouteOf(kind)) {
     case Route::kNodeToNode: {
       NdbDatanode& from = cluster_.datanode(src);
@@ -54,7 +56,7 @@ void Transport::Send(SignalRef sig, SignalKind kind, int32_t src, int32_t dst,
       sig->hop = tracer.StartSpan(parent, "net.hop", trace::Layer::kNdb,
                                   trace::NetCause(from.az(), dst_az),
                                   from.host(), from.az(), dst_az);
-      pool.Submit(cost.send_per_msg, [this, sig = std::move(sig)]() mutable {
+      pool.Submit(kSendPerMsg, [this, sig = std::move(sig)]() mutable {
         const HostId from_host = cluster_.datanode(sig->src).host();
         const HostId to_host = cluster_.datanode(sig->dst).host();
         Wire(from_host, to_host, std::move(sig));
@@ -70,7 +72,7 @@ void Transport::Send(SignalRef sig, SignalKind kind, int32_t src, int32_t dst,
                                     trace::NetCause(from.az(), to->az()),
                                     from.host(), from.az(), to->az());
       }
-      from.send_->Submit(cost.send_per_msg,
+      from.send_->Submit(kSendPerMsg,
                          [this, sig = std::move(sig)]() mutable {
         // Re-resolve: the API node can be destroyed while the reply
         // waits for the SEND thread, and its slot is nulled on
@@ -139,7 +141,7 @@ void Transport::Receive(SignalRef sig) {
   NdbDatanode& to = cluster_.datanode(sig->dst);
   if (!to.accepting()) return;
   ThreadPool& pool = to.RecvStagePool();
-  pool.Submit(cluster_.cost().recv_per_msg,
+  pool.Submit(kRecvPerMsg,
               [this, sig = std::move(sig)]() mutable {
                 if (cluster_.datanode(sig->dst).accepting()) {
                   Deliver(std::move(sig));

@@ -5,6 +5,16 @@
 
 namespace repro {
 
+namespace {
+// Aggregate intra-AZ fabric capacity (effectively unconstrained).
+constexpr double kIntraAzBytesPerSec = 100.0e9;
+// Transport retransmission timeout: a message lost on the wire between
+// reachable hosts (SetDropProbability) is resent after this long, so loss
+// shows up as added latency — matching TCP, which every protocol here
+// runs over — not as a silently lost protocol message.
+constexpr Nanos kRetransmitTimeout = 50 * kMillisecond;
+}  // namespace
+
 Network::Network(Simulation& sim, Topology& topology, NetworkConfig config)
     : sim_(sim), topology_(topology), config_(config),
       num_azs_(topology.num_azs()) {
@@ -62,8 +72,8 @@ Nanos Network::PrepareSend(HostId from, HostId to, int64_t payload_bytes) {
       int losses = 0;
       while (sim_.rng().NextDouble() < p) {
         ++messages_dropped_;
-        retransmit_delay += config_.retransmit_timeout;
-        if (++losses >= config_.max_retransmits) return -1;
+        retransmit_delay += kRetransmitTimeout;
+        if (++losses >= kMaxRetransmits) return -1;
       }
     }
   }
@@ -80,7 +90,7 @@ Nanos Network::PrepareSend(HostId from, HostId to, int64_t payload_bytes) {
   const Nanos now = sim_.now();
   Nanos departure = now;
   if (from != to) {
-    const double link_rate = az_from == az_to ? config_.intra_az_bytes_per_sec
+    const double link_rate = az_from == az_to ? kIntraAzBytesPerSec
                                               : config_.inter_az_bytes_per_sec;
     const Nanos nic_tx = static_cast<Nanos>(
         static_cast<double>(bytes) / config_.nic_bytes_per_sec * 1e9);

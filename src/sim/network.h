@@ -19,6 +19,10 @@
 
 namespace repro {
 
+// Consecutive transport losses tolerated before the message is genuinely
+// lost (a connection reset).
+constexpr int kMaxRetransmits = 15;
+
 struct NetworkConfig {
   // Per-host NIC throughput (GCP 32-vCPU VMs get ~16 Gbps).
   double nic_bytes_per_sec = 2.0e9;
@@ -28,18 +32,8 @@ struct NetworkConfig {
   // counts, reproducing the paper's "network I/O becomes a bottleneck"
   // regime past ~24 NNs; AZ-aware deployments stay far below it (§V-E).
   double inter_az_bytes_per_sec = 0.4e9;
-  // Aggregate intra-AZ fabric capacity (effectively unconstrained).
-  double intra_az_bytes_per_sec = 100.0e9;
   // Fixed per-message framing overhead added to every payload.
   int64_t per_message_overhead_bytes = 120;
-  // Transport retransmission timeout: a message lost on the wire between
-  // reachable hosts (SetDropProbability) is resent after this long, so
-  // loss shows up as added latency — matching TCP, which every protocol
-  // here runs over — not as a silently lost protocol message.
-  Nanos retransmit_timeout = 50 * kMillisecond;
-  // Consecutive losses tolerated before the transport gives up and the
-  // message is genuinely lost (a connection reset).
-  int max_retransmits = 15;
 };
 
 struct HostNetStats {

@@ -6,6 +6,28 @@
 namespace repro::telemetry {
 namespace {
 
+// Signals are computed over the last kWindowSamples scrape points.
+constexpr size_t kWindowSamples = 5;
+// Mean queue backlog above this flags a host degraded (grey-slow).
+constexpr Nanos kQueueDepthDegraded = 50 * kMillisecond;
+// Error-rate thresholds over the window (errors delta / ops delta).
+constexpr double kErrorRateDegraded = 0.10;
+constexpr double kErrorRateUnavailable = 0.50;
+// Minimum ops delta in the window before the error rate is trusted.
+constexpr int64_t kMinOpsForErrorRate = 20;
+// A staleness peer only counts as "progressing" at or above this ops
+// delta. Trickle traffic (durability probes, a draining queue) moves
+// counters by a handful of ops per window; one host missing its share
+// of that trickle is load imbalance, not grey failure.
+constexpr int64_t kMinStalePeerOps = 50;
+// Grey-slow (service-time) detector: flag a host whose mean busy time
+// per completed work item is >= factor x the median of its role peers.
+// The floor and the minimum work delta keep µs-scale jitter on
+// near-idle pools from flagging anyone.
+constexpr double kGreyServiceFactor = 4.0;
+constexpr Nanos kGreyServiceFloor = 50 * kMicrosecond;
+constexpr int64_t kMinWorkForService = 20;
+
 HealthState Worse(HealthState a, HealthState b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
@@ -17,19 +39,18 @@ std::string RoleOf(const std::string& host) {
   return dash == std::string::npos ? host : host.substr(0, dash);
 }
 
-// Change in a (counter) series over the last `window_samples` scrape
-// points; negative means "not enough points to tell".
-double DeltaOver(const RingSeries* ring, int window_samples) {
+// Change in a (counter) series over the last kWindowSamples scrape points;
+// negative means "not enough points to tell".
+double DeltaOver(const RingSeries* ring) {
   if (ring == nullptr || ring->size() < 2) return -1;
   const size_t last = ring->size() - 1;
-  const size_t base =
-      last > static_cast<size_t>(window_samples) ? last - window_samples : 0;
+  const size_t base = last > kWindowSamples ? last - kWindowSamples : 0;
   return ring->latest().v - ring->at(base).v;
 }
 
-double MeanOver(const RingSeries* ring, int window_samples) {
+double MeanOver(const RingSeries* ring) {
   if (ring == nullptr || ring->empty()) return 0;
-  const size_t n = std::min(ring->size(), static_cast<size_t>(window_samples));
+  const size_t n = std::min(ring->size(), kWindowSamples);
   double sum = 0;
   for (size_t i = ring->size() - n; i < ring->size(); ++i) sum += ring->at(i).v;
   return sum / static_cast<double>(n);
@@ -106,20 +127,16 @@ HealthSnapshot HealthModel::Evaluate(const Scraper& scraper, Nanos now) const {
     h.recovering = recovering != nullptr && !recovering->empty() &&
                    recovering->latest().v > 0.5;
     h.has_queue = queue != nullptr;
-    h.ops_delta = DeltaOver(ops, config_.window_samples);
+    h.ops_delta = DeltaOver(ops);
     if (ops != nullptr && !ops->empty()) h.ops_total = ops->latest().v;
-    h.mean_queue_ns = MeanOver(queue, config_.window_samples);
-    const double err_delta = DeltaOver(errors, config_.window_samples);
-    if (h.ops_delta >= config_.min_ops_for_error_rate && err_delta > 0) {
+    h.mean_queue_ns = MeanOver(queue);
+    const double err_delta = DeltaOver(errors);
+    if (h.ops_delta >= kMinOpsForErrorRate && err_delta > 0) {
       h.error_rate = err_delta / h.ops_delta;
     }
-    const double busy_delta =
-        DeltaOver(scraper.Find("host.busy_ns" + suffix),
-                  config_.window_samples);
-    const double work_delta =
-        DeltaOver(scraper.Find("host.work" + suffix), config_.window_samples);
-    if (busy_delta >= 0 &&
-        work_delta >= static_cast<double>(config_.min_work_for_service)) {
+    const double busy_delta = DeltaOver(scraper.Find("host.busy_ns" + suffix));
+    const double work_delta = DeltaOver(scraper.Find("host.work" + suffix));
+    if (busy_delta >= 0 && work_delta >= kMinWorkForService) {
       h.service_ns = busy_delta / work_delta;
     }
 
@@ -129,13 +146,13 @@ HealthSnapshot HealthModel::Evaluate(const Scraper& scraper, Nanos now) const {
     } else if (h.recovering) {
       h.state = HealthState::kDegraded;
       h.reason = "recovering";
-    } else if (h.error_rate >= config_.error_rate_unavailable) {
+    } else if (h.error_rate >= kErrorRateUnavailable) {
       h.state = HealthState::kUnavailable;
       h.reason = "error-rate " + Fmt("%.2f", h.error_rate);
-    } else if (h.error_rate >= config_.error_rate_degraded) {
+    } else if (h.error_rate >= kErrorRateDegraded) {
       h.state = HealthState::kDegraded;
       h.reason = "error-rate " + Fmt("%.2f", h.error_rate);
-    } else if (h.mean_queue_ns >= static_cast<double>(config_.queue_depth_degraded)) {
+    } else if (h.mean_queue_ns >= kQueueDepthDegraded) {
       h.state = HealthState::kDegraded;
       h.reason = "queue " + Fmt("%.1fms", h.mean_queue_ns / 1e6);
     } else {
@@ -167,8 +184,8 @@ HealthSnapshot HealthModel::Evaluate(const Scraper& scraper, Nanos now) const {
     std::nth_element(peers.begin(), peers.begin() + peers.size() / 2,
                      peers.end());
     const double median = peers[peers.size() / 2];
-    if (h.service_ns >= config_.grey_service_factor * median &&
-        h.service_ns >= static_cast<double>(config_.grey_service_floor)) {
+    if (h.service_ns >= kGreyServiceFactor * median &&
+        h.service_ns >= kGreyServiceFloor) {
       h.state = HealthState::kDegraded;
       h.reason = "grey-slow " + Fmt("%.2f", h.service_ns / 1e3) + "us/op";
     }
@@ -194,7 +211,7 @@ HealthSnapshot HealthModel::Evaluate(const Scraper& scraper, Nanos now) const {
           peer.state == HealthState::kUnavailable) {
         continue;
       }
-      if (peer.ops_delta >= static_cast<double>(config_.min_stale_peer_ops)) {
+      if (peer.ops_delta >= kMinStalePeerOps) {
         ++progressing_peers;
       } else if (peer.ops_delta == 0) {
         stalled_peer = true;

@@ -11,12 +11,12 @@
 // precedence order:
 //   down        up gauge reads 0 (crashed / partitioned)   -> unavailable
 //   error rate  errors/ops delta over the window            -> degraded or
-//               (needs min_ops_for_error_rate so a single      unavailable
+//               (needs a minimum ops delta so a single         unavailable
 //               failure on an idle host does not flag it)
 //   queue depth mean queue backlog over the window          -> degraded
 //   grey-slow   mean service time per work item (busy_ns    -> degraded
 //               delta / work delta) at least
-//               grey_service_factor x the median of the
+//               4x the median of the
 //               host's role peers. Queue depth misses a
 //               grey host at low utilisation — a 10x-slowed
 //               node with short queues drains them between
@@ -44,30 +44,6 @@ namespace repro::telemetry {
 
 enum class HealthState { kHealthy = 0, kDegraded = 1, kUnavailable = 2 };
 const char* HealthStateName(HealthState s);
-
-struct HealthConfig {
-  // Signals are computed over the last `window_samples` scrape points.
-  int window_samples = 5;
-  // Mean queue backlog above this flags a host degraded (grey-slow).
-  Nanos queue_depth_degraded = 50 * kMillisecond;
-  // Error-rate thresholds over the window (errors delta / ops delta).
-  double error_rate_degraded = 0.10;
-  double error_rate_unavailable = 0.50;
-  // Minimum ops delta in the window before the error rate is trusted.
-  int64_t min_ops_for_error_rate = 20;
-  // A staleness peer only counts as "progressing" at or above this ops
-  // delta. Trickle traffic (durability probes, a draining queue) moves
-  // counters by a handful of ops per window; one host missing its share
-  // of that trickle is load imbalance, not grey failure.
-  int64_t min_stale_peer_ops = 50;
-  // Grey-slow (service-time) detector: flag a host whose mean busy time
-  // per completed work item is >= factor x the median of its role peers.
-  // The floor and the minimum work delta keep µs-scale jitter on
-  // near-idle pools from flagging anyone.
-  double grey_service_factor = 4.0;
-  Nanos grey_service_floor = 50 * kMicrosecond;
-  int64_t min_work_for_service = 20;
-};
 
 struct HostHealth {
   std::string host;
@@ -106,14 +82,7 @@ struct HealthSnapshot {
 
 class HealthModel {
  public:
-  explicit HealthModel(HealthConfig config = {}) : config_(config) {}
-
   HealthSnapshot Evaluate(const Scraper& scraper, Nanos now) const;
-
-  const HealthConfig& config() const { return config_; }
-
- private:
-  HealthConfig config_;
 };
 
 }  // namespace repro::telemetry

@@ -2,17 +2,20 @@
 
 namespace repro::telemetry {
 
+namespace {
+constexpr double kLatencyTarget = 0.99;
+}  // namespace
+
 Telemetry::Telemetry(Simulation& sim, metrics::Registry& registry,
                      TelemetryOptions options)
     : sim_(sim),
       options_(options),
-      scraper_(&registry, options.scraper),
-      health_model_(options.health) {
+      scraper_(&registry, options.scraper) {
   slo_.AddObjective({"availability", "slo.requests.total",
                      "slo.requests.good", options_.availability_target,
                      options_.slo.rules});
   slo_.AddObjective({"latency", "slo.latency.total", "slo.latency.good",
-                     options_.latency_target, options_.slo.rules});
+                     kLatencyTarget, options_.slo.rules});
 }
 
 void Telemetry::Start() {

@@ -20,12 +20,11 @@ namespace repro::telemetry {
 struct TelemetryOptions {
   bool enabled = false;
   ScraperOptions scraper;
-  HealthConfig health;
 
   // SLO objectives are auto-registered against the client-side counters
-  // (slo.requests.* / slo.latency.*) using these targets.
+  // (slo.requests.* / slo.latency.*): availability against this target,
+  // latency against 0.99.
   double availability_target = 0.999;
-  double latency_target = 0.99;
   SloConfig slo = SloConfig::Production();
 };
 

@@ -117,7 +117,7 @@ TEST(NdbFailure, LateArbitrationReplyLeavesNewerTimeoutArmed) {
   Transport& transport = tc.cluster->transport();
   transport.Send(transport.New(ArbReply{true, {az0}, spent}),
                  SignalKind::kArbReply, /*src=*/1, /*dst=*/r, 64);
-  tc.sim->RunUntil(asked_at() + tc.cluster->node_config().arbitration_timeout);
+  tc.sim->RunUntil(asked_at() + kArbitrationTimeout);
   EXPECT_FALSE(layout.alive(az0)) << "the late reply was not delivered";
   EXPECT_FALSE(layout.alive(r))
       << "the late reply disarmed the newer request's timeout";

@@ -714,7 +714,7 @@ TEST(NdbRecoveryTest, CrashDropsTheLockTable) {
   ASSERT_EQ(layout.PrimaryOf(layout.PartitionOf(tc.table, key)), 0);
   // The backups' pending writes died with their coordinator (node 0) and
   // are freed by the orphan sweep once they pass the inactivity timeout.
-  tc.sim->RunFor(2 * tc.cluster->node_config().txn_inactive_timeout);
+  tc.sim->RunFor(2 * kTxnInactiveTimeout);
 
   EXPECT_FALSE(tc.cluster->datanode(0).locks().IsLocked(tc.table, key))
       << "the dead transaction's lock survived the crash";

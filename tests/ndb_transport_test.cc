@@ -54,7 +54,7 @@ TEST(SignalPool, MessageDroppedByPartitionReturnsItsRecord) {
   // Partitioned while on the wire: dropped at arrival.
   tc.topology->HealAllPartitions();
   SendCommittedAck(cluster, 0, peer);
-  tc.sim->RunFor(cluster.cost().send_per_msg);
+  tc.sim->RunFor(kSendPerMsg);
   tc.topology->PartitionAzs(cluster.layout().az_of(0),
                             cluster.layout().az_of(peer));
   tc.sim->Run();

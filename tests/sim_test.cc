@@ -230,7 +230,7 @@ TEST(Network, TotalLossResetsAfterMaxRetransmits) {
   net.Send(a, b, 10, [&] { delivered = true; });
   sim.Run();
   EXPECT_FALSE(delivered) << "a fully lossy link must eventually give up";
-  EXPECT_EQ(net.messages_dropped(), net.config().max_retransmits);
+  EXPECT_EQ(net.messages_dropped(), kMaxRetransmits);
 }
 
 TEST(Network, AccountsIntraVsInterAzBytes) {
