@@ -1,6 +1,7 @@
 // block_storage: large files through the block storage layer (§IV-C).
 // Shows AZ-aware block placement (one replica per AZ), AZ-local reads,
-// and automatic re-replication after a datanode loss.
+// replica failover when a datanode dies, and automatic re-replication
+// after the loss.
 //
 //   ./build/examples/block_storage
 #include <cstdio>
@@ -62,13 +63,27 @@ int main() {
   });
   while (!done) sim.RunFor(Millis(10));
 
-  // Kill a datanode holding a replica; the leader namenode's replication
-  // monitor restores the replication level.
+  // Kill the datanode holding the first block's AZ-0 replica. A read
+  // right away times out on it and fails over to the next replica; the
+  // leader namenode's replication monitor then restores the replication
+  // level.
   blocks::DnId victim = created.new_blocks[0].replicas[0];
+  for (auto d : created.new_blocks[0].replicas) {
+    if (registry->az_of(d) == 0) victim = d;
+  }
   std::printf("\ncrashing dn%d (az%d) which holds %lld block(s)...\n",
               victim, registry->az_of(victim),
               static_cast<long long>(registry->dn(victim)->block_count()));
   registry->dn(victim)->Crash();
+  std::printf("reading before the repair (fails over to another AZ)...\n");
+  const Nanos read_start = sim.now();
+  done = false;
+  client->ReadFile("/video/movie.mkv", [&](Status s) {
+    std::printf("  read: %s (%.1f s simulated)\n", s.ToString().c_str(),
+                ToSeconds(sim.now() - read_start));
+    done = true;
+  });
+  while (!done) sim.RunFor(Millis(10));
   sim.RunFor(Seconds(25));  // heartbeat loss -> repair -> copy
 
   int64_t replicas_elsewhere = 0;

@@ -219,6 +219,94 @@ TEST(HopsFsExtendedOps, DeleteRecursiveRemovesBlocks) {
   EXPECT_EQ(replicas(), 0);
 }
 
+// Large-file block transfers: every transfer answers the caller, whether
+// its datanode is dead, returns an error, or the namenode's reply came
+// after the client's RPC timer had already fired. A 300,000-byte file is
+// one block with one replica per AZ; the client sits in AZ 0.
+constexpr int64_t kBigFile = 300000;
+
+// The replicas of `path`'s only block, read through an open.
+std::vector<blocks::DnId> Replicas(TestFs& fs, const std::string& path) {
+  const FsResult open = fs.Open(path);
+  EXPECT_TRUE(open.status.ok());
+  EXPECT_EQ(open.blocks.size(), 1u);
+  return open.blocks.empty() ? std::vector<blocks::DnId>{}
+                             : open.blocks[0].replicas;
+}
+
+blocks::DnId ReplicaInAz(TestFs& fs, const std::vector<blocks::DnId>& reps,
+                         AzId az) {
+  for (blocks::DnId d : reps) {
+    if (fs.deployment->dn_registry()->az_of(d) == az) return d;
+  }
+  return -1;
+}
+
+TEST(HopsFsBlockIo, ReadFailsOverFromDeadDatanode) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/9);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/big", kBigFile).ok());
+  const std::vector<blocks::DnId> reps = Replicas(fs, "/d/big");
+  ASSERT_EQ(reps.size(), 3u);
+  const blocks::DnId local = ReplicaInAz(fs, reps, 0);
+  ASSERT_GE(local, 0);
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+
+  // The AZ-local replica is dead: the read times out on it after one RPC
+  // timeout and is served by the next replica, well inside the deadline.
+  dns.dn(local)->Crash();
+  const Nanos start = fs.sim->now();
+  EXPECT_TRUE(fs.ReadFile("/d/big").ok());
+  EXPECT_LT(fs.sim->now() - start, 6 * kSecond);
+
+  // No replica answers: UNAVAILABLE, not a hang. (Every datanode goes:
+  // the repair may already have placed the block on a new one.)
+  for (blocks::DnId d = 0; d < dns.size(); ++d) dns.dn(d)->Crash();
+  EXPECT_EQ(fs.ReadFile("/d/big").code(), Code::kUnavailable);
+}
+
+TEST(HopsFsBlockIo, ReadSeesDatanodeErrors) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/9);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/big", kBigFile).ok());
+  const std::vector<blocks::DnId> reps = Replicas(fs, "/d/big");
+  ASSERT_EQ(reps.size(), 3u);
+  const uint64_t block = fs.Open("/d/big").blocks[0].block_id;
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+
+  // The AZ-local replica lost the block: its NOT_FOUND sends the read to
+  // a replica in another AZ, so the block's bytes cross an AZ boundary.
+  dns.dn(ReplicaInAz(fs, reps, 0))->DeleteBlock(block);
+  fs.sim->RunFor(kSecond);
+  const int64_t inter_az = fs.deployment->network().inter_az_bytes();
+  EXPECT_TRUE(fs.ReadFile("/d/big").ok());
+  EXPECT_GE(fs.deployment->network().inter_az_bytes() - inter_az, kBigFile);
+
+  // Every replica lost it: the read fails instead of reporting OK.
+  for (blocks::DnId d : reps) dns.dn(d)->DeleteBlock(block);
+  fs.sim->RunFor(kSecond);
+  EXPECT_EQ(fs.ReadFile("/d/big").code(), Code::kUnavailable);
+}
+
+TEST(HopsFsBlockIo, LateNamenodeReplyStillWritesTheBlock) {
+  // The create's NN round trip outlasts a 3 ms RPC timer, so the reply
+  // that commits the create arrives after its attempt timed out. The
+  // client accepts it, and must still stream the block to its replicas
+  // before it reports OK.
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/9,
+            [](DeploymentOptions& o) {
+              o.client.rpc_timeout = 3 * kMillisecond;
+            });
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/big", kBigFile).ok());
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+  int64_t replicas = 0;
+  for (blocks::DnId d = 0; d < dns.size(); ++d) {
+    replicas += dns.dn(d)->block_count();
+  }
+  EXPECT_EQ(replicas, 3);
+}
+
 TEST(HopsFsExtendedOps, DeleteRecursiveRootRejected) {
   TestFs fs;
   EXPECT_EQ(RunOp(fs, [&](auto cb) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -12,12 +13,15 @@
 namespace repro::hopsfs::testing {
 
 struct TestFs {
+  // `tweak` edits the options last, before the deployment is built.
   explicit TestFs(PaperSetup setup = PaperSetup::kHopsFsCl_3_3,
-                  int num_nns = 3, int block_dns = 0) {
+                  int num_nns = 3, int block_dns = 0,
+                  const std::function<void(DeploymentOptions&)>& tweak = {}) {
     sim = std::make_unique<Simulation>(7);
     auto options = DeploymentOptions::FromPaperSetup(setup, num_nns);
     options.ndb_datanodes = 6;
     options.block_datanodes = block_dns;
+    if (tweak) tweak(options);
     deployment = std::make_unique<Deployment>(*sim, options);
     deployment->topology().set_jitter_fraction(0);
     deployment->Start();
