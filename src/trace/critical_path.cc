@@ -1,7 +1,6 @@
 #include "trace/critical_path.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -75,15 +74,11 @@ std::vector<PathSegment> CriticalPath(const Trace& t) {
   std::vector<PathSegment> out;
   if (t.spans.empty()) return out;
   std::vector<Node> nodes(t.spans.size());
-  std::unordered_map<SpanId, int> slot;
-  slot.reserve(t.spans.size());
-  for (size_t i = 0; i < t.spans.size(); ++i) {
-    nodes[i].span = &t.spans[i];
-    slot[t.spans[i].id] = static_cast<int>(i);
-  }
+  for (size_t i = 0; i < t.spans.size(); ++i) nodes[i].span = &t.spans[i];
+  // A span's parent is its trace's span at the parent id's index.
   for (size_t i = 1; i < t.spans.size(); ++i) {
-    auto it = slot.find(t.spans[i].parent);
-    if (it != slot.end()) nodes[it->second].children.push_back(i);
+    const size_t parent = SpanIndex(t.spans[i].parent);
+    if (parent < i) nodes[parent].children.push_back(i);
   }
   const Span& root = t.spans.front();
   Cover(nodes, 0, root.start, root.end, out);

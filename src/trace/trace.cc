@@ -46,11 +46,11 @@ SpanId Tracer::StartTrace(std::string_view name, Layer layer, int host,
   if (sample_every_ == 0) return 0;
   const uint64_t n = ops_seen_++;
   if (n % sample_every_ != 0) return 0;
-  const SpanId id = next_id_++;
-  ++traces_started_;
-  OpenTrace& ot = open_[id];
-  ot.trace.trace_id = id;
-  ot.trace.name.assign(name);
+  const uint64_t serial = ++traces_started_;
+  const SpanId id = serial << 32;
+  Trace& t = open_[serial];
+  t.trace_id = serial;
+  t.name.assign(name);
   Span root;
   root.id = id;
   root.parent = 0;
@@ -60,9 +60,7 @@ SpanId Tracer::StartTrace(std::string_view name, Layer layer, int host,
   root.host = host;
   root.az = az;
   root.start = clock_();
-  ot.index[id] = 0;
-  ot.trace.spans.push_back(std::move(root));
-  span_to_trace_[id] = id;
+  t.spans.push_back(std::move(root));
   return id;
 }
 
@@ -75,11 +73,9 @@ SpanId Tracer::StartSpan(SpanId parent, std::string_view name, Layer layer,
 SpanId Tracer::AddSpanAt(SpanId parent, std::string_view name, Layer layer,
                          Cause cause, int host, int az, Nanos start,
                          Nanos end, int dst_az) {
-  if (parent == 0) return 0;
-  auto it = span_to_trace_.find(parent);
-  if (it == span_to_trace_.end()) return 0;  // trace already finalized
-  OpenTrace& ot = open_.at(it->second);
-  const SpanId id = next_id_++;
+  Trace* t = FindTrace(parent);
+  if (t == nullptr) return 0;  // unsampled, or the trace is finalized
+  const SpanId id = (parent & ~SpanId{0xffffffffu}) | t->spans.size();
   Span s;
   s.id = id;
   s.parent = parent;
@@ -91,18 +87,22 @@ SpanId Tracer::AddSpanAt(SpanId parent, std::string_view name, Layer layer,
   s.dst_az = dst_az;
   s.start = start;
   s.end = end;
-  ot.index[id] = ot.trace.spans.size();
-  ot.trace.spans.push_back(std::move(s));
-  span_to_trace_[id] = it->second;
+  t->spans.push_back(std::move(s));
   return id;
 }
 
-Span* Tracer::Find(SpanId id) {
+Trace* Tracer::FindTrace(SpanId id) {
   if (id == 0) return nullptr;
-  auto it = span_to_trace_.find(id);
-  if (it == span_to_trace_.end()) return nullptr;
-  OpenTrace& ot = open_.at(it->second);
-  return &ot.trace.spans[ot.index.at(id)];
+  auto it = open_.find(TraceSerial(id));
+  if (it == open_.end() || SpanIndex(id) >= it->second.spans.size()) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
+Span* Tracer::Find(SpanId id) {
+  Trace* t = FindTrace(id);
+  return t == nullptr ? nullptr : &t->spans[SpanIndex(id)];
 }
 
 void Tracer::EndSpanAt(SpanId id, Nanos end) {
@@ -112,14 +112,10 @@ void Tracer::EndSpanAt(SpanId id, Nanos end) {
 }
 
 void Tracer::EndTrace(SpanId root) {
-  if (root == 0) return;
-  auto it = open_.find(root);
+  if (root == 0 || SpanIndex(root) != 0) return;
+  auto it = open_.find(TraceSerial(root));
   if (it == open_.end()) return;
-  Trace t = std::move(it->second.trace);
-  for (const auto& [id, slot] : it->second.index) {
-    (void)slot;
-    span_to_trace_.erase(id);
-  }
+  Trace t = std::move(it->second);
   open_.erase(it);
 
   Span& r = t.spans.front();

@@ -30,7 +30,13 @@
 
 namespace repro::trace {
 
-using SpanId = uint64_t;  // 0 = "not sampled" / no span
+// A span id names its trace and its place in it: the trace's serial
+// number (from 1) in the high 32 bits, the span's index in Trace::spans
+// in the low 32. The root is index 0. 0 = "not sampled" / no span.
+using SpanId = uint64_t;
+
+inline uint64_t TraceSerial(SpanId id) { return id >> 32; }
+inline size_t SpanIndex(SpanId id) { return id & 0xffffffffu; }
 
 enum class Layer : uint8_t { kClient, kNamenode, kNdb, kBlocks };
 
@@ -69,7 +75,7 @@ struct Span {
 };
 
 struct Trace {
-  uint64_t trace_id = 0;
+  uint64_t trace_id = 0;  // the trace's serial number
   std::string name;  // root operation name, e.g. "mkdir"
   std::vector<Span> spans;  // spans[0] is the root; creation order after
 
@@ -128,27 +134,23 @@ class Tracer {
   // lost to a fault) is clamped to the root's end, and the completed
   // trace is handed to the sink and the finished ring. Span ids of a
   // finalized trace become inert — late EndSpan calls are no-ops, which
-  // is exactly what a timed-out attempt's late reply should see.
+  // is exactly what a timed-out attempt's late reply should see. Serial
+  // numbers are never reused, so a later trace never answers to them.
   void EndTrace(SpanId root);
 
  private:
-  struct OpenTrace {
-    Trace trace;
-    std::unordered_map<SpanId, size_t> index;  // span id -> spans[] slot
-  };
-
+  // The open trace `id` belongs to, or null once it is finalized.
+  Trace* FindTrace(SpanId id);
   Span* Find(SpanId id);
 
   Clock clock_;
   Sink sink_;
   uint64_t sample_every_ = 0;  // tracing off by default
   uint64_t ops_seen_ = 0;
-  uint64_t traces_started_ = 0;
+  uint64_t traces_started_ = 0;  // also the last serial number issued
   uint64_t traces_finished_ = 0;
-  uint64_t next_id_ = 1;
   size_t keep_last_ = 256;
-  std::unordered_map<SpanId, uint64_t> span_to_trace_;  // any span -> trace
-  std::unordered_map<uint64_t, OpenTrace> open_;        // trace id -> builder
+  std::unordered_map<uint64_t, Trace> open_;  // serial -> trace being built
   std::deque<Trace> finished_;
 };
 

@@ -82,6 +82,40 @@ TEST(Trace, SimTimeMonotonicityAndClamping) {
   EXPECT_EQ(c.tracer.finished().front().spans[1].end, 50);
 }
 
+// A span id names its trace's serial number, and serials are never
+// reused: ids of a finalized trace stay inert while a newer trace is open
+// and never reach into it.
+TEST(Trace, FinalizedIdsStayInertWhileANewerTraceIsOpen) {
+  Clocked c;
+  const SpanId old_root = c.tracer.StartTrace("old", Layer::kClient, 0, 0);
+  const SpanId old_span =
+      c.tracer.StartSpan(old_root, "rpc", Layer::kClient, Cause::kWork, 0, 0);
+  c.now = 10;
+  c.tracer.EndTrace(old_root);
+
+  const SpanId root = c.tracer.StartTrace("new", Layer::kClient, 0, 0);
+  const SpanId open =
+      c.tracer.StartSpan(root, "rpc", Layer::kClient, Cause::kWork, 0, 0);
+  EXPECT_NE(TraceSerial(root), TraceSerial(old_root));
+  c.now = 20;
+  c.tracer.EndSpan(old_span);
+  c.tracer.EndSpan(old_root);
+  EXPECT_EQ(c.tracer.AddSpanAt(old_span, "late", Layer::kNdb, Cause::kCpu, 0,
+                               0, 20, 30),
+            0u);
+  c.tracer.EndTrace(old_root);
+  EXPECT_EQ(c.tracer.traces_finished(), 1u);
+
+  c.now = 40;
+  c.tracer.EndTrace(root);
+  ASSERT_EQ(c.tracer.finished().size(), 2u);
+  const Trace& t = c.tracer.finished().back();
+  ASSERT_EQ(t.spans.size(), 2u);  // nothing late joined the newer trace
+  EXPECT_EQ(t.spans[1].id, open);
+  EXPECT_EQ(t.spans[1].end, 40);  // still open until the root closed
+  EXPECT_EQ(c.tracer.finished().front().spans[1].end, 10);
+}
+
 TEST(Trace, SamplingIsDeterministicCounterNotRng) {
   for (int run = 0; run < 2; ++run) {
     Clocked c;
