@@ -86,10 +86,7 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
 
   Simulation sim(config.seed);
   if (config.sim_setup) config.sim_setup(sim);
-  auto options = hopsfs::DeploymentOptions::FromPaperSetup(
-      config.setup, config.num_namenodes);
-  if (config.tweak) config.tweak(options);
-  hopsfs::Deployment deployment(sim, options);
+  hopsfs::Deployment deployment(sim, config.deployment);
   deployment.Start();
 
   workload::SpotifyWorkload workload(workload::NamespaceConfig{}, config.seed);
@@ -97,7 +94,8 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
 
   std::vector<std::unique_ptr<workload::HopsFsTarget>> targets;
   std::vector<workload::FsTarget*> target_ptrs;
-  const int total_clients = clients_per_nn * config.num_namenodes;
+  const int num_namenodes = config.deployment.num_namenodes;
+  const int total_clients = clients_per_nn * num_namenodes;
   for (int i = 0; i < total_clients; ++i) {
     targets.push_back(
         std::make_unique<workload::HopsFsTarget>(deployment.AddClient()));
@@ -125,7 +123,7 @@ RunOutput RunHopsFsWorkload(const RunConfig& config) {
   });
 
   RunOutput out;
-  out.num_namenodes = config.num_namenodes;
+  out.num_namenodes = num_namenodes;
   out.results = std::move(results);
 
   // ---- resource statistics over the measurement window ----

@@ -23,14 +23,11 @@
 namespace repro::bench {
 
 struct RunConfig {
-  hopsfs::PaperSetup setup = hopsfs::PaperSetup::kHopsFs_2_1;
-  int num_namenodes = 6;
+  hopsfs::DeploymentOptions deployment;  // HopsFS (2,1), 6 namenodes
   int clients_per_nn = 0;       // 0 = scale default
   Nanos warmup = 0;             // 0 = scale default
   Nanos measure = 0;
   uint64_t seed = 1;
-  // Optional overrides applied to the deployment options.
-  std::function<void(hopsfs::DeploymentOptions&)> tweak;
   // Optional hook invoked on the freshly built Simulation before the
   // deployment exists — the place to arm the tracer (sampling knob, sink)
   // for observability benches.

@@ -234,7 +234,7 @@ int Main(int argc, char** argv) {
   // 3 NNs x 32 threads / 1.1ms op cost ~= 87k ops/s capacity; the surge
   // offers ~1.7x that, so admission control must shed to protect the
   // measured closed-loop workload.
-  copts.num_namenodes = 3;
+  copts.deployment.num_namenodes = 3;
   chaos::FaultSchedule schedule;
   schedule.Add({copts.warmup + 500 * kMillisecond,
                 chaos::FaultType::kOpenLoopSurge, 150000, -1, 1.0});

@@ -26,6 +26,7 @@
 namespace repro::bench {
 namespace {
 
+using hopsfs::DeploymentOptions;
 using hopsfs::PaperSetup;
 using workload::FsOp;
 
@@ -39,8 +40,7 @@ const RunOutput& HopsCell(PaperSetup setup, int n) {
   auto [it, inserted] = cells.try_emplace({setup, n});
   if (inserted) {
     RunConfig cfg;
-    cfg.setup = setup;
-    cfg.num_namenodes = n;
+    cfg.deployment = DeploymentOptions::FromPaperSetup(setup, n);
     it->second = RunHopsFsWorkload(cfg);
   }
   return it->second;
@@ -361,8 +361,8 @@ std::vector<MicroRow> MicroRows() {
   for (PaperSetup s : AllHopsFsSetups()) {
     rows.push_back({hopsfs::PaperSetupName(s), [s](FsOp op, int clients) {
                       RunConfig cfg;
-                      cfg.setup = s;
-                      cfg.num_namenodes = FixedServerCount();
+                      cfg.deployment = DeploymentOptions::FromPaperSetup(
+                          s, FixedServerCount());
                       cfg.clients_per_nn = clients;
                       cfg.op_source_factory = MicroOpSourceFactory(op);
                       return RunHopsFsWorkload(cfg).results;
@@ -450,15 +450,13 @@ void Fig9() {
 
 // ---- Figure 14 and the ablation: tweaked HopsFS-CL (3,3) runs -------------
 
-RunOutput RunTweakedCl33(int nns, int read_backup, int az_tc, int az_nn) {
+RunOutput RunTweakedCl33(int nns, bool read_backup, bool az_tc, bool az_nn) {
   RunConfig cfg;
-  cfg.setup = PaperSetup::kHopsFsCl_3_3;
-  cfg.num_namenodes = nns;
-  cfg.tweak = [=](hopsfs::DeploymentOptions& o) {
-    o.override_read_backup = read_backup;
-    o.override_az_tc_selection = az_tc;
-    o.override_az_nn_selection = az_nn;
-  };
+  cfg.deployment =
+      DeploymentOptions::FromPaperSetup(PaperSetup::kHopsFsCl_3_3, nns);
+  cfg.deployment.read_backup = read_backup;
+  cfg.deployment.az_tc_selection = az_tc;
+  cfg.deployment.az_nn_selection = az_nn;
   return RunHopsFsWorkload(cfg);
 }
 
@@ -499,7 +497,7 @@ void Fig14() {
               "Figure 14");
   const int nns = FullScale() ? 24 : 12;
   PrintReplicaReads("ENABLED", HopsCell(PaperSetup::kHopsFsCl_3_3, nns));
-  PrintReplicaReads("DISABLED", RunTweakedCl33(nns, 0, -1, -1));
+  PrintReplicaReads("DISABLED", RunTweakedCl33(nns, false, true, true));
   std::printf(
       "\nPaper: disabled -> 100%% of reads on the primary; enabled -> the\n"
       "expected ~50%% primary / 25%% / 25%% split (locked reads pin to the\n"
@@ -566,16 +564,16 @@ void Ablation() {
 
   struct Variant {
     const char* name;
-    int read_backup;  // -1 keep, 0 off
-    int az_tc;
-    int az_nn;
+    bool read_backup;
+    bool az_tc;
+    bool az_nn;
   };
   const Variant variants[] = {
-      {"full HopsFS-CL", -1, -1, -1},
-      {"- read backup", 0, -1, -1},
-      {"- AZ-aware TC/read routing", -1, 0, -1},
-      {"- AZ-local NN selection", -1, -1, 0},
-      {"none (= HopsFS 3,3)", 0, 0, 0},
+      {"full HopsFS-CL", true, true, true},
+      {"- read backup", false, true, true},
+      {"- AZ-aware TC/read routing", true, false, true},
+      {"- AZ-local NN selection", true, true, false},
+      {"none (= HopsFS 3,3)", false, false, false},
   };
 
   std::printf("\n%-30s%12s%12s%14s\n", "variant", "ops/s", "mean ms",
@@ -583,7 +581,7 @@ void Ablation() {
   const int nns = FixedServerCount();
   double baseline = 0;
   for (const auto& v : variants) {
-    const bool full = v.read_backup < 0 && v.az_tc < 0 && v.az_nn < 0;
+    const bool full = v.read_backup && v.az_tc && v.az_nn;
     const RunOutput out =
         full ? HopsCell(PaperSetup::kHopsFsCl_3_3, nns)
              : RunTweakedCl33(nns, v.read_backup, v.az_tc, v.az_nn);

@@ -172,8 +172,8 @@ bool CheckDeterminism() {
   opts.warmup = 1 * kSecond;
   opts.fault_window = 2 * kSecond;
   opts.settle = 2 * kSecond;
-  opts.client_rpc_timeout = 250 * kMillisecond;
-  opts.client_op_deadline = 1 * kSecond;
+  opts.deployment.client.rpc_timeout = 250 * kMillisecond;
+  opts.deployment.client.op_deadline = 1 * kSecond;
 
   chaos::FaultSchedule schedule;
   schedule.Add({600 * kMillisecond, chaos::FaultType::kCrashNdbNode, 1});

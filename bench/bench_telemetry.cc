@@ -53,12 +53,15 @@ chaos::FaultSchedule PinnedEpisode() {
 chaos::ChaosOptions EpisodeOptions() {
   chaos::ChaosOptions opts;
   opts.seed = 7;
-  opts.telemetry = true;
-  // Episode-scale client failure detection (see ChaosOptions): applied
-  // to every run here — including the telemetry-off arm of the
-  // determinism check — so telemetry observes but never alters the sim.
-  opts.client_rpc_timeout = 250 * kMillisecond;
-  opts.client_op_deadline = 1 * kSecond;
+  opts.deployment.telemetry.enabled = true;
+  // Episode-scale client failure detection: the stock 5 s rpc_timeout
+  // and 30 s op_deadline outlast a whole fault window, so ops issued into
+  // a dark AZ would hang past the episode and the availability SLI would
+  // never see the outage. Applied to every run here — including the
+  // telemetry-off arm of the determinism check — so telemetry observes
+  // but never alters the sim.
+  opts.deployment.client.rpc_timeout = 250 * kMillisecond;
+  opts.deployment.client.op_deadline = 1 * kSecond;
   return opts;
 }
 
@@ -122,7 +125,8 @@ int Main(int argc, char** argv) {
   // availability alerts, so match the alert to the outage interval: the
   // earliest one that fired between the outage start and one fast
   // long-window past the restore.
-  const Nanos fast_window = opts.telemetry_options.slo.rules[0].long_window;
+  const Nanos fast_window =
+      opts.deployment.telemetry.slo.rules[0].long_window;
   const telemetry::SloAlert* outage_alert = nullptr;
   for (const auto& a : report.alerts) {
     if (a.objective == "availability" && outage_abs >= 0 &&
@@ -169,7 +173,7 @@ int Main(int argc, char** argv) {
   {
     chaos::ChaosOptions on = EpisodeOptions();
     chaos::ChaosOptions off = EpisodeOptions();
-    off.telemetry = false;
+    off.deployment.telemetry.enabled = false;
     chaos::ChaosReport run_on = chaos::RunChaosSchedule(on, PinnedEpisode());
     chaos::ChaosReport run_off = chaos::RunChaosSchedule(off, PinnedEpisode());
     out.Check(run_on.TraceString() == run_off.TraceString() &&
@@ -196,9 +200,9 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < soak_seeds; ++i) {
     chaos::ChaosOptions sopts;
     sopts.seed = 9000 + i;
-    sopts.telemetry = true;
-    sopts.client_rpc_timeout = 250 * kMillisecond;
-    sopts.client_op_deadline = 1 * kSecond;
+    sopts.deployment.telemetry.enabled = true;
+    sopts.deployment.client.rpc_timeout = 250 * kMillisecond;
+    sopts.deployment.client.op_deadline = 1 * kSecond;
     sopts.warmup = 2 * kSecond;
     sopts.fault_window = 4 * kSecond;
     sopts.settle = 4 * kSecond;

@@ -45,8 +45,8 @@ int Main(int argc, char** argv) {
   const size_t keep = full ? 64 : 32;
 
   RunConfig cfg;
-  cfg.setup = hopsfs::PaperSetup::kHopsFsCl_3_3;
-  cfg.num_namenodes = full ? 6 : 3;
+  cfg.deployment = hopsfs::DeploymentOptions::FromPaperSetup(
+      hopsfs::PaperSetup::kHopsFsCl_3_3, full ? 6 : 3);
   cfg.seed = 42;  // pinned: the acceptance numbers reference this run
   if (!full) {
     cfg.clients_per_nn = 16;

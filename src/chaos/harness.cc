@@ -11,9 +11,11 @@
 
 namespace repro::chaos {
 
-telemetry::TelemetryOptions ChaosTelemetryOptions() {
-  telemetry::TelemetryOptions t;
-  t.enabled = true;
+hopsfs::DeploymentOptions ChaosDeployment() {
+  auto o = hopsfs::DeploymentOptions::FromPaperSetup(
+      hopsfs::PaperSetup::kHopsFsCl_3_3, /*num_namenodes=*/6);
+  o.block_datanodes = 9;
+  telemetry::TelemetryOptions& t = o.telemetry;
   t.scraper.period = 50 * kMillisecond;
   t.slo = telemetry::SloConfig::Production().ScaledDown(1200);
   // Chaos episodes run a dozen closed-loop clients, so a dark AZ
@@ -23,7 +25,7 @@ telemetry::TelemetryOptions ChaosTelemetryOptions() {
   // state produces zero unavailability errors, so the tighter target
   // costs nothing in false positives (the soak asserts exactly that).
   t.availability_target = 0.9999;
-  return t;
+  return o;
 }
 
 namespace {
@@ -137,9 +139,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts) {
   fopts.start = opts.warmup;
   fopts.window = opts.fault_window;
   fopts.num_azs = 3;
-  fopts.num_ndb_nodes =
-      hopsfs::DeploymentOptions::FromPaperSetup(opts.setup, opts.num_namenodes)
-          .ndb_datanodes;
+  fopts.num_ndb_nodes = opts.deployment.ndb_datanodes;
   return RunChaosSchedule(opts, FaultSchedule::Random(opts.seed, fopts));
 }
 
@@ -150,20 +150,7 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
     sim.tracer().set_sample_every(opts.trace_sample_every);
     sim.tracer().set_keep_last(kTraceKeepLast);
   }
-  auto dopts = hopsfs::DeploymentOptions::FromPaperSetup(opts.setup,
-                                                         opts.num_namenodes);
-  dopts.block_datanodes = opts.block_datanodes;
-  if (opts.client_rpc_timeout > 0) {
-    dopts.client.rpc_timeout = opts.client_rpc_timeout;
-  }
-  if (opts.client_op_deadline > 0) {
-    dopts.client.op_deadline = opts.client_op_deadline;
-  }
-  if (opts.telemetry) {
-    dopts.telemetry = opts.telemetry_options;
-    dopts.telemetry.enabled = true;
-  }
-  hopsfs::Deployment dep(sim, dopts);
+  hopsfs::Deployment dep(sim, opts.deployment);
   dep.Start();
 
   workload::SpotifyWorkload wl(opts.ns, opts.seed);
@@ -365,9 +352,8 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts,
     // by the availability burn-rate alert while the outage (plus one fast
     // short-window of detection lag) is in effect.
     {
-      const Nanos grace = opts.telemetry_options.slo.rules.empty()
-                              ? 0
-                              : opts.telemetry_options.slo.rules[0].short_window;
+      const auto& rules = opts.deployment.telemetry.slo.rules;
+      const Nanos grace = rules.empty() ? 0 : rules[0].short_window;
       int outages = 0, detected = 0;
       Nanos outage_start = -1;
       for (const auto& e : schedule.events()) {

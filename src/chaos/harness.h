@@ -27,16 +27,25 @@
 
 namespace repro::chaos {
 
-// Telemetry defaults for chaos-scale runs: 50 ms scrape period and the
-// production SLO burn-rate windows compressed 1200x (fast 250ms/3s, slow
-// 1.5s/18s) so multi-window alerting operates inside a ~16 s episode.
-telemetry::TelemetryOptions ChaosTelemetryOptions();
+// The default chaos deployment: HopsFS-CL (3,3) with 6 namenodes and 9
+// block datanodes. Its telemetry is off but set up for chaos-scale runs:
+// 50 ms scrape period and the production SLO burn-rate windows
+// compressed 1200x (fast 250ms/3s, slow 1.5s/18s) so multi-window
+// alerting operates inside a ~16 s episode.
+hopsfs::DeploymentOptions ChaosDeployment();
 
 struct ChaosOptions {
   uint64_t seed = 1;
-  hopsfs::PaperSetup setup = hopsfs::PaperSetup::kHopsFsCl_3_3;
-  int num_namenodes = 6;
-  int block_datanodes = 9;
+  // The cluster under test. With `deployment.telemetry.enabled` the
+  // harness also checks the telemetry invariants: slo-silence (an empty
+  // schedule must raise zero alerts), slo-detects (an AZ outage must
+  // fire an availability alert while it is active), and telemetry-settle
+  // (after the heals and the settle phase, the only hosts still rolled
+  // up as unavailable are permanently crashed block DNs — the health
+  // view matches the injected fault set). Like tracing, the telemetry
+  // tick is read-only: the event trace and workload results are
+  // byte-identical with telemetry on or off.
+  hopsfs::DeploymentOptions deployment = ChaosDeployment();
   int workload_clients = 12;
   workload::NamespaceConfig ns{/*users=*/128, /*dirs_per_user=*/4,
                                /*files_per_dir=*/4, /*zipf_theta=*/0.75};
@@ -64,28 +73,6 @@ struct ChaosOptions {
   uint64_t trace_sample_every = 0;
   std::string trace_dump_path;
 
-  // Cluster telemetry during the run (scrape -> health -> SLO burn-rate).
-  // Like tracing, the telemetry tick is read-only: the event trace and
-  // workload results are byte-identical with telemetry on or off. When
-  // enabled the harness also checks the telemetry invariants: slo-silence
-  // (an empty schedule must raise zero alerts), slo-detects (an AZ outage
-  // must fire an availability alert while it is active), and
-  // telemetry-settle (after the heals and the settle phase, the only
-  // hosts still rolled up as unavailable are permanently crashed block
-  // DNs — the health view matches the injected fault set).
-  bool telemetry = false;
-  telemetry::TelemetryOptions telemetry_options = ChaosTelemetryOptions();
-  // Client failure-detection timeout overrides (0 = keep the deployment
-  // defaults). The stock 5 s rpc_timeout and 30 s op_deadline are longer
-  // than a whole chaos fault window, so ops issued into a dark AZ hang
-  // past the episode instead of failing in a client-visible way — and
-  // the availability SLI never sees the outage. Telemetry benches set
-  // these to episode scale (e.g. 250 ms / 1 s) on BOTH their
-  // telemetry-on and telemetry-off runs, so the on/off byte-identity
-  // comparison still simulates the same cluster. Deliberately NOT tied
-  // to `telemetry`: observing a run must never change it.
-  Nanos client_rpc_timeout = 0;
-  Nanos client_op_deadline = 0;
   // On invariant failure, dump the scrape archive JSON (the last
   // ring_capacity snapshots of every series) here, next to the trace
   // ring ("" = none).
@@ -158,7 +145,7 @@ struct ChaosReport {
   int64_t traces_captured = 0;
   std::string trace_dump_path;
 
-  // Telemetry capture (when ChaosOptions::telemetry is set). Alerts and
+  // Telemetry capture (when the deployment's telemetry is enabled). Alerts and
   // health live OUTSIDE the event trace so TraceString() stays
   // byte-identical with telemetry on or off.
   int64_t scrapes = 0;

@@ -232,7 +232,7 @@ InvariantResult InvariantChecker::CheckReplication() {
 
   const int want_rf =
       std::min<int>(hopsfs::kBlockReplication, static_cast<int>(dns.size()));
-  const bool want_az_coverage = deployment_.options().az_aware_block_placement;
+  const bool want_az_coverage = hopsfs::IsHopsFsCl(deployment_.options().setup);
   const int num_azs = deployment_.topology().num_azs();
   int64_t checked = 0;
   for (const auto& [key, value] : rows) {

@@ -25,37 +25,35 @@ constexpr Nanos kSloLatencyThreshold = 100 * kMillisecond;
 }  // namespace
 
 HopsFsClient::HopsFsClient(Simulation& sim, Network& network,
+                           metrics::Registry& registry,
                            std::vector<Namenode*> namenodes, HostId host,
                            AzId az, blocks::DnRegistry* dn_registry,
-                           ClientConfig config)
+                           ClientConfig config, bool az_aware,
+                           bool resilience)
     : sim_(sim), network_(network), namenodes_(std::move(namenodes)),
       host_(host), az_(az), dn_registry_(dn_registry), config_(config),
+      az_aware_(az_aware), resilience_(resilience),
       rng_(sim.rng().Split()),
       budget_(config.retry_budget) {
   const resilience::CircuitBreakerConfig bc{kBreakerFailureThreshold,
                                             kBreakerOpenInterval};
   breakers_.assign(namenodes_.size(), resilience::CircuitBreaker(bc));
-  if (config_.metrics != nullptr) {
-    ctr_retries_ = config_.metrics->GetCounter("hopsfs.client.retries");
-    ctr_budget_denied_ =
-        config_.metrics->GetCounter("hopsfs.client.retry_budget_denied");
-    ctr_breaker_transitions_ =
-        config_.metrics->GetCounter("hopsfs.client.breaker_transitions");
-    ctr_deadline_ =
-        config_.metrics->GetCounter("hopsfs.client.deadline_exceeded");
-    ctr_shed_seen_ =
-        config_.metrics->GetCounter("hopsfs.client.sheds_observed");
-    ctr_slo_total_ = config_.metrics->GetCounter("slo.requests.total");
-    ctr_slo_good_ = config_.metrics->GetCounter("slo.requests.good");
-    ctr_slo_latency_total_ = config_.metrics->GetCounter("slo.latency.total");
-    ctr_slo_latency_good_ = config_.metrics->GetCounter("slo.latency.good");
-    hist_latency_ =
-        config_.metrics->GetHistogram("hopsfs.client.op_latency_seconds");
-  }
+  ctr_retries_ = registry.GetCounter("hopsfs.client.retries");
+  ctr_budget_denied_ = registry.GetCounter("hopsfs.client.retry_budget_denied");
+  ctr_breaker_transitions_ =
+      registry.GetCounter("hopsfs.client.breaker_transitions");
+  ctr_deadline_ = registry.GetCounter("hopsfs.client.deadline_exceeded");
+  ctr_shed_seen_ = registry.GetCounter("hopsfs.client.sheds_observed");
+  ctr_slo_total_ = registry.GetCounter("slo.requests.total");
+  ctr_slo_good_ = registry.GetCounter("slo.requests.good");
+  ctr_slo_latency_total_ = registry.GetCounter("slo.latency.total");
+  ctr_slo_latency_good_ = registry.GetCounter("slo.latency.good");
+  hist_latency_ =
+      registry.GetHistogram("hopsfs.client.op_latency_seconds");
 }
 
 resilience::CircuitBreaker* HopsFsClient::breaker(const Namenode* nn) {
-  if (!config_.breaker_enabled || nn == nullptr) return nullptr;
+  if (!resilience_ || nn == nullptr) return nullptr;
   const size_t id = static_cast<size_t>(nn->id());
   return id < breakers_.size() ? &breakers_[id] : nullptr;
 }
@@ -128,7 +126,7 @@ void HopsFsClient::PickNamenode(trace::SpanId span,
                   if (candidates.empty()) candidates.push_back(seed);
                   // §IV-B3: AZ-local if possible (and AZ-awareness is on
                   // and the client has a locationDomainId), else random.
-                  if (config_.az_aware && az_ != kNoAz && !local.empty()) {
+                  if (az_aware_ && az_ != kNoAz && !local.empty()) {
                     nn_ = local[rng_.NextBelow(local.size())];
                   } else {
                     nn_ = candidates[rng_.NextBelow(candidates.size())];
@@ -153,7 +151,7 @@ void HopsFsClient::PickNamenode(trace::SpanId span,
 void HopsFsClient::Submit(FsRequest req, FsResultCb cb) {
   req.client_az = az_;
   if (req.user.empty()) req.user = user_;
-  if (req.deadline == 0 && config_.op_deadline > 0) {
+  if (req.deadline == 0 && resilience_ && config_.op_deadline > 0) {
     req.deadline = sim_.now() + config_.op_deadline;
   }
   budget_.OnRequest();  // first attempts accrue retry tokens
@@ -317,7 +315,7 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
 // Shared failure path for timeouts and server sheds: consult the retry
 // budget, then re-attempt after a jittered backoff.
 void HopsFsClient::RetryAfterFailure(OpPtr op, Status give_up_status) {
-  if (config_.retry_budget_enabled && !budget_.Withdraw()) {
+  if (resilience_ && !budget_.Withdraw()) {
     metrics::Bump(ctr_budget_denied_);
     Deliver(std::move(op), FsResult{std::move(give_up_status)});
     return;
@@ -438,7 +436,7 @@ void HopsFsClient::NextBlock(BlockIoPtr io) {
   const BlockRow& b = blocks[io->next];
   io->replicas.clear();
   io->replica = 0;
-  const bool local_first = config_.az_aware && az_ != kNoAz;
+  const bool local_first = az_aware_ && az_ != kNoAz;
   for (blocks::DnId d : b.replicas) {
     if (local_first && dn_registry_->az_of(d) == az_) io->replicas.push_back(d);
   }

@@ -32,7 +32,6 @@
 namespace repro::hopsfs {
 
 struct ClientConfig {
-  bool az_aware = true;
   Nanos rpc_timeout = 5 * kSecond;
 
   // Default absolute deadline stamped on each op at Submit (0 = none).
@@ -41,22 +40,16 @@ struct ClientConfig {
   Nanos op_deadline = 30 * kSecond;
 
   // Token-bucket retry budget (≈10% of request rate by default).
-  bool retry_budget_enabled = true;
   resilience::RetryBudgetConfig retry_budget;
-
-  // Per-NN circuit breaker.
-  bool breaker_enabled = true;
-
-  // Optional resilience counter registry (shared per deployment).
-  metrics::Registry* metrics = nullptr;
 };
 
 class HopsFsClient {
  public:
-  HopsFsClient(Simulation& sim, Network& network,
+  // `registry` is the deployment's shared counter registry.
+  HopsFsClient(Simulation& sim, Network& network, metrics::Registry& registry,
                std::vector<Namenode*> namenodes, HostId host, AzId az,
-               blocks::DnRegistry* dn_registry = nullptr,
-               ClientConfig config = {});
+               blocks::DnRegistry* dn_registry, ClientConfig config,
+               bool az_aware, bool resilience);
 
   HostId host() const { return host_; }
   AzId az() const { return az_; }
@@ -169,6 +162,8 @@ class HopsFsClient {
   AzId az_;
   blocks::DnRegistry* dn_registry_;
   ClientConfig config_;
+  bool az_aware_;    // prefer an AZ-local namenode and replica (§IV-B3)
+  bool resilience_;  // op deadline, retry budget and per-NN breakers on
   Rng rng_;
 
   Namenode* nn_ = nullptr;

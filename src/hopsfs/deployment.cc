@@ -21,91 +21,77 @@ const char* PaperSetupName(PaperSetup setup) {
   return "?";
 }
 
+bool IsHopsFsCl(PaperSetup setup) {
+  return setup == PaperSetup::kHopsFsCl_2_3 ||
+         setup == PaperSetup::kHopsFsCl_3_3;
+}
+
 DeploymentOptions DeploymentOptions::FromPaperSetup(PaperSetup setup,
                                                     int num_namenodes) {
   DeploymentOptions o;
-  o.name = PaperSetupName(setup);
+  o.setup = setup;
   o.num_namenodes = num_namenodes;
-  switch (setup) {
-    case PaperSetup::kHopsFs_2_1:
-      o.metadata_replication = 2;
-      o.ndb_azs = {1};
-      o.nn_azs = {1};
-      o.client_azs = {1};
-      break;
-    case PaperSetup::kHopsFs_3_1:
-      o.metadata_replication = 3;
-      o.ndb_azs = {1};
-      o.nn_azs = {1};
-      o.client_azs = {1};
-      break;
-    case PaperSetup::kHopsFs_2_3:
-    case PaperSetup::kHopsFsCl_2_3:
-      // Fig. 3: metadata replicas in AZ 1 and AZ 2, arbitrator in AZ 0.
-      o.metadata_replication = 2;
-      o.ndb_azs = {1, 2};
-      o.nn_azs = {1, 2};
-      o.client_azs = {0, 1, 2};
-      o.az_aware = setup == PaperSetup::kHopsFsCl_2_3;
-      break;
-    case PaperSetup::kHopsFs_3_3:
-    case PaperSetup::kHopsFsCl_3_3:
-      // Fig. 4: one full replica per AZ.
-      o.metadata_replication = 3;
-      o.ndb_azs = {0, 1, 2};
-      o.nn_azs = {0, 1, 2};
-      o.client_azs = {0, 1, 2};
-      o.az_aware = setup == PaperSetup::kHopsFsCl_3_3;
-      break;
-  }
-  o.az_aware_block_placement = o.az_aware;
+  o.read_backup = o.az_tc_selection = o.az_nn_selection = IsHopsFsCl(setup);
   return o;
 }
 
+namespace {
+
+// Where a setup runs (Figs. 3 & 4).
+struct SetupLayout {
+  int replication;
+  std::vector<AzId> metadata_azs;  // NDB datanodes and namenodes
+  std::vector<AzId> client_azs;    // clients and block datanodes
+};
+
+SetupLayout LayoutOf(PaperSetup setup) {
+  switch (setup) {
+    case PaperSetup::kHopsFs_2_1: return {2, {1}, {1}};
+    case PaperSetup::kHopsFs_3_1: return {3, {1}, {1}};
+    case PaperSetup::kHopsFs_2_3:
+    case PaperSetup::kHopsFsCl_2_3:
+      // Fig. 3: metadata replicas in AZ 1 and AZ 2, arbitrator in AZ 0.
+      return {2, {1, 2}, {0, 1, 2}};
+    case PaperSetup::kHopsFs_3_3:
+    case PaperSetup::kHopsFsCl_3_3:
+      // Fig. 4: one full replica per AZ.
+      return {3, {0, 1, 2}, {0, 1, 2}};
+  }
+  return {2, {1}, {1}};
+}
+
+}  // namespace
+
 Deployment::Deployment(Simulation& sim, DeploymentOptions options)
     : sim_(sim), options_(std::move(options)) {
-  // Resilience wiring: all layers share one counter registry, and the
-  // master switch turns the whole overload-protection stack off for
-  // baseline ("pre-PR") comparisons.
-  if (options_.nn.metrics == nullptr) options_.nn.metrics = &metrics_;
-  if (!options_.resilience) {
-    options_.nn.admission_enabled = false;
-    options_.client.op_deadline = 0;
-    options_.client.retry_budget_enabled = false;
-    options_.client.breaker_enabled = false;
-  }
+  SetupLayout layout = LayoutOf(options_.setup);
+  client_azs_ = std::move(layout.client_azs);
 
   topology_ = std::make_unique<Topology>(3, AzLatencyTable::UsWest1());
   network_ = std::make_unique<Network>(sim_, *topology_);
 
   // HopsFS-CL enables Read Backup on every table (§IV-A5).
-  const bool read_backup = options_.override_read_backup >= 0
-                               ? options_.override_read_backup != 0
-                               : options_.az_aware;
-  tables_ = FsTables::Register(catalog_, read_backup);
+  tables_ = FsTables::Register(catalog_, options_.read_backup);
 
   ndb::NdbClusterConfig ndb_cfg;
   ndb_cfg.layout.num_datanodes = options_.ndb_datanodes;
-  ndb_cfg.layout.replication_factor = options_.metadata_replication;
+  ndb_cfg.layout.replication_factor = layout.replication;
   ndb_cfg.layout.node_az = ndb::AssignNodeAzs(
-      options_.ndb_datanodes, options_.metadata_replication, options_.ndb_azs);
-  ndb_cfg.flags.az_aware = options_.override_az_tc_selection >= 0
-                               ? options_.override_az_tc_selection != 0
-                               : options_.az_aware;
-  ndb_cfg.mgmt_az = {0, 1, 2};
+      options_.ndb_datanodes, layout.replication, layout.metadata_azs);
+  ndb_cfg.flags.az_aware = options_.az_tc_selection;
   ndb_ = std::make_unique<ndb::NdbCluster>(sim_, *network_, &catalog_,
                                            std::move(ndb_cfg));
 
   if (options_.block_datanodes > 0) {
     dn_registry_ = std::make_unique<blocks::DnRegistry>(
         /*heartbeat_timeout=*/10 * kSecond);
-    if (options_.az_aware_block_placement) {
+    if (IsHopsFsCl(options_.setup)) {
       placement_ = std::make_unique<blocks::AzAwarePlacement>(3);
     } else {
       placement_ = std::make_unique<blocks::DefaultPlacement>();
     }
     for (int i = 0; i < options_.block_datanodes; ++i) {
-      const AzId az = options_.client_azs[i % options_.client_azs.size()];
+      const AzId az = client_azs_[i % client_azs_.size()];
       const HostId host = topology_->AddHost(az, StrFormat("dn-%d", i));
       block_dns_.push_back(std::make_unique<blocks::BlockDatanode>(
           sim_, *network_, i, host, az));
@@ -114,11 +100,12 @@ Deployment::Deployment(Simulation& sim, DeploymentOptions options)
   }
 
   for (int i = 0; i < options_.num_namenodes; ++i) {
-    const AzId az = options_.nn_azs[i % options_.nn_azs.size()];
+    const AzId az = layout.metadata_azs[i % layout.metadata_azs.size()];
     const HostId host = topology_->AddHost(az, StrFormat("nn-%d", i));
     namenodes_.push_back(std::make_unique<Namenode>(
-        sim_, *network_, *ndb_, tables_, i, host, az, dn_registry_.get(),
-        placement_.get(), options_.nn));
+        sim_, *network_, metrics_, *ndb_, tables_, i, host, az,
+        dn_registry_.get(), placement_.get(), options_.nn,
+        /*admission=*/options_.resilience));
   }
 
   if (options_.telemetry.enabled) {
@@ -314,21 +301,15 @@ Namenode* Deployment::leader() {
 }
 
 HopsFsClient* Deployment::AddClient(AzId az) {
-  if (az == kNoAz) {
-    az = options_.client_azs[next_client_az_++ % options_.client_azs.size()];
-  }
+  if (az == kNoAz) az = client_azs_[next_client_az_++ % client_azs_.size()];
   const HostId host = topology_->AddHost(
       az, StrFormat("client-%zu", clients_.size()));
   std::vector<Namenode*> nns;
   nns.reserve(namenodes_.size());
   for (auto& nn : namenodes_) nns.push_back(nn.get());
-  ClientConfig cfg = options_.client;
-  cfg.az_aware = options_.override_az_nn_selection >= 0
-                     ? options_.override_az_nn_selection != 0
-                     : options_.az_aware;
-  if (cfg.metrics == nullptr) cfg.metrics = &metrics_;
   clients_.push_back(std::make_unique<HopsFsClient>(
-      sim_, *network_, std::move(nns), host, az, dn_registry_.get(), cfg));
+      sim_, *network_, metrics_, std::move(nns), host, az, dn_registry_.get(),
+      options_.client, options_.az_nn_selection, options_.resilience));
   if (telemetry_ != nullptr) RegisterClientTelemetry(clients_.back().get());
   return clients_.back().get();
 }

@@ -36,31 +36,30 @@ enum class PaperSetup {
 };
 const char* PaperSetupName(PaperSetup setup);
 
+// HopsFS-CL setups: the AZ-aware system of §IV, including AZ-aware block
+// placement (§IV-C).
+bool IsHopsFsCl(PaperSetup setup);
+
 struct DeploymentOptions {
-  std::string name = "HopsFS";
+  // Fixes the metadata replication, the AZs of the NDB datanodes,
+  // namenodes and clients, and AZ-aware block placement.
+  PaperSetup setup = PaperSetup::kHopsFs_2_1;
   int num_namenodes = 6;
   int ndb_datanodes = 12;
-  int metadata_replication = 2;
-  std::vector<AzId> ndb_azs = {1};
-  std::vector<AzId> nn_azs = {1};
-  std::vector<AzId> client_azs = {0, 1, 2};
-  bool az_aware = false;  // the full HopsFS-CL feature set
-  // Ablation overrides (-1 = follow az_aware): each corresponds to one
-  // AZ-awareness mechanism of §IV.
-  int override_read_backup = -1;        // Read Backup tables + delayed ack
-  int override_az_tc_selection = -1;    // AZ-aware TC choice & read routing
-  int override_az_nn_selection = -1;    // clients prefer AZ-local NNs
+  // The AZ-awareness mechanisms of §IV that the ablation turns off one at
+  // a time; FromPaperSetup turns all three on for HopsFS-CL.
+  bool read_backup = false;      // Read Backup tables + delayed ack
+  bool az_tc_selection = false;  // AZ-aware TC choice & read routing
+  bool az_nn_selection = false;  // clients prefer AZ-local NNs
   int block_datanodes = 0;
-  bool az_aware_block_placement = false;
   NamenodeConfig nn;
 
   // Overload-protection stack (bench_overload's "pre-PR" baseline turns
-  // this off to demonstrate congestion collapse). Individual knobs live
-  // in `nn` / `client`; this master switch disables deadlines, retry
-  // budgets, breakers and admission control together.
+  // this off to demonstrate congestion collapse): deadlines, retry
+  // budgets, breakers and admission control together. Individual knobs
+  // live in `nn` / `client`.
   bool resilience = true;
-  // Base ClientConfig applied by AddClient (az_aware is still derived
-  // from the setup's override flags).
+  // Base ClientConfig applied by AddClient.
   ClientConfig client;
 
   // Cluster telemetry: scraped time-series, health rollups and SLO
@@ -83,7 +82,8 @@ class Deployment {
   // then runs the simulation briefly so a leader exists.
   void Start();
 
-  // Creates a client host in `az` (kNoAz: round-robin over client_azs).
+  // Creates a client host in `az` (kNoAz: round-robin over the setup's
+  // client AZs).
   HopsFsClient* AddClient(AzId az = kNoAz);
 
   // Bulk-loads a namespace (directories first, then empty files) directly
@@ -129,6 +129,7 @@ class Deployment {
   Simulation& sim_;
   DeploymentOptions options_;
   metrics::Registry metrics_;
+  std::vector<AzId> client_azs_;  // clients and block datanodes
   std::unique_ptr<Topology> topology_;
   std::unique_ptr<Network> network_;
   ndb::Catalog catalog_;

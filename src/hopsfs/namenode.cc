@@ -47,14 +47,15 @@ const char* FsOpName(FsOp op) {
   return "?";
 }
 
-Namenode::Namenode(Simulation& sim, Network& network, ndb::NdbCluster& ndb,
+Namenode::Namenode(Simulation& sim, Network& network,
+                   metrics::Registry& registry, ndb::NdbCluster& ndb,
                    const FsTables& tables, int32_t nn_id, HostId host,
                    AzId az, blocks::DnRegistry* dn_registry,
                    blocks::BlockPlacementPolicy* placement,
-                   NamenodeConfig config)
+                   NamenodeConfig config, bool admission)
     : sim_(sim), network_(network), ndb_(ndb), tables_(tables),
       nn_id_(nn_id), host_(host), az_(az), dn_registry_(dn_registry),
-      placement_(placement), config_(config),
+      placement_(placement), config_(config), admission_(admission),
       rng_(sim.rng().Split()),
       limiter_(resilience::AimdLimiterConfig{
           config.admission_min_limit, config.admission_max_limit,
@@ -64,20 +65,17 @@ Namenode::Namenode(Simulation& sim, Network& network, ndb::NdbCluster& ndb,
   cpu_ = std::make_unique<ThreadPool>(sim, StrFormat("nn%d.cpu", nn_id),
                                       config_.cpu_threads);
   api_ = std::make_unique<ndb::NdbApiNode>(ndb, host, az);
-  if (config_.metrics != nullptr) {
-    ctr_shed_ = config_.metrics->GetCounter("hopsfs.nn.admission_shed");
-    ctr_deadline_ = config_.metrics->GetCounter("hopsfs.nn.deadline_exceeded");
-    ctr_txn_retries_ = config_.metrics->GetCounter("hopsfs.nn.txn_retries");
-    api_->set_deadline_counter(
-        config_.metrics->GetCounter("ndb.api.deadline_exceeded"));
-    // Per-host unavailability-error counter: the health model's
-    // error-rate signal (scraped alongside the host.up / host.queue_ns /
-    // host.ops callbacks the deployment registers).
-    ctr_host_errors_ = config_.metrics->GetCounter(
-        "host.errors",
-        metrics::Labels{{"az", std::to_string(az)},
-                        {"host", network.topology().name_of(host)}});
-  }
+  ctr_shed_ = registry.GetCounter("hopsfs.nn.admission_shed");
+  ctr_deadline_ = registry.GetCounter("hopsfs.nn.deadline_exceeded");
+  ctr_txn_retries_ = registry.GetCounter("hopsfs.nn.txn_retries");
+  api_->set_deadline_counter(registry.GetCounter("ndb.api.deadline_exceeded"));
+  // Per-host unavailability-error counter: the health model's error-rate
+  // signal (scraped alongside the host.up / host.queue_ns / host.ops
+  // callbacks the deployment registers).
+  ctr_host_errors_ = registry.GetCounter(
+      "host.errors",
+      metrics::Labels{{"az", std::to_string(az)},
+                      {"host", network.topology().name_of(host)}});
   if (dn_registry_ != nullptr) {
     dn_known_dead_.assign(dn_registry_->size(), false);
   }
@@ -142,7 +140,7 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   // Admission control: shed excess load with a retryable OVERLOADED
   // status honoured by the client's retry budget, instead of queueing
   // unboundedly and collapsing.
-  if (config_.admission_enabled) {
+  if (admission_) {
     if (!limiter_.TryAcquire()) {
       metrics::Bump(ctr_shed_);
       ctx->done(FsResult{ResourceExhausted("nn: overloaded, shedding")});

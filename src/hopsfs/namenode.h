@@ -106,13 +106,9 @@ struct NamenodeConfig {
   // retryable OVERLOADED (kResourceExhausted) status. The floor is kept
   // above any closed-loop bench's per-NN concurrency so admission only
   // engages under genuine overload.
-  bool admission_enabled = true;
   int admission_min_limit = 128;
   int admission_max_limit = 4096;
   int admission_initial_limit = 512;
-
-  // Optional resilience counter registry (shared per deployment).
-  metrics::Registry* metrics = nullptr;
 };
 
 // Cross-namenode view of the active-NN set, rebuilt from the heartbeat
@@ -125,11 +121,12 @@ struct ActiveNn {
 
 class Namenode {
  public:
-  Namenode(Simulation& sim, Network& network, ndb::NdbCluster& ndb,
-           const FsTables& tables, int32_t nn_id, HostId host, AzId az,
-           blocks::DnRegistry* dn_registry,
-           blocks::BlockPlacementPolicy* placement,
-           NamenodeConfig config = {});
+  // `registry` is the deployment's shared counter registry.
+  Namenode(Simulation& sim, Network& network, metrics::Registry& registry,
+           ndb::NdbCluster& ndb, const FsTables& tables, int32_t nn_id,
+           HostId host, AzId az, blocks::DnRegistry* dn_registry,
+           blocks::BlockPlacementPolicy* placement, NamenodeConfig config,
+           bool admission);
   ~Namenode() { Stop(); }
 
   int32_t id() const { return nn_id_; }
@@ -263,6 +260,7 @@ class Namenode {
   blocks::DnRegistry* dn_registry_;
   blocks::BlockPlacementPolicy* placement_;
   NamenodeConfig config_;
+  bool admission_;  // admission control on (the deployment's resilience)
 
   std::unique_ptr<ThreadPool> cpu_;
   std::unique_ptr<ndb::NdbApiNode> api_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
+#include <iterator>
 #include <set>
 
 #include "ndb/client.h"
@@ -29,6 +30,9 @@ constexpr Nanos kReplayPerEntry = 2 * kMicrosecond;
 // Bounded ring of per-recovery RecoveryStats; long restart-storm soaks
 // evict the oldest entries past this.
 constexpr size_t kRecoveryLogCap = 512;
+// AZ of each management node; the first one whose host is up acts as
+// arbitrator (M1 in Fig. 4).
+constexpr AzId kMgmtAzs[] = {0, 1, 2};
 }  // namespace
 
 bool NdbMgmtNode::HandleArbRequest(NodeId requester,
@@ -63,8 +67,8 @@ NdbCluster::NdbCluster(Simulation& sim, Network& network,
         topo.AddHost(config_.layout.node_az[i], StrFormat("ndb-dn-%d", i));
     datanodes_.push_back(std::make_unique<NdbDatanode>(*this, i, host));
   }
-  for (size_t m = 0; m < config_.mgmt_az.size(); ++m) {
-    const HostId host = topo.AddHost(config_.mgmt_az[m],
+  for (size_t m = 0; m < std::size(kMgmtAzs); ++m) {
+    const HostId host = topo.AddHost(kMgmtAzs[m],
                                      StrFormat("ndb-mgmt-%zu", m));
     mgmt_.push_back(std::make_unique<NdbMgmtNode>(static_cast<int>(m), host));
   }

@@ -31,9 +31,6 @@ struct NdbClusterConfig {
   LayoutConfig layout;
   NdbNodeConfig node;
   FeatureFlags flags;
-  // AZ of each management node; the first one whose host is up acts as
-  // arbitrator (M1 in Fig. 4).
-  std::vector<AzId> mgmt_az = {0, 1, 2};
 };
 
 class NdbMgmtNode {

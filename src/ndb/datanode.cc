@@ -41,7 +41,6 @@ constexpr Nanos kLdmScanRow = 1500;               // 1.5 us per row returned
 // IO thread: redo-log bookkeeping per commit; the log itself is flushed
 // to disk in batches.
 constexpr Nanos kIoRedoPerCommit = 1 * kMicrosecond;
-constexpr int64_t kRedoRecordOverheadBytes = 32;  // per-record on-disk header
 
 constexpr int64_t kMsgWriteBase = 160;  // PrepareReq excluding the row image
 
@@ -68,21 +67,12 @@ void ForEachHeldRow(const Txn& t, Fn&& fn) {
 }
 }  // namespace
 
-namespace {
-RedoJournal::Config JournalConfig(const NdbCluster& cluster) {
-  RedoJournal::Config jc;
-  jc.record_overhead_bytes = kRedoRecordOverheadBytes;
-  jc.flush_overhead_bytes = kRedoFlushOverheadBytes;
-  jc.segment_bytes = cluster.node_config().redo_segment_bytes;
-  return jc;
-}
-}  // namespace
-
 NdbDatanode::NdbDatanode(NdbCluster& cluster, NodeId id, HostId host)
     : cluster_(cluster), id_(id), host_(host),
       store_(cluster.catalog().num_tables()),
       locks_(cluster.sim(), kLockWaitTimeout),
-      journal_(cluster.catalog().num_tables(), JournalConfig(cluster)) {
+      journal_(cluster.catalog().num_tables(),
+               cluster.node_config().redo_segment_bytes) {
   store_.set_debug_owner(id_);
   auto& sim = cluster_.sim();
   const auto name = [this](const char* pool) {

@@ -1,12 +1,16 @@
 #include "ndb/redo_journal.h"
-#include "prof/profiler.h"
 
 #include <algorithm>
 #include <set>
 
+#include "ndb/config.h"
+#include "prof/profiler.h"
+
 namespace repro::ndb {
 
 namespace {
+// On-disk framing per record (type, seqno, epoch, txn, lengths).
+constexpr int64_t kRedoRecordOverheadBytes = 32;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 // Separates fields inside the digest stream so ("ab","c") and ("a","bc")
 // cannot collide, and marks deleted rows distinctly from empty values.
@@ -31,11 +35,11 @@ void ImageDigest::AddRow(TableId table, const Key& key,
   Mix(&kFieldSep, 1);
 }
 
-RedoJournal::RedoJournal(int num_tables, Config config)
-    : config_(config), base_(num_tables) {}
+RedoJournal::RedoJournal(int num_tables, int64_t segment_bytes)
+    : segment_bytes_(segment_bytes), base_(num_tables) {}
 
 void RedoJournal::AppendToSegment(Record record) {
-  if (segments_.empty() || segments_.back().bytes >= config_.segment_bytes) {
+  if (segments_.empty() || segments_.back().bytes >= segment_bytes_) {
     Segment seg;
     seg.first_seqno = record.seqno;
     seg.last_seqno = record.seqno - 1;
@@ -62,7 +66,7 @@ int64_t RedoJournal::Append(int64_t epoch, TxnId txn, TableId table,
   r.value = std::move(value);
   r.bytes = static_cast<int64_t>(key.size()) +
             static_cast<int64_t>(r.value.size()) +
-            config_.record_overhead_bytes;
+            kRedoRecordOverheadBytes;
   r.appended_at = now;
   appended_bytes_ += r.bytes;
   lag_bytes_ += r.bytes;
@@ -77,7 +81,7 @@ void RedoJournal::BootstrapRow(TableId table, const Key& key,
   auto it = rows.find(key);
   const int64_t row_bytes = static_cast<int64_t>(key.size()) +
                             static_cast<int64_t>(value.size()) +
-                            config_.record_overhead_bytes;
+                            kRedoRecordOverheadBytes;
   if (it == rows.end()) {
     rows.emplace(key, value);
     base_rows_ += 1;
@@ -106,7 +110,7 @@ RedoJournal::FlushBatch RedoJournal::PrepareFlush() {
       if (r.seqno > flush_requested_seqno_) batch.record_bytes += r.bytes;
     }
   }
-  batch.disk_bytes = batch.record_bytes + config_.flush_overhead_bytes;
+  batch.disk_bytes = batch.record_bytes + kRedoFlushOverheadBytes;
   flush_requested_seqno_ = batch.upto_seqno;
   return batch;
 }
@@ -126,20 +130,22 @@ void RedoJournal::DropUnflushed() {
   while (!segments_.empty() &&
          segments_.back().first_seqno > durable_seqno_) {
     appended_bytes_ -= segments_.back().bytes;
+    for (const Record& r : segments_.back().records) DropLag(r);
     segments_.pop_back();
   }
   if (!segments_.empty() && segments_.back().last_seqno > durable_seqno_) {
     Segment& seg = segments_.back();
     while (!seg.records.empty() &&
            seg.records.back().seqno > durable_seqno_) {
-      seg.bytes -= seg.records.back().bytes;
-      appended_bytes_ -= seg.records.back().bytes;
-      if (!seg.records.back().folded) seg.unfolded -= 1;
+      const Record& r = seg.records.back();
+      seg.bytes -= r.bytes;
+      appended_bytes_ -= r.bytes;
+      if (!r.folded) seg.unfolded -= 1;
+      DropLag(r);
       seg.records.pop_back();
     }
     seg.last_seqno = durable_seqno_;
   }
-  RecomputeLag();
 }
 
 void RedoJournal::CloseEpoch(int64_t epoch) {
@@ -212,6 +218,7 @@ void RedoJournal::CompleteFragmentCheckpoint(PartitionId part,
       if (r.seqno > cut_seqno) break;
       if (r.folded || r.part != part || r.epoch > cut_epoch) continue;
       FoldIntoBase(r);
+      DropLag(r);
       r.folded = true;
       seg.unfolded -= 1;
     }
@@ -219,7 +226,6 @@ void RedoJournal::CompleteFragmentCheckpoint(PartitionId part,
   max_folded_epoch_ = std::max(max_folded_epoch_, cut_epoch);
   // A partially completed LCP round still truncates what it covered.
   TruncateCoveredSegments();
-  RecomputeLag();
 }
 
 void RedoJournal::FinishCheckpointRound(int64_t cut_seqno, Nanos now) {
@@ -232,8 +238,8 @@ void RedoJournal::FinishCheckpointRound(int64_t cut_seqno, Nanos now) {
          epoch_bounds_.front().second <= base_seqno_) {
     epoch_bounds_.erase(epoch_bounds_.begin());
   }
+  // Truncation drops only fully folded segments: the lag stays.
   TruncateCoveredSegments();
-  RecomputeLag();
 }
 
 void RedoJournal::FoldIntoBase(const Record& record) {
@@ -243,7 +249,7 @@ void RedoJournal::FoldIntoBase(const Record& record) {
     if (it != rows.end()) {
       base_bytes_ -= static_cast<int64_t>(record.key.size()) +
                      static_cast<int64_t>(it->second.size()) +
-                     config_.record_overhead_bytes;
+                     kRedoRecordOverheadBytes;
       base_rows_ -= 1;
       rows.erase(it);
     }
@@ -299,7 +305,7 @@ void RedoJournal::InstallImageDelete(TableId table, const Key& key) {
   if (it == rows.end()) return;
   base_bytes_ -= static_cast<int64_t>(key.size()) +
                  static_cast<int64_t>(it->second.size()) +
-                 config_.record_overhead_bytes;
+                 kRedoRecordOverheadBytes;
   base_rows_ -= 1;
   rows.erase(it);
 }
@@ -318,7 +324,7 @@ void RedoJournal::AdoptRecord(int64_t epoch, TxnId txn, TableId table,
   r.value = std::move(value);
   r.bytes = static_cast<int64_t>(key.size()) +
             static_cast<int64_t>(r.value.size()) +
-            config_.record_overhead_bytes;
+            kRedoRecordOverheadBytes;
   r.appended_at = appended_at;
   appended_bytes_ += r.bytes;
   lag_bytes_ += r.bytes;
@@ -420,16 +426,10 @@ int64_t RedoJournal::live_records() const {
   return n;
 }
 
-void RedoJournal::RecomputeLag() {
-  lag_bytes_ = 0;
-  lag_entries_ = 0;
-  for (const Segment& seg : segments_) {
-    for (const Record& r : seg.records) {
-      if (r.folded) continue;
-      lag_bytes_ += r.bytes;
-      lag_entries_ += 1;
-    }
-  }
+void RedoJournal::DropLag(const Record& record) {
+  if (record.folded) return;
+  lag_bytes_ -= record.bytes;
+  lag_entries_ -= 1;
 }
 
 }  // namespace repro::ndb

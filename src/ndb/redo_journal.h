@@ -68,15 +68,6 @@ class ImageDigest {
 
 class RedoJournal {
  public:
-  struct Config {
-    // On-disk framing per record (type, seqno, epoch, txn, lengths).
-    int64_t record_overhead_bytes = 32;
-    // Per-group-commit cost: fsync + partial-page padding.
-    int64_t flush_overhead_bytes = 4096;
-    // Segment roll size; truncation drops whole flushed segments.
-    int64_t segment_bytes = 256 << 10;
-  };
-
   struct Record {
     int64_t seqno = 0;  // 1-based, monotonic per node, never reused
     int64_t epoch = 0;  // GCP epoch the TC assigned at commit decision
@@ -99,8 +90,9 @@ class RedoJournal {
     std::vector<Record> records;
   };
 
-  explicit RedoJournal(int num_tables) : RedoJournal(num_tables, Config()) {}
-  RedoJournal(int num_tables, Config config);
+  // `segment_bytes` is the segment roll size; truncation drops whole
+  // flushed segments.
+  RedoJournal(int num_tables, int64_t segment_bytes);
 
   // ---- append path --------------------------------------------------
   // Appends one redo record; returns its seqno.
@@ -240,15 +232,15 @@ class RedoJournal {
   // Incremented by DropUnflushed / InstallImageBegin; lets in-flight
   // disk completions detect that the journal they flushed is gone.
   uint64_t generation() const { return generation_; }
-  const Config& config() const { return config_; }
 
  private:
   void AppendToSegment(Record record);
   void FoldIntoBase(const Record& record);
   void TruncateCoveredSegments();
-  void RecomputeLag();
+  // An unfolded record leaves the replay debt (folded or dropped).
+  void DropLag(const Record& record);
 
-  Config config_;
+  int64_t segment_bytes_;
   std::deque<Segment> segments_;
   // Checkpoint base image: committed rows as of the folded record set,
   // sharing the records' images. (Tombstones are folded away: a deleted

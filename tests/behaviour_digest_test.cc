@@ -340,14 +340,14 @@ Fingerprint ChaosFingerprint(const chaos::ChaosReport& r) {
 chaos::ChaosOptions ShortChaos(uint64_t seed) {
   chaos::ChaosOptions opts;
   opts.seed = seed;
-  opts.num_namenodes = 3;
+  opts.deployment.num_namenodes = 3;
   opts.workload_clients = 6;
   opts.ns.users = 32;
   opts.warmup = 1 * kSecond;
   opts.fault_window = 3 * kSecond;
   opts.settle = 2 * kSecond;
-  opts.client_rpc_timeout = 250 * kMillisecond;
-  opts.client_op_deadline = 1 * kSecond;
+  opts.deployment.client.rpc_timeout = 250 * kMillisecond;
+  opts.deployment.client.op_deadline = 1 * kSecond;
   return opts;
 }
 
@@ -491,8 +491,7 @@ void AddFigureCell(Fingerprint& fp, const workload::DriverResults& r,
 
 Fingerprint HopsFigureCell(hopsfs::PaperSetup setup) {
   bench::RunConfig cfg;
-  cfg.setup = setup;
-  cfg.num_namenodes = 1;
+  cfg.deployment = hopsfs::DeploymentOptions::FromPaperSetup(setup, 1);
   const bench::RunOutput o = bench::RunHopsFsWorkload(cfg);
   Fingerprint fp;
   AddFigureCell(fp, o.results, o.results.ops_per_sec() / o.num_namenodes,

@@ -165,7 +165,8 @@ TEST(ChaosHarness, LeaderNamenodeCrashElectsOneNewLeader) {
   ChaosOptions opts = SmallEpisode(21);
   // A successor claims only after the leader misses two 2 s rounds.
   opts.settle = 6 * kSecond;
-  opts.telemetry = true;  // the crashed NN may stay unavailable
+  // The crashed NN may stay unavailable.
+  opts.deployment.telemetry.enabled = true;
   FaultSchedule schedule;
   schedule.Add({opts.warmup + kSecond / 2, FaultType::kCrashLeaderNn});
   const ChaosReport report = RunChaosSchedule(opts, schedule);
@@ -188,7 +189,8 @@ TEST(ChaosHarness, BlockDnCrashIsReReplicated) {
   ChaosOptions opts = SmallEpisode(21);
   // Re-replication starts once the DN misses its 10 s heartbeat timeout.
   opts.settle = 12 * kSecond;
-  opts.telemetry = true;  // the lost DN may stay unavailable, no other host
+  // The lost DN may stay unavailable, no other host.
+  opts.deployment.telemetry.enabled = true;
   FaultSchedule schedule;
   schedule.Add({opts.warmup + kSecond / 2, FaultType::kCrashBlockDn});
   const ChaosReport report = RunChaosSchedule(opts, schedule);

@@ -20,6 +20,7 @@ struct MiniRun {
   std::vector<std::vector<int64_t>> replica_reads;
   std::vector<AzId> node_az;
   std::vector<std::vector<ndb::NodeId>> chains;
+  int clients_on_remote_nn = 0;  // bound to a namenode outside their AZ
 };
 
 MiniRun RunMini(hopsfs::PaperSetup setup, int nns = 3, int clients = 24,
@@ -66,6 +67,11 @@ MiniRun RunMini(hopsfs::PaperSetup setup, int nns = 3, int clients = 24,
   for (ndb::PartitionId p = 0;
        p < static_cast<ndb::PartitionId>(out.replica_reads.size()); ++p) {
     out.chains.push_back(fs.ndb().layout().ReplicaChain(p));
+  }
+  for (const auto& c : fs.clients()) {
+    if (c->current_nn() != nullptr && c->current_nn()->az() != c->az()) {
+      ++out.clients_on_remote_nn;
+    }
   }
   return out;
 }
@@ -115,7 +121,7 @@ TEST(IntegrationShapes, WithoutReadBackupPrimaryServesAllReads) {
   const auto off =
       RunMini(hopsfs::PaperSetup::kHopsFsCl_3_3, 3, 24,
               [](hopsfs::DeploymentOptions& o) {
-                o.override_read_backup = 0;
+                o.read_backup = false;
               });
   int64_t backups = 0, primary = 0;
   for (const auto& row : off.replica_reads) {
@@ -125,6 +131,38 @@ TEST(IntegrationShapes, WithoutReadBackupPrimaryServesAllReads) {
   ASSERT_GT(primary, 0);
   EXPECT_EQ(backups, 0) << "reads must pin to the primary without "
                            "Read Backup (Fig. 14b)";
+}
+
+// The ablation's other two switches (§IV): each one, turned off alone on
+// HopsFS-CL (3,3), gives up exactly the locality it provides.
+TEST(IntegrationShapes, WithoutAzNnSelectionClientsBindRemoteNamenodes) {
+  const auto cl = RunMini(hopsfs::PaperSetup::kHopsFsCl_3_3);
+  const auto off = RunMini(hopsfs::PaperSetup::kHopsFsCl_3_3, 3, 24,
+                           [](hopsfs::DeploymentOptions& o) {
+                             o.az_nn_selection = false;
+                           });
+  // One namenode per AZ: AZ-local selection always finds one (§IV-B3);
+  // a random pick lands in another AZ about two times in three.
+  EXPECT_EQ(cl.clients_on_remote_nn, 0);
+  EXPECT_GE(off.clients_on_remote_nn, 24 / 3);
+}
+
+TEST(IntegrationShapes, WithoutAzTcSelectionTrafficLeavesTheAz) {
+  const auto intra_share = [](const MiniRun& r) {
+    return static_cast<double>(r.intra_az_bytes) /
+           static_cast<double>(r.intra_az_bytes + r.inter_az_bytes);
+  };
+  const auto cl = RunMini(hopsfs::PaperSetup::kHopsFsCl_3_3);
+  const auto off = RunMini(hopsfs::PaperSetup::kHopsFsCl_3_3, 3, 24,
+                           [](hopsfs::DeploymentOptions& o) {
+                             o.az_tc_selection = false;
+                           });
+  // Round-robin TC choice and committed-read routing send about two in
+  // three transactions and reads to another AZ's replica (§IV-A4/5).
+  EXPECT_EQ(off.clients_on_remote_nn, 0);
+  EXPECT_LT(intra_share(off), intra_share(cl) - 0.1)
+      << "AZ-local share " << intra_share(off) << " vs "
+      << intra_share(cl) << " with AZ-aware TC selection";
 }
 
 TEST(IntegrationShapes, ClReadsAreAzLocal) {

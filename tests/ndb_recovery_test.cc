@@ -14,6 +14,7 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/topology.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace repro::ndb {
@@ -150,9 +151,94 @@ TEST(NdbRecoveryTest, LcpTruncatesRedoLog) {
     // the checkpoint cut, not the whole history.
     EXPECT_LT(j.live_records(), j.last_seqno()) << "node " << n;
     EXPECT_LE(j.lag_bytes(),
-              j.config().segment_bytes + 2 * j.config().flush_overhead_bytes)
+              node.redo_segment_bytes + 2 * kRedoFlushOverheadBytes)
         << "node " << n << " log not truncated at the LCP";
   }
+}
+
+// The journal keeps its replay debt (lag) per record: every append and
+// adoption raises it, every fold and dropped unfolded record lowers it.
+// After every step of random op sequences it must equal a walk over the
+// whole journal.
+TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
+  constexpr int kParts = 4;
+  int folds = 0, drops = 0;  // steps that lowered the lag, by cause
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    RedoJournal j(/*num_tables=*/2, /*segment_bytes=*/512);
+    int64_t epoch = 1;
+    Nanos now = 0;
+    TxnId txn = 0;
+    RedoJournal::FlushBatch inflight;  // prepared, not yet on disk
+    int64_t cut = -1;                  // the open checkpoint round's cut
+    const auto record = [&](bool adopt) {
+      const auto table = static_cast<TableId>(rng.NextBelow(2));
+      const Key key = StrFormat(
+          "k%llu", static_cast<unsigned long long>(rng.NextBelow(16)));
+      const auto part = static_cast<PartitionId>(rng.NextBelow(kParts));
+      const bool deleted = rng.NextBelow(5) == 0;
+      RowImage value =
+          deleted ? RowImage() : RowImage::Filled(rng.NextBelow(64), 'v');
+      if (adopt) {
+        j.AdoptRecord(epoch, ++txn, table, key, part, deleted,
+                      std::move(value), now);
+      } else {
+        j.Append(epoch, ++txn, table, key, part, deleted, std::move(value),
+                 now);
+      }
+    };
+    for (int step = 0; step < 400; ++step) {
+      now += kMillisecond;
+      const int64_t lag_before = j.lag_entries();
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 40) {
+        record(/*adopt=*/false);
+      } else if (op < 55) {
+        if (inflight.upto_seqno == 0) {
+          inflight = j.PrepareFlush();
+        } else {
+          j.MarkFlushed(inflight);
+          inflight = {};
+        }
+      } else if (op < 65) {
+        j.CloseEpoch(epoch++);
+      } else if (op < 80) {
+        if (cut < 0) cut = j.CheckpointCutSeqno(j.durable_epoch());
+        j.CompleteFragmentCheckpoint(
+            static_cast<PartitionId>(rng.NextBelow(kParts)), cut);
+        if (j.lag_entries() < lag_before) ++folds;
+      } else if (op < 87) {
+        if (cut >= 0) j.FinishCheckpointRound(cut, now);
+        cut = -1;
+      } else if (op < 94) {
+        j.DropUnflushed();
+        if (j.lag_entries() < lag_before) ++drops;
+        inflight = {};
+        cut = -1;
+      } else {
+        j.InstallImageBegin(epoch - 1, now);
+        j.InstallImageRow(0, "k0", RowImage::Of("base"));
+        for (int i = static_cast<int>(rng.NextBelow(6)); i > 0; --i) {
+          record(/*adopt=*/true);
+        }
+        inflight = {};
+        cut = -1;
+      }
+      int64_t bytes = 0, entries = 0;
+      for (const auto& seg : j.segments()) {
+        for (const auto& r : seg.records) {
+          if (r.folded) continue;
+          bytes += r.bytes;
+          entries += 1;
+        }
+      }
+      ASSERT_EQ(j.lag_bytes(), bytes) << "seed " << seed << " step " << step;
+      ASSERT_EQ(j.lag_entries(), entries)
+          << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(folds, 0) << "no checkpoint folded a record";
+  EXPECT_GT(drops, 0) << "no crash dropped an unflushed record";
 }
 
 // A written value is one buffer: the writer's image rides the prepare

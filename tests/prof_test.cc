@@ -520,8 +520,8 @@ chaos::ChaosOptions SmallChaosOptions() {
   opts.warmup = 1 * kSecond;
   opts.fault_window = 2 * kSecond;
   opts.settle = 2 * kSecond;
-  opts.client_rpc_timeout = 250 * kMillisecond;
-  opts.client_op_deadline = 1 * kSecond;
+  opts.deployment.client.rpc_timeout = 250 * kMillisecond;
+  opts.deployment.client.op_deadline = 1 * kSecond;
   return opts;
 }
 

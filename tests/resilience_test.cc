@@ -296,8 +296,8 @@ TEST(ResilienceIntegration, OverloadShedsAndNeverCompletesPastDeadline) {
 TEST(ResilienceIntegration, ChaosSurgeEpisodeInvariantsHold) {
   chaos::ChaosOptions opts;
   opts.seed = 321;
-  opts.num_namenodes = 3;
-  opts.block_datanodes = 0;
+  opts.deployment.num_namenodes = 3;
+  opts.deployment.block_datanodes = 0;
   opts.workload_clients = 4;
   opts.ns = workload::NamespaceConfig{/*users=*/16, /*dirs_per_user=*/2,
                                       /*files_per_dir=*/2,

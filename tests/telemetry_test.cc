@@ -496,8 +496,8 @@ chaos::ChaosOptions SmallChaosOptions() {
   opts.warmup = 1 * kSecond;
   opts.fault_window = 2 * kSecond;
   opts.settle = 2 * kSecond;
-  opts.client_rpc_timeout = 250 * kMillisecond;
-  opts.client_op_deadline = 1 * kSecond;
+  opts.deployment.client.rpc_timeout = 250 * kMillisecond;
+  opts.deployment.client.op_deadline = 1 * kSecond;
   return opts;
 }
 
@@ -507,9 +507,9 @@ TEST(TelemetryDeterminism, ChaosRunIsByteIdenticalWithTelemetryOnOrOff) {
   schedule.Add({Millis(1200), chaos::FaultType::kRestartNdbNode, 1});
 
   chaos::ChaosOptions on = SmallChaosOptions();
-  on.telemetry = true;
+  on.deployment.telemetry.enabled = true;
   chaos::ChaosOptions off = SmallChaosOptions();
-  off.telemetry = false;
+  off.deployment.telemetry.enabled = false;
 
   const chaos::ChaosReport run_on = chaos::RunChaosSchedule(on, schedule);
   const chaos::ChaosReport run_off = chaos::RunChaosSchedule(off, schedule);
@@ -527,7 +527,7 @@ TEST(TelemetryDeterminism, ChaosRunIsByteIdenticalWithTelemetryOnOrOff) {
 
 TEST(TelemetryDeterminism, FaultFreeRunRaisesNoAlertsAndRollsUpHealthy) {
   chaos::ChaosOptions opts = SmallChaosOptions();
-  opts.telemetry = true;
+  opts.deployment.telemetry.enabled = true;
   const chaos::ChaosReport r =
       chaos::RunChaosSchedule(opts, chaos::FaultSchedule{});
   EXPECT_TRUE(r.invariants_ok());  // includes slo-silence
