@@ -16,8 +16,11 @@ hopsbench/, by one of:
     ClientConfig::rpc_timeout;
   - a positional brace-init of the struct, which sets every member.
 
-A same-named member of another struct no longer counts. Run from the
-repository root; exits 1 and names each member that is never set.
+A same-named member of another struct no longer counts. A member is a
+declaration in the struct body, however it is laid out: one split over
+two lines and one whose type holds parentheses, as a `std::function`
+member, count like any other. Run from the repository root; exits 1 and
+names each member that is never set.
 """
 import bisect
 import glob
@@ -29,9 +32,10 @@ DIRS = ("src", "bench", "tests", "examples", "hopsbench")
 IDENT = r"[A-Za-z_]\w*"
 # Code only: string literals and comments cannot set a member.
 STRIP = re.compile(r'"(?:\\.|[^"\\\n])*"|//[^\n]*|/\*.*?\*/', re.S)
-MEMBER = re.compile(r"\s*((?:[\w:<>,*&]+\s+)+?)[*&]?(\w+)"
-                    r"(?:\s*=[^;]*|\s*\{[^;]*\})?;")
-SKIP = re.compile(r"\s*(static|using|friend|return|typedef)\b")
+SKIP = re.compile(r"\s*(static|using|friend|return|typedef|struct|class|"
+                  r"enum|union|template|explicit|virtual|operator|~)\b")
+CHAR = re.compile(r"'(?:\\.|[^'\\\n])'")  # a char literal, as '(' or '}'
+LABEL = re.compile(r"\b(?:public|protected|private)\s*:(?!:)")
 
 
 def blank(m):
@@ -47,23 +51,95 @@ def base_type(text):
     return text.split("::")[-1].split()[-1] if text.split() else ""
 
 
+def statements(body):
+    """Splits a struct body into its top-level declarations.
+
+    A declaration may span lines and hold parentheses and braces: a
+    `std::function<void(Simulation&)>` type, a brace initializer. An
+    inline function body ends its statement without a `;`.
+    """
+    out, cur, depth, paren = [], [], 0, 0
+    for c in body:
+        paren += {"(": 1, ")": -1}.get(c, 0)
+        if paren > 0:  # an argument list: a `= {}` default is no body
+            cur.append(c)
+            continue
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                cur.append(c)
+                if is_function("".join(cur)):
+                    out.append("".join(cur) + ";")  # no member
+                    cur = []
+                continue
+        if c == ";" and depth == 0:
+            out.append("".join(cur) + ";")
+            cur = []
+            continue
+        cur.append(c)
+    return out
+
+
+def is_function(text):
+    """Whether `text`, ending in a brace block, is a function definition."""
+    head = top_level(text[:text.index("{")])
+    if re.search(r"\boperator\b", head):
+        return True
+    paren = head.find("(")
+    return paren >= 0 and "=" not in head[:paren]
+
+
+def top_level(text):
+    """`text` with the inside of every (), <>, {} and [] group blanked."""
+    out, depth = [], 0
+    for c in text:
+        if c in ")>}]":
+            depth = max(depth - 1, 0)
+        out.append(c if depth == 0 else " ")
+        if c in "(<{[":
+            depth += 1
+    return "".join(out)
+
+
+def member_of(stmt):
+    """(name, type) of a data-member declaration, else None."""
+    stmt = LABEL.sub(" ", stmt).strip().rstrip(";").strip()
+    if not stmt or SKIP.match(stmt) or re.search(r"\boperator\b", stmt):
+        return None
+    flat = top_level(stmt)
+    # Drop the initializer: `= ...` or a trailing `{...}`.
+    eq = flat.find("=")
+    if eq >= 0:
+        stmt, flat = stmt[:eq], flat[:eq]
+    brace = re.search(r"\{\s*\}\s*$", flat)
+    if brace:
+        stmt, flat = stmt[:brace.start()], flat[:brace.start()]
+    if "(" in flat or ":" in flat.replace("::", ""):
+        return None  # a function declaration or a bit-field
+    m = re.match(rf"(.*?[\w>*&\s])[*&]?\s*({IDENT})\s*(?:\[[^\]]*\])?\s*$",
+                 stmt, re.S)
+    if not m or not m.group(1).strip():
+        return None
+    return m.group(2), base_type(" ".join(m.group(1).split()))
+
+
 def parse_structs(code):
     """Yields (struct, {member: type}) for each struct body in `code`."""
-    lines = code.split("\n")
-    for i, line in enumerate(lines):
-        m = re.match(r"\s*(?:struct|class)\s+(\w+)(?:\s+final)?\s*"
-                     r"(?::[^{;]*)?\{", line)
-        if not m:
-            continue
-        depth, members = 0, {}
-        for body in lines[i:]:
-            if depth == 1 and not SKIP.match(body):
-                d = MEMBER.match(body)
-                if d and "(" not in body.split("=")[0]:
-                    members[d.group(2)] = base_type(d.group(1))
-            depth += body.count("{") - body.count("}")
-            if depth == 0 and "}" in body:
+    code = CHAR.sub("' '", code)
+    for m in re.finditer(r"(?<![\w:])(?:struct|class)\s+(\w+)(?:\s+final)?"
+                         r"\s*(?::[^{;]*)?\{", code):
+        start, depth = m.end() - 1, 0
+        for end in range(start, len(code)):
+            depth += {"{": 1, "}": -1}.get(code[end], 0)
+            if depth == 0:
                 break
+        members = {}
+        for stmt in statements(code[start + 1:end]):
+            d = member_of(stmt)
+            if d:
+                members[d[0]] = d[1]
         yield m.group(1), members
 
 

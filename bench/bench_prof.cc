@@ -34,7 +34,10 @@
 //      pending when the profile window closes (engine.*); the run FAILS
 //      if pending exceeds 1.1x the baseline + 16. Both are deterministic:
 //      a resolved op that stopped cancelling its timeouts would park
-//      thousands more.
+//      thousands more. The tracked zones cover a small share of the
+//      window's allocations, so the whole window's counted allocations
+//      per completed op land there too (window.allocs_per_op), gated by
+//      the zones' rule: the run FAILS above 1.1x the baseline + 0.25.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -77,6 +80,7 @@ struct TrackedStats {
 struct ProfileRun {
   std::vector<TrackedStats> tracked;
   uint64_t ops_completed = 0;
+  uint64_t window_allocs = 0;      // counted allocations in the window
   uint64_t pending_at_close = 0;   // engine events pending at window close
   uint64_t events_dispatched = 0;  // over the whole run, setup included
 };
@@ -121,11 +125,14 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
   // Reset at the warm-up/measure boundary: the budget numbers cover the
   // steady-state window only (node creation, cold maps, intern tables
   // are all warm by then).
-  auto results = driver.Run(1 * kSecond, 4 * kSecond, [&profiler] {
+  uint64_t allocs_at_open = 0;
+  auto results = driver.Run(1 * kSecond, 4 * kSecond, [&] {
     prof::SetAllocSampleEvery(kAllocSampleEvery);  // primes the unwinder
     profiler.ResetStats();
     prof::ResetAllocSamples();
+    allocs_at_open = prof::TotalAllocs().count;
   });
+  const uint64_t window_allocs = prof::TotalAllocs().count - allocs_at_open;
   const std::string alloc_samples =
       prof::AllocSamplesText(static_cast<uint64_t>(results.completed));
   prof::SetAllocSampleEvery(0);
@@ -153,6 +160,7 @@ ProfileRun RunProfiledWorkload(const std::string& out_dir) {
 
   ProfileRun out;
   out.ops_completed = static_cast<uint64_t>(results.completed);
+  out.window_allocs = window_allocs;
   out.pending_at_close = sim.pending();
   out.events_dispatched = sim.events_processed();
   for (const auto& [name, stats] : profiler.ByName()) {
@@ -252,6 +260,22 @@ void CheckBudgets(const ProfileRun& run, Report& out) {
   }
 }
 
+// Every layer's allocations, not only the tracked zones': a regression in
+// the RPC layer or the workload driver shows here.
+void CheckWindowAllocs(const ProfileRun& run, Report& out) {
+  const double allocs = static_cast<double>(run.window_allocs) /
+                        static_cast<double>(run.ops_completed);
+  out.Value("window.allocs_per_op", allocs);
+  std::printf("window: %.3f allocs per completed op\n", allocs);
+  if (!out.has_baseline()) return;
+  const double base = out.Baseline("window.allocs_per_op").value_or(NAN);
+  const double ceiling = base * 1.1 + 0.25;
+  std::printf("  window allocs/op %8.3f vs baseline %8.3f (ceiling %8.3f)\n",
+              allocs, base, ceiling);
+  out.Check(allocs <= ceiling,
+            "window allocs/op within 1.1x baseline + 0.25");
+}
+
 // Parked events: what is pending at the window's close is the work in
 // flight plus the periodic timers, not timeouts of ops already answered.
 void CheckEngine(const ProfileRun& run, Report& out) {
@@ -280,6 +304,7 @@ int Main(int argc, char** argv) {
   out.Check(CheckDeterminism(),
             "pinned chaos episode byte-identical with profiler on vs off");
   CheckBudgets(run, out);
+  CheckWindowAllocs(run, out);
   CheckEngine(run, out);
   return out.Finish();
 }

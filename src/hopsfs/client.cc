@@ -67,8 +67,7 @@ void HopsFsClient::NoteBreaker(resilience::CircuitBreaker* b,
   if (b->transitions() != before) metrics::Bump(ctr_breaker_transitions_);
 }
 
-void HopsFsClient::PickNamenode(trace::SpanId span,
-                                std::function<void()> then) {
+void HopsFsClient::PickNamenode(trace::SpanId span, SmallFn then) {
   // Ask a random alive seed namenode for the active list (the leader
   // election gossips each NN's AZ), then prefer an AZ-local namenode.
   std::vector<Namenode*> alive;
@@ -85,7 +84,7 @@ void HopsFsClient::PickNamenode(trace::SpanId span,
       span, "net.nn_list_req", trace::Layer::kClient,
       trace::NetCause(az_, seed->az()), host_, az_, seed->az());
   network_.Send(host_, seed->host(), kRequestBytes,
-                [this, seed, span, req_hop, then = std::move(then)] {
+                [this, seed, span, req_hop, then = std::move(then)]() mutable {
                   sim_.tracer().EndSpan(req_hop);
                   const auto& active = seed->active_nns();
                   const Nanos now = sim_.now();
@@ -141,7 +140,8 @@ void HopsFsClient::PickNamenode(trace::SpanId span,
                       trace::NetCause(seed->az(), az_), seed->host(),
                       seed->az(), az_);
                   network_.Send(seed->host(), host_, kReplyBaseBytes,
-                                [this, reply_hop, then] {
+                                [this, reply_hop,
+                                 then = std::move(then)]() mutable {
                                   sim_.tracer().EndSpan(reply_hop);
                                   then();
                                 });
@@ -156,13 +156,14 @@ void HopsFsClient::Submit(FsRequest req, FsResultCb cb) {
   }
   budget_.OnRequest();  // first attempts accrue retry tokens
   ++ops_submitted_;
-  auto op = std::make_shared<OpState>();
-  op->req = std::move(req);
+  OpPtr op = ops_->Acquire();
+  op->req = requests_->Acquire();
+  *op->req = std::move(req);
   op->cb = std::move(cb);
   op->start = sim_.now();
   // Deterministic 1-in-N sampling decides here; 0 makes every tracer
   // call below a no-op.
-  op->span = sim_.tracer().StartTrace(FsOpName(op->req.op),
+  op->span = sim_.tracer().StartTrace(FsOpName(op->req->op),
                                       trace::Layer::kClient, host_, az_);
   StartAttempt(std::move(op));
 }
@@ -170,15 +171,14 @@ void HopsFsClient::Submit(FsRequest req, FsResultCb cb) {
 void HopsFsClient::StartAttempt(OpPtr op) {
   if (op->done) return;
   const Nanos now = sim_.now();
-  if (resilience::DeadlineExpired(op->req.deadline, now)) {
+  if (resilience::DeadlineExpired(op->req->deadline, now)) {
     Deliver(
-        std::move(op),
+        *op,
         FsResult{DeadlineExceeded("client: deadline passed before attempt")});
     return;
   }
   if (op->attempt > kMaxRpcAttempts) {
-    Deliver(std::move(op),
-            FsResult{Unavailable("all namenode RPC attempts failed")});
+    Deliver(*op, FsResult{Unavailable("all namenode RPC attempts failed")});
     return;
   }
   // The sticky NN is abandoned when dead or when its breaker is open.
@@ -195,7 +195,7 @@ void HopsFsClient::StartAttempt(OpPtr op) {
     PickNamenode(pick, [this, pick, op = std::move(op)]() mutable {
       sim_.tracer().EndSpan(pick);
       if (nn_ == nullptr) {
-        Deliver(std::move(op), FsResult{Unavailable("no namenode available")});
+        Deliver(*op, FsResult{Unavailable("no namenode available")});
         return;
       }
       Namenode* nn = nn_;
@@ -210,19 +210,20 @@ void HopsFsClient::StartAttempt(OpPtr op) {
 void HopsFsClient::SendToNn(OpPtr op, Namenode* nn) {
   if (op->done) return;
   const Nanos now = sim_.now();
-  RpcRef rpc = rpcs_->Acquire();
-  rpc->op = op;
-  rpc->nn = nn;
-  // One span per RPC attempt.
-  rpc->attempt =
-      sim_.tracer().StartSpan(op->span, "rpc", trace::Layer::kClient,
-                              trace::Cause::kWork, host_, az_);
-
   // The attempt timer never outlives the deadline: at equal timestamps
   // the earlier-scheduled timeout wins the event-order tie-break, so a
   // success can never race past an expired deadline through this path.
   const Nanos timeout = resilience::ClampToDeadline(
-      config_.rpc_timeout, op->req.deadline, now);
+      config_.rpc_timeout, op->req->deadline, now);
+  const int64_t bytes =
+      kRequestBytes + static_cast<int64_t>(op->req->path.size());
+  RpcRef rpc = rpcs_->Acquire();
+  // One span per RPC attempt.
+  rpc->attempt =
+      sim_.tracer().StartSpan(op->span, "rpc", trace::Layer::kClient,
+                              trace::Cause::kWork, host_, az_);
+  rpc->op = std::move(op);
+  rpc->nn = nn;
   rpc->timer = sim_.After(timeout, [this, rpc = rpc.Share()]() mutable {
     OnRpcTimeout(std::move(rpc));
   });
@@ -231,14 +232,14 @@ void HopsFsClient::SendToNn(OpPtr op, Namenode* nn) {
       rpc->attempt, "net.request", trace::Layer::kClient,
       trace::NetCause(az_, nn->az()), host_, az_, nn->az());
   network_.Send(
-      host_, nn->host(),
-      kRequestBytes + static_cast<int64_t>(op->req.path.size()),
-      [this, rpc = std::move(rpc)]() mutable {
+      host_, nn->host(), bytes, [this, rpc = std::move(rpc)]() mutable {
         sim_.tracer().EndSpan(rpc->net);
-        FsRequest req = rpc->op->req;  // each attempt sends its own copy
-        req.span = rpc->attempt;  // the NN parents its spans under it
+        // The namenode shares the op's request record (no copy per
+        // attempt) and parents its spans under the attempt's.
+        RequestRef req = rpc->op->req.Share();
+        const trace::SpanId span = rpc->attempt;
         Namenode* to = rpc->nn;
-        to->HandleRequest(std::move(req),
+        to->HandleRequest(std::move(req), span,
                           [this, rpc = std::move(rpc)](FsResult r) mutable {
                             SendRpcReply(std::move(rpc), std::move(r));
                           });
@@ -261,7 +262,8 @@ void HopsFsClient::OnRpcTimeout(RpcRef rpc) {
   // retry under the budget after a jittered delay (herd control).
   if (nn_ == nn) nn_ = nullptr;
   last_failed_nn_ = nn->id();
-  RetryAfterFailure(rpc->op, Unavailable("namenode RPC timed out"));
+  // The slot keeps its reference: a late reply still reads the op.
+  RetryAfterFailure(rpc->op.Share(), Unavailable("namenode RPC timed out"));
 }
 
 void HopsFsClient::SendRpcReply(RpcRef rpc, FsResult result) {
@@ -276,40 +278,40 @@ void HopsFsClient::SendRpcReply(RpcRef rpc, FsResult result) {
   rpc->net = sim_.tracer().StartSpan(
       rpc->attempt, "net.reply", trace::Layer::kClient,
       trace::NetCause(nn->az(), az_), nn->host(), nn->az(), az_);
-  ResultRef res = results_->Acquire();
-  *res = std::move(result);
+  rpc->result = std::move(result);
   network_.Send(nn->host(), host_, bytes,
-                [this, rpc = std::move(rpc), res = std::move(res)]() mutable {
-                  OnRpcReply(std::move(rpc), std::move(res));
+                [this, rpc = std::move(rpc)]() mutable {
+                  OnRpcReply(std::move(rpc));
                 });
 }
 
-void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
+void HopsFsClient::OnRpcReply(RpcRef rpc) {
   sim_.tracer().EndSpan(rpc->net);
   sim_.tracer().EndSpan(rpc->attempt);
+  FsResult& result = rpc->result;
   if (rpc->resolved) {
     // Timed out already, yet the namenode did the work: accept the reply
     // if the op is still open. A large file's blocks still move first,
     // and Deliver's done-guard drops it if a retry answered already.
-    HandleLargeFileIo(rpc->op, std::move(*result));
+    HandleLargeFileIo(std::move(rpc->op), std::move(result));
     return;
   }
   rpc->resolved = true;
   sim_.Cancel(rpc->timer);
   OpPtr op = std::move(rpc->op);
   Namenode* nn = rpc->nn;
-  if (result->status.code() == Code::kResourceExhausted) {
+  if (result.status.code() == Code::kResourceExhausted) {
     // Server shed us (OVERLOADED). The NN is healthy — no breaker strike
     // — but spread the retry to a different NN under the budget.
     metrics::Bump(ctr_shed_seen_);
     if (op->done) return;
     if (nn_ == nn) nn_ = nullptr;
     last_failed_nn_ = nn->id();
-    RetryAfterFailure(std::move(op), std::move(result->status));
+    RetryAfterFailure(std::move(op), std::move(result.status));
     return;
   }
   NoteBreaker(breaker(nn), [this, nn] { breaker(nn)->OnSuccess(); });
-  HandleLargeFileIo(std::move(op), std::move(*result));
+  HandleLargeFileIo(std::move(op), std::move(result));
 }
 
 // Shared failure path for timeouts and server sheds: consult the retry
@@ -317,7 +319,7 @@ void HopsFsClient::OnRpcReply(RpcRef rpc, ResultRef result) {
 void HopsFsClient::RetryAfterFailure(OpPtr op, Status give_up_status) {
   if (resilience_ && !budget_.Withdraw()) {
     metrics::Bump(ctr_budget_denied_);
-    Deliver(std::move(op), FsResult{std::move(give_up_status)});
+    Deliver(*op, FsResult{std::move(give_up_status)});
     return;
   }
   metrics::Bump(ctr_retries_);
@@ -339,18 +341,18 @@ void HopsFsClient::RetryAfterFailure(OpPtr op, Status give_up_status) {
 // successes that slipped past the deadline, and audits the invariant
 // that nothing completes successfully after DEADLINE_EXCEEDED was
 // reported.
-void HopsFsClient::Deliver(OpPtr op, FsResult result) {
-  if (op->done) return;  // first response won; later ones are dropped
+void HopsFsClient::Deliver(OpState& op, FsResult result) {
+  if (op.done) return;  // first response won; later ones are dropped
   const Nanos now = sim_.now();
   if (result.status.ok() &&
-      resilience::DeadlineExpired(op->req.deadline, now)) {
+      resilience::DeadlineExpired(op.req->deadline, now)) {
     // Block-IO continuations can finish past the deadline; the caller
     // must still see DEADLINE_EXCEEDED, never a late success.
     result.status = DeadlineExceeded("client: completed past deadline");
   }
-  op->done = true;
+  op.done = true;
   if (result.status.code() == Code::kDeadlineExceeded) {
-    op->reported_deadline_exceeded = true;
+    op.reported_deadline_exceeded = true;
     metrics::Bump(ctr_deadline_);
   }
   if (result.status.ok()) {
@@ -358,8 +360,8 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result) {
     // the deadline (or after a DEADLINE_EXCEEDED report) must have been
     // converted or dropped; a non-zero count means a delivery path
     // bypassed the enforcement above.
-    if (resilience::DeadlineExpired(op->req.deadline, now) ||
-        op->reported_deadline_exceeded) {
+    if (resilience::DeadlineExpired(op.req->deadline, now) ||
+        op.reported_deadline_exceeded) {
       ++post_deadline_successes_;
     }
   }
@@ -372,7 +374,7 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result) {
     metrics::Bump(ctr_slo_good_);
   }
   if (result.status.ok()) {
-    const Nanos lat = now - op->start;
+    const Nanos lat = now - op.start;
     metrics::Bump(ctr_slo_latency_total_);
     if (lat <= kSloLatencyThreshold) {
       metrics::Bump(ctr_slo_latency_good_);
@@ -381,8 +383,8 @@ void HopsFsClient::Deliver(OpPtr op, FsResult result) {
   }
   // Finalize the trace at the moment the caller observes completion; any
   // still-open span (an in-flight reply) is clamped to now.
-  sim_.tracer().EndTrace(op->span);
-  op->cb(std::move(result));
+  sim_.tracer().EndTrace(op.span);
+  op.cb(std::move(result));
 }
 
 struct HopsFsClient::BlockIo {
@@ -405,7 +407,7 @@ struct HopsFsClient::BlockIo {
 void HopsFsClient::HandleLargeFileIo(OpPtr op, FsResult result) {
   if (dn_registry_ == nullptr || !result.status.ok() ||
       (result.new_blocks.empty() && result.blocks.empty())) {
-    Deliver(std::move(op), std::move(result));
+    Deliver(*op, std::move(result));
     return;
   }
   // Writes: push each new block through its replication pipeline.
@@ -425,7 +427,7 @@ void HopsFsClient::NextBlock(BlockIoPtr io) {
     ++io->next;
   }
   if (io->next >= blocks.size()) {
-    Deliver(op, std::move(io->result));
+    Deliver(*op, std::move(io->result));
     return;
   }
   if (io->writing) {
@@ -452,7 +454,7 @@ void HopsFsClient::NextBlock(BlockIoPtr io) {
 // dead datanode never answers, and a transfer must not outlive its op.
 void HopsFsClient::ArmBlockTimer(const BlockIoPtr& io) {
   const Nanos timeout = resilience::ClampToDeadline(
-      config_.rpc_timeout, io->op->req.deadline, sim_.now());
+      config_.rpc_timeout, io->op->req->deadline, sim_.now());
   io->timer = sim_.After(timeout, [this, io, serial = io->serial] {
     if (!EndTransfer(*io, serial)) return;
     if (io->writing) {
@@ -474,18 +476,18 @@ bool HopsFsClient::EndTransfer(BlockIo& io, uint64_t serial) {
 
 void HopsFsClient::FailBlockIo(BlockIoPtr io, Status status) {
   // A transfer cut off by the op's deadline reports the deadline.
-  if (resilience::DeadlineExpired(io->op->req.deadline, sim_.now())) {
+  if (resilience::DeadlineExpired(io->op->req->deadline, sim_.now())) {
     status = DeadlineExceeded("client: block io past deadline");
   }
   io->result.status = std::move(status);
-  Deliver(io->op, std::move(io->result));
+  Deliver(*io->op, std::move(io->result));
 }
 
 void HopsFsClient::WriteBlock(BlockIoPtr io) {
   const OpPtr& op = io->op;
   // Deadline check between blocks: a multi-block transfer must not
   // keep streaming for an op nobody is waiting on anymore.
-  const Nanos deadline = op->req.deadline;
+  const Nanos deadline = op->req->deadline;
   if (resilience::DeadlineExpired(deadline, sim_.now())) {
     FailBlockIo(std::move(io),
                 DeadlineExceeded("client: block io past deadline"));
@@ -533,7 +535,7 @@ void HopsFsClient::WriteBlock(BlockIoPtr io) {
 void HopsFsClient::ReadNextReplica(BlockIoPtr io) {
   const OpPtr& op = io->op;
   if (op->done) return;
-  const Nanos deadline = op->req.deadline;
+  const Nanos deadline = op->req->deadline;
   if (resilience::DeadlineExpired(deadline, sim_.now())) {
     FailBlockIo(std::move(io),
                 DeadlineExceeded("client: block io past deadline"));

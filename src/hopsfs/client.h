@@ -99,9 +99,13 @@ class HopsFsClient {
   void ContentSummary(const std::string& path, SummaryCb cb);
 
  private:
-  // One client operation across all its attempts.
+  // One client operation across all its attempts, pooled. Exactly one
+  // stage owns it at a time (the attempt in flight, a retry's backoff, a
+  // large file's block transfers), except after a timeout: the timed-out
+  // attempt keeps its reference for a late reply while the retry holds
+  // a second one.
   struct OpState {
-    FsRequest req;
+    RequestRef req;  // shared with the namenode by every attempt
     FsResultCb cb;
     int attempt = 1;
     Nanos start = 0;
@@ -109,14 +113,15 @@ class HopsFsClient {
     bool reported_deadline_exceeded = false;
     trace::SpanId span = 0;  // root span of the op's trace (0 = unsampled)
   };
-  using OpPtr = std::shared_ptr<OpState>;
+  using OpPool = RecordPool<OpState>;
+  using OpPtr = OpPool::Ref;
 
   // One namenode RPC attempt, pooled. Its timeout timer and its
   // request/reply hops each hold a reference; whichever of timeout and
   // reply comes first resolves it. A reply cancels the timer, which
   // returns the slot to the pool as soon as the reply is handled; a reply
-  // after the timeout finds `resolved` set. The reply's FsResult travels
-  // in its own pooled record.
+  // after the timeout finds `resolved` set. The reply's FsResult rides
+  // in the slot, so the reply hop captures only {this, slot}.
   struct RpcSlot {
     OpPtr op;
     Namenode* nn = nullptr;
@@ -124,19 +129,18 @@ class HopsFsClient {
     bool resolved = false;
     trace::SpanId attempt = 0;  // the attempt's span
     trace::SpanId net = 0;      // the hop in flight (request, then reply)
+    FsResult result;            // the namenode's reply
   };
   using RpcPool = RecordPool<RpcSlot>;
   using RpcRef = RpcPool::Ref;
-  using ResultPool = RecordPool<FsResult>;
-  using ResultRef = ResultPool::Ref;
 
   void StartAttempt(OpPtr op);
   void SendToNn(OpPtr op, Namenode* nn);
   void OnRpcTimeout(RpcRef rpc);
   void SendRpcReply(RpcRef rpc, FsResult result);
-  void OnRpcReply(RpcRef rpc, ResultRef result);
+  void OnRpcReply(RpcRef rpc);
   void RetryAfterFailure(OpPtr op, Status give_up_status);
-  void Deliver(OpPtr op, FsResult result);
+  void Deliver(OpState& op, FsResult result);
   // Large files: after the namenode's reply, the op's block transfers
   // run one block at a time before the caller sees the result. Each
   // transfer arms one timer that its datanode's answer cancels.
@@ -150,7 +154,7 @@ class HopsFsClient {
   void ArmBlockTimer(const BlockIoPtr& io);
   bool EndTransfer(BlockIo& io, uint64_t serial);
   void FailBlockIo(BlockIoPtr io, Status status);
-  void PickNamenode(trace::SpanId span, std::function<void()> then);
+  void PickNamenode(trace::SpanId span, SmallFn then);
   resilience::CircuitBreaker* breaker(const Namenode* nn);
   void NoteBreaker(resilience::CircuitBreaker* b,
                    const std::function<void()>& update);
@@ -168,8 +172,9 @@ class HopsFsClient {
 
   Namenode* nn_ = nullptr;
   std::string user_;
+  OpPool::Handle ops_ = OpPool::Handle::Make();
+  RequestPool::Handle requests_ = RequestPool::Handle::Make();
   RpcPool::Handle rpcs_ = RpcPool::Handle::Make();
-  ResultPool::Handle results_ = ResultPool::Handle::Make();
 
   // Resilience state.
   resilience::RetryBudget budget_;

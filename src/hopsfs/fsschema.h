@@ -78,8 +78,13 @@ struct FsTables {
 };
 
 // ---- key construction ----
+// Sized once, so a key past the small-string buffer costs one allocation.
 inline std::string InodeKey(InodeId parent, std::string_view name) {
-  return std::to_string(parent) + "/" + std::string(name);
+  std::string key = std::to_string(parent);
+  key.reserve(key.size() + 1 + name.size());
+  key += '/';
+  key += name;
+  return key;
 }
 inline std::string InodeChildrenPrefix(InodeId dir) {
   return std::to_string(dir) + "/";

@@ -56,7 +56,7 @@ Namenode::Namenode(Simulation& sim, Network& network,
     : sim_(sim), network_(network), ndb_(ndb), tables_(tables),
       nn_id_(nn_id), host_(host), az_(az), dn_registry_(dn_registry),
       placement_(placement), config_(config), admission_(admission),
-      rng_(sim.rng().Split()),
+      ops_(OpPool::Handle::Make()), rng_(sim.rng().Split()),
       limiter_(resilience::AimdLimiterConfig{
           config.admission_min_limit, config.admission_max_limit,
           config.admission_initial_limit, kAdmissionLatencyTarget,
@@ -80,6 +80,8 @@ Namenode::Namenode(Simulation& sim, Network& network,
     dn_known_dead_.assign(dn_registry_->size(), false);
   }
 }
+
+Namenode::~Namenode() { Stop(); }
 
 void Namenode::Crash() {
   alive_ = false;
@@ -122,20 +124,22 @@ void Namenode::PrimePathCache(const std::string& path, InodeId id,
 // Request plumbing
 // ---------------------------------------------------------------------------
 
-void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
+void Namenode::HandleRequest(RequestRef req, trace::SpanId span,
+                             FsResultCb done) {
   if (!alive_) return;  // the client's RPC timeout covers dead servers
   const Nanos now = sim_.now();
   // Deadline check *before* queueing: an op whose remaining budget cannot
   // even cover the CPU queue is doomed — fail fast instead of wasting a
   // thread slot on it (deadline propagation, hop 2).
-  if (resilience::HasDeadline(req.deadline) &&
-      now + cpu_->Backlog() + kOpCpuCost >= req.deadline) {
+  if (resilience::HasDeadline(req->deadline) &&
+      now + cpu_->Backlog() + kOpCpuCost >= req->deadline) {
     metrics::Bump(ctr_deadline_);
     done(FsResult{DeadlineExceeded("nn: queue would overrun deadline")});
     return;
   }
-  auto ctx = std::make_shared<OpCtx>();
+  OpPtr ctx = ops_->Acquire();
   ctx->req = std::move(req);
+  ctx->span = span;
   ctx->done = std::move(done);
   // Admission control: shed excess load with a retryable OVERLOADED
   // status honoured by the client's retry budget, instead of queueing
@@ -149,26 +153,27 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
     ctx->admitted = true;
     ctx->admit_time = now;
   }
-  const Booking b = cpu_->Submit(kOpCpuCost, [this, ctx] {
-    if (alive_) RunAttempt(ctx);
-  });
-  if (ctx->req.span != 0) {
+  const Booking b =
+      cpu_->Submit(kOpCpuCost, [this, ctx = std::move(ctx)]() mutable {
+        if (alive_) RunAttempt(std::move(ctx));
+      });
+  if (span != 0) {
     trace::Tracer& tr = sim_.tracer();
     if (b.queued() > 0) {
-      tr.AddSpanAt(ctx->req.span, "nn.queue", trace::Layer::kNamenode,
+      tr.AddSpanAt(span, "nn.queue", trace::Layer::kNamenode,
                    trace::Cause::kCpuQueue, host_, az_, b.submit, b.start);
     }
-    tr.AddSpanAt(ctx->req.span, "nn.cpu", trace::Layer::kNamenode,
+    tr.AddSpanAt(span, "nn.cpu", trace::Layer::kNamenode,
                  trace::Cause::kCpu, host_, az_, b.start, b.finish);
   }
 }
 
-void Namenode::Finish(OpPtr ctx, FsResult result) {
-  sim_.tracer().EndSpan(ctx->txn_span);
-  ctx->txn_span = 0;
-  if (ctx->admitted) {
-    ctx->admitted = false;
-    limiter_.Release(sim_.now() - ctx->admit_time, sim_.now());
+void Namenode::Finish(OpCtx& ctx, FsResult result) {
+  sim_.tracer().EndSpan(ctx.txn_span);
+  ctx.txn_span = 0;
+  if (ctx.admitted) {
+    ctx.admitted = false;
+    limiter_.Release(sim_.now() - ctx.admit_time, sim_.now());
   }
   if (result.status.code() == Code::kDeadlineExceeded) {
     metrics::Bump(ctr_deadline_);
@@ -180,7 +185,7 @@ void Namenode::Finish(OpPtr ctx, FsResult result) {
     metrics::Bump(ctr_host_errors_);
   }
   ++ops_served_;
-  ctx->done(std::move(result));
+  ctx.done(std::move(result));
 }
 
 void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
@@ -196,16 +201,16 @@ void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
       !ctx->cache_retry_done) {
     ctx->cache_retry_done = true;
     path_cache_.clear();
-    RunAttempt(ctx);
+    RunAttempt(std::move(ctx));
     return;
   }
   const Nanos now = sim_.now();
-  if (resilience::DeadlineExpired(ctx->req.deadline, now)) {
-    Finish(ctx, FsResult{DeadlineExceeded("nn: deadline passed during txn")});
+  if (resilience::DeadlineExpired(ctx->req->deadline, now)) {
+    Finish(*ctx, FsResult{DeadlineExceeded("nn: deadline passed during txn")});
     return;
   }
   if (!failure.retryable() || ctx->attempt >= kMaxTxnRetries) {
-    Finish(ctx, FsResult{failure});
+    Finish(*ctx, FsResult{failure});
     return;
   }
   // Retry with exponential backoff + jitter: HopsFS's backpressure to
@@ -217,12 +222,12 @@ void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
   const Nanos backoff = resilience::RetryBackoff(
       kRetryBackoff, ctx->attempt, kRetryBackoffExpCap, kMaxRetryBackoff,
       static_cast<Nanos>(rng_.NextBelow(kRetryBackoff)),
-      ctx->req.deadline, now);
-  sim_.tracer().AddSpanAt(ctx->req.span, "nn.retry_backoff",
+      ctx->req->deadline, now);
+  sim_.tracer().AddSpanAt(ctx->span, "nn.retry_backoff",
                           trace::Layer::kNamenode, trace::Cause::kRetry,
                           host_, az_, now, now + backoff);
-  sim_.After(backoff, [this, ctx] {
-    if (alive_) RunAttempt(ctx);
+  sim_.After(backoff, [this, ctx = std::move(ctx)]() mutable {
+    if (alive_) RunAttempt(std::move(ctx));
   });
 }
 
@@ -237,7 +242,7 @@ struct Namenode::PathWalk {
 
 void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
   if (path == "/") {
-    (this->*then)(ctx, kRootInode, InodeKey(0, ""));
+    (this->*then)(std::move(ctx), kRootInode, InodeKey(0, ""));
     return;
   }
   // Fast path: HopsFS resolves cached path prefixes from the NN-side
@@ -250,7 +255,7 @@ void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
   auto hit = path_cache_.find(path);
   if (hit != path_cache_.end()) {
     ctx->used_cache = true;
-    (this->*then)(ctx, hit->second.id, hit->second.row_key);
+    (this->*then)(std::move(ctx), hit->second.id, hit->second.row_key);
     return;
   }
   auto w = std::make_shared<PathWalk>();
@@ -261,28 +266,30 @@ void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
 
 void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
   if (w->next == w->parts.size()) {
-    (this->*w->then)(ctx, w->dir, w->row_key);
+    (this->*w->then)(std::move(ctx), w->dir, w->row_key);
     return;
   }
   w->row_key = InodeKey(w->dir, w->parts[w->next]);
+  const ndb::TxnId txn = ctx->txn;
   api_->Read(
-      ctx->txn, tables_.inodes, w->row_key, ndb::LockMode::kReadCommitted,
-      [this, ctx, w](Code code, ndb::RowImage value) {
+      txn, tables_.inodes, w->row_key, ndb::LockMode::kReadCommitted,
+      [this, ctx = std::move(ctx), w](Code code,
+                                      ndb::RowImage value) mutable {
         if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "path read failed"));
+          MaybeRetry(std::move(ctx), Status(code, "path read failed"));
           return;
         }
         if (!value) {
           if (ctx->used_cache) {
-            MaybeRetry(ctx, NotFound("path component missing"));
+            MaybeRetry(std::move(ctx), NotFound("path component missing"));
           } else {
-            Fail(ctx, NotFound("path component missing"));
+            Fail(*ctx, NotFound("path component missing"));
           }
           return;
         }
         InodeRow row;
         if (!InodeRow::Decode(value.view(), &row) || !row.is_dir) {
-          Fail(ctx, FailedPrecondition("path component is not a directory"));
+          Fail(*ctx, FailedPrecondition("path component is not a directory"));
           return;
         }
         // Cache this prefix: "/p0/.../pi" -> row.id.
@@ -294,7 +301,7 @@ void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
         path_cache_[prefix] = CachedPath{row.id, w->row_key};
         w->dir = row.id;
         ++w->next;
-        WalkPath(ctx, w);
+        WalkPath(std::move(ctx), w);
       });
 }
 
@@ -304,8 +311,8 @@ void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
 
 void Namenode::RunAttempt(OpPtr ctx) {
   PROF_ZONE("nn.op.dispatch");
-  if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
-    Finish(ctx,
+  if (resilience::DeadlineExpired(ctx->req->deadline, sim_.now())) {
+    Finish(*ctx,
            FsResult{DeadlineExceeded("nn: deadline passed before attempt")});
     return;
   }
@@ -318,16 +325,16 @@ void Namenode::RunAttempt(OpPtr ctx) {
   // One span per transaction attempt; NDB op spans hang under it via
   // SetTxnTrace below.
   ctx->txn_span = sim_.tracer().StartSpan(
-      ctx->req.span, "nn.txn", trace::Layer::kNamenode, trace::Cause::kWork,
+      ctx->span, "nn.txn", trace::Layer::kNamenode, trace::Cause::kWork,
       host_, az_);
 
-  const std::string_view path = ctx->req.path;
+  const std::string_view path = ctx->req->path;
   std::string_view parent;
   if (path == "/") {
     parent = {};
     ctx->base = {};
   } else {
-    // Both views alias req.path, which is stable for the op's lifetime.
+    // Both views alias the request's path, stable for the op's lifetime.
     auto [p, b] = SplitParentView(path);
     parent = p;
     ctx->base = b;
@@ -345,22 +352,22 @@ void Namenode::RunAttempt(OpPtr ctx) {
   }
   ctx->txn = api_->Begin(tables_.inodes, hint);
   if (ctx->txn == 0) {
-    MaybeRetry(ctx, Unavailable("no NDB datanode reachable"));
+    MaybeRetry(std::move(ctx), Unavailable("no NDB datanode reachable"));
     return;
   }
   // Deadline propagation, hop 3: every NDB op of this transaction carries
   // the deadline and clamps its timeout to the remaining budget.
-  api_->SetTxnDeadline(ctx->txn, ctx->req.deadline);
+  api_->SetTxnDeadline(ctx->txn, ctx->req->deadline);
   api_->SetTxnTrace(ctx->txn, ctx->txn_span);
 
   if (path == "/") {
     // Target is the root itself.
     ctx->dir = 0;
     ctx->dir_row_key = {};
-    Dispatch(ctx);
+    Dispatch(std::move(ctx));
     return;
   }
-  ResolveDir(ctx, parent, &Namenode::ParentResolved);
+  ResolveDir(std::move(ctx), parent, &Namenode::ParentResolved);
 }
 
 void Namenode::ParentResolved(OpPtr ctx, InodeId dir,
@@ -369,24 +376,24 @@ void Namenode::ParentResolved(OpPtr ctx, InodeId dir,
   // The view may alias the path cache or the walk's key; pin a copy the
   // deferred transaction callbacks can use.
   ctx->dir_row_key = ctx->arena.Intern(row_key);
-  Dispatch(ctx);
+  Dispatch(std::move(ctx));
 }
 
 void Namenode::Dispatch(OpPtr ctx) {
-  switch (ctx->req.op) {
-    case FsOp::kMkdir: DoMkdir(ctx); return;
-    case FsOp::kCreate: DoCreate(ctx); return;
-    case FsOp::kOpenRead: DoOpenRead(ctx); return;
-    case FsOp::kStat: DoStat(ctx); return;
-    case FsOp::kDelete: DoDelete(ctx); return;
-    case FsOp::kListDir: DoListDir(ctx); return;
-    case FsOp::kRename: DoRename(ctx); return;
+  switch (ctx->req->op) {
+    case FsOp::kMkdir: DoMkdir(std::move(ctx)); return;
+    case FsOp::kCreate: DoCreate(std::move(ctx)); return;
+    case FsOp::kOpenRead: DoOpenRead(std::move(ctx)); return;
+    case FsOp::kStat: DoStat(std::move(ctx)); return;
+    case FsOp::kDelete: DoDelete(std::move(ctx)); return;
+    case FsOp::kListDir: DoListDir(std::move(ctx)); return;
+    case FsOp::kRename: DoRename(std::move(ctx)); return;
     case FsOp::kChmod:
     case FsOp::kChown:
-    case FsOp::kSetTimes: DoSetAttr(ctx); return;
-    case FsOp::kAppend: DoAppend(ctx); return;
-    case FsOp::kContentSummary: DoContentSummary(ctx); return;
-    case FsOp::kDeleteRecursive: DoDeleteRecursive(ctx); return;
+    case FsOp::kSetTimes: DoSetAttr(std::move(ctx)); return;
+    case FsOp::kAppend: DoAppend(std::move(ctx)); return;
+    case FsOp::kContentSummary: DoContentSummary(std::move(ctx)); return;
+    case FsOp::kDeleteRecursive: DoDeleteRecursive(std::move(ctx)); return;
   }
 }
 

@@ -27,6 +27,7 @@
 #include "ndb/client.h"
 #include "resilience/admission.h"
 #include "sim/callback.h"
+#include "sim/record_pool.h"
 #include "sim/resources.h"
 #include "util/status.h"
 
@@ -68,10 +69,13 @@ struct FsRequest {
   // Absolute deadline stamped by the client (0 = none); propagated down
   // through NDB and the block layer, checked before each queueing point.
   Nanos deadline = 0;
-  // Trace span of the client RPC attempt carrying this request (0 = the
-  // operation is not sampled). The namenode parents its spans under it.
-  trace::SpanId span = 0;
 };
+
+// The client keeps each op's request in one pooled record, immutable once
+// Submit has stamped it, and every attempt hands the namenode a shared
+// Ref to it instead of a copy.
+using RequestPool = RecordPool<FsRequest>;
+using RequestRef = RequestPool::Ref;
 
 struct FsResult {
   FsResult() = default;
@@ -127,7 +131,7 @@ class Namenode {
            HostId host, AzId az, blocks::DnRegistry* dn_registry,
            blocks::BlockPlacementPolicy* placement, NamenodeConfig config,
            bool admission);
-  ~Namenode() { Stop(); }
+  ~Namenode();
 
   int32_t id() const { return nn_id_; }
   HostId host() const { return host_; }
@@ -144,8 +148,10 @@ class Namenode {
   const std::vector<ActiveNn>& active_nns() const { return active_nns_; }
 
   // Client RPC entry point: runs the op and calls `done` on this host
-  // (the client stub handles the network hop back).
-  void HandleRequest(FsRequest req, FsResultCb done);
+  // (the client stub handles the network hop back). `span` is the
+  // client's RPC attempt span (0 = unsampled); the namenode parents its
+  // spans under it.
+  void HandleRequest(RequestRef req, trace::SpanId span, FsResultCb done);
 
   // Datanode heartbeat sink (routed to the leader by the deployment).
   void OnDnHeartbeat(blocks::DnId dn);
@@ -170,14 +176,19 @@ class Namenode {
   const resilience::AimdLimiter& limiter() const { return limiter_; }
 
  private:
+  // One op's context, pooled per namenode. A step that takes `OpPtr` by
+  // value takes over the caller's reference; one that takes `OpCtx&`
+  // only borrows it. Each write of a fan-out join holds its own
+  // reference (`Share()`), as does the attempt that owns the join.
   struct OpCtx;
-  using OpPtr = std::shared_ptr<OpCtx>;
+  using OpPool = RecordPool<OpCtx>;
+  using OpPtr = OpPool::Ref;
   using WriteCb = ndb::NdbApiNode::WriteCb;
 
   // -- operation state machines --
   void RunAttempt(OpPtr ctx);
   void Dispatch(OpPtr ctx);
-  void Finish(OpPtr ctx, FsResult result);
+  void Finish(OpCtx& ctx, FsResult result);
   void MaybeRetry(OpPtr ctx, const Status& failure);
 
   // Resolves the inode id of directory `path` ("/a/b") with committed
@@ -202,12 +213,11 @@ class Namenode {
   WriteCb WriteThen(OpPtr ctx, const char* what, Then then);
   // One write of the attempt's fan-out join; ArmJoin follows the last.
   WriteCb Joined(const OpPtr& ctx);
-  void ArmJoin(const OpPtr& ctx, const char* write_what,
-               const char* commit_what);
+  void ArmJoin(OpPtr ctx, const char* write_what, const char* commit_what);
   void JoinDecided(OpPtr ctx);
   void CommitAndFinish(OpPtr ctx, const char* what);
-  void Fail(OpPtr ctx, Status status);
-  void TouchParent(const OpPtr& ctx, WriteCb cb);
+  void Fail(OpCtx& ctx, Status status);
+  void TouchParent(OpCtx& ctx, WriteCb cb);
   void AddBlocks(const OpPtr& ctx, InodeId file, int32_t from, int32_t to,
                  int64_t size);
   void RemoveInode(const OpPtr& ctx, ndb::Key key, const InodeRow& inode,
@@ -264,6 +274,7 @@ class Namenode {
 
   std::unique_ptr<ThreadPool> cpu_;
   std::unique_ptr<ndb::NdbApiNode> api_;
+  OpPool::Handle ops_;  // made in the constructor, where OpCtx is complete
   bool alive_ = true;
   bool is_leader_ = false;
   Rng rng_;

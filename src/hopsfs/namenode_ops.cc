@@ -13,7 +13,10 @@
 // step, Joined/ArmJoin fan writes out and join them before the commit,
 // CommitAndFinish is the commit tail and Fail the abort tail. Each
 // continuation captures only {this, ctx} or {this, ctx, state}, so it
-// stays inside SmallCall's inline slot.
+// stays inside SmallCall's inline slot. A continuation owns the op's
+// pooled context and hands it on to the next step; a call that reads the
+// context and moves it in the same expression reads it into a local
+// first, since argument evaluation order is unspecified.
 #include <algorithm>
 #include <cstring>
 #include <iterator>
@@ -89,68 +92,73 @@ std::vector<BlockRow> DecodeBlocks(const Rows& rows) {
 template <typename Then>
 void Namenode::ReadInode(OpPtr ctx, ndb::Key key, ndb::LockMode mode,
                          const InodeRead& what, Then then) {
-  api_->Read(ctx->txn, tables_.inodes, std::move(key), mode,
-             [this, ctx, &what, then](Code code, ndb::RowImage value) {
+  const ndb::TxnId txn = ctx->txn;
+  api_->Read(txn, tables_.inodes, std::move(key), mode,
+             [this, ctx = std::move(ctx), &what, then](
+                 Code code, ndb::RowImage value) mutable {
                if (code != Code::kOk) {
-                 MaybeRetry(ctx, Status(code, what.failed));
+                 MaybeRetry(std::move(ctx), Status(code, what.failed));
                  return;
                }
                InodeRow row;
                if (!value || !InodeRow::Decode(value.view(), &row) ||
                    (what.dir && !row.is_dir)) {
-                 MaybeRetry(ctx, NotFound(what.missing));
+                 MaybeRetry(std::move(ctx), NotFound(what.missing));
                  return;
                }
-               if (!HasAccess(row, ctx->req.user, what.access)) {
-                 Fail(ctx, Status(Code::kPermissionDenied, what.denied));
+               if (!HasAccess(row, ctx->req->user, what.access)) {
+                 Fail(*ctx, Status(Code::kPermissionDenied, what.denied));
                  return;
                }
-               then(ctx, row);
+               then(std::move(ctx), row);
              });
 }
 
 template <typename Then>
 Namenode::WriteCb Namenode::WriteThen(OpPtr ctx, const char* what,
                                       Then then) {
-  return [this, ctx = std::move(ctx), what, then](Code code) {
+  return [this, ctx = std::move(ctx), what, then](Code code) mutable {
     if (code != Code::kOk) {
-      MaybeRetry(ctx, Status(code, what));
+      MaybeRetry(std::move(ctx), Status(code, what));
       return;
     }
-    then(ctx);
+    then(std::move(ctx));
   };
 }
 
 Namenode::WriteCb Namenode::Joined(const OpPtr& ctx) {
   ctx->join.Add();
-  return [this, ctx](Code code) {
-    if (ctx->join.Complete(code)) JoinDecided(ctx);
+  return [this, ctx = ctx.Share()](Code code) mutable {
+    if (ctx->join.Complete(code)) JoinDecided(std::move(ctx));
   };
 }
 
 // Arms the join after the attempt's last write: the first failed write
 // retries the attempt, otherwise the transaction commits.
-void Namenode::ArmJoin(const OpPtr& ctx, const char* write_what,
+void Namenode::ArmJoin(OpPtr ctx, const char* write_what,
                        const char* commit_what) {
   ctx->write_what = write_what;
   ctx->commit_what = commit_what;
-  if (ctx->join.Arm()) JoinDecided(ctx);
+  if (ctx->join.Arm()) JoinDecided(std::move(ctx));
 }
 
 void Namenode::JoinDecided(OpPtr ctx) {
   if (ctx->join.failed() != Code::kOk) {
-    MaybeRetry(ctx, Status(ctx->join.failed(), ctx->write_what));
+    const Status failure(ctx->join.failed(), ctx->write_what);
+    MaybeRetry(std::move(ctx), failure);
     return;
   }
-  CommitAndFinish(ctx, ctx->commit_what);
+  const char* what = ctx->commit_what;
+  CommitAndFinish(std::move(ctx), what);
 }
 
 // Commits, runs the op's post-commit work and replies with ctx->result.
 void Namenode::CommitAndFinish(OpPtr ctx, const char* what) {
-  api_->Commit(ctx->txn, [this, ctx, what](Code code) {
+  const ndb::TxnId txn = ctx->txn;
+  api_->Commit(txn, [this, ctx = std::move(ctx), what](Code code) mutable {
     ctx->txn = 0;
     if (code != Code::kOk) {
-      MaybeRetry(ctx, Status(code, what));
+      MaybeRetry(std::move(ctx), Status(code, what));
       return;
     }
     // Tell the datanodes to drop the replicas of removed blocks.
@@ -163,10 +171,10 @@ void Namenode::CommitAndFinish(OpPtr ctx, const char* what) {
         }
       }
     }
-    if (ctx->req.op == FsOp::kRename) {
+    if (ctx->req->op == FsOp::kRename) {
       // Drop the hints for the moved path and everything under it: the
       // keys in [src + "/", src + "0"), '0' being the character after '/'.
-      const std::string_view src = ctx->req.path;
+      const std::string_view src = ctx->req->path;
       auto bound = [&](char last) {
         char* k = ctx->arena.Alloc(src.size() + 1);
         std::memcpy(k, src.data(), src.size());
@@ -177,22 +185,22 @@ void Namenode::CommitAndFinish(OpPtr ctx, const char* what) {
       auto self = path_cache_.find(src);
       if (self != path_cache_.end()) path_cache_.erase(self);
     }
-    Finish(ctx, std::move(ctx->result));
+    Finish(*ctx, std::move(ctx->result));
   });
 }
 
 // Ends the op with a final status. Unlike MaybeRetry it neither retries
 // nor checks the deadline, so a denial is never reported as a timeout.
-void Namenode::Fail(OpPtr ctx, Status status) {
-  api_->Abort(ctx->txn);
-  ctx->txn = 0;
+void Namenode::Fail(OpCtx& ctx, Status status) {
+  api_->Abort(ctx.txn);
+  ctx.txn = 0;
   Finish(ctx, FsResult{std::move(status)});
 }
 
-void Namenode::TouchParent(const OpPtr& ctx, WriteCb cb) {
-  ctx->parent.mtime_ns = sim_.now();
-  api_->Update(ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
-               ctx->parent.Encode(), std::move(cb));
+void Namenode::TouchParent(OpCtx& ctx, WriteCb cb) {
+  ctx.parent.mtime_ns = sim_.now();
+  api_->Update(ctx.txn, tables_.inodes, std::string(ctx.dir_row_key),
+               ctx.parent.Encode(), std::move(cb));
 }
 
 // Allocates blocks [from, to) of a `size`-byte file, places their
@@ -200,7 +208,8 @@ void Namenode::TouchParent(const OpPtr& ctx, WriteCb cb) {
 // streams the new blocks through their replica pipelines.
 void Namenode::AddBlocks(const OpPtr& ctx, InodeId file, int32_t from,
                          int32_t to, int64_t size) {
-  const AzId writer = ctx->req.client_az != kNoAz ? ctx->req.client_az : az_;
+  const AzId writer =
+      ctx->req->client_az != kNoAz ? ctx->req->client_az : az_;
   for (int32_t i = from; i < to; ++i) {
     BlockRow b;
     b.block_id = NextBlockId();
@@ -254,48 +263,52 @@ void Namenode::RemoveInode(const OpPtr& ctx, ndb::Key key,
 
 void Namenode::DoMkdir(OpPtr ctx) {
   PROF_ZONE("nn.op.mkdir");
-  if (ctx->req.path == "/") {
-    Fail(ctx, AlreadyExists("/"));
+  if (ctx->req->path == "/") {
+    Fail(*ctx, AlreadyExists("/"));
     return;
   }
   // Exclusive lock on the parent directory serialises same-directory
   // namespace mutations (the implicit lock of the subtree entry).
+  ndb::Key parent_key(ctx->dir_row_key);
   ReadInode(
-      ctx, std::string(ctx->dir_row_key), kLocked, kMkdirParent,
-      [this](const OpPtr& ctx, InodeRow& parent) {
+      std::move(ctx), std::move(parent_key), kLocked, kMkdirParent,
+      [this](OpPtr ctx, InodeRow& parent) {
         ctx->parent = std::move(parent);
         InodeRow child;
         child.id = NextInodeId();
         child.is_dir = true;
-        child.permissions = ctx->req.permissions;
-        child.owner = ctx->req.user;
+        child.permissions = ctx->req->permissions;
+        child.owner = ctx->req->user;
         child.mtime_ns = sim_.now();
+        const ndb::TxnId txn = ctx->txn;
+        ndb::Key key = InodeKey(ctx->dir, ctx->base);
         api_->Insert(
-            ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-            child.Encode(),
-            WriteThen(ctx, "mkdir: insert", [this](const OpPtr& ctx) {
-              TouchParent(ctx, WriteThen(ctx, "mkdir: touch",
-                                         [this](const OpPtr& ctx) {
-                                           CommitAndFinish(ctx,
-                                                           "mkdir: commit");
-                                         }));
+            txn, tables_.inodes, std::move(key), child.Encode(),
+            WriteThen(std::move(ctx), "mkdir: insert", [this](OpPtr ctx) {
+              OpCtx& c = *ctx;
+              TouchParent(c, WriteThen(std::move(ctx), "mkdir: touch",
+                                       [this](OpPtr ctx) {
+                                         CommitAndFinish(std::move(ctx),
+                                                         "mkdir: commit");
+                                       }));
             }));
       });
 }
 
 void Namenode::DoCreate(OpPtr ctx) {
   PROF_ZONE("nn.op.create");
+  ndb::Key parent_key(ctx->dir_row_key);
   ReadInode(
-      ctx, std::string(ctx->dir_row_key), kLocked, kCreateParent,
-      [this](const OpPtr& ctx, InodeRow& parent) {
+      std::move(ctx), std::move(parent_key), kLocked, kCreateParent,
+      [this](OpPtr ctx, InodeRow& parent) {
         ctx->parent = std::move(parent);
-        const int64_t size = ctx->req.size;
+        const int64_t size = ctx->req->size;
         InodeRow& file = ctx->result.inode;
         file.id = NextInodeId();
         file.is_dir = false;
         file.size = size;
-        file.permissions = ctx->req.permissions;
-        file.owner = ctx->req.user;
+        file.permissions = ctx->req->permissions;
+        file.owner = ctx->req->user;
         file.mtime_ns = sim_.now();
         file.has_inline_data = size > 0 && size < kSmallFileThreshold;
         file.num_blocks =
@@ -312,8 +325,8 @@ void Namenode::DoCreate(OpPtr ctx) {
                       Joined(ctx));
         }
         AddBlocks(ctx, file.id, 0, file.num_blocks, size);
-        TouchParent(ctx, Joined(ctx));
-        ArmJoin(ctx, "create: write", "create: commit");
+        TouchParent(*ctx, Joined(ctx));
+        ArmJoin(std::move(ctx), "create: write", "create: commit");
       });
 }
 
@@ -328,80 +341,89 @@ void Namenode::DoCreate(OpPtr ctx) {
 // is current, so the lock-free read is consistent and AZ-local.
 void Namenode::DoStat(OpPtr ctx) {
   PROF_ZONE("nn.op.stat");
-  ReadInode(ctx, InodeKey(ctx->dir, ctx->base), kCommitted, kStatTarget,
-            [this](const OpPtr& ctx, InodeRow& row) {
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
+  ReadInode(std::move(ctx), std::move(key), kCommitted, kStatTarget,
+            [this](OpPtr ctx, InodeRow& row) {
               ctx->result.inode = std::move(row);
-              CommitAndFinish(ctx, "stat: commit");
+              CommitAndFinish(std::move(ctx), "stat: commit");
             });
 }
 
 void Namenode::DoOpenRead(OpPtr ctx) {
   PROF_ZONE("nn.op.open_read");
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
   ReadInode(
-      ctx, InodeKey(ctx->dir, ctx->base), kCommitted, kOpenTarget,
-      [this](const OpPtr& ctx, InodeRow& row) {
+      std::move(ctx), std::move(key), kCommitted, kOpenTarget,
+      [this](OpPtr ctx, InodeRow& row) {
         if (row.is_dir) {
-          Fail(ctx, FailedPrecondition("read: is a directory"));
+          Fail(*ctx, FailedPrecondition("read: is a directory"));
           return;
         }
         ctx->result.inode = row;
+        const ndb::TxnId txn = ctx->txn;
         if (row.has_inline_data) {
           // Small file: the payload lives with the metadata (§II-A3).
-          api_->Read(ctx->txn, tables_.inline_data, InlineDataKey(row.id),
+          api_->Read(txn, tables_.inline_data, InlineDataKey(row.id),
                      kCommitted,
-                     [this, ctx](Code code, ndb::RowImage data) {
+                     [this, ctx = std::move(ctx)](Code code,
+                                                  ndb::RowImage data) mutable {
                        if (code != Code::kOk) {
-                         MaybeRetry(ctx, Status(code, "read: inline data"));
+                         MaybeRetry(std::move(ctx),
+                                    Status(code, "read: inline data"));
                          return;
                        }
                        ctx->result.inline_bytes =
                            static_cast<int64_t>(data.size());
-                       CommitAndFinish(ctx, "read: commit");
+                       CommitAndFinish(std::move(ctx), "read: commit");
                      });
           return;
         }
         if (row.num_blocks > 0) {
-          api_->ScanPrefix(ctx->txn, tables_.blocks,
-                           BlocksOfInodePrefix(row.id),
-                           [this, ctx](Code code, Rows rows) {
+          api_->ScanPrefix(txn, tables_.blocks, BlocksOfInodePrefix(row.id),
+                           [this, ctx = std::move(ctx)](Code code,
+                                                        Rows rows) mutable {
                              if (code != Code::kOk) {
-                               MaybeRetry(ctx,
+                               MaybeRetry(std::move(ctx),
                                           Status(code, "read: block scan"));
                                return;
                              }
                              ctx->result.blocks = DecodeBlocks(rows);
-                             CommitAndFinish(ctx, "read: commit");
+                             CommitAndFinish(std::move(ctx), "read: commit");
                            });
           return;
         }
-        CommitAndFinish(ctx, "read: commit");
+        CommitAndFinish(std::move(ctx), "read: commit");
       });
 }
 
 void Namenode::DoListDir(OpPtr ctx) {
   PROF_ZONE("nn.op.list_dir");
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
   ReadInode(
-      ctx, InodeKey(ctx->dir, ctx->base), kCommitted, kListTarget,
-      [this](const OpPtr& ctx, InodeRow& row) {
+      std::move(ctx), std::move(key), kCommitted, kListTarget,
+      [this](OpPtr ctx, InodeRow& row) {
         ctx->result.inode = row;
         if (!row.is_dir) {
           // HDFS semantics: listing a file returns the file itself.
           ctx->result.children.emplace_back(ctx->base);
-          CommitAndFinish(ctx, "ls: commit");
+          CommitAndFinish(std::move(ctx), "ls: commit");
           return;
         }
+        const ndb::TxnId txn = ctx->txn;
         api_->ScanPrefix(
-            ctx->txn, tables_.inodes, InodeChildrenPrefix(row.id),
-            [this, ctx](Code code, Rows rows) {
+            txn, tables_.inodes, InodeChildrenPrefix(row.id),
+            [this, ctx = std::move(ctx)](Code code, Rows rows) mutable {
               if (code != Code::kOk) {
-                MaybeRetry(ctx, Status(code, "ls: scan"));
+                MaybeRetry(std::move(ctx), Status(code, "ls: scan"));
                 return;
               }
               // A child's key is "<dir id>/<name>".
+              std::vector<std::string>& children = ctx->result.children;
+              children.reserve(rows.size());
               for (const auto& [k, v] : rows) {
-                ctx->result.children.push_back(k.substr(k.find('/') + 1));
+                children.push_back(k.substr(k.find('/') + 1));
               }
-              CommitAndFinish(ctx, "ls: commit");
+              CommitAndFinish(std::move(ctx), "ls: commit");
             });
       });
 }
@@ -412,53 +434,58 @@ void Namenode::DoListDir(OpPtr ctx) {
 
 void Namenode::DoDelete(OpPtr ctx) {
   PROF_ZONE("nn.op.delete");
+  ndb::Key parent_key(ctx->dir_row_key);
   ReadInode(
-      ctx, std::string(ctx->dir_row_key), kLocked, kDeleteParent,
-      [this](const OpPtr& ctx, InodeRow& parent) {
+      std::move(ctx), std::move(parent_key), kLocked, kDeleteParent,
+      [this](OpPtr ctx, InodeRow& parent) {
         ctx->parent = std::move(parent);
+        ndb::Key key = InodeKey(ctx->dir, ctx->base);
         ReadInode(
-            ctx, InodeKey(ctx->dir, ctx->base), kLocked, kDeleteTarget,
-            [this](const OpPtr& ctx, InodeRow& row) {
+            std::move(ctx), std::move(key), kLocked, kDeleteTarget,
+            [this](OpPtr ctx, InodeRow& row) {
               ctx->target = std::move(row);
-              auto remove = [this](const OpPtr& ctx,
-                                   std::vector<BlockRow> blocks) {
+              auto remove = [this](OpPtr ctx, std::vector<BlockRow> blocks) {
                 RemoveInode(ctx, InodeKey(ctx->dir, ctx->base), ctx->target,
                             std::move(blocks));
-                TouchParent(ctx, Joined(ctx));
-                ArmJoin(ctx, "delete: write", "delete: commit");
+                TouchParent(*ctx, Joined(ctx));
+                ArmJoin(std::move(ctx), "delete: write", "delete: commit");
               };
+              const ndb::TxnId txn = ctx->txn;
+              const InodeId id = ctx->target.id;
               if (ctx->target.is_dir) {
                 api_->ScanPrefix(
-                    ctx->txn, tables_.inodes,
-                    InodeChildrenPrefix(ctx->target.id),
-                    [this, ctx, remove](Code code, Rows rows) {
+                    txn, tables_.inodes, InodeChildrenPrefix(id),
+                    [this, ctx = std::move(ctx), remove](Code code,
+                                                         Rows rows) mutable {
                       if (code != Code::kOk) {
-                        MaybeRetry(ctx, Status(code, "delete: child scan"));
+                        MaybeRetry(std::move(ctx),
+                                   Status(code, "delete: child scan"));
                         return;
                       }
                       if (!rows.empty()) {
-                        Fail(ctx,
+                        Fail(*ctx,
                              FailedPrecondition("delete: directory not empty"));
                         return;
                       }
-                      remove(ctx, {});
+                      remove(std::move(ctx), {});
                     });
                 return;
               }
               if (ctx->target.num_blocks > 0) {
                 api_->ScanPrefix(
-                    ctx->txn, tables_.blocks,
-                    BlocksOfInodePrefix(ctx->target.id),
-                    [this, ctx, remove](Code code, Rows rows) {
+                    txn, tables_.blocks, BlocksOfInodePrefix(id),
+                    [this, ctx = std::move(ctx), remove](Code code,
+                                                         Rows rows) mutable {
                       if (code != Code::kOk) {
-                        MaybeRetry(ctx, Status(code, "delete: block scan"));
+                        MaybeRetry(std::move(ctx),
+                                   Status(code, "delete: block scan"));
                         return;
                       }
-                      remove(ctx, DecodeBlocks(rows));
+                      remove(std::move(ctx), DecodeBlocks(rows));
                     });
                 return;
               }
-              remove(ctx, {});
+              remove(std::move(ctx), {});
             });
       });
 }
@@ -469,27 +496,27 @@ void Namenode::DoDelete(OpPtr ctx) {
 
 void Namenode::DoRename(OpPtr ctx) {
   PROF_ZONE("nn.op.rename");
-  const std::string& src_path = ctx->req.path;
-  const std::string& dst_path = ctx->req.path2;
+  const std::string& src_path = ctx->req->path;
+  const std::string& dst_path = ctx->req->path2;
   // "dst under src" check without materialising src + "/".
   const bool dst_inside_src = StartsWith(dst_path, src_path) &&
                               dst_path.size() > src_path.size() &&
                               dst_path[src_path.size()] == '/';
   if (src_path == "/" || dst_path.empty() || dst_path == "/" ||
       dst_inside_src) {
-    Fail(ctx, InvalidArgument("rename: bad paths"));
+    Fail(*ctx, InvalidArgument("rename: bad paths"));
     return;
   }
   auto [dst_parent, dst_base] = SplitParentView(dst_path);
-  ctx->dst_base = dst_base;  // view into req.path2, stable for the op
-  ResolveDir(ctx, dst_parent, &Namenode::RenameDstResolved);
+  ctx->dst_base = dst_base;  // view into the request's path2
+  ResolveDir(std::move(ctx), dst_parent, &Namenode::RenameDstResolved);
 }
 
 void Namenode::RenameDstResolved(OpPtr ctx, InodeId dst_dir,
                                  std::string_view dst_key) {
   ctx->dst_dir = dst_dir;
   ctx->dst_dir_row_key = ctx->arena.Intern(dst_key);
-  LockRenameParents(ctx, 0);
+  LockRenameParents(std::move(ctx), 0);
 }
 
 // X-locks the parent directories one at a time in row-key order
@@ -500,24 +527,29 @@ void Namenode::LockRenameParents(OpPtr ctx, size_t i) {
   if (second < first) std::swap(first, second);
   const size_t locks = first == second ? 1 : 2;
   if (i < locks) {
-    ReadInode(ctx, std::string(i == 0 ? first : second), kLocked,
-              kRenameParent, [this, i](const OpPtr& ctx, InodeRow&) {
-                LockRenameParents(ctx, i + 1);
+    ndb::Key key(i == 0 ? first : second);
+    ReadInode(std::move(ctx), std::move(key), kLocked, kRenameParent,
+              [this, i](OpPtr ctx, InodeRow&) {
+                LockRenameParents(std::move(ctx), i + 1);
               });
     return;
   }
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
   ReadInode(
-      ctx, InodeKey(ctx->dir, ctx->base), kLocked, kRenameSource,
-      [this](const OpPtr& ctx, InodeRow& row) {
+      std::move(ctx), std::move(key), kLocked, kRenameSource,
+      [this](OpPtr ctx, InodeRow& row) {
+        const ndb::TxnId txn = ctx->txn;
+        ndb::Key dst = InodeKey(ctx->dst_dir, ctx->dst_base);
         api_->Insert(
-            ctx->txn, tables_.inodes, InodeKey(ctx->dst_dir, ctx->dst_base),
-            row.Encode(),
-            WriteThen(ctx, "rename: dst insert", [this](const OpPtr& ctx) {
-              api_->Delete(ctx->txn, tables_.inodes,
-                           InodeKey(ctx->dir, ctx->base),
-                           WriteThen(ctx, "rename: src delete",
-                                     [this](const OpPtr& ctx) {
-                                       CommitAndFinish(ctx, "rename: commit");
+            txn, tables_.inodes, std::move(dst), row.Encode(),
+            WriteThen(std::move(ctx), "rename: dst insert", [this](OpPtr ctx) {
+              const ndb::TxnId txn = ctx->txn;
+              ndb::Key src = InodeKey(ctx->dir, ctx->base);
+              api_->Delete(txn, tables_.inodes, std::move(src),
+                           WriteThen(std::move(ctx), "rename: src delete",
+                                     [this](OpPtr ctx) {
+                                       CommitAndFinish(std::move(ctx),
+                                                       "rename: commit");
                                      }));
             }));
       });
@@ -529,42 +561,46 @@ void Namenode::LockRenameParents(OpPtr ctx, size_t i) {
 
 void Namenode::DoSetAttr(OpPtr ctx) {
   PROF_ZONE("nn.op.set_attr");
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
   ReadInode(
-      ctx, InodeKey(ctx->dir, ctx->base), kLocked, kSetAttrTarget,
-      [this](const OpPtr& ctx, InodeRow& row) {
+      std::move(ctx), std::move(key), kLocked, kSetAttrTarget,
+      [this](OpPtr ctx, InodeRow& row) {
         // chmod/chown require ownership (or the superuser); setTimes
         // requires write access.
-        const FsOp op = ctx->req.op;
-        const std::string& user = ctx->req.user;
+        const FsRequest& req = *ctx->req;
+        const FsOp op = req.op;
+        const std::string& user = req.user;
         const bool is_owner = user.empty() || user == row.owner;
         if ((op == FsOp::kChmod || op == FsOp::kChown) && !is_owner) {
-          Fail(ctx, Status(Code::kPermissionDenied, "setattr: not the owner"));
+          Fail(*ctx, Status(Code::kPermissionDenied, "setattr: not the owner"));
           return;
         }
         if (op == FsOp::kSetTimes && !HasAccess(row, user, kWrite)) {
-          Fail(ctx,
+          Fail(*ctx,
                Status(Code::kPermissionDenied, "setattr: no write access"));
           return;
         }
         switch (op) {
           case FsOp::kChmod:
-            row.permissions = ctx->req.permissions;
+            row.permissions = req.permissions;
             row.mtime_ns = sim_.now();
             break;
           case FsOp::kChown:
-            row.owner = ctx->req.owner;
+            row.owner = req.owner;
             row.mtime_ns = sim_.now();
             break;
           case FsOp::kSetTimes:
           default:
-            row.mtime_ns = ctx->req.mtime_ns;
+            row.mtime_ns = req.mtime_ns;
             break;
         }
-        api_->Update(ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-                     row.Encode(),
-                     WriteThen(ctx, "setattr: update",
-                               [this](const OpPtr& ctx) {
-                                 CommitAndFinish(ctx, "setattr: commit");
+        const ndb::TxnId txn = ctx->txn;
+        ndb::Key key = InodeKey(ctx->dir, ctx->base);
+        api_->Update(txn, tables_.inodes, std::move(key), row.Encode(),
+                     WriteThen(std::move(ctx), "setattr: update",
+                               [this](OpPtr ctx) {
+                                 CommitAndFinish(std::move(ctx),
+                                                 "setattr: commit");
                                }));
       });
 }
@@ -575,14 +611,15 @@ void Namenode::DoSetAttr(OpPtr ctx) {
 
 void Namenode::DoAppend(OpPtr ctx) {
   PROF_ZONE("nn.op.append");
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
   ReadInode(
-      ctx, InodeKey(ctx->dir, ctx->base), kLocked, kAppendTarget,
-      [this](const OpPtr& ctx, InodeRow& row) {
+      std::move(ctx), std::move(key), kLocked, kAppendTarget,
+      [this](OpPtr ctx, InodeRow& row) {
         if (row.is_dir) {
-          Fail(ctx, FailedPrecondition("append: is a directory"));
+          Fail(*ctx, FailedPrecondition("append: is a directory"));
           return;
         }
-        const int64_t new_size = row.size + ctx->req.size;
+        const int64_t new_size = row.size + ctx->req->size;
         InodeRow& updated = ctx->result.inode;
         updated = std::move(row);
         updated.size = new_size;
@@ -611,7 +648,7 @@ void Namenode::DoAppend(OpPtr ctx) {
         }
         api_->Update(ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
                      updated.Encode(), Joined(ctx));
-        ArmJoin(ctx, "append: write", "append: commit");
+        ArmJoin(std::move(ctx), "append: write", "append: commit");
       });
 }
 
@@ -633,12 +670,13 @@ struct Namenode::SubtreeWalk {
 
 void Namenode::DoContentSummary(OpPtr ctx) {
   PROF_ZONE("nn.op.content_summary");
-  ReadInode(ctx, InodeKey(ctx->dir, ctx->base), kCommitted, kDuTarget,
-            [this](const OpPtr& ctx, InodeRow& row) {
+  ndb::Key key = InodeKey(ctx->dir, ctx->base);
+  ReadInode(std::move(ctx), std::move(key), kCommitted, kDuTarget,
+            [this](OpPtr ctx, InodeRow& row) {
               if (!row.is_dir) {
                 ctx->result.cs_files = 1;
                 ctx->result.cs_bytes = row.size;
-                CommitAndFinish(ctx, "du: commit");
+                CommitAndFinish(std::move(ctx), "du: commit");
                 return;
               }
               // Read-only: no locks, so a concurrent mutation may be
@@ -646,57 +684,61 @@ void Namenode::DoContentSummary(OpPtr ctx) {
               ctx->result.cs_dirs = 1;
               auto w = std::make_shared<SubtreeWalk>();
               w->frontier.push_back(row.id);
-              WalkSubtree(ctx, std::move(w));
+              WalkSubtree(std::move(ctx), std::move(w));
             });
 }
 
 void Namenode::DoDeleteRecursive(OpPtr ctx) {
   PROF_ZONE("nn.op.delete_recursive");
-  if (ctx->req.path == "/") {
-    Fail(ctx, InvalidArgument("cannot delete the root"));
+  if (ctx->req->path == "/") {
+    Fail(*ctx, InvalidArgument("cannot delete the root"));
     return;
   }
   // Lock the parent and the subtree root exclusively (the implicit
   // subtree lock of HopsFS's subtree-operation protocol, condensed into
   // one transaction at simulator scale), gather the subtree, then delete
   // everything in one commit.
-  ReadInode(ctx, std::string(ctx->dir_row_key), kLocked, kRmrParent,
-            [this](const OpPtr& ctx, InodeRow&) {
-              ReadInode(ctx, InodeKey(ctx->dir, ctx->base), kLocked, kRmrRoot,
-                        [this](const OpPtr& ctx, InodeRow& row) {
+  ndb::Key parent_key(ctx->dir_row_key);
+  ReadInode(std::move(ctx), std::move(parent_key), kLocked, kRmrParent,
+            [this](OpPtr ctx, InodeRow&) {
+              ndb::Key key = InodeKey(ctx->dir, ctx->base);
+              ReadInode(std::move(ctx), std::move(key), kLocked, kRmrRoot,
+                        [this](OpPtr ctx, InodeRow& row) {
                           auto w = std::make_shared<SubtreeWalk>();
                           if (row.is_dir) w->frontier.push_back(row.id);
                           w->doomed.push_back({InodeKey(ctx->dir, ctx->base),
                                                std::move(row), {}});
-                          WalkSubtree(ctx, std::move(w));
+                          WalkSubtree(std::move(ctx), std::move(w));
                         });
             });
 }
 
 void Namenode::WalkSubtree(OpPtr ctx, std::shared_ptr<SubtreeWalk> w) {
-  const bool rmr = ctx->req.op == FsOp::kDeleteRecursive;
+  const bool rmr = ctx->req->op == FsOp::kDeleteRecursive;
   // A walk over a huge subtree can outlive its deadline: stop between
   // scan batches rather than finishing doomed work.
-  if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
-    MaybeRetry(ctx, DeadlineExceeded(rmr ? "rmr: deadline passed"
-                                         : "du: deadline passed"));
+  if (resilience::DeadlineExpired(ctx->req->deadline, sim_.now())) {
+    MaybeRetry(std::move(ctx), DeadlineExceeded(rmr ? "rmr: deadline passed"
+                                                    : "du: deadline passed"));
     return;
   }
   if (w->frontier.empty()) {
     if (rmr) {
-      ScanRemovedBlocks(ctx, std::move(w));
+      ScanRemovedBlocks(std::move(ctx), std::move(w));
     } else {
-      CommitAndFinish(ctx, "du: commit");
+      CommitAndFinish(std::move(ctx), "du: commit");
     }
     return;
   }
   const InodeId dir = w->frontier.back();
   w->frontier.pop_back();
+  const ndb::TxnId txn = ctx->txn;
   api_->ScanPrefix(
-      ctx->txn, tables_.inodes, InodeChildrenPrefix(dir),
-      [this, ctx, w, rmr](Code code, Rows rows) {
+      txn, tables_.inodes, InodeChildrenPrefix(dir),
+      [this, ctx = std::move(ctx), w, rmr](Code code, Rows rows) mutable {
         if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, rmr ? "rmr: scan" : "du: scan"));
+          MaybeRetry(std::move(ctx),
+                     Status(code, rmr ? "rmr: scan" : "du: scan"));
           return;
         }
         FsResult& r = ctx->result;
@@ -713,7 +755,7 @@ void Namenode::WalkSubtree(OpPtr ctx, std::shared_ptr<SubtreeWalk> w) {
             r.cs_bytes += child.size;
           }
         }
-        WalkSubtree(ctx, w);
+        WalkSubtree(std::move(ctx), w);
       });
 }
 
@@ -725,22 +767,25 @@ void Namenode::ScanRemovedBlocks(OpPtr ctx, std::shared_ptr<SubtreeWalk> w) {
     ++w->next;
   }
   if (w->next < w->doomed.size()) {
-    api_->ScanPrefix(ctx->txn, tables_.blocks,
+    const ndb::TxnId txn = ctx->txn;
+    api_->ScanPrefix(txn, tables_.blocks,
                      BlocksOfInodePrefix(w->doomed[w->next].inode.id),
-                     [this, ctx, w](Code code, Rows rows) {
+                     [this, ctx = std::move(ctx), w](Code code,
+                                                     Rows rows) mutable {
                        if (code != Code::kOk) {
-                         MaybeRetry(ctx, Status(code, "rmr: block scan"));
+                         MaybeRetry(std::move(ctx),
+                                    Status(code, "rmr: block scan"));
                          return;
                        }
                        w->doomed[w->next++].blocks = DecodeBlocks(rows);
-                       ScanRemovedBlocks(ctx, w);
+                       ScanRemovedBlocks(std::move(ctx), w);
                      });
     return;
   }
   for (SubtreeWalk::Entry& e : w->doomed) {
     RemoveInode(ctx, std::move(e.key), e.inode, std::move(e.blocks));
   }
-  ArmJoin(ctx, "rmr: delete", "rmr: commit");
+  ArmJoin(std::move(ctx), "rmr: delete", "rmr: commit");
 }
 
 }  // namespace repro::hopsfs

@@ -125,7 +125,8 @@ struct InodeRead {
 };
 
 struct Namenode::OpCtx {
-  FsRequest req;
+  RequestRef req;               // the client's request record, shared
+  trace::SpanId span = 0;       // the client's RPC attempt span
   FsResultCb done;
   int attempt = 0;
   ndb::TxnId txn = 0;
@@ -139,8 +140,9 @@ struct Namenode::OpCtx {
   OpArena arena;
 
   // Filled by path resolution (parent directory of the target). The
-  // views point into `req` or `arena`, both of which outlive every
-  // callback of the attempt that wrote them.
+  // views point into the request record or `arena`, both of which
+  // outlive every callback of the attempt that wrote them: the context
+  // holds its reference to the request until it returns to the pool.
   InodeId dir = 0;
   std::string_view dir_row_key;  // row key of the parent directory inode
   std::string_view base;         // final path component

@@ -5,12 +5,15 @@
 // that fits is stored in place with no heap allocation. That covers the
 // heartbeat and timer ticks, the thread-pool completions, and every stage
 // of a network hop that carries its message as a pooled record (the NDB
-// signal transport, ndb/transport.h, and the client's namenode RPCs):
-// those capture `{this, 16-byte ref}` and nothing else. Oversized or
-// throwing-move callables fall back to a single heap allocation, which is
-// exactly what `std::function` would have done for anything beyond its
-// (much smaller) internal buffer; a closure that captures a request by
-// value still pays it.
+// signal transport, ndb/transport.h, and the client's namenode RPCs,
+// hopsfs/client.h, whose request hop, namenode completion, reply hop and
+// timeout carry the attempt's slot, reply included): those capture
+// `{this, 16-byte ref}` and nothing else, 24 bytes beside the network's
+// 24-byte delivery wrapper. Oversized or throwing-move callables fall
+// back to a single heap allocation, which is exactly what `std::function`
+// would have done for anything beyond its (much smaller) internal
+// buffer; a closure that captures a request or a reply by value still
+// pays it.
 //
 // `SmallCall<R(Args...)>` is the general form: the protocol layers use it
 // for their completion callbacks (`ReadCb`, `WriteCb`, lock grants, the
