@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/engine.h"
-#include "sim/legacy_engine.h"
 #include "sim/network.h"
 #include "sim/resources.h"
 #include "sim/topology.h"
@@ -346,166 +345,10 @@ TEST(Disk, ServiceTimeIncludesAccessAndTransfer) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler equivalence: the timer-wheel engine must dispatch in exactly the
-// order the frozen pre-wheel binary-heap engine (sim/legacy_engine.h) did.
+// Scheduler ordering: equal-timestamp events dispatch in insertion order
+// wherever they wait. The randomized dispatch-order digests live in
+// tests/behaviour_digest_test.cc.
 // ---------------------------------------------------------------------------
-
-// Drives one engine through a randomized At/After/Every/Cancel
-// interleaving and records every firing that did work as (id, time). All
-// random draws come from an engine-local Rng: if dispatch orders ever
-// diverge, the streams diverge too and the recorded sequences differ
-// loudly. The legacy engine cannot cancel a one-shot event, so there a
-// cancel only sets a flag and the event, when it fires, does nothing; and
-// a periodic it cancels still dispatches its queued tick once, as a no-op.
-template <typename Sim>
-class RandomScheduleDriver {
-  static constexpr bool kCancels = std::is_same_v<Sim, Simulation>;
-
- public:
-  explicit RandomScheduleDriver(uint64_t seed) : rng_(seed) {}
-
-  // Firings that found their event cancelled: the legacy engine's no-ops.
-  // The wheel never runs a cancelled event, so it must report 0.
-  int noop_firings() const { return noop_firings_; }
-  // First cancels of a live periodic. Each one is one more legacy no-op:
-  // every cancel here comes from outside the tick, while a tick is queued.
-  int periodic_cancels() const { return periodic_cancels_; }
-  uint64_t events_processed() const { return sim_.events_processed(); }
-
-  std::vector<std::pair<int, long long>> Run() {
-    // Heartbeat-scale periodics. Coarse interval quantization forces
-    // equal-timestamp ties between independent timers every revolution.
-    for (int i = 0; i < 12; ++i) {
-      const Nanos interval =
-          Millis(static_cast<int64_t>(1 + rng_.NextBelow(20))) +
-          Micros(static_cast<int64_t>(rng_.NextBelow(3)) * 500);
-      AddPeriodic(1000 + i, interval);
-    }
-    // One-shot churn: roots that fan out into children with delays from
-    // "same instant" ties up to several seconds (crossing wheel levels).
-    for (int r = 0; r < 40; ++r) Spawn(3);
-    // Cancel a third of the periodics at random times mid-run.
-    for (size_t k = 0; k < handles_.size(); k += 3) {
-      sim_.After(Millis(static_cast<int64_t>(100 + rng_.NextBelow(1800))),
-                 [this, k] { CancelPeriodic(k); });
-    }
-    // A periodic created mid-run (Every at now > 0), plus a far-future
-    // straggler that must not disturb anything before it.
-    sim_.After(Millis(500), [this] { AddPeriodic(2000, Millis(7)); });
-    sim_.After(Seconds(30), [this] { Record(3000); });
-    // Far-future one-shots (beyond the ~78 h level-3 horizon), some
-    // cancelled.
-    for (int k = 0; k < 6; ++k) Arm(Seconds(400000 + k), 1);
-
-    sim_.RunUntil(Seconds(1));
-    sim_.RunFor(Seconds(1));
-    sim_.RunFor(Seconds(40));
-    // Stop every periodic and drain the rest, far heap included.
-    for (size_t k = 0; k < handles_.size(); ++k) CancelPeriodic(k);
-    sim_.Run();
-    return std::move(fired_);
-  }
-
- private:
-  void Record(int id) {
-    fired_.push_back({id, static_cast<long long>(sim_.now())});
-  }
-
-  void AddPeriodic(int id, Nanos interval) {
-    handles_.push_back(sim_.Every(interval, [this, id] { Record(id); }));
-    periodic_live_.push_back(true);
-  }
-
-  void CancelPeriodic(size_t k) {
-    if (periodic_live_[k]) ++periodic_cancels_;
-    periodic_live_[k] = false;
-    handles_[k].Cancel();
-  }
-
-  // Delay mix: ties at the same instant, sub-slot, slot-scale, and
-  // beyond the level-0 horizon.
-  Nanos RandomDelay() {
-    switch (rng_.NextBelow(4)) {
-      case 0: return 0;
-      case 1: return Micros(static_cast<int64_t>(rng_.NextBelow(2000)));
-      case 2: return Millis(static_cast<int64_t>(rng_.NextBelow(300)));
-      default: return Millis(static_cast<int64_t>(rng_.NextBelow(5000)));
-    }
-  }
-
-  void Spawn(int depth) { Arm(RandomDelay(), depth); }
-
-  // Schedules one one-shot that records itself and fans out, and cancels
-  // one in four of them after a random delay of its own: before it fires
-  // (in the wheel, the sorted run, the spill heap or the far heap, by
-  // where it waits by then) or after (a stale cancel).
-  void Arm(Nanos delay, int depth) {
-    const int id = next_id_++;
-    cancelled_.push_back(false);
-    auto body = [this, id, depth] {
-      if (cancelled_[id]) {
-        ++noop_firings_;
-        return;
-      }
-      Record(id);
-      if (depth > 0) {
-        const int fanout = static_cast<int>(rng_.NextBelow(3));
-        for (int c = 0; c < fanout; ++c) Spawn(depth - 1);
-      }
-    };
-    if constexpr (kCancels) {
-      timers_.push_back(sim_.After(delay, body));
-    } else {
-      sim_.After(delay, body);
-    }
-    if (rng_.NextBelow(4) != 0) return;
-    const Nanos cancel_in = rng_.NextBelow(2) == 0 ? RandomDelay()
-                                                   : delay / 2;
-    sim_.After(cancel_in, [this, id] {
-      cancelled_[id] = true;
-      if constexpr (kCancels) sim_.Cancel(timers_[id]);
-    });
-  }
-
-  Sim sim_;
-  Rng rng_;
-  int next_id_ = 0;
-  int noop_firings_ = 0;
-  int periodic_cancels_ = 0;
-  std::vector<bool> cancelled_;
-  std::vector<bool> periodic_live_;
-  std::vector<Simulation::Timer> timers_;  // by id; the wheel only
-  std::vector<std::pair<int, long long>> fired_;
-  std::vector<typename Sim::PeriodicHandle> handles_;
-};
-
-TEST(SchedulerEquivalence, RandomizedInterleavingsMatchLegacyEngine) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    RandomScheduleDriver<Simulation> wheel_driver(seed);
-    RandomScheduleDriver<LegacySimulation> heap_driver(seed);
-    auto wheel = wheel_driver.Run();
-    auto heap = heap_driver.Run();
-    EXPECT_EQ(wheel_driver.noop_firings(), 0) << "seed " << seed;
-    EXPECT_GE(heap_driver.noop_firings(), 10) << "seed " << seed;
-    EXPECT_EQ(wheel_driver.periodic_cancels(), 13) << "seed " << seed;
-    EXPECT_EQ(heap_driver.periodic_cancels(), 13) << "seed " << seed;
-    // The only events the wheel skips are the legacy engine's no-ops: the
-    // cancelled one-shots and one queued tick per cancelled periodic.
-    EXPECT_EQ(wheel_driver.events_processed(),
-              heap_driver.events_processed() - heap_driver.noop_firings() -
-                  heap_driver.periodic_cancels())
-        << "seed " << seed;
-    ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
-    for (size_t i = 0; i < wheel.size(); ++i) {
-      ASSERT_EQ(wheel[i], heap[i])
-          << "seed " << seed << " diverged at firing " << i << ": wheel=("
-          << wheel[i].first << "," << wheel[i].second << ") legacy=("
-          << heap[i].first << "," << heap[i].second << ")";
-    }
-    ASSERT_GT(wheel.size(), 1000u)
-        << "seed " << seed << " produced too little work to be a real test";
-  }
-}
 
 TEST(SchedulerEquivalence, FifoAtEqualTimestampAcrossWheelHeapBoundary) {
   Simulation sim;
