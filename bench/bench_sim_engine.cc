@@ -1,42 +1,45 @@
-// Scheduler core benchmark: timer-wheel engine vs the frozen pre-wheel
-// binary-heap engine (sim/legacy_engine.h), on the workloads that dominate
-// every figure in this reproduction.
+// Scheduler core benchmark: the timer-wheel engine (sim/engine.h) on the
+// workloads that dominate every figure in this reproduction.
 //
 // Scenarios:
-//   * heartbeat_10k  — 10,000 hosts each heartbeating on a staggered
-//     ~1 s timer plus per-tick one-shot churn, 60 simulated seconds. Run
-//     on BOTH engines; the committed speedup in BENCH_sim_engine.json is
-//     asserted to stay >= 5x (the ISSUE-8 acceptance bar).
+//   * heartbeat_10k  — 10,000 hosts, six staggered timers each (100 ms
+//     to 60 s) plus per-tick one-shot churn, 60 simulated seconds; best
+//     of three repetitions, reported as events per CPU second.
 //   * million_client — 1,000,000 open-loop clients issuing ops with
 //     exponential think time while 10,000 hosts heartbeat at 100 ms, 10
-//     simulated seconds (~7M events). Wheel engine only; reports
-//     events/sec, CPU seconds and peak RSS. This is the planet-scale
-//     headline ROADMAP item 1 gates on.
+//     simulated seconds (~12M events). Reports events/sec, CPU seconds
+//     and peak RSS: the planet-scale headline.
 //   * timeout_churn  — 10,000 clients each arm a 5 s timeout per request
 //     and cancel it when the reply lands 1–10 ms later, 2 simulated
 //     seconds: the RPC / NDB-op timeout pattern of the protocol layers.
-//     Wheel engine only (the legacy engine cannot cancel); reports CPU ns
-//     per request cycle (arm, reply dispatch, cancel) and the event
-//     slabs mapped, which stay at the live population instead of growing
-//     with the 5 s window.
+//     Best of three; reports CPU ns per request cycle (arm, reply
+//     dispatch, cancel) and the event slabs mapped, which stay at the
+//     live population instead of growing with the 5 s window.
 //
 // Regression gate (CI `sim-perf-smoke`): with REPRO_BENCH_BASELINE set to
-// the committed BENCH_sim_engine.json, the bench fails if the measured
-// wheel events/sec drop more than 20% below the baseline after
-// normalising for machine speed by the legacy engine's ratio
-// (measured_legacy / baseline_legacy) — so a slow CI runner doesn't
-// false-positive and a real scheduler regression can't hide behind one.
-// timeout_churn's ns per cycle gets the same machine-normalised 20%
-// bound, and its slab count (deterministic) may not exceed the baseline.
+// the committed BENCH_sim_engine.json, the bench fails if
+//   * an event count (heartbeat_10k.events, million_client.events,
+//     timeout_churn.cycles) differs from the baseline at all: the runs
+//     are deterministic, so any difference is a change in dispatch;
+//   * the wheel's events/sec fall more than 20% below the baseline, or
+//     timeout_churn's ns per cycle rise more than 20% above it, after
+//     normalising for machine speed by a fixed host-speed probe
+//     (baseline_probe_cpu / measured_probe_cpu), so a slow CI runner
+//     doesn't false-positive and a real scheduler regression can't hide
+//     behind one;
+//   * timeout_churn maps more event slabs than the baseline.
 //
 // The numbers land in $REPRO_CSV_DIR/BENCH_sim_engine.json (layout:
 // bench_report.h).
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_report.h"
 #include "sim/engine.h"
-#include "sim/legacy_engine.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -65,14 +68,12 @@ struct HeartbeatResult {
 // also exercises the one-shot path. Six timers per host keep a 60k-event
 // standing population pending at all times — the O(hosts) load that
 // churns a comparison-based queue (every sift walks random lines of a
-// multi-megabyte heap) but costs a wheel nothing. Identical code drives
-// both engines.
-template <typename Sim>
+// multi-megabyte heap) but costs a wheel nothing.
 HeartbeatResult RunHeartbeats(int hosts, Nanos sim_horizon) {
-  Sim sim(7);
+  Simulation sim(7);
   uint64_t ticks = 0;
   uint64_t acks = 0;
-  std::vector<typename Sim::PeriodicHandle> handles;
+  std::vector<Simulation::PeriodicHandle> handles;
   handles.reserve(6 * hosts);
   Rng stagger(42);
   for (int h = 0; h < hosts; ++h) {
@@ -219,33 +220,76 @@ ChurnResult RunTimeoutChurn(int clients, Nanos sim_horizon) {
   return r;
 }
 
+// ---- Host-speed probe ---------------------------------------------------
+
+// A fixed kernel that says how fast this host runs code like the
+// engine's, so the gate can compare against a baseline made on another
+// host: a chase of dependent loads through a 32 MB single-cycle
+// permutation (the cache misses of a large event pool), then a sort of
+// 256k keys (dispatch's compare-and-branch work). Returns its CPU
+// seconds; `sink` keeps the results alive.
+double ProbeHost(const std::vector<uint32_t>& cycle, uint64_t& sink) {
+  std::vector<uint64_t> keys(1 << 18);
+  Rng rng(5);
+  for (uint64_t& k : keys) k = rng.NextU64();
+  const double c0 = CpuSeconds();
+  uint32_t at = 0;
+  for (int i = 0; i < (1 << 19); ++i) at = cycle[at];
+  std::sort(keys.begin(), keys.end());
+  const double cpu = CpuSeconds() - c0;
+  sink += at + keys[keys.size() / 2];
+  return cpu;
+}
+
+// Sattolo's shuffle: a permutation that is one cycle through every slot.
+std::vector<uint32_t> ProbeCycle() {
+  std::vector<uint32_t> cycle(1 << 23);
+  std::iota(cycle.begin(), cycle.end(), 0u);
+  Rng rng(3);
+  for (uint32_t i = static_cast<uint32_t>(cycle.size()) - 1; i > 0; --i) {
+    std::swap(cycle[i], cycle[rng.NextBelow(i)]);
+  }
+  return cycle;
+}
+
 // ---- Baseline comparison ---------------------------------------------------
 
-void CheckBaseline(double wheel_eps, double legacy_eps,
-                   const ChurnResult& churn, Report& out) {
+void CheckBaseline(const HeartbeatResult& wheel, const MillionResult& million,
+                   const ChurnResult& churn, double probe_cpu, Report& out) {
   if (!out.has_baseline()) {
     std::printf("baseline gate: REPRO_BENCH_BASELINE unset, skipping\n");
     return;
   }
+  // The runs are deterministic: a count that moves is a dispatch change.
+  const std::pair<const char*, uint64_t> counts[] = {
+      {"heartbeat_10k.events", wheel.events},
+      {"million_client.events", million.events},
+      {"timeout_churn.cycles", churn.cycles}};
+  for (const auto& [key, count] : counts) {
+    const auto base = out.Baseline(key);
+    out.Check(base && *base == static_cast<double>(count),
+              std::string(key) + " equals the baseline");
+  }
   const auto base_wheel = out.Baseline("heartbeat_10k.wheel_eps");
-  const auto base_legacy = out.Baseline("heartbeat_10k.legacy_eps");
+  const auto base_probe = out.Baseline("host_probe.cpu_sec");
   const auto base_churn_ns = out.Baseline("timeout_churn.ns_per_cycle");
   const auto base_churn_slabs = out.Baseline("timeout_churn.slabs");
-  if (!out.Check(base_wheel && base_legacy && base_churn_ns &&
+  if (!out.Check(base_wheel && base_probe && base_churn_ns &&
                      base_churn_slabs,
-                 "baseline has heartbeat_10k and timeout_churn values")) {
+                 "baseline has heartbeat_10k, timeout_churn and host_probe "
+                 "values")) {
     return;
   }
-  // Normalise for machine speed: this runner is (legacy_eps/base_legacy)x
+  // Normalise for machine speed: this runner is (base_probe/probe_cpu)x
   // as fast as the one that produced the baseline, so expect the wheel to
   // scale the same way. >20% below that is a genuine scheduler regression.
-  const double machine = legacy_eps / *base_legacy;
+  const double machine = *base_probe / probe_cpu;
   const double floor = 0.8 * *base_wheel * machine;
   std::printf(
       "baseline gate: wheel %.2fM eps vs floor %.2fM eps "
       "(baseline %.2fM, machine factor %.2fx)\n",
-      wheel_eps / 1e6, floor / 1e6, *base_wheel / 1e6, machine);
-  out.Check(wheel_eps >= floor,
+      wheel.eps / 1e6, floor / 1e6, *base_wheel / 1e6, machine);
+  out.Check(wheel.eps >= floor,
             "wheel events/sec within 20% of the machine-normalised baseline");
   // The same 20% bound, on a cost: a cycle may take at most 1/0.8 of the
   // baseline's time scaled to this machine.
@@ -265,45 +309,56 @@ int Main(int argc, char** argv) {
   RejectArguments(argc, argv);
   std::printf(
       "==============================================================\n"
-      " DES core: timer wheel + event pool vs pre-wheel binary heap\n"
-      " (ROADMAP item 1 / ISSUE 8 acceptance)\n"
+      " DES core: timer wheel + event pool\n"
       "==============================================================\n\n");
   Report out("sim_engine");
 
   const int kHosts = 10000;
   const Nanos kHorizon = Seconds(60);
+  const int kChurnClients = 10000;
   const int kReps = 3;
-  std::printf("heartbeat_10k: %d hosts, 60 simulated seconds, best of %d\n",
-              kHosts, kReps);
+  std::printf("heartbeat_10k: %d hosts, 60 simulated seconds; "
+              "timeout_churn: %d clients, 5 s timeout per request, reply "
+              "after 1-10 ms cancels it, 2 simulated seconds; best of %d\n",
+              kHosts, kChurnClients, kReps);
   // Run the million-client scenario last so peak RSS is attributed to it;
-  // the heartbeat runs are small (10k timers). Interleave the engines and
-  // keep each one's best repetition: the minimum CPU time is the least
-  // noise-contaminated estimate of what the machine can do, which keeps
-  // the speedup ratio stable on shared CI runners.
-  HeartbeatResult legacy, wheel;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const HeartbeatResult l = RunHeartbeats<LegacySimulation>(kHosts, kHorizon);
-    if (rep == 0 || l.eps > legacy.eps) legacy = l;
-    const HeartbeatResult w = RunHeartbeats<Simulation>(kHosts, kHorizon);
-    if (rep == 0 || w.eps > wheel.eps) wheel = w;
+  // the heartbeat and churn runs are small (60k and 20k live events).
+  // Interleave the host probe with them and keep each one's best
+  // repetition: the minimum CPU time is the least noise-contaminated
+  // estimate of what the machine can do, which keeps the machine factor
+  // stable on shared CI runners.
+  uint64_t sink = 0;
+  double probe_cpu = 0;
+  HeartbeatResult wheel;
+  ChurnResult churn;
+  {
+    // Scoped: million_client's peak RSS must not count the probe's 32 MB.
+    const std::vector<uint32_t> cycle = ProbeCycle();
+    for (int rep = 0; rep < kReps; ++rep) {
+      const double p = ProbeHost(cycle, sink);
+      if (rep == 0 || p < probe_cpu) probe_cpu = p;
+      const HeartbeatResult w = RunHeartbeats(kHosts, kHorizon);
+      if (rep == 0 || w.eps > wheel.eps) wheel = w;
+      const ChurnResult c = RunTimeoutChurn(kChurnClients, Seconds(2));
+      if (rep == 0 || c.ns_per_cycle < churn.ns_per_cycle) churn = c;
+    }
   }
   std::printf(
-      "  legacy heap : %8llu events in %6.2f cpu-s = %6.2fM events/sec\n",
-      static_cast<unsigned long long>(legacy.events), legacy.cpu_sec,
-      legacy.eps / 1e6);
-  std::printf(
-      "  timer wheel : %8llu events in %6.2f cpu-s = %6.2fM events/sec\n",
+      "  heartbeat_10k : %8llu events in %6.2f cpu-s = %6.2fM events/sec\n",
       static_cast<unsigned long long>(wheel.events), wheel.cpu_sec,
       wheel.eps / 1e6);
-  out.Check(wheel.events == legacy.events,
-            "both engines process the same event count");
-  const double speedup = wheel.eps / legacy.eps;
-  std::printf("  speedup     : %.2fx\n", speedup);
-  out.Check(speedup >= 5.0, ">= 5x events/sec over the pre-wheel engine");
+  std::printf("  timeout_churn : %8llu cycles in %6.2f cpu-s = %6.1f ns/cycle, "
+              "%zu event slabs\n",
+              static_cast<unsigned long long>(churn.cycles), churn.cpu_sec,
+              churn.ns_per_cycle, churn.slabs);
+  std::printf("  host probe    : %.3f cpu-s (checksum %llu)\n", probe_cpu,
+              static_cast<unsigned long long>(sink % 1000));
   out.Value("heartbeat_10k.events", static_cast<double>(wheel.events));
   out.Value("heartbeat_10k.wheel_eps", wheel.eps);
-  out.Value("heartbeat_10k.legacy_eps", legacy.eps);
-  out.Value("heartbeat_10k.speedup", speedup);
+  out.Value("timeout_churn.cycles", static_cast<double>(churn.cycles));
+  out.Value("timeout_churn.ns_per_cycle", churn.ns_per_cycle);
+  out.Value("timeout_churn.slabs", static_cast<double>(churn.slabs));
+  out.Value("host_probe.cpu_sec", probe_cpu);
 
   const int kClients = 1000000;
   std::printf("\nmillion_client: %d open-loop clients + 10000 hosts "
@@ -320,20 +375,7 @@ int Main(int argc, char** argv) {
   out.Value("million_client.cpu_sec", million.cpu_sec);
   out.Value("million_client.peak_rss_mb", PeakRssMb());
 
-  const int kChurnClients = 10000;
-  std::printf("\ntimeout_churn: %d clients, 5 s timeout per request, reply "
-              "after 1-10 ms cancels it, 2 simulated seconds\n",
-              kChurnClients);
-  const ChurnResult churn = RunTimeoutChurn(kChurnClients, Seconds(2));
-  std::printf("  timer wheel : %8llu cycles in %6.2f cpu-s = %6.1f ns/cycle, "
-              "%zu event slabs\n",
-              static_cast<unsigned long long>(churn.cycles), churn.cpu_sec,
-              churn.ns_per_cycle, churn.slabs);
-  out.Value("timeout_churn.cycles", static_cast<double>(churn.cycles));
-  out.Value("timeout_churn.ns_per_cycle", churn.ns_per_cycle);
-  out.Value("timeout_churn.slabs", static_cast<double>(churn.slabs));
-
-  CheckBaseline(wheel.eps, legacy.eps, churn, out);
+  CheckBaseline(wheel, million, churn, probe_cpu, out);
   return out.Finish();
 }
 

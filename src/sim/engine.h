@@ -17,9 +17,9 @@
 // the doubly-linked wheel slot, or a tombstone once the event has left
 // the wheel (Varghese & Lauck's StopTimer), so a timer disarmed early
 // stops occupying a slab slot at once. Dispatch order is the exact global
-// (time, insertion-seq) order the old binary heap produced;
-// tests/sim_test.cc asserts equivalence against the frozen pre-wheel
-// engine in sim/legacy_engine.h.
+// (time, insertion-seq) order the pre-wheel binary heap produced; the
+// schedule_seed_* behaviour digests (tests/behaviour_digest_test.cc) pin
+// it on randomized schedules.
 #pragma once
 
 #include <cstdint>
