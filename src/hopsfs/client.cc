@@ -423,11 +423,13 @@ void HopsFsClient::NextBlock(BlockIoPtr io) {
   const OpPtr& op = io->op;
   if (op->done) return;  // a late reply already answered this op
   const auto& blocks = io->writing ? io->result.new_blocks : io->result.blocks;
-  while (io->next < blocks.size() && blocks[io->next].replicas.empty()) {
-    ++io->next;
-  }
   if (io->next >= blocks.size()) {
     Deliver(*op, std::move(io->result));
+    return;
+  }
+  if (blocks[io->next].replicas.empty()) {
+    // No replica holds the block's bytes (HDFS: BlockMissingException).
+    FailBlockIo(std::move(io), Unavailable("client: block has no replica"));
     return;
   }
   if (io->writing) {

@@ -218,8 +218,8 @@ class Namenode {
   void CommitAndFinish(OpPtr ctx, const char* what);
   void Fail(OpCtx& ctx, Status status);
   void TouchParent(OpCtx& ctx, WriteCb cb);
-  void AddBlocks(const OpPtr& ctx, InodeId file, int32_t from, int32_t to,
-                 int64_t size);
+  bool PlaceBlocks(OpCtx& ctx, int32_t from, int32_t to, int64_t size);
+  void InsertBlocks(const OpPtr& ctx, InodeId file, int32_t from);
   void RemoveInode(const OpPtr& ctx, ndb::Key key, const InodeRow& inode,
                    std::vector<BlockRow> blocks);
 

@@ -203,26 +203,36 @@ void Namenode::TouchParent(OpCtx& ctx, WriteCb cb) {
                ctx.parent.Encode(), std::move(cb));
 }
 
-// Allocates blocks [from, to) of a `size`-byte file, places their
-// replicas and joins their block and index row inserts. The client
-// streams the new blocks through their replica pipelines.
-void Namenode::AddBlocks(const OpPtr& ctx, InodeId file, int32_t from,
-                         int32_t to, int64_t size) {
-  const AzId writer =
-      ctx->req->client_az != kNoAz ? ctx->req->client_az : az_;
+// Allocates blocks [from, to) of a `size`-byte file into
+// ctx.result.new_blocks and places their replicas. False when block
+// datanodes exist but none is alive to take a block: like HDFS below its
+// minimum replication, the write fails rather than store bytes nothing
+// holds.
+bool Namenode::PlaceBlocks(OpCtx& ctx, int32_t from, int32_t to,
+                           int64_t size) {
+  const AzId writer = ctx.req->client_az != kNoAz ? ctx.req->client_az : az_;
   for (int32_t i = from; i < to; ++i) {
-    BlockRow b;
+    BlockRow& b = ctx.result.new_blocks.emplace_back();
     b.block_id = NextBlockId();
     b.num_bytes = std::min<int64_t>(kDefaultBlockSize,
                                     size - int64_t{i} * kDefaultBlockSize);
-    if (dn_registry_ != nullptr && placement_ != nullptr) {
-      for (blocks::DnId d :
-           placement_->ChooseTargets(kBlockReplication, writer,
-                                     *dn_registry_, sim_.now(), rng_)) {
-        b.replicas.push_back(d);
-      }
+    if (dn_registry_ == nullptr || placement_ == nullptr) continue;
+    for (blocks::DnId d :
+         placement_->ChooseTargets(kBlockReplication, writer, *dn_registry_,
+                                   sim_.now(), rng_)) {
+      b.replicas.push_back(d);
     }
-    const std::string bkey = BlockKey(file, i);
+    if (b.replicas.empty()) return false;
+  }
+  return true;
+}
+
+// Joins the block and index row inserts of the placed blocks, the first
+// of which is block `from` of `file`. The client streams them through
+// their replica pipelines.
+void Namenode::InsertBlocks(const OpPtr& ctx, InodeId file, int32_t from) {
+  for (const BlockRow& b : ctx->result.new_blocks) {
+    const std::string bkey = BlockKey(file, from++);
     api_->Insert(ctx->txn, tables_.blocks, bkey, b.Encode(), Joined(ctx));
     // Each replica's index row holds the block row's key.
     const ndb::RowImage index_row = ndb::RowImage::Of(bkey);
@@ -230,7 +240,6 @@ void Namenode::AddBlocks(const OpPtr& ctx, InodeId file, int32_t from,
       api_->Insert(ctx->txn, tables_.dn_blocks, DnBlockKey(d, b.block_id),
                    index_row, Joined(ctx));
     }
-    ctx->result.new_blocks.push_back(std::move(b));
   }
 }
 
@@ -316,6 +325,10 @@ void Namenode::DoCreate(OpPtr ctx) {
                 ? static_cast<int32_t>((size + kDefaultBlockSize - 1) /
                                        kDefaultBlockSize)
                 : 0;
+        if (!PlaceBlocks(*ctx, 0, file.num_blocks, size)) {
+          Fail(*ctx, Unavailable("create: no live datanode for a block"));
+          return;
+        }
         // Every row write goes out at once; the commit waits for all.
         api_->Insert(ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
                      file.Encode(), Joined(ctx));
@@ -324,7 +337,7 @@ void Namenode::DoCreate(OpPtr ctx) {
                       InlineData(size),
                       Joined(ctx));
         }
-        AddBlocks(ctx, file.id, 0, file.num_blocks, size);
+        InsertBlocks(ctx, file.id, 0);
         TouchParent(*ctx, Joined(ctx));
         ArmJoin(std::move(ctx), "create: write", "create: commit");
       });
@@ -620,6 +633,15 @@ void Namenode::DoAppend(OpPtr ctx) {
           return;
         }
         const int64_t new_size = row.size + ctx->req->size;
+        const int32_t blocks_needed =
+            new_size < kSmallFileThreshold
+                ? row.num_blocks
+                : static_cast<int32_t>(
+                      (new_size + kDefaultBlockSize - 1) / kDefaultBlockSize);
+        if (!PlaceBlocks(*ctx, row.num_blocks, blocks_needed, new_size)) {
+          Fail(*ctx, Unavailable("append: no live datanode for a block"));
+          return;
+        }
         InodeRow& updated = ctx->result.inode;
         updated = std::move(row);
         updated.size = new_size;
@@ -640,10 +662,7 @@ void Namenode::DoAppend(OpPtr ctx) {
                          InlineDataKey(updated.id), Joined(ctx));
             updated.has_inline_data = false;
           }
-          const int32_t blocks_needed = static_cast<int32_t>(
-              (new_size + kDefaultBlockSize - 1) / kDefaultBlockSize);
-          AddBlocks(ctx, updated.id, updated.num_blocks, blocks_needed,
-                    new_size);
+          InsertBlocks(ctx, updated.id, updated.num_blocks);
           updated.num_blocks = blocks_needed;
         }
         api_->Update(ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),

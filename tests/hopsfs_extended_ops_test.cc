@@ -307,6 +307,62 @@ TEST(HopsFsBlockIo, LateNamenodeReplyStillWritesTheBlock) {
   EXPECT_EQ(replicas, 3);
 }
 
+// With every block datanode dead, a write that needs a new block fails
+// retryably and stores nothing, as HDFS refuses an addBlock below its
+// minimum replication: no block row, no inode for a create, the old
+// bytes for an append, and no read that reports bytes nothing holds.
+TEST(HopsFsBlockIo, WriteWithNoLiveDatanodeFailsAndStoresNothing) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/3);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/small", 1000).ok());
+  const InodeId small = fs.StatFull("/d/small").inode.id;
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+  for (blocks::DnId d = 0; d < dns.size(); ++d) dns.dn(d)->Crash();
+  fs.sim->RunFor(Seconds(20));  // their heartbeats stop: all count as dead
+
+  EXPECT_EQ(fs.Create("/d/big", kBigFile).code(), Code::kUnavailable);
+  EXPECT_EQ(fs.Stat("/d/big").code(), Code::kNotFound);
+  EXPECT_FALSE(fs.ReadFile("/d/big").ok());
+
+  EXPECT_EQ(RunOp(fs, [&](auto cb) {
+              fs.client->Append("/d/small", kBigFile, cb);
+            }).code(),
+            Code::kUnavailable);
+  const FsResult open = fs.Open("/d/small");
+  ASSERT_TRUE(open.status.ok());
+  EXPECT_EQ(open.inode.size, 1000);
+  EXPECT_TRUE(open.blocks.empty());
+  EXPECT_EQ(CountRows(fs, fs.deployment->tables().blocks,
+                      BlocksOfInodePrefix(small)),
+            0u);
+  EXPECT_TRUE(fs.ReadFile("/d/small").ok());
+}
+
+// A block row that names no replica, written here behind the namenode's
+// back, fails the read instead of letting it skip the block's bytes.
+TEST(HopsFsBlockIo, ReadOfBlockWithNoReplicaFails) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, 3, /*block_dns=*/3);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/big", kBigFile).ok());
+  const FsResult open = fs.Open("/d/big");
+  ASSERT_EQ(open.blocks.size(), 1u);
+  BlockRow row = open.blocks[0];
+  row.replicas.clear();
+  const ndb::TableId blocks = fs.deployment->tables().blocks;
+  const std::string key = BlockKey(open.inode.id, 0);
+  ndb::NdbApiNode api(fs.deployment->ndb(),
+                      fs.deployment->topology().AddHost(0, "probe"), 0);
+  const ndb::TxnId txn = api.Begin(blocks, key);
+  bool done = false;
+  api.Update(txn, blocks, ndb::Key(key), row.Encode(), [&](Code code) {
+    EXPECT_EQ(code, Code::kOk);
+    api.Commit(txn, [&](Code) { done = true; });
+  });
+  while (!done) fs.sim->RunFor(kMillisecond);
+
+  EXPECT_EQ(fs.ReadFile("/d/big").code(), Code::kUnavailable);
+}
+
 TEST(HopsFsExtendedOps, DeleteRecursiveRootRejected) {
   TestFs fs;
   EXPECT_EQ(RunOp(fs, [&](auto cb) {
