@@ -1,6 +1,7 @@
 #include "ndb/redo_journal.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "ndb/config.h"
@@ -39,6 +40,16 @@ RedoJournal::RedoJournal(int num_tables, int64_t segment_bytes)
     : segment_bytes_(segment_bytes), base_(num_tables) {}
 
 void RedoJournal::AppendToSegment(Record record) {
+  if (static_cast<size_t>(record.part) >= unfolded_by_part_.size()) {
+    unfolded_by_part_.resize(record.part + 1);
+  }
+  PartChain& chain = unfolded_by_part_[record.part];
+  if (chain.tail == 0) {
+    chain.head = record.seqno;
+  } else {
+    RecordAt(chain.tail).next_in_part = record.seqno;
+  }
+  chain.tail = record.seqno;
   if (segments_.empty() || segments_.back().bytes >= segment_bytes_) {
     Segment seg;
     seg.first_seqno = record.seqno;
@@ -48,7 +59,7 @@ void RedoJournal::AppendToSegment(Record record) {
   Segment& seg = segments_.back();
   seg.last_seqno = record.seqno;
   seg.bytes += record.bytes;
-  if (!record.folded) seg.unfolded += 1;
+  seg.unfolded += 1;
   seg.records.push_back(std::move(record));
 }
 
@@ -77,15 +88,12 @@ int64_t RedoJournal::Append(int64_t epoch, TxnId txn, TableId table,
 
 void RedoJournal::BootstrapRow(TableId table, const Key& key,
                                const RowImage& value) {
-  auto& rows = base_[table];
-  auto it = rows.find(key);
-  const int64_t row_bytes = static_cast<int64_t>(key.size()) +
-                            static_cast<int64_t>(value.size()) +
-                            kRedoRecordOverheadBytes;
-  if (it == rows.end()) {
-    rows.emplace(key, value);
+  const auto [it, inserted] = base_[table].try_emplace(key, value);
+  if (inserted) {
     base_rows_ += 1;
-    base_bytes_ += row_bytes;
+    base_bytes_ += static_cast<int64_t>(key.size()) +
+                   static_cast<int64_t>(value.size()) +
+                   kRedoRecordOverheadBytes;
   } else {
     base_bytes_ += static_cast<int64_t>(value.size()) -
                    static_cast<int64_t>(it->second.size());
@@ -126,7 +134,22 @@ void RedoJournal::DropUnflushed() {
   ++generation_;
   flush_requested_seqno_ = durable_seqno_;
   // Folded records are always <= durable_seqno_ (an LCP only folds the
-  // flushed prefix), so the dropped tail is all unfolded.
+  // flushed prefix), so the dropped tail is all unfolded. Cut each
+  // partition's chain before it.
+  for (PartChain& chain : unfolded_by_part_) {
+    if (chain.tail <= durable_seqno_) continue;
+    int64_t last = 0;
+    for (int64_t s = chain.head; s != 0 && s <= durable_seqno_;
+         s = RecordAt(s).next_in_part) {
+      last = s;
+    }
+    if (last == 0) {
+      chain = PartChain{};
+    } else {
+      RecordAt(last).next_in_part = 0;
+      chain.tail = last;
+    }
+  }
   while (!segments_.empty() &&
          segments_.back().first_seqno > durable_seqno_) {
     appended_bytes_ -= segments_.back().bytes;
@@ -185,6 +208,31 @@ int64_t RedoJournal::EpochAtCut(int64_t cut_seqno) const {
   return epoch;
 }
 
+std::pair<size_t, size_t> RedoJournal::Locate(int64_t seqno) const {
+  // Seqnos ascend across and within segments, with gaps only where a
+  // crash dropped a tail, so a record is usually at its offset in the
+  // newest segment, and otherwise two binary searches find it.
+  assert(!segments_.empty());
+  size_t s = segments_.size() - 1;
+  if (seqno < segments_[s].first_seqno) {
+    s = static_cast<size_t>(
+        std::upper_bound(
+            segments_.begin(), segments_.end(), seqno,
+            [](int64_t q, const Segment& g) { return q < g.first_seqno; }) -
+        segments_.begin() - 1);
+  }
+  const std::vector<Record>& records = segments_[s].records;
+  auto i = static_cast<size_t>(seqno - segments_[s].first_seqno);
+  if (i >= records.size() || records[i].seqno != seqno) {
+    i = static_cast<size_t>(
+        std::lower_bound(records.begin(), records.end(), seqno,
+                         [](const Record& r, int64_t q) { return r.seqno < q; }) -
+        records.begin());
+  }
+  assert(i < records.size() && records[i].seqno == seqno);
+  return {s, i};
+}
+
 int64_t RedoJournal::FragmentCheckpointBytes(PartitionId part,
                                              int num_partitions,
                                              int64_t cut_seqno) const {
@@ -192,15 +240,14 @@ int64_t RedoJournal::FragmentCheckpointBytes(PartitionId part,
   // is about to fold. Shares sum to the whole image across fragments.
   int64_t bytes = base_bytes_ / num_partitions +
                   (part < base_bytes_ % num_partitions ? 1 : 0);
+  if (static_cast<size_t>(part) >= unfolded_by_part_.size()) return bytes;
   const int64_t cut_epoch = EpochAtCut(cut_seqno);
-  for (const Segment& seg : segments_) {
-    if (seg.first_seqno > cut_seqno) break;
-    for (const Record& r : seg.records) {
-      if (r.seqno > cut_seqno) break;
-      if (!r.folded && r.part == part && r.epoch <= cut_epoch) {
-        bytes += r.bytes;
-      }
-    }
+  for (int64_t seqno = unfolded_by_part_[part].head;
+       seqno != 0 && seqno <= cut_seqno;) {
+    const auto [s, i] = Locate(seqno);
+    const Record& r = segments_[s].records[i];
+    if (r.epoch <= cut_epoch) bytes += r.bytes;
+    seqno = r.next_in_part;
   }
   return bytes;
 }
@@ -212,15 +259,29 @@ void RedoJournal::CompleteFragmentCheckpoint(PartitionId part,
   // interleaves), and folding it would bake a commit into the base image
   // that a cluster recovery at the cut epoch must drop.
   const int64_t cut_epoch = EpochAtCut(cut_seqno);
-  for (Segment& seg : segments_) {
-    if (seg.first_seqno > cut_seqno) break;
-    for (Record& r : seg.records) {
-      if (r.seqno > cut_seqno) break;
-      if (r.folded || r.part != part || r.epoch > cut_epoch) continue;
+  if (static_cast<size_t>(part) < unfolded_by_part_.size()) {
+    PartChain& chain = unfolded_by_part_[part];
+    Record* kept = nullptr;  // the last record left in the chain
+    for (int64_t seqno = chain.head; seqno != 0 && seqno <= cut_seqno;) {
+      const auto [s, i] = Locate(seqno);
+      Segment& seg = segments_[s];
+      Record& r = seg.records[i];
+      seqno = r.next_in_part;
+      if (r.epoch > cut_epoch) {
+        kept = &r;
+        continue;
+      }
       FoldIntoBase(r);
       DropLag(r);
       r.folded = true;
+      r.next_in_part = 0;
       seg.unfolded -= 1;
+      if (kept == nullptr) {
+        chain.head = seqno;
+      } else {
+        kept->next_in_part = seqno;
+      }
+      if (seqno == 0) chain.tail = kept == nullptr ? 0 : kept->seqno;
     }
   }
   max_folded_epoch_ = std::max(max_folded_epoch_, cut_epoch);
@@ -244,8 +305,8 @@ void RedoJournal::FinishCheckpointRound(int64_t cut_seqno, Nanos now) {
 
 void RedoJournal::FoldIntoBase(const Record& record) {
   auto& rows = base_[record.table];
-  auto it = rows.find(record.key);
   if (record.deleted) {
+    auto it = rows.find(record.key);
     if (it != rows.end()) {
       base_bytes_ -= static_cast<int64_t>(record.key.size()) +
                      static_cast<int64_t>(it->second.size()) +
@@ -255,8 +316,8 @@ void RedoJournal::FoldIntoBase(const Record& record) {
     }
     return;
   }
-  if (it == rows.end()) {
-    rows.emplace(record.key, record.value);
+  const auto [it, inserted] = rows.try_emplace(record.key, record.value);
+  if (inserted) {
     base_rows_ += 1;
     base_bytes_ += record.bytes;
   } else {
@@ -283,6 +344,7 @@ void RedoJournal::InstallImageBegin(int64_t epoch, Nanos now) {
   base_bytes_ = 0;
   segments_.clear();
   epoch_bounds_.clear();
+  for (PartChain& chain : unfolded_by_part_) chain = PartChain{};
   base_seqno_ = last_seqno_;
   durable_seqno_ = last_seqno_;
   flush_requested_seqno_ = last_seqno_;

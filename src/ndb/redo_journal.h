@@ -46,6 +46,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ndb/row_image.h"
@@ -80,6 +81,9 @@ class RedoJournal {
     RowImage value;       // the replica's committed image; null if deleted
     int64_t bytes = 0;       // on-disk size incl. record overhead
     Nanos appended_at = 0;   // when the replica applied the write
+    // While unfolded: the seqno of its partition's next unfolded record
+    // (0 = none).
+    int64_t next_in_part = 0;
   };
 
   struct Segment {
@@ -239,6 +243,12 @@ class RedoJournal {
   void TruncateCoveredSegments();
   // An unfolded record leaves the replay debt (folded or dropped).
   void DropLag(const Record& record);
+  // Where the live record `seqno` sits: (segment index, record index).
+  std::pair<size_t, size_t> Locate(int64_t seqno) const;
+  Record& RecordAt(int64_t seqno) {
+    const auto [s, i] = Locate(seqno);
+    return segments_[s].records[i];
+  }
 
   int64_t segment_bytes_;
   std::deque<Segment> segments_;
@@ -263,6 +273,16 @@ class RedoJournal {
   // Closed-epoch boundaries, ascending: epoch -> last seqno of epochs <=
   // it. Pruned below the base epoch at checkpoint time.
   std::vector<std::pair<int64_t, int64_t>> epoch_bounds_;
+  // Per partition id, its unfolded records as a chain in seqno order,
+  // linked through Record::next_in_part: a fragment checkpoint visits
+  // only its own records. Appends and adoptions add to the tail, folds
+  // unlink, DropUnflushed cuts the chain before the dropped tail, and an
+  // installed image empties it. Seqno 0 ends a chain.
+  struct PartChain {
+    int64_t head = 0;
+    int64_t tail = 0;
+  };
+  std::vector<PartChain> unfolded_by_part_;
   uint64_t generation_ = 0;
 };
 

@@ -4,6 +4,7 @@
 // bytes since the last local checkpoint).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -156,16 +157,64 @@ TEST(NdbRecoveryTest, LcpTruncatesRedoLog) {
   }
 }
 
+// A checkpoint base image as a whole-journal walk rebuilds it.
+using BaseImage = std::map<std::pair<TableId, Key>, std::string>;
+
+void ApplyRecord(BaseImage& image, const RedoJournal::Record& r) {
+  if (r.deleted) {
+    image.erase({r.table, r.key});
+  } else {
+    image[{r.table, r.key}] = std::string(r.value.view());
+  }
+}
+
+// The records a fragment checkpoint of `part` at `cut` folds, found by
+// walking every record of every segment, in seqno order.
+template <typename Fn>
+void ForEachFoldable(const RedoJournal& j, PartitionId part, int64_t cut,
+                     Fn fn) {
+  const int64_t cut_epoch = j.EpochAtCut(cut);
+  for (const auto& seg : j.segments()) {
+    for (const auto& r : seg.records) {
+      if (!r.folded && r.part == part && r.seqno <= cut &&
+          r.epoch <= cut_epoch) {
+        fn(r);
+      }
+    }
+  }
+}
+
+// ReplayDigest(max_epoch) by a whole-journal walk over `base`.
+uint64_t ReferenceReplayDigest(const RedoJournal& j, BaseImage image,
+                               int64_t max_epoch) {
+  for (const auto& seg : j.segments()) {
+    for (const auto& r : seg.records) {
+      if (!r.folded && r.seqno <= j.durable_seqno() && r.epoch <= max_epoch) {
+        ApplyRecord(image, r);
+      }
+    }
+  }
+  ImageDigest digest;
+  for (const auto& [id, value] : image) {
+    digest.AddRow(id.first, id.second, value);
+  }
+  return digest.value();
+}
+
 // The journal keeps its replay debt (lag) per record: every append and
 // adoption raises it, every fold and dropped unfolded record lowers it.
-// After every step of random op sequences it must equal a walk over the
-// whole journal.
+// It keeps each partition's unfolded records in a list of their own, so a
+// fragment checkpoint visits only those. After every step of random op
+// sequences the lag, every partition's checkpoint bytes and the replayed
+// image's digest must equal what a walk over the whole journal gives.
 TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
   constexpr int kParts = 4;
   int folds = 0, drops = 0;  // steps that lowered the lag, by cause
+  int held = 0;  // records at or below a cut whose epoch kept them out
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     RedoJournal j(/*num_tables=*/2, /*segment_bytes=*/512);
+    BaseImage base;  // the reference of the journal's base image
     int64_t epoch = 1;
     Nanos now = 0;
     TxnId txn = 0;
@@ -179,12 +228,15 @@ TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
       const bool deleted = rng.NextBelow(5) == 0;
       RowImage value =
           deleted ? RowImage() : RowImage::Filled(rng.NextBelow(64), 'v');
+      // A commit of the next, still open epoch may land before this
+      // epoch closes.
+      const int64_t at_epoch = epoch + (rng.NextBelow(4) == 0 ? 1 : 0);
       if (adopt) {
-        j.AdoptRecord(epoch, ++txn, table, key, part, deleted,
+        j.AdoptRecord(at_epoch, ++txn, table, key, part, deleted,
                       std::move(value), now);
       } else {
-        j.Append(epoch, ++txn, table, key, part, deleted, std::move(value),
-                 now);
+        j.Append(at_epoch, ++txn, table, key, part, deleted,
+                 std::move(value), now);
       }
     };
     for (int step = 0; step < 400; ++step) {
@@ -204,8 +256,17 @@ TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
         j.CloseEpoch(epoch++);
       } else if (op < 80) {
         if (cut < 0) cut = j.CheckpointCutSeqno(j.durable_epoch());
-        j.CompleteFragmentCheckpoint(
-            static_cast<PartitionId>(rng.NextBelow(kParts)), cut);
+        const auto part = static_cast<PartitionId>(rng.NextBelow(kParts));
+        ForEachFoldable(j, part, cut, [&](const RedoJournal::Record& r) {
+          ApplyRecord(base, r);
+        });
+        for (const auto& seg : j.segments()) {
+          for (const auto& r : seg.records) {
+            held += !r.folded && r.part == part && r.seqno <= cut &&
+                    r.epoch > j.EpochAtCut(cut);
+          }
+        }
+        j.CompleteFragmentCheckpoint(part, cut);
         if (j.lag_entries() < lag_before) ++folds;
       } else if (op < 87) {
         if (cut >= 0) j.FinishCheckpointRound(cut, now);
@@ -218,12 +279,15 @@ TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
       } else {
         j.InstallImageBegin(epoch - 1, now);
         j.InstallImageRow(0, "k0", RowImage::Of("base"));
+        base = {{{0, "k0"}, "base"}};
         for (int i = static_cast<int>(rng.NextBelow(6)); i > 0; --i) {
           record(/*adopt=*/true);
         }
         inflight = {};
         cut = -1;
       }
+      const std::string context = StrFormat(
+          "seed %llu step %d", static_cast<unsigned long long>(seed), step);
       int64_t bytes = 0, entries = 0;
       for (const auto& seg : j.segments()) {
         for (const auto& r : seg.records) {
@@ -232,13 +296,37 @@ TEST(NdbRecoveryTest, JournalLagMatchesAWholeJournalWalk) {
           entries += 1;
         }
       }
-      ASSERT_EQ(j.lag_bytes(), bytes) << "seed " << seed << " step " << step;
-      ASSERT_EQ(j.lag_entries(), entries)
-          << "seed " << seed << " step " << step;
+      ASSERT_EQ(j.lag_bytes(), bytes) << context;
+      ASSERT_EQ(j.lag_entries(), entries) << context;
+      // Every fragment's checkpoint write at the open round's cut (or at
+      // the cut a round would take now).
+      const int64_t at = cut >= 0 ? cut : j.CheckpointCutSeqno(j.durable_epoch());
+      for (PartitionId p = 0; p < kParts; ++p) {
+        int64_t want = j.base_bytes() / kParts +
+                       (p < j.base_bytes() % kParts ? 1 : 0);
+        ForEachFoldable(j, p, at, [&](const RedoJournal::Record& r) {
+          want += r.bytes;
+        });
+        ASSERT_EQ(j.FragmentCheckpointBytes(p, kParts, at), want)
+            << context << " partition " << p << " cut " << at;
+      }
+      int64_t base_bytes = 0;
+      for (const auto& [id, value] : base) {
+        base_bytes += static_cast<int64_t>(id.second.size() + value.size()) +
+                      32;  // the redo record framing
+      }
+      ASSERT_EQ(j.base_bytes(), base_bytes) << context;
+      ASSERT_EQ(j.base_rows(), static_cast<int64_t>(base.size())) << context;
+      for (const int64_t max_epoch : {epoch - 1, INT64_MAX}) {
+        ASSERT_EQ(j.ReplayDigest(max_epoch),
+                  ReferenceReplayDigest(j, base, max_epoch))
+            << context << " replay to epoch " << max_epoch;
+      }
     }
   }
   EXPECT_GT(folds, 0) << "no checkpoint folded a record";
   EXPECT_GT(drops, 0) << "no crash dropped an unflushed record";
+  EXPECT_GT(held, 0) << "no record of an open epoch sat below a cut";
 }
 
 // A written value is one buffer: the writer's image rides the prepare
