@@ -63,10 +63,11 @@ int main() {
   });
   while (!done) sim.RunFor(Millis(10));
 
-  // Kill the datanode holding the first block's AZ-0 replica. A read
-  // right away times out on it and fails over to the next replica; the
-  // leader namenode's replication monitor then restores the replication
-  // level.
+  // Kill the datanode holding the first block's AZ-0 replica. The
+  // namenode lists a replica it counts dead last, so a read right away
+  // goes to a live replica in another AZ instead of waiting out an RPC
+  // timeout on the dead one; the leader namenode's replication monitor
+  // then restores the replication level.
   blocks::DnId victim = created.new_blocks[0].replicas[0];
   for (auto d : created.new_blocks[0].replicas) {
     if (registry->az_of(d) == 0) victim = d;

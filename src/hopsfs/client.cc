@@ -398,9 +398,8 @@ struct HopsFsClient::BlockIo {
   uint64_t serial = 0;
   Simulation::Timer timer;
   trace::SpanId span = 0;
-  // A read's replicas of the current block, AZ-closest first, and the
-  // next one to try.
-  std::vector<blocks::DnId> replicas;
+  // A read's next replica of the current block to try, in the order the
+  // namenode listed them.
   size_t replica = 0;
 };
 
@@ -436,19 +435,10 @@ void HopsFsClient::NextBlock(BlockIoPtr io) {
     WriteBlock(std::move(io));
     return;
   }
-  // AZ-closest replicas first (§IV-C), as HDFS clients order them.
-  const BlockRow& b = blocks[io->next];
-  io->replicas.clear();
+  // The namenode lists a block's replicas in the order to try them:
+  // live before dead, AZ-closest first (§IV-C), as an HDFS client takes
+  // them from the namenode.
   io->replica = 0;
-  const bool local_first = az_aware_ && az_ != kNoAz;
-  for (blocks::DnId d : b.replicas) {
-    if (local_first && dn_registry_->az_of(d) == az_) io->replicas.push_back(d);
-  }
-  for (blocks::DnId d : b.replicas) {
-    if (!local_first || dn_registry_->az_of(d) != az_) {
-      io->replicas.push_back(d);
-    }
-  }
   ReadNextReplica(std::move(io));
 }
 
@@ -543,12 +533,14 @@ void HopsFsClient::ReadNextReplica(BlockIoPtr io) {
                 DeadlineExceeded("client: block io past deadline"));
     return;
   }
-  if (io->replica >= io->replicas.size()) {
+  const std::vector<int32_t>& replicas =
+      io->result.blocks[io->next].replicas;
+  if (io->replica >= replicas.size()) {
     FailBlockIo(std::move(io),
                 Unavailable("client: no replica of the block answered"));
     return;
   }
-  blocks::BlockDatanode* dn = dn_registry_->dn(io->replicas[io->replica++]);
+  blocks::BlockDatanode* dn = dn_registry_->dn(replicas[io->replica++]);
   io->span = sim_.tracer().StartSpan(
       op->span, "block.read", trace::Layer::kBlocks, trace::Cause::kWork,
       host_, az_);

@@ -166,7 +166,7 @@ class HopsFsClient {
   AzId az_;
   blocks::DnRegistry* dn_registry_;
   ClientConfig config_;
-  bool az_aware_;    // prefer an AZ-local namenode and replica (§IV-B3)
+  bool az_aware_;    // prefer an AZ-local namenode (§IV-B3)
   bool resilience_;  // op deadline, retry budget and per-NN breakers on
   Rng rng_;
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -105,7 +106,8 @@ Deployment::Deployment(Simulation& sim, DeploymentOptions options)
     namenodes_.push_back(std::make_unique<Namenode>(
         sim_, *network_, metrics_, *ndb_, tables_, i, host, az,
         dn_registry_.get(), placement_.get(), options_.nn,
-        /*admission=*/options_.resilience));
+        /*admission=*/options_.resilience,
+        /*az_local_reads=*/options_.az_nn_selection));
   }
 
   if (options_.telemetry.enabled) {
@@ -316,38 +318,52 @@ HopsFsClient* Deployment::AddClient(AzId az) {
 
 void Deployment::BootstrapNamespace(const std::vector<std::string>& dirs,
                                     const std::vector<std::string>& files) {
-  std::map<std::string, InodeId> ids;
-  ids["/"] = kRootInode;
+  // Parents before children: by path depth, then by path. Each depth is
+  // counted once, not on every compare.
+  std::vector<std::pair<int64_t, const std::string*>> sorted_dirs;
+  sorted_dirs.reserve(dirs.size());
+  for (const std::string& d : dirs) {
+    sorted_dirs.emplace_back(std::count(d.begin(), d.end(), '/'), &d);
+  }
+  std::sort(sorted_dirs.begin(), sorted_dirs.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first < b.first
+                                        : *a.second < *b.second;
+            });
 
-  auto put = [this, &ids](const std::string& path, bool is_dir) {
-    const auto [parent, base] = SplitParent(path);
+  // Directory path -> inode id; the views alias `dirs`.
+  std::unordered_map<std::string_view, InodeId> ids;
+  ids.reserve(dirs.size() + 1);
+  ids["/"] = kRootInode;
+  std::vector<Namenode::DirHint> hints;
+  hints.reserve(dirs.size());
+
+  auto put = [&](const std::string& path, bool is_dir) {
+    const auto [parent, base] = SplitParentView(path);
     auto it = ids.find(parent);
     assert(it != ids.end() && "bootstrap parents must come first");
+    const InodeId parent_id = it->second;
     InodeRow row;
     row.id = ++next_inode_id_;
     row.is_dir = is_dir;
     row.mtime_ns = sim_.now();
-    const std::string row_key = InodeKey(it->second, base);
     if (is_dir) {
       ids[path] = row.id;
-      // Steady-state hint caches (see Namenode::PrimePathCache).
-      for (auto& nn : namenodes_) {
-        nn->PrimePathCache(path, row.id, row_key);
-      }
+      hints.push_back({path, row.id, parent_id});
     }
-    ndb_->BootstrapPut(tables_.inodes, row_key, row.Encode());
+    ndb_->BootstrapPut(tables_.inodes, InodeKey(parent_id, base),
+                       row.Encode());
   };
-
-  // Parents before children: sort by path depth.
-  std::vector<std::string> sorted_dirs = dirs;
-  std::sort(sorted_dirs.begin(), sorted_dirs.end(),
-            [](const std::string& a, const std::string& b) {
-              const auto da = std::count(a.begin(), a.end(), '/');
-              const auto db = std::count(b.begin(), b.end(), '/');
-              return da != db ? da < db : a < b;
-            });
-  for (const auto& d : sorted_dirs) put(d, /*is_dir=*/true);
+  for (const auto& [depth, d] : sorted_dirs) put(*d, /*is_dir=*/true);
   for (const auto& f : files) put(f, /*is_dir=*/false);
+  // Steady-state hint caches, one namenode at a time (see
+  // Namenode::PrimePathCache). In path order, each hint goes in at its
+  // map's end without a tree walk (util::IndexedMap::FindOrInsert).
+  std::stable_sort(hints.begin(), hints.end(),
+                   [](const Namenode::DirHint& a, const Namenode::DirHint& b) {
+                     return a.path < b.path;
+                   });
+  for (auto& nn : namenodes_) nn->PrimePathCache(hints);
 }
 
 void Deployment::ResetStats() {

@@ -50,7 +50,9 @@ struct DeploymentOptions {
   // a time; FromPaperSetup turns all three on for HopsFS-CL.
   bool read_backup = false;      // Read Backup tables + delayed ack
   bool az_tc_selection = false;  // AZ-aware TC choice & read routing
-  bool az_nn_selection = false;  // clients prefer AZ-local NNs
+  // Clients prefer AZ-local NNs, and NNs list AZ-local block replicas
+  // first for the reader.
+  bool az_nn_selection = false;
   int block_datanodes = 0;
   NamenodeConfig nn;
 

@@ -52,10 +52,12 @@ Namenode::Namenode(Simulation& sim, Network& network,
                    const FsTables& tables, int32_t nn_id, HostId host,
                    AzId az, blocks::DnRegistry* dn_registry,
                    blocks::BlockPlacementPolicy* placement,
-                   NamenodeConfig config, bool admission)
+                   NamenodeConfig config, bool admission,
+                   bool az_local_reads)
     : sim_(sim), network_(network), ndb_(ndb), tables_(tables),
       nn_id_(nn_id), host_(host), az_(az), dn_registry_(dn_registry),
       placement_(placement), config_(config), admission_(admission),
+      az_local_reads_(az_local_reads),
       ops_(OpPool::Handle::Make()), rng_(sim.rng().Split()),
       limiter_(resilience::AimdLimiterConfig{
           config.admission_min_limit, config.admission_max_limit,
@@ -115,9 +117,11 @@ void Namenode::OnDnHeartbeat(blocks::DnId dn) {
   if (dn_registry_ != nullptr) dn_registry_->MarkHeartbeat(dn, sim_.now());
 }
 
-void Namenode::PrimePathCache(const std::string& path, InodeId id,
-                              const std::string& row_key) {
-  path_cache_[path] = CachedPath{id, row_key};
+void Namenode::PrimePathCache(const std::vector<DirHint>& dirs) {
+  path_cache_.Reserve(path_cache_.size() + dirs.size());
+  for (const DirHint& d : dirs) {
+    path_cache_.FindOrInsert(d.path).second = CachedPath{d.id, d.parent};
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +204,7 @@ void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
   if (failure.code() == Code::kNotFound && ctx->used_cache &&
       !ctx->cache_retry_done) {
     ctx->cache_retry_done = true;
-    path_cache_.clear();
+    path_cache_.Clear();
     RunAttempt(std::move(ctx));
     return;
   }
@@ -240,9 +244,11 @@ struct Namenode::PathWalk {
   Resolved then = nullptr;
 };
 
-void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
+void Namenode::ResolveDir(OpPtr ctx, std::string_view path,
+                          const CachedPath* hint, Resolved then) {
   if (path == "/") {
-    (this->*then)(std::move(ctx), kRootInode, InodeKey(0, ""));
+    const std::string_view root_key = ctx->arena.InodeKeyIn(0, "");
+    (this->*then)(std::move(ctx), kRootInode, root_key);
     return;
   }
   // Fast path: HopsFS resolves cached path prefixes from the NN-side
@@ -252,10 +258,11 @@ void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
   // implicitly: the operation's own locked read on the target/parent row
   // (keyed "parentId/name") misses if the hint went stale, which flows
   // through MaybeRetry's cache-flush-and-re-resolve path.
-  auto hit = path_cache_.find(path);
-  if (hit != path_cache_.end()) {
+  if (hint != nullptr) {
     ctx->used_cache = true;
-    (this->*then)(std::move(ctx), hit->second.id, hit->second.row_key);
+    const std::string_view key =
+        ctx->arena.InodeKeyIn(hint->parent, SplitParentView(path).second);
+    (this->*then)(std::move(ctx), hint->id, key);
     return;
   }
   auto w = std::make_shared<PathWalk>();
@@ -266,7 +273,8 @@ void Namenode::ResolveDir(OpPtr ctx, std::string_view path, Resolved then) {
 
 void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
   if (w->next == w->parts.size()) {
-    (this->*w->then)(std::move(ctx), w->dir, w->row_key);
+    const std::string_view key = ctx->arena.Intern(w->row_key);
+    (this->*w->then)(std::move(ctx), w->dir, key);
     return;
   }
   w->row_key = InodeKey(w->dir, w->parts[w->next]);
@@ -298,7 +306,7 @@ void Namenode::WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w) {
           prefix += '/';
           prefix += w->parts[k];
         }
-        path_cache_[prefix] = CachedPath{row.id, w->row_key};
+        path_cache_.FindOrInsert(prefix).second = CachedPath{row.id, w->dir};
         w->dir = row.id;
         ++w->next;
         WalkPath(std::move(ctx), w);
@@ -341,16 +349,19 @@ void Namenode::RunAttempt(OpPtr ctx) {
   }
 
   // Start the transaction with the best partition-key hint available.
-  // Built in the arena: the hint is only hashed by Begin, never stored.
-  std::string_view hint;
+  // Built in the arena: the key is only hashed by Begin, never stored.
+  // The parent's cache entry is probed once, here, and handed to its
+  // resolution below.
+  const CachedPath* cached = nullptr;
+  std::string_view partition_key;
   if (path == "/") {
-    hint = ctx->arena.InodeKeyIn(0, "");
+    partition_key = ctx->arena.InodeKeyIn(0, "");
   } else {
-    auto it = path_cache_.find(parent);
-    hint = ctx->arena.InodeKeyIn(
-        it != path_cache_.end() ? it->second.id : kRootInode, ctx->base);
+    if (const auto* e = path_cache_.Find(parent)) cached = &e->second;
+    partition_key = ctx->arena.InodeKeyIn(
+        cached != nullptr ? cached->id : kRootInode, ctx->base);
   }
-  ctx->txn = api_->Begin(tables_.inodes, hint);
+  ctx->txn = api_->Begin(tables_.inodes, partition_key);
   if (ctx->txn == 0) {
     MaybeRetry(std::move(ctx), Unavailable("no NDB datanode reachable"));
     return;
@@ -367,15 +378,13 @@ void Namenode::RunAttempt(OpPtr ctx) {
     Dispatch(std::move(ctx));
     return;
   }
-  ResolveDir(std::move(ctx), parent, &Namenode::ParentResolved);
+  ResolveDir(std::move(ctx), parent, cached, &Namenode::ParentResolved);
 }
 
 void Namenode::ParentResolved(OpPtr ctx, InodeId dir,
                               std::string_view row_key) {
   ctx->dir = dir;
-  // The view may alias the path cache or the walk's key; pin a copy the
-  // deferred transaction callbacks can use.
-  ctx->dir_row_key = ctx->arena.Intern(row_key);
+  ctx->dir_row_key = row_key;
   Dispatch(std::move(ctx));
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -29,6 +28,7 @@
 #include "sim/callback.h"
 #include "sim/record_pool.h"
 #include "sim/resources.h"
+#include "util/indexed_map.h"
 #include "util/status.h"
 
 namespace repro::hopsfs {
@@ -126,11 +126,13 @@ struct ActiveNn {
 class Namenode {
  public:
   // `registry` is the deployment's shared counter registry.
+  // `az_local_reads` lists each block's AZ-local replicas first for the
+  // reader (§IV-C).
   Namenode(Simulation& sim, Network& network, metrics::Registry& registry,
            ndb::NdbCluster& ndb, const FsTables& tables, int32_t nn_id,
            HostId host, AzId az, blocks::DnRegistry* dn_registry,
            blocks::BlockPlacementPolicy* placement, NamenodeConfig config,
-           bool admission);
+           bool admission, bool az_local_reads);
   ~Namenode();
 
   int32_t id() const { return nn_id_; }
@@ -156,14 +158,20 @@ class Namenode {
   // Datanode heartbeat sink (routed to the leader by the deployment).
   void OnDnHeartbeat(blocks::DnId dn);
 
-  // Pre-warms the inode hint cache (experiment bootstrap only): models a
+  // Pre-warms the inode hint cache with every directory of a freshly
+  // bootstrapped namespace (experiment bootstrap only): models a
   // long-running namenode whose cache has reached steady state, which a
-  // sub-second simulation window cannot organically warm.
-  void PrimePathCache(const std::string& path, InodeId id,
-                      const std::string& row_key);
+  // sub-second simulation window cannot organically warm. The cache's
+  // index is sized once for all of them.
+  struct DirHint {
+    std::string_view path;
+    InodeId id;
+    InodeId parent;  // the directory's parent inode
+  };
+  void PrimePathCache(const std::vector<DirHint>& dirs);
   // Test accessor: whether the hint cache holds an entry for `path`.
   bool HasPathHint(std::string_view path) const {
-    return path_cache_.find(path) != path_cache_.end();
+    return path_cache_.Find(path) != nullptr;
   }
 
   // Test accessor: this namenode's NDB API node.
@@ -193,11 +201,13 @@ class Namenode {
 
   // Resolves the inode id of directory `path` ("/a/b") with committed
   // reads, then runs `then(ctx, dir_id, dir_row_key)`; failures are
-  // finished/retried internally. Uses the NN-side path cache. The row-key
-  // view is only valid for the duration of the call — callees must intern
-  // it (OpCtx arena) before deferring.
+  // finished/retried internally. `hint` is the path cache's entry for
+  // `path` (null if it has none), which the caller has already probed.
+  // The row-key view lives in the op's arena (valid for the attempt).
+  struct CachedPath;
   using Resolved = void (Namenode::*)(OpPtr, InodeId, std::string_view);
-  void ResolveDir(OpPtr ctx, std::string_view path, Resolved then);
+  void ResolveDir(OpPtr ctx, std::string_view path, const CachedPath* hint,
+                  Resolved then);
   struct PathWalk;
   void WalkPath(OpPtr ctx, std::shared_ptr<PathWalk> w);
   void ParentResolved(OpPtr ctx, InodeId dir, std::string_view row_key);
@@ -219,6 +229,7 @@ class Namenode {
   void Fail(OpCtx& ctx, Status status);
   void TouchParent(OpCtx& ctx, WriteCb cb);
   bool PlaceBlocks(OpCtx& ctx, int32_t from, int32_t to, int64_t size);
+  void OrderReplicas(std::vector<BlockRow>& blocks, AzId reader) const;
   void InsertBlocks(const OpPtr& ctx, InodeId file, int32_t from);
   void RemoveInode(const OpPtr& ctx, ndb::Key key, const InodeRow& inode,
                    std::vector<BlockRow> blocks);
@@ -271,6 +282,7 @@ class Namenode {
   blocks::BlockPlacementPolicy* placement_;
   NamenodeConfig config_;
   bool admission_;  // admission control on (the deployment's resilience)
+  bool az_local_reads_;  // open replies list AZ-local replicas first
 
   std::unique_ptr<ThreadPool> cpu_;
   std::unique_ptr<ndb::NdbApiNode> api_;
@@ -287,15 +299,21 @@ class Namenode {
   metrics::Counter* ctr_host_errors_ = nullptr;
 
   // Path -> inode hint cache; entries are validated by the locked read
-  // each operation performs, so staleness only costs a retry. Ordered, so
-  // a rename drops the hints under its source as one key range; the
-  // transparent comparator lets the dispatch path probe with string_view
-  // slices of the request path without building a std::string.
+  // each operation performs, so staleness only costs a retry. Its map is
+  // ordered, so a rename drops the hints under its source as one key
+  // range; every other access (an op's parent lookup, priming, walk
+  // inserts, the retry's flush) goes through its hash index, probed with
+  // string_view slices of the request path (util/indexed_map.h). A
+  // directory's row key "parent/name" is rebuilt from the parent's id
+  // and the path's last component, so the hint stores no key string.
   struct CachedPath {
     InodeId id;
-    std::string row_key;  // "parentId/name" row key of the directory
+    InodeId parent;  // the directory's parent inode
   };
-  std::map<std::string, CachedPath, std::less<>> path_cache_;
+  // Hits dominate, and every namenode keeps a copy of the namespace's
+  // directories: the index fills to 3/4 at most (util/indexed_map.h).
+  using PathCache = util::IndexedMap<CachedPath, /*kMaxLoadQuarters=*/3>;
+  PathCache path_cache_;
 
   // Leader election state.
   int64_t le_counter_ = 0;

@@ -179,11 +179,14 @@ void Namenode::CommitAndFinish(OpPtr ctx, const char* what) {
         char* k = ctx->arena.Alloc(src.size() + 1);
         std::memcpy(k, src.data(), src.size());
         k[src.size()] = last;
-        return path_cache_.lower_bound(std::string_view(k, src.size() + 1));
+        return path_cache_.map().lower_bound(
+            std::string_view(k, src.size() + 1));
       };
-      path_cache_.erase(bound('/'), bound('0'));
-      auto self = path_cache_.find(src);
-      if (self != path_cache_.end()) path_cache_.erase(self);
+      path_cache_.EraseRange(bound('/'), bound('0'));
+      const uint32_t hash = PathCache::Hash(src);
+      if (const auto* self = path_cache_.Find(src, hash)) {
+        path_cache_.Erase(*self, hash);
+      }
     }
     Finish(*ctx, std::move(ctx->result));
   });
@@ -401,12 +404,41 @@ void Namenode::DoOpenRead(OpPtr ctx) {
                                return;
                              }
                              ctx->result.blocks = DecodeBlocks(rows);
+                             OrderReplicas(ctx->result.blocks,
+                                           ctx->req->client_az);
                              CommitAndFinish(std::move(ctx), "read: commit");
                            });
           return;
         }
         CommitAndFinish(std::move(ctx), "read: commit");
       });
+}
+
+// Lists each block's replicas in the order the reader should try them,
+// as HDFS's sortLocatedBlocks does: the ones the registry counts live
+// before the dead ones (a dead one never answers, so the reader would
+// wait out its RPC timeout), and AZ-local before remote within each
+// group when reads prefer the reader's AZ. The order is otherwise the
+// block row's.
+void Namenode::OrderReplicas(std::vector<BlockRow>& blocks,
+                             AzId reader) const {
+  if (dn_registry_ == nullptr) return;
+  const Nanos now = sim_.now();
+  const bool local_first = az_local_reads_ && reader != kNoAz;
+  const auto rank = [&](blocks::DnId d) {
+    return (dn_registry_->AliveAt(d, now) ? 0 : 2) +
+           (local_first && dn_registry_->az_of(d) != reader ? 1 : 0);
+  };
+  for (BlockRow& b : blocks) {
+    // A stable insertion sort: a block has a handful of replicas, and
+    // std::stable_sort would allocate a buffer.
+    std::vector<int32_t>& r = b.replicas;
+    for (size_t i = 1; i < r.size(); ++i) {
+      for (size_t j = i; j > 0 && rank(r[j]) < rank(r[j - 1]); --j) {
+        std::swap(r[j], r[j - 1]);
+      }
+    }
+  }
 }
 
 void Namenode::DoListDir(OpPtr ctx) {
@@ -522,13 +554,16 @@ void Namenode::DoRename(OpPtr ctx) {
   }
   auto [dst_parent, dst_base] = SplitParentView(dst_path);
   ctx->dst_base = dst_base;  // view into the request's path2
-  ResolveDir(std::move(ctx), dst_parent, &Namenode::RenameDstResolved);
+  const auto* hint = path_cache_.Find(dst_parent);
+  ResolveDir(std::move(ctx), dst_parent,
+             hint != nullptr ? &hint->second : nullptr,
+             &Namenode::RenameDstResolved);
 }
 
 void Namenode::RenameDstResolved(OpPtr ctx, InodeId dst_dir,
                                  std::string_view dst_key) {
   ctx->dst_dir = dst_dir;
-  ctx->dst_dir_row_key = ctx->arena.Intern(dst_key);
+  ctx->dst_dir_row_key = dst_key;
   LockRenameParents(std::move(ctx), 0);
 }
 

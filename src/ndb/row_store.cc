@@ -16,91 +16,9 @@ bool TraceKey(const Key& key) {
   static const char* k = std::getenv("REPRO_TRACE_KEY");
   return k != nullptr && key.find(k) != Key::npos;
 }
-
-// A table's first point-index capacity. It doubles whenever a row would
-// leave fewer than two slots per row: with linear probing, a lookup then
-// costs about two and a half probes at worst (for an absent key).
-constexpr size_t kMinIndexSlots = 16;
 }  // namespace
 
-// ---- Table: ordered rows plus their point index ----------------------
-
-size_t RowStore::Table::Probe(const Key& key, uint32_t hash) const {
-  const size_t mask = capacity() - 1;
-  size_t i = hash & mask;
-  for (; hash_at(i) != kEmptySlot; i = (i + 1) & mask) {
-    if (hash_at(i) == hash && row_at(i)->first == key) break;
-  }
-  return i;
-}
-
-RowStore::Entry* RowStore::Table::Find(const Key& key, uint32_t hash) const {
-  if (pairs_.empty()) return nullptr;
-  const size_t i = Probe(key, hash);
-  return hash_at(i) == kEmptySlot ? nullptr : &*row_at(i);
-}
-
-RowStore::Entry& RowStore::Table::FindOrInsert(const Key& key,
-                                               uint32_t hash) {
-  if ((rows_.size() + 1) * 2 > capacity()) Grow();
-  const size_t i = Probe(key, hash);
-  if (hash_at(i) == kEmptySlot) {
-    hash_at(i) = hash;
-    row_at(i) = rows_.try_emplace(key).first;
-  }
-  return *row_at(i);
-}
-
-void RowStore::Table::Erase(const Entry& entry, uint32_t hash) {
-  const size_t mask = capacity() - 1;
-  size_t hole = hash & mask;
-  while (hash_at(hole) != hash || &*row_at(hole) != &entry) {
-    hole = (hole + 1) & mask;
-  }
-  rows_.erase(row_at(hole));
-  // Backward-shift deletion: move each later member of the probe chain
-  // whose home slot is not after the hole into it, so that no probe ever
-  // stops at a gap before its key.
-  for (size_t i = (hole + 1) & mask; hash_at(i) != kEmptySlot;
-       i = (i + 1) & mask) {
-    const size_t home = hash_at(i) & mask;
-    if (((i - home) & mask) >= ((i - hole) & mask)) {
-      hash_at(hole) = hash_at(i);
-      row_at(hole) = row_at(i);
-      hole = i;
-    }
-  }
-  hash_at(hole) = kEmptySlot;
-}
-
-void RowStore::Table::Clear() {
-  std::fill(pairs_.begin(), pairs_.end(), SlotPair{});
-  rows_.clear();
-}
-
-void RowStore::Table::Grow() {
-  std::vector<SlotPair> old(pairs_.empty() ? kMinIndexSlots / 2
-                                           : pairs_.size() * 2);
-  old.swap(pairs_);
-  const size_t mask = capacity() - 1;
-  for (size_t j = 0; j < old.size() * 2; ++j) {
-    const uint32_t h = old[j / 2].hash[j % 2];
-    if (h == kEmptySlot) continue;
-    size_t i = h & mask;
-    while (hash_at(i) != kEmptySlot) i = (i + 1) & mask;
-    hash_at(i) = h;
-    row_at(i) = old[j / 2].row[j % 2];
-  }
-}
-
-// ---- RowStore -----------------------------------------------------------
-
 RowStore::RowStore(int num_tables) : tables_(num_tables) {}
-
-uint32_t RowStore::HashKey(const Key& key) {
-  const auto hash = static_cast<uint32_t>(std::hash<Key>{}(key));
-  return hash == kEmptySlot ? 1 : hash;
-}
 
 RowImage RowStore::Read(TableId table, const Key& key,
                         TxnId reader_txn) const {
@@ -119,7 +37,7 @@ RowImage RowStore::Read(TableId table, const Key& key,
 bool RowStore::Prepare(TableId table, const Key& key, WriteType type,
                        RowImage value, TxnId txn, NodeId tc,
                        Nanos staged_at) {
-  Entry& entry = tables_[table].FindOrInsert(key, HashKey(key));
+  Entry& entry = tables_[table].FindOrInsert(key);
   Row& row = entry.second;
   const bool blocked =
       row.pending != kNoPending && pending_[row.pending].txn != txn;
@@ -142,7 +60,7 @@ bool RowStore::Prepare(TableId table, const Key& key, WriteType type,
 std::optional<RowStore::AppliedWrite> RowStore::Commit(TableId table,
                                                        const Key& key,
                                                        TxnId txn) {
-  const uint32_t hash = HashKey(key);
+  const uint32_t hash = Table::Hash(key);
   Entry* e = tables_[table].Find(key, hash);
   const bool hit = e != nullptr && e->second.pending != kNoPending &&
                    pending_[e->second.pending].txn == txn;
@@ -168,7 +86,7 @@ std::optional<RowStore::AppliedWrite> RowStore::Commit(TableId table,
 }
 
 void RowStore::Abort(TableId table, const Key& key, TxnId txn) {
-  const uint32_t hash = HashKey(key);
+  const uint32_t hash = Table::Hash(key);
   Entry* e = tables_[table].Find(key, hash);
   const bool hit = e != nullptr && e->second.pending != kNoPending &&
                    pending_[e->second.pending].txn == txn;
@@ -204,7 +122,7 @@ std::vector<std::pair<Key, RowImage>> RowStore::ScanPrefix(
     return row.committed ? &row.committed : nullptr;
   };
   // Count the range first so that the result is allocated once.
-  const RowMap& rows = tables_[table].rows();
+  const RowMap& rows = tables_[table].map();
   const auto first = rows.lower_bound(prefix);
   auto last = first;
   size_t n = 0;
@@ -223,7 +141,7 @@ std::vector<std::pair<Key, RowImage>> RowStore::ScanPrefix(
 }
 
 int64_t RowStore::row_count(TableId table) const {
-  return static_cast<int64_t>(tables_[table].rows().size());
+  return static_cast<int64_t>(tables_[table].size());
 }
 
 void RowStore::Clear() {
@@ -233,7 +151,7 @@ void RowStore::Clear() {
 }
 
 void RowStore::BootstrapDelete(TableId table, const Key& key) {
-  const uint32_t hash = HashKey(key);
+  const uint32_t hash = Table::Hash(key);
   Entry* e = tables_[table].Find(key, hash);
   if (e == nullptr) return;
   total_bytes_ -= static_cast<int64_t>(e->second.committed.size());
@@ -244,7 +162,7 @@ void RowStore::BootstrapDelete(TableId table, const Key& key) {
 void RowStore::ForEachCommitted(
     TableId table,
     const std::function<void(const Key&, const RowImage&)>& fn) const {
-  for (const auto& [key, row] : tables_[table].rows()) {
+  for (const auto& [key, row] : tables_[table].map()) {
     if (row.committed) fn(key, row.committed);
   }
 }
@@ -289,7 +207,7 @@ void RowStore::BootstrapPut(TableId table, const Key& key,
     std::fprintf(stderr, "[trace] store %d BOOTSTRAP %s\n", debug_owner_,
                  key.c_str());
   }
-  Row& row = tables_[table].FindOrInsert(key, HashKey(key)).second;
+  Row& row = tables_[table].FindOrInsert(key).second;
   total_bytes_ -= static_cast<int64_t>(row.committed.size());
   row.committed = std::move(value);
   total_bytes_ += static_cast<int64_t>(row.committed.size());

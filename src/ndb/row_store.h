@@ -17,13 +17,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ndb/row_image.h"
 #include "ndb/types.h"
+#include "util/indexed_map.h"
 #include "util/time.h"
 
 namespace repro::ndb {
@@ -116,14 +116,16 @@ class RowStore {
 
  private:
   static constexpr uint32_t kNoPending = UINT32_MAX;
-  // An index slot's hash when it holds no row; HashKey never returns it.
-  static constexpr uint32_t kEmptySlot = 0;
   struct Row {
     RowImage committed;            // null: no committed row
     uint32_t pending = kNoPending;  // its staged write's slot in pending_
   };
-  using RowMap = std::map<Key, Row>;
-  using Entry = RowMap::value_type;
+  // One table: the ordered map owns the rows and is the only structure
+  // ever iterated; point operations go through its hash index
+  // (util/indexed_map.h).
+  using Table = util::IndexedMap<Row>;
+  using RowMap = Table::Map;
+  using Entry = Table::Entry;
   // A staged write. Few rows hold one at a time, so it lives here rather
   // than in every row.
   struct Pending {
@@ -136,61 +138,8 @@ class RowStore {
     RowImage value;
   };
 
-  // One table. The ordered map owns the rows and is the only structure
-  // ever iterated. Point operations go through an open-addressed hash
-  // index of the map's entries with linear probing: a slot holds one map
-  // iterator (the node pointer) and its key's hash, kEmptySlot if the
-  // slot is free. A probe compares hashes and reads a row's node only on
-  // a hash match, and growth and erasure never read a node or rehash a
-  // key. Erasure shifts the rest of the probe chain back instead of
-  // leaving tombstones. Nothing can walk the index, so its order cannot
-  // reach the simulation.
-  class Table {
-   public:
-    Table() = default;
-    // The index holds iterators into this table's map, so a copy would
-    // index the source's rows.
-    Table(const Table&) = delete;
-    Table& operator=(const Table&) = delete;
-
-    // The row with `key` (whose HashKey is `hash`), or null.
-    Entry* Find(const Key& key, uint32_t hash) const;
-    // The row with `key`, created (no committed image) if absent.
-    Entry& FindOrInsert(const Key& key, uint32_t hash);
-    // Unindexes the row (whose key hashes to `hash`), then erases it from
-    // the map.
-    void Erase(const Entry& entry, uint32_t hash);
-    void Clear();
-    const RowMap& rows() const { return rows_; }
-
-   private:
-    // Two slots, stored so that a slot takes 12 bytes, not a padded 16,
-    // and each hash sits beside its iterator.
-    struct SlotPair {
-      RowMap::iterator row[2];
-      uint32_t hash[2] = {kEmptySlot, kEmptySlot};
-    };
-    size_t capacity() const { return pairs_.size() * 2; }
-    uint32_t& hash_at(size_t i) { return pairs_[i / 2].hash[i % 2]; }
-    uint32_t hash_at(size_t i) const { return pairs_[i / 2].hash[i % 2]; }
-    RowMap::iterator& row_at(size_t i) { return pairs_[i / 2].row[i % 2]; }
-    RowMap::iterator row_at(size_t i) const {
-      return pairs_[i / 2].row[i % 2];
-    }
-
-    // The slot holding `key`, or the empty slot where it would go.
-    size_t Probe(const Key& key, uint32_t hash) const;
-    void Grow();
-
-    RowMap rows_;
-    // Every row of `rows_`, at most one per two slots; the capacity is a
-    // power of two.
-    std::vector<SlotPair> pairs_;
-  };
-
-  static uint32_t HashKey(const Key& key);
   Entry* Find(TableId table, const Key& key) const {
-    return tables_[table].Find(key, HashKey(key));
+    return tables_[table].Find(key);
   }
 
   // Gives a row that holds no staged write an (unfilled) one / drops the

@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "util/codec.h"
 #include "util/file.h"
 #include "util/histogram.h"
+#include "util/indexed_map.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -228,6 +230,169 @@ TEST(Strings, SplitParent) {
 
 TEST(Strings, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
+}
+
+// ---- IndexedMap, driven the way the namenode's hint cache drives it ----
+
+struct Hint {
+  uint64_t id = 0;
+  uint64_t parent = 0;
+  bool operator==(const Hint&) const = default;
+};
+// The namenode's hint cache fills its index to 3/4 (Namenode::PathCache);
+// RowStore's tables use the default limit of 1/2.
+using HintMap = util::IndexedMap<Hint, 3>;
+using HalfFullMap = util::IndexedMap<Hint>;
+
+// Paths up to three components deep, keys that sort right beside a
+// subtree's range ('.' < '/' < '0'), and keys whose home slot is the
+// index's last one for every capacity up to 256, so that their probe
+// chains wrap around to slot 0.
+std::vector<std::string> HintKeys() {
+  std::vector<std::string> keys;
+  const char* names[] = {"a", "b", "ab", "c"};
+  for (const char* x : names) {
+    const std::string px = std::string("/") + x;
+    keys.push_back(px);
+    keys.push_back(px + ".z");
+    keys.push_back(px + "0");
+    for (const char* y : names) {
+      const std::string py = px + "/" + y;
+      keys.push_back(py);
+      for (const char* z : names) keys.push_back(py + "/" + z);
+    }
+  }
+  for (int i = 0, tails = 0; tails < 12; ++i) {
+    std::string k = "/t" + std::to_string(i);
+    if ((HintMap::Hash(k) & 255) == 255) {
+      keys.push_back(std::move(k));
+      ++tails;
+    }
+  }
+  return keys;
+}
+
+// Every key is found exactly when the model holds it, with its value,
+// and the map holds what the model holds, in the same order.
+template <typename Map, int kMaxLoadQuarters>
+void ExpectSameAs(const Map& m, const std::map<std::string, Hint>& model,
+                  const std::vector<std::string>& keys, int step) {
+  ASSERT_EQ(m.size(), model.size()) << "step " << step;
+  ASSERT_TRUE(std::equal(m.map().begin(), m.map().end(), model.begin(),
+                         model.end()))
+      << "step " << step;
+  ASSERT_LE(4 * m.size(), kMaxLoadQuarters * m.capacity())
+      << "step " << step;
+  ASSERT_LE(m.capacity(), 256u) << "step " << step;
+  ASSERT_EQ(m.capacity() & (m.capacity() - 1), 0u) << "step " << step;
+  for (const std::string& k : keys) {
+    const auto* e = m.Find(k, Map::Hash(k));
+    const auto it = model.find(k);
+    ASSERT_EQ(e != nullptr, it != model.end()) << k << " at step " << step;
+    if (e != nullptr) {
+      ASSERT_EQ(e->first, k);
+      ASSERT_EQ(e->second, it->second) << k << " at step " << step;
+    }
+  }
+}
+
+template <typename Map, int kMaxLoadQuarters>
+void RunHintCacheModel(uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", load limit " +
+               std::to_string(kMaxLoadQuarters) + "/4");
+  const std::vector<std::string> keys = HintKeys();
+  Rng rng(seed);
+  Map m;
+  std::map<std::string, Hint> model;
+  for (int step = 0; step < 3000; ++step) {
+    const std::string& key = keys[rng.NextBelow(keys.size())];
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 50) {
+      // Priming or a walk's insert; overwrites when the key is there.
+      const Hint h{rng.NextBelow(1000) + 1, rng.NextBelow(1000)};
+      if (op % 2 == 0) {
+        m.FindOrInsert(key, Map::Hash(key)).second = h;
+      } else {
+        m.FindOrInsert(key).second = h;
+      }
+      model[key] = h;
+    } else if (op < 65) {
+      // One hint dropped by key.
+      const uint32_t hash = Map::Hash(key);
+      if (const auto* e = m.Find(key, hash)) m.Erase(*e, hash);
+      model.erase(key);
+    } else if (op < 95) {
+      // A rename of `key`: its subtree [key + "/", key + "0") goes as one
+      // range, then its own hint.
+      const std::string lo = key + "/", hi = key + "0";
+      m.EraseRange(m.map().lower_bound(lo), m.map().lower_bound(hi));
+      model.erase(model.lower_bound(lo), model.lower_bound(hi));
+      const uint32_t hash = Map::Hash(key);
+      if (const auto* e = m.Find(key, hash)) m.Erase(*e, hash);
+      model.erase(key);
+    } else if (op < 97) {
+      // A retry's flush.
+      m.Clear();
+      model.clear();
+    } else {
+      // At most 256 slots, so the tail keys still home to the last one.
+      m.Reserve(rng.NextBelow(keys.size()));
+    }
+    ExpectSameAs<Map, kMaxLoadQuarters>(m, model, keys, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IndexedMap, MatchesAnOrderedMapUnderHintCacheOps) {
+  for (uint64_t seed : {1u, 2u, 3u, 42u, 7919u}) {
+    RunHintCacheModel<HintMap, 3>(seed);
+    if (HasFatalFailure()) return;
+    RunHintCacheModel<HalfFullMap, 2>(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IndexedMap, TailKeysWrapAroundTheIndex) {
+  // Every tail key of HintKeys homes to the last slot, so with all of
+  // them in, the chain runs through slot 0 and erasing from its middle
+  // must shift the wrapped members back across the end.
+  std::vector<std::string> tails;
+  for (const std::string& k : HintKeys()) {
+    if (k.rfind("/t", 0) == 0) tails.push_back(k);
+  }
+  ASSERT_EQ(tails.size(), 12u);
+  HintMap m;
+  for (size_t i = 0; i < tails.size(); ++i) {
+    m.FindOrInsert(tails[i]).second = Hint{i + 1, 0};
+  }
+  ASSERT_LE(m.capacity(), 256u);
+  for (size_t i = 0; i < tails.size(); i += 2) {
+    const uint32_t hash = HintMap::Hash(tails[i]);
+    m.Erase(*m.Find(tails[i], hash), hash);
+  }
+  for (size_t i = 0; i < tails.size(); ++i) {
+    const auto* e = m.Find(tails[i]);
+    ASSERT_EQ(e != nullptr, i % 2 == 1) << tails[i];
+    if (e != nullptr) {
+      EXPECT_EQ(e->second.id, i + 1);
+    }
+  }
+}
+
+TEST(IndexedMap, ReserveSizesTheIndexOnce) {
+  HintMap m;
+  m.Reserve(1000);
+  const size_t capacity = m.capacity();
+  EXPECT_EQ(capacity, 2048u);
+  // Filled to 3/4 at most: 2048 slots hold 1536 entries, and the 1537th
+  // doubles the index.
+  for (int i = 0; i < 1536; ++i) m.FindOrInsert("/d" + std::to_string(i));
+  EXPECT_EQ(m.capacity(), capacity);
+  m.FindOrInsert("/d1536");
+  m.Clear();
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.capacity(), 2 * capacity);
+  EXPECT_EQ(m.Find("/d1"), nullptr);
 }
 
 }  // namespace
